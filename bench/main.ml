@@ -780,11 +780,11 @@ let metrics () =
 (* Explicit-only target.  Each row times one hot-path operation (malloc,
    free, read, write, trap) twice in the same process: once as shipped and
    once with the hot-path optimizations reverted to their pre-optimization
-   reference implementations (chunk cache off, armed-event fast scan off,
-   context memo off).  The toggles are observably pure — virtual cycles,
-   PRNG stream and detection outcomes are identical either way — so the
-   pair isolates real OCaml time and the row's [speedup] is the measured
-   improvement over the pre-PR baseline.  [mode] is "serial" (bare
+   reference implementations (chunk cache off, comparator folding over
+   every open event, context memo off).  The toggles are observably pure —
+   virtual cycles, PRNG stream and detection outcomes are identical either
+   way — so the pair isolates real OCaml time and the row's [speedup] is
+   the measured improvement over the pre-PR baseline.  [mode] is "serial" (bare
    machine) or "metrics" (flight recorder + telemetry snapshots armed).
    Schema: csod.bench.throughput/1. *)
 
@@ -827,7 +827,7 @@ let throughput () =
   in
   (* Reads/writes over a 1 MiB region with all four debug registers armed
      (far away, never hit) — the busy-execution configuration where every
-     access pays the armed-event scan. *)
+     access pays the comparator. *)
   let iters_rw = 2_000_000 in
   let rw_bench ~mode ~reference op =
     with_machine ~mode ~reference (fun m ->

@@ -60,21 +60,21 @@ let refill_small t idx block =
   t.small_free.(idx) <- push (n - 1) [] @ t.small_free.(idx)
 
 let take_block t cls =
-  match Size_class.class_index cls with
-  | Some idx ->
+  match cls with
+  | Size_class.Small block ->
+    let idx = Size_class.small_index block in
     (match t.small_free.(idx) with
      | addr :: rest ->
        t.small_free.(idx) <- rest;
        addr
      | [] ->
-       refill_small t idx (Size_class.block_size cls);
+       refill_small t idx block;
        (match t.small_free.(idx) with
         | addr :: rest ->
           t.small_free.(idx) <- rest;
           addr
         | [] -> assert false))
-  | None ->
-    let block = Size_class.block_size cls in
+  | Size_class.Large block ->
     (match Hashtbl.find_opt t.large_free block with
      | Some (addr :: rest) ->
        Hashtbl.replace t.large_free block rest;
@@ -84,10 +84,11 @@ let take_block t cls =
        Machine.sbrk t.m block)
 
 let return_block t cls base =
-  match Size_class.class_index cls with
-  | Some idx -> t.small_free.(idx) <- base :: t.small_free.(idx)
-  | None ->
-    let block = Size_class.block_size cls in
+  match cls with
+  | Size_class.Small block ->
+    let idx = Size_class.small_index block in
+    t.small_free.(idx) <- base :: t.small_free.(idx)
+  | Size_class.Large block ->
     let prev = Option.value ~default:[] (Hashtbl.find_opt t.large_free block) in
     Hashtbl.replace t.large_free block (base :: prev)
 
@@ -114,11 +115,11 @@ let malloc t size =
 
 let free t addr =
   Machine.work_as t.m Profiler.Alloc_fast Cost.malloc_base;
-  match Hashtbl.find_opt t.objects addr with
-  | None ->
+  match Hashtbl.find t.objects addr with
+  | exception Not_found ->
     if addr = 0 then () (* free(NULL) is a no-op *)
     else raise (Error (Printf.sprintf "free: invalid or already-freed pointer 0x%x" addr))
-  | Some obj ->
+  | obj ->
     Hashtbl.remove t.objects addr;
     t.frees <- t.frees + 1;
     Metrics.incr t.c_frees;

@@ -12,8 +12,6 @@ let classify size =
 
 let block_size = function Small n -> n | Large n -> n
 
-let class_index = function
-  | Small n -> Some ((n / align) - 1)
-  | Large _ -> None
+let small_index block = (block / align) - 1
 
 let num_small_classes = max_class / align

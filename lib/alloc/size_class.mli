@@ -29,7 +29,8 @@ val classify : int -> t
 val block_size : t -> int
 (** Bytes actually reserved for an object of this class. *)
 
-val class_index : t -> int option
-(** Index of a [Small] class in the per-class table; [None] for [Large]. *)
+val small_index : int -> int
+(** [small_index block] is the index of the [Small block] class in the
+    per-class table. *)
 
 val num_small_classes : int

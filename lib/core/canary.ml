@@ -54,17 +54,22 @@ let plant m ~base ~size ~ctx_id ~canary =
 let check m ~app ~size ~expected =
   Metrics.incr (hot m).checks;
   Machine.work_as m Profiler.Canary_check Cost.canary_check;
-  let ok = Sparse_mem.read_u64 (Machine.mem m) (boundary_addr ~app ~size) = expected in
+  let ok = Sparse_mem.equal_u64 (Machine.mem m) (boundary_addr ~app ~size) expected in
   Flight_recorder.canary_check ~at:(Clock.cycles (Machine.clock m)) ~addr:app ~ok;
   ok
 
-let read_header m ~app =
-  let mem = Machine.mem m in
+(* Header fields are read one [int] at a time so the free path, which
+   needs all three, allocates no tuple or option to get them. *)
+let has_header m ~app =
   let base = app - header_size in
-  if base < 0 then None
-  else if Sparse_mem.read_int mem (base + 24) <> identifier then None
-  else
-    Some
-      ( Sparse_mem.read_int mem base,
-        Sparse_mem.read_int mem (base + 8),
-        Sparse_mem.read_int mem (base + 16) )
+  base >= 0 && Sparse_mem.read_int (Machine.mem m) (base + 24) = identifier
+
+let field m ~app k = Sparse_mem.read_int (Machine.mem m) (app - header_size + (8 * k))
+let real_base m ~app = field m ~app 0
+let object_size m ~app = field m ~app 1
+let context_id m ~app = field m ~app 2
+
+let read_header m ~app =
+  if has_header m ~app then
+    Some (real_base m ~app, object_size m ~app, context_id m ~app)
+  else None

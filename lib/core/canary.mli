@@ -50,3 +50,12 @@ val check : Machine.t -> app:int -> size:int -> expected:int64 -> bool
 val read_header : Machine.t -> app:int -> (int * int * int) option
 (** [(real_base, size, ctx_id)] if the identifier matches, [None] for a
     foreign or corrupted header. *)
+
+val has_header : Machine.t -> app:int -> bool
+(** Does [app] carry a CSOD header ([read_header] is [Some _])? *)
+
+val real_base : Machine.t -> app:int -> int
+val object_size : Machine.t -> app:int -> int
+val context_id : Machine.t -> app:int -> int
+(** The three fields of [read_header], read one at a time without
+    allocating; meaningful only when {!has_header}. *)

@@ -1,13 +1,21 @@
+(* All-float, so OCaml stores it flat: updating a probability or a window
+   time writes a word in place.  As fields of [entry], beside its ints,
+   each update would box a fresh float — one per allocation for the decay
+   alone. *)
+type sampling = {
+  mutable prob : float;
+  mutable window_start : float;
+  mutable burst_until : float;
+  mutable floor_since : float;
+}
+
 type entry = {
   id : int;
   key : Alloc_ctx.key;
-  mutable prob : float;
+  s : sampling;
   mutable allocs : int;
   mutable watches : int;
-  mutable window_start : float;
   mutable window_count : int;
-  mutable burst_until : float;
-  mutable floor_since : float;
   mutable pinned : bool;
   mutable full_ctx : int list;
 }
@@ -25,14 +33,31 @@ type t = {
   mutable next_id : int;
   mutable allocations : int;
   mutable watches : int;
-  (* One-entry memo of the last context looked up: allocation sites repeat
-     in tight runs (loops allocating from one call site), so most lookups
-     hit the same entry as their predecessor and skip both the key tuple
-     allocation and the table probe.  Entries are never removed from the
-     table, so the memo can never go stale. *)
-  mutable memo : entry option;
+  (* Direct-mapped memo of recently used contexts, indexed by a hash of
+     the (call site, stack offset) pair: a hit skips the key tuple, the
+     table probe and the insertion closure, so it allocates nothing.
+     Entries are never removed from the table, so the memo can never go
+     stale. *)
+  memo : entry array;
   mutable memo_on : bool;
 }
+
+let memo_slots = 256
+
+(* Fills empty memo slots; its key matches no context. *)
+let no_entry =
+  { id = -1;
+    key = (min_int, min_int);
+    s = { prob = 0.0; window_start = 0.0; burst_until = 0.0; floor_since = 0.0 };
+    allocs = 0;
+    watches = 0;
+    window_count = 0;
+    pinned = false;
+    full_ctx = [] }
+
+let memo_index callsite offset =
+  (((callsite * 0x9E3779B1) lxor (offset * 0x85EBCA77)) lsr 20)
+  land (memo_slots - 1)
 
 let create ~params ~machine ~rng =
   let reg = Machine.registry machine in
@@ -49,28 +74,34 @@ let create ~params ~machine ~rng =
     next_id = 0;
     allocations = 0;
     watches = 0;
-    memo = None;
+    memo = Array.make memo_slots no_entry;
     memo_on = true }
 
 let set_memo t on =
   t.memo_on <- on;
-  if not on then t.memo <- None
+  if not on then Array.fill t.memo 0 memo_slots no_entry
 
-let now t = Clock.seconds (Machine.clock t.machine)
+(* [Clock.seconds], computed here: a [float] returned from another module
+   is boxed, and the allocation path reads the time on every call. *)
+let[@inline] now t =
+  float_of_int (Clock.cycles (Machine.clock t.machine))
+  /. float_of_int Cost.cycles_per_second
+
 let cycles t = Clock.cycles (Machine.clock t.machine)
+let prob e = e.s.prob
 
 (* Flight-recorder hook for one probability transition; skipped entirely
    (and the no-change case suppressed) when no recorder is installed. *)
 let note_prob t (e : entry) cause ~from_p =
-  if from_p <> e.prob then
-    Flight_recorder.prob ~at:(cycles t) ~ctx:e.id ~cause ~from_p ~to_p:e.prob
+  if from_p <> e.s.prob then
+    Flight_recorder.prob ~at:(cycles t) ~ctx:e.id ~cause ~from_p ~to_p:e.s.prob
 
-let at_floor t e = e.prob <= t.params.Params.min_prob +. 1e-12
+let at_floor t e = e.s.prob <= t.params.Params.min_prob +. 1e-12
 
 let clamp_floor t e =
-  if e.prob < t.params.Params.min_prob then begin
-    e.prob <- t.params.Params.min_prob;
-    if e.floor_since = 0.0 then e.floor_since <- now t
+  if e.s.prob < t.params.Params.min_prob then begin
+    e.s.prob <- t.params.Params.min_prob;
+    if e.s.floor_since = 0.0 then e.s.floor_since <- now t
   end
 
 let fresh_entry t (ctx : Alloc_ctx.t) =
@@ -81,33 +112,38 @@ let fresh_entry t (ctx : Alloc_ctx.t) =
   t.next_id <- id + 1;
   { id;
     key = Alloc_ctx.key ctx;
-    prob = t.params.Params.initial_prob;
+    s =
+      { prob = t.params.Params.initial_prob;
+        window_start = now t;
+        burst_until = 0.0;
+        floor_since = 0.0 };
     allocs = 0;
     watches = 0;
-    window_start = now t;
     window_count = 0;
-    burst_until = 0.0;
-    floor_since = 0.0;
     pinned = false;
     full_ctx = full }
 
 let on_allocation t ctx =
   Machine.work_as t.machine Profiler.Smu_lookup Cost.context_lookup;
+  let callsite = ctx.Alloc_ctx.callsite and offset = ctx.Alloc_ctx.stack_offset in
+  let slot = memo_index callsite offset in
+  let cached = t.memo.(slot) in
   let e =
-    match t.memo with
-    | Some e
-      when (let kc, ko = e.key in
-            kc = ctx.Alloc_ctx.callsite && ko = ctx.Alloc_ctx.stack_offset) ->
-      e
-    | _ ->
+    if
+      t.memo_on
+      && (let kc, ko = cached.key in
+          kc = callsite && ko = offset)
+    then cached
+    else begin
       let e =
         Chained_table.find_or_add t.table (Alloc_ctx.key ctx) ~default:(fun () ->
             let e = fresh_entry t ctx in
             Hashtbl.replace t.by_id e.id e;
             e)
       in
-      if t.memo_on then t.memo <- Some e;
+      if t.memo_on then t.memo.(slot) <- e;
       e
+    end
   in
   if e.allocs = 0 then Metrics.set t.g_contexts (Chained_table.length t.table);
   t.allocations <- t.allocations + 1;
@@ -116,65 +152,67 @@ let on_allocation t ctx =
   Machine.work_as t.machine Profiler.Smu_lookup Cost.prob_update;
   let tnow = now t in
   let recording = Flight_recorder.active () in
+  let s = e.s in
   (* Degradation on each allocation. *)
-  let before_decay = e.prob in
-  e.prob <- e.prob -. t.params.Params.degrade_per_alloc;
+  let before_decay = s.prob in
+  s.prob <- s.prob -. t.params.Params.degrade_per_alloc;
   clamp_floor t e;
   if recording then note_prob t e Flight_recorder.Decay ~from_p:before_decay;
   (* Burst bookkeeping: count allocations in the rolling window. *)
-  if tnow -. e.window_start > t.params.Params.burst_window_sec then begin
-    e.window_start <- tnow;
+  if tnow -. s.window_start > t.params.Params.burst_window_sec then begin
+    s.window_start <- tnow;
     e.window_count <- 0;
     (* An active throttle expires with its window: the probability is
        "again increased to the lower bound". *)
-    if e.burst_until > 0.0 && tnow >= e.burst_until then e.burst_until <- 0.0
+    if s.burst_until > 0.0 && tnow >= s.burst_until then s.burst_until <- 0.0
   end;
   e.window_count <- e.window_count + 1;
   if e.window_count > t.params.Params.burst_threshold then begin
-    if e.burst_until = 0.0 then begin
+    if s.burst_until = 0.0 then begin
       Metrics.incr t.c_bursts;
       if recording then
         Flight_recorder.prob ~at:(cycles t) ~ctx:e.id
-          ~cause:Flight_recorder.Throttle ~from_p:e.prob
+          ~cause:Flight_recorder.Throttle ~from_p:s.prob
           ~to_p:t.params.Params.burst_prob
     end;
-    e.burst_until <- e.window_start +. t.params.Params.burst_window_sec
+    s.burst_until <- s.window_start +. t.params.Params.burst_window_sec
   end;
   (* Reviving: a floor-bound context may be boosted after a while. *)
   if
     (not e.pinned) && at_floor t e
-    && e.floor_since > 0.0
-    && tnow -. e.floor_since > t.params.Params.revive_period_sec
+    && s.floor_since > 0.0
+    && tnow -. s.floor_since > t.params.Params.revive_period_sec
     && Prng.below_percent t.rng 0.01
   then begin
     Metrics.incr t.c_revivals;
-    let before = e.prob in
-    e.prob <- t.params.Params.revive_prob;
-    e.floor_since <- 0.0;
+    let before = s.prob in
+    s.prob <- t.params.Params.revive_prob;
+    s.floor_since <- 0.0;
     if recording then note_prob t e Flight_recorder.Revive ~from_p:before
   end;
   e
 
 let effective_prob t e =
   if e.pinned then 1.0
-  else if e.burst_until > 0.0 && now t < e.burst_until then t.params.Params.burst_prob
-  else e.prob
+  else if e.s.burst_until > 0.0 && now t < e.s.burst_until then
+    t.params.Params.burst_prob
+  else e.s.prob
 
 let note_watched t (e : entry) =
   t.watches <- t.watches + 1;
   e.watches <- e.watches + 1;
   if not e.pinned then begin
-    let before = e.prob in
-    e.prob <- e.prob *. t.params.Params.watch_decay_factor;
+    let before = e.s.prob in
+    e.s.prob <- e.s.prob *. t.params.Params.watch_decay_factor;
     clamp_floor t e;
     if Flight_recorder.active () then
       note_prob t e Flight_recorder.Halve_on_watch ~from_p:before
   end
 
 let pin t e =
-  let before = e.prob in
+  let before = e.s.prob in
   e.pinned <- true;
-  e.prob <- 1.0;
+  e.s.prob <- 1.0;
   if Flight_recorder.active () then
     note_prob t e Flight_recorder.Pin ~from_p:before
 

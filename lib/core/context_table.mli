@@ -15,21 +15,31 @@
     - pin to 100% when the evidence mechanism proves the context overflows
       (Section IV-B). *)
 
+(** A context's floating-point sampling state, kept apart from {!entry}
+    so OCaml stores it unboxed: the per-allocation updates write in place
+    instead of boxing a float each. *)
+type sampling = {
+  mutable prob : float;
+  mutable window_start : float;  (** burst window start, virtual seconds *)
+  mutable burst_until : float;   (** end of an active throttle, or 0. *)
+  mutable floor_since : float;   (** when the probability first hit the floor *)
+}
+
 type entry = {
   id : int;
       (** dense per-runtime identifier; stored in object headers as the
           CallingContextPtr of Figure 5 *)
   key : Alloc_ctx.key;
-  mutable prob : float;
+  s : sampling;
   mutable allocs : int;          (** allocations seen from this context *)
   mutable watches : int;         (** times an object of this context was watched *)
-  mutable window_start : float;  (** burst window start, virtual seconds *)
   mutable window_count : int;    (** allocations inside the current window *)
-  mutable burst_until : float;   (** end of an active throttle, or 0. *)
-  mutable floor_since : float;   (** when the probability first hit the floor *)
   mutable pinned : bool;         (** evidence-pinned at 100% *)
   mutable full_ctx : int list;   (** full backtrace, captured on first sight *)
 }
+
+val prob : entry -> float
+(** The entry's adapted probability ([e.s.prob]). *)
 
 type t
 
@@ -37,7 +47,7 @@ val create : params:Params.t -> machine:Machine.t -> rng:Prng.t -> t
 (** [rng] drives the reviving coin flips. *)
 
 val set_memo : t -> bool -> unit
-(** [set_memo t false] disables the one-entry lookup memo, reverting every
+(** [set_memo t false] disables the direct-mapped lookup memo, reverting every
     allocation to the pre-optimization table probe.  Used by the throughput
     bench to measure the baseline in the same run; detection behaviour is
     identical either way. *)

@@ -120,11 +120,12 @@ let handle_trap t (info : Machine.trap_info) =
 let create ?(params = Params.default) ?store ?respond ?(seed = 0) ~machine
     ~heap () =
   let root = Machine.rng machine in
-  (* Offset the streams by [seed] so distinct executions sample differently. *)
+  (* Offset the streams by [seed] so distinct executions sample differently
+     ([bits53] advances one draw, like [bits64], without boxing it). *)
   let mk () =
     let g = Prng.split root in
     for _ = 1 to seed land 0xff do
-      ignore (Prng.bits64 g)
+      ignore (Prng.bits53 g)
     done;
     g
   in
@@ -277,9 +278,10 @@ let csod_malloc t ~size ~ctx =
       Respond.record_patch r ~site:(fst entry.Context_table.key)
         ~ctx:entry.Context_table.key ~addr:app ~at_sec:(now t)
     | None -> ());
-    Trace.decision ~watched:false
-      ~prob:(Context_table.effective_prob t.contexts entry)
-      ~key:entry.Context_table.key ~addr:app;
+    if Trace.on () then
+      Trace.decision ~watched:false
+        ~prob:(Context_table.effective_prob t.contexts entry)
+        ~key:entry.Context_table.key ~addr:app;
     app
   end
   else begin
@@ -309,9 +311,10 @@ let csod_malloc t ~size ~ctx =
       Metrics.incr t.c_watched;
       Context_table.note_watched t.contexts entry
     end;
-    Trace.decision ~watched
-      ~prob:(Context_table.effective_prob t.contexts entry)
-      ~key:entry.Context_table.key ~addr:app;
+    if Trace.on () then
+      Trace.decision ~watched
+        ~prob:(Context_table.effective_prob t.contexts entry)
+        ~key:entry.Context_table.key ~addr:app;
     app
   end
 
@@ -359,15 +362,18 @@ let csod_free t ~ptr =
     (match t.respond with
     | Some r when Respond.oblivious r -> Respond.release r ~obj:ptr
     | _ -> ());
-    (if evidence t then
-       match Canary.read_header t.machine ~app:ptr with
-       | Some (base, size, ctx_id) ->
-         check_canary t ~app:ptr ~size ~ctx_id ~source:Report.Canary_free;
-         Heap.free t.heap base
-       | None ->
-         (* No CSOD header: a foreign pointer; let the heap diagnose it. *)
-         Heap.free t.heap ptr
-     else Heap.free t.heap ptr);
+    if evidence t && Canary.has_header t.machine ~app:ptr then begin
+      let base = Canary.real_base t.machine ~app:ptr in
+      check_canary t ~app:ptr
+        ~size:(Canary.object_size t.machine ~app:ptr)
+        ~ctx_id:(Canary.context_id t.machine ~app:ptr)
+        ~source:Report.Canary_free;
+      Heap.free t.heap base
+    end
+    else
+      (* No CSOD header (or no evidence mode): a foreign pointer is the
+         heap's to diagnose. *)
+      Heap.free t.heap ptr;
     (* Recorded last so an object's story closes after its at-free canary
        check and any detection that check produced. *)
     Flight_recorder.free ~at:(cycles t) ~addr:ptr

@@ -139,7 +139,7 @@ let install t ~obj_addr ~watch_addr ~entry =
         alloc_backtrace = entry.Context_table.full_ctx;
         fds;
         installed_at = now t;
-        prob_at_install = entry.Context_table.prob }
+        prob_at_install = Context_table.prob entry }
     in
     Ring.push t.ring wp;
     List.iter (fun (_, fd) -> Hashtbl.replace t.by_fd fd wp) fds;

@@ -67,19 +67,20 @@ val check_access :
   t -> addr:int -> len:int -> kind:access_kind -> tid:Threads.tid -> fd option
 (** [check_access t ~addr ~len ~kind ~tid] is the debug-unit comparator: if
     the accessed range overlaps a watched address whose event for [tid] is
-    enabled, return that event's fd (the trap to deliver).  The comparator
-    scans only the armed events, lowest fd first (DR0-before-DR3 style
-    priority), and is O(1) when nothing is armed — the per-access fast
-    path. *)
+    enabled, return that event's fd (the trap to deliver), the lowest such
+    fd when several match.  It compares against the four slots and looks
+    up [tid]'s armed events of the overlapping ones directly, so its cost
+    does not depend on how many threads or events exist; with nothing
+    armed it is one test.  It allocates only the [Some] of a hit. *)
 
 val set_fast_scan : t -> bool -> unit
-(** [set_fast_scan t false] reverts the comparator to the pre-optimization
-    reference path (a fold over every event ever opened).  Used by the
+(** [set_fast_scan t false] reverts the comparator to the reference path
+    (a fold over every open event, the original implementation).  Used by the
     throughput bench to measure the baseline in the same run, and by the
     property tests to check the two comparators agree. *)
 
 val armed_count : t -> int
-(** Events currently enabled — the length of the comparator's scan list. *)
+(** Events currently enabled, over all slots and threads. *)
 
 val watched_addrs : t -> int list
 (** Currently armed distinct addresses (at most [num_slots]). *)

@@ -323,9 +323,10 @@ let syscall_count t = Metrics.count t.c_syscalls
 let work_cycles t = t.n_work_cycles
 
 let install_watch ?(combined = false) t ~addr ~tid =
-  match
-    Hw_breakpoint.perf_event_open ~now:(Clock.seconds t.clock) t.hw ~addr ~tid
-  with
+  (* Only a fault injector reads the time: without one, opening an event
+     for each of many threads boxes no clock reading per thread. *)
+  let now = match t.faults with None -> None | Some _ -> Some (Clock.seconds t.clock) in
+  match Hw_breakpoint.perf_event_open ?now t.hw ~addr ~tid with
   | Error _ as e ->
     charge_syscalls t 1;
     e

@@ -62,18 +62,26 @@ let release t =
 
 let check addr = if addr < 0 then invalid_arg "Sparse_mem: negative address"
 
+(* The chunk's storage, or [no_chunk] when untouched, allocating nothing:
+   [find_opt] would box a found chunk in [Some], and [find] raising
+   [Not_found] measured slower than a second probe — reads of untouched
+   memory, which the cache never holds, take this path every time. *)
+let lookup t idx =
+  if Hashtbl.mem t.chunks idx then Hashtbl.find t.chunks idx else no_chunk
+
 (* Chunk lookup for a write (materializes the chunk on a miss). *)
 let chunk_for t addr =
   let idx = addr / chunk_size in
   if t.cache_on && idx = t.cache_idx then t.cache_chunk
   else begin
+    let b = lookup t idx in
     let b =
-      match Hashtbl.find_opt t.chunks idx with
-      | Some b -> b
-      | None ->
+      if b != no_chunk then b
+      else begin
         let b = fresh_page () in
         Hashtbl.add t.chunks idx b;
         b
+      end
     in
     if t.cache_on then begin
       t.cache_idx <- idx;
@@ -86,15 +94,14 @@ let chunk_for t addr =
 let chunk_at t addr =
   let idx = addr / chunk_size in
   if t.cache_on && idx = t.cache_idx then t.cache_chunk
-  else
-    match Hashtbl.find_opt t.chunks idx with
-    | None -> no_chunk
-    | Some b ->
-      if t.cache_on then begin
-        t.cache_idx <- idx;
-        t.cache_chunk <- b
-      end;
-      b
+  else begin
+    let b = lookup t idx in
+    if t.cache_on && b != no_chunk then begin
+      t.cache_idx <- idx;
+      t.cache_chunk <- b
+    end;
+    b
+  end
 
 let read_u8 t addr =
   check addr;
@@ -107,33 +114,40 @@ let write_u8 t addr v =
   let b = chunk_for t addr in
   Bytes.unsafe_set b (addr mod chunk_size) (Char.unsafe_chr (v land 0xff))
 
-let read_u64 t addr =
+(* Word accesses whose 8 bytes straddle two chunks, byte by byte. *)
+let read_u64_split t addr =
+  let v = ref 0L in
+  for i = 7 downto 0 do
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (read_u8 t (addr + i)))
+  done;
+  !v
+
+let write_u64_split t addr v =
+  for i = 0 to 7 do
+    write_u8 t (addr + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
+  done
+
+(* The word accessors are inlined into the [int] and comparison variants
+   below, so those never box an [int64]: a word access within one chunk
+   allocates nothing. *)
+let[@inline] read_u64 t addr =
   check addr;
-  (* Fast path: the whole word lies inside one chunk. *)
   let off = addr mod chunk_size in
   if off <= chunk_size - 8 then begin
     let b = chunk_at t addr in
     if b == no_chunk then 0L else Bytes.get_int64_le b off
   end
-  else begin
-    let v = ref 0L in
-    for i = 7 downto 0 do
-      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (read_u8 t (addr + i)))
-    done;
-    !v
-  end
+  else read_u64_split t addr
 
-let write_u64 t addr v =
+let[@inline] write_u64 t addr v =
   check addr;
   let off = addr mod chunk_size in
   if off <= chunk_size - 8 then Bytes.set_int64_le (chunk_for t addr) off v
-  else
-    for i = 0 to 7 do
-      write_u8 t (addr + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
-    done
+  else write_u64_split t addr v
 
 let read_int t addr = Int64.to_int (read_u64 t addr)
 let write_int t addr v = write_u64 t addr (Int64.of_int v)
+let equal_u64 t addr v = read_u64 t addr = v
 
 (* Store returning the displaced value: the armed response layer's
    pre-write capture folded into the write itself, so the squash path

@@ -25,11 +25,18 @@ val read_u64 : t -> addr -> int64
 val write_u64 : t -> addr -> int64 -> unit
 (** Little-endian 8-byte store. *)
 
+val equal_u64 : t -> addr -> int64 -> bool
+(** [equal_u64 t a v] is [read_u64 t a = v] without boxing the load: the
+    canary check's comparison. *)
+
 val read_int : t -> addr -> int
 (** [read_int t a] loads a 64-bit word as an OCaml [int] (truncating the top
-    bit); the MiniC interpreter's word type. *)
+    bit); the MiniC interpreter's word type.  Never boxes: a load from one
+    chunk allocates nothing. *)
 
 val write_int : t -> addr -> int -> unit
+(** [write_int t a v] stores [v] sign-extended to 64 bits; allocates
+    nothing. *)
 
 val exchange_u8 : t -> addr -> int -> int
 (** [exchange_u8 t a v] stores the low 8 bits of [v] and returns the byte

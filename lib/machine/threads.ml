@@ -4,7 +4,9 @@ type info = { name : string; mutable alive : bool }
 
 type t = {
   table : (tid, info) Hashtbl.t;
-  mutable order : tid list; (* reversed spawn order *)
+  (* Live threads in spawn order, maintained by spawn/exit (rare) so that
+     reading it — once per watchpoint install — costs nothing. *)
+  mutable live : tid list;
   mutable next : tid;
   mutable current : tid;
   mutable spawn_subs : (tid -> unit) list;
@@ -13,19 +15,17 @@ type t = {
 
 let create () =
   let t =
-    { table = Hashtbl.create 16; order = []; next = 0; current = 0;
+    { table = Hashtbl.create 16; live = [ 0 ]; next = 1; current = 0;
       spawn_subs = []; exit_subs = [] }
   in
   Hashtbl.add t.table 0 { name = "main"; alive = true };
-  t.order <- [ 0 ];
-  t.next <- 1;
   t
 
 let spawn t ~name =
   let tid = t.next in
   t.next <- tid + 1;
   Hashtbl.add t.table tid { name; alive = true };
-  t.order <- tid :: t.order;
+  t.live <- t.live @ [ tid ];
   List.iter (fun f -> f tid) (List.rev t.spawn_subs);
   tid
 
@@ -39,14 +39,12 @@ let exit_thread t tid =
   let i = info_exn t tid in
   if not i.alive then invalid_arg (Printf.sprintf "Threads.exit_thread: tid %d already dead" tid);
   i.alive <- false;
+  t.live <- List.filter (fun x -> x <> tid) t.live;
   if t.current = tid then t.current <- 0;
   List.iter (fun f -> f tid) (List.rev t.exit_subs)
 
-let alive t =
-  List.rev t.order
-  |> List.filter (fun tid -> (Hashtbl.find t.table tid).alive)
-
-let alive_count t = List.length (alive t)
+let alive t = t.live
+let alive_count t = List.length t.live
 
 let name t tid =
   match Hashtbl.find_opt t.table tid with

@@ -1,4 +1,10 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* xoshiro256**.  The four 64-bit state words live unboxed in one 32-byte
+   buffer: as [mutable int64] record fields every assignment would box a
+   fresh word, four allocations per draw on the sampling path. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* splitmix64, used to expand the seed into the four xoshiro words. *)
 let splitmix64 state =
@@ -17,24 +23,37 @@ let create ~seed =
   let s3 = splitmix64 st in
   (* xoshiro must not start from the all-zero state. *)
   let s3 = if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then 1L else s3 in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 s2;
+  set t 24 s3;
+  t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* One generator step, inlined into every draw below so the 64-bit result
+   stays unboxed until it becomes an [int], a [float] or a [bool]. *)
+let[@inline] next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tt = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tt;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tt = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 (logxor s2 tt);
+  set t 24 (rotl s3 45);
   result
 
+let bits64 t = next t
+
 let split t =
-  let seed = Int64.to_int (bits64 t) land max_int in
+  let seed = Int64.to_int (next t) land max_int in
   create ~seed
 
 let fork t label =
@@ -47,33 +66,34 @@ let fork t label =
       h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
     label;
   let seed =
-    Int64.to_int (Int64.logxor !h (bits64 t)) land max_int
+    Int64.to_int (Int64.logxor !h (next t)) land max_int
   in
   create ~seed
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy t = Bytes.copy t
+
+(* Rejection sampling on the low 62 bits to avoid modulo bias. *)
+let rec draw_below t bound =
+  let r = Int64.to_int (Int64.logand (next t) 0x3FFF_FFFF_FFFF_FFFFL) in
+  let v = r mod bound in
+  if r - v + (bound - 1) < 0 then draw_below t bound else v
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling on the top 62 bits to avoid modulo bias. *)
-  let mask = Int64.shift_right_logical Int64.minus_one 2 in
-  let rec go () =
-    let r = Int64.to_int (Int64.logand (bits64 t) mask) in
-    let v = r mod bound in
-    if r - v + (bound - 1) < 0 then go () else v
-  in
-  go ()
+  draw_below t bound
 
-let float t =
-  (* 53 uniform bits scaled into [0, 1). *)
-  let bits = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
-  float_of_int bits *. (1.0 /. 9007199254740992.0)
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+(* 53 uniform bits scaled into [0, 1). *)
+let[@inline] float t = float_of_int (bits53 t) *. 0x1p-53
 
+let bool t = Int64.logand (next t) 1L = 1L
+
+(* [float] and the generator step are inlined here, so the test allocates
+   nothing of its own. *)
 let below_percent t p =
   if p <= 0.0 then false else if p >= 1.0 then true else float t < p
 
 let rec canary64 t =
-  let v = bits64 t in
+  let v = next t in
   if v = 0L then canary64 t else v

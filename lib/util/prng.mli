@@ -8,7 +8,8 @@
     to be instantiated once per simulated thread. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state, held unboxed: a draw allocates nothing beyond
+    the boxed result of {!bits64} or {!float}. *)
 
 val create : seed:int -> t
 (** [create ~seed] builds a generator from a 63-bit seed.  Two generators
@@ -39,6 +40,11 @@ val int : t -> int -> int
 
 val float : t -> float
 (** [float t] returns a uniform float in [\[0, 1)]. *)
+
+val bits53 : t -> int
+(** [bits53 t] is the draw behind {!float}: [float t] equals
+    [float_of_int (bits53 t) *. 0x1p-53] for the same state.  It advances
+    the stream by one draw, like {!bits64}, without boxing the result. *)
 
 val bool : t -> bool
 (** [bool t] returns a uniform boolean. *)

@@ -18,7 +18,7 @@ let test_ct_initial_prob () =
   let ct, _ = mk_ct () in
   let e = Context_table.on_allocation ct (ctx 1) in
   Alcotest.check feq "0.5 minus one degradation"
-    (0.5 -. Params.default.Params.degrade_per_alloc) e.Context_table.prob;
+    (0.5 -. Params.default.Params.degrade_per_alloc) (Context_table.prob e);
   Alcotest.(check int) "alloc counted" 1 e.Context_table.allocs;
   Alcotest.(check int) "one context" 1 (Context_table.num_contexts ct)
 
@@ -52,19 +52,19 @@ let test_ct_degradation_accumulates () =
   done;
   let e = Option.get (Context_table.find ct (Alloc_ctx.key (ctx 5))) in
   Alcotest.check (Alcotest.float 1e-6) "1000 degradations"
-    (0.5 -. (1000.0 *. 1e-5)) e.Context_table.prob
+    (0.5 -. (1000.0 *. 1e-5)) (Context_table.prob e)
 
 let test_ct_watch_halving_and_floor () =
   let ct, _ = mk_ct () in
   let e = Context_table.on_allocation ct (ctx 7) in
-  let p0 = e.Context_table.prob in
+  let p0 = Context_table.prob e in
   Context_table.note_watched ct e;
-  Alcotest.check feq "halved" (p0 /. 2.0) e.Context_table.prob;
+  Alcotest.check feq "halved" (p0 /. 2.0) (Context_table.prob e);
   for _ = 1 to 40 do
     Context_table.note_watched ct e
   done;
   Alcotest.check feq "clamped at the floor" Params.default.Params.min_prob
-    e.Context_table.prob;
+    (Context_table.prob e);
   Alcotest.(check int) "watch count" 41 e.Context_table.watches
 
 let test_ct_burst_throttle () =
@@ -109,7 +109,7 @@ let test_ct_revive () =
   for _ = 1 to 60 do
     Context_table.note_watched ct e
   done;
-  Alcotest.check feq "at floor" params.Params.min_prob e.Context_table.prob;
+  Alcotest.check feq "at floor" params.Params.min_prob (Context_table.prob e);
   Machine.work machine (sec 5);
   (* Reviving is a low-probability coin per allocation; hammer it. *)
   let revived = ref false in
@@ -117,7 +117,7 @@ let test_ct_revive () =
   while (not !revived) && !n < 2_000_000 do
     incr n;
     let e = Context_table.on_allocation ct (ctx 6) in
-    if e.Context_table.prob >= params.Params.revive_prob -. 1e-9 then revived := true
+    if Context_table.prob e >= params.Params.revive_prob -. 1e-9 then revived := true
   done;
   Alcotest.(check bool) "eventually revived to 0.01%" true !revived
 
@@ -130,8 +130,8 @@ let prop_ct_prob_bounds =
         (fun (site, watch) ->
           let e = Context_table.on_allocation ct (ctx site) in
           if watch then Context_table.note_watched ct e;
-          e.Context_table.prob >= Params.default.Params.min_prob -. 1e-12
-          && e.Context_table.prob <= Params.default.Params.initial_prob +. 1e-12)
+          Context_table.prob e >= Params.default.Params.min_prob -. 1e-12
+          && Context_table.prob e <= Params.default.Params.initial_prob +. 1e-12)
         ops)
 
 (* ---------- Watch_table ---------- *)

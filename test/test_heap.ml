@@ -16,12 +16,15 @@ let test_size_classes () =
     (fun () -> ignore (Size_class.classify (-1)))
 
 let test_size_class_index () =
-  Alcotest.(check (option int)) "first index" (Some 0)
-    (Size_class.class_index (Size_class.classify 16));
+  let index size =
+    match Size_class.classify size with
+    | Size_class.Small n -> Some (Size_class.small_index n)
+    | Size_class.Large _ -> None
+  in
+  Alcotest.(check (option int)) "first index" (Some 0) (index 16);
   Alcotest.(check (option int)) "last index" (Some (Size_class.num_small_classes - 1))
-    (Size_class.class_index (Size_class.classify 4096));
-  Alcotest.(check (option int)) "large has none" None
-    (Size_class.class_index (Size_class.classify 10000))
+    (index 4096);
+  Alcotest.(check (option int)) "large has none" None (index 10000)
 
 let prop_block_covers_request =
   QCheck.Test.make ~name:"block_size >= request, 16-aligned" ~count:500

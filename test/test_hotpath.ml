@@ -1,0 +1,218 @@
+(* Pins for the per-allocation and per-access hot paths: they allocate
+   nothing on the OCaml heap (the CSOD allocation path one boxed float, on
+   top of the heap's own), and the debug-register bookkeeping costs the
+   same per thread whether 2 or 16 threads exist.  Allocation is counted
+   with [Gc.minor_words], which is exact and deterministic, so these pins
+   never flake the way host-time thresholds would.  Only native code
+   unboxes; bytecode allocates everywhere, so there the allocation pins
+   only run the code. *)
+
+let native = Sys.backend_type = Sys.Native
+
+(* Minor words [f ()] allocates. *)
+let words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let check_no_alloc name f =
+  f ();
+  let w = words f in
+  if native then Alcotest.(check (float 0.0)) (name ^ ": minor words") 0.0 w
+
+let spawn_threads m n =
+  for i = 2 to n do
+    ignore (Threads.spawn (Machine.threads m) ~name:(Printf.sprintf "w%d" i))
+  done
+
+(* ---------- Debug registers: a model of the comparator ---------- *)
+
+(* Open, enable, disable, close and access at random over 40 threads and
+   six candidate addresses (more than the four slots), checking every
+   comparator answer, slot refusal and armed count against a list model:
+   the lowest enabled fd of the accessing thread whose 8 bytes overlap the
+   access. *)
+let test_hw_model () =
+  let hw = Hw_breakpoint.create () in
+  let g = Prng.create ~seed:17 in
+  let addrs = [| 0x1000; 0x1008; 0x1010; 0x2000; 0x2004; 0x3000 |] in
+  (* (fd, addr, tid, enabled) of every open event *)
+  let model = ref [] in
+  let overlap a l w = a < w + Hw_breakpoint.watch_len && w < a + l in
+  for step = 1 to 20_000 do
+    let tag = Printf.sprintf "step %d" step in
+    match Prng.int g 10 with
+    | 0 | 1 ->
+      let addr = addrs.(Prng.int g (Array.length addrs)) in
+      let tid = Prng.int g 40 in
+      let distinct = List.sort_uniq compare (List.map (fun (_, a, _, _) -> a) !model) in
+      (match Hw_breakpoint.perf_event_open hw ~addr ~tid with
+      | Ok fd -> model := (fd, addr, tid, false) :: !model
+      | Error `ENOSPC ->
+        Alcotest.(check bool) (tag ^ ": ENOSPC only past four addresses") true
+          (List.length distinct >= Hw_breakpoint.num_slots
+          && not (List.mem addr distinct))
+      | Error _ -> Alcotest.fail (tag ^ ": unexpected open failure"))
+    | 2 | 3 | 4 when !model <> [] ->
+      let fd, addr, tid, _ = List.nth !model (Prng.int g (List.length !model)) in
+      let on = Prng.bool g in
+      if on then Hw_breakpoint.ioctl_enable hw fd else Hw_breakpoint.ioctl_disable hw fd;
+      model :=
+        List.map (fun ((f, _, _, _) as e) -> if f = fd then (fd, addr, tid, on) else e) !model
+    | 5 when !model <> [] ->
+      let fd, _, _, _ = List.nth !model (Prng.int g (List.length !model)) in
+      Hw_breakpoint.close hw fd;
+      model := List.filter (fun (f, _, _, _) -> f <> fd) !model
+    | _ ->
+      let addr = 0xFF8 + Prng.int g 0x2010 and len = if Prng.bool g then 8 else 1 in
+      let tid = Prng.int g 40 in
+      let expected =
+        List.fold_left
+          (fun best (fd, a, t, on) ->
+            if on && t = tid && overlap addr len a then
+              match best with Some b when b < fd -> best | _ -> Some fd
+            else best)
+          None !model
+      in
+      Alcotest.(check (option int)) (tag ^ ": comparator") expected
+        (Hw_breakpoint.check_access hw ~addr ~len ~kind:Hw_breakpoint.Read ~tid);
+      Alcotest.(check int) (tag ^ ": armed count")
+        (List.length (List.filter (fun (_, _, _, on) -> on) !model))
+        (Hw_breakpoint.armed_count hw)
+  done
+
+(* Installing one watchpoint for every thread, then removing it: the
+   allocation per thread must not grow with the number of threads (it grew
+   quadratically while every open rescanned all open events). *)
+let test_hw_install_linear () =
+  let install_remove threads =
+    let m = Machine.create () in
+    spawn_threads m threads;
+    let tids = Threads.alive (Machine.threads m) in
+    let round () =
+      let fds =
+        List.filter_map
+          (fun tid ->
+            match Machine.install_watch m ~addr:0x5000 ~tid with
+            | Ok fd -> Some fd
+            | Error _ -> None)
+          tids
+      in
+      Alcotest.(check int) "one event per thread" threads (List.length fds);
+      List.iter (Machine.remove_watch m) fds
+    in
+    round ();
+    words round
+  in
+  let w2 = install_remove 2 and w9 = install_remove 9 and w16 = install_remove 16 in
+  if native then
+    Alcotest.(check (float 0.0)) "second 7 threads cost what the first 7 did"
+      (w9 -. w2) (w16 -. w9)
+
+(* ---------- Allocation-free hot paths ---------- *)
+
+let test_prng_no_alloc () =
+  let g = Prng.create ~seed:5 in
+  let sink = ref 0 in
+  check_no_alloc "int" (fun () -> for _ = 1 to 10_000 do sink := !sink + Prng.int g 97 done);
+  check_no_alloc "bits53" (fun () -> for _ = 1 to 10_000 do sink := !sink + Prng.bits53 g done);
+  check_no_alloc "bool" (fun () -> for _ = 1 to 10_000 do if Prng.bool g then incr sink done);
+  check_no_alloc "below_percent" (fun () ->
+      for _ = 1 to 10_000 do if Prng.below_percent g 0.3 then incr sink done);
+  ignore (Sys.opaque_identity !sink)
+
+let test_sparse_mem_no_alloc () =
+  let mem = Sparse_mem.create () in
+  let sink = ref 0 in
+  (* Alternating between two chunks, one of them never written, so every
+     read misses the last-chunk cache: the miss path allocates nothing
+     either. *)
+  let addr i = if i land 1 = 0 then 0x1000_0000 + (i * 8 land 0xFFF8) else 0x7000_0000 in
+  check_no_alloc "write_int" (fun () ->
+      for i = 0 to 9_999 do Sparse_mem.write_int mem (0x1000_0000 + (i * 8 land 0xFFF8)) i done);
+  check_no_alloc "read_int" (fun () ->
+      for i = 0 to 9_999 do sink := !sink + Sparse_mem.read_int mem (addr i) done);
+  check_no_alloc "equal_u64" (fun () ->
+      for i = 0 to 9_999 do if Sparse_mem.equal_u64 mem (addr i) 7L then incr sink done);
+  ignore (Sys.opaque_identity !sink)
+
+let test_machine_access_no_alloc () =
+  let m = Machine.create () in
+  spawn_threads m 16;
+  (* Every thread watches four far-away words: the comparator has four
+     busy slots and 64 armed events, and no access hits them. *)
+  List.iter
+    (fun tid ->
+      for k = 0 to 3 do
+        match Machine.install_watch m ~addr:(0x4000_0000 + (k * 64)) ~tid with
+        | Ok _ -> ()
+        | Error _ -> Alcotest.fail "install failed"
+      done)
+    (Threads.alive (Machine.threads m));
+  Alcotest.(check int) "all armed" 64 (Hw_breakpoint.armed_count (Machine.hw m));
+  let sink = ref 0 in
+  (* 256 KiB: four chunks, switched between every 8,192 accesses. *)
+  let addr i = 0x1000_0000 + (i * 8 land 0x3FFF8) in
+  check_no_alloc "store_word" (fun () ->
+      for i = 0 to 99_999 do Machine.store_word m (addr i) i done);
+  check_no_alloc "load_word" (fun () ->
+      for i = 0 to 99_999 do sink := !sink + Machine.load_word m (addr i) done);
+  ignore (Sys.opaque_identity !sink)
+
+(* [n] allocations over 64 call sites, each freeing the object 256
+   allocations older. *)
+let alloc_loop tool =
+  let ctxs = Array.init 64 (fun i -> Alloc_ctx.synthetic ~callsite:(0x40 + i) ()) in
+  let live = Array.make 256 0 in
+  let k = ref 0 in
+  fun n ->
+    for _ = 1 to n do
+      incr k;
+      let slot = !k land 255 in
+      if live.(slot) <> 0 then tool.Tool.free ~ptr:live.(slot);
+      live.(slot) <- tool.Tool.malloc ~size:(16 + (!k mod 7 * 24)) ~ctx:ctxs.(!k / 256 mod 64)
+    done
+
+(* The CSOD layers (context table, sampling coin, canary plant and check,
+   header reads) add one boxed float per allocation to the raw heap's own
+   once every context sits in the lookup memo: the sampling probability,
+   boxed to cross from [Context_table] through [Runtime] into [Prng].  This
+   is the steady state of runs of 256 allocations from each of 64 call
+   sites; a memo miss still allocates (the key tuple and the table probe),
+   so this pins the memo-hit path only.  Watchpoint installs still allocate
+   (their records and fd lists), so the state is measured after the warm-up
+   has decayed every context's probability, and a little slack covers the
+   rare coin that wins. *)
+let test_csod_alloc_path_no_alloc () =
+  let baseline =
+    let m = Machine.create () in
+    alloc_loop (Tool.baseline (Heap.create m))
+  in
+  let csod =
+    let m = Machine.create () in
+    spawn_threads m 16;
+    let rt = Runtime.create ~machine:m ~heap:(Heap.create m) () in
+    alloc_loop (Runtime.tool rt)
+  in
+  baseline 100_000;
+  csod 100_000;
+  let n = 20_000 in
+  let wb = words (fun () -> baseline n) and wc = words (fun () -> csod n) in
+  if native then
+    Alcotest.(check bool)
+      (Printf.sprintf "CSOD adds < 2.1 words per allocation (heap %.0f, CSOD %.0f)" wb wc)
+      true
+      (wc -. wb < 2.1 *. float_of_int n)
+
+let suite =
+  [ Alcotest.test_case "hw: comparator agrees with a model over 40 threads" `Quick
+      test_hw_model;
+    Alcotest.test_case "hw: install cost per thread independent of thread count"
+      `Quick test_hw_install_linear;
+    Alcotest.test_case "allocation-free: prng draws" `Quick test_prng_no_alloc;
+    Alcotest.test_case "allocation-free: sparse-memory words" `Quick
+      test_sparse_mem_no_alloc;
+    Alcotest.test_case "allocation-free: checked accesses, 16 threads armed" `Quick
+      test_machine_access_no_alloc;
+    Alcotest.test_case "allocation-free: CSOD malloc/free over the heap's" `Quick
+      test_csod_alloc_path_no_alloc ]

@@ -9,6 +9,7 @@ let () =
     [ ("prng", Test_prng.suite);
       ("util", Test_util.suite);
       ("machine", Test_machine.suite);
+      ("hotpath", Test_hotpath.suite);
       ("heap", Test_heap.suite);
       ("minic", Test_minic.suite);
       ("pretty", Test_pretty.suite);
