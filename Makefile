@@ -38,8 +38,7 @@ faults:
 	@dune exec bench/main.exe -- resilience
 
 # Throughput bench: real ns/op of the hot paths (malloc, free, read,
-# write, trap), shipped vs. reference implementations measured in the
-# same process, one csod.bench.throughput/1 JSONL row per (op, mode)
+# write, trap), one csod.bench.throughput/2 JSONL row per (op, mode)
 # (stdout only).  BENCH_THROUGHPUT.jsonl holds a committed baseline.
 perf:
 	@dune exec bench/main.exe -- throughput

@@ -27,11 +27,9 @@
    row per (app, rate): the detection-rate-vs-fault-rate curve.
 
    `throughput` (explicit-only, JSONL) times the single-execution hot
-   paths — malloc, free, read, write, trap — in real nanoseconds, both as
-   shipped and with the hot-path optimizations toggled back to their
-   reference implementations, and emits one csod.bench.throughput/1 row
-   per (op, mode) with the measured speedup.  This is the `make perf`
-   target.
+   paths — malloc, free, read, write, trap — in real nanoseconds and
+   emits one csod.bench.throughput/2 row per (op, mode).  This is the
+   `make perf` target.
 
    `exec` (explicit-only, JSONL) times end-to-end executions/sec of the
    AST interpreter against the bytecode VM over app and pure-compute
@@ -40,6 +38,12 @@
    speedup.  This is the `make engines` target. *)
 
 let progress fmt = Printf.ksprintf (fun s -> Printf.eprintf "  .. %s\n%!" s) fmt
+
+(* Every JSONL target prints its rows through here: one object per line,
+   [schema] first. *)
+let emit_row ~schema fields =
+  print_endline
+    (Obs_json.to_string (`Assoc (("schema", `String schema) :: fields)))
 
 let section title = Printf.printf "\n==== %s ====\n\n%!" title
 
@@ -309,8 +313,6 @@ let fleet_table () =
    emit one row per app with the measured wall-clock speedup.  Schema:
    csod.bench.fleet/1. *)
 
-let fleet_schema = "csod.bench.fleet/1"
-
 let fleet_bench () =
   let parallel_domains = max 2 (Pool.default_domains ()) in
   let bench_one ~users (app : Buggy_app.t) =
@@ -332,29 +334,26 @@ let fleet_bench () =
       && Metrics.counters_list serial.Fleet.metrics
          = Metrics.counters_list parallel.Fleet.metrics
     in
-    print_endline
-      (Obs_json.to_string
-         (`Assoc
-           [ ("schema", `String fleet_schema);
-             ("app", `String app.Buggy_app.name);
-             ("config", `String (Config.label config));
-             ("users", `Int users);
-             ("epoch_size", `Int 32);
-             ("benign_frac", `Float 0.25);
-             ("domains", `Int parallel_domains);
-             ("detections", `Int serial.Fleet.detections);
-             ("first_catch",
-              match serial.Fleet.first_catch with
-              | Some s ->
-                `Assoc
-                  [ ("uid", `Int s.Fleet.user.Workload.uid);
-                    ("epoch", `Int s.Fleet.epoch) ]
-              | None -> `Null);
-             ("store_contexts", `Int (Persist.count serial.Fleet.store));
-             ("deterministic", `Bool identical);
-             ("wall_seconds_serial", `Float wall_serial);
-             ("wall_seconds_parallel", `Float wall_parallel);
-             ("speedup", `Float (wall_serial /. max 1e-9 wall_parallel)) ]))
+    emit_row ~schema:"csod.bench.fleet/1"
+      [ ("app", `String app.Buggy_app.name);
+        ("config", `String (Config.label config));
+        ("users", `Int users);
+        ("epoch_size", `Int 32);
+        ("benign_frac", `Float 0.25);
+        ("domains", `Int parallel_domains);
+        ("detections", `Int serial.Fleet.detections);
+        ("first_catch",
+         match serial.Fleet.first_catch with
+         | Some s ->
+           `Assoc
+             [ ("uid", `Int s.Fleet.user.Workload.uid);
+               ("epoch", `Int s.Fleet.epoch) ]
+         | None -> `Null);
+        ("store_contexts", `Int (Persist.count serial.Fleet.store));
+        ("deterministic", `Bool identical);
+        ("wall_seconds_serial", `Float wall_serial);
+        ("wall_seconds_parallel", `Float wall_parallel);
+        ("speedup", `Float (wall_serial /. max 1e-9 wall_parallel)) ]
   in
   List.iter
     (fun (name, users) ->
@@ -375,8 +374,6 @@ let fleet_bench () =
    recorder armed; the kernel also takes telemetry snapshots).  Both
    engines are checked to agree on the workload's observables before
    timing and the row carries the verdict.  Schema: csod.bench.exec/1. *)
-
-let exec_schema = "csod.bench.exec/1"
 
 (* Integer-mixing kernel: tight loops, calls, branches and shifts, no
    allocation — the dispatch-bound regime the bytecode VM targets. *)
@@ -448,21 +445,18 @@ let exec_bench () =
         let wi = time ~mode ~runs once Engine.Interp in
         let wv = time ~mode ~runs once Engine.Vm in
         let rate w = float_of_int runs /. max 1e-9 w in
-        print_endline
-          (Obs_json.to_string
-             (`Assoc
-               [ ("schema", `String exec_schema);
-                 ("workload", `String workload);
-                 ("kind", `String kind);
-                 ("mode", `String mode_name);
-                 ("runs", `Int runs);
-                 ("cycles", `Int ci);
-                 ("deterministic", `Bool identical);
-                 ("interp_wall_seconds", `Float wi);
-                 ("vm_wall_seconds", `Float wv);
-                 ("interp_execs_per_sec", `Float (rate wi));
-                 ("vm_execs_per_sec", `Float (rate wv));
-                 ("speedup", `Float (wi /. max 1e-9 wv)) ])))
+        emit_row ~schema:"csod.bench.exec/1"
+          [ ("workload", `String workload);
+            ("kind", `String kind);
+            ("mode", `String mode_name);
+            ("runs", `Int runs);
+            ("cycles", `Int ci);
+            ("deterministic", `Bool identical);
+            ("interp_wall_seconds", `Float wi);
+            ("vm_wall_seconds", `Float wv);
+            ("interp_execs_per_sec", `Float (rate wi));
+            ("vm_execs_per_sec", `Float (rate wv));
+            ("speedup", `Float (wi /. max 1e-9 wv)) ])
       [ ("serial", `Serial); ("metrics", `Metrics) ]
   in
   bench_one ~workload:"kernel-mix" ~kind:"kernel" ~runs:10 kernel_once;
@@ -486,8 +480,6 @@ let exec_bench () =
    what the armed squash/override hooks cost when nothing overflows.
    Schema: csod.bench.respond/1. *)
 
-let respond_schema = "csod.bench.respond/1"
-
 let respond_survival () =
   let config = Config.csod_default in
   let runs = 10 in
@@ -508,22 +500,17 @@ let respond_survival () =
             acc + match o.Execution.respond with Some s -> f s | None -> 0)
           0 outcomes
       in
-      print_endline
-        (Obs_json.to_string
-           (`Assoc
-             [ ("schema", `String respond_schema);
-               ("metric", `String "survival");
-               ("app", `String app.Buggy_app.name);
-               ("mode", `String "oblivious");
-               ("runs", `Int runs);
-               ("survived", `Int survived);
-               ("survival_rate", `Float (float_of_int survived /. float_of_int runs));
-               ("detections", `Int detected);
-               ("redirected_reads",
-                `Int (sum (fun s -> s.Respond.redirected_reads)));
-               ("redirected_writes",
-                `Int (sum (fun s -> s.Respond.redirected_writes)));
-               ("escapes", `Int (sum (fun s -> s.Respond.escapes))) ])))
+      emit_row ~schema:"csod.bench.respond/1"
+        [ ("metric", `String "survival");
+          ("app", `String app.Buggy_app.name);
+          ("mode", `String "oblivious");
+          ("runs", `Int runs);
+          ("survived", `Int survived);
+          ("survival_rate", `Float (float_of_int survived /. float_of_int runs));
+          ("detections", `Int detected);
+          ("redirected_reads", `Int (sum (fun s -> s.Respond.redirected_reads)));
+          ("redirected_writes", `Int (sum (fun s -> s.Respond.redirected_writes)));
+          ("escapes", `Int (sum (fun s -> s.Respond.escapes))) ])
     (Buggy_app.all ())
 
 (* The purity pin guarantees oblivious mode changes no virtual cycle, so
@@ -574,19 +561,14 @@ let respond_overhead () =
   let baseline_ns = median (Array.map fst pairs) in
   let oblivious_ns = median (Array.map snd pairs) in
   let ratio = median (Array.map (fun (b, o) -> o /. b) pairs) in
-  print_endline
-    (Obs_json.to_string
-       (`Assoc
-         [ ("schema", `String respond_schema);
-           ("metric", `String "overhead");
-           ("app", `String app.Buggy_app.name);
-           ("mode", `String "oblivious");
-           ("runs", `Int runs);
-           ("ns_per_op", `Float oblivious_ns);
-           ("baseline_ns_per_op", `Float baseline_ns);
-           ("overhead_frac", `Float (ratio -. 1.0)) ]))
-
-let resilience_schema = "csod.bench.resilience/1"
+  emit_row ~schema:"csod.bench.respond/1"
+    [ ("metric", `String "overhead");
+      ("app", `String app.Buggy_app.name);
+      ("mode", `String "oblivious");
+      ("runs", `Int runs);
+      ("ns_per_op", `Float oblivious_ns);
+      ("baseline_ns_per_op", `Float baseline_ns);
+      ("overhead_frac", `Float (ratio -. 1.0)) ]
 
 let resilience () =
   let domains = max 2 (Pool.default_domains ()) in
@@ -630,27 +612,23 @@ let resilience () =
       | Some inj -> Fault_injector.count inj Fault_plan.Worker_crash
       | None -> 0
     in
-    print_endline
-      (Obs_json.to_string
-         (`Assoc
-           [ ("schema", `String resilience_schema);
-             ("app", `String app.Buggy_app.name);
-             ("config", `String (Config.label config));
-             ("users", `Int users);
-             ("benign_frac", `Float 0.25);
-             ("domains", `Int domains);
-             ("epoch_size", `Int 32);
-             ("fault_rate", `Float rate);
-             ("faults", `String (Fault_plan.to_string plan));
-             ("detections", `Int r.Fleet.detections);
-             ("detection_rate",
-              `Float
-                (float_of_int r.Fleet.detections /. float_of_int (max 1 buggy)));
-             ("degraded_executions", `Int !degraded);
-             ("faults_injected", `Int (!injected + crashes));
-             ("worker_crashes", `Int crashes);
-             ("store_contexts", `Int (Persist.count r.Fleet.store));
-             ("wall_seconds", `Float r.Fleet.wall_seconds) ]))
+    emit_row ~schema:"csod.bench.resilience/1"
+      [ ("app", `String app.Buggy_app.name);
+        ("config", `String (Config.label config));
+        ("users", `Int users);
+        ("benign_frac", `Float 0.25);
+        ("domains", `Int domains);
+        ("epoch_size", `Int 32);
+        ("fault_rate", `Float rate);
+        ("faults", `String (Fault_plan.to_string plan));
+        ("detections", `Int r.Fleet.detections);
+        ("detection_rate",
+         `Float (float_of_int r.Fleet.detections /. float_of_int (max 1 buggy)));
+        ("degraded_executions", `Int !degraded);
+        ("faults_injected", `Int (!injected + crashes));
+        ("worker_crashes", `Int crashes);
+        ("store_contexts", `Int (Persist.count r.Fleet.store));
+        ("wall_seconds", `Float r.Fleet.wall_seconds) ]
   in
   List.iter
     (fun name ->
@@ -732,19 +710,16 @@ let syscalls () =
    stderr so the stream can be piped straight into jq.  The schema is
    versioned: additive changes keep /1, field renames or removals bump it. *)
 
-let metrics_schema = "csod.bench.metrics/2"
-
-let metrics_record ~kind ~app ~config ~seed ~detected ~cycles ?tele_cycles tele =
+let metrics_row ~kind ~app ~detected ~cycles ?tele_cycles tele =
   (* [cycles] is the workload's reported (possibly extrapolated) runtime;
      [tele_cycles] is the raw clock total the telemetry was charged
      against, when the two differ (subsampled perf streams). *)
   let tele_cycles = Option.value ~default:cycles tele_cycles in
-  `Assoc
-    [ ("schema", `String metrics_schema);
-      ("kind", `String kind);
+  emit_row ~schema:"csod.bench.metrics/2"
+    [ ("kind", `String kind);
       ("app", `String app);
-      ("config", `String config);
-      ("seed", `Int seed);
+      ("config", `String "csod-near-fifo");
+      ("seed", `Int 1);
       ("detected", `Bool detected);
       ("cycles", `Int cycles);
       ("telemetry", Telemetry.to_json tele ~total_cycles:tele_cycles) ]
@@ -754,11 +729,9 @@ let metrics () =
   List.iter
     (fun (app : Buggy_app.t) ->
       let o = Execution.run ~app ~config:Config.csod_default () in
-      print_endline
-        (Obs_json.to_string
-           (metrics_record ~kind:"detection" ~app:app.Buggy_app.name
-              ~config:"csod-near-fifo" ~seed:1 ~detected:o.Execution.detected
-              ~cycles:o.Execution.cycles o.Execution.telemetry)))
+      metrics_row ~kind:"detection" ~app:app.Buggy_app.name
+        ~detected:o.Execution.detected ~cycles:o.Execution.cycles
+        o.Execution.telemetry)
     (Buggy_app.all ());
   progress "metrics: performance workloads under CSOD (seed 1)";
   List.iter
@@ -766,29 +739,20 @@ let metrics () =
       let p = Option.get (Perf_profile.by_name name) in
       let r = Perf_driver.run ~profile:p ~config:Config.csod_default () in
       let tele = r.Perf_driver.telemetry in
-      print_endline
-        (Obs_json.to_string
-           (metrics_record ~kind:"perf" ~app:p.Perf_profile.name
-              ~config:"csod-near-fifo" ~seed:1 ~detected:r.Perf_driver.detected
-              ~cycles:r.Perf_driver.cycles
-              ~tele_cycles:(Profiler.total (Telemetry.profiler tele)) tele)))
+      metrics_row ~kind:"perf" ~app:p.Perf_profile.name
+        ~detected:r.Perf_driver.detected ~cycles:r.Perf_driver.cycles
+        ~tele_cycles:(Profiler.total (Telemetry.profiler tele)) tele)
     [ "Blackscholes"; "Memcached"; "Pfscan" ]
 
 (* ------------------------------------------------------------------ *)
 (* Throughput: ns/op of the single-execution hot paths (JSONL)         *)
 
 (* Explicit-only target.  Each row times one hot-path operation (malloc,
-   free, read, write, trap) twice in the same process: once as shipped and
-   once with the hot-path optimizations reverted to their pre-optimization
-   reference implementations (chunk cache off, comparator folding over
-   every open event, context memo off).  The toggles are observably pure —
-   virtual cycles, PRNG stream and detection outcomes are identical either
-   way — so the pair isolates real OCaml time and the row's [speedup] is
-   the measured improvement over the pre-PR baseline.  [mode] is "serial" (bare
+   free, read, write, trap) in real nanoseconds.  [mode] is "serial" (bare
    machine) or "metrics" (flight recorder + telemetry snapshots armed).
-   Schema: csod.bench.throughput/1. *)
-
-let throughput_schema = "csod.bench.throughput/1"
+   Absolute ns/op track the host; ratios between rows of one run (e.g.
+   malloc over serial read) are what compare across runs and against the
+   committed BENCH_THROUGHPUT.jsonl.  Schema: csod.bench.throughput/2. *)
 
 (* Wall-clock ns/op of [f iters], after a warmup run of [f 1000]. *)
 let measure ~iters f =
@@ -798,25 +762,16 @@ let measure ~iters f =
   (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
 
 let throughput () =
-  let row ~op ~mode ~iters ~opt ~base =
-    let ops ns = 1e9 /. ns in
-    print_endline
-      (Obs_json.to_string
-         (`Assoc
-           [ ("schema", `String throughput_schema);
-             ("op", `String op);
-             ("mode", `String mode);
-             ("iters", `Int iters);
-             ("ns_per_op", `Float opt);
-             ("ops_per_sec", `Float (ops opt));
-             ("baseline_ns_per_op", `Float base);
-             ("baseline_ops_per_sec", `Float (ops base));
-             ("speedup", `Float (base /. opt)) ]))
+  let row ~op ~mode ~iters ns =
+    emit_row ~schema:"csod.bench.throughput/2"
+      [ ("op", `String op);
+        ("mode", `String mode);
+        ("iters", `Int iters);
+        ("ns_per_op", `Float ns);
+        ("ops_per_sec", `Float (1e9 /. ns)) ]
   in
-  let with_machine ~mode ~reference f =
+  let with_machine ~mode f =
     let machine = Machine.create ~seed:11 () in
-    Sparse_mem.set_cache (Machine.mem machine) (not reference);
-    Hw_breakpoint.set_fast_scan (Machine.hw machine) (not reference);
     let run () = f machine in
     match mode with
     | `Serial -> run ()
@@ -829,8 +784,8 @@ let throughput () =
      (far away, never hit) — the busy-execution configuration where every
      access pays the comparator. *)
   let iters_rw = 2_000_000 in
-  let rw_bench ~mode ~reference op =
-    with_machine ~mode ~reference (fun m ->
+  let rw_bench ~mode op =
+    with_machine ~mode (fun m ->
         let tid = Threads.current (Machine.threads m) in
         for i = 0 to 3 do
           match Machine.install_watch m ~addr:(0x4000_0000 + (i * 64)) ~tid with
@@ -853,11 +808,10 @@ let throughput () =
      same batched loop.  Call sites repeat in runs of 256, the loop-local
      pattern the context memo exists for. *)
   let alloc_rounds = 30 and alloc_batch = 4096 in
-  let alloc_pair ~mode ~reference =
-    with_machine ~mode ~reference (fun m ->
+  let alloc_pair ~mode =
+    with_machine ~mode (fun m ->
         let heap = Heap.create m in
         let rt = Runtime.create ~machine:m ~heap () in
-        Context_table.set_memo (Runtime.context_table rt) (not reference);
         let tool = Runtime.tool rt in
         let ptrs = Array.make alloc_batch 0 in
         let t_m = ref 0.0 and t_f = ref 0.0 in
@@ -885,8 +839,8 @@ let throughput () =
   (* Trap delivery: every store hits an armed watchpoint and synchronously
      runs a no-op SIGTRAP handler. *)
   let iters_trap = 200_000 in
-  let trap_bench ~mode ~reference =
-    with_machine ~mode ~reference (fun m ->
+  let trap_bench ~mode =
+    with_machine ~mode (fun m ->
         Machine.set_trap_handler m (fun _ -> ());
         let tid = Threads.current (Machine.threads m) in
         (match Machine.install_watch m ~addr:0x9000 ~tid with
@@ -900,24 +854,15 @@ let throughput () =
   List.iter
     (fun (mode_name, mode) ->
       progress "throughput: read/write, mode %s" mode_name;
-      row ~op:"read" ~mode:mode_name ~iters:iters_rw
-        ~opt:(rw_bench ~mode ~reference:false `Read)
-        ~base:(rw_bench ~mode ~reference:true `Read);
-      row ~op:"write" ~mode:mode_name ~iters:iters_rw
-        ~opt:(rw_bench ~mode ~reference:false `Write)
-        ~base:(rw_bench ~mode ~reference:true `Write);
+      row ~op:"read" ~mode:mode_name ~iters:iters_rw (rw_bench ~mode `Read);
+      row ~op:"write" ~mode:mode_name ~iters:iters_rw (rw_bench ~mode `Write);
       progress "throughput: malloc/free, mode %s" mode_name;
-      let m_opt, f_opt = alloc_pair ~mode ~reference:false in
-      let m_base, f_base = alloc_pair ~mode ~reference:true in
+      let malloc_ns, free_ns = alloc_pair ~mode in
       let alloc_iters = alloc_rounds * alloc_batch in
-      row ~op:"malloc" ~mode:mode_name ~iters:alloc_iters ~opt:m_opt
-        ~base:m_base;
-      row ~op:"free" ~mode:mode_name ~iters:alloc_iters ~opt:f_opt
-        ~base:f_base;
+      row ~op:"malloc" ~mode:mode_name ~iters:alloc_iters malloc_ns;
+      row ~op:"free" ~mode:mode_name ~iters:alloc_iters free_ns;
       progress "throughput: trap, mode %s" mode_name;
-      row ~op:"trap" ~mode:mode_name ~iters:iters_trap
-        ~opt:(trap_bench ~mode ~reference:false)
-        ~base:(trap_bench ~mode ~reference:true))
+      row ~op:"trap" ~mode:mode_name ~iters:iters_trap (trap_bench ~mode))
     [ ("serial", `Serial); ("metrics", `Metrics) ]
 
 (* ------------------------------------------------------------------ *)
@@ -988,15 +933,32 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 
+let targets =
+  [ "table1"; "table2"; "table3"; "table4"; "table5"; "fig6"; "fig7";
+    "evidence"; "fleet"; "ablate"; "syscalls"; "micro"; "metrics"; "exec";
+    "resilience"; "throughput" ]
+
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "%s\nusage: main.exe [--runs N] [TARGET...]\ntargets: %s\n"
+        msg (String.concat " " targets);
+      exit 2)
+    fmt
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let args = List.filter (fun a -> a <> "--") args in
-  let rec extract_runs acc = function
-    | [] -> (None, List.rev acc)
-    | "--runs" :: n :: rest -> (int_of_string_opt n, List.rev_append acc rest)
-    | x :: rest -> extract_runs (x :: acc) rest
+  let rec parse runs cmds = function
+    | [] -> (runs, List.rev cmds)
+    | "--" :: rest -> parse runs cmds rest
+    | [ "--runs" ] -> usage_error "--runs needs a value"
+    | "--runs" :: n :: rest -> (
+      match int_of_string_opt n with
+      | Some r when r > 0 -> parse (Some r) cmds rest
+      | _ -> usage_error "--runs needs a positive integer, got %S" n)
+    | c :: rest when List.mem c targets -> parse runs (c :: cmds) rest
+    | c :: _ -> usage_error "unknown target %S" c
   in
-  let runs_opt, cmds = extract_runs [] args in
+  let runs_opt, cmds = parse None [] (List.tl (Array.to_list Sys.argv)) in
   let runs = Option.value ~default:1000 runs_opt in
   let ablate_runs = Option.value ~default:200 runs_opt in
   let all = cmds = [] in

@@ -535,14 +535,6 @@ let fleet_cmd =
                    barrier to $(docv) (default stdout), flushed line by \
                    line — tail it, or watch it with $(b,csod_run top).")
   in
-  let no_sharded_arg =
-    Arg.(value & flag
-         & info [ "no-sharded" ]
-             ~doc:"Aggregate telemetry with the legacy per-user fold instead \
-                   of per-domain shards.  The report is bit-identical either \
-                   way; this exists for A/B-ing the merge cost (the health \
-                   stream's $(b,merge_seconds)).")
-  in
   let fleet_trace_arg =
     Arg.(value & opt (some string) None
          & info [ "trace-out" ] ~docv:"FILE"
@@ -552,8 +544,7 @@ let fleet_cmd =
                    ui.perfetto.dev.")
   in
   let run name engine users domains epoch benign_frac burst wave_period seed
-      policy no_evidence store_file faults respond json live no_sharded
-      trace_out =
+      policy no_evidence store_file faults respond json live trace_out =
     apply_engine engine;
     match Buggy_app.by_name name with
     | None ->
@@ -588,7 +579,6 @@ let fleet_cmd =
           in
           let cfg =
             Fleet.config ~domains ~epoch_size:epoch ?faults
-              ~sharded:(not no_sharded)
               ~trace:(trace_out <> None)
               ?on_health
               ?patch_threshold:
@@ -640,8 +630,7 @@ let fleet_cmd =
     Term.(const run $ app_arg $ engine_arg $ users_arg $ domains_arg
           $ epoch_arg $ benign_frac_arg $ burst_arg $ wave_period_arg
           $ seed_arg $ policy_arg $ no_evidence_arg $ store_arg $ faults_arg
-          $ respond_arg $ json_arg $ live_arg $ no_sharded_arg
-          $ fleet_trace_arg)
+          $ respond_arg $ json_arg $ live_arg $ fleet_trace_arg)
 
 (* ---- serve: long-running service loop over the fleet ---- *)
 
@@ -1300,19 +1289,12 @@ let exec_cmd =
           $ events_arg $ snapshot_arg $ flight_arg $ trace_out_arg)
 
 let () =
-  (* --trace anywhere on the command line streams the runtime's sampling
-     decisions (watch/skip, replacements, traps, canaries) to stderr *)
-  if Array.exists (( = ) "--trace") Sys.argv then begin
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.Src.set_level Trace.src (Some Logs.Debug)
-  end;
-  let argv = Array.of_list (List.filter (( <> ) "--trace") (Array.to_list Sys.argv)) in
   let info =
     Cmd.info "csod_run" ~version:"1.0.0"
       ~doc:"Context-Sensitive Overflow Detection (CGO 2019) — simulation CLI"
   in
   exit
-    (Cmd.eval ~argv
+    (Cmd.eval
        (Cmd.group info
           [ list_cmd; run_cmd; explain_cmd; fleet_cmd; serve_cmd; replay_cmd;
             top_cmd; sim_cmd; exec_cmd ]))

@@ -39,7 +39,6 @@ type t = {
      Entries are never removed from the table, so the memo can never go
      stale. *)
   memo : entry array;
-  mutable memo_on : bool;
 }
 
 let memo_slots = 256
@@ -74,12 +73,7 @@ let create ~params ~machine ~rng =
     next_id = 0;
     allocations = 0;
     watches = 0;
-    memo = Array.make memo_slots no_entry;
-    memo_on = true }
-
-let set_memo t on =
-  t.memo_on <- on;
-  if not on then Array.fill t.memo 0 memo_slots no_entry
+    memo = Array.make memo_slots no_entry }
 
 (* [Clock.seconds], computed here: a [float] returned from another module
    is boxed, and the allocation path reads the time on every call. *)
@@ -129,11 +123,8 @@ let on_allocation t ctx =
   let slot = memo_index callsite offset in
   let cached = t.memo.(slot) in
   let e =
-    if
-      t.memo_on
-      && (let kc, ko = cached.key in
-          kc = callsite && ko = offset)
-    then cached
+    let kc, ko = cached.key in
+    if kc = callsite && ko = offset then cached
     else begin
       let e =
         Chained_table.find_or_add t.table (Alloc_ctx.key ctx) ~default:(fun () ->
@@ -141,7 +132,7 @@ let on_allocation t ctx =
             Hashtbl.replace t.by_id e.id e;
             e)
       in
-      if t.memo_on then t.memo.(slot) <- e;
+      t.memo.(slot) <- e;
       e
     end
   in

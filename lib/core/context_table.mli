@@ -46,12 +46,6 @@ type t
 val create : params:Params.t -> machine:Machine.t -> rng:Prng.t -> t
 (** [rng] drives the reviving coin flips. *)
 
-val set_memo : t -> bool -> unit
-(** [set_memo t false] disables the direct-mapped lookup memo, reverting every
-    allocation to the pre-optimization table probe.  Used by the throughput
-    bench to measure the baseline in the same run; detection behaviour is
-    identical either way. *)
-
 val on_allocation : t -> Alloc_ctx.t -> entry
 (** The per-allocation hot path: look up (or create, capturing the full
     backtrace once) the context entry, count the allocation, apply

@@ -278,7 +278,7 @@ let csod_malloc t ~size ~ctx =
       Respond.record_patch r ~site:(fst entry.Context_table.key)
         ~ctx:entry.Context_table.key ~addr:app ~at_sec:(now t)
     | None -> ());
-    if Trace.on () then
+    if Event_sink.active () then
       Trace.decision ~watched:false
         ~prob:(Context_table.effective_prob t.contexts entry)
         ~key:entry.Context_table.key ~addr:app;
@@ -311,7 +311,7 @@ let csod_malloc t ~size ~ctx =
       Metrics.incr t.c_watched;
       Context_table.note_watched t.contexts entry
     end;
-    if Trace.on () then
+    if Event_sink.active () then
       Trace.decision ~watched
         ~prob:(Context_table.effective_prob t.contexts entry)
         ~key:entry.Context_table.key ~addr:app;

@@ -1,56 +1,28 @@
-let src = Logs.Src.create "csod" ~doc:"CSOD runtime decision trace"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
-(* Both delivery paths are checked before any argument formatting: with the
-   Logs level off and no JSONL sink installed, every trace point below
-   costs exactly this one test. *)
-let log_on () =
-  match Logs.Src.level src with
-  | Some Logs.Debug -> true
-  | Some _ | None -> false
-
-let on () = log_on () || Event_sink.active ()
-
-let emit name fields = if Event_sink.active () then Event_sink.emit name fields
-
+(* Each trace point checks [Event_sink.active] before building its fields:
+   with no JSONL sink installed it costs exactly that one test. *)
 let decision ~watched ~prob ~key:(site, off) ~addr =
-  if on () then begin
-    emit "smu.decision"
+  if Event_sink.active () then
+    Event_sink.emit "smu.decision"
       [ ("addr", `Int addr); ("site", `Int site); ("stack_offset", `Int off);
-        ("prob", `Float prob); ("watched", `Bool watched) ];
-    Log.debug (fun m ->
-        m "alloc 0x%x ctx=(0x%x,%d) p=%.5f -> %s" addr site off prob
-          (if watched then "WATCH" else "skip"))
-  end
+        ("prob", `Float prob); ("watched", `Bool watched) ]
 
 let replaced ~victim ~by =
-  if on () then begin
-    emit "wmu.replace" [ ("victim", `Int victim); ("by", `Int by) ];
-    Log.debug (fun m -> m "replace: evict watchpoint on 0x%x for 0x%x" victim by)
-  end
+  if Event_sink.active () then
+    Event_sink.emit "wmu.replace" [ ("victim", `Int victim); ("by", `Int by) ]
 
 let removed_on_free ~addr =
-  if on () then begin
-    emit "wmu.free_removal" [ ("addr", `Int addr) ];
-    Log.debug (fun m -> m "free 0x%x: watchpoint removed" addr)
-  end
+  if Event_sink.active () then
+    Event_sink.emit "wmu.free_removal" [ ("addr", `Int addr) ]
 
 let trap ~addr ~kind ~tid =
-  if on () then begin
-    emit "trap" [ ("addr", `Int addr); ("kind", `String kind); ("tid", `Int tid) ];
-    Log.debug (fun m -> m "TRAP %s at 0x%x on thread %d" kind addr tid)
-  end
+  if Event_sink.active () then
+    Event_sink.emit "trap"
+      [ ("addr", `Int addr); ("kind", `String kind); ("tid", `Int tid) ]
 
 let canary ~addr ~where =
-  if on () then begin
-    emit "canary.corrupt" [ ("addr", `Int addr); ("where", `String where) ];
-    Log.debug (fun m -> m "CANARY corrupted on 0x%x (at %s)" addr where)
-  end
+  if Event_sink.active () then
+    Event_sink.emit "canary.corrupt"
+      [ ("addr", `Int addr); ("where", `String where) ]
 
 let degraded () =
-  if on () then begin
-    emit "runtime.degraded" [];
-    Log.debug (fun m ->
-        m "DEGRADED: watchpoint installation keeps failing; canary-only mode")
-  end
+  if Event_sink.active () then Event_sink.emit "runtime.degraded" []

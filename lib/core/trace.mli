@@ -1,21 +1,13 @@
 (** Diagnostic trace of the runtime's sampling decisions.
 
-    Every decision the Sampling and Watchpoint Management Units take can
-    be streamed through a {!Logs} source named ["csod"], at [Debug]
-    level, and — when an {!Event_sink} is installed — as structured JSONL
-    events (["smu.decision"], ["wmu.replace"], ["wmu.free_removal"],
-    ["trap"], ["canary.corrupt"]).  Disabled (the default) each trace
-    point costs one branch, checked {e before} any argument formatting;
-    the CLI's [--trace] flag enables the log stream and [--events FILE]
-    the JSONL stream — the fastest way to see {e why} a particular
-    execution missed a bug — which coin flips failed, which watchpoint
-    was evicted when. *)
-
-val src : Logs.src
-
-val on : unit -> bool
-(** True when either delivery path (Logs at [Debug], or an installed
-    event sink) would observe an event. *)
+    Every decision the Sampling and Watchpoint Management Units take is
+    streamed, when an {!Event_sink} is installed, as a structured JSONL
+    event (["smu.decision"], ["wmu.replace"], ["wmu.free_removal"],
+    ["trap"], ["canary.corrupt"], ["runtime.degraded"]).  Without a sink
+    each trace point costs one branch, checked {e before} any field is
+    built.  The CLI's [--events FILE] installs the sink — the fastest way
+    to see {e why} a particular execution missed a bug: which coin flips
+    failed, which watchpoint was evicted when. *)
 
 val decision :
   watched:bool -> prob:float -> key:Alloc_ctx.key -> addr:int -> unit

@@ -31,7 +31,6 @@ type config = {
   domains : int;
   epoch_size : int;
   faults : Fault_plan.t option;
-  sharded : bool;
   trace : bool;
   on_health : (Health.sample -> unit) option;
   patch_threshold : int option;
@@ -39,8 +38,8 @@ type config = {
          the per-epoch [patched] tally in health records *)
 }
 
-let config ?domains ?(epoch_size = 32) ?faults ?(sharded = true)
-    ?(trace = false) ?on_health ?patch_threshold workload =
+let config ?domains ?(epoch_size = 32) ?faults ?(trace = false) ?on_health
+    ?patch_threshold workload =
   let domains =
     match domains with Some d -> d | None -> Pool.default_domains ()
   in
@@ -49,8 +48,7 @@ let config ?domains ?(epoch_size = 32) ?faults ?(sharded = true)
   (match patch_threshold with
   | Some n when n < 1 -> invalid_arg "Fleet.config: patch_threshold < 1"
   | _ -> ());
-  { workload; domains; epoch_size; faults; sharded; trace; on_health;
-    patch_threshold }
+  { workload; domains; epoch_size; faults; trace; on_health; patch_threshold }
 
 (* Fault/degradation counters surfaced per health record; only names the
    merged registry has actually seen appear in the stream. *)
@@ -148,7 +146,6 @@ let step t ~arrivals:n =
   if n < 0 then invalid_arg "Fleet.step: negative arrivals";
   let cfg = t.cfg in
   let w = cfg.workload in
-  let telemetry_mode = if cfg.sharded then "sharded" else "merged" in
   let e = t.epoch in
   let t_epoch0 = Unix.gettimeofday () in
   let uid_base = t.next_uid in
@@ -164,17 +161,16 @@ let step t ~arrivals:n =
   let execs, workers =
     Pool.map_local ?faults:t.pool_faults ~index_base:(uid_base - 1)
       ~record_spans:cfg.trace ~domains:cfg.domains
-      ~local:(fun ~slot:_ ->
-        if cfg.sharded then Some (Metrics_shard.create ()) else None)
+      ~local:(fun ~slot:_ -> Metrics_shard.create ())
       n
       ~f:(fun shard i ->
         let exec = t.execute ~user:users.(i) ~store:locals.(i) in
-        (match (shard, exec.telemetry) with
-        | Some sh, Some tele ->
+        (match exec.telemetry with
+        | Some tele ->
           (* Lock-free local update: the shard belongs to this worker
              until the join. *)
-          Metrics_shard.absorb sh ~uid:users.(i).Workload.uid tele
-        | _ -> ());
+          Metrics_shard.absorb shard ~uid:users.(i).Workload.uid tele
+        | None -> ());
         exec)
   in
   let t_barrier0 = Unix.gettimeofday () in
@@ -197,33 +193,14 @@ let step t ~arrivals:n =
       if not t.lean then
         t.seats_rev <- { user = users.(i); epoch = e; exec } :: t.seats_rev)
     execs;
-  (* Pass B: the telemetry reduction, timed on its own so the health
-     stream prices the merge and nothing else.  Sharded tree-reduces the
-     per-worker shards; merged replays the legacy per-user fold (uid
-     order). *)
+  (* Pass B: the telemetry reduction — a tree-reduce of the per-worker
+     shards — timed on its own so the health stream prices the merge and
+     nothing else. *)
   let (), merge_seconds =
     Pool.timed (fun () ->
-        if cfg.sharded then begin
-          let shards =
-            Array.to_list workers
-            |> List.filter_map (fun (shard, _) -> shard)
-            |> Array.of_list
-          in
-          ignore
-            (Metrics_shard.reduce_into shards ~metrics:t.metrics
-               ~profile:t.profile)
-        end
-        else
-          Array.iter
-            (fun exec ->
-              match exec.telemetry with
-              | Some tele ->
-                Metrics.merge_into ~dst:t.metrics
-                  ~src:(Telemetry.metrics tele);
-                Profiler.merge_into ~dst:t.profile
-                  ~src:(Telemetry.profiler tele)
-              | None -> ())
-            execs)
+        ignore
+          (Metrics_shard.reduce_into (Array.map fst workers)
+             ~metrics:t.metrics ~profile:t.profile))
   in
   let t_merge1 = Unix.gettimeofday () in
   t.detections <- t.detections + !epoch_detections;
@@ -283,7 +260,7 @@ let step t ~arrivals:n =
       straggler_skew =
         Health.straggler_skew
           (List.map (fun l -> l.Health.busy_seconds) loads);
-      telemetry = telemetry_mode;
+      telemetry = "sharded";
       domains = loads }
   in
   (* The observer effect, self-measured: everything below is pure
@@ -321,7 +298,7 @@ let step t ~arrivals:n =
               start_s = t_barrier0 -. t.t_run0;
               stop_s = t_merge1 -. t.t_run0;
               args =
-                [ ("epoch", `Int e); ("telemetry", `String telemetry_mode) ] }
+                [ ("epoch", `Int e); ("telemetry", `String "sharded") ] }
             :: t.spans_rev
         end;
         (match cfg.on_health with Some cb -> cb sample | None -> ());

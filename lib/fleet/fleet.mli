@@ -49,8 +49,9 @@ type 'a report = {
   first_catch : 'a seat option;  (** earliest by (epoch, uid) *)
   detections : int;
   metrics : Metrics.t;
-      (** per-user registries, merged at barriers — bit-identical whether
-          aggregation was sharded or per-user (see [config.sharded]) *)
+      (** per-user registries, merged at barriers through per-worker
+          {!Metrics_shard}s — bit-identical to folding the seats'
+          registries in uid order *)
   profile : Profiler.t;          (** per-user profiles, summed *)
   store : Persist.t;             (** final shared store *)
   domains : int;
@@ -72,13 +73,6 @@ type config = {
       (** worker-crash injection for the pool (chunk index = uid - 1);
           crashed chunks are requeued/serialized, so the report stays
           bit-identical to an unfaulted run *)
-  sharded : bool;
-      (** aggregate telemetry through per-worker {!Metrics_shard}s
-          (lock-free local updates, tree-reduced at the barrier) instead
-          of the legacy per-user fold.  The merged registry and profile
-          are bit-identical either way — pinned by the equivalence tests —
-          so this is purely a performance/scalability switch.  Default
-          [true]. *)
   trace : bool;
       (** record wall-clock epoch spans into [report.trace_spans].
           Default [false]. *)
@@ -99,15 +93,14 @@ val config :
   ?domains:int ->
   ?epoch_size:int ->
   ?faults:Fault_plan.t ->
-  ?sharded:bool ->
   ?trace:bool ->
   ?on_health:(Health.sample -> unit) ->
   ?patch_threshold:int ->
   Workload.t ->
   config
 (** Defaults: [domains = Pool.default_domains ()], [epoch_size = 32], no
-    fault plan, [sharded = true], [trace = false], no health callback, no
-    patch threshold. *)
+    fault plan, [trace = false], no health callback, no patch
+    threshold. *)
 
 val run : ?store:Persist.t -> config -> execute:'a executor -> 'a report
 (** Simulate the whole fleet.  [store] seeds the shared store (default

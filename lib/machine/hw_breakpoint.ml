@@ -27,7 +27,6 @@ type t = {
   slot_refs : int array;
   armed : event list array array;
   mutable n_armed : int;
-  mutable fast_scan : bool;
   mutable next_fd : fd;
   mutable syscalls : int;
   faults : Fault_injector.t option;
@@ -39,12 +38,9 @@ let create ?faults () =
     slot_refs = Array.make num_slots 0;
     armed = Array.init num_slots (fun _ -> Array.make 8 []);
     n_armed = 0;
-    fast_scan = true;
     next_fd = 100;
     syscalls = 0;
     faults }
-
-let set_fast_scan t on = t.fast_scan <- on
 
 (* The slot already watching [addr], else the lowest free one, else -1. *)
 let slot_for t addr =
@@ -145,20 +141,6 @@ let close t fd =
 
 let ranges_overlap a1 l1 a2 l2 = a1 < a2 + l2 && a2 < a1 + l1
 
-(* Reference comparator, kept for the bench's pre-optimization baseline and
-   the property tests' equivalence checks: fold over every event ever
-   opened, as the seed implementation did. *)
-let check_access_scan t ~addr ~len ~tid =
-  Hashtbl.fold
-    (fun fd ev best ->
-      match best with
-      | Some _ -> best
-      | None ->
-        if ev.enabled && ev.tid = tid && ranges_overlap addr len ev.addr watch_len
-        then Some fd
-        else None)
-    t.events None
-
 (* Lowest armed fd of thread [tid] among the slots [addr, addr+len)
    overlaps, or [max_int]. *)
 let first_armed t ~addr ~len ~tid =
@@ -180,8 +162,7 @@ let first_armed t ~addr ~len ~tid =
 let check_access t ~addr ~len ~kind:_ ~tid =
   (* HW_BREAKPOINT_RW fires on both reads and writes, so [kind] does not
      filter; it is carried for the trap report. *)
-  if not t.fast_scan then check_access_scan t ~addr ~len ~tid
-  else if t.n_armed = 0 then None
+  if t.n_armed = 0 then None
   else
     let fd = first_armed t ~addr ~len ~tid in
     if fd = max_int then None else Some fd

@@ -73,12 +73,6 @@ val check_access :
     does not depend on how many threads or events exist; with nothing
     armed it is one test.  It allocates only the [Some] of a hit. *)
 
-val set_fast_scan : t -> bool -> unit
-(** [set_fast_scan t false] reverts the comparator to the reference path
-    (a fold over every open event, the original implementation).  Used by the
-    throughput bench to measure the baseline in the same run, and by the
-    property tests to check the two comparators agree. *)
-
 val armed_count : t -> int
 (** Events currently enabled, over all slots and threads. *)
 

@@ -28,7 +28,6 @@ type t = {
      hit the same 64K chunk as their predecessor and skip the hashtable. *)
   mutable cache_idx : int;
   mutable cache_chunk : Bytes.t;
-  mutable cache_on : bool;
   mutable released : bool;
 }
 
@@ -38,15 +37,7 @@ let create () =
   { chunks = Hashtbl.create 256;
     cache_idx = -1;
     cache_chunk = no_chunk;
-    cache_on = true;
     released = false }
-
-let set_cache t on =
-  t.cache_on <- on;
-  if not on then begin
-    t.cache_idx <- -1;
-    t.cache_chunk <- no_chunk
-  end
 
 let release t =
   if not t.released then begin
@@ -72,7 +63,7 @@ let lookup t idx =
 (* Chunk lookup for a write (materializes the chunk on a miss). *)
 let chunk_for t addr =
   let idx = addr / chunk_size in
-  if t.cache_on && idx = t.cache_idx then t.cache_chunk
+  if idx = t.cache_idx then t.cache_chunk
   else begin
     let b = lookup t idx in
     let b =
@@ -83,20 +74,18 @@ let chunk_for t addr =
         b
       end
     in
-    if t.cache_on then begin
-      t.cache_idx <- idx;
-      t.cache_chunk <- b
-    end;
+    t.cache_idx <- idx;
+    t.cache_chunk <- b;
     b
   end
 
 (* Chunk lookup for a read ([no_chunk] when untouched — reads as zero). *)
 let chunk_at t addr =
   let idx = addr / chunk_size in
-  if t.cache_on && idx = t.cache_idx then t.cache_chunk
+  if idx = t.cache_idx then t.cache_chunk
   else begin
     let b = lookup t idx in
-    if t.cache_on && b != no_chunk then begin
+    if b != no_chunk then begin
       t.cache_idx <- idx;
       t.cache_chunk <- b
     end;

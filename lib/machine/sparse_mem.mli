@@ -52,12 +52,6 @@ val fill : t -> addr -> int -> int -> unit
 val touched_bytes : t -> int
 (** Resident set proxy: bytes of chunk storage materialized so far. *)
 
-val set_cache : t -> bool -> unit
-(** [set_cache t false] disables the last-chunk cache, reverting every
-    access to the pre-optimization hashtable probe.  Used by the throughput
-    bench to measure the baseline in the same run, and by the property
-    tests to check cached and uncached accesses agree. *)
-
 val release : t -> unit
 (** End-of-life: return this memory's chunk storage to the domain-local
     page pool so the next execution on this domain reuses it instead of

@@ -10,8 +10,8 @@
     telemetry plane itself.
 
     The stream deliberately self-measures: [merge_seconds] is the wall
-    time of the barrier's telemetry reduction (sharded tree-reduce or
-    legacy per-user merge — [telemetry] names which), and
+    time of the barrier's telemetry reduction (the tree-reduce of the
+    per-worker shards), and
     [observer_seconds] is what the {e previous} barrier spent building and
     emitting health and trace data (the current record cannot contain its
     own emission cost).  Every perf claim read off the stream carries its
@@ -47,7 +47,9 @@ type sample = {
   straggler_skew : float;
       (** slowest / median per-domain busy time; 1.0 when under 2 workers
           ran *)
-  telemetry : string;  (** aggregation mode: ["sharded"] or ["merged"] *)
+  telemetry : string;
+      (** aggregation mode, always ["sharded"]; kept so the
+          [csod.fleet.health/1] schema stays stable *)
   domains : domain_load list;  (** one per pool worker, slot order *)
 }
 

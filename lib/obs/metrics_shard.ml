@@ -3,7 +3,7 @@ type t = {
   profile : Profiler.t;
   (* gauge name -> (uid, level) of the highest-uid absorbed execution that
      defines the gauge.  Executions that never create a gauge leave no
-     entry, matching the legacy merge (which only overwrites a level when
+     entry, matching [Metrics.merge_into] (which only overwrites a level when
      the source registry defines the gauge). *)
   gauge_src : (string, int * int) Hashtbl.t;
   mutable absorbed : int;

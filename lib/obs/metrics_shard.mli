@@ -1,23 +1,23 @@
 (** Per-domain telemetry shard for fleet aggregation.
 
-    The fleet's legacy aggregation path merges every execution's registry
-    into one aggregate at the epoch barrier — a serial, O(users) pass in
-    the main domain.  A shard moves that work into the workers: each
+    Merging every execution's registry into one aggregate at the epoch
+    barrier would be a serial, O(users) pass in the main domain.  A shard
+    moves that work into the workers: each
     domain owns a private shard and {!absorb}s each execution's telemetry
     as it completes (lock-free — the shard is domain-local by
     construction), so the barrier only has to reduce [domains] shards.
 
     The subtlety is gauges.  Counters, histogram bins and profiler cells
     are commutative sums, but a gauge's merged level is
-    last-writer-wins, and the legacy path defines "last" as {e highest
-    uid} (the barrier merges in uid order).  Workers absorb in completion
+    last-writer-wins, and the fleet defines "last" as {e highest uid}
+    (the order of a uid-ordered per-user fold).  Workers absorb in completion
     order — scheduling-dependent — so each shard also remembers, per
     gauge, the level written by the highest-uid execution it absorbed.
     {!reduce_into} resolves the winners across shards and re-applies
     their levels after the sum-merge, making the committed aggregate
-    bit-identical to the legacy path for any domain count and any
-    scheduling (pinned by the shard-vs-global equivalence tests in
-    [test_fleet]). *)
+    bit-identical to the uid-ordered per-user fold for any domain count
+    and any scheduling (pinned by the equivalence tests in [test_fleet],
+    which compute that fold themselves). *)
 
 type t
 
@@ -42,6 +42,6 @@ val merge_into : dst:t -> src:t -> unit
 val reduce_into : t array -> metrics:Metrics.t -> profile:Profiler.t -> int
 (** Pairwise tree-reduce the shards (mutating them), commit the result
     into the fleet aggregate, then overwrite each gauge's level with its
-    highest-uid winner — the step that restores the legacy uid-ordered
-    merge semantics.  Returns the total number of executions absorbed.
+    highest-uid winner — the step that restores uid-ordered merge
+    semantics.  Returns the total number of executions absorbed.
     An empty array commits nothing and returns 0. *)

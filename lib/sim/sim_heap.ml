@@ -150,14 +150,6 @@ let ops : state Sim.op list =
             Hashtbl.replace st.bytes (a + i) v
           done;
           Ok ()) };
-    { Sim.op_name = "cache";
-      weight = 1;
-      pre = (fun _ -> true);
-      gen = (fun _ g -> [ (if Prng.bool g then 1 else 0) ]);
-      apply =
-        (fun st args ->
-          Sparse_mem.set_cache st.mem (match args with b :: _ -> b land 1 = 1 | [] -> true);
-          Ok ()) };
     { Sim.op_name = "recycle";
       weight = 1;
       pre = (fun _ -> true);

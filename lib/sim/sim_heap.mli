@@ -3,7 +3,7 @@
 
     Ports the hand-rolled heap and sparse-memory properties: frees are
     honoured exactly once (double frees rejected), reads round-trip writes
-    with the chunk cache in any state, released chunk storage comes back
+    across chunk boundaries, released chunk storage comes back
     zeroed from the page pool, and the heap's live accounting agrees with
     the model after every operation. *)
 

@@ -134,6 +134,55 @@ let prop_ct_prob_bounds =
           && Context_table.prob e <= Params.default.Params.initial_prob +. 1e-12)
         ops)
 
+(* The lookup memo against an exact model.  700 distinct (call site,
+   offset) keys are more than the memo's 256 slots, so slots collide and
+   entries are evicted and re-fetched from the table.  A seeded stream
+   interleaves short hot runs with random keys over 4,000 allocations.
+   An assoc list records, per key, the entry first returned and its
+   allocation count; ids must follow first-sight order. *)
+let test_ct_memo_model () =
+  let ct, _ = mk_ct () in
+  let g = Prng.create ~seed:77 in
+  (* 48 scattered call sites times 64 stack offsets: keys sharing a call
+     site, and keys sharing an offset, both land in common memo slots. *)
+  let sites = Array.init 48 (fun _ -> 0x400000 + (4 * Prng.int g 0x100000)) in
+  let rec distinct acc n =
+    if n = 0 then Array.of_list acc
+    else
+      let k = (sites.(Prng.int g 48), 16 * Prng.int g 64) in
+      if List.mem k acc then distinct acc n else distinct (k :: acc) (n - 1)
+  in
+  let keys = distinct [] 700 in
+  let model = ref [] (* key -> (entry, allocs) *) in
+  let calls = ref 0 in
+  while !calls < 4000 do
+    let key = keys.(Prng.int g (Array.length keys)) in
+    for _ = 1 to 1 + Prng.int g 3 do
+      incr calls;
+      let site, off = key in
+      let e = Context_table.on_allocation ct (ctx ~off site) in
+      Alcotest.(check bool) "entry key" true (e.Context_table.key = key);
+      match List.assoc_opt key !model with
+      | Some (first, n) ->
+        Alcotest.(check bool) "same entry as first sight" true (e == first);
+        model := (key, (first, n + 1)) :: List.remove_assoc key !model
+      | None ->
+        Alcotest.(check int) "id = first-sight rank" (List.length !model)
+          e.Context_table.id;
+        model := (key, (e, 1)) :: !model
+    done
+  done;
+  Alcotest.(check bool) "more keys than memo slots" true
+    (List.length !model >= 600);
+  Alcotest.(check int) "num_contexts" (List.length !model)
+    (Context_table.num_contexts ct);
+  Alcotest.(check int) "total allocations" !calls
+    (Context_table.total_allocations ct);
+  List.iter
+    (fun (_, (e, n)) ->
+      Alcotest.(check int) "allocs = model count" n e.Context_table.allocs)
+    !model
+
 (* ---------- Watch_table ---------- *)
 
 let mk_wt ?(policy = Params.Near_fifo) () =
@@ -521,6 +570,8 @@ let suite =
     Alcotest.test_case "ct: no burst when slow" `Quick test_ct_no_burst_when_slow;
     Alcotest.test_case "ct: pin" `Quick test_ct_pin;
     Alcotest.test_case "ct: reviving" `Slow test_ct_revive;
+    Alcotest.test_case "ct: memo vs model, 700 keys over 256 slots" `Quick
+      test_ct_memo_model;
     QCheck_alcotest.to_alcotest prop_ct_prob_bounds;
     Alcotest.test_case "wt: install and free" `Quick test_wt_install_and_free;
     Alcotest.test_case "wt: startup ends when full" `Quick test_wt_startup_ends_when_full;

@@ -396,8 +396,7 @@ let test_map_local_stats () =
    commutative counter and histogram from every user, a gauge every user
    sets (last definer must win), and a gauge only every third user defines
    (users without it must not vote).  The merged registry must come out
-   bit-identical whether it was aggregated through per-domain shards or
-   the legacy per-user fold, for any domain count. *)
+   bit-identical to a per-user fold in uid order, for any domain count. *)
 let telemetric ~user ~store:_ =
   let uid = user.Workload.uid in
   let tele = Telemetry.create () in
@@ -414,65 +413,89 @@ let telemetric ~user ~store:_ =
     telemetry = Some tele;
     degraded = false }
 
+(* The reference aggregation, computed here rather than by the fleet: fold
+   every seat's registry and profile into fresh ones in uid order.  The
+   fleet's own registry also carries its pool-crash counter, which stays 0
+   without a fault plan. *)
+let per_user_fold (r : _ Fleet.report) =
+  let metrics = Metrics.create () and profile = Profiler.create () in
+  ignore (Metrics.counter metrics "fleet.worker_crashes");
+  let seats = Array.copy r.Fleet.seats in
+  Array.sort
+    (fun a b -> compare a.Fleet.user.Workload.uid b.Fleet.user.Workload.uid)
+    seats;
+  Array.iter
+    (fun seat ->
+      match seat.Fleet.exec.Fleet.telemetry with
+      | Some tele ->
+        Metrics.merge_into ~dst:metrics ~src:(Telemetry.metrics tele);
+        Profiler.merge_into ~dst:profile ~src:(Telemetry.profiler tele)
+      | None -> ())
+    seats;
+  (metrics, profile)
+
+let aggregate metrics profile =
+  ( Metrics.counters_list metrics,
+    Metrics.histograms_list metrics,
+    Metrics.gauges_list metrics,
+    Profiler.to_list profile )
+
+(* Pins the fleet's aggregate to the per-user fold over its own seats. *)
+let check_fold domains (r : _ Fleet.report) =
+  let metrics, profile = per_user_fold r in
+  Alcotest.(check bool)
+    (Printf.sprintf "sharded = per-user fold, %d domains" domains)
+    true
+    (aggregate r.Fleet.metrics r.Fleet.profile = aggregate metrics profile)
+
 let test_sharded_equivalence_synthetic () =
   let w = Workload.make ~users:100 () in
-  let aggregate ~sharded domains =
-    let r =
-      Fleet.run
-        (Fleet.config ~domains ~epoch_size:16 ~sharded w)
-        ~execute:telemetric
-    in
-    ( Metrics.counters_list r.Fleet.metrics,
-      Metrics.gauges_list r.Fleet.metrics,
-      Profiler.to_list r.Fleet.profile )
-  in
-  let reference = aggregate ~sharded:false 1 in
-  let _, gauges, _ = reference in
-  (* The legacy fold's own invariant first: the last definer (highest uid)
-     wins each gauge, users that never define one don't vote. *)
-  Alcotest.(check bool) "g.all: uid 100 wins" true
-    (List.exists (fun (n, level, high) -> n = "g.all" && level = 100 && high = 100) gauges);
-  Alcotest.(check bool) "g.third: uid 99 wins" true
-    (List.exists (fun (n, level, high) -> n = "g.third" && level = 990 && high = 990) gauges);
   List.iter
     (fun domains ->
-      Alcotest.(check bool)
-        (Printf.sprintf "legacy, %d domains" domains)
-        true
-        (aggregate ~sharded:false domains = reference);
-      Alcotest.(check bool)
-        (Printf.sprintf "sharded, %d domains" domains)
-        true
-        (aggregate ~sharded:true domains = reference))
+      let r =
+        Fleet.run (Fleet.config ~domains ~epoch_size:16 w) ~execute:telemetric
+      in
+      check_fold domains r;
+      (* The fold's own invariant: the last definer (highest uid) wins each
+         gauge, users that never define one don't vote. *)
+      let gauges = Metrics.gauges_list r.Fleet.metrics in
+      Alcotest.(check bool) "g.all: uid 100 wins" true
+        (List.exists
+           (fun (n, level, high) -> n = "g.all" && level = 100 && high = 100)
+           gauges);
+      Alcotest.(check bool) "g.third: uid 99 wins" true
+        (List.exists
+           (fun (n, level, high) -> n = "g.third" && level = 990 && high = 990)
+           gauges))
     [ 1; 2; 4 ]
 
-(* Same equivalence over real CSOD executions: the full fingerprint of a
-   sharded fleet matches the legacy aggregation, domains 1/2/4. *)
+(* Same equivalence over real CSOD executions: a sharded fleet's registry
+   and profile equal the per-user fold over its seats, and the whole
+   fingerprint is the same at domains 1/2/4. *)
 let test_sharded_equivalence_real () =
   let app = zziplib () in
   let config = Config.csod_default in
   let w = Workload.make ~benign_frac:0.25 ~users:300 () in
-  let fingerprint ~sharded domains =
+  let fingerprint domains =
     let r =
       Fleet.run
-        (Fleet.config ~domains ~epoch_size:32 ~sharded w)
+        (Fleet.config ~domains ~epoch_size:32 w)
         ~execute:(Execution.executor ~app ~config ())
     in
+    check_fold domains r;
     ( Fleet.detection_uids r,
       r.Fleet.epochs,
       Persist.keys r.Fleet.store,
-      Metrics.counters_list r.Fleet.metrics,
-      Metrics.gauges_list r.Fleet.metrics,
-      Profiler.to_list r.Fleet.profile )
+      aggregate r.Fleet.metrics r.Fleet.profile )
   in
-  let reference = fingerprint ~sharded:false 1 in
+  let reference = fingerprint 1 in
   List.iter
     (fun domains ->
       Alcotest.(check bool)
-        (Printf.sprintf "sharded = legacy at %d domains" domains)
+        (Printf.sprintf "fingerprint at %d domains = 1 domain" domains)
         true
-        (fingerprint ~sharded:true domains = reference))
-    [ 1; 2; 4 ]
+        (fingerprint domains = reference))
+    [ 2; 4 ]
 
 (* ---------- Health stream ---------- *)
 

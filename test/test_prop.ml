@@ -10,9 +10,9 @@
 
    The invariants covered are the same ones the old loops guarded: the
    heap honours a free exactly once and rejects double frees, sparse
-   memory round-trips reads through writes with the chunk cache in any
-   state (and the page pool hands back zeroed pages — the heap alphabet's
-   recycle op), the watch table never holds more armed watchpoints than
+   memory round-trips reads through writes across chunk boundaries (and
+   the page pool hands back zeroed pages — the heap alphabet's recycle
+   op), the watch table never holds more armed watchpoints than
    the four debug registers, the persistent store's save/load/merge behave
    as a set, and the fleet's barriers/checkpoint/crash-resume agree with
    an exact model. *)

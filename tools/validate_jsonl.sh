@@ -6,8 +6,9 @@
 #   tools/validate_jsonl.sh events.jsonl
 #   csod_run run heartbleed --events - | tools/validate_jsonl.sh
 #
-# With --schema NAME every line must additionally carry that schema tag,
-# and for known schemas the required fields are type-checked:
+# With --schema NAME every line must additionally carry that schema tag
+# and its required fields are type-checked; a NAME the validator does not
+# know is an error:
 #
 #   tools/validate_jsonl.sh --schema csod.bench.resilience/1 resilience.jsonl
 set -eu
@@ -47,15 +48,12 @@ KNOWN = {
         "store_contexts": int,
         "wall_seconds": numbers.Real,
     },
-    "csod.bench.throughput/1": {
+    "csod.bench.throughput/2": {
         "op": str,
         "mode": str,
         "iters": int,
         "ns_per_op": numbers.Real,
         "ops_per_sec": numbers.Real,
-        "baseline_ns_per_op": numbers.Real,
-        "baseline_ops_per_sec": numbers.Real,
-        "speedup": numbers.Real,
     },
     "csod.bench.exec/1": {
         "workload": str,
@@ -312,6 +310,8 @@ def check_history(obj, where):
         check_alert(body, where)
 
 fields = KNOWN.get(schema)
+if schema and fields is None:
+    sys.exit(f"unknown schema {schema!r}; known: {', '.join(sorted(KNOWN))}")
 
 lines = 0
 with stream:
@@ -331,16 +331,16 @@ with stream:
             if obj.get("schema") != schema:
                 sys.exit(f"{path}:{n}: schema {obj.get('schema')!r}, "
                          f"expected {schema!r}")
-            for key, ty in (fields or {}).items():
+            for key, ty in fields.items():
                 if key not in obj:
                     sys.exit(f"{path}:{n}: missing field {key!r}")
                 if not isinstance(obj[key], ty) or isinstance(obj[key], bool):
                     sys.exit(f"{path}:{n}: field {key!r} has type "
                              f"{type(obj[key]).__name__}")
-            if fields and "detection_rate" in fields \
+            if "detection_rate" in fields \
                     and not 0.0 <= obj["detection_rate"] <= 1.0:
                 sys.exit(f"{path}:{n}: detection_rate out of [0, 1]")
-            if fields and "cdf" in fields \
+            if "cdf" in fields \
                     and not 0.0 <= obj["cdf"] <= 1.0:
                 sys.exit(f"{path}:{n}: cdf out of [0, 1]")
             if schema == "csod.fleet.alert/1":
