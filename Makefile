@@ -46,6 +46,7 @@ perf:
 # Engine bench: end-to-end executions/sec of the AST interpreter vs the
 # bytecode VM over app and pure-compute kernel workloads, one
 # csod.bench.exec/1 JSONL row per (workload, mode) (stdout only).
+# BENCH_EXEC.jsonl holds a committed baseline.
 engines:
 	@dune exec bench/main.exe -- exec
 

@@ -14,7 +14,7 @@ type t = {
   m : Machine.t;
   small_free : int list array;           (* per-class free lists *)
   large_free : (int, int list) Hashtbl.t; (* block size -> free addrs *)
-  objects : (int, obj) Hashtbl.t;        (* live objects by address *)
+  mutable objects : (int, obj) Hashtbl.t; (* live objects by address *)
   c_mallocs : Metrics.counter;
   c_frees : Metrics.counter;
   g_live_bytes : Metrics.gauge;
@@ -28,23 +28,45 @@ type t = {
   mutable frees : int;
 }
 
+(* The object table is sized for the largest run and is 4,097 words, so
+   it is recycled through a domain-local spare instead of being built in
+   the major heap for every execution. *)
+let objects_slots = 4096
+let spare_objects : (int, obj) Hashtbl.t Spare.t = Spare.create ()
+
+(* Hand the object table to the next heap on this domain.  [reset], not
+   [clear]: a table that grew must shrink back to [objects_slots], since
+   the bucket count decides [iter_live]'s order.  The released heap keeps
+   a small table of its own, so it stays usable without aliasing its
+   successor's. *)
+let recycle t =
+  let tbl = t.objects in
+  t.objects <- Hashtbl.create 16;
+  Hashtbl.reset tbl;
+  Spare.give spare_objects tbl
+
 let create m =
   let reg = Machine.registry m in
-  { m;
-    small_free = Array.make Size_class.num_small_classes [];
-    large_free = Hashtbl.create 32;
-    objects = Hashtbl.create 4096;
-    c_mallocs = Metrics.counter reg "heap.mallocs";
-    c_frees = Metrics.counter reg "heap.frees";
-    g_live_bytes = Metrics.gauge reg "heap.live_bytes";
-    h_alloc_bytes = Metrics.histogram reg "heap.alloc_bytes";
-    carved = 0;
-    live_bytes = 0;
-    peak_live = 0;
-    live_block_bytes = 0;
-    peak_block_bytes = 0;
-    allocs = 0;
-    frees = 0 }
+  let t =
+    { m;
+      small_free = Array.make Size_class.num_small_classes [];
+      large_free = Hashtbl.create 32;
+      objects =
+        Spare.take spare_objects ~fresh:(fun () -> Hashtbl.create objects_slots);
+      c_mallocs = Metrics.counter reg "heap.mallocs";
+      c_frees = Metrics.counter reg "heap.frees";
+      g_live_bytes = Metrics.gauge reg "heap.live_bytes";
+      h_alloc_bytes = Metrics.histogram reg "heap.alloc_bytes";
+      carved = 0;
+      live_bytes = 0;
+      peak_live = 0;
+      live_block_bytes = 0;
+      peak_block_bytes = 0;
+      allocs = 0;
+      frees = 0 }
+  in
+  Sparse_mem.on_release (Machine.mem m) (fun () -> recycle t);
+  t
 
 let machine t = t.m
 
@@ -130,12 +152,15 @@ let free t addr =
 
 let calloc t ~count ~size =
   if count < 0 || size < 0 then raise (Error "calloc: negative argument");
+  if size > 0 && count > max_int / size then
+    raise (Error "calloc: count * size overflows");
   let total = count * size in
   let addr = malloc t total in
   Sparse_mem.fill (Machine.mem t.m) addr total 0;
   addr
 
 let realloc t ptr size =
+  if size < 0 then raise (Error "realloc: negative size");
   if ptr = 0 then malloc t size
   else if size = 0 then begin
     free t ptr;
@@ -186,7 +211,11 @@ let is_live t addr = Hashtbl.mem t.objects addr
 let usable_size t addr =
   Option.map (fun o -> o.block - (addr - o.base)) (Hashtbl.find_opt t.objects addr)
 
-let iter_live f t = Hashtbl.iter (fun addr o -> f ~addr ~size:o.req_size) t.objects
+(* An empty table is not scanned: most executions free every object, and
+   the scan of 4,096 empty buckets was all of their termination handling. *)
+let iter_live f t =
+  if Hashtbl.length t.objects > 0 then
+    Hashtbl.iter (fun addr o -> f ~addr ~size:o.req_size) t.objects
 
 let live_objects t = Hashtbl.length t.objects
 let live_bytes t = t.live_bytes

@@ -19,7 +19,12 @@ exception Error of string
     realloc of an unknown pointer.  The message identifies the pointer. *)
 
 val create : Machine.t -> t
-(** An empty heap drawing address space from the machine via [sbrk]. *)
+(** An empty heap drawing address space from the machine via [sbrk].  Its
+    object table comes from a domain-local spare when one is there, and
+    goes back to it when the machine's memory is released
+    ({!Sparse_mem.release}): a warm execution builds no table.  The
+    released heap forgets its live objects but stays usable, on a small
+    table of its own. *)
 
 val machine : t -> Machine.t
 
@@ -33,11 +38,13 @@ val free : t -> int -> unit
 (** Return a block.  Raises {!Error} on double free or unknown pointers. *)
 
 val calloc : t -> count:int -> size:int -> int
-(** Zeroing allocation. *)
+(** Zeroing allocation.  Raises {!Error} on a negative argument or when
+    [count * size] overflows. *)
 
 val realloc : t -> int -> int -> int
 (** [realloc t ptr size]; [ptr = 0] behaves as [malloc], [size = 0] frees
-    and returns 0.  Contents are copied up to the smaller size. *)
+    and returns 0.  Contents are copied up to the smaller size.  Raises
+    {!Error} on a negative size, whatever [ptr]. *)
 
 val memalign : t -> alignment:int -> size:int -> int
 (** Power-of-two alignments up to 4096.  May over-allocate and return an
@@ -58,7 +65,8 @@ val usable_size : t -> int -> int option
 val iter_live : (addr:int -> size:int -> unit) -> t -> unit
 (** Walk every live object (address and requested size), in no particular
     order.  CSOD's Termination Handling Unit uses this to verify the
-    canary of every still-allocated object at exit. *)
+    canary of every still-allocated object at exit.  Costs nothing when
+    no object is live. *)
 
 val live_objects : t -> int
 val live_bytes : t -> int

@@ -10,12 +10,28 @@ type t = {
   redzone : int;
   instrumented : int -> bool;
   respond : Respond.t option;
-  registry : (int, live) Hashtbl.t; (* app ptr -> block info *)
+  mutable registry : (int, live) Hashtbl.t; (* app ptr -> block info *)
   c_shadow_checks : Metrics.counter;
   c_detections : Metrics.counter;
   c_quarantine_ops : Metrics.counter;
   mutable detections : detection list; (* newest first *)
 }
+
+(* The registry (1,025 words) is recycled through a domain-local spare
+   like the heap's object table, and the shadow's pages go back to the
+   page pool: both are handed on when the machine's memory is released. *)
+let registry_slots = 1024
+let spare_registry : (int, live) Hashtbl.t Spare.t = Spare.create ()
+
+(* [reset], not [clear], as for the heap's table: a registry that grew
+   goes back at its initial size.  The released tool keeps a small
+   registry of its own. *)
+let recycle t =
+  let tbl = t.registry in
+  t.registry <- Hashtbl.create 16;
+  Hashtbl.reset tbl;
+  Spare.give spare_registry tbl;
+  Shadow.release t.shadow
 
 let create ?(redzone = 16) ?(quarantine_budget = 98_304) ?(instrumented = fun _ -> true)
     ?respond ~machine ~heap () =
@@ -25,18 +41,23 @@ let create ?(redzone = 16) ?(quarantine_budget = 98_304) ?(instrumented = fun _ 
   (match respond with
   | Some r when Respond.oblivious r -> Respond.attach r machine
   | _ -> ());
-  { machine;
-    heap;
-    shadow = Shadow.create ();
-    quarantine = Quarantine.create ~budget_bytes:quarantine_budget;
-    redzone;
-    instrumented;
-    respond;
-    registry = Hashtbl.create 1024;
-    c_shadow_checks = Metrics.counter reg "asan.shadow_checks";
-    c_detections = Metrics.counter reg "asan.detections";
-    c_quarantine_ops = Metrics.counter reg "asan.quarantine_ops";
-    detections = [] }
+  let t =
+    { machine;
+      heap;
+      shadow = Shadow.create ();
+      quarantine = Quarantine.create ~budget_bytes:quarantine_budget;
+      redzone;
+      instrumented;
+      respond;
+      registry =
+        Spare.take spare_registry ~fresh:(fun () -> Hashtbl.create registry_slots);
+      c_shadow_checks = Metrics.counter reg "asan.shadow_checks";
+      c_detections = Metrics.counter reg "asan.detections";
+      c_quarantine_ops = Metrics.counter reg "asan.quarantine_ops";
+      detections = [] }
+  in
+  Sparse_mem.on_release (Machine.mem machine) (fun () -> recycle t);
+  t
 
 let rounded8 n = (n + 7) land lnot 7
 

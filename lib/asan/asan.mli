@@ -44,7 +44,12 @@ val create :
     instrumentation (default: everything).  [respond] in oblivious mode
     redirects each access whose shadow check fails: since the check runs
     before the machine access, the redirect is armed ahead of the
-    load/store it compensates. *)
+    load/store it compensates.
+
+    When the machine's memory is released ({!Sparse_mem.release}) the
+    registry goes to a domain-local spare for the next instance and the
+    shadow's pages to the page pool; the released instance stays usable
+    with an empty registry and an all-addressable shadow. *)
 
 val tool : t -> Tool.t
 val detections : t -> detection list

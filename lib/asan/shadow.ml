@@ -10,6 +10,7 @@
 type t = { shadow : Sparse_mem.t }
 
 let create () = { shadow = Sparse_mem.create () }
+let release t = Sparse_mem.release t.shadow
 
 let mask_of_range gstart lo hi =
   (* bits for bytes of granule [gstart..gstart+8) within [lo, hi) *)

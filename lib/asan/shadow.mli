@@ -10,6 +10,11 @@ type t
 
 val create : unit -> t
 
+val release : t -> unit
+(** Return the shadow's pages to the domain-local page pool, as
+    {!Sparse_mem.release} does for the machine's memory.  The shadow reads
+    as all-addressable afterwards.  Idempotent. *)
+
 val poison : t -> addr:int -> len:int -> unit
 (** Mark the byte range fully unaddressable (redzone/freed).  [addr] and
     [len] need not be 8-aligned; partial granules become partially

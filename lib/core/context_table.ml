@@ -24,8 +24,8 @@ type t = {
   params : Params.t;
   machine : Machine.t;
   rng : Prng.t;
-  table : (Alloc_ctx.key, entry) Chained_table.t;
-  by_id : (int, entry) Hashtbl.t;
+  mutable table : (Alloc_ctx.key, entry) Chained_table.t;
+  mutable by_id : (int, entry) Hashtbl.t;
   c_allocations : Metrics.counter;
   c_bursts : Metrics.counter;
   c_revivals : Metrics.counter;
@@ -36,9 +36,10 @@ type t = {
   (* Direct-mapped memo of recently used contexts, indexed by a hash of
      the (call site, stack offset) pair: a hit skips the key tuple, the
      table probe and the insertion closure, so it allocates nothing.
-     Entries are never removed from the table, so the memo can never go
+     Entries are never removed from the table, and a released table
+     swaps in a new memo with its new table, so the memo can never go
      stale. *)
-  memo : entry array;
+  mutable memo : entry array;
 }
 
 let memo_slots = 256
@@ -58,22 +59,49 @@ let memo_index callsite offset =
   (((callsite * 0x9E3779B1) lxor (offset * 0x85EBCA77)) lsr 20)
   land (memo_slots - 1)
 
+(* The paper sizes the table "to a large number" up front, and Table V
+   charges all 2,048 buckets, so the table never grows; it is recycled
+   through a domain-local spare instead of being built in the major heap
+   for every execution. *)
+let buckets = 2048
+let spare_tables : (Alloc_ctx.key, entry) Chained_table.t Spare.t = Spare.create ()
+
+let fresh_table ~buckets =
+  Chained_table.create ~buckets ~hash:Alloc_ctx.hash_key ~equal:Alloc_ctx.equal_key ()
+
+(* Hand the buckets to the next table on this domain.  The released table
+   keeps a small table of its own and forgets its contexts, so it stays
+   usable without aliasing its successor's.  Its id index and memo are
+   replaced rather than emptied: overwriting a major-heap pointer costs a
+   write barrier, and these are small enough to rebuild in the minor
+   heap. *)
+let recycle t =
+  let tbl = t.table in
+  t.table <- fresh_table ~buckets:16;
+  t.by_id <- Hashtbl.create 16;
+  t.memo <- Array.make memo_slots no_entry;
+  Chained_table.clear tbl;
+  Spare.give spare_tables tbl
+
 let create ~params ~machine ~rng =
   let reg = Machine.registry machine in
-  { params;
-    machine;
-    rng;
-    table =
-      Chained_table.create ~buckets:2048 ~hash:Alloc_ctx.hash_key ~equal:Alloc_ctx.equal_key ();
-    by_id = Hashtbl.create 256;
-    c_allocations = Metrics.counter reg "smu.allocations";
-    c_bursts = Metrics.counter reg "smu.burst_throttles";
-    c_revivals = Metrics.counter reg "smu.revivals";
-    g_contexts = Metrics.gauge reg "smu.contexts";
-    next_id = 0;
-    allocations = 0;
-    watches = 0;
-    memo = Array.make memo_slots no_entry }
+  let t =
+    { params;
+      machine;
+      rng;
+      table = Spare.take spare_tables ~fresh:(fun () -> fresh_table ~buckets);
+      by_id = Hashtbl.create 256;
+      c_allocations = Metrics.counter reg "smu.allocations";
+      c_bursts = Metrics.counter reg "smu.burst_throttles";
+      c_revivals = Metrics.counter reg "smu.revivals";
+      g_contexts = Metrics.gauge reg "smu.contexts";
+      next_id = 0;
+      allocations = 0;
+      watches = 0;
+      memo = Array.make memo_slots no_entry }
+  in
+  Sparse_mem.on_release (Machine.mem machine) (fun () -> recycle t);
+  t
 
 (* [Clock.seconds], computed here: a [float] returned from another module
    is boxed, and the allocation path reads the time on every call. *)

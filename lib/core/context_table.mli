@@ -44,7 +44,11 @@ val prob : entry -> float
 type t
 
 val create : params:Params.t -> machine:Machine.t -> rng:Prng.t -> t
-(** [rng] drives the reviving coin flips. *)
+(** [rng] drives the reviving coin flips.  The 2,048 buckets come from a
+    domain-local spare when one is there, and go back to it, emptied,
+    when the machine's memory is released ({!Sparse_mem.release}).  The
+    released table forgets its contexts but stays usable, on a small
+    table of its own. *)
 
 val on_allocation : t -> Alloc_ctx.t -> entry
 (** The per-allocation hot path: look up (or create, capturing the full

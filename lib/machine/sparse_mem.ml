@@ -29,6 +29,7 @@ type t = {
   mutable cache_idx : int;
   mutable cache_chunk : Bytes.t;
   mutable released : bool;
+  mutable on_release : (unit -> unit) list; (* newest first *)
 }
 
 let no_chunk = Bytes.create 0
@@ -37,11 +38,17 @@ let create () =
   { chunks = Hashtbl.create 256;
     cache_idx = -1;
     cache_chunk = no_chunk;
-    released = false }
+    released = false;
+    on_release = [] }
+
+let on_release t f = if not t.released then t.on_release <- f :: t.on_release
 
 let release t =
   if not t.released then begin
     t.released <- true;
+    let hooks = t.on_release in
+    t.on_release <- [];
+    List.iter (fun f -> f ()) (List.rev hooks);
     t.cache_idx <- -1;
     t.cache_chunk <- no_chunk;
     let pool = Domain.DLS.get pool_key in

@@ -55,8 +55,16 @@ val touched_bytes : t -> int
 val release : t -> unit
 (** End-of-life: return this memory's chunk storage to the domain-local
     page pool so the next execution on this domain reuses it instead of
-    allocating.  The memory reads as all-zeroes afterwards; callers must
-    not touch it again.  Idempotent. *)
+    allocating.  The memory reads as all-zeroes afterwards; it stays
+    usable, but storage it takes from then on is never pooled.  Idempotent.  Runs the {!on_release} hooks first,
+    in registration order. *)
+
+val on_release : t -> (unit -> unit) -> unit
+(** [on_release t f] runs [f] once, when [t] is released.  The owners of
+    per-execution tables (the heap, the context table, ASan) register here
+    so that the single end-of-execution call that returns the machine's
+    pages also hands their tables to the next execution on the domain.
+    Ignored once [t] is released. *)
 
 val chunk_size : int
 (** Chunk granularity in bytes (a simulated page cluster). *)

@@ -147,6 +147,8 @@ and call st (e : Ast.expr) name args =
     let count = eval st (List.nth args 0) in
     let size = eval st (List.nth args 1) in
     if count < 0 || size < 0 then error e.eloc "calloc with negative argument";
+    if size > 0 && count > max_int / size then
+      error e.eloc "calloc of %d * %d bytes overflows" count size;
     let total = count * size in
     Machine.set_pc st.m e.eaddr;
     let p = st.tool.Tool.malloc ~size:total ~ctx:(make_ctx st e) in

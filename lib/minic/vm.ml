@@ -410,6 +410,8 @@ and dispatch st code i : int =
     let size = st.stack.(sp) in
     let count = st.stack.(sp - 1) in
     if count < 0 || size < 0 then error loc "calloc with negative argument";
+    if size > 0 && count > max_int / size then
+      error loc "calloc of %d * %d bytes overflows" count size;
     let total = count * size in
     Machine.set_pc st.m site;
     let p = st.tool.Tool.malloc ~size:total ~ctx:(make_ctx st site) in
@@ -525,6 +527,15 @@ and dispatch st code i : int =
     dispatch st code (i + 1)
   | Compile.Str_err loc -> error loc "string literal used as a value"
 
+(* The operand stack and the locals (1,025 words each, so major-heap
+   blocks) are recycled through domain-local spares, at whatever size the
+   last run grew them to.  Stale contents are harmless: a run reads no
+   stack slot it did not push and no local it did not store, exactly as
+   when a frame reuses the slots of a returned one. *)
+let spare_stack : int array Spare.t = Spare.create ()
+let spare_locals : int array Spare.t = Spare.create ()
+let fresh_slots () = Array.make 1024 0
+
 let run ~machine ~tool ~program ?(inputs = [||]) ?(app_seed = 1)
     ?(step_limit = 50_000_000) () =
   let code = Compile.get program in
@@ -544,13 +555,19 @@ let run ~machine ~tool ~program ?(inputs = [||]) ?(app_seed = 1)
       frames = [];
       steps = 0;
       step_limit;
-      stack = Array.make 1024 0;
+      stack = Spare.take spare_stack ~fresh:fresh_slots;
       sp = 0;
-      locals = Array.make 1024 0;
+      locals = Spare.take spare_locals ~fresh:fresh_slots;
       lbase = 0;
       ltop = 0 }
   in
   Machine.set_backtrace_provider machine (fun () ->
       backtrace_of_frames st.frames (Machine.pc machine));
-  let rv = run_call st main ~callsite:main.Compile.fi_addr in
+  let rv =
+    Fun.protect
+      ~finally:(fun () ->
+        Spare.give spare_stack st.stack;
+        Spare.give spare_locals st.locals)
+      (fun () -> run_call st main ~callsite:main.Compile.fi_addr)
+  in
   { Interp.output = Buffer.contents st.buf; return_value = rv; steps = st.steps }

@@ -14,6 +14,11 @@ let create ?(buckets = 65536) ~hash ~equal () =
 
 let length t = t.size
 
+let clear t =
+  if t.size > 0 then Array.fill t.buckets 0 (Array.length t.buckets) None;
+  t.size <- 0;
+  t.locks <- 0
+
 let bucket_of t k = (t.hash k land max_int) mod Array.length t.buckets
 
 let rec chain_find equal k = function

@@ -18,6 +18,11 @@ val create : ?buckets:int -> hash:('k -> int) -> equal:('k -> 'k -> bool) -> uni
 val length : (_, _) t -> int
 (** Number of bindings. *)
 
+val clear : (_, _) t -> unit
+(** Drop every binding and zero the lock count, keeping the bucket array:
+    the cleared table is indistinguishable from a fresh one of the same
+    bucket count.  Costs nothing when the table is already empty. *)
+
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Chain lookup. *)
 

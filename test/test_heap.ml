@@ -89,7 +89,16 @@ let test_heap_calloc () =
   Alcotest.(check int) "same block" a b;
   for i = 0 to 63 do
     Alcotest.(check int) "zeroed" 0 (Sparse_mem.read_u8 mem (b + i))
-  done
+  done;
+  (* a wrapped count * size must not yield a small block *)
+  List.iter
+    (fun (count, size) ->
+      match Heap.calloc h ~count ~size with
+      | _ -> Alcotest.fail (Printf.sprintf "calloc %d * %d: expected Heap.Error" count size)
+      | exception Heap.Error _ -> ())
+    [ (1 lsl 61, 8); (8, 1 lsl 61); (max_int, 2) ];
+  Alcotest.(check int) "nothing allocated" 2 (Heap.total_allocs h);
+  Alcotest.(check int) "live bytes" 64 (Heap.live_bytes h)
 
 let test_heap_realloc () =
   let h = mk_heap () in
@@ -114,6 +123,14 @@ let test_heap_realloc () =
   Alcotest.(check bool) "realloc(NULL)" true (Heap.is_live h d);
   Alcotest.(check int) "realloc to 0 frees" 0 (Heap.realloc h d 0);
   Alcotest.(check bool) "gone" false (Heap.is_live h d);
+  (* a negative size is rejected, not applied in place *)
+  let live = Heap.live_bytes h in
+  Alcotest.check_raises "negative size" (Heap.Error "realloc: negative size") (fun () ->
+      ignore (Heap.realloc h c (-5)));
+  Alcotest.check_raises "negative size, NULL" (Heap.Error "realloc: negative size")
+    (fun () -> ignore (Heap.realloc h 0 (-5)));
+  Alcotest.(check (option int)) "object untouched" (Some 64) (Heap.size_of h c);
+  Alcotest.(check int) "live bytes untouched" live (Heap.live_bytes h);
   (try
      ignore (Heap.realloc h 0xBAD 8);
      Alcotest.fail "realloc of foreign pointer must raise"
@@ -156,6 +173,49 @@ let test_heap_iter_live () =
   Alcotest.(check (list (pair int int))) "live walk"
     (List.sort compare [ (a, 24); (c, 72) ])
     sorted
+
+(* A heap whose object table grew past 8,192 entries hands it on when its
+   memory is released; the next heap must walk its objects in exactly the
+   order of a heap built on a never-recycled table (a [clear]ed table
+   would keep its grown bucket count and walk in another order). *)
+let test_heap_recycling_unobservable () =
+  let m1 = Machine.create () in
+  let h1 = Heap.create m1 in
+  for _ = 1 to 9_000 do
+    ignore (Heap.malloc h1 16)
+  done;
+  Sparse_mem.release (Machine.mem m1);
+  let m2 = Machine.create () in
+  let recycled = ref None in
+  let major =
+    Test_hotpath.direct_major_words (fun () -> recycled := Some (Heap.create m2))
+  in
+  let recycled = Option.get !recycled in
+  if Test_hotpath.native then
+    Alcotest.(check (float 0.0)) "recycled table: no major words" 0.0 major;
+  let fresh = Heap.create (Machine.create ()) in
+  let walk h =
+    let g = Prng.create ~seed:9 in
+    let live = Array.make 64 0 in
+    for i = 0 to 999 do
+      let slot = Prng.int g 64 in
+      if live.(slot) <> 0 then Heap.free h live.(slot);
+      live.(slot) <- Heap.malloc h (1 + Prng.int g (if i mod 50 = 0 then 9000 else 200))
+    done;
+    let seen = ref [] in
+    Heap.iter_live (fun ~addr ~size -> seen := (addr, size) :: !seen) h;
+    !seen
+  in
+  let order = walk fresh in
+  Alcotest.(check int) "64 live objects" 64 (List.length order);
+  Alcotest.(check (list (pair int int))) "iter_live order" order (walk recycled);
+  (* The released heap keeps working, on a table of its own. *)
+  Alcotest.(check int) "released heap forgets its objects" 0 (Heap.live_objects h1);
+  let p = Heap.malloc h1 24 in
+  Alcotest.(check (option int)) "released heap allocates" (Some 24) (Heap.size_of h1 p);
+  Alcotest.(check bool) "successor does not see it" false (Heap.is_live recycled p);
+  Heap.free h1 p;
+  Alcotest.(check int) "successor untouched" 64 (Heap.live_objects recycled)
 
 let test_heap_malloc_charges_clock () =
   let h = mk_heap () in
@@ -222,5 +282,7 @@ let suite =
     Alcotest.test_case "heap peak tracking" `Quick test_heap_peak_tracking;
     Alcotest.test_case "heap live walk" `Quick test_heap_iter_live;
     Alcotest.test_case "heap clock charge" `Quick test_heap_malloc_charges_clock;
+    Alcotest.test_case "heap recycling unobservable" `Quick
+      test_heap_recycling_unobservable;
     QCheck_alcotest.to_alcotest prop_no_overlap;
     QCheck_alcotest.to_alcotest prop_free_then_size_none ]

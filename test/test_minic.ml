@@ -551,7 +551,9 @@ let test_vm_runtime_errors () =
       "fn main() { return input(0); }";
       "fn main() { var p = malloc(0 - 8); return 0; }";
       "fn main() { return rand(0); }";
-      "fn main() { var p = 0 - 5; return p[0]; }" ]
+      "fn main() { var p = 0 - 5; return p[0]; }";
+      (* a wrapped count * size must not yield a small block *)
+      "fn main() { var p = calloc(1 << 60, 16); return p; }" ]
 
 (* Pinned repro for the planted vm-buggy-cycles bug, shrunk from the
    differential sweep's catch in test_prop.ml: one extra virtual cycle is

@@ -313,10 +313,42 @@ let test_engine_ab_fleet () =
         [ Engine.Interp; Engine.Vm ])
     [ 1; 2; 4 ]
 
+(* Releasing a machine's memory hands the context table's buckets to the
+   next runtime on the domain; the released runtime keeps working on a
+   table of its own and never writes into its successor's. *)
+let test_released_runtime_usable () =
+  let rt1, tool1, m1, _ = mk () in
+  for i = 1 to 5 do
+    tool1.Tool.free ~ptr:(tool1.Tool.malloc ~size:32 ~ctx:(ctx i))
+  done;
+  Runtime.finish rt1;
+  Sparse_mem.release (Machine.mem m1);
+  let rt2, tool2, _, _ = mk ~seed:1 () in
+  let live = List.init 3 (fun i -> tool2.Tool.malloc ~size:24 ~ctx:(ctx (100 + i))) in
+  let table2 = Runtime.context_table rt2 in
+  Alcotest.(check int) "successor starts empty" 3 (Context_table.num_contexts table2);
+  let table1 = Runtime.context_table rt1 in
+  Alcotest.(check int) "released table forgets its contexts" 0
+    (Context_table.num_contexts table1);
+  List.iter
+    (fun site -> tool1.Tool.free ~ptr:(tool1.Tool.malloc ~size:16 ~ctx:(ctx site)))
+    [ 1; 100; 101; 102; 103 ];
+  Alcotest.(check int) "released runtime counts its own contexts" 5
+    (Context_table.num_contexts table1);
+  Alcotest.(check int) "successor untouched" 3 (Context_table.num_contexts table2);
+  Alcotest.(check bool) "successor keys intact" true
+    (Context_table.find table2 (100, 0) <> None
+    && Context_table.find table2 (103, 0) = None);
+  List.iter (fun ptr -> tool2.Tool.free ~ptr) live;
+  Runtime.finish rt2;
+  Alcotest.(check bool) "no reports" false (Runtime.detected rt1 || Runtime.detected rt2)
+
 let suite =
   [ Alcotest.test_case "watchpoint detection (read+write)" `Quick
       test_watchpoint_detection_read_write;
     Alcotest.test_case "no false positives" `Quick test_no_false_positives_in_bounds;
+    Alcotest.test_case "released runtime stays usable" `Quick
+      test_released_runtime_usable;
     Alcotest.test_case "watch removed on free" `Quick test_watch_removed_on_free;
     Alcotest.test_case "canary at free" `Quick test_canary_at_free;
     Alcotest.test_case "canary at exit" `Quick test_canary_at_exit;
