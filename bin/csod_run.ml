@@ -171,9 +171,11 @@ let metrics_json_arg =
 let events_arg =
   Arg.(value & opt (some string) None
        & info [ "events" ] ~docv:"FILE"
-           ~doc:"Stream structured JSONL events (sampling decisions, \
-                 replacements, traps, canaries, periodic snapshots) to $(docv) \
-                 ($(b,-) for stdout).")
+           ~doc:"Stream the flight recorder's lifecycle records (allocations, \
+                 sampling decisions, watchpoint installs/evictions, traps, \
+                 canary checks, detections, probability changes, phases) and \
+                 periodic snapshots as JSONL to $(docv) ($(b,-) for stdout).  \
+                 Implies a recorder.")
 
 let snapshot_arg =
   Arg.(value & opt (some float) None
@@ -188,9 +190,18 @@ let snapshot_cycles_of = function
     else int_of_float (sec *. float_of_int Cost.cycles_per_second)
 
 (* Flight recorder options *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let flight_arg =
   Arg.(value
-       & opt ~vopt:(Some Flight_recorder.default_capacity) (some int) None
+       & opt ~vopt:(Some Flight_recorder.default_capacity) (some positive_int)
+           None
        & info [ "flight-recorder" ] ~docv:"N"
            ~doc:"Record the last $(docv) lifecycle events (allocations, \
                  sampling decisions, watchpoint installs/evictions, traps, \
@@ -204,11 +215,13 @@ let trace_out_arg =
                  $(docv) ($(b,-) for stdout) — open it in chrome://tracing or \
                  ui.perfetto.dev.  Implies $(b,--flight-recorder).")
 
-let recorder_capacity ~flight ~trace_out =
-  match (flight, trace_out) with
-  | Some n, _ -> Some n
-  | None, Some _ -> Some Flight_recorder.default_capacity
-  | None, None -> None
+(* [--trace-out] and [--events] read the recorder, so they imply one. *)
+let recorder_capacity ~flight ~trace_out ~events =
+  match flight with
+  | Some n -> Some n
+  | None when trace_out <> None || events <> None ->
+    Some Flight_recorder.default_capacity
+  | None -> None
 
 let write_trace file records =
   let s =
@@ -352,7 +365,7 @@ let run_cmd =
       let store = load_store store_file in
       let input = if benign then Execution.Benign else Execution.Buggy in
       let snapshot_cycles = snapshot_cycles_of snapshot_sec in
-      let cap = recorder_capacity ~flight ~trace_out in
+      let cap = recorder_capacity ~flight ~trace_out ~events in
       let detected = ref 0 in
       let survived = ref 0 in
       let last = ref None in
@@ -402,8 +415,9 @@ let run_cmd =
         emit_telemetry ~metrics ~profile ~metrics_json o.Execution.telemetry
           ~cycles:o.Execution.cycles
       | None -> ());
+      (* A recorder implied only by --events leaves stdout as it was. *)
       (match !last_rec with
-      | Some r ->
+      | Some r when flight <> None || trace_out <> None ->
         if runs > 1 then
           Printf.printf "(flight recording of the final execution, seed %d)\n"
             (seed + runs - 1);
@@ -411,7 +425,7 @@ let run_cmd =
         (match trace_out with
         | Some file -> write_trace file (Flight_recorder.records r)
         | None -> ())
-      | None -> ());
+      | _ -> ());
       save_store
         ?faults:(match !last with Some o -> o.Execution.faults | None -> None)
         store store_file
@@ -1204,7 +1218,7 @@ let exec_cmd =
       let recorder =
         Option.map
           (fun capacity -> Flight_recorder.create ~capacity ())
-          (recorder_capacity ~flight ~trace_out)
+          (recorder_capacity ~flight ~trace_out ~events)
       in
       let with_rec f =
         match recorder with
@@ -1273,12 +1287,12 @@ let exec_cmd =
       emit_telemetry ~metrics ~profile ~metrics_json (Machine.telemetry machine)
         ~cycles:(Clock.cycles (Machine.clock machine));
       (match recorder with
-      | Some r ->
+      | Some r when flight <> None || trace_out <> None ->
         print_recorder_summary r;
         (match trace_out with
         | Some out -> write_trace out (Flight_recorder.records r)
         | None -> ())
-      | None -> ())
+      | _ -> ())
   in
   Cmd.v
     (Cmd.info "exec" ~doc:"Run a MiniC source file under a detection tool.")

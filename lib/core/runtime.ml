@@ -89,8 +89,6 @@ let handle_trap t (info : Machine.trap_info) =
         | Hw_breakpoint.Read -> Report.Over_read
         | Hw_breakpoint.Write -> Report.Over_write
       in
-      Trace.trap ~addr:info.Machine.access_addr ~kind:(Report.kind_name kind)
-        ~tid:info.Machine.tid;
       let report =
         { Report.kind;
           source = Report.Watchpoint;
@@ -179,7 +177,6 @@ let note_install t (entry : Context_table.entry) ok =
     then begin
       t.degraded <- true;
       Metrics.incr t.c_degraded;
-      Trace.degraded ();
       Flight_recorder.prob ~at:(cycles t) ~ctx:entry.Context_table.id
         ~cause:Flight_recorder.Degrade
         ~from_p:(Context_table.effective_prob t.contexts entry)
@@ -189,50 +186,40 @@ let note_install t (entry : Context_table.entry) ok =
   ok
 
 (* Decide whether to watch the freshly allocated object, per Section III.
-   Returns true when a watchpoint now guards it. *)
+   Returns true when a watchpoint now guards it.  In canary-only mode there
+   are no draws and no installs, but the decision is still recorded so
+   traces show the allocation was seen and skipped.  During start-up the
+   first few objects are watched regardless of probability ("installation
+   due to availability", see {!Watch_table.in_startup}). *)
 let consider_watch t (entry : Context_table.entry) ~app ~watch_addr =
   Metrics.incr t.c_decisions;
-  if t.degraded then begin
-    (* Canary-only mode: no draws, no installs.  The decision is still
-       recorded so traces show the allocation was seen and skipped. *)
-    if Flight_recorder.active () then
-      Flight_recorder.decision ~at:(cycles t) ~addr:app
-        ~ctx:entry.Context_table.id ~prob:0.0 ~coin:false ~watched:false
-        ~startup:false;
-    false
-  end
-  else if Watch_table.in_startup t.watches && Watch_table.has_free_slot t.watches
-  then begin
-    (* "Installation due to availability": the first few objects are
-       watched regardless of probability (see {!Watch_table.in_startup}). *)
-    let watched =
+  let startup =
+    (not t.degraded)
+    && Watch_table.in_startup t.watches
+    && Watch_table.has_free_slot t.watches
+  in
+  let p =
+    if t.degraded then 0.0
+    else if startup then 1.0
+    else begin
+      Machine.work_as t.machine Profiler.Smu_decision Cost.rng_draw;
+      Context_table.effective_prob t.contexts entry
+    end
+  in
+  let coin = startup || ((not t.degraded) && Prng.below_percent t.rng p) in
+  let watched =
+    if not coin then false
+    else if startup || Watch_table.has_free_slot t.watches then
       note_install t entry
         (Watch_table.install t.watches ~obj_addr:app ~watch_addr ~entry)
-    in
-    if Flight_recorder.active () then
-      Flight_recorder.decision ~at:(cycles t) ~addr:app
-        ~ctx:entry.Context_table.id ~prob:1.0 ~coin:true ~watched
-        ~startup:true;
-    watched
-  end
-  else begin
-    Machine.work_as t.machine Profiler.Smu_decision Cost.rng_draw;
-    let p = Context_table.effective_prob t.contexts entry in
-    let coin = Prng.below_percent t.rng p in
-    let watched =
-      if not coin then false
-      else if Watch_table.has_free_slot t.watches then
-        note_install t entry
-          (Watch_table.install t.watches ~obj_addr:app ~watch_addr ~entry)
-      else
-        Watch_table.try_replace t.watches ~obj_addr:app ~watch_addr ~entry
-          ~new_prob:p
-    in
-    if Flight_recorder.active () then
-      Flight_recorder.decision ~at:(cycles t) ~addr:app
-        ~ctx:entry.Context_table.id ~prob:p ~coin ~watched ~startup:false;
-    watched
-  end
+    else
+      Watch_table.try_replace t.watches ~obj_addr:app ~watch_addr ~entry
+        ~new_prob:p
+  in
+  if Flight_recorder.active () then
+    Flight_recorder.decision ~at:(cycles t) ~addr:app
+      ~ctx:entry.Context_table.id ~prob:p ~coin ~watched ~startup;
+  watched
 
 (* Guard slack a code-less patch adds past the object.  Overflows of up to
    this many bytes land in memory the allocation owns — below the canary,
@@ -278,10 +265,6 @@ let csod_malloc t ~size ~ctx =
       Respond.record_patch r ~site:(fst entry.Context_table.key)
         ~ctx:entry.Context_table.key ~addr:app ~at_sec:(now t)
     | None -> ());
-    if Event_sink.active () then
-      Trace.decision ~watched:false
-        ~prob:(Context_table.effective_prob t.contexts entry)
-        ~key:entry.Context_table.key ~addr:app;
     app
   end
   else begin
@@ -311,10 +294,6 @@ let csod_malloc t ~size ~ctx =
       Metrics.incr t.c_watched;
       Context_table.note_watched t.contexts entry
     end;
-    if Event_sink.active () then
-      Trace.decision ~watched
-        ~prob:(Context_table.effective_prob t.contexts entry)
-        ~key:entry.Context_table.key ~addr:app;
     app
   end
 
@@ -324,8 +303,6 @@ let check_canary t ~app ~size ~ctx_id ~source =
   t.canary_checks <- t.canary_checks + 1;
   if not (Canary.check t.machine ~app ~size ~expected:t.canary) then begin
     Metrics.incr t.c_corruptions;
-    Trace.canary ~addr:app
-      ~where:(if source = Report.Canary_free then "free" else "exit");
     match Context_table.find_by_id t.contexts ctx_id with
     | None -> () (* corrupted header: the canary itself already proves it *)
     | Some entry ->
@@ -357,8 +334,7 @@ let check_canary t ~app ~size ~ctx_id ~source =
 let csod_free t ~ptr =
   if ptr = 0 then Heap.free t.heap 0
   else begin
-    if Watch_table.on_free t.watches ~obj_addr:ptr then
-      Trace.removed_on_free ~addr:ptr;
+    ignore (Watch_table.on_free t.watches ~obj_addr:ptr);
     (match t.respond with
     | Some r when Respond.oblivious r -> Respond.release r ~obj:ptr
     | _ -> ());

@@ -166,7 +166,6 @@ let remove t wp =
   Metrics.incr t.c_evictions
 
 let replace_victim t victim ~obj_addr ~watch_addr ~entry =
-  Trace.replaced ~victim:victim.obj_addr ~by:obj_addr;
   Metrics.incr t.c_replacements;
   Flight_recorder.replace ~at:(Clock.cycles (Machine.clock t.machine))
     ~victim:victim.obj_addr ~victim_ctx:victim.entry.Context_table.id

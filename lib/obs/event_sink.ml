@@ -13,7 +13,7 @@ let to_buffer buf =
 let events t = t.events
 let flush t = t.flush ()
 
-(* The installed sink is process-global: trace points are module-level
+(* The installed sink is process-global: emission sites are module-level
    functions with no handle to thread a sink through (mirroring how the
    paper's runtime logs from signal handlers).  [active] is the one-branch
    guard every instrumentation site checks before building fields. *)

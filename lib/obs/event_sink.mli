@@ -1,9 +1,10 @@
 (** Structured JSONL event sink.
 
     One JSON object per line, first field ["event"] naming the kind.  The
-    runtime's trace points ({!Trace} in [csod_core]) and the telemetry
-    snapshotter both emit here when a sink is installed; with none
-    installed every emission site costs exactly one branch ({!active}).
+    {!Flight_recorder}'s lifecycle hooks, the telemetry snapshotter, the
+    fleet's health samples and [Respond]'s events all emit here when a sink
+    is installed; with none installed every emission site costs exactly one
+    branch ({!active}).
 
     Events carry no wall-clock timestamps — callers include virtual-clock
     fields ([at_sec], [cycles]) instead, so two runs with the same seed

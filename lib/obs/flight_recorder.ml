@@ -180,7 +180,7 @@ let slot t ~at tag =
   t.at_.(s) <- at;
   s
 
-(* ---- JSON export (used by the automatic dump-on-detection) ---- *)
+(* ---- JSON encoding: one encoder for the ring's export and the stream ---- *)
 
 let kind_fields = function
   | Alloc { index; addr; size; ctx; site; off } ->
@@ -214,14 +214,25 @@ let kind_fields = function
     ("phase", [ ("phase", `String phase); ("start", `Int start); ("stop", `Int stop) ])
   | Fault { point } -> ("fault", [ ("point", `String point) ])
 
-let record_to_json r : Obs_json.t =
+let record_fields r =
   let name, fields = kind_fields r.kind in
-  `Assoc (("kind", `String name) :: ("seq", `Int r.seq) :: ("at", `Int r.at) :: fields)
+  (name, ("seq", `Int r.seq) :: ("at", `Int r.at) :: fields)
 
-let dump_to_sink t =
-  Event_sink.emit "flight.dump"
-    [ ("recorded", `Int t.seq); ("dropped", `Int (dropped t));
-      ("records", `List (List.map record_to_json (records t))) ]
+let record_to_json r : Obs_json.t =
+  let name, fields = record_fields r in
+  `Assoc (("kind", `String name) :: fields)
+
+(* The stream is a subscriber of the ring: the record just written at slot
+   [s] goes out as one [{"event":<kind>,"seq":…,"at":…,…}] line. *)
+let stream t s =
+  let name, fields =
+    record_fields { seq = t.seq - 1; at = t.at_.(s); kind = kind_of_slot t s }
+  in
+  Event_sink.emit name fields
+
+(* Every hook ends here once its columns are written: one more branch when
+   no sink is installed. *)
+let publish t s = if Event_sink.active () then stream t s
 
 (* ---- typed hooks ----
 
@@ -240,7 +251,8 @@ let alloc ~at ~addr ~size ~ctx ~site ~off =
     t.i2.(s) <- size;
     t.i3.(s) <- ctx;
     t.i4.(s) <- site;
-    t.i5.(s) <- off
+    t.i5.(s) <- off;
+    publish t s
 
 let decision ~at ~addr ~ctx ~prob ~coin ~watched ~startup =
   match !current with
@@ -252,7 +264,8 @@ let decision ~at ~addr ~ctx ~prob ~coin ~watched ~startup =
     t.f0.(s) <- prob;
     t.i2.(s) <- Bool.to_int coin;
     t.i3.(s) <- Bool.to_int watched;
-    t.i4.(s) <- Bool.to_int startup
+    t.i4.(s) <- Bool.to_int startup;
+    publish t s
 
 let watch ~at ~addr ~ctx =
   match !current with
@@ -260,7 +273,8 @@ let watch ~at ~addr ~ctx =
   | Some t ->
     let s = slot t ~at tag_watch in
     t.i0.(s) <- addr;
-    t.i1.(s) <- ctx
+    t.i1.(s) <- ctx;
+    publish t s
 
 let replace ~at ~victim ~victim_ctx ~by ~by_ctx =
   match !current with
@@ -270,17 +284,24 @@ let replace ~at ~victim ~victim_ctx ~by ~by_ctx =
     t.i0.(s) <- victim;
     t.i1.(s) <- victim_ctx;
     t.i2.(s) <- by;
-    t.i3.(s) <- by_ctx
+    t.i3.(s) <- by_ctx;
+    publish t s
 
 let unwatch_free ~at ~addr =
   match !current with
   | None -> ()
-  | Some t -> (slot t ~at tag_unwatch_free |> fun s -> t.i0.(s) <- addr)
+  | Some t ->
+    let s = slot t ~at tag_unwatch_free in
+    t.i0.(s) <- addr;
+    publish t s
 
 let free ~at ~addr =
   match !current with
   | None -> ()
-  | Some t -> (slot t ~at tag_free |> fun s -> t.i0.(s) <- addr)
+  | Some t ->
+    let s = slot t ~at tag_free in
+    t.i0.(s) <- addr;
+    publish t s
 
 let trap ~at ~addr ~access ~tid =
   match !current with
@@ -289,7 +310,8 @@ let trap ~at ~addr ~access ~tid =
     let s = slot t ~at tag_trap in
     t.i0.(s) <- addr;
     t.sa.(s) <- access;
-    t.i1.(s) <- tid
+    t.i1.(s) <- tid;
+    publish t s
 
 let canary_check ~at ~addr ~ok =
   match !current with
@@ -297,7 +319,8 @@ let canary_check ~at ~addr ~ok =
   | Some t ->
     let s = slot t ~at tag_canary_check in
     t.i0.(s) <- addr;
-    t.i1.(s) <- Bool.to_int ok
+    t.i1.(s) <- Bool.to_int ok;
+    publish t s
 
 let detection ~at ~addr ~ctx ~source =
   match !current with
@@ -308,9 +331,7 @@ let detection ~at ~addr ~ctx ~source =
     t.i0.(s) <- addr;
     t.i1.(s) <- ctx;
     t.sa.(s) <- source;
-    (* The automatic dump: a detection is the moment the history matters,
-       so the whole (bounded) ring goes to the event stream if one is on. *)
-    if Event_sink.active () then dump_to_sink t
+    publish t s
 
 let prob ~at ~ctx ~cause ~from_p ~to_p =
   match !current with
@@ -320,7 +341,8 @@ let prob ~at ~ctx ~cause ~from_p ~to_p =
     t.i0.(s) <- ctx;
     t.i1.(s) <- cause_code cause;
     t.f0.(s) <- from_p;
-    t.f1.(s) <- to_p
+    t.f1.(s) <- to_p;
+    publish t s
 
 let phase ~name ~start ~stop =
   match !current with
@@ -329,9 +351,13 @@ let phase ~name ~start ~stop =
     let s = slot t ~at:stop tag_phase in
     t.sa.(s) <- name;
     t.i0.(s) <- start;
-    t.i1.(s) <- stop
+    t.i1.(s) <- stop;
+    publish t s
 
 let fault ~at ~point =
   match !current with
   | None -> ()
-  | Some t -> (slot t ~at tag_fault |> fun s -> t.sa.(s) <- point)
+  | Some t ->
+    let s = slot t ~at tag_fault in
+    t.sa.(s) <- point;
+    publish t s

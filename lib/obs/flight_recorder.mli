@@ -13,9 +13,10 @@
     only what it can tell you afterwards.  Timestamps ([at]) are virtual
     cycles read by the hook's caller.
 
-    The ring is dumped automatically to the installed {!Event_sink} (as a
-    single ["flight.dump"] event) whenever a detection is recorded, and on
-    demand via {!dump_to_sink} or {!records}. *)
+    The recorder is the runtime's one lifecycle channel.  When an
+    {!Event_sink} is installed, every hook also streams its record as one
+    JSONL line, [{"event":<kind>,"seq":…,"at":…,…}], encoded like
+    {!record_to_json}; {!records} reads the ring back. *)
 
 (** {1 Records} *)
 
@@ -83,9 +84,8 @@ val alloc_count : t -> int
 val detection_count : t -> int
 
 val record_to_json : record -> Obs_json.t
-val dump_to_sink : t -> unit
-(** Emit the ring's contents as one ["flight.dump"] event to the installed
-    {!Event_sink}; a no-op when no sink is installed. *)
+(** [{"kind":<kind>,"seq":…,"at":…,…}]: the streamed line's fields, with
+    the kind under ["kind"] instead of ["event"]. *)
 
 (** {1 The process-global recorder} *)
 
@@ -98,7 +98,8 @@ val with_recorder : t -> (unit -> 'a) -> 'a
 
 (** {1 Hooks}
 
-    Each is a no-op costing one branch when no recorder is installed.
+    Each is a no-op costing one branch when no recorder is installed, and
+    streams its record to the installed {!Event_sink} when there is one.
     Hot-path callers should check {!active} before computing arguments. *)
 
 val alloc : at:int -> addr:int -> size:int -> ctx:int -> site:int -> off:int -> unit
@@ -112,8 +113,6 @@ val free : at:int -> addr:int -> unit
 val trap : at:int -> addr:int -> access:string -> tid:int -> unit
 val canary_check : at:int -> addr:int -> ok:bool -> unit
 val detection : at:int -> addr:int -> ctx:int -> source:string -> unit
-(** Also triggers the automatic {!dump_to_sink} when an event sink is
-    active. *)
 
 val prob : at:int -> ctx:int -> cause:prob_cause -> from_p:float -> to_p:float -> unit
 val phase : name:string -> start:int -> stop:int -> unit

@@ -255,9 +255,12 @@ let member key = function
   | `Assoc fields -> List.assoc_opt key fields
   | _ -> None
 
+(* [int_of_float] outside the int range is unspecified (it fabricates 0 on
+   x86-64), so only integral floats in [-2^62, 2^62) convert. *)
 let to_int = function
   | `Int i -> Some i
-  | `Float f when Float.is_integer f -> Some (int_of_float f)
+  | `Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+    Some (int_of_float f)
   | _ -> None
 
 let to_float = function

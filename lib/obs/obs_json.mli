@@ -30,7 +30,8 @@ val member : string -> t -> t option
 (** [member key json] is the field [key] of an [`Assoc], if both exist. *)
 
 val to_int : t -> int option
-(** [`Int n] as [n]; [`Float f] as [int_of_float f] when integral. *)
+(** [`Int n] as [n]; [`Float f] as [int_of_float f] when integral and in
+    [\[-2{^62}, 2{^62})]; [None] otherwise. *)
 
 val to_float : t -> float option
 (** [`Float f] as [f]; [`Int n] as [float_of_int n]. *)

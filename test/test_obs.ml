@@ -294,32 +294,70 @@ let test_metrics_do_not_perturb () =
         b.Execution.output)
     [ 1; 2; 3 ]
 
-(* The trace points route through the sink: a detecting run emits the
-   structured decision/trap events. *)
-let test_trace_events_routed () =
+(* The lifecycle stream is a subscriber of the flight recorder: a
+   detecting Heartbleed run under a sink and a ring that drops nothing
+   streams exactly [records r], in order and byte for byte.  A bare run
+   emits nothing else (no snapshots, no respond events). *)
+let lifecycle_stream = lazy (
   let app = Option.get (Buggy_app.by_name "Heartbleed") in
-  let b = Buffer.create 4096 in
-  let detecting_seed =
+  let seed =
     match
       Execution.run_until_detected ~app ~config:Config.csod_default ~max_runs:64
     with
     | Some (seed, _) -> seed
     | None -> Alcotest.fail "no detecting seed"
   in
+  let b = Buffer.create 4096 in
+  let r = Flight_recorder.create ~capacity:(1 lsl 17) () in
   ignore
     (Event_sink.with_sink (Event_sink.to_buffer b) (fun () ->
-         Execution.run ~app ~config:Config.csod_default ~seed:detecting_seed ()));
-  let has kind =
-    let needle = Printf.sprintf "{\"event\":\"%s\"" kind in
-    let s = Buffer.contents b in
-    let nl = String.length needle in
-    let rec go i =
-      i + nl <= String.length s && (String.sub s i nl = needle || go (i + 1))
-    in
-    go 0
+         Flight_recorder.with_recorder r (fun () ->
+             Execution.run ~app ~config:Config.csod_default ~seed ())));
+  let lines =
+    String.split_on_char '\n' (Buffer.contents b) |> List.filter (( <> ) "")
   in
-  Alcotest.(check bool) "smu.decision events" true (has "smu.decision");
-  Alcotest.(check bool) "trap event" true (has "trap")
+  (r, lines))
+
+let event_name line =
+  match Obs_json.of_string line with
+  | Ok j -> (
+    match Obs_json.member "event" j with Some (`String e) -> e | _ -> "")
+  | Error msg -> Alcotest.failf "unparsable line %s: %s" line msg
+
+let test_lifecycle_stream_is_the_ring () =
+  let r, lines = Lazy.force lifecycle_stream in
+  Alcotest.(check int) "ring dropped nothing" 0 (Flight_recorder.dropped r);
+  let expected =
+    List.map
+      (fun rec_ ->
+        match Flight_recorder.record_to_json rec_ with
+        | `Assoc (("kind", kind) :: fields) ->
+          Obs_json.to_string (`Assoc (("event", kind) :: fields))
+        | _ -> Alcotest.fail "record_to_json: kind is not the first field")
+      (Flight_recorder.records r)
+  in
+  Alcotest.(check (list string)) "stream = records, in order" expected lines;
+  let count e = List.length (List.filter (fun l -> event_name l = e) lines) in
+  Alcotest.(check int) "exactly one detection" 1 (count "detection");
+  Alcotest.(check int) "the ring counted it" 1 (Flight_recorder.detection_count r);
+  Alcotest.(check int) "one decision per allocation" (count "alloc")
+    (count "decision")
+
+(* The stream reports the probability the decision used: the first object
+   is installed at start-up, with probability 1, not the halved
+   probability its context holds afterwards. *)
+let test_startup_decision_streamed () =
+  let _, lines = Lazy.force lifecycle_stream in
+  match List.find_opt (fun l -> event_name l = "decision") lines with
+  | None -> Alcotest.fail "no decision streamed"
+  | Some line -> (
+    match Obs_json.of_string line with
+    | Ok j ->
+      Alcotest.(check (option (float 0.0))) "prob 1.0" (Some 1.0)
+        (Option.bind (Obs_json.member "prob" j) Obs_json.to_float);
+      Alcotest.(check bool) "startup true" true
+        (Obs_json.member "startup" j = Some (`Bool true))
+    | Error msg -> Alcotest.fail msg)
 
 (* ---------- JSON export ---------- *)
 
@@ -419,83 +457,98 @@ let test_histogram_json_has_percentiles () =
         (contains needle))
     [ "\"p50\":20"; "\"p90\":20"; "\"p99\":20" ]
 
-(* ---------- Trace event kinds round-trip with their schema ---------- *)
+(* ---------- Lifecycle events stream with their schema ---------- *)
 
-(* Expected field names and JSON types for every structured trace event. *)
-let trace_schema =
-  [ ( "smu.decision",
-      [ ("addr", `I); ("site", `I); ("stack_offset", `I); ("prob", `F);
-        ("watched", `B) ] );
-    ("wmu.replace", [ ("victim", `I); ("by", `I) ]);
-    ("wmu.free_removal", [ ("addr", `I) ]);
-    ("trap", [ ("addr", `I); ("kind", `S); ("tid", `I) ]);
-    ("canary.corrupt", [ ("addr", `I); ("where", `S) ]) ]
+(* Field names and JSON types every lifecycle kind streams with, after
+   ["event"], ["seq"] and ["at"].  The match is exhaustive, so a new
+   [Flight_recorder.kind] without a schema entry does not compile.  JSON
+   has one number type: a float field may print without a fraction. *)
+let lifecycle_schema : Flight_recorder.kind -> string * (string * _) list =
+  function
+  | Alloc _ ->
+    ( "alloc",
+      [ ("index", `Int); ("addr", `Int); ("size", `Int); ("ctx", `Int);
+        ("site", `Int); ("stack_offset", `Int) ] )
+  | Decision _ ->
+    ( "decision",
+      [ ("addr", `Int); ("ctx", `Int); ("prob", `Num); ("coin", `Bool);
+        ("watched", `Bool); ("startup", `Bool) ] )
+  | Watch _ -> ("watch", [ ("addr", `Int); ("ctx", `Int) ])
+  | Replace _ ->
+    ( "replace",
+      [ ("victim", `Int); ("victim_ctx", `Int); ("by", `Int); ("by_ctx", `Int) ]
+    )
+  | Unwatch_free _ -> ("unwatch_free", [ ("addr", `Int) ])
+  | Free _ -> ("free", [ ("addr", `Int) ])
+  | Trap _ -> ("trap", [ ("addr", `Int); ("access", `String); ("tid", `Int) ])
+  | Canary_check _ -> ("canary_check", [ ("addr", `Int); ("ok", `Bool) ])
+  | Detection _ ->
+    ("detection", [ ("addr", `Int); ("ctx", `Int); ("source", `String) ])
+  | Prob _ ->
+    ( "prob",
+      [ ("ctx", `Int); ("cause", `String); ("from", `Num); ("to", `Num) ] )
+  | Phase _ ->
+    ("phase", [ ("phase", `String); ("start", `Int); ("stop", `Int) ])
+  | Fault _ -> ("fault", [ ("point", `String) ])
 
-(* Pull the raw value text of ["name":<value>] out of a JSONL line.  The
-   values in these events are atomic (no nesting), so scanning to the next
-   [,]/[}] — or the closing quote for strings — is enough. *)
-let json_field line name =
-  let needle = Printf.sprintf "\"%s\":" name in
-  let nl = String.length needle and ll = String.length line in
-  let rec find i =
-    if i + nl > ll then None
-    else if String.sub line i nl = needle then Some (i + nl)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    if line.[start] = '"' then begin
-      let rec close j = if line.[j] = '"' then j else close (j + 1) in
-      Some (String.sub line start (close (start + 1) + 1 - start))
-    end
-    else begin
-      let rec stop j =
-        if j >= ll || line.[j] = ',' || line.[j] = '}' then j else stop (j + 1)
-      in
-      Some (String.sub line start (stop start - start))
-    end
+let json_type : Obs_json.t -> _ = function
+  | `Int _ -> `Int
+  | `Float _ -> `Num
+  | `Bool _ -> `Bool
+  | `String _ -> `String
+  | _ -> `Other
 
-let value_matches ty v =
-  match ty with
-  | `I ->
-    v <> "" && String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') v
-  | `F -> String.contains v '.' || String.contains v 'e'
-  | `B -> v = "true" || v = "false"
-  | `S -> String.length v >= 2 && v.[0] = '"' && v.[String.length v - 1] = '"'
-
-let test_trace_event_schema () =
-  let b = Buffer.create 512 in
+let test_lifecycle_event_schema () =
+  let b = Buffer.create 1024 in
+  let r = Flight_recorder.create ~capacity:16 () in
   Event_sink.with_sink (Event_sink.to_buffer b) (fun () ->
-      (* prob 0.125 keeps a '.' in the encoding, so `F is checkable *)
-      Trace.decision ~watched:true ~prob:0.125 ~key:(0x40, 2) ~addr:0x1000;
-      Trace.replaced ~victim:0x1000 ~by:0x2000;
-      Trace.removed_on_free ~addr:0x1000;
-      Trace.trap ~addr:0x1008 ~kind:"over-read" ~tid:3;
-      Trace.canary ~addr:0x1000 ~where:"free");
+      Flight_recorder.with_recorder r (fun () ->
+          Flight_recorder.alloc ~at:1 ~addr:0x40 ~size:16 ~ctx:1 ~site:3 ~off:0;
+          Flight_recorder.decision ~at:2 ~addr:0x40 ~ctx:1 ~prob:0.125
+            ~coin:true ~watched:true ~startup:false;
+          Flight_recorder.watch ~at:3 ~addr:0x40 ~ctx:1;
+          Flight_recorder.replace ~at:4 ~victim:0x40 ~victim_ctx:1 ~by:0x80
+            ~by_ctx:2;
+          Flight_recorder.unwatch_free ~at:5 ~addr:0x80;
+          Flight_recorder.free ~at:6 ~addr:0x80;
+          Flight_recorder.trap ~at:7 ~addr:0x50 ~access:"read" ~tid:3;
+          Flight_recorder.canary_check ~at:8 ~addr:0x40 ~ok:false;
+          Flight_recorder.detection ~at:9 ~addr:0x40 ~ctx:1 ~source:"canary-free";
+          Flight_recorder.prob ~at:10 ~ctx:1 ~cause:Flight_recorder.Halve_on_watch
+            ~from_p:1.0 ~to_p:0.5;
+          Flight_recorder.phase ~name:"app" ~start:0 ~stop:11;
+          Flight_recorder.fault ~at:12 ~point:"ebusy"));
   let lines =
-    String.split_on_char '\n' (Buffer.contents b)
-    |> List.filter (fun l -> l <> "")
+    String.split_on_char '\n' (Buffer.contents b) |> List.filter (( <> ) "")
   in
-  Alcotest.(check int) "one line per event kind" (List.length trace_schema)
+  let records = Flight_recorder.records r in
+  Alcotest.(check int) "one line per hook" (List.length records)
     (List.length lines);
+  Alcotest.(check int) "all 12 kinds streamed" 12
+    (List.length
+       (List.sort_uniq compare
+          (List.map (fun r -> fst (lifecycle_schema r.Flight_recorder.kind)) records)));
   List.iter2
-    (fun (name, fields) line ->
-      let prefix = Printf.sprintf "{\"event\":\"%s\"" name in
-      Alcotest.(check bool) (name ^ ": event field first") true
-        (String.length line >= String.length prefix
-        && String.sub line 0 (String.length prefix) = prefix);
-      List.iter
-        (fun (fname, ty) ->
-          match json_field line fname with
-          | None ->
-            Alcotest.failf "%s: field %S missing in %s" name fname line
-          | Some v ->
+    (fun rec_ line ->
+      let name, fields = lifecycle_schema rec_.Flight_recorder.kind in
+      match Obs_json.of_string line with
+      | Ok (`Assoc streamed) ->
+        let expected =
+          ("event", `String) :: ("seq", `Int) :: ("at", `Int) :: fields
+        in
+        Alcotest.(check (list string)) (name ^ ": field names")
+          (List.map fst expected) (List.map fst streamed);
+        Alcotest.(check bool) (name ^ ": event names the kind") true
+          (List.assoc "event" streamed = `String name);
+        List.iter2
+          (fun (fname, ty) (_, v) ->
             Alcotest.(check bool)
               (Printf.sprintf "%s.%s has the schema type" name fname)
-              true (value_matches ty v))
-        fields)
-    trace_schema lines
+              true
+              (json_type v = ty || (ty = `Num && json_type v = `Int)))
+          expected streamed
+      | _ -> Alcotest.failf "%s: not a JSON object: %s" name line)
+    records lines
 
 (* ---------- Flight recorder ---------- *)
 
@@ -536,29 +589,6 @@ let test_flight_record_json () =
        \"prob\":0.5,\"coin\":true,\"watched\":false,\"startup\":false}"
       (Obs_json.to_string (Flight_recorder.record_to_json rec_))
   | _ -> Alcotest.fail "expected one record"
-
-let test_flight_dump_on_detection () =
-  let b = Buffer.create 512 in
-  let r = Flight_recorder.create ~capacity:8 () in
-  Event_sink.with_sink (Event_sink.to_buffer b) (fun () ->
-      Flight_recorder.with_recorder r (fun () ->
-          Flight_recorder.alloc ~at:1 ~addr:0x40 ~size:16 ~ctx:1 ~site:3 ~off:0;
-          Flight_recorder.detection ~at:2 ~addr:0x40 ~ctx:1 ~source:"watchpoint"));
-  let s = Buffer.contents b in
-  let contains needle =
-    let nl = String.length needle in
-    let rec go i =
-      i + nl <= String.length s && (String.sub s i nl = needle || go (i + 1))
-    in
-    go 0
-  in
-  Alcotest.(check int) "detection counted" 1 (Flight_recorder.detection_count r);
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (Printf.sprintf "dump contains %s" needle) true
-        (contains needle))
-    [ "{\"event\":\"flight.dump\",\"recorded\":2,\"dropped\":0,\"records\":[";
-      "\"kind\":\"alloc\""; "\"kind\":\"detection\"" ]
 
 (* Recording must not perturb the execution: outcome-level check over a
    few seeds... *)
@@ -694,6 +724,17 @@ let test_obs_json_parse () =
     Alcotest.(check (option (float 0.0))) "to_float accepts int" (Some 7.0)
       (Obs_json.to_float a)
   | _ -> Alcotest.fail "list parse failed");
+  (* Out-of-range floats have no int: [int_of_float] would fabricate one. *)
+  (match Obs_json.of_string {|{"epoch": 1e30, "n": -9.3e18, "lo": -4611686018427387904.0, "hi": 4611686018427387904.0}|} with
+  | Ok j ->
+    List.iter
+      (fun (field, want) ->
+        Alcotest.(check (option int))
+          (Printf.sprintf "to_int %s" field)
+          want
+          (Option.bind (Obs_json.member field j) Obs_json.to_int))
+      [ ("epoch", None); ("n", None); ("lo", Some min_int); ("hi", None) ]
+  | Error msg -> Alcotest.fail msg);
   List.iter
     (fun bad ->
       Alcotest.(check bool)
@@ -961,7 +1002,10 @@ let suite =
     Alcotest.test_case "heartbleed profile coverage" `Quick
       test_heartbleed_profile_coverage;
     Alcotest.test_case "telemetry does not perturb" `Quick test_metrics_do_not_perturb;
-    Alcotest.test_case "trace events routed to sink" `Quick test_trace_events_routed;
+    Alcotest.test_case "lifecycle stream equals the ring" `Quick
+      test_lifecycle_stream_is_the_ring;
+    Alcotest.test_case "start-up decision streams prob 1" `Quick
+      test_startup_decision_streamed;
     Alcotest.test_case "json encoder" `Quick test_obs_json;
     Alcotest.test_case "telemetry json export" `Quick test_telemetry_json;
     Alcotest.test_case "sink flushes on uninstall" `Quick
@@ -970,12 +1014,10 @@ let suite =
     Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
     Alcotest.test_case "histogram json percentiles" `Quick
       test_histogram_json_has_percentiles;
-    Alcotest.test_case "trace event schema round-trip" `Quick
-      test_trace_event_schema;
+    Alcotest.test_case "lifecycle event schema" `Quick
+      test_lifecycle_event_schema;
     Alcotest.test_case "flight recorder ring" `Quick test_flight_recorder_ring;
     Alcotest.test_case "flight record json" `Quick test_flight_record_json;
-    Alcotest.test_case "flight dump on detection" `Quick
-      test_flight_dump_on_detection;
     Alcotest.test_case "flight recorder does not perturb" `Quick
       test_recorder_does_not_perturb;
     Alcotest.test_case "flight recorder preserves prng stream" `Quick
