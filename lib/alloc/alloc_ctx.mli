@@ -20,7 +20,8 @@ type t = {
           almost always unique per context. *)
   backtrace : unit -> int list;
       (** Full calling context, innermost first.  Expensive; tools call it
-          once per new context and for failure reports. *)
+          once per new context, and only inside the [malloc] that received
+          the handle: the VM's thunk walks the frames live at the call. *)
 }
 
 type key = int * int

@@ -10,11 +10,21 @@ type obj = {
   cls : Size_class.t;
 }
 
+(* Keyed by address, with the generic table's own hash: the same bucket
+   for every key, so [iter_live] visits objects in the same order, but
+   lookups compare ints directly instead of calling [compare]. *)
+module Objects = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   m : Machine.t;
   small_free : int list array;           (* per-class free lists *)
   large_free : (int, int list) Hashtbl.t; (* block size -> free addrs *)
-  mutable objects : (int, obj) Hashtbl.t; (* live objects by address *)
+  mutable objects : obj Objects.t;       (* live objects by address *)
   c_mallocs : Metrics.counter;
   c_frees : Metrics.counter;
   g_live_bytes : Metrics.gauge;
@@ -32,7 +42,7 @@ type t = {
    it is recycled through a domain-local spare instead of being built in
    the major heap for every execution. *)
 let objects_slots = 4096
-let spare_objects : (int, obj) Hashtbl.t Spare.t = Spare.create ()
+let spare_objects : obj Objects.t Spare.t = Spare.create ()
 
 (* Hand the object table to the next heap on this domain.  [reset], not
    [clear]: a table that grew must shrink back to [objects_slots], since
@@ -41,8 +51,8 @@ let spare_objects : (int, obj) Hashtbl.t Spare.t = Spare.create ()
    successor's. *)
 let recycle t =
   let tbl = t.objects in
-  t.objects <- Hashtbl.create 16;
-  Hashtbl.reset tbl;
+  t.objects <- Objects.create 16;
+  Objects.reset tbl;
   Spare.give spare_objects tbl
 
 let create m =
@@ -52,7 +62,7 @@ let create m =
       small_free = Array.make Size_class.num_small_classes [];
       large_free = Hashtbl.create 32;
       objects =
-        Spare.take spare_objects ~fresh:(fun () -> Hashtbl.create objects_slots);
+        Spare.take spare_objects ~fresh:(fun () -> Objects.create objects_slots);
       c_mallocs = Metrics.counter reg "heap.mallocs";
       c_frees = Metrics.counter reg "heap.frees";
       g_live_bytes = Metrics.gauge reg "heap.live_bytes";
@@ -116,7 +126,7 @@ let return_block t cls base =
 
 let register t ~addr ~base ~req_size ~cls =
   let block = Size_class.block_size cls in
-  Hashtbl.replace t.objects addr { req_size; block; base; cls };
+  Objects.replace t.objects addr { req_size; block; base; cls };
   t.allocs <- t.allocs + 1;
   Metrics.incr t.c_mallocs;
   Metrics.observe t.h_alloc_bytes req_size;
@@ -137,12 +147,12 @@ let malloc t size =
 
 let free t addr =
   Machine.work_as t.m Profiler.Alloc_fast Cost.malloc_base;
-  match Hashtbl.find t.objects addr with
+  match Objects.find t.objects addr with
   | exception Not_found ->
     if addr = 0 then () (* free(NULL) is a no-op *)
     else raise (Error (Printf.sprintf "free: invalid or already-freed pointer 0x%x" addr))
   | obj ->
-    Hashtbl.remove t.objects addr;
+    Objects.remove t.objects addr;
     t.frees <- t.frees + 1;
     Metrics.incr t.c_frees;
     t.live_bytes <- t.live_bytes - obj.req_size;
@@ -167,7 +177,7 @@ let realloc t ptr size =
     0
   end
   else
-    match Hashtbl.find_opt t.objects ptr with
+    match Objects.find_opt t.objects ptr with
     | None -> raise (Error (Printf.sprintf "realloc: invalid pointer 0x%x" ptr))
     | Some obj ->
       if size <= obj.block - (ptr - obj.base) then begin
@@ -175,7 +185,7 @@ let realloc t ptr size =
         t.live_bytes <- t.live_bytes - obj.req_size + size;
         if t.live_bytes > t.peak_live then t.peak_live <- t.live_bytes;
         Metrics.set t.g_live_bytes t.live_bytes;
-        Hashtbl.replace t.objects ptr { obj with req_size = size };
+        Objects.replace t.objects ptr { obj with req_size = size };
         ptr
       end
       else begin
@@ -204,20 +214,20 @@ let memalign t ~alignment ~size =
   end
 
 let size_of t addr =
-  Option.map (fun o -> o.req_size) (Hashtbl.find_opt t.objects addr)
+  Option.map (fun o -> o.req_size) (Objects.find_opt t.objects addr)
 
-let is_live t addr = Hashtbl.mem t.objects addr
+let is_live t addr = Objects.mem t.objects addr
 
 let usable_size t addr =
-  Option.map (fun o -> o.block - (addr - o.base)) (Hashtbl.find_opt t.objects addr)
+  Option.map (fun o -> o.block - (addr - o.base)) (Objects.find_opt t.objects addr)
 
 (* An empty table is not scanned: most executions free every object, and
    the scan of 4,096 empty buckets was all of their termination handling. *)
 let iter_live f t =
-  if Hashtbl.length t.objects > 0 then
-    Hashtbl.iter (fun addr o -> f ~addr ~size:o.req_size) t.objects
+  if Objects.length t.objects > 0 then
+    Objects.iter (fun addr o -> f ~addr ~size:o.req_size) t.objects
 
-let live_objects t = Hashtbl.length t.objects
+let live_objects t = Objects.length t.objects
 let live_bytes t = t.live_bytes
 let peak_live_bytes t = t.peak_live
 let total_allocs t = t.allocs
@@ -228,4 +238,4 @@ let resident_bytes t =
      (4 words per entry).  Free-list slack is reusable address space, not
      resident pages: untouched sparse memory costs nothing, mirroring how
      VmHWM sees an mmap-backed allocator. *)
-  t.peak_block_bytes + (Hashtbl.length t.objects * 4 * 8)
+  t.peak_block_bytes + (Objects.length t.objects * 4 * 8)

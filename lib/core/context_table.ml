@@ -17,7 +17,8 @@ type entry = {
   mutable watches : int;
   mutable window_count : int;
   mutable pinned : bool;
-  mutable full_ctx : int list;
+  bt_off : int;
+  bt_len : int;
 }
 
 type t = {
@@ -26,6 +27,10 @@ type t = {
   rng : Prng.t;
   mutable table : (Alloc_ctx.key, entry) Chained_table.t;
   mutable by_id : (int, entry) Hashtbl.t;
+  (* Every context's full backtrace, innermost first, one after another:
+     written once on first sight, read only to build a report. *)
+  mutable bt : int array;
+  mutable bt_top : int;
   c_allocations : Metrics.counter;
   c_bursts : Metrics.counter;
   c_revivals : Metrics.counter;
@@ -53,7 +58,8 @@ let no_entry =
     watches = 0;
     window_count = 0;
     pinned = false;
-    full_ctx = [] }
+    bt_off = 0;
+    bt_len = 0 }
 
 let memo_index callsite offset =
   (((callsite * 0x9E3779B1) lxor (offset * 0x85EBCA77)) lsr 20)
@@ -62,35 +68,47 @@ let memo_index callsite offset =
 (* The paper sizes the table "to a large number" up front, and Table V
    charges all 2,048 buckets, so the table never grows; it is recycled
    through a domain-local spare instead of being built in the major heap
-   for every execution. *)
+   for every execution, together with the backtrace buffer at whatever
+   size the last table grew it to. *)
 let buckets = 2048
-let spare_tables : (Alloc_ctx.key, entry) Chained_table.t Spare.t = Spare.create ()
+let bt_slots = 1024
+let spare_tables :
+    ((Alloc_ctx.key, entry) Chained_table.t * int array) Spare.t =
+  Spare.create ()
 
 let fresh_table ~buckets =
   Chained_table.create ~buckets ~hash:Alloc_ctx.hash_key ~equal:Alloc_ctx.equal_key ()
 
-(* Hand the buckets to the next table on this domain.  The released table
-   keeps a small table of its own and forgets its contexts, so it stays
-   usable without aliasing its successor's.  Its id index and memo are
-   replaced rather than emptied: overwriting a major-heap pointer costs a
-   write barrier, and these are small enough to rebuild in the minor
-   heap. *)
+(* Hand the buckets and the backtrace buffer to the next table on this
+   domain.  The released table keeps a small table and an empty buffer of
+   its own and forgets its contexts, so it stays usable without aliasing
+   its successor's.  Its id index and memo are replaced rather than
+   emptied: overwriting a major-heap pointer costs a write barrier, and
+   these are small enough to rebuild in the minor heap. *)
 let recycle t =
-  let tbl = t.table in
+  let tbl = t.table and bt = t.bt in
   t.table <- fresh_table ~buckets:16;
   t.by_id <- Hashtbl.create 16;
   t.memo <- Array.make memo_slots no_entry;
+  t.bt <- [||];
+  t.bt_top <- 0;
   Chained_table.clear tbl;
-  Spare.give spare_tables tbl
+  Spare.give spare_tables (tbl, bt)
 
 let create ~params ~machine ~rng =
   let reg = Machine.registry machine in
+  let table, bt =
+    Spare.take spare_tables ~fresh:(fun () ->
+        (fresh_table ~buckets, Array.make bt_slots 0))
+  in
   let t =
     { params;
       machine;
       rng;
-      table = Spare.take spare_tables ~fresh:(fun () -> fresh_table ~buckets);
+      table;
       by_id = Hashtbl.create 256;
+      bt;
+      bt_top = 0;
       c_allocations = Metrics.counter reg "smu.allocations";
       c_bursts = Metrics.counter reg "smu.burst_throttles";
       c_revivals = Metrics.counter reg "smu.revivals";
@@ -126,10 +144,26 @@ let clamp_floor t e =
     if e.s.floor_since = 0.0 then e.s.floor_since <- now t
   end
 
+(* Append [frames] to the backtrace buffer, doubling it when full. *)
+let store_backtrace t frames =
+  let off = t.bt_top in
+  let len = List.length frames in
+  if off + len > Array.length t.bt then begin
+    let cap = ref (max bt_slots (Array.length t.bt)) in
+    while off + len > !cap do cap := 2 * !cap done;
+    let arr = Array.make !cap 0 in
+    Array.blit t.bt 0 arr 0 off;
+    t.bt <- arr
+  end;
+  List.iteri (fun i pc -> Array.unsafe_set t.bt (off + i) pc) frames;
+  t.bt_top <- off + len;
+  len
+
 let fresh_entry t (ctx : Alloc_ctx.t) =
   (* First sight of this context: the paper acquires the whole calling
      context once, with the expensive backtrace walk. *)
-  let full = ctx.Alloc_ctx.backtrace () in
+  let bt_off = t.bt_top in
+  let bt_len = store_backtrace t (ctx.Alloc_ctx.backtrace ()) in
   let id = t.next_id in
   t.next_id <- id + 1;
   { id;
@@ -143,7 +177,12 @@ let fresh_entry t (ctx : Alloc_ctx.t) =
     watches = 0;
     window_count = 0;
     pinned = false;
-    full_ctx = full }
+    bt_off;
+    bt_len }
+
+let full_ctx t e =
+  let rec go i acc = if i < e.bt_off then acc else go (i - 1) (t.bt.(i) :: acc) in
+  go (e.bt_off + e.bt_len - 1) []
 
 let on_allocation t ctx =
   Machine.work_as t.machine Profiler.Smu_lookup Cost.context_lookup;
@@ -244,4 +283,4 @@ let iter f t = Chained_table.iter (fun _ e -> f e) t.table
 
 let memory_bytes t =
   Chained_table.memory_bytes t.table
-  + Chained_table.fold (fun _ e acc -> acc + (10 * 8) + (8 * List.length e.full_ctx)) t.table 0
+  + Chained_table.fold (fun _ e acc -> acc + (10 * 8) + (8 * e.bt_len)) t.table 0

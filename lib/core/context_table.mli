@@ -35,7 +35,10 @@ type entry = {
   mutable watches : int;         (** times an object of this context was watched *)
   mutable window_count : int;    (** allocations inside the current window *)
   mutable pinned : bool;         (** evidence-pinned at 100% *)
-  mutable full_ctx : int list;   (** full backtrace, captured on first sight *)
+  bt_off : int;
+  bt_len : int;
+      (** where the full backtrace, captured on first sight, sits in the
+          table's buffer; read it with {!full_ctx} *)
 }
 
 val prob : entry -> float
@@ -44,11 +47,11 @@ val prob : entry -> float
 type t
 
 val create : params:Params.t -> machine:Machine.t -> rng:Prng.t -> t
-(** [rng] drives the reviving coin flips.  The 2,048 buckets come from a
-    domain-local spare when one is there, and go back to it, emptied,
-    when the machine's memory is released ({!Sparse_mem.release}).  The
-    released table forgets its contexts but stays usable, on a small
-    table of its own. *)
+(** [rng] drives the reviving coin flips.  The 2,048 buckets and the
+    buffer of full backtraces come from a domain-local spare when one is
+    there, and go back to it, emptied, when the machine's memory is
+    released ({!Sparse_mem.release}).  The released table forgets its
+    contexts but stays usable, on a small table of its own. *)
 
 val on_allocation : t -> Alloc_ctx.t -> entry
 (** The per-allocation hot path: look up (or create, capturing the full
@@ -68,6 +71,12 @@ val note_watched : t -> entry -> unit
 val pin : t -> entry -> unit
 (** Evidence boost to 100% "such that all following overflows sharing the
     same allocation calling context can be detected from then on". *)
+
+val full_ctx : t -> entry -> int list
+(** The entry's full allocation context, innermost first, as captured on
+    first sight.  Built on each call, for reports; valid until the
+    machine's memory is released, when the buffer goes to the next
+    table. *)
 
 val find : t -> Alloc_ctx.key -> entry option
 

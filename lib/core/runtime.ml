@@ -81,7 +81,7 @@ let handle_trap t (info : Machine.trap_info) =
     if first_hit then begin
       (* The paper reports the statement and full calling context of the
          access (via backtrace in the handler) plus the allocation calling
-         context saved at install time. *)
+         context, saved when the context was first seen. *)
       Machine.work t.machine Cost.backtrace_full;
       let access_bt = Machine.backtrace t.machine in
       let kind =
@@ -93,7 +93,8 @@ let handle_trap t (info : Machine.trap_info) =
         { Report.kind;
           source = Report.Watchpoint;
           access_backtrace = access_bt;
-          alloc_backtrace = wp.Watch_table.alloc_backtrace;
+          alloc_backtrace =
+            Context_table.full_ctx t.contexts wp.Watch_table.entry;
           ctx_key = wp.Watch_table.entry.Context_table.key;
           object_addr = wp.Watch_table.obj_addr;
           watch_addr = wp.Watch_table.watch_addr;
@@ -310,7 +311,7 @@ let check_canary t ~app ~size ~ctx_id ~source =
         { Report.kind = Report.Over_write;
           source;
           access_backtrace = [];
-          alloc_backtrace = entry.Context_table.full_ctx;
+          alloc_backtrace = Context_table.full_ctx t.contexts entry;
           ctx_key = entry.Context_table.key;
           object_addr = app;
           watch_addr = Canary.boundary_addr ~app ~size;

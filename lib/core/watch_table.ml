@@ -2,7 +2,6 @@ type wp = {
   obj_addr : int;
   watch_addr : int;
   entry : Context_table.entry;
-  alloc_backtrace : int list;
   mutable fds : (Threads.tid * Hw_breakpoint.fd) list;
   installed_at : float;
   prob_at_install : float;
@@ -136,7 +135,6 @@ let install t ~obj_addr ~watch_addr ~entry =
       { obj_addr;
         watch_addr;
         entry;
-        alloc_backtrace = entry.Context_table.full_ctx;
         fds;
         installed_at = now t;
         prob_at_install = Context_table.prob entry }

@@ -11,7 +11,6 @@ type wp = {
   obj_addr : int;                 (** application pointer of the watched object *)
   watch_addr : int;               (** boundary word the hardware watches *)
   entry : Context_table.entry;    (** allocation context of the object *)
-  alloc_backtrace : int list;     (** full allocation context, for reports *)
   mutable fds : (Threads.tid * Hw_breakpoint.fd) list;
   installed_at : float;           (** virtual seconds *)
   prob_at_install : float;

@@ -19,12 +19,12 @@ let buggy_cycles = ref false
    cycle total of any program with a loop.  The sweep must catch it and
    test/test_minic.ml pins a shrunk repro. *)
 
-type vframe = {
-  callsite : int;    (* code address of the call expression *)
-  vsp : int;         (* simulated stack pointer of this activation *)
-  ret_pc : int;      (* instruction index to resume; -1 = host boundary *)
-  saved_base : int;  (* caller's locals window base *)
-}
+(* Frame [k] occupies words [frame_words * k] onward of [st.frames]:
+   the call site (code address of the call expression), the simulated
+   stack pointer of the activation, the instruction index to resume (-1
+   at a host boundary) and the caller's locals window base.  Frame 0 is
+   the outermost. *)
+let frame_words = 4
 
 type st = {
   m : Machine.t;
@@ -34,7 +34,10 @@ type st = {
   app_rng : Prng.t;
   buf : Buffer.t;
   buggy : bool;      (* buggy_cycles snapshot, taken once per run *)
-  mutable frames : vframe list; (* innermost first *)
+  mutable frames : int array;   (* [nframes] frames of [frame_words] *)
+  mutable nframes : int;
+  mutable cur_callsite : int;   (* of the malloc/calloc calling the tool *)
+  backtrace : unit -> int list; (* the run's one backtrace thunk *)
   mutable steps : int;
   step_limit : int;
   mutable stack : int array;    (* operand stack *)
@@ -50,18 +53,23 @@ let error loc fmt =
 let stack_base = Interp.stack_base
 let statement_cost = Interp.statement_cost
 
-let backtrace_of_frames frames pc =
-  pc :: List.map (fun f -> f.callsite) frames
+(* The call sites of the live frames, innermost first, after [pc]. *)
+let backtrace_of_frames st pc =
+  let rec go k acc =
+    if k = st.nframes then acc
+    else go (k + 1) (Array.unsafe_get st.frames (frame_words * k) :: acc)
+  in
+  pc :: go 0 []
 
-let make_ctx st callsite : Alloc_ctx.t =
-  let frames = st.frames in
-  let sp = (List.hd frames).vsp in
-  { Alloc_ctx.callsite;
-    stack_offset = stack_base - sp;
-    backtrace =
-      (fun () ->
-        Machine.work st.m Cost.backtrace_full;
-        backtrace_of_frames frames callsite) }
+let top_vsp st = Array.unsafe_get st.frames ((frame_words * (st.nframes - 1)) + 1)
+
+(* The tool takes the backtrace synchronously inside [malloc], so one
+   thunk per run, reading the live frames and [cur_callsite], serves every
+   allocation. *)
+let make_ctx st : Alloc_ctx.t =
+  { Alloc_ctx.callsite = st.cur_callsite;
+    stack_offset = stack_base - top_vsp st;
+    backtrace = st.backtrace }
 
 let of_bool b = if b then 1 else 0
 
@@ -98,30 +106,35 @@ let grow_locals st needed =
   Array.blit st.locals 0 arr 0 st.ltop;
   st.locals <- arr
 
+let grow_frames st =
+  let arr = Array.make (2 * Array.length st.frames) 0 in
+  Array.blit st.frames 0 arr 0 (frame_words * st.nframes);
+  st.frames <- arr
+
 (* Push a frame for [f]: pop its arguments (pushed left-to-right) into
    slots 0..nargs-1 and guarantee operand-stack headroom for the whole of
    [f]'s own code — nested calls re-check at their own push. *)
 let push_frame st (f : Compile.func_info) ~callsite ~ret_pc =
-  let parent_sp =
-    match st.frames with [] -> stack_base | fr :: _ -> fr.vsp
-  in
+  let n = st.nframes in
+  let parent_sp = if n = 0 then stack_base else top_vsp st in
   if st.sp + f.Compile.fi_max_stack > Array.length st.stack then
     grow_stack st (st.sp + f.Compile.fi_max_stack);
   let base = st.ltop in
   if base + f.Compile.fi_nslots > Array.length st.locals then
     grow_locals st (base + f.Compile.fi_nslots);
+  if frame_words * (n + 1) > Array.length st.frames then grow_frames st;
   let stack = st.stack and locals = st.locals in
   let sp = st.sp - f.Compile.fi_nargs in
   for j = 0 to f.Compile.fi_nargs - 1 do
     Array.unsafe_set locals (base + j) (Array.unsafe_get stack (sp + j))
   done;
   st.sp <- sp;
-  st.frames <-
-    { callsite;
-      vsp = parent_sp - f.Compile.fi_frame_bytes;
-      ret_pc;
-      saved_base = st.lbase }
-    :: st.frames;
+  let frames = st.frames and o = frame_words * n in
+  Array.unsafe_set frames o callsite;
+  Array.unsafe_set frames (o + 1) (parent_sp - f.Compile.fi_frame_bytes);
+  Array.unsafe_set frames (o + 2) ret_pc;
+  Array.unsafe_set frames (o + 3) st.lbase;
+  st.nframes <- n + 1;
   st.lbase <- base;
   st.ltop <- base + f.Compile.fi_nslots
 
@@ -195,19 +208,19 @@ and dispatch st code i : int =
     Array.unsafe_set st.stack st.sp r;
     st.sp <- st.sp + 1;
     dispatch st code (i + 1)
-  | Compile.Ret -> (
-    match st.frames with
-    | fr :: rest ->
-      st.frames <- rest;
-      st.ltop <- st.lbase;
-      st.lbase <- fr.saved_base;
-      if fr.ret_pc < 0 then begin
-        let sp = st.sp - 1 in
-        st.sp <- sp;
-        Array.unsafe_get st.stack sp
-      end
-      else dispatch st code fr.ret_pc
-    | [] -> assert false)
+  | Compile.Ret ->
+    let n = st.nframes - 1 in
+    st.nframes <- n;
+    let o = frame_words * n in
+    st.ltop <- st.lbase;
+    st.lbase <- Array.unsafe_get st.frames (o + 3);
+    let ret_pc = Array.unsafe_get st.frames (o + 2) in
+    if ret_pc < 0 then begin
+      let sp = st.sp - 1 in
+      st.sp <- sp;
+      Array.unsafe_get st.stack sp
+    end
+    else dispatch st code ret_pc
   | Compile.Push n ->
     Array.unsafe_set st.stack st.sp n;
     st.sp <- st.sp + 1;
@@ -402,7 +415,8 @@ and dispatch st code i : int =
     let size = st.stack.(top) in
     if size < 0 then error loc "malloc of negative size %d" size;
     Machine.set_pc st.m site;
-    st.stack.(top) <- st.tool.Tool.malloc ~size ~ctx:(make_ctx st site);
+    st.cur_callsite <- site;
+    st.stack.(top) <- st.tool.Tool.malloc ~size ~ctx:(make_ctx st);
     dispatch st code (i + 1)
   | Compile.Calloc { addr = site; loc } ->
     let sp = st.sp - 1 in
@@ -414,7 +428,8 @@ and dispatch st code i : int =
       error loc "calloc of %d * %d bytes overflows" count size;
     let total = count * size in
     Machine.set_pc st.m site;
-    let p = st.tool.Tool.malloc ~size:total ~ctx:(make_ctx st site) in
+    st.cur_callsite <- site;
+    let p = st.tool.Tool.malloc ~size:total ~ctx:(make_ctx st) in
     (* zeroing is in-bounds by definition; modeled as one bulk operation *)
     Sparse_mem.fill (Machine.mem st.m) p total 0;
     Machine.work st.m total;
@@ -527,13 +542,15 @@ and dispatch st code i : int =
     dispatch st code (i + 1)
   | Compile.Str_err loc -> error loc "string literal used as a value"
 
-(* The operand stack and the locals (1,025 words each, so major-heap
-   blocks) are recycled through domain-local spares, at whatever size the
-   last run grew them to.  Stale contents are harmless: a run reads no
-   stack slot it did not push and no local it did not store, exactly as
-   when a frame reuses the slots of a returned one. *)
+(* The operand stack, the locals and the frames (1,025 words each, so
+   major-heap blocks) are recycled through domain-local spares, at
+   whatever size the last run grew them to.  Stale contents are harmless:
+   a run reads no stack slot it did not push, no local it did not store
+   and no frame above [nframes], exactly as when a frame reuses the slots
+   of a returned one. *)
 let spare_stack : int array Spare.t = Spare.create ()
 let spare_locals : int array Spare.t = Spare.create ()
+let spare_frames : int array Spare.t = Spare.create ()
 let fresh_slots () = Array.make 1024 0
 
 let run ~machine ~tool ~program ?(inputs = [||]) ?(app_seed = 1)
@@ -544,7 +561,7 @@ let run ~machine ~tool ~program ?(inputs = [||]) ?(app_seed = 1)
     | Some f -> f
     | None -> failwith "Vm.run: program has no main (did Sema run?)"
   in
-  let st =
+  let rec st =
     { m = machine;
       tool;
       code;
@@ -552,7 +569,13 @@ let run ~machine ~tool ~program ?(inputs = [||]) ?(app_seed = 1)
       app_rng = Prng.create ~seed:app_seed;
       buf = Buffer.create 256;
       buggy = !buggy_cycles;
-      frames = [];
+      frames = Spare.take spare_frames ~fresh:fresh_slots;
+      nframes = 0;
+      cur_callsite = 0;
+      backtrace =
+        (fun () ->
+          Machine.work machine Cost.backtrace_full;
+          backtrace_of_frames st st.cur_callsite);
       steps = 0;
       step_limit;
       stack = Spare.take spare_stack ~fresh:fresh_slots;
@@ -562,10 +585,16 @@ let run ~machine ~tool ~program ?(inputs = [||]) ?(app_seed = 1)
       ltop = 0 }
   in
   Machine.set_backtrace_provider machine (fun () ->
-      backtrace_of_frames st.frames (Machine.pc machine));
+      backtrace_of_frames st (Machine.pc machine));
   let rv =
     Fun.protect
       ~finally:(fun () ->
+        (* The machine's provider outlives the run: leave it the frames
+           still live (none after a normal return, the faulting chain
+           after an error), not the array the next run will reuse. *)
+        let frames = st.frames in
+        st.frames <- Array.sub frames 0 (frame_words * st.nframes);
+        Spare.give spare_frames frames;
         Spare.give spare_stack st.stack;
         Spare.give spare_locals st.locals)
       (fun () -> run_call st main ~callsite:main.Compile.fi_addr)

@@ -555,6 +555,42 @@ let test_vm_runtime_errors () =
       (* a wrapped count * size must not yield a small block *)
       "fn main() { var p = calloc(1 << 60, 16); return p; }" ]
 
+(* [Machine.backtrace] outlives the run: after a normal return it is the
+   pc alone, after a runtime error the pc and the faulting call chain, on
+   both engines.  The VM's frame array goes back to a domain-local spare
+   when the run ends, so each VM machine is asked again after another
+   deep run has reused that array. *)
+let test_vm_backtrace_after_run () =
+  let deep_error =
+    "fn down(n) { if (n == 0) { return 1 / 0; } return down(n - 1); }\n\
+     fn main() { return down(300); }"
+  in
+  let after engine src =
+    let machine = Machine.create ~seed:1 () in
+    let program =
+      Program.load_exn [ { Program.file = "t.mc"; module_name = "t"; source = src } ]
+    in
+    (try
+       ignore
+         (Engine.run ~engine ~machine ~tool:(Tool.baseline (Heap.create machine))
+            ~program ())
+     with Interp.Runtime_error _ -> ());
+    machine
+  in
+  List.iter
+    (fun (name, src) ->
+      let mi = after Engine.Interp src and mv = after Engine.Vm src in
+      let expected = Machine.backtrace mi in
+      Alcotest.(check (list int)) (name ^ ": after the run") expected (Machine.backtrace mv);
+      ignore (after Engine.Vm "fn d(n) { if (n == 0) { return 0; } return d(n - 1); }\n\
+                               fn main() { return d(400); }");
+      Alcotest.(check (list int)) (name ^ ": after another run reused the frames")
+        expected (Machine.backtrace mv))
+    [ ("return", "fn main() { var p = malloc(8); free(p); return 1; }");
+      ("runtime error", deep_error) ];
+  Alcotest.(check int) "error chain: pc, 301 frames of down, main" 303
+    (List.length (Machine.backtrace (after Engine.Vm deep_error)))
+
 (* Pinned repro for the planted vm-buggy-cycles bug, shrunk from the
    differential sweep's catch in test_prop.ml: one extra virtual cycle is
    charged per taken backward jump, so a 3-iteration while loop runs 3
@@ -581,5 +617,7 @@ let suite =
         test_vm_matches_interp;
       Alcotest.test_case "vm runtime errors match interp" `Quick
         test_vm_runtime_errors;
+      Alcotest.test_case "vm backtrace after return or error matches interp" `Quick
+        test_vm_backtrace_after_run;
       Alcotest.test_case "vm-buggy-cycles pinned repro" `Quick
         test_vm_buggy_cycles_repro ]

@@ -343,6 +343,88 @@ let test_released_runtime_usable () =
   Runtime.finish rt2;
   Alcotest.(check bool) "no reports" false (Runtime.detected rt1 || Runtime.detected rt2)
 
+(* ---------- Deep frames on recycled buffers ---------- *)
+
+(* [down] recurses 300 frames, past the VM's initial room for 256, and
+   overflows the first object it allocates there: a watchpoint report
+   whose allocation and access contexts are both 303 frames deep, and a
+   canary report when [main] frees the object.  On the way back up every
+   level allocates from a context of its own, 300 backtraces that
+   outgrow the context table's initial buffer. *)
+let deep_src =
+  "fn down(n) {\n\
+  \  if (n == 0) { var p = malloc(32); p[4] = 7; return p; }\n\
+  \  var p = down(n - 1);\n\
+  \  var q = malloc(16);\n\
+  \  free(q);\n\
+  \  return p;\n\
+   }\n\
+   fn main() { var p = down(300); free(p); return 0; }\n"
+
+let deep_program =
+  lazy (Program.load_exn [ { Program.file = "deep.mc"; module_name = "deep"; source = deep_src } ])
+
+(* One execution of [deep_src] under CSOD, released like [Execution.run]
+   releases its machine: the reports, and the context table's charged
+   bytes beside what its entries add up to (Table V's 2,048 buckets, a
+   4-word node and 10 words per entry, 8 bytes per frame of its full
+   context). *)
+let deep_run engine =
+  let machine = Machine.create ~seed:5 () in
+  let heap = Heap.create machine in
+  let rt = Runtime.create ~machine ~heap () in
+  ignore
+    (Engine.run ~engine ~machine ~tool:(Runtime.tool rt)
+       ~program:(Lazy.force deep_program) ());
+  Runtime.finish rt;
+  let ct = Runtime.context_table rt in
+  let summed = ref (2048 * 8) in
+  Context_table.iter
+    (fun e -> summed := !summed + (4 * 8) + (10 * 8) + (8 * List.length (Context_table.full_ctx ct e)))
+    ct;
+  let charged = Context_table.memory_bytes ct in
+  Sparse_mem.release (Machine.mem machine);
+  (Runtime.detections rt, charged, !summed)
+
+let test_deep_frames_recycled () =
+  let show (rs : Report.t list) =
+    List.map
+      (fun r ->
+        (Report.format ~symbolize:string_of_int r, r.Report.alloc_backtrace,
+         r.Report.access_backtrace))
+      rs
+  in
+  let check_same tag a b =
+    Alcotest.(check (list (triple string (list int) (list int)))) tag (show a) (show b)
+  in
+  (* On a new domain the spares start empty, so the first execution grows
+     fresh buffers and the second runs on them. *)
+  let (vm1, c1, s1), (vm2, c2, s2), (interp, ci, si) =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let vm1 = deep_run Engine.Vm in
+           let vm2 = deep_run Engine.Vm in
+           (vm1, vm2, deep_run Engine.Interp)))
+  in
+  (match interp with
+  | [ w; c ] ->
+    Alcotest.(check bool) "watchpoint, then canary" true
+      (w.Report.source = Report.Watchpoint && c.Report.source <> Report.Watchpoint);
+    Alcotest.(check int) "allocation context depth" 303 (List.length w.Report.alloc_backtrace);
+    (* the overflowing store runs in the allocating frame *)
+    Alcotest.(check (list int)) "allocation and access share their callers"
+      (List.tl w.Report.alloc_backtrace) (List.tl w.Report.access_backtrace);
+    Alcotest.(check (list int)) "canary report, read after 300 more contexts"
+      w.Report.alloc_backtrace c.Report.alloc_backtrace
+  | rs -> Alcotest.failf "expected two reports, got %d" (List.length rs));
+  check_same "vm reports = interp reports" interp vm1;
+  check_same "recycled buffers: second vm execution = first" vm1 vm2;
+  List.iter
+    (fun (tag, charged, summed) -> Alcotest.(check int) tag summed charged)
+    [ ("interp: memory_bytes", ci, si); ("vm: memory_bytes", c1, s1);
+      ("vm, recycled: memory_bytes", c2, s2) ];
+  Alcotest.(check int) "same charge on both engines" ci c1
+
 let suite =
   [ Alcotest.test_case "watchpoint detection (read+write)" `Quick
       test_watchpoint_detection_read_write;
@@ -364,4 +446,6 @@ let suite =
     Alcotest.test_case "engine A/B: nine apps bit-identical" `Quick
       test_engine_ab_all_apps;
     Alcotest.test_case "engine A/B: zziplib fleet at 1/2/4 domains" `Quick
-      test_engine_ab_fleet ]
+      test_engine_ab_fleet;
+    Alcotest.test_case "deep frames: reports identical on recycled buffers" `Quick
+      test_deep_frames_recycled ]
