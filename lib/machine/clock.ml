@@ -2,7 +2,7 @@ type t = { mutable cycles : int }
 
 let create () = { cycles = 0 }
 
-let advance t n =
+let[@inline] advance t n =
   if n < 0 then invalid_arg "Clock.advance: negative cycles";
   t.cycles <- t.cycles + n
 

@@ -105,8 +105,9 @@ let counters t =
 
 (* Every cycle the machine advances goes through [charge], which attributes
    it to the current phase — so the profiler's per-phase totals sum exactly
-   to the clock, by construction. *)
-let charge t n =
+   to the clock, by construction.  It runs for every statement and every
+   access, so it inlines, and so do its callees' fast paths. *)
+let[@inline] charge t n =
   Clock.advance t.clock n;
   Profiler.charge (Telemetry.profiler t.telemetry) t.phase n;
   Telemetry.tick t.telemetry ~now:(Clock.cycles t.clock)
@@ -188,7 +189,7 @@ let deliver_trap t ~fd ~access_addr ~len ~kind =
         end)
   end
 
-let checked_access t addr len kind =
+let[@inline] checked_access t addr len kind =
   Metrics.incr t.c_accesses;
   charge t Cost.memory_access;
   if not t.in_trap then
@@ -276,7 +277,10 @@ let store_byte t addr v =
 let load_word_unwatched t addr = Sparse_mem.read_int t.mem addr
 let store_word_unwatched t addr v = Sparse_mem.write_int t.mem addr v
 
-let work t cycles =
+(* Rejected before [n_work_cycles] moves, as in [work_as], so a caught
+   [Invalid_argument] leaves the work count agreeing with the clock. *)
+let[@inline] work t cycles =
+  if cycles < 0 then invalid_arg "Clock.advance: negative cycles";
   t.n_work_cycles <- t.n_work_cycles + cycles;
   charge t cycles
 

@@ -123,7 +123,9 @@ val store_word_unwatched : t -> int -> int -> unit
 val work : t -> int -> unit
 (** [work t cycles] models application compute: advances the clock.  The
     cycles are attributed to the current profiler phase ({!Profiler.App}
-    unless a tool set one via {!in_phase}/{!work_as}). *)
+    unless a tool set one via {!in_phase}/{!work_as}).  A negative count
+    raises [Invalid_argument] before anything, {!work_cycles} included,
+    moves. *)
 
 val stall : t -> int -> unit
 (** Advance the clock by [n] cycles {e without} counting them as modeled

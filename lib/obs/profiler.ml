@@ -18,7 +18,7 @@ let all =
     Wmu_replace; Trap_dispatch; Canary_plant; Canary_check; Asan_shadow;
     Asan_poison ]
 
-let index = function
+let[@inline] index = function
   | App -> 0
   | Init -> 1
   | Alloc_fast -> 2
@@ -54,7 +54,7 @@ type t = { cells : int array }
 
 let create () = { cells = Array.make num_phases 0 }
 
-let charge t phase n =
+let[@inline] charge t phase n =
   if n < 0 then invalid_arg "Profiler.charge: negative cycles";
   let i = index phase in
   t.cells.(i) <- t.cells.(i) + n

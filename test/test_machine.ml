@@ -218,6 +218,27 @@ let test_machine_sbrk_and_costs () =
   Alcotest.(check int) "work accounted" 500 (Machine.work_cycles m);
   Alcotest.(check int) "syscalls accounted" 2 (Machine.syscall_count m)
 
+(* A negative count is rejected before anything moves: the clock, the
+   profiler's total and the work count still agree afterwards. *)
+let test_machine_rejected_work_changes_nothing () =
+  let m = Machine.create () in
+  Machine.work m 300;
+  let profiler = Telemetry.profiler (Machine.telemetry m) in
+  let state () =
+    ( Clock.cycles (Machine.clock m),
+      Profiler.total profiler,
+      Machine.work_cycles m )
+  in
+  let before = state () in
+  let rejected name f =
+    Alcotest.check_raises name
+      (Invalid_argument "Clock.advance: negative cycles") f;
+    Alcotest.(check (triple int int int))
+      (name ^ ": clock, profiler total, work cycles") before (state ())
+  in
+  rejected "work" (fun () -> Machine.work m (-5));
+  rejected "work_as" (fun () -> Machine.work_as m Profiler.Alloc_fast (-5))
+
 let test_machine_backtrace_provider () =
   let m = Machine.create () in
   Machine.set_pc m 0x42;
@@ -285,6 +306,8 @@ let suite =
       test_machine_trap_to_accessing_thread;
     Alcotest.test_case "machine: unhandled trap" `Quick test_machine_unhandled_trap_counted;
     Alcotest.test_case "machine: sbrk and costs" `Quick test_machine_sbrk_and_costs;
+    Alcotest.test_case "machine: rejected work changes nothing" `Quick
+      test_machine_rejected_work_changes_nothing;
     Alcotest.test_case "machine: backtrace provider" `Quick test_machine_backtrace_provider;
     Alcotest.test_case "machine: counter paths never diverge" `Quick
       test_machine_counter_paths_agree ]
