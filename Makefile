@@ -51,11 +51,12 @@ engines:
 	@dune exec bench/main.exe -- exec
 
 # Event-stream hygiene: the JSONL emitted by --events must be one JSON
-# object per line, never a torn line, and the detecting seed-3 run must
-# stream its detection record.
+# object per line, never a torn line, with every schema-tagged line
+# matching its spec (csod_run validate), and the detecting seed-3 run
+# must stream its detection record.
 validate:
 	dune exec bin/csod_run.exe -- run heartbleed --seed 3 --events /tmp/csod_events.jsonl > /dev/null
-	tools/validate_jsonl.sh /tmp/csod_events.jsonl
+	dune exec bin/csod_run.exe -- validate /tmp/csod_events.jsonl
 	grep -q '"event":"detection"' /tmp/csod_events.jsonl
 
 # Bounded simulation sweep: ~2k weighted operation sequences across the
@@ -76,7 +77,7 @@ sim:
 respond:
 	dune exec bin/csod_run.exe -- run heartbleed --seed 1 --respond oblivious --events /tmp/csod_respond.jsonl > /dev/null
 	grep -q '^{"event":"respond",.*"kind":"redirect-' /tmp/csod_respond.jsonl
-	tools/validate_jsonl.sh /tmp/csod_respond.jsonl
+	dune exec bin/csod_run.exe -- validate /tmp/csod_respond.jsonl
 	dune exec bin/csod_run.exe -- serve zziplib --users 200 --epoch 32 --epochs 12 --domains 2 --seed 1 --respond patch=3 --alerts 'patch>0@2' > /tmp/csod_respond_serve.out
 	grep -q 'patch>0@2 FIRING' /tmp/csod_respond_serve.out
 	grep -q 'patch>0@2 cleared' /tmp/csod_respond_serve.out

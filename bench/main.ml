@@ -39,12 +39,6 @@
 
 let progress fmt = Printf.ksprintf (fun s -> Printf.eprintf "  .. %s\n%!" s) fmt
 
-(* Every JSONL target prints its rows through here: one object per line,
-   [schema] first. *)
-let emit_row ~schema fields =
-  print_endline
-    (Obs_json.to_string (`Assoc (("schema", `String schema) :: fields)))
-
 let section title = Printf.printf "\n==== %s ====\n\n%!" title
 
 (* ------------------------------------------------------------------ *)
@@ -334,7 +328,7 @@ let fleet_bench () =
       && Metrics.counters_list serial.Fleet.metrics
          = Metrics.counters_list parallel.Fleet.metrics
     in
-    emit_row ~schema:"csod.bench.fleet/1"
+    Schemas.emit_row Schemas.bench_fleet
       [ ("app", `String app.Buggy_app.name);
         ("config", `String (Config.label config));
         ("users", `Int users);
@@ -445,7 +439,7 @@ let exec_bench () =
         let wi = time ~mode ~runs once Engine.Interp in
         let wv = time ~mode ~runs once Engine.Vm in
         let rate w = float_of_int runs /. max 1e-9 w in
-        emit_row ~schema:"csod.bench.exec/1"
+        Schemas.emit_row Schemas.bench_exec
           [ ("workload", `String workload);
             ("kind", `String kind);
             ("mode", `String mode_name);
@@ -500,7 +494,7 @@ let respond_survival () =
             acc + match o.Execution.respond with Some s -> f s | None -> 0)
           0 outcomes
       in
-      emit_row ~schema:"csod.bench.respond/1"
+      Schemas.emit_row Schemas.bench_respond
         [ ("metric", `String "survival");
           ("app", `String app.Buggy_app.name);
           ("mode", `String "oblivious");
@@ -561,7 +555,7 @@ let respond_overhead () =
   let baseline_ns = median (Array.map fst pairs) in
   let oblivious_ns = median (Array.map snd pairs) in
   let ratio = median (Array.map (fun (b, o) -> o /. b) pairs) in
-  emit_row ~schema:"csod.bench.respond/1"
+  Schemas.emit_row Schemas.bench_respond
     [ ("metric", `String "overhead");
       ("app", `String app.Buggy_app.name);
       ("mode", `String "oblivious");
@@ -612,7 +606,7 @@ let resilience () =
       | Some inj -> Fault_injector.count inj Fault_plan.Worker_crash
       | None -> 0
     in
-    emit_row ~schema:"csod.bench.resilience/1"
+    Schemas.emit_row Schemas.bench_resilience
       [ ("app", `String app.Buggy_app.name);
         ("config", `String (Config.label config));
         ("users", `Int users);
@@ -715,7 +709,7 @@ let metrics_row ~kind ~app ~detected ~cycles ?tele_cycles tele =
      [tele_cycles] is the raw clock total the telemetry was charged
      against, when the two differ (subsampled perf streams). *)
   let tele_cycles = Option.value ~default:cycles tele_cycles in
-  emit_row ~schema:"csod.bench.metrics/2"
+  Schemas.emit_row Schemas.bench_metrics
     [ ("kind", `String kind);
       ("app", `String app);
       ("config", `String "csod-near-fifo");
@@ -763,7 +757,7 @@ let measure ~iters f =
 
 let throughput () =
   let row ~op ~mode ~iters ns =
-    emit_row ~schema:"csod.bench.throughput/2"
+    Schemas.emit_row Schemas.bench_throughput
       [ ("op", `String op);
         ("mode", `String mode);
         ("iters", `Int iters);

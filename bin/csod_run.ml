@@ -545,7 +545,7 @@ let fleet_cmd =
   let live_arg =
     Arg.(value & opt ~vopt:(Some "-") (some string) None
          & info [ "live" ] ~docv:"FILE"
-             ~doc:"Stream one csod.fleet.health/1 JSONL record per epoch \
+             ~doc:"Stream one csod.fleet.health/2 JSONL record per epoch \
                    barrier to $(docv) (default stdout), flushed line by \
                    line — tail it, or watch it with $(b,csod_run top).")
   in
@@ -959,42 +959,23 @@ let top_cmd =
              ~doc:"Polling interval with $(b,--follow).")
   in
   let read_samples file =
+    (* Skip blank, foreign and torn lines: the stream may be mid-write
+       when we poll it. *)
     if not (Sys.file_exists file) then []
     else
-      In_channel.with_open_text file (fun ic ->
-          let rec go acc =
-            match In_channel.input_line ic with
-            | None -> List.rev acc
-            | Some line ->
-              let acc =
-                (* Skip blank, foreign and torn lines: the stream may be
-                   mid-write when we poll it. *)
-                if String.trim line = "" then acc
-                else
-                  match Obs_json.of_string line with
-                  | Ok json ->
-                    (match Health.of_json json with
-                    | Some s -> s :: acc
-                    | None -> acc)
-                  | Error _ -> acc
-              in
-              go acc
-          in
-          go [])
+      In_channel.with_open_text file In_channel.input_lines
+      |> List.filter_map (fun line ->
+             Result.to_option
+               (Result.bind (Obs_json.of_string line) Health.of_json))
   in
   (* A status file is a single csod.serve.status/1 object (atomically
-     republished by [serve --status-file]); anything else is treated as a
-     health JSONL stream. *)
+     republished by [serve --status-file]); anything [render_status]
+     refuses is treated as a health JSONL stream. *)
   let read_status file =
     if not (Sys.file_exists file) then None
     else
-      let content = In_channel.with_open_text file In_channel.input_all in
-      match Obs_json.of_string (String.trim content) with
-      | Ok json -> (
-        match Obs_json.member "schema" json with
-        | Some (`String "csod.serve.status/1") -> Some json
-        | _ -> None)
-      | Error _ -> None
+      In_channel.with_open_text file In_channel.input_all
+      |> String.trim |> Obs_json.of_string |> Result.to_option
   in
   let run file follow interval no_color =
     let color = (not no_color) && Unix.isatty Unix.stdout in
@@ -1019,7 +1000,7 @@ let top_cmd =
   in
   Cmd.v
     (Cmd.info "top"
-       ~doc:"Render a fleet health stream (csod.fleet.health/1 JSONL) or a \
+       ~doc:"Render a fleet health stream (csod.fleet.health/2 JSONL) or a \
              service status snapshot (csod.serve.status/1, auto-detected) as \
              a one-screen dashboard: detection CDF, rolling windows, alert \
              states, throughput, straggler skew, per-domain load bars.")
@@ -1170,6 +1151,41 @@ let sim_cmd =
     Term.(const run $ engine_arg $ alphabet_arg $ seed_arg $ sim_runs_arg
           $ ops_arg $ no_shrink_arg $ out_arg $ replay_arg)
 
+(* ---- validate: check JSONL against the schema registry ---- *)
+
+let validate_cmd =
+  let schema_arg =
+    Arg.(value & opt (some string) None
+         & info [ "schema" ] ~docv:"NAME"
+             ~doc:"Every line must carry this schema tag and conform to its \
+                   spec; the stream must not be empty.  An unknown $(docv) \
+                   is an error.")
+  in
+  let file_arg =
+    Arg.(value & pos 0 string "-"
+         & info [] ~docv:"FILE" ~doc:"JSONL input; $(b,-) reads stdin.")
+  in
+  let run schema file =
+    let text =
+      if file = "-" then In_channel.input_all stdin
+      else In_channel.with_open_bin file In_channel.input_all
+    in
+    match Schema.validate Schemas.all ?schema text with
+    | Ok n ->
+      Printf.printf "%s: %d valid JSONL line(s)%s\n" file n
+        (match schema with Some s -> " [" ^ s ^ "]" | None -> "")
+    | Error e ->
+      Printf.eprintf "%s: %s\n" file e;
+      exit 1
+  in
+  Cmd.v
+    (Cmd.info "validate"
+       ~doc:"Check that FILE holds one JSON object per line, no torn or \
+             empty line, and that every line tagged with a known csod.* \
+             schema conforms to its spec (a line with an unknown csod.* \
+             tag fails).")
+    Term.(const run $ schema_arg $ file_arg)
+
 (* ---- exec: user-supplied MiniC program ---- *)
 
 let exec_cmd =
@@ -1311,4 +1327,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; run_cmd; explain_cmd; fleet_cmd; serve_cmd; replay_cmd;
-            top_cmd; sim_cmd; exec_cmd ]))
+            top_cmd; sim_cmd; validate_cmd; exec_cmd ]))

@@ -260,7 +260,6 @@ let step t ~arrivals:n =
       straggler_skew =
         Health.straggler_skew
           (List.map (fun l -> l.Health.busy_seconds) loads);
-      telemetry = "sharded";
       domains = loads }
   in
   (* The observer effect, self-measured: everything below is pure
@@ -297,8 +296,7 @@ let step t ~arrivals:n =
               name = Printf.sprintf "epoch %d merge" e;
               start_s = t_barrier0 -. t.t_run0;
               stop_s = t_merge1 -. t.t_run0;
-              args =
-                [ ("epoch", `Int e); ("telemetry", `String "sharded") ] }
+              args = [ ("epoch", `Int e) ] }
             :: t.spans_rev
         end;
         (match cfg.on_health with Some cb -> cb sample | None -> ());
@@ -390,6 +388,8 @@ let summary r =
   Buffer.add_string b (Epoch.table ~total_users:users r.epochs);
   Buffer.contents b
 
+let report_schema = "csod.fleet.report/1"
+
 let to_json ?payload ~app ~config:config_label r : Obs_json.t =
   let users = Array.length r.seats in
   let seat_json s =
@@ -410,7 +410,7 @@ let to_json ?payload ~app ~config:config_label r : Obs_json.t =
   in
   `Assoc
     (List.concat
-       [ [ ("schema", `String "csod.fleet.report/1"); ("app", `String app);
+       [ [ ("schema", `String report_schema); ("app", `String app);
            ("config", `String config_label); ("users", `Int users);
            ("domains", `Int r.domains);
            ("detections", `Int r.detections);
@@ -434,3 +434,12 @@ let to_json ?payload ~app ~config:config_label r : Obs_json.t =
          | Some _ ->
            [ ("seats", `List (Array.to_list (Array.map seat_json r.seats))) ]
          | None -> []) ])
+
+let report_spec =
+  Schema.make report_schema
+    Schema.
+      [ ("app", String); ("config", String); ("users", Int); ("domains", Int);
+        ("detections", Int); ("detection_uids", List);
+        ("first_catch", Nullable Object); ("store_contexts", Int);
+        ("wall_seconds", Float); ("epochs", List); ("metrics", Object);
+        ("profile", Object) ]

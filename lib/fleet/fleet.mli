@@ -205,3 +205,6 @@ val to_json :
   Obs_json.t
 (** Machine-readable report (schema [csod.fleet.report/1]): workload
     echo, per-epoch rows, detection set, first catch, merged metrics. *)
+
+val report_spec : Schema.t
+(** The report's format. *)

@@ -20,11 +20,10 @@ type sample = {
   observer_seconds : float;
   execs_per_sec : float;
   straggler_skew : float;
-  telemetry : string;
   domains : domain_load list;
 }
 
-let schema = "csod.fleet.health/1"
+let schema = "csod.fleet.health/2"
 
 let straggler_skew busy =
   let busy = List.filter (fun b -> b > 0.0) busy in
@@ -57,71 +56,61 @@ let fields s =
     ("observer_seconds", `Float s.observer_seconds);
     ("execs_per_sec", `Float s.execs_per_sec);
     ("straggler_skew", `Float s.straggler_skew);
-    ("telemetry", `String s.telemetry);
     ("domains", `List (List.map domain_json s.domains)) ]
 
 let to_json s : Obs_json.t =
   `Assoc (("event", `String "fleet.health") :: fields s)
 
+let required =
+  Schema.
+    [ ("epoch", Int); ("arrivals", Int); ("detections", Int);
+      ("cumulative", Int); ("users", Int); ("cdf", Float);
+      ("store_contexts", Int); ("patched", Int); ("degraded", Int);
+      ("worker_crashes", Int); ("faults", Object); ("snapshots", Int);
+      ("epoch_seconds", Float); ("merge_seconds", Float);
+      ("observer_seconds", Float); ("execs_per_sec", Float);
+      ("straggler_skew", Float); ("domains", List) ]
+
 let of_json json =
-  let ( let* ) = Option.bind in
-  let int k = Option.bind (Obs_json.member k json) Obs_json.to_int in
-  let flt k = Option.bind (Obs_json.member k json) Obs_json.to_float in
+  let ( let* ) = Result.bind in
   let* () =
     match Obs_json.member "schema" json with
-    | Some (`String s) when s = schema -> Some ()
+    | Some (`String s) when s = schema -> Schema.has_fields required json
+    | _ -> Error ("not a " ^ schema ^ " record")
+  in
+  let int = Schema.int json and flt = Schema.float json in
+  let domain d =
+    match Obs_json.(member "domain" d, member "executed" d) with
+    | Some (`Int slot), Some (`Int executed) ->
+      Option.map
+        (fun busy_seconds -> { slot; executed; busy_seconds })
+        (Option.bind (Obs_json.member "busy_seconds" d) Obs_json.to_float)
     | _ -> None
   in
-  let* epoch = int "epoch" in
-  let* arrivals = int "arrivals" in
-  let* detections = int "detections" in
-  let* cumulative = int "cumulative" in
-  let* users = int "users" in
-  let* cdf = flt "cdf" in
-  let* store_contexts = int "store_contexts" in
-  let* patched = int "patched" in
-  let* degraded = int "degraded" in
-  let* worker_crashes = int "worker_crashes" in
-  let* snapshots = int "snapshots" in
-  let* epoch_seconds = flt "epoch_seconds" in
-  let* merge_seconds = flt "merge_seconds" in
-  let* observer_seconds = flt "observer_seconds" in
-  let* execs_per_sec = flt "execs_per_sec" in
-  let* straggler_skew = flt "straggler_skew" in
-  let* telemetry =
-    match Obs_json.member "telemetry" json with
-    | Some (`String s) -> Some s
-    | _ -> None
-  in
-  let faults =
-    match Obs_json.member "faults" json with
-    | Some (`Assoc kvs) ->
-      List.filter_map
-        (fun (k, v) -> Option.map (fun n -> (k, n)) (Obs_json.to_int v))
-        kvs
-    | _ -> []
-  in
-  let* domains =
-    match Obs_json.member "domains" json with
-    | Some (`List items) ->
-      let parse d =
-        let i k = Option.bind (Obs_json.member k d) Obs_json.to_int in
-        let* slot = i "domain" in
-        let* executed = i "executed" in
-        let* busy_seconds =
-          Option.bind (Obs_json.member "busy_seconds" d) Obs_json.to_float
-        in
-        Some { slot; executed; busy_seconds }
-      in
-      let parsed = List.filter_map parse items in
-      if List.length parsed = List.length items then Some parsed else None
-    | _ -> None
-  in
-  Some
-    { epoch; arrivals; detections; cumulative; users; cdf; store_contexts;
-      patched; degraded; worker_crashes; faults; snapshots; epoch_seconds;
-      merge_seconds; observer_seconds; execs_per_sec; straggler_skew;
-      telemetry; domains }
+  let get k = Option.get (Obs_json.member k json) in
+  match
+    ( Obs_json.counts (get "faults"),
+      match get "domains" with `List l -> Obs_json.all domain l | _ -> None )
+  with
+  | _ when flt "cdf" < 0.0 || flt "cdf" > 1.0 -> Error "cdf out of [0, 1]"
+  | None, _ -> Error "a fault count is not an int"
+  | _, None -> Error "malformed domain load"
+  | Some faults, Some domains ->
+    Ok
+      { epoch = int "epoch"; arrivals = int "arrivals";
+        detections = int "detections"; cumulative = int "cumulative";
+        users = int "users"; cdf = flt "cdf";
+        store_contexts = int "store_contexts"; patched = int "patched";
+        degraded = int "degraded"; worker_crashes = int "worker_crashes";
+        faults; snapshots = int "snapshots";
+        epoch_seconds = flt "epoch_seconds";
+        merge_seconds = flt "merge_seconds";
+        observer_seconds = flt "observer_seconds";
+        execs_per_sec = flt "execs_per_sec";
+        straggler_skew = flt "straggler_skew"; domains }
+
+let spec =
+  Schema.make schema required ~check:(fun j -> Result.map ignore (of_json j))
 
 (* ---- one-screen renderer ---- *)
 
@@ -178,10 +167,10 @@ let render ?(color = true) samples =
       (Printf.sprintf "cdf  %s\n" (sparkline tail));
     let skew_str = Printf.sprintf "%.2fx" last.straggler_skew in
     Buffer.add_string b
-      (Printf.sprintf "rate %.0f execs/s   skew %s   telemetry %s   snapshots %d\n"
+      (Printf.sprintf "rate %.0f execs/s   skew %s   snapshots %d\n"
          last.execs_per_sec
          (if last.straggler_skew > 1.5 then warn skew_str else skew_str)
-         last.telemetry last.snapshots);
+         last.snapshots);
     Buffer.add_string b
       (Printf.sprintf "cost epoch %s   merge %s   observer %s\n"
          (fmt_seconds last.epoch_seconds)

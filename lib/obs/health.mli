@@ -4,7 +4,7 @@
     main domain, after all workers have joined, so emission can never race
     the parallel section — and hands it to the run's health callback
     and/or the installed {!Event_sink}.  Serialised as one
-    [csod.fleet.health/1] JSONL line per epoch, the stream is the live
+    [csod.fleet.health/2] JSONL line per epoch, the stream is the live
     view of the run: rolling detection CDF, per-domain throughput,
     degradation and fault tallies, straggler skew, and the cost of the
     telemetry plane itself.
@@ -47,14 +47,11 @@ type sample = {
   straggler_skew : float;
       (** slowest / median per-domain busy time; 1.0 when under 2 workers
           ran *)
-  telemetry : string;
-      (** aggregation mode, always ["sharded"]; kept so the
-          [csod.fleet.health/1] schema stays stable *)
   domains : domain_load list;  (** one per pool worker, slot order *)
 }
 
 val schema : string
-(** ["csod.fleet.health/1"]. *)
+(** ["csod.fleet.health/2"]. *)
 
 val straggler_skew : float list -> float
 (** [straggler_skew busy] is max/median over the positive entries; [1.0]
@@ -67,9 +64,14 @@ val fields : sample -> (string * Obs_json.t) list
 val to_json : sample -> Obs_json.t
 (** The full JSONL object: [{"event": "fleet.health", ...fields}]. *)
 
-val of_json : Obs_json.t -> sample option
-(** Parse a line of the stream back (used by [csod_run top]).  [None] if
-    the document is not a [csod.fleet.health/1] record. *)
+val of_json : Obs_json.t -> (sample, string) result
+(** Parse a line of the stream back (used by [csod_run top]).  [Error] if
+    the document is not a [csod.fleet.health/2] record: a missing or
+    mistyped field, a fault count that is not an int, or a [cdf] outside
+    [\[0, 1\]]. *)
+
+val spec : Schema.t
+(** The format: its fields, checked by {!of_json}. *)
 
 val render : ?color:bool -> sample list -> string
 (** One-screen ANSI dashboard over the stream so far (oldest first):

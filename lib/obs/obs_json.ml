@@ -267,3 +267,12 @@ let to_float = function
   | `Float f -> Some f
   | `Int i -> Some (float_of_int i)
   | _ -> None
+
+let all f l =
+  let parsed = List.filter_map f l in
+  if List.length parsed = List.length l then Some parsed else None
+
+let counts = function
+  | `Assoc kvs ->
+    all (function k, `Int n -> Some (k, n) | _ -> None) kvs
+  | _ -> None

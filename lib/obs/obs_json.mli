@@ -35,3 +35,9 @@ val to_int : t -> int option
 
 val to_float : t -> float option
 (** [`Float f] as [f]; [`Int n] as [float_of_int n]. *)
+
+val all : ('a -> 'b option) -> 'a list -> 'b list option
+(** Every element decoded, or [None] if one fails. *)
+
+val counts : t -> (string * int) list option
+(** An object of [`Int] counts (a fault tally), or [None]. *)

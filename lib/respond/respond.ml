@@ -75,6 +75,22 @@ let event_to_json (e : event) : Obs_json.t =
       ("len", `Int e.len);
       ("at_sec", `Float e.at_sec) ]
 
+let spec =
+  Schema.make schema
+    Schema.
+      [ ("kind", String); ("source", String); ("site", Int); ("ctx", List);
+        ("addr", Int); ("offset", Int); ("len", Int); ("at_sec", Float) ]
+    ~check:(fun json ->
+      let kinds = [ "redirect-read"; "redirect-write"; "escape"; "patch" ] in
+      let sources = List.map source_name [ Watchpoint; Asan_shadow; Canary ] in
+      match Obs_json.(member "kind" json, member "source" json, member "ctx" json) with
+      | Some (`String k), _, _ when not (List.mem k kinds) ->
+        Error (Printf.sprintf "unknown respond event kind %S" k)
+      | _, Some (`String s), _ when not (List.mem s sources) ->
+        Error (Printf.sprintf "unknown respond source %S" s)
+      | _, _, Some (`List [ `Int _; `Int _ ]) -> Ok ()
+      | _ -> Error "respond ctx is not an [int, int] pair")
+
 type t = {
   mode : mode;
   (* (allocation base, byte offset past the object) -> squashed value.

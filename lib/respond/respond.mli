@@ -110,4 +110,7 @@ val survived : t -> bool
 val schema : string
 (** ["csod.respond.event/1"]. *)
 
+val spec : Schema.t
+(** The event format: a known kind and source, and a two-int [ctx]. *)
+
 val pp_summary : Format.formatter -> summary -> unit

@@ -127,14 +127,51 @@ type event = {
   window : Window.agg;
 }
 
+let schema = "csod.fleet.alert/1"
+
 let event_to_json e : Obs_json.t =
   `Assoc
-    [ ("schema", `String "csod.fleet.alert/1");
+    [ ("schema", `String schema);
       ("alert", `String e.rule.name);
       ("spec", `String (to_spec e.rule));
       ("state", `String (if e.firing then "fire" else "clear"));
       ("epoch", `Int e.epoch); ("since", `Int e.since);
       ("window", Window.agg_to_json e.window) ]
+
+let transitions ~resumed () =
+  let last = Hashtbl.create 4 in
+  fun json ->
+    let str k = match Obs_json.member k json with Some (`String s) -> s | _ -> "" in
+    let spec = str "spec" and firing = str "state" = "fire" in
+    let epoch = Schema.int json "epoch" and since = Schema.int json "since" in
+    let prev = Hashtbl.find_opt last spec in
+    Hashtbl.replace last spec firing;
+    match Option.bind (Obs_json.member "window" json) Window.agg_of_json with
+    | None -> Error "malformed alert window"
+    | Some _ when not (List.mem (str "state") [ "fire"; "clear" ]) ->
+      Error (Printf.sprintf "alert state %S is not fire/clear" (str "state"))
+    | Some w ->
+      if not (w.first_epoch <= w.last_epoch && w.last_epoch <= epoch) then
+        Error
+          (Printf.sprintf "alert window [%d, %d] outside epoch %d" w.first_epoch
+             w.last_epoch epoch)
+      else if w.epochs < 1 then
+        Error (Printf.sprintf "alert window covers %d epochs" w.epochs)
+      else if firing && prev = Some true then
+        Error (spec ^ " fired twice without clearing")
+      else if (not firing) && prev <> Some true && not (resumed && prev = None)
+      then Error (spec ^ " cleared without firing")
+      else if firing && since <> epoch then
+        Error (Printf.sprintf "fire event since %d != epoch %d" since epoch)
+      else if (not firing) && (since < 0 || since > epoch) then
+        Error (Printf.sprintf "clear event since %d outside [0, %d]" since epoch)
+      else Ok ()
+
+let spec =
+  Schema.make schema ~stream:(transitions ~resumed:false)
+    Schema.
+      [ ("alert", String); ("spec", String); ("state", String);
+        ("epoch", Int); ("since", Int); ("window", Object) ]
 
 type state = { rule : rule; mutable firing : bool; mutable since : int }
 type t = { states : state list }
@@ -179,28 +216,18 @@ let states_to_json t : Obs_json.t =
        t.states)
 
 let restore_states t json =
+  let entry e =
+    match Obs_json.(member "spec" e, member "firing" e, member "since" e) with
+    | Some (`String spec), Some (`Bool firing), Some (`Int since)
+      when List.exists (fun s -> to_spec s.rule = spec) t.states ->
+      Some (spec, firing, since)
+    | _ -> None
+  in
   match json with
-  | `List entries ->
-    let parse e =
-      let str k =
-        match Obs_json.member k e with Some (`String s) -> Some s | _ -> None
-      in
-      let bool k =
-        match Obs_json.member k e with Some (`Bool b) -> Some b | _ -> None
-      in
-      let int k = Option.bind (Obs_json.member k e) Obs_json.to_int in
-      match (str "spec", bool "firing", int "since") with
-      | Some spec, Some firing, Some since -> Some (spec, firing, since)
-      | _ -> None
-    in
-    let parsed = List.filter_map parse entries in
-    if List.length parsed <> List.length entries then false
-    else if
-      List.for_all
-        (fun (spec, _, _) ->
-          List.exists (fun s -> to_spec s.rule = spec) t.states)
-        parsed
-    then begin
+  | `List entries -> (
+    match Obs_json.all entry entries with
+    | None -> false
+    | Some parsed ->
       List.iter
         (fun (spec, firing, since) ->
           List.iter
@@ -211,7 +238,5 @@ let restore_states t json =
               end)
             t.states)
         parsed;
-      true
-    end
-    else false
+      true)
   | _ -> false

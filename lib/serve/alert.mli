@@ -56,6 +56,13 @@ val event_to_json : event -> Obs_json.t
 (** Schema [csod.fleet.alert/1]: spec echo, state, epochs, and the full
     window snapshot. *)
 
+val spec : Schema.t
+(** Per stream, each rule fires then clears in turn, a fire's [since] is
+    its epoch, and the window ends at or before the event's epoch. *)
+
+val transitions : resumed:bool -> unit -> Obs_json.t -> (unit, string) result
+(** {!spec}'s stream check; in a [resumed] stream a rule may first clear. *)
+
 type t
 (** Evaluation engine: rules plus their firing state. *)
 

@@ -33,30 +33,53 @@ let line r =
     {|{"schema":"%s","seq":%d,"kind":"%s","crc":"%016Lx","body":%s}|} schema
     r.seq (kind_to_string r.kind) (crc body) body
 
-let parse_line s =
-  match Obs_json.of_string s with
-  | Error e -> Error ("unparseable line: " ^ e)
-  | Ok json -> (
-    let str k =
-      match Obs_json.member k json with Some (`String v) -> Some v | _ -> None
+let fields =
+  Schema.[ ("seq", Int); ("kind", String); ("crc", String); ("body", Object) ]
+
+let of_json json =
+  let ( let* ) = Result.bind in
+  let* () =
+    match Obs_json.member "schema" json with
+    | Some (`String s) when s = schema -> Schema.has_fields fields json
+    | _ -> Error ("not a " ^ schema ^ " record")
+  in
+  let get k = Option.get (Obs_json.member k json) and seq = Schema.int json "seq" in
+  let body = get "body" in
+  let actual = Printf.sprintf "%016Lx" (crc (Obs_json.to_string body)) in
+  match (get "kind", get "crc") with
+  | `String k, `String stored when stored = actual -> (
+    match kind_of_string k with
+    | Some kind -> Ok { seq; kind; body }
+    | None -> Error (Printf.sprintf "unknown history kind %S" k))
+  | _, stored ->
+    Error
+      (Printf.sprintf "seq %d: checksum mismatch (%s vs %s)" seq
+         (Obs_json.to_string stored) actual)
+
+(* Per stream: contiguous sequence numbers, and bodies that decode — alert
+   bodies under the alert stream check, resumed when the segment starts
+   past seq 0 (its earlier transitions are not in view). *)
+let check_stream () =
+  let next = ref None and alerts = ref (fun _ -> Ok ()) in
+  fun json ->
+    let ( let* ) = Result.bind in
+    let* r = of_json json in
+    let* () =
+      match !next with
+      | Some n when r.seq <> n ->
+        Error (Printf.sprintf "seq %d, expected %d" r.seq n)
+      | Some _ -> Ok ()
+      | None ->
+        alerts := Alert.transitions ~resumed:(r.seq <> 0) ();
+        Ok ()
     in
-    match
-      ( str "schema",
-        Option.bind (Obs_json.member "seq" json) Obs_json.to_int,
-        Option.bind (str "kind") kind_of_string,
-        str "crc", Obs_json.member "body" json )
-    with
-    | Some sc, _, _, _, _ when sc <> schema ->
-      Error (Printf.sprintf "wrong schema %S" sc)
-    | Some _, Some seq, Some kind, Some stored, Some body ->
-      let rendered = Obs_json.to_string body in
-      let actual = Printf.sprintf "%016Lx" (crc rendered) in
-      if String.lowercase_ascii stored = actual then Ok { seq; kind; body }
-      else
-        Error
-          (Printf.sprintf "seq %d: checksum mismatch (%s vs %s)" seq stored
-             actual)
-    | _ -> Error "missing field")
+    next := Some (r.seq + 1);
+    match r.kind with
+    | Health when Serve_obs.of_json r.body = None -> Error "malformed health body"
+    | Meta | Health -> Ok ()
+    | Alert -> Result.bind (Schema.shape Alert.spec r.body) (fun () -> !alerts r.body)
+
+let spec = Schema.make schema ~stream:check_stream fields
 
 (* Writing *)
 
@@ -161,7 +184,7 @@ let read dir =
            let l = input_line ic in
            incr lineno;
            if String.trim l <> "" then
-             match parse_line l with
+             match Result.bind (Obs_json.of_string l) of_json with
              | Ok r -> records := r :: !records
              | Error e ->
                errors :=

@@ -27,9 +27,12 @@ type record = { seq : int; kind : kind; body : Obs_json.t }
 val line : record -> string
 (** The serialized JSONL line (no trailing newline). *)
 
-val parse_line : string -> (record, string) result
-(** Strict single-line parse: schema, field and checksum verification.
-    [Error] describes what failed. *)
+val of_json : Obs_json.t -> (record, string) result
+(** Strict record decode: schema, fields and the real checksum. *)
+
+val spec : Schema.t
+(** Per stream: contiguous [seq], health bodies decode and alert bodies
+    pass {!Alert.spec}'s stream check. *)
 
 (** {2 Writing} *)
 

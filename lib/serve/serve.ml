@@ -153,6 +153,25 @@ let status_json t : Obs_json.t =
              ("wall_seconds", `Float (Unix.gettimeofday () -. t.t_start));
              ("unix_time", `Float (Unix.gettimeofday ())) ]) ])
 
+let status_spec =
+  Schema.make status_schema
+    Schema.
+      [ ("epoch", Int); ("arrived", Int); ("detections", Int);
+        ("patched", Int); ("cdf", Float); ("virtual_seconds", Float);
+        ("last", Nullable Object); ("windows", Object); ("alerts", Object) ]
+    ~check:(fun json ->
+      let field k = Option.get (Obs_json.member k json) in
+      let cdf = Schema.float json "cdf" in
+      let aggs = match field "windows" with `Assoc l -> l | _ -> [] in
+      if cdf < 0. || cdf > 1. then Error "cdf out of [0, 1]"
+      else if field "last" <> `Null && Serve_obs.of_json (field "last") = None
+      then Error "malformed last observation"
+      else if List.exists (fun (_, a) -> Window.agg_of_json a = None) aggs
+      then Error "malformed window aggregate"
+      else
+        Schema.has_fields Schema.[ ("rules", List); ("firing", List) ]
+          (field "alerts"))
+
 let publish_status t =
   match t.cfg.status_path with
   | None -> ()
@@ -230,78 +249,59 @@ let fresh cfg ~execute =
   | _ -> ());
   t
 
-let resume cfg ~execute json =
+let checkpoint_fields =
+  Schema.
+    [ ("epoch", Int); ("next_uid", Int); ("arrived", Int);
+      ("detections", Int); ("total_cycles", Int); ("degraded", Int);
+      ("worker_crashes", Int); ("snapshots", Int); ("faults", Object);
+      ("store", List); ("windows", Object); ("alerts", List);
+      ("history", Nullable Object) ]
+
+(* The checkpoint decoder: everything [resume] restores, before it is
+   matched against the configuration. *)
+let decode_checkpoint json =
   let ( let* ) = Option.bind in
-  let int k = Option.bind (Obs_json.member k json) Obs_json.to_int in
-  let parsed =
-    let* schema =
-      match Obs_json.member "schema" json with
-      | Some (`String s) -> Some s
-      | _ -> None
-    in
-    if schema <> checkpoint_schema then None
-    else
-      let* epoch = int "epoch" in
-      let* next_uid = int "next_uid" in
-      let* arrived = int "arrived" in
-      let* detections = int "detections" in
-      let* total_cycles = int "total_cycles" in
-      (* Absent in pre-respond checkpoints: read as 0. *)
-      let patched = Option.value ~default:0 (int "patched") in
-      let* degraded = int "degraded" in
-      let* worker_crashes = int "worker_crashes" in
-      let* snapshots = int "snapshots" in
-      let* faults_cum =
-        match Obs_json.member "faults" json with
-        | Some (`Assoc kvs) ->
-          let parsed =
-            List.filter_map
-              (fun (k, v) -> Option.map (fun n -> (k, n)) (Obs_json.to_int v))
-              kvs
-          in
-          if List.length parsed = List.length kvs then Some parsed else None
-        | _ -> None
-      in
-      let* store_keys =
-        match Obs_json.member "store" json with
-        | Some (`List l) ->
-          (* [site; off] (pre-respond, hits = 1) or [site; off; hits]. *)
-          let key = function
-            | `List [ a; b ] -> (
-              match (Obs_json.to_int a, Obs_json.to_int b) with
-              | Some a, Some b -> Some (a, b, 1)
-              | _ -> None)
-            | `List [ a; b; h ] -> (
-              match (Obs_json.to_int a, Obs_json.to_int b, Obs_json.to_int h)
-              with
-              | Some a, Some b, Some h when h >= 1 -> Some (a, b, h)
-              | _ -> None)
-            | _ -> None
-          in
-          let parsed = List.filter_map key l in
-          if List.length parsed = List.length l then Some parsed else None
-        | _ -> None
-      in
-      let* wins =
-        Option.bind (Obs_json.member "windows" json) Window.set_of_json
-      in
-      let* history =
-        match Obs_json.member "history" json with
-        | Some `Null -> Some None
-        | Some h ->
-          let hint k = Option.bind (Obs_json.member k h) Obs_json.to_int in
-          let* seq = hint "seq" in
-          let* segment = hint "segment" in
-          let* lines = hint "lines" in
-          Some (Some (seq, segment, lines))
-        | None -> None
-      in
-      Some
-        ( epoch, next_uid, arrived, detections, total_cycles, patched,
-          degraded, worker_crashes, snapshots, faults_cum, store_keys, wins,
-          history )
+  let* () =
+    match Obs_json.member "schema" json with
+    | Some (`String s) when s = checkpoint_schema ->
+      Result.to_option (Schema.has_fields checkpoint_fields json)
+    | _ -> None
   in
-  match parsed with
+  let int = Schema.int json and get k = Option.get (Obs_json.member k json) in
+  let* faults_cum = Obs_json.counts (get "faults") in
+  (* [site; off] (pre-respond, hits = 1) or [site; off; hits]. *)
+  let key = function
+    | `List [ `Int a; `Int b ] -> Some (a, b, 1)
+    | `List [ `Int a; `Int b; `Int h ] when h >= 1 -> Some (a, b, h)
+    | _ -> None
+  in
+  let* store_keys =
+    match get "store" with `List l -> Obs_json.all key l | _ -> None
+  in
+  let* wins = Window.set_of_json (get "windows") in
+  let* history =
+    match get "history" with
+    | `Null -> Some None
+    | h -> (
+      match Obs_json.(member "seq" h, member "segment" h, member "lines" h) with
+      | Some (`Int seq), Some (`Int segment), Some (`Int lines) ->
+        Some (Some (seq, segment, lines))
+      | _ -> None)
+  in
+  Some
+    ( int "epoch", int "next_uid", int "arrived", int "detections",
+      int "total_cycles",
+      (* Absent in pre-respond checkpoints: read as 0. *)
+      (match Obs_json.member "patched" json with Some (`Int n) -> n | _ -> 0),
+      int "degraded", int "worker_crashes", int "snapshots", faults_cum,
+      store_keys, wins, history )
+
+let checkpoint_spec =
+  Schema.make checkpoint_schema checkpoint_fields ~check:(fun j ->
+      if decode_checkpoint j = None then Error "malformed checkpoint" else Ok ())
+
+let resume cfg ~execute json =
+  match decode_checkpoint json with
   | None -> Error "malformed checkpoint"
   | Some
       ( epoch, next_uid, arrived, detections, total_cycles, patched, degraded,
@@ -467,13 +467,12 @@ let alert_engine t = t.alerts
 (* ---- rendering ---- *)
 
 let render_status ?(color = true) json =
-  match Obs_json.member "schema" json with
-  | Some (`String s) when s = status_schema ->
+  match Schema.conforms status_spec json with
+  | Error _ -> None
+  | Ok () ->
     let c code s = if color then Printf.sprintf "\x1b[%sm%s\x1b[0m" code s else s in
-    let int k = Option.value ~default:0 (Option.bind (Obs_json.member k json) Obs_json.to_int) in
-    let flt k =
-      Option.value ~default:0.0 (Option.bind (Obs_json.member k json) Obs_json.to_float)
-    in
+    let int = Schema.int json and flt = Schema.float json in
+    let get k = Option.get (Obs_json.member k json) in
     let b = Buffer.create 1024 in
     Buffer.add_string b
       (Printf.sprintf "%s  epoch %d  virtual %.1f s\n"
@@ -483,73 +482,52 @@ let render_status ?(color = true) json =
          "arrived %d  detections %d  cdf %.2f%%  store %s%s\n"
          (int "arrived") (int "detections")
          (100.0 *. flt "cdf")
-         (match
-            Option.bind (Obs_json.member "last" json) (fun l ->
-                Obs_json.member "store_contexts" l)
-          with
-         | Some (`Int n) -> string_of_int n
-         | _ -> "-")
+         (match Serve_obs.of_json (get "last") with
+          | Some o -> string_of_int o.Serve_obs.store_contexts
+          | None -> "-")
          (let p = int "patched" in
           if p > 0 then Printf.sprintf "  patched %d" p else ""));
-    (match Obs_json.member "windows" json with
-    | Some (`Assoc wins) when wins <> [] ->
+    (match get "windows" with
+    | `Assoc wins when wins <> [] ->
       Buffer.add_string b
         (c "2"
            "window   epochs  arrivals  detect  degraded  crashes   skew     cdf\n");
       List.iter
         (fun (w, agg) ->
-          match Window.agg_of_json agg with
-          | Some a ->
-            Buffer.add_string b
-              (Printf.sprintf
-                 "%6s  %7d  %8d  %6d  %8d  %7d  %5.2f  %5.2f%%\n" w
-                 a.Window.epochs a.Window.arrivals a.Window.detections
-                 a.Window.degraded a.Window.worker_crashes a.Window.skew_max
-                 (100.0 *. a.Window.cdf_last))
-          | None -> ())
+          let a = Option.get (Window.agg_of_json agg) in
+          Buffer.add_string b
+            (Printf.sprintf "%6s  %7d  %8d  %6d  %8d  %7d  %5.2f  %5.2f%%\n" w
+               a.Window.epochs a.Window.arrivals a.Window.detections
+               a.Window.degraded a.Window.worker_crashes a.Window.skew_max
+               (100.0 *. a.Window.cdf_last)))
         wins
     | _ -> ());
-    (match Obs_json.member "alerts" json with
-    | Some alerts ->
-      let firing =
-        match Obs_json.member "firing" alerts with
-        | Some (`List l) -> l
-        | _ -> []
-      in
-      let rules =
-        match Obs_json.member "rules" alerts with
-        | Some (`List l) ->
-          List.filter_map
-            (function `String s -> Some s | _ -> None)
-            l
-        | _ -> []
-      in
-      let firing_specs =
-        List.filter_map
-          (fun f ->
-            match (Obs_json.member "spec" f, Obs_json.member "since" f) with
-            | Some (`String s), Some since ->
-              Some (s, Option.value ~default:0 (Obs_json.to_int since))
-            | _ -> None)
-          firing
-      in
-      Buffer.add_string b "alerts: ";
-      if rules = [] then Buffer.add_string b "(none)"
-      else
-        Buffer.add_string b
-          (String.concat "  "
-             (List.map
-                (fun spec ->
-                  match List.assoc_opt spec firing_specs with
-                  | Some since ->
-                    c "31;1"
-                      (Printf.sprintf "%s FIRING since %d" spec since)
-                  | None -> Printf.sprintf "%s %s" spec (c "32" "ok"))
-                rules));
-      Buffer.add_char b '\n'
-    | None -> ());
+    let list k f =
+      match Obs_json.member k (get "alerts") with
+      | Some (`List l) -> List.filter_map f l
+      | _ -> []
+    in
+    let firing =
+      list "firing" (fun f ->
+          match Obs_json.(member "spec" f, member "since" f) with
+          | Some (`String s), Some (`Int since) -> Some (s, since)
+          | _ -> None)
+    in
+    let rules = list "rules" (function `String s -> Some s | _ -> None) in
+    Buffer.add_string b "alerts: ";
+    if rules = [] then Buffer.add_string b "(none)"
+    else
+      Buffer.add_string b
+        (String.concat "  "
+           (List.map
+              (fun spec ->
+                match List.assoc_opt spec firing with
+                | Some since ->
+                  c "31;1" (Printf.sprintf "%s FIRING since %d" spec since)
+                | None -> Printf.sprintf "%s %s" spec (c "32" "ok"))
+              rules));
+    Buffer.add_char b '\n';
     Some (Buffer.contents b)
-  | _ -> None
 
 (* ---- offline replay ---- *)
 

@@ -102,6 +102,14 @@ val status_json : 'a t -> Obs_json.t
     ["wall"] sub-object (domain count, wall seconds, unix time) — the
     only nondeterministic member. *)
 
+val status_spec : Schema.t
+(** The status format: [cdf] in [\[0, 1\]], and the last observation
+    and every window aggregate decode. *)
+
+val checkpoint_spec : Schema.t
+(** The checkpoint format ([csod.serve.checkpoint/1]), checked by the
+    decoder {!start} resumes from. *)
+
 val render_status : ?color:bool -> Obs_json.t -> string option
 (** One-screen dashboard for a [csod.serve.status/1] document — used by
     [serve --live], [top] on a status file, and [replay].  [None] if the

@@ -30,37 +30,34 @@ let to_json o : Obs_json.t =
       ("virtual_seconds", `Float o.virtual_seconds);
       ("cycle_skew", `Float o.cycle_skew) ]
 
+let fields =
+  Schema.
+    [ ("epoch", Int); ("arrivals", Int); ("arrived", Int);
+      ("detections", Int); ("cumulative", Int); ("cdf", Float);
+      ("store_contexts", Int); ("degraded", Int); ("worker_crashes", Int);
+      ("faults", Object); ("snapshots", Int); ("cycles", Int);
+      ("virtual_seconds", Float); ("cycle_skew", Float) ]
+
 let of_json json =
-  let ( let* ) = Option.bind in
-  let int k = Option.bind (Obs_json.member k json) Obs_json.to_int in
-  let flt k = Option.bind (Obs_json.member k json) Obs_json.to_float in
-  let* epoch = int "epoch" in
-  let* arrivals = int "arrivals" in
-  let* arrived = int "arrived" in
-  let* detections = int "detections" in
-  let* cumulative = int "cumulative" in
-  let* cdf = flt "cdf" in
-  let* store_contexts = int "store_contexts" in
-  (* Absent in pre-respond histories: read as 0 so old segments replay. *)
-  let patched = Option.value ~default:0 (int "patched") in
-  let* degraded = int "degraded" in
-  let* worker_crashes = int "worker_crashes" in
-  let* snapshots = int "snapshots" in
-  let* cycles = int "cycles" in
-  let* virtual_seconds = flt "virtual_seconds" in
-  let* cycle_skew = flt "cycle_skew" in
-  let* faults =
-    match Obs_json.member "faults" json with
-    | Some (`Assoc kvs) ->
-      let parsed =
-        List.filter_map
-          (fun (k, v) -> Option.map (fun n -> (k, n)) (Obs_json.to_int v))
-          kvs
-      in
-      if List.length parsed = List.length kvs then Some parsed else None
-    | _ -> None
-  in
-  Some
-    { epoch; arrivals; arrived; detections; cumulative; cdf; store_contexts;
-      patched; degraded; worker_crashes; faults; snapshots; cycles;
-      virtual_seconds; cycle_skew }
+  let int = Schema.int json and flt = Schema.float json in
+  match
+    ( Schema.has_fields fields json,
+      Option.bind (Obs_json.member "faults" json) Obs_json.counts )
+  with
+  | Ok (), Some faults when flt "cdf" >= 0. && flt "cdf" <= 1. ->
+    Some
+      { epoch = int "epoch"; arrivals = int "arrivals";
+        arrived = int "arrived"; detections = int "detections";
+        cumulative = int "cumulative"; cdf = flt "cdf";
+        store_contexts = int "store_contexts";
+        (* Absent in pre-respond histories: read as 0 so old segments
+           replay. *)
+        patched =
+          (match Obs_json.member "patched" json with
+           | Some (`Int n) -> n
+           | _ -> 0);
+        degraded = int "degraded"; worker_crashes = int "worker_crashes";
+        faults; snapshots = int "snapshots"; cycles = int "cycles";
+        virtual_seconds = flt "virtual_seconds";
+        cycle_skew = flt "cycle_skew" }
+  | _ -> None

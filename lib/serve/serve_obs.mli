@@ -44,4 +44,5 @@ val to_json : t -> Obs_json.t
 
 val of_json : Obs_json.t -> t option
 (** Parse a record back ([csod_run replay]'s reader).  [None] when a
-    required field is missing or mistyped. *)
+    required field is missing or mistyped (an int field must be an
+    integer token) or [cdf] lies outside [\[0, 1\]]. *)

@@ -72,40 +72,35 @@ let agg_to_json a : Obs_json.t =
       ("store_last", `Int a.store_last);
       ("virtual_last", `Float a.virtual_last) ]
 
+let agg_fields =
+  Schema.
+    [ ("epochs", Int); ("first_epoch", Int); ("last_epoch", Int);
+      ("arrivals", Int); ("detections", Int); ("degraded", Int);
+      ("worker_crashes", Int); ("faults", Object); ("snapshots", Int);
+      ("cycles", Int); ("skew_max", Float); ("cdf_last", Float);
+      ("store_last", Int); ("virtual_last", Float) ]
+
 let agg_of_json json =
-  let ( let* ) = Option.bind in
-  let int k = Option.bind (Obs_json.member k json) Obs_json.to_int in
-  let flt k = Option.bind (Obs_json.member k json) Obs_json.to_float in
-  let* epochs = int "epochs" in
-  let* first_epoch = int "first_epoch" in
-  let* last_epoch = int "last_epoch" in
-  let* arrivals = int "arrivals" in
-  let* detections = int "detections" in
-  (* Absent in pre-respond checkpoints: read as 0. *)
-  let patched = Option.value ~default:0 (int "patched") in
-  let* degraded = int "degraded" in
-  let* worker_crashes = int "worker_crashes" in
-  let* snapshots = int "snapshots" in
-  let* cycles = int "cycles" in
-  let* skew_max = flt "skew_max" in
-  let* cdf_last = flt "cdf_last" in
-  let* store_last = int "store_last" in
-  let* virtual_last = flt "virtual_last" in
-  let* faults =
-    match Obs_json.member "faults" json with
-    | Some (`Assoc kvs) ->
-      let parsed =
-        List.filter_map
-          (fun (k, v) -> Option.map (fun n -> (k, n)) (Obs_json.to_int v))
-          kvs
-      in
-      if List.length parsed = List.length kvs then Some parsed else None
-    | _ -> None
-  in
-  Some
-    { epochs; first_epoch; last_epoch; arrivals; detections; patched;
-      degraded; worker_crashes; faults; snapshots; cycles; skew_max; cdf_last;
-      store_last; virtual_last }
+  let int = Schema.int json and flt = Schema.float json in
+  match
+    ( Schema.has_fields agg_fields json,
+      Option.bind (Obs_json.member "faults" json) Obs_json.counts )
+  with
+  | Ok (), Some faults ->
+    Some
+      { epochs = int "epochs"; first_epoch = int "first_epoch";
+        last_epoch = int "last_epoch"; arrivals = int "arrivals";
+        detections = int "detections";
+        (* Absent in pre-respond checkpoints: read as 0. *)
+        patched =
+          (match Obs_json.member "patched" json with
+           | Some (`Int n) -> n
+           | _ -> 0);
+        degraded = int "degraded"; worker_crashes = int "worker_crashes";
+        faults; snapshots = int "snapshots"; cycles = int "cycles";
+        skew_max = flt "skew_max"; cdf_last = flt "cdf_last";
+        store_last = int "store_last"; virtual_last = flt "virtual_last" }
+  | _ -> None
 
 type t = {
   win : int;
@@ -179,39 +174,27 @@ let set_to_json s : Obs_json.t =
 
 let set_of_json json =
   let ( let* ) = Option.bind in
-  match Obs_json.member "windows" json with
-  | Some (`Assoc kvs) ->
-    let parse_one (k, v) =
-      let* w = int_of_string_opt k in
-      if w < 1 then None
-      else
-        let* count = Option.bind (Obs_json.member "count" v) Obs_json.to_int in
-        let* slots =
-          match Obs_json.member "slots" v with
-          | Some (`List l) ->
-            let parsed = List.filter_map agg_of_json l in
-            if List.length parsed = List.length l && List.length l <= w then
-              Some parsed
-            else None
-          | _ -> None
-        in
-        let t = create ~size:w in
-        (* Refill the ring at the positions the live service had them:
-           the oldest restored slot sits at index [count - n]. *)
-        let n = List.length slots in
-        List.iteri
-          (fun i a -> t.ring.((count - n + i) mod w) <- a)
-          slots;
-        t.count <- count;
-        Some (w, t)
+  let parse_one (k, v) =
+    let* w = int_of_string_opt k in
+    let* count, slots =
+      match Obs_json.(member "count" v, member "slots" v) with
+      | Some (`Int count), Some (`List l) when w >= 1 && List.length l <= w ->
+        Option.map (fun slots -> (count, slots)) (Obs_json.all agg_of_json l)
+      | _ -> None
     in
-    let parsed = List.filter_map parse_one kvs in
-    if List.length parsed <> List.length kvs then None
-    else
-      let counts = List.map (fun (_, t) -> t.count) parsed in
-      (match counts with
-       | [] -> Some { windows = [] }
-       | c :: rest when List.for_all (( = ) c) rest ->
-         Some { windows = List.sort (fun (a, _) (b, _) -> compare a b) parsed }
-       | _ -> None)
-  | _ -> None
+    let t = create ~size:w in
+    (* Refill the ring at the positions the live service had them: the
+       oldest restored slot sits at index [count - n]. *)
+    let n = List.length slots in
+    List.iteri (fun i a -> t.ring.((count - n + i) mod w) <- a) slots;
+    t.count <- count;
+    Some (w, t)
+  in
+  let* parsed =
+    match Obs_json.member "windows" json with
+    | Some (`Assoc kvs) -> Obs_json.all parse_one kvs
+    | _ -> None
+  in
+  match List.map (fun (_, t) -> t.count) parsed with
+  | c :: rest when not (List.for_all (( = ) c) rest) -> None
+  | _ -> Some { windows = List.sort (fun (a, _) (b, _) -> compare a b) parsed }

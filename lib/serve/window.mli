@@ -40,6 +40,8 @@ val merge : agg -> agg -> agg
 
 val agg_to_json : agg -> Obs_json.t
 val agg_of_json : Obs_json.t -> agg option
+(** [None] when a field is missing or mistyped (int fields must be
+    integer tokens). *)
 
 type t
 (** One rolling window: a ring of the last [size] per-epoch aggregates. *)

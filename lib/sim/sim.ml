@@ -295,46 +295,67 @@ let to_json f : Obs_json.t =
       ("replay_hash", `String (hash_hex f.replay_hash));
       ("shrunk_from", `Int f.shrunk_from) ]
 
+let repro_fields =
+  Schema.
+    [ ("alphabet", String); ("seed", Int); ("ops", List); ("failed_at", Int);
+      ("failure", String); ("replay_hash", String); ("shrunk_from", Int) ]
+
 let of_json json =
-  let open Obs_json in
-  let str k = match member k json with Some (`String s) -> Some s | _ -> None in
-  let int k = Option.bind (member k json) to_int in
-  match (str "schema", str "alphabet", int "seed", member "ops" json) with
-  | Some s, _, _, _ when s <> schema ->
-    Error (Printf.sprintf "schema %S, expected %S" s schema)
-  | _, Some alphabet, Some seed, Some (`List ops) -> (
-    let parse_step = function
-      | `Assoc _ as o -> (
-        match (member "op" o, member "args" o) with
-        | Some (`String name), Some (`List args) ->
-          let args = List.filter_map to_int args in
-          Some { op = name; args }
-        | _ -> None)
-      | _ -> None
-    in
-    let steps = List.filter_map parse_step ops in
-    if List.length steps <> List.length ops then Error "malformed op entry"
-    else
-      match (int "failed_at", str "failure", str "replay_hash") with
-      | Some failed_at, Some message, Some hex -> (
-        match Int64.of_string_opt ("0x" ^ hex) with
-        | None -> Error (Printf.sprintf "bad replay_hash %S" hex)
-        | Some replay_hash ->
-          Ok
-            { alphabet;
-              seed;
-              steps;
-              failed_at;
-              message;
-              replay_hash;
-              shrunk_from =
-                Option.value (int "shrunk_from") ~default:(List.length steps) })
-      | _ -> Error "missing failed_at/failure/replay_hash")
-  | _ -> Error "missing alphabet/seed/ops"
+  let ( let* ) = Result.bind in
+  let* () =
+    match Obs_json.member "schema" json with
+    | Some (`String s) when s = schema -> Schema.has_fields repro_fields json
+    | _ -> Error ("not a " ^ schema ^ " record")
+  in
+  let int = Schema.int json and get k = Option.get (Obs_json.member k json) in
+  let str k = match get k with `String s -> s | _ -> "" in
+  let step = function
+    | `Assoc _ as o -> (
+      match Obs_json.(member "op" o, member "args" o) with
+      | Some (`String op), Some (`List args) ->
+        Obs_json.all (function `Int v -> Some v | _ -> None) args
+        |> Option.map (fun args -> { op; args })
+      | _ -> None)
+    | _ -> None
+  in
+  let hex = str "replay_hash" and failed_at = int "failed_at" in
+  match get "ops" with
+  | `List ops -> (
+    match Obs_json.all step ops with
+    | None -> Error "an op is not an {op, args} object with int args"
+    | Some [] -> Error "empty op sequence"
+    | Some steps ->
+      let n = List.length steps in
+      if failed_at < 0 || failed_at >= n then
+        Error (Printf.sprintf "failed_at %d outside the %d-op sequence" failed_at n)
+      else if
+        String.length hex <> 16
+        || not (String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) hex)
+      then Error (Printf.sprintf "replay_hash %S is not 16 lowercase hex digits" hex)
+      else if int "shrunk_from" < n then
+        Error (Printf.sprintf "shrunk_from below the kept %d ops" n)
+      else
+        Ok
+          { alphabet = str "alphabet"; seed = int "seed"; steps; failed_at;
+            message = str "failure";
+            replay_hash = Int64.of_string ("0x" ^ hex);
+            shrunk_from = int "shrunk_from" })
+  | _ -> Error "ops is not a list"
+
+let repro_spec packs =
+  Schema.make schema repro_fields ~check:(fun json ->
+      let ( let* ) = Result.bind in
+      let* f = of_json json in
+      match find packs f.alphabet with
+      | None -> Error (Printf.sprintf "unknown alphabet %S" f.alphabet)
+      | Some (Packed a) -> (
+        let known = List.map (fun o -> o.op_name) a.ops in
+        match List.find_opt (fun st -> not (List.mem st.op known)) f.steps with
+        | Some st ->
+          Error (Printf.sprintf "op %S is not in the %s alphabet" st.op f.alphabet)
+        | None -> Ok ()))
 
 let repro_line f = Obs_json.to_string (to_json f)
-
-let replay_hint ~file = Printf.sprintf "csod_run sim --replay %s" file
 
 let summary f =
   let buf = Buffer.create 256 in

@@ -522,8 +522,7 @@ let test_health_per_epoch () =
         (s.Health.cdf = float_of_int s.Health.cumulative /. 100.0);
       Alcotest.(check bool) "executed covers arrivals" true
         (List.fold_left (fun n d -> n + d.Health.executed) 0 s.Health.domains
-        = s.Health.arrivals);
-      Alcotest.(check string) "mode tagged" "sharded" s.Health.telemetry)
+        = s.Health.arrivals))
     r.Fleet.health;
   (* Health rows agree with the epoch rows the report already pins. *)
   Alcotest.(check (list int)) "arrivals agree with epoch rows"
@@ -559,6 +558,29 @@ let test_health_per_epoch () =
           r3.Fleet.trace_spans)
     = 100)
 
+(* Each health record validates against its spec and decodes back to the
+   sample it was built from. *)
+let test_health_matches_spec () =
+  let r =
+    Fleet.run
+      (Fleet.config ~domains:2 ~epoch_size:16 (Workload.make ~users:100 ()))
+      ~execute:telemetric
+  in
+  List.iter
+    (fun (s : Health.sample) ->
+      let j = Health.to_json s in
+      (match Schema.conforms Health.spec j with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "epoch %d: %s" s.Health.epoch e);
+      Alcotest.(check bool) "decodes to the sample" true
+        (Health.of_json j = Ok s))
+    r.Fleet.health;
+  match
+    Schema.conforms Fleet.report_spec (Fleet.to_json ~app:"t" ~config:"c" r)
+  with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "fleet report: %s" e
+
 let suite =
   [ Alcotest.test_case "workload: determinism and mix" `Quick test_workload_determinism;
     Alcotest.test_case "workload: arrival shapes" `Quick test_workload_arrivals;
@@ -582,4 +604,6 @@ let suite =
     Alcotest.test_case "sharded telemetry: real-execution equivalence" `Slow
       test_sharded_equivalence_real;
     Alcotest.test_case "health stream: one sample per epoch" `Quick
-      test_health_per_epoch ]
+      test_health_per_epoch;
+    Alcotest.test_case "health stream and report match their specs" `Quick
+      test_health_matches_spec ]

@@ -822,7 +822,7 @@ let health_sample : Health.sample =
     faults = [ ("runtime.degraded", 1); ("trap.dropped", 5) ];
     snapshots = 12; epoch_seconds = 0.125; merge_seconds = 0.003;
     observer_seconds = 0.0005; execs_per_sec = 256.0;
-    straggler_skew = 1.75; telemetry = "sharded";
+    straggler_skew = 1.75;
     domains =
       [ { Health.slot = 0; executed = 17; busy_seconds = 0.061 };
         { Health.slot = 1; executed = 15; busy_seconds = 0.059 } ] }
@@ -834,16 +834,17 @@ let test_health_roundtrip () =
     Alcotest.(check bool) "schema tagged" true
       (Obs_json.member "schema" j = Some (`String Health.schema));
     match Health.of_json j with
-    | Some s -> Alcotest.(check bool) "round-trips" true (s = health_sample)
-    | None -> Alcotest.fail "of_json rejected its own encoding")
+    | Ok s -> Alcotest.(check bool) "round-trips" true (s = health_sample)
+    | Error e -> Alcotest.fail ("of_json rejected its own encoding: " ^ e))
   | Error msg -> Alcotest.fail ("health line does not parse: " ^ msg));
   (* Foreign records are rejected, not mis-parsed. *)
   Alcotest.(check bool) "wrong schema rejected" true
-    (Health.of_json (`Assoc [ ("schema", `String "csod.bench/1") ]) = None);
+    (Result.is_error
+       (Health.of_json (`Assoc [ ("schema", `String "csod.bench/1") ])));
   Alcotest.(check bool) "missing field rejected" true
-    (Health.of_json
-       (`Assoc [ ("schema", `String Health.schema); ("epoch", `Int 1) ])
-    = None)
+    (Result.is_error
+       (Health.of_json
+          (`Assoc [ ("schema", `String Health.schema); ("epoch", `Int 1) ])))
 
 let test_health_skew_and_render () =
   Alcotest.(check (float 1e-9)) "skew of empty" 1.0 (Health.straggler_skew []);
@@ -913,7 +914,7 @@ let test_health_zero_executed () =
       users = 1000; cdf = 0.019; store_contexts = 2; patched = 1; degraded = 1;
       worker_crashes = 2; faults = []; snapshots = 12;
       epoch_seconds = 0.0001; merge_seconds = 0.0; observer_seconds = 0.0;
-      execs_per_sec = 0.0; straggler_skew = 1.0; telemetry = "sharded";
+      execs_per_sec = 0.0; straggler_skew = 1.0;
       domains =
         [ { Health.slot = 0; executed = 0; busy_seconds = 0.0 };
           { Health.slot = 1; executed = 0; busy_seconds = 0.0 } ] }
@@ -921,8 +922,8 @@ let test_health_zero_executed () =
   (match Obs_json.of_string (Obs_json.to_string (Health.to_json idle)) with
   | Ok j -> (
     match Health.of_json j with
-    | Some s -> Alcotest.(check bool) "idle epoch round-trips" true (s = idle)
-    | None -> Alcotest.fail "of_json rejected an idle epoch")
+    | Ok s -> Alcotest.(check bool) "idle epoch round-trips" true (s = idle)
+    | Error e -> Alcotest.fail ("of_json rejected an idle epoch: " ^ e))
   | Error msg -> Alcotest.fail ("idle epoch does not parse: " ^ msg));
   let plain = Health.render ~color:false [ idle ] in
   Alcotest.(check bool) "idle epoch renders" true
@@ -983,6 +984,152 @@ let test_fleet_span_export () =
     | _ -> Alcotest.fail "traceEvents missing")
   | _ -> Alcotest.fail "top level is not an object"
 
+(* ---------- Schema registry ---------- *)
+
+let with_field k v (j : Obs_json.t) : Obs_json.t =
+  match j with
+  | `Assoc kvs ->
+    `Assoc (List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) kvs)
+  | j -> j
+
+let without_field k (j : Obs_json.t) : Obs_json.t =
+  match j with `Assoc kvs -> `Assoc (List.remove_assoc k kvs) | j -> j
+
+(* [top] and [validate] judge a health record by the same decoder: it
+   refuses to invent a fault tally or a CDF outside [0, 1]. *)
+let test_health_decoder_refuses () =
+  let j = Health.to_json health_sample in
+  List.iter
+    (fun (what, bad) ->
+      Alcotest.(check bool) what true (Result.is_error (Health.of_json bad)))
+    [ ("missing faults", without_field "faults" j);
+      ("non-int fault count",
+       with_field "faults" (`Assoc [ ("ebusy", `String "lots") ]) j);
+      ("cdf above 1", with_field "cdf" (`Float 1.5) j);
+      ("cdf below 0", with_field "cdf" (`Float (-0.1)) j) ]
+
+let test_schema_kinds () =
+  let spec =
+    Schema.make "csod.test/1"
+      Schema.[ ("n", Int); ("x", Float); ("c", Nullable Object) ]
+  in
+  let row n x c : Obs_json.t =
+    `Assoc [ ("schema", `String "csod.test/1"); ("n", n); ("x", x); ("c", c) ]
+  in
+  let ok j = Result.is_ok (Schema.conforms spec j) in
+  Alcotest.(check bool) "int, int-as-float, null" true
+    (ok (row (`Int 1) (`Int 2) `Null));
+  Alcotest.(check bool) "nullable takes its kind" true
+    (ok (row (`Int 1) (`Float 2.5) (`Assoc [])));
+  Alcotest.(check bool) "bool is not an int" false
+    (ok (row (`Bool true) (`Int 2) `Null));
+  Alcotest.(check bool) "1.0 is not an int" false
+    (ok (row (`Float 1.0) (`Int 2) `Null));
+  Alcotest.(check bool) "bool is not a float" false
+    (ok (row (`Int 1) (`Bool false) `Null));
+  Alcotest.(check bool) "nullable still typed" false
+    (ok (row (`Int 1) (`Int 2) (`List [])));
+  Alcotest.(check bool) "missing field" false
+    (ok (without_field "x" (row (`Int 1) (`Int 2) `Null)))
+
+(* Untagged streams (--events): tagged lines are checked by their tag,
+   unknown csod.* tags fail, foreign tags pass through. *)
+let test_schema_untagged_streams () =
+  let v text = Schema.validate Schemas.all text in
+  let respond =
+    Result.get_ok
+      (Obs_json.of_string
+         {|{"schema":"csod.respond.event/1","kind":"redirect-read","source":"watchpoint","site":4,"ctx":[4,8],"addr":64,"offset":8,"len":1,"at_sec":0.5}|})
+  in
+  let line j = Obs_json.to_string j ^ "\n" in
+  let good = line respond in
+  Alcotest.(check (result int string)) "lifecycle + respond lines" (Ok 2)
+    (v ("{\"event\":\"start\",\"seq\":0}\n" ^ good));
+  Alcotest.(check bool) "bad respond line caught" true
+    (Result.is_error
+       (v (line (with_field "kind" (`String "teleport") respond))));
+  Alcotest.(check bool) "unknown csod tag" true
+    (Result.is_error (v "{\"schema\":\"csod.nope/1\"}\n"));
+  Alcotest.(check (result int string)) "foreign tag" (Ok 1)
+    (v "{\"schema\":\"other/1\"}\n");
+  Alcotest.(check bool) "unknown --schema" true
+    (Result.is_error (Schema.validate Schemas.all ~schema:"csod.nope/1" good))
+
+let test_schema_registry () =
+  let names = List.map Schema.name Schemas.all in
+  Alcotest.(check int) "fourteen formats" 14 (List.length names);
+  Alcotest.(check int) "one spec each" 14
+    (List.length (List.sort_uniq compare names))
+
+(* A bench row that does not match its spec is refused before printing. *)
+let test_bench_rows_refused () =
+  let row =
+    [ ("op", `String "read"); ("mode", `String "serial");
+      ("iters", `Int 10); ("ns_per_op", `Float 5.0);
+      ("ops_per_sec", `Float 2e8) ]
+  in
+  Alcotest.(check bool) "complete row conforms" true
+    (Result.is_ok
+       (Schema.conforms Schemas.bench_throughput
+          (`Assoc (("schema", `String "csod.bench.throughput/2") :: row))));
+  List.iter
+    (fun (what, fields) ->
+      Alcotest.(check bool) what true
+        (match Schemas.emit_row Schemas.bench_throughput fields with
+         | () -> false
+         | exception Invalid_argument _ -> true))
+    [ ("missing field", List.remove_assoc "iters" row);
+      ("wrong kind",
+       ("iters", `Float 10.0) :: List.remove_assoc "iters" row) ]
+
+(* Verdict parity with the retired shell validator.  Each case of
+   [schema_parity.jsonl] is a stream the old validator judged ("script");
+   every stream it rejected must still be rejected, and one it accepted is
+   rejected only where the case names the stricter rule ("stricter").
+   Health cases were judged under csod.fleet.health/1, which /2 replaced
+   by dropping the [telemetry] field; they are replayed under the /2 tag. *)
+let test_schema_parity () =
+  let retag s =
+    let old = "csod.fleet.health/1" in
+    let n = String.length old and b = Buffer.create (String.length s) in
+    let i = ref 0 in
+    while !i < String.length s do
+      if !i + n <= String.length s && String.sub s !i n = old then begin
+        Buffer.add_string b "csod.fleet.health/2";
+        i := !i + n
+      end
+      else begin
+        Buffer.add_char b s.[!i];
+        incr i
+      end
+    done;
+    Buffer.contents b
+  in
+  let cases =
+    In_channel.with_open_text "schema_parity.jsonl" In_channel.input_lines
+  in
+  Alcotest.(check bool) "corpus present" true (List.length cases > 100);
+  List.iter
+    (fun l ->
+      let j = Result.get_ok (Obs_json.of_string l) in
+      let str k =
+        match Obs_json.member k j with Some (`String s) -> Some s | _ -> None
+      in
+      let name = Option.get (str "case") in
+      let expect_ok =
+        str "script" = Some "accept" && str "stricter" = None
+      in
+      let got =
+        Schema.validate Schemas.all
+          ?schema:(Option.map retag (str "schema"))
+          (retag (Option.get (str "stream")))
+      in
+      match (expect_ok, got) with
+      | true, Ok _ | false, Error _ -> ()
+      | true, Error e -> Alcotest.failf "%s: rejected (%s)" name e
+      | false, Ok _ -> Alcotest.failf "%s: accepted" name)
+    cases
+
 let suite =
   [ Alcotest.test_case "counter basics" `Quick test_counter_basics;
     Alcotest.test_case "counter monotonicity" `Quick test_counter_monotonic;
@@ -1036,4 +1183,15 @@ let suite =
     Alcotest.test_case "health with zero executed users" `Quick
       test_health_zero_executed;
     Alcotest.test_case "fleet span export structure" `Quick
-      test_fleet_span_export ]
+      test_fleet_span_export;
+    Alcotest.test_case "health decoder refuses fabricated fields" `Quick
+      test_health_decoder_refuses;
+    Alcotest.test_case "schema: field kinds" `Quick test_schema_kinds;
+    Alcotest.test_case "schema: untagged streams" `Quick
+      test_schema_untagged_streams;
+    Alcotest.test_case "schema: one spec per format" `Quick
+      test_schema_registry;
+    Alcotest.test_case "schema: bench rows refused" `Quick
+      test_bench_rows_refused;
+    Alcotest.test_case "schema: verdict parity with the shell validator"
+      `Quick test_schema_parity ]

@@ -351,6 +351,27 @@ let test_patch_below_threshold_unchanged () =
   Alcotest.(check int) "no padding below threshold" 0
     (summary_of o).Respond.patched_allocs
 
+(* The redirect records streamed to an event sink match their spec. *)
+let test_events_match_spec () =
+  let buf = Buffer.create 4096 in
+  ignore
+    (Event_sink.with_sink (Event_sink.to_buffer buf) (fun () ->
+         oblivious_run ~seed:1 "Heartbleed"));
+  let tagged =
+    String.split_on_char '\n' (Buffer.contents buf)
+    |> List.filter (fun l ->
+           match Obs_json.of_string l with
+           | Ok j -> Obs_json.member "schema" j = Some (`String Respond.schema)
+           | Error _ -> false)
+  in
+  Alcotest.(check bool) "redirects recorded" true (tagged <> []);
+  match
+    Schema.validate Schemas.all ~schema:Respond.schema
+      (String.concat "" (List.map (fun l -> l ^ "\n") tagged))
+  with
+  | Ok n -> Alcotest.(check int) "every event valid" (List.length tagged) n
+  | Error e -> Alcotest.fail e
+
 let suite =
   [ Alcotest.test_case "mode parsing" `Quick test_mode_parsing;
     Alcotest.test_case "off mode: bit-identical to no layer" `Quick
@@ -374,4 +395,5 @@ let suite =
     Alcotest.test_case "patch: conviction silences the overflow" `Quick
       test_patch_convicts_and_silences;
     Alcotest.test_case "patch: below threshold unchanged" `Quick
-      test_patch_below_threshold_unchanged ]
+      test_patch_below_threshold_unchanged;
+    Alcotest.test_case "events match their spec" `Quick test_events_match_spec ]

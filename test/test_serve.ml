@@ -485,6 +485,38 @@ let test_serve_population_drain () =
   Alcotest.(check bool) "stall fired once the fleet went quiet" true
     (List.exists (fun (e : Alert.event) -> e.Alert.firing) events)
 
+(* Everything the service writes validates against its spec: each history
+   segment (later ones start mid-stream), the alert events, the status
+   file, the checkpoint and the lean fleet report. *)
+let test_serve_outputs_match_specs () =
+  let dir = temp_dir "csod_serve" in
+  let ckpt = Filename.concat dir "ckpt.json" in
+  let _, events, report =
+    run_serve (serve_cfg ~dir ~checkpoint_path:ckpt ()) ~epochs:40
+  in
+  let valid spec text =
+    match Schema.validate Schemas.all ~schema:(Schema.name spec) text with
+    | Ok n -> n
+    | Error e -> Alcotest.failf "%s: %s" (Schema.name spec) e
+  in
+  let segments = History.segments dir in
+  Alcotest.(check bool) "history rotated" true (List.length segments > 1);
+  List.iter (fun p -> ignore (valid History.spec (read_file p))) segments;
+  Alcotest.(check bool) "alerts fired" true (events <> []);
+  Alcotest.(check int) "alert stream" (List.length events)
+    (valid Alert.spec
+       (String.concat ""
+          (List.map
+             (fun e -> Obs_json.to_string (Alert.event_to_json e) ^ "\n")
+             events)));
+  Alcotest.(check int) "status" 1
+    (valid Serve.status_spec (read_file (Filename.concat dir "status.json")));
+  Alcotest.(check int) "checkpoint" 1 (valid Serve.checkpoint_spec (read_file ckpt));
+  Alcotest.(check int) "fleet report" 1
+    (valid Fleet.report_spec
+       (Obs_json.to_string (Fleet.to_json ~app:"synthetic" ~config:"test" report)
+       ^ "\n"))
+
 let suite =
   [ Alcotest.test_case "window: tree-reduce = from-scratch fold" `Quick
       test_window_tree_equals_fold;
@@ -512,4 +544,6 @@ let suite =
     Alcotest.test_case "serve: checkpoint resume, same stream" `Slow
       test_serve_checkpoint_resume;
     Alcotest.test_case "serve: population drain and idle epochs" `Quick
-      test_serve_population_drain ]
+      test_serve_population_drain;
+    Alcotest.test_case "serve: outputs match their specs" `Quick
+      test_serve_outputs_match_specs ]

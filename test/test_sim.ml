@@ -170,9 +170,42 @@ let test_planted_fleet_bug_shrinks () =
 
 let test_repro_json_roundtrip () =
   let f = shrunk_failure (Sim_store.alphabet ~buggy_merge:true ()) in
+  (match Schema.conforms (Sim.repro_spec Sim_registry.all) (Sim.to_json f) with
+  | Error m -> Alcotest.failf "repro does not match its spec: %s" m
+  | Ok () -> ());
   match Sim.of_json (Sim.to_json f) with
   | Error m -> Alcotest.failf "round-trip failed: %s" m
   | Ok f' -> Alcotest.(check bool) "identical record" true (f = f')
+
+(* A repro is replayed as recorded or not at all: an op argument that is
+   not an int must not be dropped into a shorter, fabricated sequence. *)
+let test_repro_rejects_bad_ops () =
+  let f = shrunk_failure (Sim_fleet.alphabet ~plant:true ()) in
+  let with_first_op op : Obs_json.t =
+    match Sim.to_json f with
+    | `Assoc kvs ->
+      `Assoc
+        (List.map
+           (function
+             | "ops", `List (_ :: rest) -> ("ops", `List (op :: rest))
+             | kv -> kv)
+           kvs)
+    | j -> j
+  in
+  let op name args : Obs_json.t =
+    `Assoc [ ("op", `String name); ("args", `List args) ]
+  in
+  List.iter
+    (fun (what, arg) ->
+      Alcotest.(check bool) what true
+        (Result.is_error
+           (Sim.of_json (with_first_op (op "barrier" [ `Int 1; arg ])))))
+    [ ("string arg", `String "x"); ("bool arg", `Bool true);
+      ("float arg", `Float 1.5) ];
+  Alcotest.(check bool) "op outside the alphabet" true
+    (Result.is_error
+       (Schema.conforms (Sim.repro_spec Sim_registry.all)
+          (with_first_op (op "add1" [ `Int 1 ]))))
 
 let test_repro_line_parses () =
   let f = shrunk_failure (Sim_fleet.alphabet ~plant:true ()) in
@@ -236,6 +269,8 @@ let suite =
     Alcotest.test_case "sweep: respond alphabet holds" `Quick
       test_respond_alphabet_holds;
     Alcotest.test_case "repro: JSON round-trip" `Quick test_repro_json_roundtrip;
+    Alcotest.test_case "repro: malformed ops rejected" `Quick
+      test_repro_rejects_bad_ops;
     Alcotest.test_case "repro: JSONL line carries the schema" `Quick
       test_repro_line_parses;
     Alcotest.test_case "replay: bit-identical, tamper-evident" `Quick
