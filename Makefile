@@ -33,7 +33,9 @@ fleet:
 
 # Resilience bench: sweep the deterministic fault injector over a range
 # of rates, one csod.bench.resilience/1 JSONL row per (app, rate) — the
-# detection-rate-vs-fault-rate curve (stdout only).
+# detection-rate-vs-fault-rate curve — then the active-response rows
+# (csod.bench.respond/1: survival per app, armed-hook overhead) (stdout
+# only; CI splits the two by their "schema" tag).
 faults:
 	@dune exec bench/main.exe -- resilience
 

@@ -190,9 +190,14 @@ let snapshot_cycles_of = function
     else int_of_float (sec *. float_of_int Cost.cycles_per_second)
 
 (* Flight recorder options *)
-let positive_int =
+let recorder_capacity_conv =
   let parse s =
     match int_of_string_opt s with
+    | Some n when n > Flight_recorder.max_capacity ->
+      Error
+        (`Msg
+           (Printf.sprintf "expected at most %d records (the recorder's bound), got %S"
+              Flight_recorder.max_capacity s))
     | Some n when n > 0 -> Ok n
     | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
   in
@@ -200,13 +205,16 @@ let positive_int =
 
 let flight_arg =
   Arg.(value
-       & opt ~vopt:(Some Flight_recorder.default_capacity) (some positive_int)
+       & opt ~vopt:(Some Flight_recorder.default_capacity) (some recorder_capacity_conv)
            None
        & info [ "flight-recorder" ] ~docv:"N"
-           ~doc:"Record the last $(docv) lifecycle events (allocations, \
-                 sampling decisions, watchpoint installs/evictions, traps, \
-                 canary checks, probability changes) in an in-memory ring; \
-                 defaults to 65536 records when $(docv) is omitted.")
+           ~doc:(Printf.sprintf
+                   "Record the last $(docv) lifecycle events (allocations, \
+                    sampling decisions, watchpoint installs/evictions, traps, \
+                    canary checks, probability changes) in an in-memory ring; \
+                    defaults to %d records when $(docv) is omitted, and is at \
+                    most %d."
+                   Flight_recorder.default_capacity Flight_recorder.max_capacity))
 
 let trace_out_arg =
   Arg.(value & opt (some string) None

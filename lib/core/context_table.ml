@@ -131,8 +131,9 @@ let cycles t = Clock.cycles (Machine.clock t.machine)
 let prob e = e.s.prob
 
 (* Flight-recorder hook for one probability transition; skipped entirely
-   (and the no-change case suppressed) when no recorder is installed. *)
-let note_prob t (e : entry) cause ~from_p =
+   (and the no-change case suppressed) when no recorder is installed.
+   Inlined so [from_p] is never boxed. *)
+let[@inline] note_prob t (e : entry) cause ~from_p =
   if from_p <> e.s.prob then
     Flight_recorder.prob ~at:(cycles t) ~ctx:e.id ~cause ~from_p ~to_p:e.s.prob
 

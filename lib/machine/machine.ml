@@ -129,8 +129,7 @@ let in_phase t phase f =
         if Flight_recorder.active () then begin
           let stopped = Clock.cycles t.clock in
           if stopped > started then
-            Flight_recorder.phase ~name:(Profiler.name phase) ~start:started
-              ~stop:stopped
+            Flight_recorder.phase ~phase ~start:started ~stop:stopped
         end)
       f
   end
@@ -303,8 +302,7 @@ let work_as t phase cycles =
     if Flight_recorder.active () then begin
       let stopped = Clock.cycles t.clock in
       if stopped > started then
-        Flight_recorder.phase ~name:(Profiler.name phase) ~start:started
-          ~stop:stopped
+        Flight_recorder.phase ~phase ~start:started ~stop:stopped
     end
   end
 

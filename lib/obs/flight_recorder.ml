@@ -47,7 +47,41 @@ type kind =
 
 type record = { seq : int; at : int; kind : kind }
 
-(* Kind tags for the columnar ring. *)
+(* ---- storage ----
+
+   The ring is one [Bytes] block of [columns × cap] 64-bit words, laid out
+   column by column: word column [c] of slot [s] sits at byte
+   [((c × cap) + s) × 8].  [Bytes.create] neither fills the block nor
+   hands the marker anything to scan, so creating a recorder costs one
+   uninitialised allocation whatever its capacity, and a record is a few
+   unboxed, bounds-checked stores with no write barrier.  Ints are stored
+   through [Int64.of_int]/[to_int] (exact for every OCaml int), floats
+   through [Int64.bits_of_float]/[float_of_bits] (bit-exact, NaN payloads
+   and [-0.] included).
+
+   Column 0 is the slot's head: the kind tag in the low [tag_bits] bits
+   and a small code above it, so no slot holds a pointer.  The code is
+   [decision]'s three flags, [canary_check]'s [ok], the [prob] cause, or —
+   for [trap]'s access, [detection]'s source and [fault]'s point — the
+   string's index in the recorder's intern table, which the cold path
+   fills the first time it sees a string.  Column 1 is [at]; columns 2-7
+   hold the kind's own fields.  A [phase] record's [stop] is its [at], and
+   its code is the phase's {!Profiler.index} in the low [phase_bits] bits
+   with the span [stop - start] above them, so the commonest record is
+   two stores; a span outside [(0, span_limit)] is coded as 0 and [start]
+   goes to column 2.
+
+   The bytes start uninitialised: a reader reads only the columns its
+   slot's tag wrote.  Record [n] lives at slot [n mod cap]; [next] is that
+   slot for the next record, kept by a wrapping counter rather than a
+   division, and once [seq] exceeds [cap] the oldest slots are overwritten
+   in place, so [dropped = max 0 (seq - cap)].
+
+   Every execution the benchmark and the CLI diagnose gets a fresh
+   recorder and reads it after {!with_recorder} returns, so there is no
+   point at which a ring could safely be handed back for reuse: creation
+   is made cheap instead. *)
+
 let tag_alloc = 0
 let tag_decision = 1
 let tag_watch = 2
@@ -60,56 +94,47 @@ let tag_detection = 8
 let tag_prob = 9
 let tag_phase = 10
 let tag_fault = 11
+let tag_bits = 4
+let[@inline] head tag code = tag lor (code lsl tag_bits)
+let phase_bits = 4
+let span_limit = 1 lsl 54
 
-(* Columnar ring: one flat column per field slot instead of a ring of
-   [record] values.  A push is a seq bump plus a handful of unboxed array
-   stores — no kind block, no record, no option box — so recording in the
-   allocator hot path costs no allocation and no GC pressure.  [record]
-   values are materialised only on the cold read path ([records]).
+let columns = 8
+let col_head = 0
+let col_at = 1
 
-   Record [n] lives at slot [n mod cap]; once [seq] exceeds [cap] the
-   oldest slots are overwritten in place, so
-   [dropped = max 0 (seq - cap)].  Strings stored in [sa] are the
-   caller's — in practice shared literals ("read", "watchpoint",
-   phase names), so the store is a pointer write. *)
 type t = {
   cap : int;
-  tag : int array;
-  at_ : int array;
-  i0 : int array;
-  i1 : int array;
-  i2 : int array;
-  i3 : int array;
-  i4 : int array;
-  i5 : int array;
-  f0 : float array;
-  f1 : float array;
-  sa : string array;
+  stride : int; (* bytes per column: [cap * 8] *)
+  ring : Bytes.t;
+  mutable next : int; (* slot of the next record: [seq mod cap] *)
   mutable seq : int; (* records ever emitted, = seq of the next record *)
   mutable allocs : int; (* Alloc records ever emitted: the 1-based index *)
   mutable detections : int;
+  mutable names : string array; (* interned strings, by code *)
+  mutable n_names : int;
 }
 
 let default_capacity = 65_536
+let max_capacity = 1 lsl 24
 
 let create ?(capacity = default_capacity) () =
   if capacity <= 0 then
     invalid_arg "Flight_recorder.create: capacity must be positive";
+  if capacity > max_capacity then
+    invalid_arg
+      (Printf.sprintf
+         "Flight_recorder.create: capacity %d exceeds max_capacity (%d)"
+         capacity max_capacity);
   { cap = capacity;
-    tag = Array.make capacity 0;
-    at_ = Array.make capacity 0;
-    i0 = Array.make capacity 0;
-    i1 = Array.make capacity 0;
-    i2 = Array.make capacity 0;
-    i3 = Array.make capacity 0;
-    i4 = Array.make capacity 0;
-    i5 = Array.make capacity 0;
-    f0 = Array.make capacity 0.;
-    f1 = Array.make capacity 0.;
-    sa = Array.make capacity "";
+    stride = capacity * 8;
+    ring = Bytes.create (columns * capacity * 8);
+    next = 0;
     seq = 0;
     allocs = 0;
-    detections = 0 }
+    detections = 0;
+    names = [| "read"; "write" |];
+    n_names = 2 }
 
 let capacity t = t.cap
 let recorded t = t.seq
@@ -117,45 +142,79 @@ let dropped t = if t.seq > t.cap then t.seq - t.cap else 0
 let alloc_count t = t.allocs
 let detection_count t = t.detections
 
+(* Below, a slot [s] is named by its byte offset in column 0: slot
+   index × 8. *)
+let[@inline] offset t c s = s + (c * t.stride)
+let[@inline] set t c s v = Bytes.set_int64_ne t.ring (offset t c s) (Int64.of_int v)
+let[@inline] get t c s = Int64.to_int (Bytes.get_int64_ne t.ring (offset t c s))
+
+let[@inline] set_float t c s x =
+  Bytes.set_int64_ne t.ring (offset t c s) (Int64.bits_of_float x)
+
+let[@inline] get_float t c s =
+  Int64.float_of_bits (Bytes.get_int64_ne t.ring (offset t c s))
+
+let rec find_name names n str i =
+  if i = n then -1
+  else if String.equal names.(i) str then i
+  else find_name names n str (i + 1)
+
+(* The code of [str] in [t]'s intern table, adding it on first sight. *)
+let intern t str =
+  let i = find_name t.names t.n_names str 0 in
+  if i >= 0 then i
+  else begin
+    if t.n_names = Array.length t.names then
+      t.names <- Array.append t.names (Array.make t.n_names "");
+    t.names.(t.n_names) <- str;
+    t.n_names <- t.n_names + 1;
+    t.n_names - 1
+  end
+
+let phase_names =
+  let a = Array.make (1 lsl phase_bits) "" in
+  List.iter (fun p -> a.(Profiler.index p) <- Profiler.name p) Profiler.all;
+  a
+
 let kind_of_slot t s =
-  let tag = t.tag.(s) in
+  let h = get t col_head s in
+  let tag = h land ((1 lsl tag_bits) - 1) and code = h lsr tag_bits in
+  let i c = get t (c + 2) s in
   if tag = tag_alloc then
-    Alloc
-      { index = t.i0.(s); addr = t.i1.(s); size = t.i2.(s); ctx = t.i3.(s);
-        site = t.i4.(s); off = t.i5.(s) }
+    Alloc { index = i 0; addr = i 1; size = i 2; ctx = i 3; site = i 4; off = i 5 }
   else if tag = tag_decision then
     Decision
-      { addr = t.i0.(s); ctx = t.i1.(s); prob = t.f0.(s);
-        coin = t.i2.(s) <> 0; watched = t.i3.(s) <> 0;
-        startup = t.i4.(s) <> 0 }
-  else if tag = tag_watch then Watch { addr = t.i0.(s); ctx = t.i1.(s) }
+      { addr = i 0; ctx = i 1; prob = get_float t 4 s; coin = code land 1 <> 0;
+        watched = code land 2 <> 0; startup = code land 4 <> 0 }
+  else if tag = tag_watch then Watch { addr = i 0; ctx = i 1 }
   else if tag = tag_replace then
-    Replace
-      { victim = t.i0.(s); victim_ctx = t.i1.(s); by = t.i2.(s);
-        by_ctx = t.i3.(s) }
-  else if tag = tag_unwatch_free then Unwatch_free { addr = t.i0.(s) }
-  else if tag = tag_free then Free { addr = t.i0.(s) }
+    Replace { victim = i 0; victim_ctx = i 1; by = i 2; by_ctx = i 3 }
+  else if tag = tag_unwatch_free then Unwatch_free { addr = i 0 }
+  else if tag = tag_free then Free { addr = i 0 }
   else if tag = tag_trap then
-    Trap { addr = t.i0.(s); access = t.sa.(s); tid = t.i1.(s) }
-  else if tag = tag_canary_check then
-    Canary_check { addr = t.i0.(s); ok = t.i1.(s) <> 0 }
+    Trap { addr = i 0; access = t.names.(code); tid = i 1 }
+  else if tag = tag_canary_check then Canary_check { addr = i 0; ok = code <> 0 }
   else if tag = tag_detection then
-    Detection { addr = t.i0.(s); ctx = t.i1.(s); source = t.sa.(s) }
+    Detection { addr = i 0; ctx = i 1; source = t.names.(code) }
   else if tag = tag_prob then
     Prob
-      { ctx = t.i0.(s); cause = cause_of_code t.i1.(s); from_p = t.f0.(s);
-        to_p = t.f1.(s) }
+      { ctx = i 0; cause = cause_of_code code; from_p = get_float t 3 s;
+        to_p = get_float t 4 s }
   else if tag = tag_phase then
-    Phase { phase = t.sa.(s); start = t.i0.(s); stop = t.i1.(s) }
-  else Fault { point = t.sa.(s) }
+    let stop = get t col_at s and span = code lsr phase_bits in
+    Phase
+      { phase = phase_names.(code land ((1 lsl phase_bits) - 1));
+        start = (if span > 0 then stop - span else i 0);
+        stop }
+  else Fault { point = t.names.(code) }
 
 let records t =
   let first = if t.seq > t.cap then t.seq - t.cap else 0 in
   let rec go n acc =
     if n < first then acc
     else
-      let s = n mod t.cap in
-      go (n - 1) ({ seq = n; at = t.at_.(s); kind = kind_of_slot t s } :: acc)
+      let s = (n mod t.cap) * 8 in
+      go (n - 1) ({ seq = n; at = get t col_at s; kind = kind_of_slot t s } :: acc)
   in
   go (t.seq - 1) []
 
@@ -173,11 +232,13 @@ let with_recorder t f =
   Fun.protect ~finally:(fun () -> current := prev) f
 
 (* Claim the next slot and write the two columns every record shares. *)
-let slot t ~at tag =
-  let s = t.seq mod t.cap in
+let[@inline] slot t ~at h =
+  let i = t.next in
+  t.next <- (if i + 1 = t.cap then 0 else i + 1);
   t.seq <- t.seq + 1;
-  t.tag.(s) <- tag;
-  t.at_.(s) <- at;
+  let s = i * 8 in
+  set t col_head s h;
+  set t col_at s at;
   s
 
 (* ---- JSON encoding: one encoder for the ring's export and the stream ---- *)
@@ -226,19 +287,21 @@ let record_to_json r : Obs_json.t =
    [s] goes out as one [{"event":<kind>,"seq":…,"at":…,…}] line. *)
 let stream t s =
   let name, fields =
-    record_fields { seq = t.seq - 1; at = t.at_.(s); kind = kind_of_slot t s }
+    record_fields { seq = t.seq - 1; at = get t col_at s; kind = kind_of_slot t s }
   in
   Event_sink.emit name fields
 
 (* Every hook ends here once its columns are written: one more branch when
    no sink is installed. *)
-let publish t s = if Event_sink.active () then stream t s
+let[@inline] publish t s = if Event_sink.active () then stream t s
 
 (* ---- typed hooks ----
 
    Each is a single branch when no recorder is installed.  None of them
    reads the PRNG or advances the clock, so recording cannot perturb the
-   simulated execution. *)
+   simulated execution.  None allocates either, past interning a name the
+   first time it is seen: [decision] and [prob] are inlined into their
+   callers so their float arguments are never boxed. *)
 
 let alloc ~at ~addr ~size ~ctx ~site ~off =
   match !current with
@@ -246,25 +309,26 @@ let alloc ~at ~addr ~size ~ctx ~site ~off =
   | Some t ->
     t.allocs <- t.allocs + 1;
     let s = slot t ~at tag_alloc in
-    t.i0.(s) <- t.allocs;
-    t.i1.(s) <- addr;
-    t.i2.(s) <- size;
-    t.i3.(s) <- ctx;
-    t.i4.(s) <- site;
-    t.i5.(s) <- off;
+    set t 2 s t.allocs;
+    set t 3 s addr;
+    set t 4 s size;
+    set t 5 s ctx;
+    set t 6 s site;
+    set t 7 s off;
     publish t s
 
-let decision ~at ~addr ~ctx ~prob ~coin ~watched ~startup =
+let[@inline] decision ~at ~addr ~ctx ~prob ~coin ~watched ~startup =
   match !current with
   | None -> ()
   | Some t ->
-    let s = slot t ~at tag_decision in
-    t.i0.(s) <- addr;
-    t.i1.(s) <- ctx;
-    t.f0.(s) <- prob;
-    t.i2.(s) <- Bool.to_int coin;
-    t.i3.(s) <- Bool.to_int watched;
-    t.i4.(s) <- Bool.to_int startup;
+    let flags =
+      Bool.to_int coin lor (Bool.to_int watched lsl 1)
+      lor (Bool.to_int startup lsl 2)
+    in
+    let s = slot t ~at (head tag_decision flags) in
+    set t 2 s addr;
+    set t 3 s ctx;
+    set_float t 4 s prob;
     publish t s
 
 let watch ~at ~addr ~ctx =
@@ -272,8 +336,8 @@ let watch ~at ~addr ~ctx =
   | None -> ()
   | Some t ->
     let s = slot t ~at tag_watch in
-    t.i0.(s) <- addr;
-    t.i1.(s) <- ctx;
+    set t 2 s addr;
+    set t 3 s ctx;
     publish t s
 
 let replace ~at ~victim ~victim_ctx ~by ~by_ctx =
@@ -281,10 +345,10 @@ let replace ~at ~victim ~victim_ctx ~by ~by_ctx =
   | None -> ()
   | Some t ->
     let s = slot t ~at tag_replace in
-    t.i0.(s) <- victim;
-    t.i1.(s) <- victim_ctx;
-    t.i2.(s) <- by;
-    t.i3.(s) <- by_ctx;
+    set t 2 s victim;
+    set t 3 s victim_ctx;
+    set t 4 s by;
+    set t 5 s by_ctx;
     publish t s
 
 let unwatch_free ~at ~addr =
@@ -292,7 +356,7 @@ let unwatch_free ~at ~addr =
   | None -> ()
   | Some t ->
     let s = slot t ~at tag_unwatch_free in
-    t.i0.(s) <- addr;
+    set t 2 s addr;
     publish t s
 
 let free ~at ~addr =
@@ -300,26 +364,24 @@ let free ~at ~addr =
   | None -> ()
   | Some t ->
     let s = slot t ~at tag_free in
-    t.i0.(s) <- addr;
+    set t 2 s addr;
     publish t s
 
 let trap ~at ~addr ~access ~tid =
   match !current with
   | None -> ()
   | Some t ->
-    let s = slot t ~at tag_trap in
-    t.i0.(s) <- addr;
-    t.sa.(s) <- access;
-    t.i1.(s) <- tid;
+    let s = slot t ~at (head tag_trap (intern t access)) in
+    set t 2 s addr;
+    set t 3 s tid;
     publish t s
 
 let canary_check ~at ~addr ~ok =
   match !current with
   | None -> ()
   | Some t ->
-    let s = slot t ~at tag_canary_check in
-    t.i0.(s) <- addr;
-    t.i1.(s) <- Bool.to_int ok;
+    let s = slot t ~at (head tag_canary_check (Bool.to_int ok)) in
+    set t 2 s addr;
     publish t s
 
 let detection ~at ~addr ~ctx ~source =
@@ -327,37 +389,39 @@ let detection ~at ~addr ~ctx ~source =
   | None -> ()
   | Some t ->
     t.detections <- t.detections + 1;
-    let s = slot t ~at tag_detection in
-    t.i0.(s) <- addr;
-    t.i1.(s) <- ctx;
-    t.sa.(s) <- source;
+    let s = slot t ~at (head tag_detection (intern t source)) in
+    set t 2 s addr;
+    set t 3 s ctx;
     publish t s
 
-let prob ~at ~ctx ~cause ~from_p ~to_p =
+let[@inline] prob ~at ~ctx ~cause ~from_p ~to_p =
   match !current with
   | None -> ()
   | Some t ->
-    let s = slot t ~at tag_prob in
-    t.i0.(s) <- ctx;
-    t.i1.(s) <- cause_code cause;
-    t.f0.(s) <- from_p;
-    t.f1.(s) <- to_p;
+    let s = slot t ~at (head tag_prob (cause_code cause)) in
+    set t 2 s ctx;
+    set_float t 3 s from_p;
+    set_float t 4 s to_p;
     publish t s
 
-let phase ~name ~start ~stop =
+let phase ~phase ~start ~stop =
   match !current with
   | None -> ()
   | Some t ->
-    let s = slot t ~at:stop tag_phase in
-    t.sa.(s) <- name;
-    t.i0.(s) <- start;
-    t.i1.(s) <- stop;
-    publish t s
+    let span = stop - start in
+    if span > 0 && span < span_limit then
+      publish t
+        (slot t ~at:stop
+           (head tag_phase (Profiler.index phase lor (span lsl phase_bits))))
+    else begin
+      let s = slot t ~at:stop (head tag_phase (Profiler.index phase)) in
+      set t 2 s start;
+      publish t s
+    end
 
 let fault ~at ~point =
   match !current with
   | None -> ()
   | Some t ->
-    let s = slot t ~at tag_fault in
-    t.sa.(s) <- point;
+    let s = slot t ~at (head tag_fault (intern t point)) in
     publish t s

@@ -2,11 +2,22 @@
 
     Where {!Event_sink} streams events out of the process as they happen,
     the flight recorder keeps the {e recent} history in memory — a
-    fixed-capacity {!Ring} whose oldest records are overwritten, charged
+    fixed-capacity ring whose oldest records are overwritten, charged
     O(1) per hook — so that when a detection fires (or a bug is missed)
     the object's whole life (alloc → watch → evict → trap → canary → free)
     and its context's probability timeline (decays, halvings, burst
     throttles, revivals, evidence pins) can be reconstructed post-mortem.
+
+    The ring is cheap enough to leave on.  A recorder's slots live in one
+    uninitialised [Bytes] block of 64-bit words that the GC never scans:
+    creating one costs a single allocation with no fill, and a record is
+    a few unboxed stores with no write barrier and no allocation.  Names
+    are stored as small codes — a phase as its {!Profiler.index}, a trap's
+    access, a detection's source and a fault's point as indices into a
+    per-recorder intern table — so no slot holds a pointer.  There is no
+    pool of rings to hand back: each execution that is diagnosed gets a
+    fresh recorder and is read after {!with_recorder} returns, and
+    creation is cheap instead.
 
     The recorder never draws randomness and never advances the virtual
     clock: installing one cannot change what a simulated execution does,
@@ -65,10 +76,16 @@ type record = { seq : int; at : int; kind : kind }
 type t
 
 val default_capacity : int
+(** 65,536 records. *)
+
+val max_capacity : int
+(** The largest capacity {!create} accepts: 2{^24} records, a 1 GiB ring.
+    A bound on what one process may ask for, not a tuning knob. *)
 
 val create : ?capacity:int -> unit -> t
 (** A fresh recorder holding at most [capacity] (default
-    {!default_capacity}) records. *)
+    {!default_capacity}) records.  Raises [Invalid_argument] unless
+    [0 < capacity <= max_capacity]. *)
 
 val capacity : t -> int
 val records : t -> record list
@@ -100,6 +117,7 @@ val with_recorder : t -> (unit -> 'a) -> 'a
 
     Each is a no-op costing one branch when no recorder is installed, and
     streams its record to the installed {!Event_sink} when there is one.
+    With no sink, a hook allocates nothing once its names are interned.
     Hot-path callers should check {!active} before computing arguments. *)
 
 val alloc : at:int -> addr:int -> size:int -> ctx:int -> site:int -> off:int -> unit
@@ -115,5 +133,7 @@ val canary_check : at:int -> addr:int -> ok:bool -> unit
 val detection : at:int -> addr:int -> ctx:int -> source:string -> unit
 
 val prob : at:int -> ctx:int -> cause:prob_cause -> from_p:float -> to_p:float -> unit
-val phase : name:string -> start:int -> stop:int -> unit
+val phase : phase:Profiler.phase -> start:int -> stop:int -> unit
+(** Its record carries [Profiler.name phase], and [at = stop]. *)
+
 val fault : at:int -> point:string -> unit

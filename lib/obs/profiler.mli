@@ -24,6 +24,11 @@ type phase =
   | Asan_poison    (** redzone poisoning and quarantine bookkeeping *)
 
 val all : phase list
+
+val index : phase -> int
+(** Position in {!all}, from 0: a dense code for the phase, e.g. to
+    store it in an int column. *)
+
 val name : phase -> string
 (** Stable dotted identifier, e.g. ["wmu.install"] — the key used in JSON
     exports. *)

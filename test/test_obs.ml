@@ -516,7 +516,7 @@ let test_lifecycle_event_schema () =
           Flight_recorder.detection ~at:9 ~addr:0x40 ~ctx:1 ~source:"canary-free";
           Flight_recorder.prob ~at:10 ~ctx:1 ~cause:Flight_recorder.Halve_on_watch
             ~from_p:1.0 ~to_p:0.5;
-          Flight_recorder.phase ~name:"app" ~start:0 ~stop:11;
+          Flight_recorder.phase ~phase:Profiler.App ~start:0 ~stop:11;
           Flight_recorder.fault ~at:12 ~point:"ebusy"));
   let lines =
     String.split_on_char '\n' (Buffer.contents b) |> List.filter (( <> ) "")
@@ -590,6 +590,276 @@ let test_flight_record_json () =
       (Obs_json.to_string (Flight_recorder.record_to_json rec_))
   | _ -> Alcotest.fail "expected one record"
 
+let contains s needle =
+  let nl = String.length needle in
+  let rec go i =
+    i + nl <= String.length s && (String.sub s i nl = needle || go (i + 1))
+  in
+  go 0
+
+(* A capacity above the bound is refused with a message naming the bound,
+   before any ring is allocated; a non-positive one is refused too. *)
+let test_recorder_capacity_bound () =
+  let bound = string_of_int Flight_recorder.max_capacity in
+  List.iter
+    (fun capacity ->
+      match Flight_recorder.create ~capacity () with
+      | _ -> Alcotest.failf "capacity %d accepted" capacity
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "capacity %d: message names the bound" capacity)
+          true
+          (contains msg bound))
+    [ Flight_recorder.max_capacity + 1; 100_000_000_000; max_int ];
+  List.iter
+    (fun capacity ->
+      match Flight_recorder.create ~capacity () with
+      | _ -> Alcotest.failf "capacity %d accepted" capacity
+      | exception Invalid_argument _ -> ())
+    [ 0; -1; min_int ]
+
+(* The CLI turns an oversized [--flight-recorder=N] into the usage error
+   it gives for 0 (exit 124), naming the bound, instead of crashing. *)
+let test_cli_recorder_capacity_bound () =
+  let err = Filename.temp_file "csod_cli" ".err" in
+  let run n =
+    let cmd =
+      Filename.quote_command "../bin/csod_run.exe" ~stdout:Filename.null
+        ~stderr:err
+        [ "run"; "heartbleed"; "--seed"; "3"; "--flight-recorder=" ^ n ]
+    in
+    let code = Sys.command cmd in
+    (code, In_channel.with_open_bin err In_channel.input_all)
+  in
+  List.iter
+    (fun n ->
+      let code, msg = run n in
+      Alcotest.(check int) (n ^ ": usage error") 124 code;
+      Alcotest.(check bool) (n ^ ": names the bound") true
+        (contains msg (string_of_int Flight_recorder.max_capacity)))
+    [ "4611686018427387903"; "100000000000";
+      string_of_int (Flight_recorder.max_capacity + 1) ];
+  Alcotest.(check int) "0: usage error" 124 (fst (run "0"));
+  Sys.remove err
+
+(* With no sink installed, a record is a few stores: 10,000 calls of each
+   of the 12 hooks, with arguments computed in the loop, allocate no minor
+   word.  One warm-up call per hook interns the strings first. *)
+let test_recording_allocates_nothing () =
+  let module F = Flight_recorder in
+  let r = F.create ~capacity:4096 () in
+  let hooks i =
+    let p = float_of_int i *. 1e-4 in
+    F.alloc ~at:i ~addr:(i * 16) ~size:i ~ctx:i ~site:i ~off:i;
+    F.decision ~at:i ~addr:i ~ctx:i ~prob:p ~coin:(i land 1 = 0)
+      ~watched:(i land 2 = 0) ~startup:false;
+    F.watch ~at:i ~addr:i ~ctx:i;
+    F.replace ~at:i ~victim:i ~victim_ctx:i ~by:(i + 1) ~by_ctx:i;
+    F.unwatch_free ~at:i ~addr:i;
+    F.free ~at:i ~addr:i;
+    F.trap ~at:i ~addr:i ~access:(if i land 1 = 0 then "read" else "write")
+      ~tid:i;
+    F.canary_check ~at:i ~addr:i ~ok:(i land 1 = 0);
+    F.detection ~at:i ~addr:i ~ctx:i ~source:"watchpoint";
+    F.prob ~at:i ~ctx:i ~cause:F.Decay ~from_p:p ~to_p:(p *. 0.5);
+    F.phase ~phase:Profiler.Smu_lookup ~start:i ~stop:(i + 1);
+    F.fault ~at:i ~point:"ebusy"
+  in
+  F.with_recorder r (fun () ->
+      hooks 0;
+      let before = Gc.minor_words () in
+      for i = 1 to 10_000 do
+        hooks i
+      done;
+      let words = Gc.minor_words () -. before in
+      if Sys.backend_type = Sys.Native then
+        Alcotest.(check (float 0.0)) "minor words over 120,000 records" 0.0
+          words);
+  Alcotest.(check int) "every call recorded" (12 * 10_001) (F.recorded r)
+
+(* ...and neither do their call sites: a warm execution under a recorder
+   allocates what it allocates without one, bar [with_recorder]'s few
+   words. *)
+let test_recorded_execution_allocates_nothing_more () =
+  let app = Option.get (Buggy_app.by_name "Heartbleed") in
+  let run () =
+    ignore (Execution.run ~app ~config:Config.csod_default ~seed:3 ())
+  in
+  let r = Flight_recorder.create () in
+  let recorded () = Flight_recorder.with_recorder r run in
+  let words f =
+    f ();
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let bare = words run and with_recorder = words recorded in
+  Alcotest.(check bool) "records were made" true (Flight_recorder.recorded r > 0);
+  if Sys.backend_type = Sys.Native then
+    Alcotest.(check bool)
+      (Printf.sprintf "recorder adds %.0f minor words (<= 64)" (with_recorder -. bare))
+      true
+      (with_recorder -. bare <= 64.)
+
+(* Records compare with floats by their bits, so NaN payloads and [-0.]
+   are checked exactly. *)
+let canonical (r : Flight_recorder.record) =
+  let bits = Int64.bits_of_float in
+  ( r.seq,
+    r.at,
+    match r.kind with
+    | Flight_recorder.Decision d ->
+      `Decision (d.addr, d.ctx, bits d.prob, d.coin, d.watched, d.startup)
+    | Flight_recorder.Prob p ->
+      `Prob (p.ctx, p.cause, bits p.from_p, bits p.to_p)
+    | k -> `Kind k )
+
+let test_recorder_round_trip () =
+  let module F = Flight_recorder in
+  let ints = [ min_int; max_int; -1; 0; -123_456_789; max_int - 1 ] in
+  let floats =
+    [ Float.nan; Int64.float_of_bits 0x7ff0_0000_0000_0123L;
+      Int64.float_of_bits 0xfff8_0000_0000_0042L; -0.; 0.; infinity;
+      neg_infinity; Int64.float_of_bits 1L; 4.9e-310; 0.125 ]
+  in
+  let causes =
+    [ F.Decay; F.Halve_on_watch; F.Throttle; F.Revive; F.Pin; F.Degrade ]
+  in
+  let bools = [ (false, false, false); (true, false, true);
+                (false, true, false); (true, true, true) ] in
+  let expected = ref [] in
+  let n = ref 0 in
+  (* [emit] records at the next of [ints]; [kind_at] is what it should
+     read back as, given that [at]. *)
+  let push_at kind_at emit =
+    let at = List.nth ints (!n mod List.length ints) in
+    incr n;
+    emit at;
+    expected := (at, kind_at at) :: !expected
+  in
+  let push kind emit = push_at (fun _ -> kind) emit in
+  let r = F.create ~capacity:1024 () in
+  F.with_recorder r (fun () ->
+      List.iteri
+        (fun k v ->
+          let w = List.nth ints ((k + 1) mod List.length ints) in
+          push
+            (F.Alloc { index = k + 1; addr = v; size = w; ctx = -v; site = v;
+                       off = w })
+            (fun at -> F.alloc ~at ~addr:v ~size:w ~ctx:(-v) ~site:v ~off:w);
+          push (F.Watch { addr = v; ctx = w }) (fun at -> F.watch ~at ~addr:v ~ctx:w);
+          push
+            (F.Replace { victim = v; victim_ctx = w; by = w; by_ctx = v })
+            (fun at -> F.replace ~at ~victim:v ~victim_ctx:w ~by:w ~by_ctx:v);
+          push (F.Unwatch_free { addr = v }) (fun at -> F.unwatch_free ~at ~addr:v);
+          push (F.Free { addr = v }) (fun at -> F.free ~at ~addr:v);
+          List.iter
+            (fun access ->
+              push (F.Trap { addr = v; access; tid = w })
+                (fun at -> F.trap ~at ~addr:v ~access ~tid:w))
+            [ "read"; "write" ];
+          List.iter
+            (fun ok ->
+              push (F.Canary_check { addr = v; ok })
+                (fun at -> F.canary_check ~at ~addr:v ~ok))
+            [ true; false ])
+        ints;
+      List.iteri
+        (fun k prob ->
+          let coin, watched, startup = List.nth bools (k mod 4) in
+          let v = List.nth ints (k mod List.length ints) in
+          push
+            (F.Decision { addr = v; ctx = -v; prob; coin; watched; startup })
+            (fun at ->
+              F.decision ~at ~addr:v ~ctx:(-v) ~prob ~coin ~watched ~startup);
+          let cause = List.nth causes (k mod List.length causes) in
+          let to_p = List.nth floats ((k + 3) mod List.length floats) in
+          push
+            (F.Prob { ctx = v; cause; from_p = prob; to_p })
+            (fun at -> F.prob ~at ~ctx:v ~cause ~from_p:prob ~to_p))
+        floats;
+      (* Each phase with a start from [ints] and with a short span; then
+         spans either side of the largest one coded in the head. *)
+      List.iter
+        (fun p ->
+          let start = List.nth ints (Profiler.index p mod List.length ints) in
+          push_at
+            (fun stop -> F.Phase { phase = Profiler.name p; start; stop })
+            (fun at -> F.phase ~phase:p ~start ~stop:at);
+          let span = Profiler.index p + 1 in
+          push_at
+            (fun stop ->
+              F.Phase { phase = Profiler.name p; start = stop - span; stop })
+            (fun at -> F.phase ~phase:p ~start:(at - span) ~stop:at))
+        Profiler.all;
+      List.iter
+        (fun span ->
+          push_at
+            (fun stop ->
+              F.Phase { phase = "asan.poison"; start = stop - span; stop })
+            (fun at ->
+              F.phase ~phase:Profiler.Asan_poison ~start:(at - span) ~stop:at))
+        [ (1 lsl 54) - 1; 1 lsl 54; 0; -1; max_int ];
+      List.iter
+        (fun source ->
+          push (F.Detection { addr = -7; ctx = max_int; source })
+            (fun at -> F.detection ~at ~addr:(-7) ~ctx:max_int ~source))
+        [ "a source never seen before"; "watchpoint"; "a source never seen before" ];
+      List.iter
+        (fun point -> push (F.Fault { point }) (fun at -> F.fault ~at ~point))
+        [ "point-1"; "point-2"; "point-3"; "point-1"; ""; "read" ]);
+  let expected =
+    List.rev !expected
+    |> List.mapi (fun seq (at, kind) -> canonical { F.seq; at; kind })
+  in
+  Alcotest.(check int) "nothing dropped" 0 (F.dropped r);
+  Alcotest.(check bool) "every kind and value reads back exactly" true
+    (expected = List.map canonical (F.records r));
+  Alcotest.(check int) "detections counted" 3 (F.detection_count r)
+
+(* One real execution at several capacities: each ring holds exactly the
+   last [capacity] records of an unwrapped one, and the streamed lines do
+   not depend on the capacity at all. *)
+let test_ring_suffix_real () =
+  let run app cap =
+    let digest = ref (Digest.string "") and lines = ref 0 in
+    let sink =
+      Event_sink.make (fun line ->
+          incr lines;
+          digest := Digest.string (!digest ^ Digest.string line))
+    in
+    let r = Flight_recorder.create ~capacity:cap () in
+    ignore
+      (Event_sink.with_sink sink (fun () ->
+           Flight_recorder.with_recorder r (fun () ->
+               Execution.run ~app ~config:Config.csod_default ~seed:11 ())));
+    (r, !lines, !digest)
+  in
+  List.iter
+    (fun name ->
+      let app = Option.get (Buggy_app.by_name name) in
+      let full, lines, digest = run app (1 lsl 20) in
+      Alcotest.(check int) (name ^ ": unwrapped") 0 (Flight_recorder.dropped full);
+      Alcotest.(check int) (name ^ ": a line per record") lines
+        (Flight_recorder.recorded full);
+      let all = Array.of_list (Flight_recorder.records full) in
+      let n = Array.length all in
+      List.iter
+        (fun cap ->
+          let r, lines', digest' = run app cap in
+          let label = Printf.sprintf "%s at capacity %d" name cap in
+          Alcotest.(check int) (label ^ ": same records emitted") n
+            (Flight_recorder.recorded r);
+          Alcotest.(check bool) (label ^ ": same stream") true
+            (lines = lines' && Digest.equal digest digest');
+          let kept = min cap n in
+          Alcotest.(check bool) (label ^ ": the last records of the unwrapped ring")
+            true
+            (List.map canonical (Array.to_list (Array.sub all (n - kept) kept))
+            = List.map canonical (Flight_recorder.records r)))
+        [ 1; 3; 1000; 65_536 ])
+    [ "MySQL"; "Libdwarf" ]
+
 (* Recording must not perturb the execution: outcome-level check over a
    few seeds... *)
 let test_recorder_does_not_perturb () =
@@ -650,7 +920,7 @@ let test_recorder_prng_stream () =
 let test_trace_export_structure () =
   let r = Flight_recorder.create ~capacity:64 () in
   Flight_recorder.with_recorder r (fun () ->
-      Flight_recorder.phase ~name:"app" ~start:0 ~stop:100;
+      Flight_recorder.phase ~phase:Profiler.App ~start:0 ~stop:100;
       Flight_recorder.alloc ~at:10 ~addr:0x40 ~size:16 ~ctx:1 ~site:3 ~off:0;
       Flight_recorder.decision ~at:11 ~addr:0x40 ~ctx:1 ~prob:0.5 ~coin:true
         ~watched:true ~startup:false;
@@ -1165,6 +1435,18 @@ let suite =
       test_lifecycle_event_schema;
     Alcotest.test_case "flight recorder ring" `Quick test_flight_recorder_ring;
     Alcotest.test_case "flight record json" `Quick test_flight_record_json;
+    Alcotest.test_case "flight recorder capacity bound" `Quick
+      test_recorder_capacity_bound;
+    Alcotest.test_case "cli refuses an oversized recorder" `Quick
+      test_cli_recorder_capacity_bound;
+    Alcotest.test_case "recording allocates nothing" `Quick
+      test_recording_allocates_nothing;
+    Alcotest.test_case "a recorded execution allocates nothing more" `Quick
+      test_recorded_execution_allocates_nothing_more;
+    Alcotest.test_case "flight recorder exact round trip" `Quick
+      test_recorder_round_trip;
+    Alcotest.test_case "flight recorder ring suffix on real runs" `Quick
+      test_ring_suffix_real;
     Alcotest.test_case "flight recorder does not perturb" `Quick
       test_recorder_does_not_perturb;
     Alcotest.test_case "flight recorder preserves prng stream" `Quick
