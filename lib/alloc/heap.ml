@@ -1,30 +1,54 @@
-
-
 exception Error of string
 
-type obj = {
-  req_size : int;        (* size the caller asked for *)
-  block : int;           (* bytes reserved *)
-  base : int;            (* base of the underlying block (differs from the
-                            object address for memalign interior pointers) *)
-  cls : Size_class.t;
+(* Everything the heap keeps per object and per free block, in flat int
+   arrays: a [malloc]/[free] pair allocates nothing on the OCaml heap and
+   never calls the generic hash.
+
+   Live objects sit in dense slots [0, count), one parallel array per
+   field; freeing an object moves the last slot into its hole.  [index]
+   maps an address to its slot by open addressing (linear probing, a
+   power-of-two capacity at most half full, backward-shift deletion), so
+   it never holds a tombstone.
+
+   A small class's free list is a stack of freed blocks (linked nodes)
+   over the unused rest of its last chunk ([fresh_next], [fresh_limit]):
+   a freed block is reused before the chunk's next one, in the order a
+   list refilled a chunk at a time and consed onto on [free] yields.  A
+   large block size keeps a stack of freed blocks only.
+
+   The store goes back to a domain-local spare at its grown size when the
+   machine's memory is released. *)
+type store = {
+  mutable addr : int array;
+  mutable req_size : int array;      (* size the caller asked for *)
+  mutable block : int array;         (* bytes reserved *)
+  mutable base : int array;          (* base of the underlying block (differs
+                                        from the address for memalign
+                                        interior pointers) *)
+  mutable seq : int array;           (* insertion number, for [iter_live] *)
+  mutable pos : int array;           (* the slot's position in [index] *)
+  mutable count : int;
+  mutable index : int array;         (* slot, or -1 *)
+  mutable shift : int;               (* 63 - log2 (capacity of [index]) *)
+  mutable next_seq : int;
+  mutable buckets : int;             (* see [iter_live] *)
+  small_head : int array;            (* per class: top freed node, or -1 *)
+  fresh_next : int array;            (* per class: next unused chunk address *)
+  fresh_limit : int array;           (* per class: end of the current chunk *)
+  large_head : int Int_table.t;      (* block granules -> top freed node *)
+  mutable node_addr : int array;
+  mutable node_next : int array;     (* next node down the stack, or -1 *)
+  mutable node_top : int;            (* nodes ever handed out *)
+  mutable node_free : int;           (* chain of returned nodes, or -1 *)
+  (* [iter_live] scratch *)
+  mutable tally : int array;
+  mutable order : int array;
+  mutable bucket_of : int array;
 }
-
-(* Keyed by address, with the generic table's own hash: the same bucket
-   for every key, so [iter_live] visits objects in the same order, but
-   lookups compare ints directly instead of calling [compare]. *)
-module Objects = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
 
 type t = {
   m : Machine.t;
-  small_free : int list array;           (* per-class free lists *)
-  large_free : (int, int list) Hashtbl.t; (* block size -> free addrs *)
-  mutable objects : obj Objects.t;       (* live objects by address *)
+  mutable s : store;
   c_mallocs : Metrics.counter;
   c_frees : Metrics.counter;
   g_live_bytes : Metrics.gauge;
@@ -38,31 +62,207 @@ type t = {
   mutable frees : int;
 }
 
-(* The object table is sized for the largest run and is 4,097 words, so
-   it is recycled through a domain-local spare instead of being built in
-   the major heap for every execution. *)
-let objects_slots = 4096
-let spare_objects : obj Objects.t Spare.t = Spare.create ()
+(* [iter_live] walks objects in the order a generic [Hashtbl] keyed by
+   address would: that table started at 4,096 buckets and doubled
+   whenever it held more than twice as many objects as buckets. *)
+let initial_buckets = 4096
 
-(* Hand the object table to the next heap on this domain.  [reset], not
-   [clear]: a table that grew must shrink back to [objects_slots], since
-   the bucket count decides [iter_live]'s order.  The released heap keeps
-   a small table of its own, so it stays usable without aliasing its
-   successor's. *)
+(* A cold store is small: a heap that never grows it costs a few hundred
+   words to build. *)
+let initial_slots = 32
+
+let fresh_store () =
+  { addr = Array.make initial_slots 0;
+    req_size = Array.make initial_slots 0;
+    block = Array.make initial_slots 0;
+    base = Array.make initial_slots 0;
+    seq = Array.make initial_slots 0;
+    pos = Array.make initial_slots 0;
+    count = 0;
+    index = Array.make (2 * initial_slots) (-1);
+    shift = 63 - 6;
+    next_seq = 0;
+    buckets = initial_buckets;
+    small_head = Array.make Size_class.num_small_classes (-1);
+    fresh_next = Array.make Size_class.num_small_classes 0;
+    fresh_limit = Array.make Size_class.num_small_classes 0;
+    large_head = Int_table.create 16;
+    node_addr = Array.make initial_slots 0;
+    node_next = Array.make initial_slots 0;
+    node_top = 0;
+    node_free = -1;
+    tally = [||];
+    order = [||];
+    bucket_of = [||] }
+
+(* Fibonacci hashing: the top bits of the address times an odd constant. *)
+let[@inline] home s a = (a * 0x9E3779B97F4A7C1) lsr s.shift
+
+(* The index position holding address [a], or -1. *)
+let position s a =
+  let index = s.index in
+  let mask = Array.length index - 1 in
+  let i = ref (home s a) and found = ref (-2) in
+  while !found = -2 do
+    let slot = index.(!i) in
+    if slot < 0 then found := -1
+    else if s.addr.(slot) = a then found := !i
+    else i := (!i + 1) land mask
+  done;
+  !found
+
+let slot_of s a =
+  let p = position s a in
+  if p < 0 then -1 else s.index.(p)
+
+let index_insert s a slot =
+  let index = s.index in
+  let mask = Array.length index - 1 in
+  let i = ref (home s a) in
+  while index.(!i) >= 0 do i := (!i + 1) land mask done;
+  index.(!i) <- slot;
+  s.pos.(slot) <- !i
+
+(* Empty position [hole]: pull back every later entry of its cluster that
+   may sit there, so a probe never stops short of its key. *)
+let index_delete s hole =
+  let index = s.index in
+  let mask = Array.length index - 1 in
+  let hole = ref hole and j = ref ((hole + 1) land mask) in
+  while index.(!j) >= 0 do
+    let slot = index.(!j) in
+    let h = home s s.addr.(slot) in
+    (* The entry stays unless its home lies cyclically outside (hole, j]. *)
+    let stays =
+      if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j
+    in
+    if not stays then begin
+      index.(!hole) <- slot;
+      s.pos.(slot) <- !hole;
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  index.(!hole) <- -1
+
+let grow_index s =
+  let cap = 2 * Array.length s.index in
+  s.index <- Array.make cap (-1);
+  s.shift <- s.shift - 1;
+  for slot = 0 to s.count - 1 do
+    index_insert s s.addr.(slot) slot
+  done
+
+let grown a n = let b = Array.make n 0 in Array.blit a 0 b 0 (Array.length a); b
+
+let grow_slots s =
+  let n = 2 * Array.length s.addr in
+  s.addr <- grown s.addr n;
+  s.req_size <- grown s.req_size n;
+  s.block <- grown s.block n;
+  s.base <- grown s.base n;
+  s.seq <- grown s.seq n;
+  s.pos <- grown s.pos n
+
+let add_object s ~addr ~req_size ~block ~base =
+  if s.count = Array.length s.addr then grow_slots s;
+  if 2 * (s.count + 1) > Array.length s.index then grow_index s;
+  let slot = s.count in
+  s.addr.(slot) <- addr;
+  s.req_size.(slot) <- req_size;
+  s.block.(slot) <- block;
+  s.base.(slot) <- base;
+  s.seq.(slot) <- s.next_seq;
+  s.next_seq <- s.next_seq + 1;
+  s.count <- slot + 1;
+  index_insert s addr slot;
+  if s.count > 2 * s.buckets then s.buckets <- 2 * s.buckets
+
+(* Remove the object at index position [p], filling its slot with the
+   last one. *)
+let remove_object s p =
+  let slot = s.index.(p) in
+  index_delete s p;
+  let last = s.count - 1 in
+  if slot <> last then begin
+    let p = s.pos.(last) in
+    s.index.(p) <- slot;
+    s.pos.(slot) <- p;
+    s.addr.(slot) <- s.addr.(last);
+    s.req_size.(slot) <- s.req_size.(last);
+    s.block.(slot) <- s.block.(last);
+    s.base.(slot) <- s.base.(last);
+    s.seq.(slot) <- s.seq.(last)
+  end;
+  s.count <- last
+
+(* ---- free-block stacks ---- *)
+
+let push_node s addr next =
+  let n =
+    if s.node_free >= 0 then begin
+      let n = s.node_free in
+      s.node_free <- s.node_next.(n);
+      n
+    end
+    else begin
+      if s.node_top = Array.length s.node_addr then begin
+        let len = 2 * s.node_top in
+        s.node_addr <- grown s.node_addr len;
+        s.node_next <- grown s.node_next len
+      end;
+      let n = s.node_top in
+      s.node_top <- n + 1;
+      n
+    end
+  in
+  s.node_addr.(n) <- addr;
+  s.node_next.(n) <- next;
+  n
+
+(* Pop node [n]: its address, with [n] returned to the spare nodes. *)
+let drop_node s n =
+  let addr = s.node_addr.(n) in
+  s.node_next.(n) <- s.node_free;
+  s.node_free <- n;
+  addr
+
+(* ---- recycling ---- *)
+
+let spare_store : store Spare.t = Spare.create ()
+
+(* Empty [s] for its next heap, keeping every array at its grown size.
+   Only the index positions of objects still live are cleared: most
+   executions free every object. *)
+let empty s =
+  for slot = 0 to s.count - 1 do
+    s.index.(s.pos.(slot)) <- -1
+  done;
+  s.count <- 0;
+  s.next_seq <- 0;
+  s.buckets <- initial_buckets;
+  Array.fill s.small_head 0 (Array.length s.small_head) (-1);
+  Array.fill s.fresh_next 0 (Array.length s.fresh_next) 0;
+  Array.fill s.fresh_limit 0 (Array.length s.fresh_limit) 0;
+  Int_table.clear s.large_head;
+  s.node_top <- 0;
+  s.node_free <- -1
+
+(* Hand the store to the next heap on this domain.  The released heap
+   forgets its objects and free blocks (both leak, as when a process
+   exits) and keeps a small store of its own, so it stays usable without
+   aliasing its successor's. *)
 let recycle t =
-  let tbl = t.objects in
-  t.objects <- Objects.create 16;
-  Objects.reset tbl;
-  Spare.give spare_objects tbl
+  let s = t.s in
+  t.s <- fresh_store ();
+  empty s;
+  Spare.give spare_store s
 
 let create m =
   let reg = Machine.registry m in
   let t =
     { m;
-      small_free = Array.make Size_class.num_small_classes [];
-      large_free = Hashtbl.create 32;
-      objects =
-        Spare.take spare_objects ~fresh:(fun () -> Objects.create objects_slots);
+      s = Spare.take spare_store ~fresh:fresh_store;
       c_mallocs = Metrics.counter reg "heap.mallocs";
       c_frees = Metrics.counter reg "heap.frees";
       g_live_bytes = Metrics.gauge reg "heap.live_bytes";
@@ -80,53 +280,67 @@ let create m =
 
 let machine t = t.m
 
+(* Advance the break by [n] bytes, refusing to wrap past [max_int]. *)
+let carve t n =
+  if n > max_int - 15 - Machine.brk t.m then
+    raise (Error (Printf.sprintf "out of address space: %d more bytes" n));
+  t.carved <- t.carved + n;
+  Machine.sbrk t.m n
+
 (* Small classes are refilled a chunk at a time so that consecutive objects
    of one class are adjacent, as in a real segregated heap. *)
 let chunk_bytes = 16384
 
-let refill_small t idx block =
-  let n = max 1 (chunk_bytes / block) in
-  let start = Machine.sbrk t.m (n * block) in
-  t.carved <- t.carved + (n * block);
-  let rec push i acc = if i < 0 then acc else push (i - 1) (start + (i * block) :: acc) in
-  t.small_free.(idx) <- push (n - 1) [] @ t.small_free.(idx)
+(* The top freed node of a large block size, or -1. *)
+let large_top s key =
+  match Int_table.find s.large_head key with
+  | top -> top
+  | exception Not_found -> -1
 
-let take_block t cls =
-  match cls with
-  | Size_class.Small block ->
-    let idx = Size_class.small_index block in
-    (match t.small_free.(idx) with
-     | addr :: rest ->
-       t.small_free.(idx) <- rest;
-       addr
-     | [] ->
-       refill_small t idx block;
-       (match t.small_free.(idx) with
-        | addr :: rest ->
-          t.small_free.(idx) <- rest;
-          addr
-        | [] -> assert false))
-  | Size_class.Large block ->
-    (match Hashtbl.find_opt t.large_free block with
-     | Some (addr :: rest) ->
-       Hashtbl.replace t.large_free block rest;
-       addr
-     | Some [] | None ->
-       t.carved <- t.carved + block;
-       Machine.sbrk t.m block)
+let take_block t block =
+  let s = t.s in
+  if block <= Size_class.max_class then begin
+    let c = Size_class.small_index block in
+    let top = s.small_head.(c) in
+    if top >= 0 then begin
+      s.small_head.(c) <- s.node_next.(top);
+      drop_node s top
+    end
+    else begin
+      if s.fresh_next.(c) >= s.fresh_limit.(c) then begin
+        let n = max 1 (chunk_bytes / block) in
+        let start = carve t (n * block) in
+        s.fresh_next.(c) <- start;
+        s.fresh_limit.(c) <- start + (n * block)
+      end;
+      let addr = s.fresh_next.(c) in
+      s.fresh_next.(c) <- addr + block;
+      addr
+    end
+  end
+  else begin
+    let key = block / Size_class.align in
+    let top = large_top s key in
+    if top >= 0 then begin
+      Int_table.replace s.large_head key s.node_next.(top);
+      drop_node s top
+    end
+    else carve t block
+  end
 
-let return_block t cls base =
-  match cls with
-  | Size_class.Small block ->
-    let idx = Size_class.small_index block in
-    t.small_free.(idx) <- base :: t.small_free.(idx)
-  | Size_class.Large block ->
-    let prev = Option.value ~default:[] (Hashtbl.find_opt t.large_free block) in
-    Hashtbl.replace t.large_free block (base :: prev)
+let return_block t block base =
+  let s = t.s in
+  if block <= Size_class.max_class then begin
+    let c = Size_class.small_index block in
+    s.small_head.(c) <- push_node s base s.small_head.(c)
+  end
+  else begin
+    let key = block / Size_class.align in
+    Int_table.replace s.large_head key (push_node s base (large_top s key))
+  end
 
-let register t ~addr ~base ~req_size ~cls =
-  let block = Size_class.block_size cls in
-  Objects.replace t.objects addr { req_size; block; base; cls };
+let register t ~addr ~base ~req_size ~block =
+  add_object t.s ~addr ~req_size ~block ~base;
   t.allocs <- t.allocs + 1;
   Metrics.incr t.c_mallocs;
   Metrics.observe t.h_alloc_bytes req_size;
@@ -139,26 +353,32 @@ let register t ~addr ~base ~req_size ~cls =
 
 let malloc t size =
   if size < 0 then raise (Error "malloc: negative size");
+  if size > Size_class.max_request then raise (Error "malloc: size overflows");
   Machine.work_as t.m Profiler.Alloc_fast Cost.malloc_base;
-  let cls = Size_class.classify size in
-  let addr = take_block t cls in
-  register t ~addr ~base:addr ~req_size:size ~cls;
+  let block = Size_class.block_bytes size in
+  let addr = take_block t block in
+  register t ~addr ~base:addr ~req_size:size ~block;
   addr
 
 let free t addr =
   Machine.work_as t.m Profiler.Alloc_fast Cost.malloc_base;
-  match Objects.find t.objects addr with
-  | exception Not_found ->
+  let s = t.s in
+  let p = position s addr in
+  if p < 0 then begin
     if addr = 0 then () (* free(NULL) is a no-op *)
     else raise (Error (Printf.sprintf "free: invalid or already-freed pointer 0x%x" addr))
-  | obj ->
-    Objects.remove t.objects addr;
+  end
+  else begin
+    let slot = s.index.(p) in
+    let req_size = s.req_size.(slot) and block = s.block.(slot) and base = s.base.(slot) in
+    remove_object s p;
     t.frees <- t.frees + 1;
     Metrics.incr t.c_frees;
-    t.live_bytes <- t.live_bytes - obj.req_size;
+    t.live_bytes <- t.live_bytes - req_size;
     Metrics.set t.g_live_bytes t.live_bytes;
-    t.live_block_bytes <- t.live_block_bytes - obj.block;
-    return_block t obj.cls obj.base
+    t.live_block_bytes <- t.live_block_bytes - block;
+    return_block t block base
+  end
 
 let calloc t ~count ~size =
   if count < 0 || size < 0 then raise (Error "calloc: negative argument");
@@ -177,27 +397,27 @@ let realloc t ptr size =
     0
   end
   else
-    match Objects.find_opt t.objects ptr with
-    | None -> raise (Error (Printf.sprintf "realloc: invalid pointer 0x%x" ptr))
-    | Some obj ->
-      if size <= obj.block - (ptr - obj.base) then begin
-        (* Shrink or grow within the existing block: update bookkeeping. *)
-        t.live_bytes <- t.live_bytes - obj.req_size + size;
-        if t.live_bytes > t.peak_live then t.peak_live <- t.live_bytes;
-        Metrics.set t.g_live_bytes t.live_bytes;
-        Objects.replace t.objects ptr { obj with req_size = size };
-        ptr
-      end
-      else begin
-        let fresh = malloc t size in
-        let mem = Machine.mem t.m in
-        let copy = min obj.req_size size in
-        for i = 0 to copy - 1 do
-          Sparse_mem.write_u8 mem (fresh + i) (Sparse_mem.read_u8 mem (ptr + i))
-        done;
-        free t ptr;
-        fresh
-      end
+    let s = t.s in
+    let slot = slot_of s ptr in
+    if slot < 0 then raise (Error (Printf.sprintf "realloc: invalid pointer 0x%x" ptr))
+    else if size <= s.block.(slot) - (ptr - s.base.(slot)) then begin
+      (* Shrink or grow within the existing block: update bookkeeping. *)
+      t.live_bytes <- t.live_bytes - s.req_size.(slot) + size;
+      if t.live_bytes > t.peak_live then t.peak_live <- t.live_bytes;
+      Metrics.set t.g_live_bytes t.live_bytes;
+      s.req_size.(slot) <- size;
+      ptr
+    end
+    else begin
+      let old_size = s.req_size.(slot) in
+      let fresh = malloc t size in
+      let mem = Machine.mem t.m in
+      for i = 0 to min old_size size - 1 do
+        Sparse_mem.write_u8 mem (fresh + i) (Sparse_mem.read_u8 mem (ptr + i))
+      done;
+      free t ptr;
+      fresh
+    end
 
 let memalign t ~alignment ~size =
   if alignment <= 0 || alignment land (alignment - 1) <> 0 then
@@ -205,29 +425,89 @@ let memalign t ~alignment ~size =
   if alignment > 4096 then raise (Error "memalign: alignment too large");
   if alignment <= Size_class.align then malloc t size
   else begin
+    if size < 0 then raise (Error "memalign: negative size");
+    if size > Size_class.max_request - alignment then
+      raise (Error "memalign: size overflows");
     Machine.work_as t.m Profiler.Alloc_fast Cost.malloc_base;
-    let cls = Size_class.classify (size + alignment) in
-    let base = take_block t cls in
+    let block = Size_class.block_bytes (size + alignment) in
+    let base = take_block t block in
     let addr = (base + alignment - 1) / alignment * alignment in
-    register t ~addr ~base ~req_size:size ~cls;
+    register t ~addr ~base ~req_size:size ~block;
     addr
   end
 
 let size_of t addr =
-  Option.map (fun o -> o.req_size) (Objects.find_opt t.objects addr)
+  let s = t.s in
+  let slot = slot_of s addr in
+  if slot < 0 then None else Some s.req_size.(slot)
 
-let is_live t addr = Objects.mem t.objects addr
+let is_live t addr = position t.s addr >= 0
 
 let usable_size t addr =
-  Option.map (fun o -> o.block - (addr - o.base)) (Objects.find_opt t.objects addr)
+  let s = t.s in
+  let slot = slot_of s addr in
+  if slot < 0 then None else Some (s.block.(slot) - (addr - s.base.(slot)))
 
-(* An empty table is not scanned: most executions free every object, and
-   the scan of 4,096 empty buckets was all of their termination handling. *)
+let scratch a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
+
+(* The generic table's order: buckets [Hashtbl.hash addr land (buckets -
+   1)] ascending, newest insertion first within a bucket (its resize keeps
+   each bucket's order, and an in-place [realloc] keeps the insertion).
+   A counting sort places the slots in [bins] coarse bins by the top bits
+   of their bucket, as many bins as objects (at most [buckets]), so it
+   costs O(live objects) however many buckets there are; an insertion
+   sort then orders each bin's few slots by bucket and descending
+   insertion number.  An empty heap is not sorted: most executions free
+   every object. *)
 let iter_live f t =
-  if Objects.length t.objects > 0 then
-    Objects.iter (fun addr o -> f ~addr ~size:o.req_size) t.objects
+  let s = t.s in
+  let n = s.count in
+  if n > 0 then begin
+    let bins = ref 1 and shift = ref 0 in
+    while !bins < n && !bins < s.buckets do bins := 2 * !bins done;
+    while !bins lsl !shift < s.buckets do incr shift done;
+    let bins = !bins and shift = !shift in
+    s.tally <- scratch s.tally (bins + 1);
+    s.order <- scratch s.order n;
+    s.bucket_of <- scratch s.bucket_of n;
+    let tally = s.tally and order = s.order and bucket_of = s.bucket_of in
+    Array.fill tally 0 (bins + 1) 0;
+    for slot = 0 to n - 1 do
+      let b = Hashtbl.hash s.addr.(slot) land (s.buckets - 1) in
+      bucket_of.(slot) <- b;
+      let bin = b lsr shift in
+      tally.(bin + 1) <- tally.(bin + 1) + 1
+    done;
+    for bin = 1 to bins do
+      tally.(bin) <- tally.(bin) + tally.(bin - 1)
+    done;
+    for slot = 0 to n - 1 do
+      let bin = bucket_of.(slot) lsr shift in
+      order.(tally.(bin)) <- slot;
+      tally.(bin) <- tally.(bin) + 1
+    done;
+    for i = 1 to n - 1 do
+      let x = order.(i) in
+      let bx = bucket_of.(x) and sx = s.seq.(x) in
+      let j = ref (i - 1) in
+      while
+        !j >= 0
+        &&
+        let y = order.(!j) in
+        bucket_of.(y) > bx || (bucket_of.(y) = bx && s.seq.(y) < sx)
+      do
+        order.(!j + 1) <- order.(!j);
+        decr j
+      done;
+      order.(!j + 1) <- x
+    done;
+    for i = 0 to n - 1 do
+      let slot = order.(i) in
+      f ~addr:s.addr.(slot) ~size:s.req_size.(slot)
+    done
+  end
 
-let live_objects t = Objects.length t.objects
+let live_objects t = t.s.count
 let live_bytes t = t.live_bytes
 let peak_live_bytes t = t.peak_live
 let total_allocs t = t.allocs
@@ -238,4 +518,4 @@ let resident_bytes t =
      (4 words per entry).  Free-list slack is reusable address space, not
      resident pages: untouched sparse memory costs nothing, mirroring how
      VmHWM sees an mmap-backed allocator. *)
-  t.peak_block_bytes + (Objects.length t.objects * 4 * 8)
+  t.peak_block_bytes + (t.s.count * 4 * 8)

@@ -20,11 +20,14 @@ exception Error of string
 
 val create : Machine.t -> t
 (** An empty heap drawing address space from the machine via [sbrk].  Its
-    object table comes from a domain-local spare when one is there, and
-    goes back to it when the machine's memory is released
-    ({!Sparse_mem.release}): a warm execution builds no table.  The
-    released heap forgets its live objects but stays usable, on a small
-    table of its own. *)
+    objects and free blocks live in flat [int] arrays, so [malloc] and
+    [free] allocate nothing on the OCaml heap once the arrays have grown.
+    The arrays start at a few dozen slots and double as needed; they come
+    from a domain-local spare when one is there, and go back to it at
+    their grown size when the machine's memory is released
+    ({!Sparse_mem.release}): a warm execution builds none.  The released
+    heap forgets its live objects and free blocks but stays usable, on
+    small arrays of its own. *)
 
 val machine : t -> Machine.t
 
@@ -32,7 +35,9 @@ val machine : t -> Machine.t
 
 val malloc : t -> int -> int
 (** [malloc t size] reserves at least [size] bytes, 16-byte aligned.  Every
-    call advances the clock by {!Cost.malloc_base}. *)
+    call advances the clock by {!Cost.malloc_base}.  Raises {!Error} on a
+    negative size, and on one whose rounding or break advance would pass
+    [max_int]. *)
 
 val free : t -> int -> unit
 (** Return a block.  Raises {!Error} on double free or unknown pointers. *)
@@ -48,7 +53,9 @@ val realloc : t -> int -> int -> int
 
 val memalign : t -> alignment:int -> size:int -> int
 (** Power-of-two alignments up to 4096.  May over-allocate and return an
-    interior pointer; [free] accepts that pointer. *)
+    interior pointer; [free] accepts that pointer.  Raises {!Error} on a
+    bad alignment, a negative size, or a size whose padding would pass
+    [max_int]. *)
 
 (** {1 Introspection} *)
 
@@ -63,10 +70,17 @@ val usable_size : t -> int -> int option
     canaries. *)
 
 val iter_live : (addr:int -> size:int -> unit) -> t -> unit
-(** Walk every live object (address and requested size), in no particular
-    order.  CSOD's Termination Handling Unit uses this to verify the
-    canary of every still-allocated object at exit.  Costs nothing when
-    no object is live. *)
+(** Walk every live object (address and requested size).  CSOD's
+    Termination Handling Unit uses this to verify the canary of every
+    still-allocated object at exit, so the order is the order of its
+    exit-time reports, and it is fixed: the order of a generic [Hashtbl]
+    keyed by address.  Objects go by bucket [Hashtbl.hash addr land (nb -
+    1)] ascending, newest insertion first within a bucket.  [nb] starts
+    at 4,096 and doubles whenever the live count exceeds [2 * nb]; it
+    never shrinks while the heap lives.  An in-place {!realloc} keeps
+    its object's place; one that moves it inserts the new address.
+    [f] must not allocate or free on this heap.  Costs nothing when no
+    object is live. *)
 
 val live_objects : t -> int
 val live_bytes : t -> int

@@ -1,14 +1,22 @@
 let min_class = 16
 let max_class = 4096
 let align = 16
+let max_request = max_int - (align - 1)
 
 type t = Small of int | Large of int
 
+let block_bytes size =
+  if size < 0 || size > max_request then
+    invalid_arg "Size_class.block_bytes: size out of range";
+  let size = if size = 0 then 1 else size in
+  (size + align - 1) / align * align
+
+(* [max_class] is a multiple of [align], so a request is small exactly
+   when its rounded block is. *)
 let classify size =
   if size < 0 then invalid_arg "Size_class.classify: negative size";
-  let size = if size = 0 then 1 else size in
-  let rounded = (size + align - 1) / align * align in
-  if size <= max_class then Small rounded else Large rounded
+  let block = block_bytes size in
+  if block <= max_class then Small block else Large block
 
 let block_size = function Small n -> n | Large n -> n
 

@@ -22,9 +22,19 @@ type t =
   | Small of int  (** 16-byte-stepped block size in [\[min_class, max_class\]] *)
   | Large of int  (** 16-byte-rounded byte size above [max_class] *)
 
+val max_request : int
+(** The largest request whose 16-byte rounding does not overflow. *)
+
+val block_bytes : int -> int
+(** [block_bytes size] is the block a request of [size] bytes reserves
+    ([0 <= size <= max_request]; a request of 0 is treated as 1, matching
+    malloc), without building a {!t}: the class is small exactly when the
+    block is at most {!max_class}.  Raises [Invalid_argument] outside
+    that range. *)
+
 val classify : int -> t
-(** [classify size] for a request of [size] bytes ([size >= 0]; a request of
-    0 is treated as 1, matching malloc). *)
+(** [classify size] for a request of [size] bytes, the class of
+    [block_bytes size]. *)
 
 val block_size : t -> int
 (** Bytes actually reserved for an object of this class. *)

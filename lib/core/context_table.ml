@@ -21,35 +21,41 @@ type entry = {
   bt_len : int;
 }
 
-type t = {
-  params : Params.t;
-  machine : Machine.t;
-  rng : Prng.t;
-  mutable table : (Alloc_ctx.key, entry) Chained_table.t;
-  mutable by_id : (int, entry) Hashtbl.t;
+(* One open-addressing index over (call site, stack offset) into a dense
+   array of entries indexed by id: ids are dense and handed out in
+   first-sight order, and entries are never removed.  [index] holds an
+   id, or -1; its capacity is a power of two at most half full.  A probe
+   compares two ints of [sites]/[offsets] (the key of entry [id]), so a
+   lookup that finds its context allocates nothing.  The arrays go back
+   to a domain-local spare at their grown size when the machine's memory
+   is released, so a warm execution builds none. *)
+type store = {
+  mutable entries : entry array;
+  mutable sites : int array;
+  mutable offsets : int array;
+  mutable count : int;
+  mutable index : int array;
+  mutable shift : int;  (* 63 - log2 (capacity of [index]) *)
   (* Every context's full backtrace, innermost first, one after another:
      written once on first sight, read only to build a report. *)
   mutable bt : int array;
   mutable bt_top : int;
+}
+
+type t = {
+  params : Params.t;
+  machine : Machine.t;
+  rng : Prng.t;
+  mutable st : store;
   c_allocations : Metrics.counter;
   c_bursts : Metrics.counter;
   c_revivals : Metrics.counter;
   g_contexts : Metrics.gauge;
-  mutable next_id : int;
   mutable allocations : int;
   mutable watches : int;
-  (* Direct-mapped memo of recently used contexts, indexed by a hash of
-     the (call site, stack offset) pair: a hit skips the key tuple, the
-     table probe and the insertion closure, so it allocates nothing.
-     Entries are never removed from the table, and a released table
-     swaps in a new memo with its new table, so the memo can never go
-     stale. *)
-  mutable memo : entry array;
 }
 
-let memo_slots = 256
-
-(* Fills empty memo slots; its key matches no context. *)
+(* Fills unused entry slots. *)
 let no_entry =
   { id = -1;
     key = (min_int, min_int);
@@ -61,65 +67,101 @@ let no_entry =
     bt_off = 0;
     bt_len = 0 }
 
-let memo_index callsite offset =
-  (((callsite * 0x9E3779B1) lxor (offset * 0x85EBCA77)) lsr 20)
-  land (memo_slots - 1)
-
-(* The paper sizes the table "to a large number" up front, and Table V
-   charges all 2,048 buckets, so the table never grows; it is recycled
-   through a domain-local spare instead of being built in the major heap
-   for every execution, together with the backtrace buffer at whatever
-   size the last table grew it to. *)
-let buckets = 2048
+(* Table V charges the paper's table "sized to a large number" up front:
+   2,048 buckets, a 4-word chain node and 10 words per entry, 8 bytes per
+   frame of its full context.  These are model constants; the index the
+   simulator probes starts small and grows. *)
+let charged_buckets = 2048
+let initial_slots = 32
 let bt_slots = 1024
-let spare_tables :
-    ((Alloc_ctx.key, entry) Chained_table.t * int array) Spare.t =
-  Spare.create ()
 
-let fresh_table ~buckets =
-  Chained_table.create ~buckets ~hash:Alloc_ctx.hash_key ~equal:Alloc_ctx.equal_key ()
+let fresh_store ~bt =
+  { entries = Array.make initial_slots no_entry;
+    sites = Array.make initial_slots 0;
+    offsets = Array.make initial_slots 0;
+    count = 0;
+    index = Array.make (2 * initial_slots) (-1);
+    shift = 63 - 6;
+    bt;
+    bt_top = 0 }
 
-(* Hand the buckets and the backtrace buffer to the next table on this
-   domain.  The released table keeps a small table and an empty buffer of
-   its own and forgets its contexts, so it stays usable without aliasing
-   its successor's.  Its id index and memo are replaced rather than
-   emptied: overwriting a major-heap pointer costs a write barrier, and
-   these are small enough to rebuild in the minor heap. *)
+let spare_stores : store Spare.t = Spare.create ()
+
+(* Hand the arrays to the next table on this domain, emptied: the index
+   loses its ids, and the entries are dropped so the spare does not keep
+   them alive.  The released table keeps small arrays of its own and
+   forgets its contexts, so it stays usable without aliasing its
+   successor's. *)
 let recycle t =
-  let tbl = t.table and bt = t.bt in
-  t.table <- fresh_table ~buckets:16;
-  t.by_id <- Hashtbl.create 16;
-  t.memo <- Array.make memo_slots no_entry;
-  t.bt <- [||];
-  t.bt_top <- 0;
-  Chained_table.clear tbl;
-  Spare.give spare_tables (tbl, bt)
+  let s = t.st in
+  t.st <- fresh_store ~bt:[||];
+  Array.fill s.index 0 (Array.length s.index) (-1);
+  Array.fill s.entries 0 s.count no_entry;
+  s.count <- 0;
+  s.bt_top <- 0;
+  Spare.give spare_stores s
 
 let create ~params ~machine ~rng =
   let reg = Machine.registry machine in
-  let table, bt =
-    Spare.take spare_tables ~fresh:(fun () ->
-        (fresh_table ~buckets, Array.make bt_slots 0))
-  in
   let t =
     { params;
       machine;
       rng;
-      table;
-      by_id = Hashtbl.create 256;
-      bt;
-      bt_top = 0;
+      st = Spare.take spare_stores ~fresh:(fun () -> fresh_store ~bt:(Array.make bt_slots 0));
       c_allocations = Metrics.counter reg "smu.allocations";
       c_bursts = Metrics.counter reg "smu.burst_throttles";
       c_revivals = Metrics.counter reg "smu.revivals";
       g_contexts = Metrics.gauge reg "smu.contexts";
-      next_id = 0;
       allocations = 0;
-      watches = 0;
-      memo = Array.make memo_slots no_entry }
+      watches = 0 }
   in
   Sparse_mem.on_release (Machine.mem machine) (fun () -> recycle t);
   t
+
+(* Fibonacci hashing of the mixed pair. *)
+let[@inline] home s site off =
+  (((site * 0x9E3779B1) lxor (off * 0x85EBCA77)) * 0x9E3779B97F4A7C1) lsr s.shift
+
+(* The index position of (site, off): the one holding its id, or the empty
+   one where it would go. *)
+let position s site off =
+  let index = s.index in
+  let mask = Array.length index - 1 in
+  let i = ref (home s site off) in
+  while
+    let id = index.(!i) in
+    id >= 0 && not (s.sites.(id) = site && s.offsets.(id) = off)
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let lookup s site off = s.index.(position s site off)
+
+let grown a n fill = let b = Array.make n fill in Array.blit a 0 b 0 (Array.length a); b
+
+(* Append [e] under its key, growing the arrays and the index by
+   doubling. *)
+let add s (e : entry) site off =
+  let id = s.count in
+  if id = Array.length s.entries then begin
+    let n = 2 * id in
+    s.entries <- grown s.entries n no_entry;
+    s.sites <- grown s.sites n 0;
+    s.offsets <- grown s.offsets n 0
+  end;
+  s.entries.(id) <- e;
+  s.sites.(id) <- site;
+  s.offsets.(id) <- off;
+  s.count <- id + 1;
+  if 2 * s.count > Array.length s.index then begin
+    s.index <- Array.make (2 * Array.length s.index) (-1);
+    s.shift <- s.shift - 1;
+    for k = 0 to id do
+      s.index.(position s s.sites.(k) s.offsets.(k)) <- k
+    done
+  end
+  else s.index.(position s site off) <- id
 
 (* [Clock.seconds], computed here: a [float] returned from another module
    is boxed, and the allocation path reads the time on every call. *)
@@ -146,28 +188,26 @@ let clamp_floor t e =
   end
 
 (* Append [frames] to the backtrace buffer, doubling it when full. *)
-let store_backtrace t frames =
-  let off = t.bt_top in
+let store_backtrace s frames =
+  let off = s.bt_top in
   let len = List.length frames in
-  if off + len > Array.length t.bt then begin
-    let cap = ref (max bt_slots (Array.length t.bt)) in
+  if off + len > Array.length s.bt then begin
+    let cap = ref (max bt_slots (Array.length s.bt)) in
     while off + len > !cap do cap := 2 * !cap done;
     let arr = Array.make !cap 0 in
-    Array.blit t.bt 0 arr 0 off;
-    t.bt <- arr
+    Array.blit s.bt 0 arr 0 off;
+    s.bt <- arr
   end;
-  List.iteri (fun i pc -> Array.unsafe_set t.bt (off + i) pc) frames;
-  t.bt_top <- off + len;
+  List.iteri (fun i pc -> Array.unsafe_set s.bt (off + i) pc) frames;
+  s.bt_top <- off + len;
   len
 
 let fresh_entry t (ctx : Alloc_ctx.t) =
   (* First sight of this context: the paper acquires the whole calling
      context once, with the expensive backtrace walk. *)
-  let bt_off = t.bt_top in
-  let bt_len = store_backtrace t (ctx.Alloc_ctx.backtrace ()) in
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  { id;
+  let bt_off = t.st.bt_top in
+  let bt_len = store_backtrace t.st (ctx.Alloc_ctx.backtrace ()) in
+  { id = t.st.count;
     key = Alloc_ctx.key ctx;
     s =
       { prob = t.params.Params.initial_prob;
@@ -182,29 +222,22 @@ let fresh_entry t (ctx : Alloc_ctx.t) =
     bt_len }
 
 let full_ctx t e =
-  let rec go i acc = if i < e.bt_off then acc else go (i - 1) (t.bt.(i) :: acc) in
+  let rec go i acc = if i < e.bt_off then acc else go (i - 1) (t.st.bt.(i) :: acc) in
   go (e.bt_off + e.bt_len - 1) []
 
 let on_allocation t ctx =
   Machine.work_as t.machine Profiler.Smu_lookup Cost.context_lookup;
-  let callsite = ctx.Alloc_ctx.callsite and offset = ctx.Alloc_ctx.stack_offset in
-  let slot = memo_index callsite offset in
-  let cached = t.memo.(slot) in
+  let site = ctx.Alloc_ctx.callsite and off = ctx.Alloc_ctx.stack_offset in
+  let id = lookup t.st site off in
   let e =
-    let kc, ko = cached.key in
-    if kc = callsite && ko = offset then cached
+    if id >= 0 then t.st.entries.(id)
     else begin
-      let e =
-        Chained_table.find_or_add t.table (Alloc_ctx.key ctx) ~default:(fun () ->
-            let e = fresh_entry t ctx in
-            Hashtbl.replace t.by_id e.id e;
-            e)
-      in
-      t.memo.(slot) <- e;
+      let e = fresh_entry t ctx in
+      add t.st e site off;
       e
     end
   in
-  if e.allocs = 0 then Metrics.set t.g_contexts (Chained_table.length t.table);
+  if e.allocs = 0 then Metrics.set t.g_contexts t.st.count;
   t.allocations <- t.allocations + 1;
   Metrics.incr t.c_allocations;
   e.allocs <- e.allocs + 1;
@@ -275,13 +308,19 @@ let pin t e =
   if Flight_recorder.active () then
     note_prob t e Flight_recorder.Pin ~from_p:before
 
-let find t key = Chained_table.find t.table key
-let find_by_id t id = Hashtbl.find_opt t.by_id id
-let num_contexts t = Chained_table.length t.table
+let find t (site, off) =
+  let id = lookup t.st site off in
+  if id < 0 then None else Some t.st.entries.(id)
+
+let find_by_id t id = if id >= 0 && id < t.st.count then Some t.st.entries.(id) else None
+let num_contexts t = t.st.count
 let total_allocations t = t.allocations
 let total_watches t = t.watches
-let iter f t = Chained_table.iter (fun _ e -> f e) t.table
+
+let iter f t =
+  for id = 0 to t.st.count - 1 do
+    f t.st.entries.(id)
+  done
 
 let memory_bytes t =
-  Chained_table.memory_bytes t.table
-  + Chained_table.fold (fun _ e acc -> acc + (10 * 8) + (8 * e.bt_len)) t.table 0
+  (charged_buckets * 8) + (t.st.count * ((4 * 8) + (10 * 8))) + (8 * t.st.bt_top)

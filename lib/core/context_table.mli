@@ -47,15 +47,19 @@ val prob : entry -> float
 type t
 
 val create : params:Params.t -> machine:Machine.t -> rng:Prng.t -> t
-(** [rng] drives the reviving coin flips.  The 2,048 buckets and the
-    buffer of full backtraces come from a domain-local spare when one is
-    there, and go back to it, emptied, when the machine's memory is
-    released ({!Sparse_mem.release}).  The released table forgets its
-    contexts but stays usable, on a small table of its own. *)
+(** [rng] drives the reviving coin flips.  Entries sit in a dense array
+    indexed by id, found by one open-addressing index over (call site,
+    stack offset); both start at a few dozen slots and double as needed.
+    These arrays and the buffer of full backtraces come from a
+    domain-local spare when one is there, and go back to it, emptied, at
+    their grown size when the machine's memory is released
+    ({!Sparse_mem.release}).  The released table forgets its contexts but
+    stays usable, on small arrays of its own. *)
 
 val on_allocation : t -> Alloc_ctx.t -> entry
 (** The per-allocation hot path: look up (or create, capturing the full
-    backtrace once) the context entry, count the allocation, apply
+    backtrace once) the context entry — a lookup that finds it allocates
+    nothing — count the allocation, apply
     degradation, burst bookkeeping, and the reviving rule.  Charges
     {!Cost.context_lookup} and {!Cost.prob_update} (plus
     {!Cost.backtrace_full} on first sight) to the machine clock. *)
@@ -81,12 +85,19 @@ val full_ctx : t -> entry -> int list
 val find : t -> Alloc_ctx.key -> entry option
 
 val find_by_id : t -> int -> entry option
-(** Resolve a header's CallingContextPtr back to its entry. *)
+(** Resolve a header's CallingContextPtr back to its entry: [None] for any
+    id outside [\[0, num_contexts t)], such as one read from a corrupted
+    header. *)
 
 val num_contexts : t -> int
 val total_allocations : t -> int
 val total_watches : t -> int
 val iter : (entry -> unit) -> t -> unit
+(** Every entry, in id order. *)
 
 val memory_bytes : t -> int
-(** Resident cost of the table, for Table V accounting. *)
+(** Resident cost of the table, for Table V accounting: the paper's table
+    "sized to a large number" up front, charged as model constants — 2,048
+    buckets of 8 bytes, a 4-word node and 10 words per entry, and 8 bytes
+    per frame of each full context.  It does not measure the simulator's
+    own index. *)

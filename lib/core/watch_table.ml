@@ -12,8 +12,8 @@ type t = {
   machine : Machine.t;
   rng : Prng.t;
   ring : wp Ring.t; (* oldest-first; the near-FIFO circular buffer *)
-  by_fd : (Hw_breakpoint.fd, wp) Hashtbl.t;
-  by_obj : (int, wp) Hashtbl.t;
+  by_fd : wp Int_table.t;
+  combined : bool option; (* [Params.combined_syscall], passed on as is *)
   c_installs : Metrics.counter;
   c_evictions : Metrics.counter;
   c_replacements : Metrics.counter;
@@ -61,8 +61,8 @@ let create ~params ~machine ~rng =
       machine;
       rng;
       ring = Ring.create ~capacity:Hw_breakpoint.num_slots;
-      by_fd = Hashtbl.create 64;
-      by_obj = Hashtbl.create 64;
+      by_fd = Int_table.create 64;
+      combined = Some params.Params.combined_syscall;
       c_installs = Metrics.counter reg "wmu.installs";
       c_evictions = Metrics.counter reg "wmu.evictions";
       c_replacements = Metrics.counter reg "wmu.replacements";
@@ -80,7 +80,7 @@ let create ~params ~machine ~rng =
           match install_for_tid t ~combined ~watch_addr:wp.watch_addr tid with
           | `Fd fd ->
             wp.fds <- (tid, fd) :: wp.fds;
-            Hashtbl.replace t.by_fd fd wp
+            Int_table.replace t.by_fd fd wp
           | `Skip | `Fault -> ())
         t.ring);
   Threads.on_exit threads (fun tid ->
@@ -90,7 +90,7 @@ let create ~params ~machine ~rng =
           List.iter
             (fun (_, fd) ->
               Machine.remove_watch ~combined machine fd;
-              Hashtbl.remove t.by_fd fd)
+              Int_table.remove t.by_fd fd)
             mine;
           wp.fds <- rest)
         t.ring);
@@ -140,8 +140,7 @@ let install t ~obj_addr ~watch_addr ~entry =
         prob_at_install = Context_table.prob entry }
     in
     Ring.push t.ring wp;
-    List.iter (fun (_, fd) -> Hashtbl.replace t.by_fd fd wp) fds;
-    Hashtbl.replace t.by_obj obj_addr wp;
+    List.iter (fun (_, fd) -> Int_table.replace t.by_fd fd wp) fds;
     t.installs <- t.installs + 1;
     Metrics.incr t.c_installs;
     Flight_recorder.watch ~at:(Clock.cycles (Machine.clock t.machine))
@@ -150,18 +149,31 @@ let install t ~obj_addr ~watch_addr ~entry =
     true
   end
 
-let remove t wp =
-  Machine.in_phase t.machine Profiler.Wmu_evict @@ fun () ->
-  let combined = t.params.Params.combined_syscall in
-  List.iter
-    (fun (_, fd) ->
-      Machine.remove_watch ~combined t.machine fd;
-      Hashtbl.remove t.by_fd fd)
-    wp.fds;
+let rec close_fds t = function
+  | [] -> ()
+  | (_, fd) :: rest ->
+    Machine.remove_watch ?combined:t.combined t.machine fd;
+    Int_table.remove t.by_fd fd;
+    close_fds t rest
+
+(* The position of [wp] in the ring, oldest first. *)
+let rec ring_index ring wp i = if Ring.get ring i == wp then i else ring_index ring wp (i + 1)
+
+let evict t wp =
+  close_fds t wp.fds;
   wp.fds <- [];
-  Hashtbl.remove t.by_obj wp.obj_addr;
-  ignore (Ring.remove_where t.ring (fun w -> w == wp));
+  Ring.remove_at t.ring (ring_index t.ring wp 0);
   Metrics.incr t.c_evictions
+
+(* [Machine.in_phase] without its closure: a watched object's [free] goes
+   through here, and allocates nothing. *)
+let remove t wp =
+  let started = Machine.enter_phase t.machine Profiler.Wmu_evict in
+  match evict t wp with
+  | () -> Machine.leave_phase t.machine Profiler.Wmu_evict started
+  | exception e ->
+    Machine.leave_phase t.machine Profiler.Wmu_evict started;
+    raise e
 
 let replace_victim t victim ~obj_addr ~watch_addr ~entry =
   Metrics.incr t.c_replacements;
@@ -211,17 +223,25 @@ let try_replace t ~obj_addr ~watch_addr ~entry ~new_prob =
     in
     scan 0 (Ring.length t.ring)
 
+(* The newest watchpoint on [obj_addr], scanning the ring's few slots
+   newest first; [None] is never built, so a miss allocates nothing. *)
+let rec newest_on ring obj_addr i =
+  if i < 0 then i
+  else if (Ring.get ring i).obj_addr = obj_addr then i
+  else newest_on ring obj_addr (i - 1)
+
 let on_free t ~obj_addr =
-  match Hashtbl.find_opt t.by_obj obj_addr with
-  | None -> false
-  | Some wp ->
-    remove t wp;
+  let i = newest_on t.ring obj_addr (Ring.length t.ring - 1) in
+  if i < 0 then false
+  else begin
+    remove t (Ring.get t.ring i);
     Metrics.incr t.c_free_removals;
     Flight_recorder.unwatch_free ~at:(Clock.cycles (Machine.clock t.machine))
       ~addr:obj_addr;
     true
+  end
 
 let in_startup t = t.startup
-let find_by_fd t fd = Hashtbl.find_opt t.by_fd fd
+let find_by_fd t fd = Int_table.find_opt t.by_fd fd
 let installs t = t.installs
 let live t = Ring.to_list t.ring

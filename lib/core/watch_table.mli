@@ -60,8 +60,10 @@ val decayed_prob : t -> wp -> float
     its full installation probability. *)
 
 val on_free : t -> obj_addr:int -> bool
-(** Remove the watchpoint guarding a freed object, if any; returns whether
-    one was removed. *)
+(** Remove the watchpoint guarding a freed object, if any (the newest,
+    should two guard one address); returns whether one was removed.
+    Scans the ring's four slots and allocates nothing, whether or not it
+    finds one. *)
 
 val find_by_fd : t -> Hw_breakpoint.fd -> wp option
 (** Signal-handler lookup: which watchpoint fired?  Matches the paper's

@@ -22,7 +22,7 @@ type event = {
    open events — a watchpoint installed for every one of N threads costs N
    times one thread's install, not N squared. *)
 type t = {
-  events : (fd, event) Hashtbl.t;
+  events : event Int_table.t;
   slot_addr : int array;
   slot_refs : int array;
   armed : event list array array;
@@ -33,7 +33,7 @@ type t = {
 }
 
 let create ?faults () =
-  { events = Hashtbl.create 64;
+  { events = Int_table.create 64;
     slot_addr = Array.make num_slots 0;
     slot_refs = Array.make num_slots 0;
     armed = Array.init num_slots (fun _ -> Array.make 8 []);
@@ -72,9 +72,15 @@ let arm t ev =
   lists.(ev.tid) <- ins lists.(ev.tid);
   t.n_armed <- t.n_armed + 1
 
+(* [l] without [ev], sharing the tail past it: removing a thread's only
+   event allocates nothing. *)
+let rec without ev = function
+  | [] -> []
+  | e :: rest -> if e == ev then rest else e :: without ev rest
+
 let disarm t ev =
   let lists = t.armed.(ev.slot) in
-  lists.(ev.tid) <- List.filter (fun e -> e != ev) lists.(ev.tid);
+  lists.(ev.tid) <- without ev lists.(ev.tid);
   t.n_armed <- t.n_armed - 1
 
 let armed_count t = t.n_armed
@@ -102,13 +108,13 @@ let perf_event_open ?now t ~addr ~tid =
     t.slot_refs.(slot) <- t.slot_refs.(slot) + 1;
     let fd = t.next_fd in
     t.next_fd <- fd + 1;
-    Hashtbl.add t.events fd
+    Int_table.add t.events fd
       { ev_fd = fd; addr; tid; slot; enabled = false; configured = false };
     Ok fd
   end
 
 let event_exn t fd =
-  match Hashtbl.find t.events fd with
+  match Int_table.find t.events fd with
   | ev -> ev
   | exception Not_found -> invalid_arg (Printf.sprintf "Hw_breakpoint: bad fd %d" fd)
 
@@ -137,7 +143,7 @@ let close t fd =
   let ev = event_exn t fd in
   if ev.enabled then disarm t ev;
   t.slot_refs.(ev.slot) <- t.slot_refs.(ev.slot) - 1;
-  Hashtbl.remove t.events fd
+  Int_table.remove t.events fd
 
 let ranges_overlap a1 l1 a2 l2 = a1 < a2 + l2 && a2 < a1 + l1
 
@@ -173,4 +179,4 @@ let watched_addrs t =
     (List.init num_slots Fun.id)
 
 let syscall_count t = t.syscalls
-let live_fd_count t = Hashtbl.length t.events
+let live_fd_count t = Int_table.length t.events

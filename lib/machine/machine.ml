@@ -116,23 +116,29 @@ let[@inline] charge t n =
    (e.g. the WMU removing a watchpoint from inside the trap handler) stays
    charged to the enclosing phase, matching how the paper's Figure 7 buckets
    whole mechanisms rather than their inner helpers. *)
-let in_phase t phase f =
-  if t.phase <> Profiler.App then f ()
+let enter_phase t phase =
+  if t.phase <> Profiler.App then -1
   else begin
     t.phase <- phase;
-    let started = Clock.cycles t.clock in
-    Fun.protect
-      ~finally:(fun () ->
-        t.phase <- Profiler.App;
-        (* Flight-recorder span for the outermost interval.  Reading the
-           clock never advances it, so recording cannot perturb the run. *)
-        if Flight_recorder.active () then begin
-          let stopped = Clock.cycles t.clock in
-          if stopped > started then
-            Flight_recorder.phase ~phase ~start:started ~stop:stopped
-        end)
-      f
+    Clock.cycles t.clock
   end
+
+let leave_phase t phase started =
+  if started >= 0 then begin
+    t.phase <- Profiler.App;
+    (* Flight-recorder span for the outermost interval.  Reading the
+       clock never advances it, so recording cannot perturb the run. *)
+    if Flight_recorder.active () then begin
+      let stopped = Clock.cycles t.clock in
+      if stopped > started then
+        Flight_recorder.phase ~phase ~start:started ~stop:stopped
+    end
+  end
+
+let in_phase t phase f =
+  let started = enter_phase t phase in
+  if started < 0 then f ()
+  else Fun.protect ~finally:(fun () -> leave_phase t phase started) f
 
 let set_backtrace_provider t f = t.backtrace_provider <- Some f
 
@@ -310,8 +316,11 @@ let charge_syscalls t n =
   Metrics.add t.c_syscalls n;
   charge t (n * Cost.syscall)
 
+let brk t = t.brk
+
 let sbrk t n =
   if n < 0 then invalid_arg "Machine.sbrk: negative increment";
+  if n > max_int - 15 - t.brk then invalid_arg "Machine.sbrk: break overflows";
   let aligned = (n + 15) land lnot 15 in
   let old = t.brk in
   t.brk <- t.brk + aligned;

@@ -142,6 +142,14 @@ val in_phase : t -> Profiler.phase -> (unit -> 'a) -> 'a
     outermost phase wins: nesting does not re-attribute (the trap handler's
     inner WMU work stays charged to trap dispatch). *)
 
+val enter_phase : t -> Profiler.phase -> int
+val leave_phase : t -> Profiler.phase -> int -> unit
+(** {!in_phase} without a callback, for paths that must not allocate a
+    closure: [leave_phase t phase (enter_phase t phase)] brackets the
+    attributed work, and the caller must also leave when that work
+    raises.  [enter_phase] returns the start cycle, or -1 when an
+    enclosing phase is set (leaving is then a no-op). *)
+
 val charge_syscalls : t -> int -> unit
 (** Advance the clock by [n] syscall costs (perf-API wrappers call this). *)
 
@@ -149,7 +157,12 @@ val charge_syscalls : t -> int -> unit
 
 val sbrk : t -> int -> int
 (** [sbrk t n] extends the heap break by [n] bytes (16-byte aligned) and
-    returns the previous break — the allocator's backing store. *)
+    returns the previous break — the allocator's backing store.  Raises
+    [Invalid_argument] when [n] is negative or the break would pass
+    [max_int]; see {!brk} to check first. *)
+
+val brk : t -> int
+(** The current heap break. *)
 
 (** {1 Signals} *)
 

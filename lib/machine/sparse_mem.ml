@@ -22,7 +22,7 @@ let fresh_page () =
     b
 
 type t = {
-  chunks : (int, Bytes.t) Hashtbl.t;
+  chunks : Bytes.t Int_table.t;
   (* One-entry direct-mapped cache of the last chunk touched: interpreter
      traffic is overwhelmingly sequential or loop-local, so most accesses
      hit the same 64K chunk as their predecessor and skip the hashtable. *)
@@ -35,7 +35,7 @@ type t = {
 let no_chunk = Bytes.create 0
 
 let create () =
-  { chunks = Hashtbl.create 256;
+  { chunks = Int_table.create 256;
     cache_idx = -1;
     cache_chunk = no_chunk;
     released = false;
@@ -52,10 +52,10 @@ let release t =
     t.cache_idx <- -1;
     t.cache_chunk <- no_chunk;
     let pool = Domain.DLS.get pool_key in
-    Hashtbl.iter
+    Int_table.iter
       (fun _ b -> if List.length !pool < max_pooled_pages then pool := b :: !pool)
       t.chunks;
-    Hashtbl.reset t.chunks
+    Int_table.reset t.chunks
   end
 
 let check addr = if addr < 0 then invalid_arg "Sparse_mem: negative address"
@@ -65,7 +65,7 @@ let check addr = if addr < 0 then invalid_arg "Sparse_mem: negative address"
    [Not_found] measured slower than a second probe — reads of untouched
    memory, which the cache never holds, take this path every time. *)
 let lookup t idx =
-  if Hashtbl.mem t.chunks idx then Hashtbl.find t.chunks idx else no_chunk
+  if Int_table.mem t.chunks idx then Int_table.find t.chunks idx else no_chunk
 
 (* Chunk lookup for a write (materializes the chunk on a miss). *)
 let chunk_for t addr =
@@ -77,7 +77,7 @@ let chunk_for t addr =
       if b != no_chunk then b
       else begin
         let b = fresh_page () in
-        Hashtbl.add t.chunks idx b;
+        Int_table.add t.chunks idx b;
         b
       end
     in
@@ -191,4 +191,4 @@ let fill t addr len v =
     done
   end
 
-let touched_bytes t = Hashtbl.length t.chunks * chunk_size
+let touched_bytes t = Int_table.length t.chunks * chunk_size

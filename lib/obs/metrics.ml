@@ -82,16 +82,17 @@ let histogram t ?(bounds = default_bounds) name =
     h
 
 (* A value lands in the first bucket whose upper bound is >= the value;
-   values above every bound land in the final overflow bucket. *)
-let bucket_index h v =
-  let n = Array.length h.bounds in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if v <= h.bounds.(mid) then go lo mid else go (mid + 1) hi
-  in
-  go 0 n
+   values above every bound land in the final overflow bucket.
+   A top-level search takes the bounds as arguments: a local one would
+   close over them and allocate its closure on every observation. *)
+let rec bucket_search (bounds : int array) (v : int) lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if v <= bounds.(mid) then bucket_search bounds v lo mid
+    else bucket_search bounds v (mid + 1) hi
+
+let bucket_index h v = bucket_search h.bounds v 0 (Array.length h.bounds)
 
 let observe h v =
   h.observations <- h.observations + 1;

@@ -43,6 +43,16 @@ let pop t =
 
 let peek t = if t.len = 0 then None else t.slots.(t.head)
 
+(* [head + i] is below twice the capacity, so one subtraction wraps it:
+   no division on the free path's scan. *)
+let get t i =
+  if i < 0 || i >= t.len then invalid_arg "Ring.get: index out of range";
+  let k = t.head + i in
+  let k = if k >= capacity t then k - capacity t else k in
+  match t.slots.(k) with
+  | Some x -> x
+  | None -> assert false
+
 let advance t =
   if t.len > 1 then begin
     match pop t with
@@ -58,20 +68,22 @@ let to_list t =
   in
   go (t.len - 1) []
 
+let remove_at t i =
+  if i < 0 || i >= t.len then invalid_arg "Ring.remove_at: index out of range";
+  let cap = capacity t in
+  for k = i to t.len - 2 do
+    t.slots.((t.head + k) mod cap) <- t.slots.((t.head + k + 1) mod cap)
+  done;
+  t.slots.((t.head + t.len - 1) mod cap) <- None;
+  t.len <- t.len - 1
+
 let remove_where t p =
-  let elems = to_list t in
-  let rec split acc = function
-    | [] -> None
-    | x :: rest when p x -> Some (x, List.rev_append acc rest)
-    | x :: rest -> split (x :: acc) rest
-  in
-  match split [] elems with
+  let rec find i = if i >= t.len then None else if p (get t i) then Some i else find (i + 1) in
+  match find 0 with
   | None -> None
-  | Some (hit, remaining) ->
-    Array.fill t.slots 0 (capacity t) None;
-    t.head <- 0;
-    t.len <- 0;
-    List.iter (push t) remaining;
+  | Some i ->
+    let hit = get t i in
+    remove_at t i;
     Some hit
 
 let iter f t = List.iter f (to_list t)

@@ -32,10 +32,20 @@ val pop : 'a t -> 'a option
 val peek : 'a t -> 'a option
 (** [peek t] returns the oldest element without removing it. *)
 
+val get : 'a t -> int -> 'a
+(** [get t i] is the [i]-th element, oldest first ([get t 0] is the
+    head).  Allocates nothing.  Raises [Invalid_argument] unless
+    [0 <= i < length t]. *)
+
 val advance : 'a t -> unit
 (** [advance t] rotates the head pointer past the oldest element, re-inserting
     it at the tail.  This is the near-FIFO "update the pointer to the next
     position" operation used when the oldest watchpoint is {e not} replaced. *)
+
+val remove_at : 'a t -> int -> unit
+(** [remove_at t i] removes the [i]-th element, oldest first, preserving
+    the relative order of the others.  Allocates nothing.  Raises
+    [Invalid_argument] unless [0 <= i < length t]. *)
 
 val remove_where : 'a t -> ('a -> bool) -> 'a option
 (** [remove_where t p] removes the first (oldest-first) element satisfying

@@ -45,6 +45,29 @@ let test_ct_ids_dense () =
   Alcotest.(check (option bool)) "find by key" (Some true)
     (Option.map (fun e -> e == e1) (Context_table.find ct (Alloc_ctx.key (ctx 1))))
 
+(* [find_by_id] is a bounds-checked read of the dense entry array: an id
+   just outside it, or one read from a corrupted header, names no
+   entry. *)
+let test_ct_find_by_id_bounds () =
+  let ct, m = mk_ct () in
+  for site = 1 to 5 do
+    ignore (Context_table.on_allocation ct (ctx site))
+  done;
+  let n = Context_table.num_contexts ct in
+  Alcotest.(check bool) "last id" true (Context_table.find_by_id ct (n - 1) <> None);
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (Printf.sprintf "id %d" id) true
+        (Context_table.find_by_id ct id = None))
+    [ -1; n; max_int; min_int ];
+  let base = Machine.sbrk m 128 in
+  let app = Canary.plant m ~base ~size:16 ~ctx_id:2 ~canary:0x1234L in
+  Alcotest.(check int) "planted id" 2 (Canary.context_id m ~app);
+  (* an overflow from below rewrote the CallingContextPtr field *)
+  Sparse_mem.write_int (Machine.mem m) (base + 16) 0x4141_4141_4141_4141;
+  Alcotest.(check bool) "corrupted id" true
+    (Context_table.find_by_id ct (Canary.context_id m ~app) = None)
+
 let test_ct_degradation_accumulates () =
   let ct, _ = mk_ct () in
   for _ = 1 to 1000 do
@@ -572,6 +595,7 @@ let suite =
     Alcotest.test_case "ct: reviving" `Slow test_ct_revive;
     Alcotest.test_case "ct: memo vs model, 700 keys over 256 slots" `Quick
       test_ct_memo_model;
+    Alcotest.test_case "ct: find_by_id bounds" `Quick test_ct_find_by_id_bounds;
     QCheck_alcotest.to_alcotest prop_ct_prob_bounds;
     Alcotest.test_case "wt: install and free" `Quick test_wt_install_and_free;
     Alcotest.test_case "wt: startup ends when full" `Quick test_wt_startup_ends_when_full;

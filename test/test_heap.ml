@@ -217,6 +217,132 @@ let test_heap_recycling_unobservable () =
   Heap.free h1 p;
   Alcotest.(check int) "successor untouched" 64 (Heap.live_objects recycled)
 
+(* A request whose rounding, alignment padding or break advance would
+   pass [max_int] is refused with [Heap.Error], like a negative one, and
+   leaves the heap as it was. *)
+let test_heap_size_overflow () =
+  let h = mk_heap () in
+  let refused name f =
+    match f () with
+    | _ -> Alcotest.fail (name ^ ": expected Heap.Error")
+    | exception Heap.Error _ -> ()
+  in
+  let a = Heap.malloc h 24 in
+  refused "malloc (max_int - 20)" (fun () -> Heap.malloc h (max_int - 20));
+  refused "malloc max_int" (fun () -> Heap.malloc h max_int);
+  refused "memalign, negative size" (fun () -> Heap.memalign h ~alignment:32 ~size:(-5));
+  refused "memalign, padding wraps" (fun () ->
+      Heap.memalign h ~alignment:64 ~size:(max_int - 40));
+  refused "realloc max_int" (fun () -> Heap.realloc h a max_int);
+  Alcotest.(check int) "one live object" 1 (Heap.live_objects h);
+  Alcotest.(check int) "live bytes" 24 (Heap.live_bytes h);
+  Alcotest.(check (option int)) "object untouched" (Some 24) (Heap.size_of h a);
+  (* The break never wrapped: a huge request that fits gets a positive
+     address, and a second one that would pass [max_int] is refused. *)
+  let p = Heap.malloc h (1 lsl 61) in
+  Alcotest.(check bool) "positive address" true (p > 0);
+  refused "break passes max_int" (fun () -> Heap.malloc h (1 lsl 61));
+  Alcotest.(check int) "two live objects" 2 (Heap.live_objects h)
+
+(* The flat object table against the generic table it replaced: a
+   [Hashtbl.Make] keyed by address with [Hashtbl.hash], created at 4,096
+   buckets and given the [replace]/[remove] calls the heap made on it.
+   Its [iter] order is the order [iter_live] promises.  A seeded stream of
+   malloc, free, realloc and memalign grows past 8,192 live objects, so
+   the model's bucket count doubles, and then shrinks again. *)
+module Ref_objects = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+let test_heap_model () =
+  let h = mk_heap () in
+  let model = Ref_objects.create 4096 (* addr -> (size, usable) *) in
+  let g = Prng.create ~seed:21 in
+  let pool = Array.make 20_000 0 and live = ref 0 in
+  let freed = ref [] in
+  let add p = pool.(!live) <- p; incr live in
+  let take () =
+    let i = Prng.int g !live in
+    let p = pool.(i) in
+    decr live;
+    pool.(i) <- pool.(!live);
+    p
+  in
+  let block size = Size_class.block_size (Size_class.classify size) in
+  let size () = if Prng.int g 40 = 0 then 4000 + Prng.int g 6000 else Prng.int g 300 in
+  let step alloc_pct =
+    let r = Prng.int g 100 in
+    if !live = 0 || r < alloc_pct then begin
+      let s = size () in
+      let p = Heap.malloc h s in
+      Ref_objects.replace model p (s, block s);
+      add p
+    end
+    else if r < alloc_pct + ((100 - alloc_pct) / 2) then begin
+      let p = take () in
+      Heap.free h p;
+      Ref_objects.remove model p;
+      freed := p :: !freed
+    end
+    else if r mod 2 = 0 then begin
+      let p = take () in
+      let s = 1 + Prng.int g 600 in
+      let q = Heap.realloc h p s in
+      if q = p then begin
+        let _, usable = Ref_objects.find model p in
+        Ref_objects.replace model p (s, usable)
+      end
+      else begin
+        Ref_objects.replace model q (s, block s);
+        Ref_objects.remove model p;
+        freed := p :: !freed
+      end;
+      add q
+    end
+    else begin
+      let alignment = [| 32; 64; 256; 4096 |].(Prng.int g 4) and s = size () in
+      let p = Heap.memalign h ~alignment ~size:s in
+      let usable = Option.get (Heap.usable_size h p) in
+      Alcotest.(check bool) "memalign: aligned, covers the request" true
+        (p mod alignment = 0 && usable >= s && usable <= block (s + alignment));
+      Ref_objects.replace model p (s, usable);
+      add p
+    end
+  in
+  let peak = ref 0 in
+  let check tag =
+    let walk = ref [] and expected = ref [] in
+    Heap.iter_live (fun ~addr ~size -> walk := (addr, size) :: !walk) h;
+    Ref_objects.iter (fun addr (size, _) -> expected := (addr, size) :: !expected) model;
+    Alcotest.(check int) (tag ^ ": live_objects") (Ref_objects.length model)
+      (Heap.live_objects h);
+    Alcotest.(check (list (pair int int))) (tag ^ ": iter_live order") !expected !walk;
+    Ref_objects.iter
+      (fun addr (size, usable) ->
+        if Heap.size_of h addr <> Some size || Heap.usable_size h addr <> Some usable then
+          Alcotest.failf "%s: object 0x%x: size_of / usable_size" tag addr)
+      model;
+    List.iter
+      (fun p ->
+        if not (Ref_objects.mem model p) && Heap.size_of h p <> None then
+          Alcotest.failf "%s: freed 0x%x still has a size" tag p)
+      !freed;
+    freed := []
+  in
+  List.iteri
+    (fun phase (ops, alloc_pct) ->
+      for i = 1 to ops do
+        step alloc_pct;
+        peak := max !peak !live;
+        if i mod 2_500 = 0 then check (Printf.sprintf "phase %d, op %d" phase i)
+      done;
+      check (Printf.sprintf "end of phase %d" phase))
+    [ (3_000, 40); (12_000, 85); (14_000, 20) ];
+  Alcotest.(check bool) "grew past 8,192 live objects" true (!peak > 8_192)
+
 let test_heap_malloc_charges_clock () =
   let h = mk_heap () in
   let m = Heap.machine h in
@@ -281,6 +407,8 @@ let suite =
     Alcotest.test_case "heap memalign" `Quick test_heap_memalign;
     Alcotest.test_case "heap peak tracking" `Quick test_heap_peak_tracking;
     Alcotest.test_case "heap live walk" `Quick test_heap_iter_live;
+    Alcotest.test_case "heap size arithmetic overflow" `Quick test_heap_size_overflow;
+    Alcotest.test_case "heap flat table vs Hashtbl model" `Quick test_heap_model;
     Alcotest.test_case "heap clock charge" `Quick test_heap_malloc_charges_clock;
     Alcotest.test_case "heap recycling unobservable" `Quick
       test_heap_recycling_unobservable;

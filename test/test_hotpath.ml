@@ -159,6 +159,61 @@ let test_machine_access_no_alloc () =
       for i = 0 to 99_999 do sink := !sink + Machine.load_word m (addr i) done);
   ignore (Sys.opaque_identity !sink)
 
+(* The raw heap keeps its objects and free blocks in flat int arrays, so
+   once they have grown, malloc and free allocate nothing: small and large
+   blocks, reused and freshly carved. *)
+let test_heap_no_alloc () =
+  let h = Heap.create (Machine.create ()) in
+  let live = Array.make 512 0 in
+  let k = ref 0 in
+  check_no_alloc "malloc/free" (fun () ->
+      for _ = 1 to 10_000 do
+        incr k;
+        let slot = !k * 7 land 511 in
+        if live.(slot) <> 0 then Heap.free h live.(slot);
+        let size = if !k mod 61 = 0 then 5_000 + (!k mod 3 * 100) else !k mod 13 * 40 in
+        live.(slot) <- Heap.malloc h size
+      done)
+
+(* Freeing an object scans the four ring slots for its watchpoint: a miss
+   allocates nothing, and neither does a hit, which closes the
+   watchpoint's perf event on every thread. *)
+let test_watch_on_free_no_alloc () =
+  let m = Machine.create () in
+  spawn_threads m 4;
+  let rng = Prng.create ~seed:3 in
+  let params = Params.default in
+  let ct = Context_table.create ~params ~machine:m ~rng in
+  let wt = Watch_table.create ~params ~machine:m ~rng in
+  let entry = Context_table.on_allocation ct (Alloc_ctx.synthetic ~callsite:0x40 ()) in
+  let objs = [| 0x1000_0000; 0x1000_0100; 0x1000_0200 |] in
+  let install () =
+    Array.iter
+      (fun a ->
+        Alcotest.(check bool) "installed" true
+          (Watch_table.install wt ~obj_addr:a ~watch_addr:(a + 64) ~entry))
+      objs
+  in
+  install ();
+  let hits = ref 0 in
+  check_no_alloc "miss" (fun () ->
+      for i = 1 to 1_000 do
+        if Watch_table.on_free wt ~obj_addr:(0x2000_0000 + (16 * i)) then incr hits
+      done);
+  Alcotest.(check int) "no hit" 0 !hits;
+  for round = 1 to 3 do
+    if round > 1 then install ();
+    let w =
+      words (fun () ->
+          for i = 0 to Array.length objs - 1 do
+            if Watch_table.on_free wt ~obj_addr:objs.(i) then incr hits
+          done)
+    in
+    Alcotest.(check int) "every watchpoint removed" (3 * round) !hits;
+    Alcotest.(check int) "no perf event left" 0 (Hw_breakpoint.live_fd_count (Machine.hw m));
+    if native then Alcotest.(check (float 0.0)) "hit: minor words" 0.0 w
+  done
+
 (* [n] allocations over 64 call sites, each freeing the object 256
    allocations older. *)
 let alloc_loop tool =
@@ -175,11 +230,11 @@ let alloc_loop tool =
 
 (* The CSOD layers (context table, sampling coin, canary plant and check,
    header reads) add one boxed float per allocation to the raw heap's own
-   once every context sits in the lookup memo: the sampling probability,
-   boxed to cross from [Context_table] through [Runtime] into [Prng].  This
-   is the steady state of runs of 256 allocations from each of 64 call
-   sites; a memo miss still allocates (the key tuple and the table probe),
-   so this pins the memo-hit path only.  Watchpoint installs still allocate
+   once every context has been seen: the sampling probability, boxed to
+   cross from [Context_table] through [Runtime] into [Prng].  This is the
+   steady state of runs of 256 allocations from each of 64 call sites; a
+   first sight still allocates (the entry and its backtrace), so this
+   pins the lookup-hit path only.  Watchpoint installs still allocate
    (their records and fd lists), so the state is measured after the warm-up
    has decayed every context's probability, and a little slack covers the
    rare coin that wins. *)
@@ -216,7 +271,7 @@ let direct_major_words f =
   let _, p1, j1 = Gc.counters () in
   j1 -. j0 -. (p1 -. p0)
 
-(* The heap's object table, the context table's buckets, the VM's stack
+(* The heap's and the context table's arrays, the VM's stack
    and locals and ASan's registry are recycled through domain-local
    spares, and ASan's shadow pages through the page pool, all handed on
    when the execution releases its machine's memory.  So once a domain is
@@ -280,16 +335,18 @@ let heartbleed_words rung =
    raw heap, then CSOD.  Measured on x86-64, OCaml 5.1 (minor / promoted
    words per execution):
 
-   | rung           | frames in a list, contexts as lists | now         |
-   |----------------|-------------------------------------|-------------|
-   | VM + bump tool |                           586k / 2k |  22.6k / 0  |
-   | + raw heap     |                           702k / 6k | 138.8k / 0  |
-   | + CSOD         |                         893k / 142k | 332.3k / 14.3k |
+   | rung           | frames in a list, contexts as lists | heap and SMU in records | flat tables |
+   |----------------|-------------------------------------|-------------------------|-------------|
+   | VM + bump tool |                           586k / 2k |             22.6k / 0   | 22.6k / 0   |
+   | + raw heap     |                           702k / 6k |            138.8k / 0   | 23.8k / 0   |
+   | + CSOD         |                         893k / 142k |         332.3k / 14.3k  | 193.2k / 0  |
 
    What the VM still allocates is the [Alloc_ctx.t] handed to each of the
-   5,403 [malloc]s; what survives under CSOD is mostly the context
-   entries.  The bounds leave about 15% slack on minor words and 75% on
-   promoted ones, which depend on where the minor collections fall. *)
+   5,403 [malloc]s; the raw heap adds only the small arrays a released
+   heap keeps.  Most of what CSOD adds is the 307 first-sight contexts,
+   each with the full backtrace the VM hands over as a list.  The bounds
+   leave about 15% slack on minor words; promoted words depend on where
+   the minor collections fall. *)
 let test_allocation_ladder () =
   let vm, _ = heartbleed_words bump_tool in
   let heap, _ = heartbleed_words (fun m -> Tool.baseline (Heap.create m)) in
@@ -303,9 +360,9 @@ let test_allocation_ladder () =
         Alcotest.(check bool) (Printf.sprintf "%s: %.0f words <= %.0f" name w bound)
           true (w <= bound))
       [ ("VM + bump tool, minor", vm, 26_000.);
-        ("+ raw heap, minor", heap, 160_000.);
-        ("+ CSOD, minor", csod, 380_000.);
-        ("+ CSOD, promoted", promoted, 25_000.) ]
+        ("+ raw heap, minor", heap, 27_500.);
+        ("+ CSOD, minor", csod, 222_000.);
+        ("+ CSOD, promoted", promoted, 3_000.) ]
 
 let suite =
   [ Alcotest.test_case "hw: comparator agrees with a model over 40 threads" `Quick
@@ -317,6 +374,9 @@ let suite =
       test_sparse_mem_no_alloc;
     Alcotest.test_case "allocation-free: checked accesses, 16 threads armed" `Quick
       test_machine_access_no_alloc;
+    Alcotest.test_case "allocation-free: heap malloc/free" `Quick test_heap_no_alloc;
+    Alcotest.test_case "allocation-free: watch table on_free, hit and miss" `Quick
+      test_watch_on_free_no_alloc;
     Alcotest.test_case "allocation-free: CSOD malloc/free over the heap's" `Quick
       test_csod_alloc_path_no_alloc;
     Alcotest.test_case "no major-heap words: warm execution, 9 apps x 3 tools"

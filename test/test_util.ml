@@ -1,91 +1,4 @@
-(* Tests for Chained_table, Ring, Stats and Table_fmt. *)
-
-(* ---------- Chained_table: model-based against Hashtbl ---------- *)
-
-let mk_table ?(buckets = 64) () =
-  Chained_table.create ~buckets ~hash:Hashtbl.hash ~equal:Int.equal ()
-
-let test_table_basic () =
-  let t = mk_table () in
-  Alcotest.(check int) "empty" 0 (Chained_table.length t);
-  Chained_table.replace t 1 "a";
-  Chained_table.replace t 2 "b";
-  Alcotest.(check (option string)) "find 1" (Some "a") (Chained_table.find t 1);
-  Alcotest.(check (option string)) "find 2" (Some "b") (Chained_table.find t 2);
-  Alcotest.(check (option string)) "miss" None (Chained_table.find t 3);
-  Chained_table.replace t 1 "a2";
-  Alcotest.(check (option string)) "overwrite" (Some "a2") (Chained_table.find t 1);
-  Alcotest.(check int) "length" 2 (Chained_table.length t);
-  Chained_table.remove t 1;
-  Alcotest.(check (option string)) "removed" None (Chained_table.find t 1);
-  Alcotest.(check int) "length after remove" 1 (Chained_table.length t);
-  Chained_table.remove t 99 (* removing a missing key is a no-op *);
-  Alcotest.(check int) "length unchanged" 1 (Chained_table.length t)
-
-let test_table_find_or_add () =
-  let t = mk_table () in
-  let calls = ref 0 in
-  let v1 = Chained_table.find_or_add t 5 ~default:(fun () -> incr calls; "x") in
-  let v2 = Chained_table.find_or_add t 5 ~default:(fun () -> incr calls; "y") in
-  Alcotest.(check string) "first insert" "x" v1;
-  Alcotest.(check string) "second returns existing" "x" v2;
-  Alcotest.(check int) "default called once" 1 !calls
-
-let test_table_collisions () =
-  (* One bucket: everything chains. *)
-  let t = Chained_table.create ~buckets:1 ~hash:(fun _ -> 0) ~equal:Int.equal () in
-  for i = 1 to 50 do
-    Chained_table.replace t i (i * 10)
-  done;
-  Alcotest.(check int) "all present despite collisions" 50 (Chained_table.length t);
-  Alcotest.(check int) "max chain" 50 (Chained_table.max_chain_length t);
-  for i = 1 to 50 do
-    Alcotest.(check (option int)) "chained find" (Some (i * 10)) (Chained_table.find t i)
-  done;
-  (* Remove from the middle of the chain. *)
-  Chained_table.remove t 25;
-  Alcotest.(check (option int)) "removed mid-chain" None (Chained_table.find t 25);
-  Alcotest.(check (option int)) "neighbours intact" (Some 240) (Chained_table.find t 24)
-
-let test_table_iter_fold () =
-  let t = mk_table () in
-  List.iter (fun i -> Chained_table.replace t i i) [ 1; 2; 3; 4 ];
-  let sum = Chained_table.fold (fun _ v acc -> acc + v) t 0 in
-  Alcotest.(check int) "fold sums" 10 sum;
-  let n = ref 0 in
-  Chained_table.iter (fun _ _ -> incr n) t;
-  Alcotest.(check int) "iter visits all" 4 !n
-
-let test_table_lock_accounting () =
-  let t = mk_table () in
-  let before = Chained_table.lock_acquisitions t in
-  ignore (Chained_table.find t 1);
-  Chained_table.replace t 1 "v";
-  Chained_table.remove t 1;
-  Alcotest.(check int) "three lock acquisitions" (before + 3)
-    (Chained_table.lock_acquisitions t)
-
-let prop_table_model =
-  (* Random op sequences agree with Hashtbl. *)
-  let open QCheck in
-  Test.make ~name:"Chained_table matches Hashtbl model" ~count:200
-    (list (pair (int_range 0 2) (int_range 0 20)))
-    (fun ops ->
-      let t = mk_table ~buckets:4 () in
-      let h = Hashtbl.create 16 in
-      List.iter
-        (fun (op, k) ->
-          match op with
-          | 0 ->
-            Chained_table.replace t k k;
-            Hashtbl.replace h k k
-          | 1 ->
-            Chained_table.remove t k;
-            Hashtbl.remove h k
-          | _ -> ())
-        ops;
-      Hashtbl.fold (fun k v acc -> acc && Chained_table.find t k = Some v) h true
-      && Chained_table.length t = Hashtbl.length h)
+(* Tests for Ring, Stats and Table_fmt. *)
 
 (* ---------- Ring ---------- *)
 
@@ -241,13 +154,7 @@ let test_table_fmt_numbers () =
   Alcotest.(check string) "float" "1.07" (Table_fmt.fmt_float 1.067)
 
 let suite =
-  [ Alcotest.test_case "chained table basics" `Quick test_table_basic;
-    Alcotest.test_case "find_or_add" `Quick test_table_find_or_add;
-    Alcotest.test_case "collision chains" `Quick test_table_collisions;
-    Alcotest.test_case "iter and fold" `Quick test_table_iter_fold;
-    Alcotest.test_case "lock accounting" `Quick test_table_lock_accounting;
-    QCheck_alcotest.to_alcotest prop_table_model;
-    Alcotest.test_case "ring FIFO order" `Quick test_ring_fifo;
+  [ Alcotest.test_case "ring FIFO order" `Quick test_ring_fifo;
     Alcotest.test_case "ring push on full" `Quick test_ring_push_full;
     Alcotest.test_case "ring push_overwriting" `Quick test_ring_push_overwriting;
     Alcotest.test_case "ring advance" `Quick test_ring_advance;
