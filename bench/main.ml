@@ -1,13 +1,12 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section V), plus the ablation study and Bechamel timings of
-   the runtime's real hot paths.
+   evaluation (Section V), plus the ablation study.
 
      dune exec bench/main.exe                 -- everything
      dune exec bench/main.exe -- table2 --runs 200
-     dune exec bench/main.exe -- fig7 micro
+     dune exec bench/main.exe -- fig7 table5
 
    Commands: table1 table2 table3 table4 table5 fig6 fig7 evidence fleet
-   ablate syscalls micro.  `--runs N` controls the Table II / ablation execution
+   ablate syscalls.  `--runs N` controls the Table II / ablation execution
    counts (default 1000 / 200, as in the paper).
 
    `metrics` is an extra, explicit-only target (not part of the default
@@ -860,76 +859,10 @@ let throughput () =
     [ ("serial", `Serial); ("metrics", `Metrics) ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the real hot paths                     *)
-
-let micro () =
-  section "Micro-benchmarks (Bechamel; real OCaml time of the runtime hot paths)";
-  let open Bechamel in
-  let mk_csod_env evidence =
-    let machine = Machine.create ~seed:5 () in
-    let heap = Heap.create machine in
-    let params = { Params.default with Params.evidence } in
-    let rt = Runtime.create ~params ~machine ~heap () in
-    (Runtime.tool rt, ref 0)
-  in
-  let alloc_free_test name tool counter =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           incr counter;
-           let ctx = Alloc_ctx.synthetic ~callsite:(0x40 + (!counter mod 64)) () in
-           let p = tool.Tool.malloc ~size:64 ~ctx in
-           tool.Tool.free ~ptr:p))
-  in
-  let baseline_tool, c0 =
-    let machine = Machine.create ~seed:5 () in
-    let heap = Heap.create machine in
-    (Tool.baseline heap, ref 0)
-  in
-  let csod_tool, c1 = mk_csod_env true in
-  let csod_ne_tool, c2 = mk_csod_env false in
-  let asan_tool, c3 =
-    let machine = Machine.create ~seed:5 () in
-    let heap = Heap.create machine in
-    let a = Asan.create ~machine ~heap () in
-    (Asan.tool a, ref 0)
-  in
-  let prng = Prng.create ~seed:99 in
-  let shadow = Shadow.create () in
-  Shadow.poison shadow ~addr:4096 ~len:64;
-  let tests =
-    Test.make_grouped ~name:"hot-paths"
-      [ alloc_free_test "baseline-malloc-free" baseline_tool c0;
-        alloc_free_test "csod-malloc-free" csod_tool c1;
-        alloc_free_test "csod-noevidence-malloc-free" csod_ne_tool c2;
-        alloc_free_test "asan-malloc-free" asan_tool c3;
-        Test.make ~name:"prng-draw" (Staged.stage (fun () -> ignore (Prng.float prng)));
-        Test.make ~name:"shadow-check"
-          (Staged.stage (fun () -> ignore (Shadow.is_poisoned shadow ~addr:4100 ~len:8))) ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with Some [ e ] -> e | _ -> nan
-        in
-        (name, est) :: acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter (fun (name, est) -> Printf.printf "  %-45s %10.1f ns/op\n" name est) rows
-
-(* ------------------------------------------------------------------ *)
 
 let targets =
   [ "table1"; "table2"; "table3"; "table4"; "table5"; "fig6"; "fig7";
-    "evidence"; "fleet"; "ablate"; "syscalls"; "micro"; "metrics"; "exec";
+    "evidence"; "fleet"; "ablate"; "syscalls"; "metrics"; "exec";
     "resilience"; "throughput" ]
 
 let usage_error fmt =
@@ -968,7 +901,6 @@ let () =
   if all then fleet_table ();
   if want "ablate" then ablate ~runs:ablate_runs ();
   if want "syscalls" then syscalls ();
-  if want "micro" then micro ();
   (* Explicit-only: JSONL on stdout, so it never mixes into the default
      everything run.  `fleet` prints the human table in the everything run
      but emits csod.bench.fleet/1 rows when requested by name. *)

@@ -245,10 +245,12 @@ let write_trace file records =
         output_char oc '\n');
     Printf.printf "trace written to %s\n" file
 
-let print_recorder_summary r =
+(* The recorder's summary line, and its trace if [--trace-out] asked. *)
+let print_recording ~trace_out r =
   Printf.printf "flight recorder: %d records kept (%d emitted, %d overwritten)\n"
     (Flight_recorder.recorded r - Flight_recorder.dropped r)
-    (Flight_recorder.recorded r) (Flight_recorder.dropped r)
+    (Flight_recorder.recorded r) (Flight_recorder.dropped r);
+  Option.iter (fun file -> write_trace file (Flight_recorder.records r)) trace_out
 
 (* Run [f] with a JSONL event sink streaming to [file], if one was asked
    for. *)
@@ -311,7 +313,7 @@ let list_cmd =
 
 (* ---- run ---- *)
 
-let print_outcome app (o : Execution.outcome) =
+let print_outcome ~symbolize (o : Execution.outcome) =
   (match o.Execution.crashed with
   | Some msg -> Printf.printf "! program fault: %s\n" msg
   | None -> ());
@@ -322,14 +324,14 @@ let print_outcome app (o : Execution.outcome) =
     List.iter
       (fun r ->
         Printf.printf "[%s]\n%s\n" (Report.source_name r.Report.source)
-          (Report.format ~symbolize:(Execution.symbolizer app) r))
+          (Report.format ~symbolize r))
       o.Execution.reports;
     List.iter
       (fun (d : Asan.detection) ->
         Printf.printf "[asan] heap-buffer-overflow %s at 0x%x (site %s)\n"
           (match d.Asan.kind with Tool.Read -> "READ" | Tool.Write -> "WRITE")
           d.Asan.addr
-          (Execution.symbolizer app d.Asan.site))
+          (symbolize d.Asan.site))
       o.Execution.asan_detections
   end;
   (match o.Execution.stats with
@@ -394,7 +396,7 @@ let run_cmd =
                 last_rec := Some r;
                 Flight_recorder.with_recorder r execute
             in
-            if runs = 1 then print_outcome app o;
+            if runs = 1 then print_outcome ~symbolize:(Execution.symbolizer app) o;
             if o.Execution.detected then incr detected;
             if o.Execution.survived then incr survived;
             last := Some o
@@ -429,10 +431,7 @@ let run_cmd =
         if runs > 1 then
           Printf.printf "(flight recording of the final execution, seed %d)\n"
             (seed + runs - 1);
-        print_recorder_summary r;
-        (match trace_out with
-        | Some file -> write_trace file (Flight_recorder.records r)
-        | None -> ())
+        print_recording ~trace_out r
       | _ -> ());
       save_store
         ?faults:(match !last with Some o -> o.Execution.faults | None -> None)
@@ -1225,98 +1224,30 @@ let exec_cmd =
     | Ok program when dump ->
       print_endline (Pretty.program_to_string (Program.functions program))
     | Ok program ->
-      let injector =
-        Option.map (fun plan -> Fault_injector.create ~plan ~salt:seed) faults
-      in
-      let machine = Machine.create ~seed ?faults:injector () in
-      let snapshot_cycles = snapshot_cycles_of snapshot_sec in
-      if snapshot_cycles > 0 then
-        Telemetry.set_snapshot_interval (Machine.telemetry machine)
-          ~cycles:snapshot_cycles;
-      let heap = Heap.create machine in
       let store = load_store store_file in
-      let config = config_of ~tool ~policy ~no_evidence in
-      let inst =
-        Config.instantiate config ~machine ~heap ~store ~respond ~seed ()
+      let execute () =
+        Execution.run_program ~program ~inputs:(Array.of_list inputs)
+          ~config:(config_of ~tool ~policy ~no_evidence) ~seed ~store ~respond
+          ~snapshot_cycles:(snapshot_cycles_of snapshot_sec) ?faults ()
       in
       let recorder =
         Option.map
           (fun capacity -> Flight_recorder.create ~capacity ())
           (recorder_capacity ~flight ~trace_out ~events)
       in
-      let with_rec f =
-        match recorder with
-        | None -> f ()
-        | Some r -> Flight_recorder.with_recorder r f
-      in
-      let crashed =
+      let o =
         with_events events (fun () ->
-            with_rec (fun () ->
-                let crashed =
-                  try
-                    let r =
-                      Engine.run
-                        ~engine:(Engine.current_default ())
-                        ~machine ~tool:inst.Config.tool ~program
-                        ~inputs:(Array.of_list inputs) ~app_seed:seed ()
-                    in
-                    print_string r.Interp.output;
-                    None
-                  with
-                  | Interp.Runtime_error (msg, loc) ->
-                    Some (Printf.sprintf "%s: %s" (Srcloc.to_string loc) msg)
-                  | Heap.Error msg -> Some msg
-                in
-                (* Termination handling inside the sink's and recorder's
-                   scope: the canary sweep at exit emits events too. *)
-                inst.Config.finish ();
-                crashed))
+            match recorder with
+            | None -> execute ()
+            | Some r -> Flight_recorder.with_recorder r execute)
       in
-      (match crashed with
-      | Some msg -> Printf.printf "! program fault: %s\n" msg
-      | None -> ());
-      (match inst.Config.csod with
-      | Some rt ->
-        List.iter
-          (fun r ->
-            Printf.printf "[%s]\n%s\n" (Report.source_name r.Report.source)
-              (Report.format ~symbolize:(Program.symbolize program) r))
-          (Runtime.detections rt)
-      | None -> ());
-      (match inst.Config.asan with
-      | Some a ->
-        List.iter
-          (fun (d : Asan.detection) ->
-            Printf.printf "[asan] heap-buffer-overflow %s at 0x%x (site %s)\n"
-              (match d.Asan.kind with Tool.Read -> "READ" | Tool.Write -> "WRITE")
-              d.Asan.addr
-              (Program.symbolize program d.Asan.site))
-          (Asan.detections a)
-      | None -> ());
-      save_store ?faults:injector store store_file;
-      if not (inst.Config.detected ()) then
-        Printf.printf "no overflow detected in this execution\n";
-      print_fault_summary injector;
-      (match inst.Config.respond with
-      | Some r ->
-        Printf.printf "respond: %s\n"
-          (Format.asprintf "%a" Respond.pp_summary (Respond.summary r))
-      | None -> ());
-      (match inst.Config.csod with
-      | Some rt when Runtime.degraded rt ->
-        Printf.printf
-          "! degraded: watchpoint installation kept failing; fell back to \
-           canary-only detection\n"
-      | _ -> ());
-      emit_telemetry ~metrics ~profile ~metrics_json (Machine.telemetry machine)
-        ~cycles:(Clock.cycles (Machine.clock machine));
+      print_outcome ~symbolize:(Program.symbolize program) o;
+      emit_telemetry ~metrics ~profile ~metrics_json o.Execution.telemetry
+        ~cycles:o.Execution.cycles;
       (match recorder with
-      | Some r when flight <> None || trace_out <> None ->
-        print_recorder_summary r;
-        (match trace_out with
-        | Some out -> write_trace out (Flight_recorder.records r)
-        | None -> ())
-      | _ -> ())
+      | Some r when flight <> None || trace_out <> None -> print_recording ~trace_out r
+      | _ -> ());
+      save_store ?faults:o.Execution.faults store store_file
   in
   Cmd.v
     (Cmd.info "exec" ~doc:"Run a MiniC source file under a detection tool.")

@@ -28,8 +28,6 @@ type key = int * int
 (** The cheap identifying pair. *)
 
 val key : t -> key
-val equal_key : key -> key -> bool
-val hash_key : key -> int
 
 val synthetic : ?stack_offset:int -> callsite:int -> unit -> t
 (** Handle for synthetic workloads: the backtrace is just the call site.

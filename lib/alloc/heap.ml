@@ -25,13 +25,10 @@ type store = {
   mutable base : int array;          (* base of the underlying block (differs
                                         from the address for memalign
                                         interior pointers) *)
-  mutable seq : int array;           (* insertion number, for [iter_live] *)
   mutable pos : int array;           (* the slot's position in [index] *)
   mutable count : int;
   mutable index : int array;         (* slot, or -1 *)
   mutable shift : int;               (* 63 - log2 (capacity of [index]) *)
-  mutable next_seq : int;
-  mutable buckets : int;             (* see [iter_live] *)
   small_head : int array;            (* per class: top freed node, or -1 *)
   fresh_next : int array;            (* per class: next unused chunk address *)
   fresh_limit : int array;           (* per class: end of the current chunk *)
@@ -40,10 +37,6 @@ type store = {
   mutable node_next : int array;     (* next node down the stack, or -1 *)
   mutable node_top : int;            (* nodes ever handed out *)
   mutable node_free : int;           (* chain of returned nodes, or -1 *)
-  (* [iter_live] scratch *)
-  mutable tally : int array;
-  mutable order : int array;
-  mutable bucket_of : int array;
 }
 
 type t = {
@@ -62,11 +55,6 @@ type t = {
   mutable frees : int;
 }
 
-(* [iter_live] walks objects in the order a generic [Hashtbl] keyed by
-   address would: that table started at 4,096 buckets and doubled
-   whenever it held more than twice as many objects as buckets. *)
-let initial_buckets = 4096
-
 (* A cold store is small: a heap that never grows it costs a few hundred
    words to build. *)
 let initial_slots = 32
@@ -76,13 +64,10 @@ let fresh_store () =
     req_size = Array.make initial_slots 0;
     block = Array.make initial_slots 0;
     base = Array.make initial_slots 0;
-    seq = Array.make initial_slots 0;
     pos = Array.make initial_slots 0;
     count = 0;
     index = Array.make (2 * initial_slots) (-1);
     shift = 63 - 6;
-    next_seq = 0;
-    buckets = initial_buckets;
     small_head = Array.make Size_class.num_small_classes (-1);
     fresh_next = Array.make Size_class.num_small_classes 0;
     fresh_limit = Array.make Size_class.num_small_classes 0;
@@ -90,10 +75,7 @@ let fresh_store () =
     node_addr = Array.make initial_slots 0;
     node_next = Array.make initial_slots 0;
     node_top = 0;
-    node_free = -1;
-    tally = [||];
-    order = [||];
-    bucket_of = [||] }
+    node_free = -1 }
 
 (* Fibonacci hashing: the top bits of the address times an odd constant. *)
 let[@inline] home s a = (a * 0x9E3779B97F4A7C1) lsr s.shift
@@ -161,7 +143,6 @@ let grow_slots s =
   s.req_size <- grown s.req_size n;
   s.block <- grown s.block n;
   s.base <- grown s.base n;
-  s.seq <- grown s.seq n;
   s.pos <- grown s.pos n
 
 let add_object s ~addr ~req_size ~block ~base =
@@ -172,11 +153,8 @@ let add_object s ~addr ~req_size ~block ~base =
   s.req_size.(slot) <- req_size;
   s.block.(slot) <- block;
   s.base.(slot) <- base;
-  s.seq.(slot) <- s.next_seq;
-  s.next_seq <- s.next_seq + 1;
   s.count <- slot + 1;
-  index_insert s addr slot;
-  if s.count > 2 * s.buckets then s.buckets <- 2 * s.buckets
+  index_insert s addr slot
 
 (* Remove the object at index position [p], filling its slot with the
    last one. *)
@@ -191,8 +169,7 @@ let remove_object s p =
     s.addr.(slot) <- s.addr.(last);
     s.req_size.(slot) <- s.req_size.(last);
     s.block.(slot) <- s.block.(last);
-    s.base.(slot) <- s.base.(last);
-    s.seq.(slot) <- s.seq.(last)
+    s.base.(slot) <- s.base.(last)
   end;
   s.count <- last
 
@@ -239,8 +216,6 @@ let empty s =
     s.index.(s.pos.(slot)) <- -1
   done;
   s.count <- 0;
-  s.next_seq <- 0;
-  s.buckets <- initial_buckets;
   Array.fill s.small_head 0 (Array.length s.small_head) (-1);
   Array.fill s.fresh_next 0 (Array.length s.fresh_next) 0;
   Array.fill s.fresh_limit 0 (Array.length s.fresh_limit) 0;
@@ -448,64 +423,12 @@ let usable_size t addr =
   let slot = slot_of s addr in
   if slot < 0 then None else Some (s.block.(slot) - (addr - s.base.(slot)))
 
-let scratch a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
-
-(* The generic table's order: buckets [Hashtbl.hash addr land (buckets -
-   1)] ascending, newest insertion first within a bucket (its resize keeps
-   each bucket's order, and an in-place [realloc] keeps the insertion).
-   A counting sort places the slots in [bins] coarse bins by the top bits
-   of their bucket, as many bins as objects (at most [buckets]), so it
-   costs O(live objects) however many buckets there are; an insertion
-   sort then orders each bin's few slots by bucket and descending
-   insertion number.  An empty heap is not sorted: most executions free
-   every object. *)
+(* Slot order: allocation order, but for the moves [free] makes. *)
 let iter_live f t =
   let s = t.s in
-  let n = s.count in
-  if n > 0 then begin
-    let bins = ref 1 and shift = ref 0 in
-    while !bins < n && !bins < s.buckets do bins := 2 * !bins done;
-    while !bins lsl !shift < s.buckets do incr shift done;
-    let bins = !bins and shift = !shift in
-    s.tally <- scratch s.tally (bins + 1);
-    s.order <- scratch s.order n;
-    s.bucket_of <- scratch s.bucket_of n;
-    let tally = s.tally and order = s.order and bucket_of = s.bucket_of in
-    Array.fill tally 0 (bins + 1) 0;
-    for slot = 0 to n - 1 do
-      let b = Hashtbl.hash s.addr.(slot) land (s.buckets - 1) in
-      bucket_of.(slot) <- b;
-      let bin = b lsr shift in
-      tally.(bin + 1) <- tally.(bin + 1) + 1
-    done;
-    for bin = 1 to bins do
-      tally.(bin) <- tally.(bin) + tally.(bin - 1)
-    done;
-    for slot = 0 to n - 1 do
-      let bin = bucket_of.(slot) lsr shift in
-      order.(tally.(bin)) <- slot;
-      tally.(bin) <- tally.(bin) + 1
-    done;
-    for i = 1 to n - 1 do
-      let x = order.(i) in
-      let bx = bucket_of.(x) and sx = s.seq.(x) in
-      let j = ref (i - 1) in
-      while
-        !j >= 0
-        &&
-        let y = order.(!j) in
-        bucket_of.(y) > bx || (bucket_of.(y) = bx && s.seq.(y) < sx)
-      do
-        order.(!j + 1) <- order.(!j);
-        decr j
-      done;
-      order.(!j + 1) <- x
-    done;
-    for i = 0 to n - 1 do
-      let slot = order.(i) in
-      f ~addr:s.addr.(slot) ~size:s.req_size.(slot)
-    done
-  end
+  for slot = 0 to s.count - 1 do
+    f ~addr:s.addr.(slot) ~size:s.req_size.(slot)
+  done
 
 let live_objects t = t.s.count
 let live_bytes t = t.live_bytes

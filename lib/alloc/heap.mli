@@ -73,14 +73,13 @@ val iter_live : (addr:int -> size:int -> unit) -> t -> unit
 (** Walk every live object (address and requested size).  CSOD's
     Termination Handling Unit uses this to verify the canary of every
     still-allocated object at exit, so the order is the order of its
-    exit-time reports, and it is fixed: the order of a generic [Hashtbl]
-    keyed by address.  Objects go by bucket [Hashtbl.hash addr land (nb -
-    1)] ascending, newest insertion first within a bucket.  [nb] starts
-    at 4,096 and doubles whenever the live count exceeds [2 * nb]; it
-    never shrinks while the heap lives.  An in-place {!realloc} keeps
-    its object's place; one that moves it inserts the new address.
-    [f] must not allocate or free on this heap.  Costs nothing when no
-    object is live. *)
+    exit-time reports.  It is allocation order, except that {!free} moves
+    the most recently placed live object into the freed one's place: with
+    [a b c d] live, freeing [b] walks [a d c].  A {!realloc} keeps its
+    object's place, in place or moved (the new block is allocated last,
+    then freeing the old one moves it there).  The order is a pure
+    function of the sequence of allocation calls.  [f] must not allocate
+    or free on this heap. *)
 
 val live_objects : t -> int
 val live_bytes : t -> int

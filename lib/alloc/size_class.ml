@@ -1,4 +1,3 @@
-let min_class = 16
 let max_class = 4096
 let align = 16
 let max_request = max_int - (align - 1)

@@ -9,9 +9,6 @@
     past the {e requested} size, inside that padding), and per-object
     padding waste feeds Table V's memory accounting. *)
 
-val min_class : int
-(** 16 bytes. *)
-
 val max_class : int
 (** 4096 bytes. *)
 
@@ -19,7 +16,7 @@ val align : int
 (** Allocation granule, 16 bytes. *)
 
 type t =
-  | Small of int  (** 16-byte-stepped block size in [\[min_class, max_class\]] *)
+  | Small of int  (** 16-byte-stepped block size in [\[16, max_class\]] *)
   | Large of int  (** 16-byte-rounded byte size above [max_class] *)
 
 val max_request : int

@@ -48,5 +48,3 @@ let is_poisoned t ~addr ~len =
     done;
     !result
   end
-
-let touched_shadow_bytes t = Sparse_mem.touched_bytes t.shadow

@@ -28,7 +28,3 @@ val unpoison : t -> addr:int -> len:int -> unit
 
 val is_poisoned : t -> addr:int -> len:int -> bool
 (** Would an access of [len] bytes at [addr] touch unaddressable memory? *)
-
-val touched_shadow_bytes : t -> int
-(** Shadow storage materialized (chunk-granular, like a real flat shadow
-    mapping), for memory accounting. *)

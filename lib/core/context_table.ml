@@ -52,7 +52,6 @@ type t = {
   c_revivals : Metrics.counter;
   g_contexts : Metrics.gauge;
   mutable allocations : int;
-  mutable watches : int;
 }
 
 (* Fills unused entry slots. *)
@@ -112,8 +111,7 @@ let create ~params ~machine ~rng =
       c_bursts = Metrics.counter reg "smu.burst_throttles";
       c_revivals = Metrics.counter reg "smu.revivals";
       g_contexts = Metrics.gauge reg "smu.contexts";
-      allocations = 0;
-      watches = 0 }
+      allocations = 0 }
   in
   Sparse_mem.on_release (Machine.mem machine) (fun () -> recycle t);
   t
@@ -291,7 +289,6 @@ let effective_prob t e =
   else e.s.prob
 
 let note_watched t (e : entry) =
-  t.watches <- t.watches + 1;
   e.watches <- e.watches + 1;
   if not e.pinned then begin
     let before = e.s.prob in
@@ -315,7 +312,6 @@ let find t (site, off) =
 let find_by_id t id = if id >= 0 && id < t.st.count then Some t.st.entries.(id) else None
 let num_contexts t = t.st.count
 let total_allocations t = t.allocations
-let total_watches t = t.watches
 
 let iter f t =
   for id = 0 to t.st.count - 1 do

@@ -91,7 +91,6 @@ val find_by_id : t -> int -> entry option
 
 val num_contexts : t -> int
 val total_allocations : t -> int
-val total_watches : t -> int
 val iter : (entry -> unit) -> t -> unit
 (** Every entry, in id order. *)
 

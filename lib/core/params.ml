@@ -36,4 +36,3 @@ let policy_name = function
   | Random -> "random"
   | Near_fifo -> "near-FIFO"
 
-let pp_policy ppf p = Format.pp_print_string ppf (policy_name p)

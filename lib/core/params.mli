@@ -52,5 +52,4 @@ type t = {
 val default : t
 (** The paper's configuration: near-FIFO policy, evidence on. *)
 
-val pp_policy : Format.formatter -> policy -> unit
 val policy_name : policy -> string

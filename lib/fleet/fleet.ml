@@ -299,11 +299,7 @@ let step t ~arrivals:n =
               args = [ ("epoch", `Int e) ] }
             :: t.spans_rev
         end;
-        (match cfg.on_health with Some cb -> cb sample | None -> ());
-        (* Barriers run in the main domain with every worker joined, so
-           emitting here cannot race the parallel section. *)
-        if Event_sink.active () then
-          Event_sink.emit "fleet.health" (Health.fields sample))
+        match cfg.on_health with Some cb -> cb sample | None -> ())
   in
   t.observer_prev <- obs_dt;
   t.epoch <- e + 1;

@@ -79,8 +79,8 @@ type config = {
   on_health : (Health.sample -> unit) option;
       (** live health callback, invoked at each epoch barrier from the
           main domain (all workers joined) — safe to write to a channel
-          or the installed {!Event_sink}.  Independently of the callback,
-          the fleet emits each sample to the installed sink, if any. *)
+          or the installed {!Event_sink}.  It is the only channel health
+          samples go out on: the fleet itself emits nothing to the sink. *)
   patch_threshold : int option;
       (** evidence hits at which the shared store convicts a context.
           Only feeds the [patched] tally of health samples — the actual

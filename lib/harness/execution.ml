@@ -23,12 +23,11 @@ let instrumented_pred (app : Buggy_app.t) program site =
   | Some m -> List.mem m app.Buggy_app.instrumented_modules
   | None -> false
 
-let run ~(app : Buggy_app.t) ~config ?engine ?(input = Buggy) ?(seed = 1)
+let run_program ~program ~inputs ?instrumented ~config ?engine ?(seed = 1)
     ?store ?(respond = Respond.Off) ?(snapshot_cycles = 0) ?faults () =
   let engine =
     match engine with Some e -> e | None -> Engine.current_default ()
   in
-  let program = Buggy_app.program app in
   (* One injector per execution, salted by the execution seed: a fleet of
      executions sharing one plan still faults each user differently, and
      identically for any domain count. *)
@@ -41,12 +40,8 @@ let run ~(app : Buggy_app.t) ~config ?engine ?(input = Buggy) ?(seed = 1)
       ~cycles:snapshot_cycles;
   let heap = Heap.create machine in
   let inst =
-    Config.instantiate config ~machine ~heap
-      ~instrumented:(instrumented_pred app program)
-      ?store ~respond ~seed ()
-  in
-  let inputs =
-    match input with Buggy -> app.Buggy_app.buggy_inputs | Benign -> app.Buggy_app.benign_inputs
+    Config.instantiate config ~machine ~heap ?instrumented ?store ~respond
+      ~seed ()
   in
   let output = Buffer.create 64 in
   let crashed =
@@ -93,6 +88,15 @@ let run ~(app : Buggy_app.t) ~config ?engine ?(input = Buggy) ?(seed = 1)
      domain-local page pool for the next execution. *)
   Sparse_mem.release (Machine.mem machine);
   outcome
+
+let run ~(app : Buggy_app.t) ~config ?engine ?(input = Buggy) ?seed ?store
+    ?respond ?snapshot_cycles ?faults () =
+  let program = Buggy_app.program app in
+  let inputs =
+    match input with Buggy -> app.Buggy_app.buggy_inputs | Benign -> app.Buggy_app.benign_inputs
+  in
+  run_program ~program ~inputs ~instrumented:(instrumented_pred app program)
+    ~config ?engine ?seed ?store ?respond ?snapshot_cycles ?faults ()
 
 let executor ~app ~config ?engine ?input_of ?(respond = Respond.Off) ?faults ()
     =

@@ -28,6 +28,24 @@ type outcome = {
           off — an undetected silent run is not a survival claim. *)
 }
 
+val run_program :
+  program:Program.t ->
+  inputs:int array ->
+  ?instrumented:(int -> bool) ->
+  config:Config.t ->
+  ?engine:Engine.t ->
+  ?seed:int ->
+  ?store:Persist.t ->
+  ?respond:Respond.mode ->
+  ?snapshot_cycles:int ->
+  ?faults:Fault_plan.t ->
+  unit ->
+  outcome
+(** Execute [program] once on a fresh machine, with [inputs] for its
+    [input()] builtin.  [instrumented] tells ASan which code addresses are
+    instrumented (default: all of them).  The other arguments are
+    {!run}'s. *)
+
 val run :
   app:Buggy_app.t ->
   config:Config.t ->
@@ -40,10 +58,12 @@ val run :
   ?faults:Fault_plan.t ->
   unit ->
   outcome
-(** Execute the app once on a fresh machine.  [engine] picks the MiniC
-    execution engine (default {!Engine.current_default}, i.e. the bytecode
-    VM unless the CLI overrode it); both engines are observably identical,
-    so the choice only affects host-time throughput.  [seed] (default 1) varies
+(** Execute the app once on a fresh machine: {!run_program} on the app's
+    program, the inputs [input] picks, and its instrumented modules.
+    [engine] picks the MiniC execution engine (default
+    {!Engine.current_default}, i.e. the bytecode VM unless the CLI
+    overrode it); both engines are observably identical, so the choice
+    only affects host-time throughput.  [seed] (default 1) varies
     both the machine RNG (CSOD's sampling draws) and the program-visible
     [rand] (timing jitter), modeling distinct production executions.
     [input] defaults to [Buggy].  [snapshot_cycles] (default 0 = off)

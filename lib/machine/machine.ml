@@ -15,9 +15,7 @@ type t = {
   hw : Hw_breakpoint.t;
   telemetry : Telemetry.t;
   (* Hot counters, resolved once at creation: the per-event paths bump a
-     record field instead of probing the registry by name.  These are the
-     single source of truth — the former Stats.Counter shadow copies are
-     gone, and {!counters} derives its view from these. *)
+     record field instead of probing the registry by name. *)
   c_traps : Metrics.counter;
   c_traps_unhandled : Metrics.counter;
   c_traps_dropped : Metrics.counter;
@@ -86,22 +84,6 @@ let pc t = t.pc
 let telemetry t = t.telemetry
 let registry t = Telemetry.metrics t.telemetry
 let faults t = t.faults
-
-(* Derived view over the metrics registry, for callers that still speak the
-   Stats.Counter vocabulary.  Only the keys the former shadow counters
-   carried appear, and only when nonzero — matching the lazy population of
-   the old Stats.Counter. *)
-let counters t =
-  let c = Stats.Counter.create () in
-  let put name metric =
-    let n = Metrics.count metric in
-    if n > 0 then Stats.Counter.add c name n
-  in
-  put "traps" t.c_traps;
-  put "traps_unhandled" t.c_traps_unhandled;
-  put "traps_dropped" t.c_traps_dropped;
-  put "traps_delayed" t.c_traps_delayed;
-  c
 
 (* Every cycle the machine advances goes through [charge], which attributes
    it to the current phase — so the profiler's per-phase totals sum exactly

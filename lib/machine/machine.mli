@@ -34,11 +34,6 @@ val mem : t -> Sparse_mem.t
 val clock : t -> Clock.t
 val threads : t -> Threads.t
 val hw : t -> Hw_breakpoint.t
-val counters : t -> Stats.Counter.t
-(** Legacy Stats view of the trap counters ([traps], [traps_unhandled],
-    [traps_dropped], [traps_delayed]).  Derived on demand from the metrics
-    registry — the single counting path — so it can never diverge from
-    {!registry}; kept until the Stats.Counter vocabulary is retired. *)
 
 val rng : t -> Prng.t
 (** The machine's root generator; tools split per-thread generators off it. *)

@@ -190,5 +190,3 @@ let fill t addr len v =
       left := !left - n
     done
   end
-
-let touched_bytes t = Int_table.length t.chunks * chunk_size

@@ -49,9 +49,6 @@ val exchange_int : t -> addr -> int -> int
 val fill : t -> addr -> int -> int -> unit
 (** [fill t a len v] sets [len] bytes starting at [a] to byte [v]. *)
 
-val touched_bytes : t -> int
-(** Resident set proxy: bytes of chunk storage materialized so far. *)
-
 val release : t -> unit
 (** End-of-life: return this memory's chunk storage to the domain-local
     page pool so the next execution on this domain reuses it instead of

@@ -2,11 +2,6 @@ type t = Interp | Vm
 
 let to_string = function Interp -> "interp" | Vm -> "vm"
 
-let of_string = function
-  | "interp" -> Ok Interp
-  | "vm" -> Ok Vm
-  | s -> Error (Printf.sprintf "unknown engine %S (expected interp|vm)" s)
-
 (* The process-wide default, set once by the CLI front-end before any
    executions run.  The compiled VM is the default; the interpreter stays
    available as the reference oracle. *)

@@ -11,7 +11,6 @@
 type t = Interp | Vm
 
 val to_string : t -> string
-val of_string : string -> (t, string) result
 
 val set_default : t -> unit
 (** Set the process-wide default engine (used by [Execution.run] when no

@@ -30,6 +30,4 @@ let to_string = function
   | AMP -> "&" | PIPE -> "|" | CARET -> "^" | SHL -> "<<" | SHR -> ">>"
   | EOF -> "<eof>"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 type spanned = { tok : t; loc : Srcloc.t }

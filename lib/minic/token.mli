@@ -15,7 +15,6 @@ type t =
   | AMP | PIPE | CARET | SHL | SHR             (** bitwise *)
   | EOF
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 type spanned = { tok : t; loc : Srcloc.t }

@@ -11,7 +11,6 @@ let to_buffer buf =
   make (fun line -> Buffer.add_string buf line; Buffer.add_char buf '\n')
 
 let events t = t.events
-let flush t = t.flush ()
 
 (* The installed sink is process-global: emission sites are module-level
    functions with no handle to thread a sink through (mirroring how the

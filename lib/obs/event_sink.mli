@@ -1,9 +1,8 @@
 (** Structured JSONL event sink.
 
     One JSON object per line, first field ["event"] naming the kind.  The
-    {!Flight_recorder}'s lifecycle hooks, the telemetry snapshotter, the
-    fleet's health samples and [Respond]'s events all emit here when a sink
-    is installed; with none installed every emission site costs exactly one
+    {!Flight_recorder}'s lifecycle hooks, the telemetry snapshotter and
+    [Respond]'s events all emit here when a sink is installed; with none installed every emission site costs exactly one
     branch ({!active}).
 
     Events carry no wall-clock timestamps — callers include virtual-clock
@@ -14,7 +13,8 @@ type t
 
 val make : ?flush:(unit -> unit) -> (string -> unit) -> t
 (** [make write] builds a sink from a line writer; [flush] (default a
-    no-op) is called by {!uninstall}, {!with_sink} and {!flush}. *)
+    no-op) is called by {!uninstall}, {!with_sink} and
+    {!flush_installed}. *)
 
 val to_channel : out_channel -> t
 (** Lines are written to [oc] under the channel's own buffering; the
@@ -24,8 +24,6 @@ val to_buffer : Buffer.t -> t
 
 val events : t -> int
 (** Number of events written through this sink. *)
-
-val flush : t -> unit
 
 (** {1 The process-global sink} *)
 

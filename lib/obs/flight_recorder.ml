@@ -222,8 +222,6 @@ let records t =
    runtime code with no handle to thread a recorder through. *)
 let current : t option ref = ref None
 
-let install t = current := Some t
-let uninstall () = current := None
 let active () = !current <> None
 
 let with_recorder t f =

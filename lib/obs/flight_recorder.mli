@@ -106,8 +106,6 @@ val record_to_json : record -> Obs_json.t
 
 (** {1 The process-global recorder} *)
 
-val install : t -> unit
-val uninstall : unit -> unit
 val active : unit -> bool
 val with_recorder : t -> (unit -> 'a) -> 'a
 (** Install [t] for the duration of the callback, restoring the previous

@@ -57,10 +57,6 @@ val straggler_skew : float list -> float
 (** [straggler_skew busy] is max/median over the positive entries; [1.0]
     when fewer than two workers did work or the median underflows. *)
 
-val fields : sample -> (string * Obs_json.t) list
-(** The record's JSON fields, schema tag first — ready for
-    {!Event_sink.emit}[ "fleet.health"]. *)
-
 val to_json : sample -> Obs_json.t
 (** The full JSONL object: [{"event": "fleet.health", ...fields}]. *)
 

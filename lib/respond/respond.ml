@@ -15,8 +15,8 @@
      guard slack, so the overflow lands in memory the allocation owns.  No
      redirect, no report, no cost for unconvicted contexts.
 
-   This module holds the policy state: the mode, the shadow slab, the event
-   log and the tallies.  The runtime and the ASan tool decide *when* to
+   This module holds the policy state: the mode, the shadow slab and the
+   tallies; each event goes to the installed {!Event_sink}, if any.  The runtime and the ASan tool decide *when* to
    redirect; the machine applies the squash/override mechanics. *)
 
 type mode = Off | Oblivious | Patch of int
@@ -103,7 +103,7 @@ type t = {
   mutable redirected_writes : int;
   mutable escapes : int;
   mutable patched_allocs : int;
-  mutable events : event list;  (* newest first *)
+  mutable events : int;
 }
 
 let create mode =
@@ -114,7 +114,7 @@ let create mode =
     redirected_writes = 0;
     escapes = 0;
     patched_allocs = 0;
-    events = [] }
+    events = 0 }
 
 let mode t = t.mode
 let oblivious t = t.mode = Oblivious
@@ -148,11 +148,11 @@ let attach t machine =
       slab_put t ~obj:t.target_obj ~off:(addr - t.target_obj) ~value)
 
 let record t ~kind ~source ~site ~ctx ~addr ~offset ~len ~at_sec =
-  let e =
-    { kind; source = source_name source; site; ctx; addr; offset; len; at_sec }
-  in
-  t.events <- e :: t.events;
+  t.events <- t.events + 1;
   if Event_sink.active () then
+    let e =
+      { kind; source = source_name source; site; ctx; addr; offset; len; at_sec }
+    in
     Event_sink.emit "respond"
       (match event_to_json e with `Assoc fields -> fields | _ -> [])
 
@@ -204,9 +204,7 @@ let summary t =
     redirected_writes = t.redirected_writes;
     escapes = t.escapes;
     patched_allocs = t.patched_allocs;
-    events = List.length t.events }
-
-let events (t : t) = List.rev_map event_to_json t.events
+    events = t.events }
 
 (* Oblivious survival: every detected out-of-bounds access was redirected
    and nothing escaped into adjacent memory. *)

@@ -17,7 +17,8 @@
       slack so the overflow becomes harmless — no crash, no report, and
       unconvicted contexts pay nothing.
 
-    The module is pure policy state (mode, slab, event log, tallies); the
+    The module is pure policy state (mode, slab, tallies); each response
+    event goes to the installed {!Event_sink}, if any, and is counted.  The
     runtime and the ASan tool decide when to invoke it, and the machine
     ({!Machine.squash_write} / {!Machine.override_read}) applies the
     mechanics.  None of its operations draw from any PRNG or charge the
@@ -95,13 +96,10 @@ type summary = {
   redirected_writes : int;
   escapes : int;
   patched_allocs : int;
-  events : int;
+  events : int;  (** response events emitted *)
 }
 
 val summary : t -> summary
-
-val events : t -> Obs_json.t list
-(** All response events in order, as [csod.respond.event/1] documents. *)
 
 val survived : t -> bool
 (** Oblivious mode with zero escapes: every detected out-of-bounds access

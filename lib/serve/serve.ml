@@ -462,7 +462,6 @@ let detections t = t.detections
 let virtual_seconds t = virtual_seconds_of t.total_cycles
 let last t = t.last_obs
 let windows t = t.wins
-let alert_engine t = t.alerts
 
 (* ---- rendering ---- *)
 

@@ -94,7 +94,6 @@ val detections : 'a t -> int
 val virtual_seconds : 'a t -> float
 val last : 'a t -> Serve_obs.t option
 val windows : 'a t -> Window.set
-val alert_engine : 'a t -> Alert.t
 
 val status_json : 'a t -> Obs_json.t
 (** The live status document (schema [csod.serve.status/1]):

@@ -113,7 +113,6 @@ let create ~size =
   { win = size; ring = Array.make size empty; count = 0 }
 
 let size t = t.win
-let pushed t = t.count
 
 let push t o =
   t.ring.(t.count mod t.win) <- of_obs o;

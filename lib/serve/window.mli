@@ -51,9 +51,6 @@ val create : size:int -> t
 
 val size : t -> int
 
-val pushed : t -> int
-(** Epochs pushed over the window's lifetime (not capped at [size]). *)
-
 val push : t -> Serve_obs.t -> unit
 
 val aggregate : t -> agg

@@ -29,20 +29,3 @@ let stddev xs =
 let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
-
-module Counter = struct
-  type t = (string, int) Hashtbl.t
-
-  let create () = Hashtbl.create 16
-
-  let add t name n =
-    let cur = try Hashtbl.find t name with Not_found -> 0 in
-    Hashtbl.replace t name (cur + n)
-
-  let incr t name = add t name 1
-  let get t name = try Hashtbl.find t name with Not_found -> 0
-
-  let to_list t =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-end

@@ -19,16 +19,3 @@ val clamp : lo:float -> hi:float -> float -> float
 
 val ratio : int -> int -> float
 (** [ratio num den] as a float; 0 when [den = 0]. *)
-
-module Counter : sig
-  (** Named monotonic counters, used for operation accounting. *)
-
-  type t
-
-  val create : unit -> t
-  val incr : t -> string -> unit
-  val add : t -> string -> int -> unit
-  val get : t -> string -> int
-  val to_list : t -> (string * int) list
-  (** Sorted by name. *)
-end

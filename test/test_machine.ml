@@ -247,10 +247,9 @@ let test_machine_backtrace_provider () =
   Alcotest.(check (list int)) "provider wins" [ 1; 2; 3 ] (Machine.backtrace m)
 
 (* The machine once kept two counting paths — a Stats.Counter shadow and
-   the metrics registry — which could drift.  [Machine.counters] is now a
-   view derived from the registry; this pins that every legacy accessor
-   agrees with the registry after a mixed workload of handled traps,
-   unhandled traps, accesses and syscalls. *)
+   the metrics registry — which could drift.  The registry is now the only
+   one; this pins that every count accessor agrees with it after a mixed
+   workload of handled traps, unhandled traps, accesses and syscalls. *)
 let test_machine_counter_paths_agree () =
   let m = Machine.create () in
   let tid = Threads.current (Machine.threads m) in
@@ -271,12 +270,7 @@ let test_machine_counter_paths_agree () =
   ignore (Machine.load_word m 0x500);
   let reg = List.to_seq (Metrics.counters_list (Machine.registry m)) in
   let metric name = Option.value ~default:0 (Seq.find_map (fun (k, v) -> if k = name then Some v else None) reg) in
-  let legacy = Machine.counters m in
   Alcotest.(check int) "handled traps ran" 3 !handled;
-  Alcotest.(check int) "stats traps = registry" (metric "trap.count")
-    (Stats.Counter.get legacy "traps");
-  Alcotest.(check int) "stats unhandled = registry" (metric "trap.unhandled")
-    (Stats.Counter.get legacy "traps_unhandled");
   Alcotest.(check int) "trap_count = registry" (metric "trap.count")
     (Machine.trap_count m);
   Alcotest.(check int) "access_count = registry" (metric "machine.accesses")
@@ -285,8 +279,7 @@ let test_machine_counter_paths_agree () =
     (Machine.syscall_count m);
   Alcotest.(check int) "traps: 2 unhandled + 3 handled" 5
     (Machine.trap_count m);
-  Alcotest.(check int) "unhandled counted" 2
-    (Stats.Counter.get legacy "traps_unhandled");
+  Alcotest.(check int) "unhandled counted" 2 (metric "trap.unhandled");
   Alcotest.(check int) "accesses counted" 6 (Machine.access_count m)
 
 let suite =

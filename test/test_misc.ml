@@ -39,11 +39,6 @@ let test_cost_sanity () =
 let test_alloc_ctx () =
   let c = Alloc_ctx.synthetic ~stack_offset:24 ~callsite:0x400 () in
   Alcotest.(check (pair int int)) "key" (0x400, 24) (Alloc_ctx.key c);
-  Alcotest.(check bool) "key equality" true
-    (Alloc_ctx.equal_key (1, 2) (1, 2) && not (Alloc_ctx.equal_key (1, 2) (2, 1)));
-  Alcotest.(check bool) "hash nonnegative" true (Alloc_ctx.hash_key (1, 2) >= 0);
-  Alcotest.(check bool) "hash separates components" true
-    (Alloc_ctx.hash_key (1, 2) <> Alloc_ctx.hash_key (2, 1));
   Alcotest.(check (list int)) "synthetic backtrace" [ 0x400 ] (c.Alloc_ctx.backtrace ());
   let d = Alloc_ctx.synthetic ~callsite:7 () in
   Alcotest.(check int) "default offset" 0 d.Alloc_ctx.stack_offset

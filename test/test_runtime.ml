@@ -87,6 +87,29 @@ let test_canary_at_exit () =
   Runtime.finish rt;
   Alcotest.(check int) "idempotent finish" n (List.length (Runtime.detections rt))
 
+(* The exit sweep walks the heap's slots, so its reports come in slot
+   order: freeing the first object moves the last one, [q], into its
+   slot, ahead of [p]. *)
+let test_canary_exit_order () =
+  let rt, tool, machine, _ = mk () in
+  let first = tool.Tool.malloc ~size:16 ~ctx:(ctx 1) in
+  for i = 2 to 4 do
+    ignore (tool.Tool.malloc ~size:16 ~ctx:(ctx i))
+  done;
+  let p = tool.Tool.malloc ~size:24 ~ctx:(ctx 5) in
+  let q = tool.Tool.malloc ~size:40 ~ctx:(ctx 6) in
+  Machine.store_word_unwatched machine (p + 24) 0x44444444;
+  Machine.store_word_unwatched machine (q + 40) 0x45454545;
+  tool.Tool.free ~ptr:first;
+  Runtime.finish rt;
+  let exits =
+    List.filter_map
+      (fun r ->
+        if r.Report.source = Report.Canary_exit then Some r.Report.object_addr else None)
+      (Runtime.detections rt)
+  in
+  Alcotest.(check (list int)) "exit reports in slot order" [ q; p ] exits
+
 let test_no_evidence_mode () =
   let params = { Params.default with Params.evidence = false } in
   let rt, tool, machine, heap = mk ~params () in
@@ -448,4 +471,6 @@ let suite =
     Alcotest.test_case "engine A/B: zziplib fleet at 1/2/4 domains" `Quick
       test_engine_ab_fleet;
     Alcotest.test_case "deep frames: reports identical on recycled buffers" `Quick
-      test_deep_frames_recycled ]
+      test_deep_frames_recycled;
+    Alcotest.test_case "canary at exit: reports in slot order" `Quick
+      test_canary_exit_order ]

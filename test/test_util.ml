@@ -110,17 +110,6 @@ let test_stats_clamp_ratio () =
   Alcotest.check feq "ratio" 0.5 (Stats.ratio 1 2);
   Alcotest.check feq "ratio by zero" 0.0 (Stats.ratio 1 0)
 
-let test_counter () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c "a";
-  Stats.Counter.add c "a" 4;
-  Stats.Counter.incr c "b";
-  Alcotest.(check int) "a" 5 (Stats.Counter.get c "a");
-  Alcotest.(check int) "b" 1 (Stats.Counter.get c "b");
-  Alcotest.(check int) "missing" 0 (Stats.Counter.get c "zz");
-  Alcotest.(check (list (pair string int))) "sorted listing"
-    [ ("a", 5); ("b", 1) ] (Stats.Counter.to_list c)
-
 (* ---------- Table_fmt ---------- *)
 
 let contains ~needle haystack =
@@ -165,7 +154,6 @@ let suite =
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
     Alcotest.test_case "stats stddev" `Quick test_stats_stddev;
     Alcotest.test_case "stats clamp/ratio" `Quick test_stats_clamp_ratio;
-    Alcotest.test_case "counters" `Quick test_counter;
     Alcotest.test_case "table render" `Quick test_table_fmt_render;
     Alcotest.test_case "table arity" `Quick test_table_fmt_arity;
     Alcotest.test_case "number formatting" `Quick test_table_fmt_numbers ]
