@@ -739,12 +739,9 @@ let serve_cmd =
     Arg.(value & opt (some string) None
          & info [ "status-file" ] ~docv:"FILE"
              ~doc:"Atomically republish a csod.serve.status/1 snapshot to \
-                   $(docv) — watch it with $(b,csod_run top --follow).")
-  in
-  let status_every_arg =
-    Arg.(value & opt int 1
-         & info [ "status-every" ] ~docv:"N"
-             ~doc:"Epochs between status republications.")
+                   $(docv) at most every 0.1 s of wall time (at every \
+                   barrier when epochs are slower) and on exit — watch it \
+                   with $(b,csod_run top --follow).")
   in
   let checkpoint_file_arg =
     Arg.(value & opt (some string) None
@@ -761,7 +758,9 @@ let serve_cmd =
   let live_arg =
     Arg.(value & flag
          & info [ "live" ]
-             ~doc:"Redraw the service dashboard in place at every barrier.")
+             ~doc:"Redraw the service dashboard in place whenever the \
+                   status refreshes (at most every 0.1 s of wall time), and \
+                   once more on exit if the last barrier did not.")
   in
   let parse_windows s =
     let parts =
@@ -776,7 +775,7 @@ let serve_cmd =
   in
   let run name engine users domains epoch epochs benign_frac burst wave_period
       seed policy no_evidence faults respond alerts alerts_file windows
-      history rotate status_file status_every checkpoint checkpoint_every live
+      history rotate status_file checkpoint checkpoint_every live
       no_color =
     apply_engine engine;
     match Buggy_app.by_name name with
@@ -819,7 +818,7 @@ let serve_cmd =
           ?patch_threshold:
             (match respond with Respond.Patch n -> Some n | _ -> None)
           ~rules ~windows ?history_dir:history ~rotate
-          ?status_path:status_file ~status_every ?checkpoint_path:checkpoint
+          ?status_path:status_file ?checkpoint_path:checkpoint
           ~checkpoint_every workload
       in
       (match
@@ -835,7 +834,14 @@ let serve_cmd =
         if resumed_at > 0 then
           Printf.printf "resumed from %s at epoch %d\n"
             (Option.value checkpoint ~default:"checkpoint") resumed_at;
-        let fired = ref 0 and cleared = ref 0 in
+        let paint () =
+          if live && color then print_string "\x1b[2J\x1b[H";
+          (match Serve.render_status ~color (Serve.status_json t) with
+          | Some s -> print_string s
+          | None -> ());
+          flush stdout
+        in
+        let fired = ref 0 and cleared = ref 0 and painted = ref false in
         while Serve.epoch t < epochs do
           let o = Serve.step t in
           List.iter
@@ -847,20 +853,12 @@ let serve_cmd =
                   (if ev.Alert.firing then "FIRING" else "cleared")
                   ev.Alert.epoch)
             o.Serve.events;
-          if live then begin
-            if color then print_string "\x1b[2J\x1b[H";
-            (match Serve.render_status ~color (Serve.status_json t) with
-            | Some s -> print_string s
-            | None -> ());
-            flush stdout
-          end
+          painted := live && o.Serve.refreshed;
+          if !painted then paint ()
         done;
         let report = Serve.finish t in
-        if not live then begin
-          match Serve.render_status ~color (Serve.status_json t) with
-          | Some s -> print_string s
-          | None -> ()
-        end;
+        (* The final state, unless --live's last barrier just drew it. *)
+        if not !painted then paint ();
         Printf.printf
           "served %d epochs: %d arrived, %d detections, %d alerts fired, %d \
            cleared, %.3f s wall\n"
@@ -887,7 +885,7 @@ let serve_cmd =
           $ seed_arg $ policy_arg $ no_evidence_arg $ faults_arg
           $ respond_arg $ alerts_arg
           $ alerts_file_arg $ windows_arg $ history_arg $ rotate_arg
-          $ status_file_arg $ status_every_arg $ checkpoint_file_arg
+          $ status_file_arg $ checkpoint_file_arg
           $ checkpoint_every_arg $ live_arg $ no_color_arg)
 
 (* ---- replay: re-render and re-check a history directory offline ---- *)

@@ -1,5 +1,6 @@
 let status_schema = "csod.serve.status/1"
 let checkpoint_schema = "csod.serve.checkpoint/1"
+let status_period = 0.1
 
 type config = {
   workload : Workload.t;
@@ -12,14 +13,13 @@ type config = {
   history_dir : string option;
   rotate : int;
   status_path : string option;
-  status_every : int;
   checkpoint_path : string option;
   checkpoint_every : int;
 }
 
 let config ?domains ?(epoch_size = 32) ?faults ?patch_threshold
     ?(rules = Alert.defaults) ?(windows = [ 1; 10; 100 ]) ?history_dir
-    ?(rotate = 4096) ?status_path ?(status_every = 1) ?checkpoint_path
+    ?(rotate = 4096) ?status_path ?checkpoint_path
     ?(checkpoint_every = 0) workload =
   let domains =
     match domains with Some d -> d | None -> Pool.default_domains ()
@@ -28,14 +28,12 @@ let config ?domains ?(epoch_size = 32) ?faults ?patch_threshold
   | Some n when n < 1 -> invalid_arg "Serve.config: patch_threshold < 1"
   | _ -> ());
   if rotate < 1 then invalid_arg "Serve.config: rotate < 1";
-  if status_every < 1 then invalid_arg "Serve.config: status_every < 1";
   if checkpoint_every < 0 then invalid_arg "Serve.config: checkpoint_every < 0";
   List.iter
     (fun w -> if w < 1 then invalid_arg "Serve.config: window < 1")
     windows;
   { workload; domains; epoch_size; faults; patch_threshold; rules; windows;
-    history_dir; rotate; status_path; status_every; checkpoint_path;
-    checkpoint_every }
+    history_dir; rotate; status_path; checkpoint_path; checkpoint_every }
 
 (* Dashboard sizes plus every rule's judging window: one ring each. *)
 let all_window_sizes cfg =
@@ -49,6 +47,9 @@ type 'a t = {
   alerts : Alert.t;
   hist : History.writer option;
   t_start : float;
+  (* Wall time of the last refresh; [neg_infinity] until the first
+     barrier, so that barrier always refreshes. *)
+  mutable refreshed_at : float;
   (* Run-lifetime cumulatives (survive checkpoint/resume; the fleet
      session's own registries restart at zero after a resume). *)
   mutable arrived : int;
@@ -95,12 +96,20 @@ let meta_body cfg : Obs_json.t =
        `List (List.map (fun r -> `String (Alert.to_spec r)) cfg.rules));
       ("windows", `List (List.map (fun w -> `Int w) cfg.windows)) ]
 
+(* A failed write, close or rename leaves neither an open channel nor
+   [PATH.tmp] behind; the error still reaches the caller. *)
 let atomic_write path content =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
-  output_string oc content;
-  close_out oc;
-  Sys.rename tmp path
+  try
+    output_string oc content;
+    close_out oc;
+    Sys.rename tmp path
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Printexc.raise_with_backtrace e bt
 
 (* ---- status ---- *)
 
@@ -141,7 +150,8 @@ let status_core ~epoch ~arrived ~detections ~patched ~total_cycles ~last ~wins
                    : Obs_json.t))
                (Alert.firing alerts))) ]) ]
 
-let status_json t : Obs_json.t =
+(* [now]: one clock reading gives both wall members. *)
+let status_at t ~now : Obs_json.t =
   `Assoc
     (status_core ~epoch:(Fleet.epoch t.fleet) ~arrived:t.arrived
        ~detections:t.detections ~patched:t.patched ~total_cycles:t.total_cycles
@@ -150,8 +160,10 @@ let status_json t : Obs_json.t =
     @ [ ("wall",
          `Assoc
            [ ("domains", `Int t.cfg.domains);
-             ("wall_seconds", `Float (Unix.gettimeofday () -. t.t_start));
-             ("unix_time", `Float (Unix.gettimeofday ())) ]) ])
+             ("wall_seconds", `Float (now -. t.t_start));
+             ("unix_time", `Float now) ]) ])
+
+let status_json t = status_at t ~now:(Unix.gettimeofday ())
 
 let status_spec =
   Schema.make status_schema
@@ -172,10 +184,11 @@ let status_spec =
         Schema.has_fields Schema.[ ("rules", List); ("firing", List) ]
           (field "alerts"))
 
-let publish_status t =
+let publish_status t ~now =
   match t.cfg.status_path with
   | None -> ()
-  | Some path -> atomic_write path (Obs_json.to_string (status_json t) ^ "\n")
+  | Some path ->
+    atomic_write path (Obs_json.to_string (status_at t ~now) ^ "\n")
 
 (* ---- checkpoint ---- *)
 
@@ -235,6 +248,7 @@ let fresh cfg ~execute =
       alerts = Alert.engine cfg.rules;
       hist;
       t_start = Unix.gettimeofday ();
+      refreshed_at = neg_infinity;
       arrived = 0; detections = 0; total_cycles = 0; patched = 0;
       degraded = 0; worker_crashes = 0; snapshots = 0; faults_cum = [];
       prev_patched = 0; prev_degraded = 0; prev_crashes = 0;
@@ -348,6 +362,7 @@ let resume cfg ~execute json =
               ~execute;
           wins; alerts; hist;
           t_start = Unix.gettimeofday ();
+          refreshed_at = neg_infinity;
           arrived; detections; total_cycles; patched; degraded;
           worker_crashes; snapshots; faults_cum;
           prev_patched; prev_degraded = 0; prev_crashes = 0;
@@ -368,7 +383,11 @@ let start cfg ~execute =
 
 (* ---- the epoch ---- *)
 
-type outcome = { obs : Serve_obs.t; events : Alert.event list }
+type outcome = {
+  obs : Serve_obs.t;
+  events : Alert.event list;
+  refreshed : bool;
+}
 
 let delta_faults ~prev now =
   List.filter_map
@@ -444,14 +463,23 @@ let step t =
       events
   | None -> ());
   t.last_obs <- Some obs;
+  (* Wall-paced: the status is republished at most once per
+     [status_period], and at once if the clock stepped backwards. *)
+  let now = Unix.gettimeofday () in
+  let refreshed =
+    now -. t.refreshed_at >= status_period || now < t.refreshed_at
+  in
+  if refreshed then begin
+    t.refreshed_at <- now;
+    publish_status t ~now
+  end;
   let completed = e + 1 in
-  if completed mod t.cfg.status_every = 0 then publish_status t;
   if t.cfg.checkpoint_every > 0 && completed mod t.cfg.checkpoint_every = 0
   then publish_checkpoint t;
-  { obs; events }
+  { obs; events; refreshed }
 
 let finish t =
-  publish_status t;
+  publish_status t ~now:(Unix.gettimeofday ());
   publish_checkpoint t;
   (match t.hist with Some w -> History.close w | None -> ());
   Fleet.finish t.fleet

@@ -8,7 +8,15 @@
     - pushes it through the rolling {!Window.set},
     - evaluates the {!Alert} rules and logs fire/clear transitions,
     - appends health and alert records to the durable {!History},
-    - republishes the status snapshot and, periodically, a checkpoint.
+    - writes a checkpoint every [checkpoint_every] epochs, and
+    - refreshes: republishes the status snapshot if at least
+      {!status_period} of wall time has passed since the last refresh
+      (or the clock stepped backwards).  The first barrier after {!start}
+      always refreshes, and {!finish} always publishes.
+
+    The status record is virtual-time; only {e when} the file is
+    republished depends on wall time.  [csod_run serve --live] repaints
+    its dashboard on the same refreshes.
 
     Determinism contract: for a given workload (seed, schedule) the
     history segments, the alert stream and the status document minus its
@@ -37,7 +45,7 @@ type config = {
   history_dir : string option;
   rotate : int;  (** history lines per segment *)
   status_path : string option;
-  status_every : int;  (** epochs between status republications *)
+      (** the status file, republished at each refresh and by {!finish} *)
   checkpoint_path : string option;
   checkpoint_every : int;  (** epochs between checkpoints; 0 = only final *)
 }
@@ -52,7 +60,6 @@ val config :
   ?history_dir:string ->
   ?rotate:int ->
   ?status_path:string ->
-  ?status_every:int ->
   ?checkpoint_path:string ->
   ?checkpoint_every:int ->
   Workload.t ->
@@ -61,7 +68,13 @@ val config :
     no faults, no patch threshold, [rules = Alert.defaults],
     [windows = \[1; 10; 100\]],
     no history/status/checkpoint files, [rotate = 4096],
-    [status_every = 1], [checkpoint_every = 0]. *)
+    [checkpoint_every = 0]. *)
+
+val status_period : float
+(** Least wall time between two status refreshes: 0.1 s.  A reader
+    polling the status file ([csod_run top --follow], every 0.5 s by
+    default) reads a state at most this much older than the service's
+    last barrier; an epoch longer than this refreshes at every barrier. *)
 
 type 'a t
 
@@ -76,6 +89,9 @@ val start : config -> execute:'a Fleet.executor -> ('a t, string) result
 type outcome = {
   obs : Serve_obs.t;           (** the epoch's deterministic record *)
   events : Alert.event list;   (** alert transitions at this barrier *)
+  refreshed : bool;
+      (** this barrier refreshed: it republished the status file (when
+          one is configured) *)
 }
 
 val step : 'a t -> outcome

@@ -517,6 +517,119 @@ let test_serve_outputs_match_specs () =
        (Obs_json.to_string (Fleet.to_json ~app:"synthetic" ~config:"test" report)
        ^ "\n"))
 
+(* ---------- status cadence ---------- *)
+
+let read_status path =
+  match Obs_json.of_string (String.trim (read_file path)) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "%s: %s" path e
+
+(* Fast epochs refresh at most once per [status_period] of wall time, the
+   first barrier always refreshes, and [finish] still leaves the final
+   state in the file. *)
+let test_serve_status_paced () =
+  let dir = temp_dir "csod_serve" in
+  let t0 = Unix.gettimeofday () in
+  match Serve.start (serve_cfg ~dir ()) ~execute:serve_exec with
+  | Error m -> Alcotest.fail m
+  | Ok t ->
+    let refreshes = ref 0 and first = ref None in
+    while Serve.epoch t < 300 do
+      let o = Serve.step t in
+      if !first = None then first := Some o.Serve.refreshed;
+      if o.Serve.refreshed then incr refreshes
+    done;
+    let elapsed = Unix.gettimeofday () -. t0 in
+    ignore (Serve.finish t);
+    Alcotest.(check (option bool)) "the first barrier refreshes" (Some true)
+      !first;
+    let bound = 2 + int_of_float (elapsed /. Serve.status_period) in
+    if !refreshes < 1 || !refreshes > bound then
+      Alcotest.failf "%d refreshes in %.3f s (bound %d)" !refreshes elapsed
+        bound;
+    let status = read_status (Filename.concat dir "status.json") in
+    Alcotest.(check (option int)) "the file holds the final epoch" (Some 300)
+      (Option.bind (Obs_json.member "epoch" status) Obs_json.to_int);
+    Alcotest.(check string) "status file = status_json minus wall"
+      (Obs_json.to_string (strip_wall (Serve.status_json t)))
+      (Obs_json.to_string (strip_wall status))
+
+(* Epochs slower than [status_period] refresh at every barrier. *)
+let test_serve_slow_epochs_refresh () =
+  let cfg =
+    Serve.config ~domains:1 ~epoch_size:1
+      (Workload.make ~burst:Workload.Steady ~users:3 ())
+  in
+  let execute ~user ~store =
+    Unix.sleepf (Serve.status_period +. 0.01);
+    serve_exec ~user ~store
+  in
+  match Serve.start cfg ~execute with
+  | Error m -> Alcotest.fail m
+  | Ok t ->
+    let flags = List.init 3 (fun _ -> (Serve.step t).Serve.refreshed) in
+    ignore (Serve.finish t);
+    Alcotest.(check (list bool)) "every barrier refreshes" [ true; true; true ]
+      flags
+
+let test_serve_resume_refreshes () =
+  let dir = temp_dir "csod_serve" in
+  let cfg =
+    serve_cfg ~dir ~checkpoint_path:(Filename.concat dir "ckpt.json") ()
+  in
+  ignore (run_serve cfg ~epochs:5);
+  match Serve.start cfg ~execute:serve_exec with
+  | Error m -> Alcotest.fail m
+  | Ok t ->
+    Alcotest.(check int) "resumed" 5 (Serve.epoch t);
+    let o = Serve.step t in
+    ignore (Serve.finish t);
+    Alcotest.(check bool) "the first resumed barrier refreshes" true
+      o.Serve.refreshed
+
+(* A status path that is a non-empty directory cannot be renamed onto:
+   the error reaches the caller and no PATH.tmp is left behind. *)
+let test_serve_failed_publication_cleans_up () =
+  let dir = temp_dir "csod_serve" in
+  let status = Filename.concat dir "status" in
+  Sys.mkdir status 0o755;
+  Out_channel.with_open_text (Filename.concat status "keep") ignore;
+  let cfg = Serve.config ~domains:1 ~status_path:status (serve_workload 30) in
+  match Serve.start cfg ~execute:serve_exec with
+  | Error m -> Alcotest.fail m
+  | Ok t ->
+    (match Serve.finish t with
+    | _ -> Alcotest.fail "publishing onto a directory succeeded"
+    | exception Sys_error _ -> ());
+    Alcotest.(check bool) "no tmp file left" false
+      (Sys.file_exists (status ^ ".tmp"));
+    Alcotest.(check bool) "the directory is untouched" true
+      (Sys.file_exists (Filename.concat status "keep"))
+
+(* [serve --live] repaints on the status refreshes, not at every barrier. *)
+let test_cli_live_paced () =
+  let out = Filename.temp_file "csod_live" ".out" in
+  let t0 = Unix.gettimeofday () in
+  let code =
+    Sys.command
+      (Filename.quote_command "../bin/csod_run.exe" ~stdout:out
+         [ "serve"; "zziplib"; "--users"; "3000"; "--epochs"; "200"; "--live";
+           "--no-color" ])
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  let text = read_file out in
+  Alcotest.(check int) "exit code" 0 code;
+  let dashboards =
+    String.split_on_char '\n' text
+    |> List.filter (String.starts_with ~prefix:"csod serve  epoch")
+    |> List.length
+  in
+  let bound = 2 + int_of_float (wall /. Serve.status_period) in
+  if dashboards < 1 || dashboards > bound then
+    Alcotest.failf "%d dashboards in %.3f s (bound %d)" dashboards wall bound;
+  Alcotest.(check bool) "the summary reports 200 epochs" true
+    (find_sub text "served 200 epochs:" <> None)
+
 let suite =
   [ Alcotest.test_case "window: tree-reduce = from-scratch fold" `Quick
       test_window_tree_equals_fold;
@@ -546,4 +659,14 @@ let suite =
     Alcotest.test_case "serve: population drain and idle epochs" `Quick
       test_serve_population_drain;
     Alcotest.test_case "serve: outputs match their specs" `Quick
-      test_serve_outputs_match_specs ]
+      test_serve_outputs_match_specs;
+    Alcotest.test_case "serve: status refreshes paced by wall time" `Quick
+      test_serve_status_paced;
+    Alcotest.test_case "serve: slow epochs refresh at every barrier" `Quick
+      test_serve_slow_epochs_refresh;
+    Alcotest.test_case "serve: a resumed service refreshes at once" `Quick
+      test_serve_resume_refreshes;
+    Alcotest.test_case "serve: failed publication leaves no tmp file" `Quick
+      test_serve_failed_publication_cleans_up;
+    Alcotest.test_case "serve: cli --live repaints on refreshes" `Quick
+      test_cli_live_paced ]
