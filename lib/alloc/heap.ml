@@ -17,7 +17,8 @@ exception Error of string
    large block size keeps a stack of freed blocks only.
 
    The store goes back to a domain-local spare at its grown size when the
-   machine's memory is released. *)
+   machine's memory is released, and the released heap points at a shared
+   empty store. *)
 type store = {
   mutable addr : int array;
   mutable req_size : int array;      (* size the caller asked for *)
@@ -32,6 +33,9 @@ type store = {
   small_head : int array;            (* per class: top freed node, or -1 *)
   fresh_next : int array;            (* per class: next unused chunk address *)
   fresh_limit : int array;           (* per class: end of the current chunk *)
+  touched : int array;               (* classes ever refilled, first
+                                        [n_touched] slots *)
+  mutable n_touched : int;
   large_head : int Int_table.t;      (* block granules -> top freed node *)
   mutable node_addr : int array;
   mutable node_next : int array;     (* next node down the stack, or -1 *)
@@ -71,6 +75,8 @@ let fresh_store () =
     small_head = Array.make Size_class.num_small_classes (-1);
     fresh_next = Array.make Size_class.num_small_classes 0;
     fresh_limit = Array.make Size_class.num_small_classes 0;
+    touched = Array.make Size_class.num_small_classes 0;
+    n_touched = 0;
     large_head = Int_table.create 16;
     node_addr = Array.make initial_slots 0;
     node_next = Array.make initial_slots 0;
@@ -208,40 +214,61 @@ let drop_node s n =
 
 let spare_store : store Spare.t = Spare.create ()
 
+(* What a released heap points at: it holds no object, and a lookup in
+   its two-position index finds none.  Nothing ever writes to it — the
+   first block a released heap hands out gives it a store of its own
+   ([take_block]). *)
+let no_store =
+  { addr = [||]; req_size = [||]; block = [||]; base = [||]; pos = [||];
+    count = 0; index = [| -1; -1 |]; shift = 62; small_head = [||];
+    fresh_next = [||]; fresh_limit = [||]; touched = [||]; n_touched = 0;
+    large_head = Int_table.create 1; node_addr = [||]; node_next = [||];
+    node_top = 0; node_free = -1 }
+
 (* Empty [s] for its next heap, keeping every array at its grown size.
-   Only the index positions of objects still live are cleared: most
-   executions free every object. *)
+   Only the index positions of objects still live, and the classes the
+   execution refilled, are cleared: most executions free every object
+   and use a few of the 256 classes. *)
 let empty s =
   for slot = 0 to s.count - 1 do
     s.index.(s.pos.(slot)) <- -1
   done;
   s.count <- 0;
-  Array.fill s.small_head 0 (Array.length s.small_head) (-1);
-  Array.fill s.fresh_next 0 (Array.length s.fresh_next) 0;
-  Array.fill s.fresh_limit 0 (Array.length s.fresh_limit) 0;
+  for i = 0 to s.n_touched - 1 do
+    let c = s.touched.(i) in
+    s.small_head.(c) <- -1;
+    s.fresh_next.(c) <- 0;
+    s.fresh_limit.(c) <- 0
+  done;
+  s.n_touched <- 0;
   Int_table.clear s.large_head;
   s.node_top <- 0;
   s.node_free <- -1
 
 (* Hand the store to the next heap on this domain.  The released heap
    forgets its objects and free blocks (both leak, as when a process
-   exits) and keeps a small store of its own, so it stays usable without
-   aliasing its successor's. *)
+   exits) and points at [no_store], so it stays usable without aliasing
+   its successor's store and builds one only if it allocates again. *)
 let recycle t =
   let s = t.s in
-  t.s <- fresh_store ();
+  t.s <- no_store;
   empty s;
   Spare.give spare_store s
+
+let k_mallocs = Metrics.counter_key "heap.mallocs"
+let k_frees = Metrics.counter_key "heap.frees"
+let k_live_bytes = Metrics.gauge_key "heap.live_bytes"
+let k_alloc_bytes = Metrics.histogram_key "heap.alloc_bytes"
 
 let create m =
   let reg = Machine.registry m in
   let t =
     { m;
       s = Spare.take spare_store ~fresh:fresh_store;
-      c_mallocs = Metrics.counter reg "heap.mallocs";
-      c_frees = Metrics.counter reg "heap.frees";
-      g_live_bytes = Metrics.gauge reg "heap.live_bytes";
-      h_alloc_bytes = Metrics.histogram reg "heap.alloc_bytes";
+      c_mallocs = Metrics.counter reg k_mallocs;
+      c_frees = Metrics.counter reg k_frees;
+      g_live_bytes = Metrics.gauge reg k_live_bytes;
+      h_alloc_bytes = Metrics.histogram reg k_alloc_bytes;
       carved = 0;
       live_bytes = 0;
       peak_live = 0;
@@ -273,6 +300,7 @@ let large_top s key =
   | exception Not_found -> -1
 
 let take_block t block =
+  if t.s == no_store then t.s <- fresh_store ();
   let s = t.s in
   if block <= Size_class.max_class then begin
     let c = Size_class.small_index block in
@@ -285,6 +313,10 @@ let take_block t block =
       if s.fresh_next.(c) >= s.fresh_limit.(c) then begin
         let n = max 1 (chunk_bytes / block) in
         let start = carve t (n * block) in
+        if s.fresh_limit.(c) = 0 then begin
+          s.touched.(s.n_touched) <- c;
+          s.n_touched <- s.n_touched + 1
+        end;
         s.fresh_next.(c) <- start;
         s.fresh_limit.(c) <- start + (n * block)
       end;

@@ -25,9 +25,11 @@ val create : Machine.t -> t
     The arrays start at a few dozen slots and double as needed; they come
     from a domain-local spare when one is there, and go back to it at
     their grown size when the machine's memory is released
-    ({!Sparse_mem.release}): a warm execution builds none.  The released
-    heap forgets its live objects and free blocks but stays usable, on
-    small arrays of its own. *)
+    ({!Sparse_mem.release}): a warm execution builds none, and emptying
+    them touches only the size classes the execution used.  The released
+    heap forgets its live objects and free blocks but stays usable: it
+    points at a shared empty store and builds arrays of its own only if
+    it allocates again. *)
 
 val machine : t -> Machine.t
 

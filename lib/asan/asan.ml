@@ -33,6 +33,10 @@ let recycle t =
   Spare.give spare_registry tbl;
   Shadow.release t.shadow
 
+let k_shadow_checks = Metrics.counter_key "asan.shadow_checks"
+let k_detections = Metrics.counter_key "asan.detections"
+let k_quarantine_ops = Metrics.counter_key "asan.quarantine_ops"
+
 let create ?(redzone = 16) ?(quarantine_budget = 98_304) ?(instrumented = fun _ -> true)
     ?respond ~machine ~heap () =
   if redzone < 16 || redzone mod 8 <> 0 then
@@ -51,9 +55,9 @@ let create ?(redzone = 16) ?(quarantine_budget = 98_304) ?(instrumented = fun _ 
       respond;
       registry =
         Spare.take spare_registry ~fresh:(fun () -> Hashtbl.create registry_slots);
-      c_shadow_checks = Metrics.counter reg "asan.shadow_checks";
-      c_detections = Metrics.counter reg "asan.detections";
-      c_quarantine_ops = Metrics.counter reg "asan.quarantine_ops";
+      c_shadow_checks = Metrics.counter reg k_shadow_checks;
+      c_detections = Metrics.counter reg k_detections;
+      c_quarantine_ops = Metrics.counter reg k_quarantine_ops;
       detections = [] }
   in
   Sparse_mem.on_release (Machine.mem machine) (fun () -> recycle t);

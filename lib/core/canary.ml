@@ -12,35 +12,14 @@ let base_ptr ~evidence ~app = if evidence then app - header_size else app
 
 let boundary_addr ~app ~size = app + rounded size
 
-(* Per-domain single-entry cache of the plant/check counters: resolving a
-   counter is a string-keyed registry probe, too expensive to repeat on
-   every allocation.  Keyed by physical equality on the registry so
-   machines from different executions never see each other's counters. *)
-type hot_counters = {
-  reg : Metrics.t;
-  plants : Metrics.counter;
-  checks : Metrics.counter;
-}
-
-let hot_key : hot_counters option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let hot m =
-  let reg = Machine.registry m in
-  let cache = Domain.DLS.get hot_key in
-  match !cache with
-  | Some h when h.reg == reg -> h
-  | _ ->
-    let h =
-      { reg;
-        plants = Metrics.counter reg "canary.plants";
-        checks = Metrics.counter reg "canary.checks" }
-    in
-    cache := Some h;
-    h
+(* Looked up by key on every plant and check, an array index: defining
+   them with the runtime would list them, at zero, for executions that
+   never plant. *)
+let k_plants = Metrics.counter_key "canary.plants"
+let k_checks = Metrics.counter_key "canary.checks"
 
 let plant m ~base ~size ~ctx_id ~canary =
-  Metrics.incr (hot m).plants;
+  Metrics.incr (Metrics.counter (Machine.registry m) k_plants);
   Machine.work_as m Profiler.Canary_plant Cost.canary_plant;
   let app = base + header_size in
   let mem = Machine.mem m in
@@ -52,7 +31,7 @@ let plant m ~base ~size ~ctx_id ~canary =
   app
 
 let check m ~app ~size ~expected =
-  Metrics.incr (hot m).checks;
+  Metrics.incr (Metrics.counter (Machine.registry m) k_checks);
   Machine.work_as m Profiler.Canary_check Cost.canary_check;
   let ok = Sparse_mem.equal_u64 (Machine.mem m) (boundary_addr ~app ~size) expected in
   Flight_recorder.canary_check ~at:(Clock.cycles (Machine.clock m)) ~addr:app ~ok;

@@ -74,31 +74,44 @@ let charged_buckets = 2048
 let initial_slots = 32
 let bt_slots = 1024
 
-let fresh_store ~bt =
+let fresh_store () =
   { entries = Array.make initial_slots no_entry;
     sites = Array.make initial_slots 0;
     offsets = Array.make initial_slots 0;
     count = 0;
     index = Array.make (2 * initial_slots) (-1);
     shift = 63 - 6;
-    bt;
+    bt = Array.make bt_slots 0;
     bt_top = 0 }
 
 let spare_stores : store Spare.t = Spare.create ()
 
+(* What a released table points at: it holds no context, and a lookup in
+   its two-position index finds none.  Nothing ever writes to it — the
+   first context a released table sees gives it a store of its own
+   ([on_allocation]). *)
+let no_store =
+  { entries = [||]; sites = [||]; offsets = [||]; count = 0;
+    index = [| -1; -1 |]; shift = 62; bt = [||]; bt_top = 0 }
+
 (* Hand the arrays to the next table on this domain, emptied: the index
    loses its ids, and the entries are dropped so the spare does not keep
-   them alive.  The released table keeps small arrays of its own and
-   forgets its contexts, so it stays usable without aliasing its
-   successor's. *)
+   them alive.  The released table forgets its contexts and points at
+   [no_store], so it stays usable without aliasing its successor's
+   arrays, and builds its own only if it sees a context again. *)
 let recycle t =
   let s = t.st in
-  t.st <- fresh_store ~bt:[||];
+  t.st <- no_store;
   Array.fill s.index 0 (Array.length s.index) (-1);
   Array.fill s.entries 0 s.count no_entry;
   s.count <- 0;
   s.bt_top <- 0;
   Spare.give spare_stores s
+
+let k_allocations = Metrics.counter_key "smu.allocations"
+let k_bursts = Metrics.counter_key "smu.burst_throttles"
+let k_revivals = Metrics.counter_key "smu.revivals"
+let k_contexts = Metrics.gauge_key "smu.contexts"
 
 let create ~params ~machine ~rng =
   let reg = Machine.registry machine in
@@ -106,11 +119,11 @@ let create ~params ~machine ~rng =
     { params;
       machine;
       rng;
-      st = Spare.take spare_stores ~fresh:(fun () -> fresh_store ~bt:(Array.make bt_slots 0));
-      c_allocations = Metrics.counter reg "smu.allocations";
-      c_bursts = Metrics.counter reg "smu.burst_throttles";
-      c_revivals = Metrics.counter reg "smu.revivals";
-      g_contexts = Metrics.gauge reg "smu.contexts";
+      st = Spare.take spare_stores ~fresh:fresh_store;
+      c_allocations = Metrics.counter reg k_allocations;
+      c_bursts = Metrics.counter reg k_bursts;
+      c_revivals = Metrics.counter reg k_revivals;
+      g_contexts = Metrics.gauge reg k_contexts;
       allocations = 0 }
   in
   Sparse_mem.on_release (Machine.mem machine) (fun () -> recycle t);
@@ -230,6 +243,7 @@ let on_allocation t ctx =
   let e =
     if id >= 0 then t.st.entries.(id)
     else begin
+      if t.st == no_store then t.st <- fresh_store ();
       let e = fresh_entry t ctx in
       add t.st e site off;
       e

@@ -54,7 +54,8 @@ val create : params:Params.t -> machine:Machine.t -> rng:Prng.t -> t
     domain-local spare when one is there, and go back to it, emptied, at
     their grown size when the machine's memory is released
     ({!Sparse_mem.release}).  The released table forgets its contexts but
-    stays usable, on small arrays of its own. *)
+    stays usable: it points at a shared empty store and builds arrays of
+    its own only if it sees a context again. *)
 
 val on_allocation : t -> Alloc_ctx.t -> entry
 (** The per-allocation hot path: look up (or create, capturing the full

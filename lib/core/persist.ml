@@ -171,6 +171,9 @@ let read_lines path =
   | torn :: rev -> (List.rev rev, Some torn)
   | [] -> ([], None)
 
+let k_corrupt_lines = Metrics.counter_key "persist.corrupt_lines"
+let k_recovered = Metrics.counter_key "persist.recovered"
+
 let load_result ?metrics path =
   if not (Sys.file_exists path) then (create (), Missing)
   else begin
@@ -217,8 +220,8 @@ let load_result ?metrics path =
       (match metrics with
       | None -> ()
       | Some reg ->
-        Metrics.add (Metrics.counter reg "persist.corrupt_lines") !corrupt;
-        Metrics.add (Metrics.counter reg "persist.recovered") (count t));
+        Metrics.add (Metrics.counter reg k_corrupt_lines) !corrupt;
+        Metrics.add (Metrics.counter reg k_recovered) (count t));
       (t, Recovered { entries = count t; corrupt_lines = !corrupt })
     end
   end

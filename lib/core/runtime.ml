@@ -116,6 +116,13 @@ let handle_trap t (info : Machine.trap_info) =
          watched for the remainder of the execution. *)
       Watch_table.remove t.watches wp
 
+let k_decisions = Metrics.counter_key "smu.decisions"
+let k_watched = Metrics.counter_key "smu.watched"
+let k_reports = Metrics.counter_key "report.count"
+let k_corruptions = Metrics.counter_key "canary.corruptions"
+let k_install_failures = Metrics.counter_key "runtime.install_failures"
+let k_degraded = Metrics.counter_key "runtime.degraded"
+
 let create ?(params = Params.default) ?store ?respond ?(seed = 0) ~machine
     ~heap () =
   let root = Machine.rng machine in
@@ -140,12 +147,12 @@ let create ?(params = Params.default) ?store ?respond ?(seed = 0) ~machine
       watches = Watch_table.create ~params ~machine ~rng:(mk ());
       rng;
       canary = Prng.canary64 canary_rng;
-      c_decisions = Metrics.counter reg "smu.decisions";
-      c_watched = Metrics.counter reg "smu.watched";
-      c_reports = Metrics.counter reg "report.count";
-      c_corruptions = Metrics.counter reg "canary.corruptions";
-      c_install_failures = Metrics.counter reg "runtime.install_failures";
-      c_degraded = Metrics.counter reg "runtime.degraded";
+      c_decisions = Metrics.counter reg k_decisions;
+      c_watched = Metrics.counter reg k_watched;
+      c_reports = Metrics.counter reg k_reports;
+      c_corruptions = Metrics.counter reg k_corruptions;
+      c_install_failures = Metrics.counter reg k_install_failures;
+      c_degraded = Metrics.counter reg k_degraded;
       respond;
       reported = Hashtbl.create 16;
       reports = [];

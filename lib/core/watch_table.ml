@@ -54,6 +54,11 @@ let install_for_tid t ~combined ~watch_addr tid =
   in
   go 1
 
+let k_installs = Metrics.counter_key "wmu.installs"
+let k_evictions = Metrics.counter_key "wmu.evictions"
+let k_replacements = Metrics.counter_key "wmu.replacements"
+let k_free_removals = Metrics.counter_key "wmu.free_removals"
+
 let create ~params ~machine ~rng =
   let reg = Machine.registry machine in
   let t =
@@ -63,10 +68,10 @@ let create ~params ~machine ~rng =
       ring = Ring.create ~capacity:Hw_breakpoint.num_slots;
       by_fd = Int_table.create 64;
       combined = Some params.Params.combined_syscall;
-      c_installs = Metrics.counter reg "wmu.installs";
-      c_evictions = Metrics.counter reg "wmu.evictions";
-      c_replacements = Metrics.counter reg "wmu.replacements";
-      c_free_removals = Metrics.counter reg "wmu.free_removals";
+      c_installs = Metrics.counter reg k_installs;
+      c_evictions = Metrics.counter reg k_evictions;
+      c_replacements = Metrics.counter reg k_replacements;
+      c_free_removals = Metrics.counter reg k_free_removals;
       installs = 0;
       startup = true }
   in

@@ -97,6 +97,8 @@ type epoch_result = {
   cycle_skew : float;
 }
 
+let k_crashes = Metrics.counter_key "fleet.worker_crashes"
+
 let start ?store ?expected_users ?(lean = false) ?(epoch0 = 0) ?(uid0 = 1)
     cfg ~execute =
   if epoch0 < 0 then invalid_arg "Fleet.start: epoch0 < 0";
@@ -109,7 +111,7 @@ let start ?store ?expected_users ?(lean = false) ?(epoch0 = 0) ?(uid0 = 1)
      draws keyed by chunk index = uid - 1, so they are identical for any
      domain count.  Registered unconditionally so a zero plan and no plan
      produce byte-identical metrics. *)
-  let c_crashes = Metrics.counter metrics "fleet.worker_crashes" in
+  let c_crashes = Metrics.counter metrics k_crashes in
   { cfg;
     execute;
     shared;

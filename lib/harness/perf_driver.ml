@@ -95,15 +95,21 @@ let run ~(profile : Perf_profile.t) ~config ?(seed = 11) () =
       (s.Runtime.watched_times, s.Runtime.contexts)
     | None -> (0, 0)
   in
-  { config;
-    cycles;
-    sim_allocations = nsim;
-    scale;
-    watched_times;
-    contexts_seen;
-    resident_kb = resident_bytes / 1024;
-    syscalls = Machine.syscall_count machine;
-    detected = inst.Config.detected ();
-    telemetry = Machine.telemetry machine }
+  let result =
+    { config;
+      cycles;
+      sim_allocations = nsim;
+      scale;
+      watched_times;
+      contexts_seen;
+      resident_kb = resident_bytes / 1024;
+      syscalls = Machine.syscall_count machine;
+      detected = inst.Config.detected ();
+      telemetry = Machine.telemetry machine }
+  in
+  (* Every field is computed: hand the pages and the heap's and context
+     table's stores to the next stream on this domain. *)
+  Sparse_mem.release (Machine.mem machine);
+  result
 
 let overhead ~baseline r = float_of_int r.cycles /. float_of_int baseline.cycles

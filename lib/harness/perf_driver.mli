@@ -17,7 +17,11 @@
     re-extrapolated by [scale] (tool cost is per-allocation, so it scales
     linearly); compute cycles are spread so the full virtual runtime is
     preserved, keeping the time-dependent sampling machinery (burst
-    windows, probability decay) on the same clock as the native run. *)
+    windows, probability decay) on the same clock as the native run.
+
+    A stream releases its machine's memory ({!Sparse_mem.release}) once
+    its result is computed, so the next stream on the domain reuses its
+    pages and its heap and context-table stores. *)
 
 val max_sim_allocations : int
 (** 2,000,000. *)

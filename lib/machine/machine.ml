@@ -44,6 +44,13 @@ type t = {
 
 let heap_base = 0x1000_0000
 
+let k_traps = Metrics.counter_key "trap.count"
+let k_traps_unhandled = Metrics.counter_key "trap.unhandled"
+let k_traps_dropped = Metrics.counter_key "trap.dropped"
+let k_traps_delayed = Metrics.counter_key "trap.delayed"
+let k_syscalls = Metrics.counter_key "machine.syscalls"
+let k_accesses = Metrics.counter_key "machine.accesses"
+
 let create ?(seed = 42) ?faults () =
   let telemetry = Telemetry.create () in
   let reg = Telemetry.metrics telemetry in
@@ -52,13 +59,13 @@ let create ?(seed = 42) ?faults () =
     threads = Threads.create ();
     hw = Hw_breakpoint.create ?faults ();
     telemetry;
-    c_traps = Metrics.counter reg "trap.count";
-    c_traps_unhandled = Metrics.counter reg "trap.unhandled";
-    c_traps_dropped = Metrics.counter reg "trap.dropped";
-    c_traps_delayed = Metrics.counter reg "trap.delayed";
+    c_traps = Metrics.counter reg k_traps;
+    c_traps_unhandled = Metrics.counter reg k_traps_unhandled;
+    c_traps_dropped = Metrics.counter reg k_traps_dropped;
+    c_traps_delayed = Metrics.counter reg k_traps_delayed;
     faults;
-    c_syscalls = Metrics.counter reg "machine.syscalls";
-    c_accesses = Metrics.counter reg "machine.accesses";
+    c_syscalls = Metrics.counter reg k_syscalls;
+    c_accesses = Metrics.counter reg k_accesses;
     phase = Profiler.App;
     n_work_cycles = 0;
     rng = Prng.create ~seed;

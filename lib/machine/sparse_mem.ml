@@ -2,11 +2,25 @@ type addr = int
 
 let chunk_size = 65536
 
+(* Each chunk's storage carries a 16-byte trailer past its [chunk_size]
+   bytes: the offsets [lo, hi) of the bytes written while it was live
+   (empty when [lo >= hi]).  Reads never look at it. *)
+let extent_lo = chunk_size
+let extent_hi = chunk_size + 8
+
+let[@inline] stored_extent b at = Int64.to_int (Bytes.get_int64_le b at)
+let[@inline] store_extent b at v = Bytes.set_int64_le b at (Int64.of_int v)
+
+let set_empty_extent b =
+  store_extent b extent_lo chunk_size;
+  store_extent b extent_hi 0
+
 (* Domain-local page pool: executions are short-lived but plentiful (the
    fleet simulator runs thousands per domain), so recycling chunk storage
-   across machines removes the dominant per-execution GC load.  Pages are
-   zeroed on reuse, making a pooled page indistinguishable from a fresh
-   one.  The pool is per-domain, so fleet workers never contend. *)
+   across machines removes the dominant per-execution GC load.  A reused
+   page is zeroed over the extent its last owner wrote, making it
+   indistinguishable from a fresh one.  The pool is per-domain, so fleet
+   workers never contend. *)
 let max_pooled_pages = 512
 
 let pool_key : Bytes.t list ref Domain.DLS.key =
@@ -15,10 +29,15 @@ let pool_key : Bytes.t list ref Domain.DLS.key =
 let fresh_page () =
   let pool = Domain.DLS.get pool_key in
   match !pool with
-  | [] -> Bytes.make chunk_size '\000'
+  | [] ->
+    let b = Bytes.make (chunk_size + 16) '\000' in
+    set_empty_extent b;
+    b
   | b :: rest ->
     pool := rest;
-    Bytes.fill b 0 chunk_size '\000';
+    let lo = stored_extent b extent_lo and hi = stored_extent b extent_hi in
+    if hi > lo then Bytes.fill b lo (hi - lo) '\000';
+    set_empty_extent b;
     b
 
 type t = {
@@ -28,20 +47,49 @@ type t = {
      hit the same 64K chunk as their predecessor and skip the hashtable. *)
   mutable cache_idx : int;
   mutable cache_chunk : Bytes.t;
+  (* The cached chunk's written extent, kept here so a write updates two
+     fields of [t]; it goes to the chunk's trailer when the cache moves
+     on, and comes from there when the cache takes a chunk. *)
+  mutable cache_lo : int;
+  mutable cache_hi : int;
   mutable released : bool;
   mutable on_release : (unit -> unit) list; (* newest first *)
 }
 
 let no_chunk = Bytes.create 0
 
+(* Most executions touch a handful of chunks: a small table is cheap to
+   build and to sweep on release, and grows like any [Hashtbl]. *)
 let create () =
-  { chunks = Int_table.create 256;
+  { chunks = Int_table.create 16;
     cache_idx = -1;
     cache_chunk = no_chunk;
+    cache_lo = chunk_size;
+    cache_hi = 0;
     released = false;
     on_release = [] }
 
 let on_release t f = if not t.released then t.on_release <- f :: t.on_release
+
+(* Point the cache at chunk [idx] (storage [b], or [no_chunk]), handing
+   the extent of the chunk it leaves back to that chunk's trailer. *)
+let set_cache t idx b =
+  let old = t.cache_chunk in
+  if old != no_chunk then begin
+    store_extent old extent_lo t.cache_lo;
+    store_extent old extent_hi t.cache_hi
+  end;
+  t.cache_idx <- idx;
+  t.cache_chunk <- b;
+  if b != no_chunk then begin
+    t.cache_lo <- stored_extent b extent_lo;
+    t.cache_hi <- stored_extent b extent_hi
+  end
+
+(* A write of [len] bytes at offset [off] of the cached chunk. *)
+let[@inline] note_write t off len =
+  if off < t.cache_lo then t.cache_lo <- off;
+  if off + len > t.cache_hi then t.cache_hi <- off + len
 
 let release t =
   if not t.released then begin
@@ -49,11 +97,15 @@ let release t =
     let hooks = t.on_release in
     t.on_release <- [];
     List.iter (fun f -> f ()) (List.rev hooks);
-    t.cache_idx <- -1;
-    t.cache_chunk <- no_chunk;
+    set_cache t (-1) no_chunk;
     let pool = Domain.DLS.get pool_key in
+    let pooled = ref (List.length !pool) in
     Int_table.iter
-      (fun _ b -> if List.length !pool < max_pooled_pages then pool := b :: !pool)
+      (fun _ b ->
+        if !pooled < max_pooled_pages then begin
+          pool := b :: !pool;
+          incr pooled
+        end)
       t.chunks;
     Int_table.reset t.chunks
   end
@@ -81,8 +133,7 @@ let chunk_for t addr =
         b
       end
     in
-    t.cache_idx <- idx;
-    t.cache_chunk <- b;
+    set_cache t idx b;
     b
   end
 
@@ -92,10 +143,7 @@ let chunk_at t addr =
   if idx = t.cache_idx then t.cache_chunk
   else begin
     let b = lookup t idx in
-    if b != no_chunk then begin
-      t.cache_idx <- idx;
-      t.cache_chunk <- b
-    end;
+    if b != no_chunk then set_cache t idx b;
     b
   end
 
@@ -108,7 +156,9 @@ let read_u8 t addr =
 let write_u8 t addr v =
   check addr;
   let b = chunk_for t addr in
-  Bytes.unsafe_set b (addr mod chunk_size) (Char.unsafe_chr (v land 0xff))
+  let off = addr mod chunk_size in
+  Bytes.unsafe_set b off (Char.unsafe_chr (v land 0xff));
+  note_write t off 1
 
 (* Word accesses whose 8 bytes straddle two chunks, byte by byte. *)
 let read_u64_split t addr =
@@ -138,7 +188,10 @@ let[@inline] read_u64 t addr =
 let[@inline] write_u64 t addr v =
   check addr;
   let off = addr mod chunk_size in
-  if off <= chunk_size - 8 then Bytes.set_int64_le (chunk_for t addr) off v
+  if off <= chunk_size - 8 then begin
+    Bytes.set_int64_le (chunk_for t addr) off v;
+    note_write t off 8
+  end
   else write_u64_split t addr v
 
 let read_int t addr = Int64.to_int (read_u64 t addr)
@@ -155,6 +208,7 @@ let exchange_u8 t addr v =
   let off = addr mod chunk_size in
   let old = Char.code (Bytes.unsafe_get b off) in
   Bytes.unsafe_set b off (Char.unsafe_chr (v land 0xff));
+  note_write t off 1;
   old
 
 let exchange_int t addr v =
@@ -164,6 +218,7 @@ let exchange_int t addr v =
     let b = chunk_for t addr in
     let old = Bytes.get_int64_le b off in
     Bytes.set_int64_le b off (Int64.of_int v);
+    note_write t off 8;
     Int64.to_int old
   end
   else begin
@@ -186,6 +241,7 @@ let fill t addr len v =
       let off = !pos mod chunk_size in
       let n = min !left (chunk_size - off) in
       Bytes.fill b off n c;
+      note_write t off n;
       pos := !pos + n;
       left := !left - n
     done

@@ -52,9 +52,12 @@ val fill : t -> addr -> int -> int -> unit
 val release : t -> unit
 (** End-of-life: return this memory's chunk storage to the domain-local
     page pool so the next execution on this domain reuses it instead of
-    allocating.  The memory reads as all-zeroes afterwards; it stays
-    usable, but storage it takes from then on is never pooled.  Idempotent.  Runs the {!on_release} hooks first,
-    in registration order. *)
+    allocating.  A pooled page is zeroed when it is reused, over the
+    range of offsets its writes reached (each chunk keeps that extent
+    beside its storage; reads never consult it).  The memory reads as
+    all-zeroes afterwards; it stays usable, but storage it takes from
+    then on is never pooled.  Idempotent.  Runs the {!on_release} hooks
+    first, in registration order. *)
 
 val on_release : t -> (unit -> unit) -> unit
 (** [on_release t f] runs [f] once, when [t] is released.  The owners of

@@ -1,36 +1,94 @@
-type counter = { c_name : string; mutable count : int }
+(* ---- schema ----
 
-type gauge = { g_name : string; mutable level : int; mutable high : int }
+   One process-wide schema gives every instrument name a dense id per
+   kind.  Subsystems intern their names once, at module initialisation;
+   a registry is then an array per kind indexed by id, so finding an
+   instrument, merging two registries and resolving gauges never hash a
+   name.  Interning is the only shared mutable state, and it happens
+   under a lock, so ad-hoc names may also be interned from worker
+   domains. *)
+
+type 'kind key = { id : int; name : string }
+
+type kind_schema = { ids : (string, int) Hashtbl.t; mutable size : int }
+
+let lock = Mutex.create ()
+let kind_schema () = { ids = Hashtbl.create 64; size = 0 }
+let counter_schema = kind_schema ()
+let gauge_schema = kind_schema ()
+let histogram_schema = kind_schema ()
+
+let intern schema name =
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt schema.ids name with
+      | Some id -> { id; name }
+      | None ->
+        let id = schema.size in
+        Hashtbl.replace schema.ids name id;
+        schema.size <- id + 1;
+        { id; name })
+
+let key_id k = k.id
+
+(* ---- instruments ---- *)
+
+type counter = { c_key : counter key; mutable count : int }
+
+type gauge = { g_key : gauge key; mutable level : int; mutable high : int }
 
 type histogram = {
-  h_name : string;
+  h_key : histogram key;
   bounds : int array; (* strictly increasing upper bounds *)
   buckets : int array; (* length bounds + 1; last is the overflow bucket *)
   mutable observations : int;
   mutable sum : int;
 }
 
+let counter_key name : counter key = intern counter_schema name
+let gauge_key name : gauge key = intern gauge_schema name
+let histogram_key name : histogram key = intern histogram_schema name
+
+(* Fill the slots of ids a registry does not define; compared
+   physically, never exported. *)
+let no_counter = { c_key = { id = -1; name = "" }; count = 0 }
+let no_gauge = { g_key = { id = -1; name = "" }; level = 0; high = 0 }
+
+let no_histogram =
+  { h_key = { id = -1; name = "" }; bounds = [||]; buckets = [||];
+    observations = 0; sum = 0 }
+
 type t = {
-  counters : (string, counter) Hashtbl.t;
-  gauges : (string, gauge) Hashtbl.t;
-  histograms : (string, histogram) Hashtbl.t;
+  mutable counters : counter array;
+  mutable gauges : gauge array;
+  mutable histograms : histogram array;
 }
 
-let create () =
-  { counters = Hashtbl.create 64;
-    gauges = Hashtbl.create 16;
-    histograms = Hashtbl.create 16 }
+let create () = { counters = [||]; gauges = [||]; histograms = [||] }
+
+(* [a] long enough for [id], sized for every name the schema held when
+   it grew: a registry grows once per kind in the common case.  The
+   unlocked read of the schema's size is only a sizing hint. *)
+let widened a id none schema =
+  let n = max (id + 1) schema.size in
+  let b = Array.make n none in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 (* ---- counters ---- *)
 
-let counter t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some c -> c
-  | None ->
-    let c = { c_name = name; count = 0 } in
-    Hashtbl.replace t.counters name c;
-    c
+let define_counter t (k : counter key) =
+  if k.id >= Array.length t.counters then
+    t.counters <- widened t.counters k.id no_counter counter_schema;
+  let c = { c_key = k; count = 0 } in
+  t.counters.(k.id) <- c;
+  c
 
+let counter t (k : counter key) =
+  let a = t.counters in
+  if k.id < Array.length a && a.(k.id) != no_counter then a.(k.id)
+  else define_counter t k
+
+let counter_named t name = counter t (counter_key name)
 let incr c = c.count <- c.count + 1
 
 let add c n =
@@ -38,17 +96,22 @@ let add c n =
   c.count <- c.count + n
 
 let count c = c.count
-let counter_name c = c.c_name
 
 (* ---- gauges ---- *)
 
-let gauge t name =
-  match Hashtbl.find_opt t.gauges name with
-  | Some g -> g
-  | None ->
-    let g = { g_name = name; level = 0; high = 0 } in
-    Hashtbl.replace t.gauges name g;
-    g
+let define_gauge t (k : gauge key) =
+  if k.id >= Array.length t.gauges then
+    t.gauges <- widened t.gauges k.id no_gauge gauge_schema;
+  let g = { g_key = k; level = 0; high = 0 } in
+  t.gauges.(k.id) <- g;
+  g
+
+let gauge t (k : gauge key) =
+  let a = t.gauges in
+  if k.id < Array.length a && a.(k.id) != no_gauge then a.(k.id)
+  else define_gauge t k
+
+let gauge_named t name = gauge t (gauge_key name)
 
 let set g v =
   g.level <- v;
@@ -56,30 +119,39 @@ let set g v =
 
 let level g = g.level
 let high_watermark g = g.high
-let gauge_name g = g.g_name
+let gauge_of g = g.g_key
+
+let iter_gauges f t =
+  Array.iter (fun g -> if g != no_gauge then f g) t.gauges
 
 (* ---- histograms ---- *)
 
 let default_bounds = [| 16; 32; 64; 128; 256; 512; 1024; 4096; 16384; 65536 |]
 
-let histogram t ?(bounds = default_bounds) name =
-  match Hashtbl.find_opt t.histograms name with
-  | Some h -> h
-  | None ->
-    Array.iteri
-      (fun i b ->
-        if i > 0 && b <= bounds.(i - 1) then
-          invalid_arg "Metrics.histogram: bounds must be strictly increasing")
-      bounds;
-    let h =
-      { h_name = name;
-        bounds = Array.copy bounds;
-        buckets = Array.make (Array.length bounds + 1) 0;
-        observations = 0;
-        sum = 0 }
-    in
-    Hashtbl.replace t.histograms name h;
-    h
+let define_histogram t bounds (k : histogram key) =
+  Array.iteri
+    (fun i b ->
+      if i > 0 && b <= bounds.(i - 1) then
+        invalid_arg "Metrics.histogram: bounds must be strictly increasing")
+    bounds;
+  if k.id >= Array.length t.histograms then
+    t.histograms <- widened t.histograms k.id no_histogram histogram_schema;
+  let h =
+    { h_key = k;
+      bounds = Array.copy bounds;
+      buckets = Array.make (Array.length bounds + 1) 0;
+      observations = 0;
+      sum = 0 }
+  in
+  t.histograms.(k.id) <- h;
+  h
+
+let histogram t ?(bounds = default_bounds) (k : histogram key) =
+  let a = t.histograms in
+  if k.id < Array.length a && a.(k.id) != no_histogram then a.(k.id)
+  else define_histogram t bounds k
+
+let histogram_named t ?bounds name = histogram t ?bounds (histogram_key name)
 
 (* A value lands in the first bucket whose upper bound is >= the value;
    values above every bound land in the final overflow bucket.
@@ -122,49 +194,57 @@ let observations h = h.observations
 let hist_sum h = h.sum
 let bucket_counts h = Array.copy h.buckets
 let bucket_bounds h = Array.copy h.bounds
-let histogram_name h = h.h_name
 
 (* ---- merge ---- *)
 
-(* Fold [src] into [dst], instrument by instrument.  Counters and histogram
-   bins are plain sums, so merging is associative and commutative; gauges
-   are not (a gauge is "the level right now"), so the caller fixes the
-   order — the fleet merges per-user registries in seed order, making
-   "last writer wins" deterministic. *)
+(* Fold [src] into [dst], id by id.  Counters and histogram bins are
+   plain sums, so merging is associative and commutative; gauges are not
+   (a gauge is "the level right now"), so the caller fixes the order —
+   the fleet merges per-user registries in seed order, making "last
+   writer wins" deterministic. *)
 let merge_into ~dst ~src =
-  Hashtbl.iter
-    (fun name (c : counter) -> add (counter dst name) c.count)
+  Array.iter
+    (fun c -> if c != no_counter then add (counter dst c.c_key) c.count)
     src.counters;
-  Hashtbl.iter
-    (fun name (g : gauge) ->
-      let d = gauge dst name in
-      d.level <- g.level;
-      if g.high > d.high then d.high <- g.high)
+  Array.iter
+    (fun g ->
+      if g != no_gauge then begin
+        let d = gauge dst g.g_key in
+        d.level <- g.level;
+        if g.high > d.high then d.high <- g.high
+      end)
     src.gauges;
-  Hashtbl.iter
-    (fun name (h : histogram) ->
-      let d = histogram dst ~bounds:h.bounds name in
-      if d.bounds <> h.bounds then
-        invalid_arg
-          (Printf.sprintf "Metrics.merge_into: histogram %S bounds differ" name);
-      Array.iteri (fun i n -> d.buckets.(i) <- d.buckets.(i) + n) h.buckets;
-      d.observations <- d.observations + h.observations;
-      d.sum <- d.sum + h.sum)
+  Array.iter
+    (fun h ->
+      if h != no_histogram then begin
+        let d = histogram dst ~bounds:h.bounds h.h_key in
+        if d.bounds <> h.bounds then
+          invalid_arg
+            (Printf.sprintf "Metrics.merge_into: histogram %S bounds differ"
+               h.h_key.name);
+        Array.iteri (fun i n -> d.buckets.(i) <- d.buckets.(i) + n) h.buckets;
+        d.observations <- d.observations + h.observations;
+        d.sum <- d.sum + h.sum
+      end)
     src.histograms
 
 (* ---- export ---- *)
 
-let sorted_by_name name tbl =
-  Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
-  |> List.sort (fun a b -> String.compare (name a) (name b))
+(* The defined instruments of [a], sorted by name: ids follow interning
+   order, which differs between processes. *)
+let sorted_by_name none name a =
+  Array.fold_left (fun acc v -> if v != none then v :: acc else acc) [] a
+  |> List.sort (fun x y -> String.compare (name x) (name y))
 
 let counters_list t =
-  List.map (fun c -> (c.c_name, c.count)) (sorted_by_name counter_name t.counters)
+  sorted_by_name no_counter (fun c -> c.c_key.name) t.counters
+  |> List.map (fun c -> (c.c_key.name, c.count))
 
 let gauges_list t =
-  List.map (fun g -> (g.g_name, g.level, g.high)) (sorted_by_name gauge_name t.gauges)
+  sorted_by_name no_gauge (fun g -> g.g_key.name) t.gauges
+  |> List.map (fun g -> (g.g_key.name, g.level, g.high))
 
-let histograms_list t = sorted_by_name histogram_name t.histograms
+let histograms_list t = sorted_by_name no_histogram (fun h -> h.h_key.name) t.histograms
 
 let to_json t : Obs_json.t =
   let hist_json h =
@@ -192,4 +272,4 @@ let to_json t : Obs_json.t =
               (k, `Assoc [ ("value", `Int level); ("high", `Int high) ]))
             (gauges_list t)));
       ("histograms",
-       `Assoc (List.map (fun h -> (h.h_name, hist_json h)) (histograms_list t))) ]
+       `Assoc (List.map (fun h -> (h.h_key.name, hist_json h)) (histograms_list t))) ]

@@ -1,24 +1,47 @@
 (** Metrics registry: named monotonic counters, gauges and fixed-bucket
     histograms.
 
-    Instrumented subsystems look their instruments up {e once} (at
-    construction time) and then increment through the returned handle — a
-    single mutable-field update, no hashing on the hot path.  The registry
-    never touches the PRNG or the virtual clock, so enabling or exporting
-    telemetry cannot perturb a simulated execution. *)
+    Every instrument name is interned once, into a process-wide schema
+    that gives it a dense id per kind: subsystems define their {!key}s at
+    module initialisation.  A registry is an array per kind indexed by
+    that id, so looking an instrument up by key, merging registries and
+    resolving gauges never hash a name.  Instrumented subsystems still
+    look their instruments up {e once} (at construction time) and then
+    increment through the returned handle — a single mutable-field
+    update.  The registry never touches the PRNG or the virtual clock, so
+    enabling or exporting telemetry cannot perturb a simulated execution. *)
 
 type t
 (** A registry.  Each {!Machine.t} owns one (via its telemetry bundle), so
     concurrent simulations in one process never share instruments. *)
 
 val create : unit -> t
+(** An empty registry: it defines no instrument until one is looked up. *)
+
+(** {1 Keys} *)
+
+type 'kind key
+(** An instrument name interned in the process-wide schema, for
+    instruments of type ['kind]. *)
+
+val key_id : _ key -> int
+(** Dense per kind, in interning order: [0, 1, ...].  Stable for the life
+    of the process, not across processes. *)
 
 (** {1 Counters} *)
 
 type counter
 
-val counter : t -> string -> counter
-(** Find-or-create by name. *)
+val counter_key : string -> counter key
+(** Intern a counter name (find-or-create; safe from any domain).  Call
+    it once, at module initialisation, for an instrument a subsystem
+    updates on every execution. *)
+
+val counter : t -> counter key -> counter
+(** Find-or-create by key: an array index. *)
+
+val counter_named : t -> string -> counter
+(** [counter t (counter_key name)]: for ad-hoc names. *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit
@@ -31,11 +54,19 @@ val count : counter -> int
 
 type gauge
 
-val gauge : t -> string -> gauge
+val gauge_key : string -> gauge key
+val gauge : t -> gauge key -> gauge
+val gauge_named : t -> string -> gauge
 val set : gauge -> int -> unit
 val level : gauge -> int
 val high_watermark : gauge -> int
 (** Largest value ever set. *)
+
+val gauge_of : gauge -> gauge key
+(** The key the gauge was defined under. *)
+
+val iter_gauges : (gauge -> unit) -> t -> unit
+(** The registry's gauges, in key-id order. *)
 
 (** {1 Histograms} *)
 
@@ -44,9 +75,13 @@ type histogram
 val default_bounds : int array
 (** Powers-of-two-ish byte sizes, 16 .. 65536. *)
 
-val histogram : t -> ?bounds:int array -> string -> histogram
+val histogram_key : string -> histogram key
+
+val histogram : t -> ?bounds:int array -> histogram key -> histogram
 (** Fixed upper-bound buckets plus a final overflow bucket.  [bounds] must
     be strictly increasing; it is only consulted on first creation. *)
+
+val histogram_named : t -> ?bounds:int array -> string -> histogram
 
 val observe : histogram -> int -> unit
 (** A value [v] lands in the first bucket with bound [>= v]. *)
@@ -75,7 +110,7 @@ val bucket_bounds : histogram -> int array
     Instruments missing from the destination are created. *)
 
 val merge_into : dst:t -> src:t -> unit
-(** [src] is untouched.  Raises [Invalid_argument] if the two registries
+(** Id by id, hashing no name.  [src] is untouched.  Raises [Invalid_argument] if the two registries
     define the same histogram with different bucket bounds. *)
 
 (** {1 Export} *)
@@ -87,5 +122,6 @@ val gauges_list : t -> (string * int * int) list
 (** [(name, value, high-watermark)], sorted by name. *)
 
 val histograms_list : t -> histogram list
+(** Sorted by name. *)
 
 val to_json : t -> Obs_json.t

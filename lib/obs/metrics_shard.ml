@@ -1,11 +1,14 @@
 type t = {
   metrics : Metrics.t;
   profile : Profiler.t;
-  (* gauge name -> (uid, level) of the highest-uid absorbed execution that
-     defines the gauge.  Executions that never create a gauge leave no
-     entry, matching [Metrics.merge_into] (which only overwrites a level when
-     the source registry defines the gauge). *)
-  gauge_src : (string, int * int) Hashtbl.t;
+  (* By gauge key id: the uid and level of the highest-uid absorbed
+     execution that defines the gauge ([min_int] when none has).
+     Executions that never create a gauge leave no entry, matching
+     [Metrics.merge_into] (which only overwrites a level when the source
+     registry defines the gauge). *)
+  mutable win_key : Metrics.gauge Metrics.key array;
+  mutable win_uid : int array;
+  mutable win_level : int array;
   mutable absorbed : int;
   mutable snapshots : int;
 }
@@ -13,20 +16,33 @@ type t = {
 let create () =
   { metrics = Metrics.create ();
     profile = Profiler.create ();
-    gauge_src = Hashtbl.create 8;
+    win_key = [||];
+    win_uid = [||];
+    win_level = [||];
     absorbed = 0;
     snapshots = 0 }
 
-let note_gauge t name ~uid ~level =
-  match Hashtbl.find_opt t.gauge_src name with
-  | Some (u, _) when u > uid -> ()
-  | _ -> Hashtbl.replace t.gauge_src name (uid, level)
+let note_gauge t key ~uid ~level =
+  let id = Metrics.key_id key in
+  let n = Array.length t.win_uid in
+  if id >= n then begin
+    let m = max (id + 1) (2 * n) in
+    let grow a fill = Array.init m (fun i -> if i < n then a.(i) else fill) in
+    t.win_key <- grow t.win_key key;
+    t.win_uid <- grow t.win_uid min_int;
+    t.win_level <- grow t.win_level 0
+  end;
+  if t.win_uid.(id) <= uid then begin
+    t.win_key.(id) <- key;
+    t.win_uid.(id) <- uid;
+    t.win_level.(id) <- level
+  end
 
 let absorb t ~uid tele =
   let reg = Telemetry.metrics tele in
-  List.iter
-    (fun (name, level, _high) -> note_gauge t name ~uid ~level)
-    (Metrics.gauges_list reg);
+  Metrics.iter_gauges
+    (fun g -> note_gauge t (Metrics.gauge_of g) ~uid ~level:(Metrics.level g))
+    reg;
   Metrics.merge_into ~dst:t.metrics ~src:reg;
   Profiler.merge_into ~dst:t.profile ~src:(Telemetry.profiler tele);
   t.absorbed <- t.absorbed + 1;
@@ -38,9 +54,11 @@ let snapshots t = t.snapshots
 let merge_into ~dst ~src =
   Metrics.merge_into ~dst:dst.metrics ~src:src.metrics;
   Profiler.merge_into ~dst:dst.profile ~src:src.profile;
-  Hashtbl.iter
-    (fun name (uid, level) -> note_gauge dst name ~uid ~level)
-    src.gauge_src;
+  Array.iteri
+    (fun id uid ->
+      if uid <> min_int then
+        note_gauge dst src.win_key.(id) ~uid ~level:src.win_level.(id))
+    src.win_uid;
   dst.absorbed <- dst.absorbed + src.absorbed;
   dst.snapshots <- dst.snapshots + src.snapshots
 
@@ -67,11 +85,12 @@ let reduce_into shards ~metrics ~profile =
        whatever execution the root shard happened to absorb last; restore
        the deterministic highest-uid winner.  [Metrics.set] cannot disturb
        the high watermark — the winner's level is bounded by its own high,
-       already folded in.  Per-gauge entries are independent, but iterate
-       in sorted name order anyway so the fixup itself is reproducible. *)
-    Hashtbl.fold (fun name v acc -> (name, v) :: acc) root.gauge_src []
-    |> List.sort compare
-    |> List.iter (fun (name, (_uid, level)) ->
-           Metrics.set (Metrics.gauge metrics name) level);
+       already folded in.  Gauges are independent, so key-id order is as
+       good as any. *)
+    Array.iteri
+      (fun id uid ->
+        if uid <> min_int then
+          Metrics.set (Metrics.gauge metrics root.win_key.(id)) root.win_level.(id))
+      root.win_uid;
     root.absorbed
   end

@@ -37,7 +37,7 @@ val snapshots : t -> int
 
 val merge_into : dst:t -> src:t -> unit
 (** Shard-level reduction step: sum-merge [src]'s registries into [dst]
-    and keep the higher-uid gauge winner per name.  [src] is untouched. *)
+    and keep the higher-uid gauge winner per gauge key.  [src] is untouched. *)
 
 val reduce_into : t array -> metrics:Metrics.t -> profile:Profiler.t -> int
 (** Pairwise tree-reduce the shards (mutating them), commit the result

@@ -277,7 +277,7 @@ let test_persist_footerless_legacy_load () =
       Alcotest.(check bool) "keys parsed" true
         (Persist.keys loaded = [ (64, 0); (1031, 1) ]);
       Alcotest.(check int) "no recovery counted" 0
-        (Metrics.count (Metrics.counter metrics "persist.recovered")))
+        (Metrics.count (Metrics.counter_named metrics "persist.recovered")))
 
 let test_persist_missing_vs_empty () =
   with_temp (fun path ->
@@ -308,9 +308,9 @@ let test_persist_truncated_recovers () =
       Alcotest.(check bool) "salvaged key still pins" true
         (Persist.mem loaded (64, 0));
       Alcotest.(check bool) "persist.recovered nonzero" true
-        (Metrics.count (Metrics.counter metrics "persist.recovered") > 0);
+        (Metrics.count (Metrics.counter_named metrics "persist.recovered") > 0);
       Alcotest.(check bool) "persist.corrupt_lines nonzero" true
-        (Metrics.count (Metrics.counter metrics "persist.corrupt_lines") > 0))
+        (Metrics.count (Metrics.counter_named metrics "persist.corrupt_lines") > 0))
 
 let test_persist_torn_write_recoverable () =
   with_temp (fun path ->
@@ -443,7 +443,7 @@ let test_fleet_worker_crash_same_report () =
   let bare = run None in
   let faulted = run (Some (plan "seed=3,worker-crash=0.4")) in
   let crashes r =
-    Metrics.count (Metrics.counter r.Fleet.metrics "fleet.worker_crashes")
+    Metrics.count (Metrics.counter_named r.Fleet.metrics "fleet.worker_crashes")
   in
   Alcotest.(check int) "unfaulted fleet counts zero crashes" 0 (crashes bare);
   Alcotest.(check bool) "crashes actually injected" true (crashes faulted > 0);
@@ -484,7 +484,7 @@ let test_fleet_faults_deterministic_across_domains () =
     (fleet_fingerprint r1 = fleet_fingerprint r4);
   (* The faults really bit: the injected-fault counters are nonzero. *)
   Alcotest.(check bool) "trap drops visible in merged metrics" true
-    (Metrics.count (Metrics.counter r1.Fleet.metrics "trap.dropped") > 0)
+    (Metrics.count (Metrics.counter_named r1.Fleet.metrics "trap.dropped") > 0)
 
 let suite =
   [ Alcotest.test_case "plan: parse and round-trip" `Quick test_plan_parser;

@@ -401,10 +401,10 @@ let telemetric ~user ~store:_ =
   let uid = user.Workload.uid in
   let tele = Telemetry.create () in
   let reg = Telemetry.metrics tele in
-  Metrics.incr (Metrics.counter reg "exec.count");
-  Metrics.observe (Metrics.histogram reg "exec.size") (uid mod 97);
-  Metrics.set (Metrics.gauge reg "g.all") uid;
-  if uid mod 3 = 0 then Metrics.set (Metrics.gauge reg "g.third") (uid * 10);
+  Metrics.incr (Metrics.counter_named reg "exec.count");
+  Metrics.observe (Metrics.histogram_named reg "exec.size") (uid mod 97);
+  Metrics.set (Metrics.gauge_named reg "g.all") uid;
+  if uid mod 3 = 0 then Metrics.set (Metrics.gauge_named reg "g.third") (uid * 10);
   Profiler.charge (Telemetry.profiler tele) Profiler.Canary_check uid;
   { Fleet.payload = ();
     detected = false;
@@ -419,7 +419,7 @@ let telemetric ~user ~store:_ =
    without a fault plan. *)
 let per_user_fold (r : _ Fleet.report) =
   let metrics = Metrics.create () and profile = Profiler.create () in
-  ignore (Metrics.counter metrics "fleet.worker_crashes");
+  ignore (Metrics.counter_named metrics "fleet.worker_crashes");
   let seats = Array.copy r.Fleet.seats in
   Array.sort
     (fun a b -> compare a.Fleet.user.Workload.uid b.Fleet.user.Workload.uid)

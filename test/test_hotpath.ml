@@ -296,6 +296,36 @@ let test_execution_no_major_words () =
         [ Config.csod_default; Config.Baseline; Config.asan_default ])
     (Buggy_app.all ())
 
+(* ---------- Fixed cost of an execution ---------- *)
+
+(* Minor words of one execution's set-up and teardown on a warm domain:
+   [Machine.create], [Heap.create], the CSOD runtime from
+   [Config.instantiate], one malloc and free (so the release has a heap
+   store and a context table to hand on) and [Sparse_mem.release].
+   Measured on x86-64, OCaml 5.1: 2,704 words while the release built
+   fresh stores for the released heap and context table and each
+   registry was three hash tables; 1,000 with keyed registries and
+   released tables pointing at shared empty stores.  What remains is
+   mostly the records and small tables each layer builds (the runtime's
+   streams and its table of reported objects, the watch table's
+   descriptor table, the registries' arrays); the bound leaves 10%. *)
+let test_fixed_cost_words () =
+  let ctx = Alloc_ctx.synthetic ~callsite:0x40 () in
+  let once seed =
+    let machine = Machine.create ~seed () in
+    let heap = Heap.create machine in
+    let inst = Config.instantiate Config.csod_default ~machine ~heap ~seed () in
+    let tool = inst.Config.tool in
+    tool.Tool.free ~ptr:(tool.Tool.malloc ~size:24 ~ctx);
+    inst.Config.finish ();
+    Sparse_mem.release (Machine.mem machine)
+  in
+  once 1;
+  once 2;
+  let w = words (fun () -> once 3) in
+  if native then
+    Alcotest.(check bool) (Printf.sprintf "%.0f words <= 1,100" w) true (w <= 1_100.)
+
 (* ---------- Per-layer allocation ladder ---------- *)
 
 (* A tool with no heap: [malloc] bumps the break, [free] does nothing. *)
@@ -381,5 +411,7 @@ let suite =
       test_csod_alloc_path_no_alloc;
     Alcotest.test_case "no major-heap words: warm execution, 9 apps x 3 tools"
       `Quick test_execution_no_major_words;
+    Alcotest.test_case "fixed cost: set-up and release, warm domain" `Quick
+      test_fixed_cost_words;
     Alcotest.test_case "allocation ladder: warm Heartbleed, VM / + heap / + CSOD"
       `Quick test_allocation_ladder ]

@@ -45,6 +45,72 @@ let prop_mem_roundtrip =
       Sparse_mem.write_u64 m addr v;
       Sparse_mem.read_u64 m addr = v)
 
+(* Recycled pages are zeroed over the extent their last owner wrote, so
+   every write path must record what it wrote.  Each path writes random
+   non-zero bytes into chunks of its own (the split words and the fills
+   also across a chunk boundary); the machine is released, and a new one
+   on this domain takes the pooled pages back, one per chunk written,
+   and must read zero wherever the first one wrote: on every byte of
+   every page it took. *)
+let test_mem_recycled_reads_zero () =
+  let cs = Sparse_mem.chunk_size in
+  let g = Prng.create ~seed:24 in
+  let m = Machine.create () in
+  let mem = Machine.mem m in
+  let written = Hashtbl.create 4096 in
+  let mark a n = for i = 0 to n - 1 do Hashtbl.replace written (a + i) () done in
+  let nonzero () = 1 + Prng.int g 255 in
+  let word () = Int64.logor 0x0101010101010101L (Prng.bits64 g) in
+  let chunk k = (0x1000_0000 / cs + (2 * k)) * cs in
+  let offset () = Prng.int g (cs - 8) in
+  for _ = 1 to 200 do
+    let a = chunk 0 + offset () in
+    Sparse_mem.write_u8 mem a (nonzero ()); mark a 1;
+    let a = chunk 1 + offset () in
+    Sparse_mem.write_u64 mem a (word ()); mark a 8;
+    let a = chunk 2 + offset () in
+    Sparse_mem.write_int mem a (Int64.to_int (word ())); mark a 8;
+    (* straddling a chunk boundary *)
+    let a = chunk 4 - 7 + Prng.int g 7 in
+    Sparse_mem.write_u64 mem a (word ()); mark a 8;
+    let a = chunk 5 + offset () and n = 1 + Prng.int g 300 in
+    let n = min n (chunk 6 - a) in
+    Sparse_mem.fill mem a n (nonzero ()); mark a n;
+    let a = chunk 6 + offset () in
+    ignore (Sparse_mem.exchange_u8 mem a (nonzero ())); mark a 1;
+    let a = chunk 7 + offset () in
+    ignore (Sparse_mem.exchange_int mem a (Int64.to_int (word ()))); mark a 8;
+    let a = chunk 8 - 7 + Prng.int g 7 in
+    ignore (Sparse_mem.exchange_int mem a (Int64.to_int (word ()))); mark a 8
+  done;
+  (* one fill across a chunk boundary *)
+  let a = chunk 10 - 100 in
+  Sparse_mem.fill mem a 200 0xA5; mark a 200;
+  let chunks = Hashtbl.create 16 and offsets = Hashtbl.create 4096 in
+  Hashtbl.iter
+    (fun a () ->
+      Hashtbl.replace chunks (a / cs) ();
+      Hashtbl.replace offsets (a mod cs) ())
+    written;
+  Sparse_mem.release mem;
+  let m2 = Machine.create () in
+  let mem2 = Machine.mem m2 in
+  (* The pool hands the pages back in another order, so the new machine
+     takes one per chunk by writing a zero at an offset no chunk was
+     written at, and then reads every byte of them. *)
+  let rec unused o = if Hashtbl.mem offsets o then unused (o + 1) else o in
+  let spot = unused 0 in
+  Hashtbl.iter (fun c () -> Sparse_mem.write_u8 mem2 ((c * cs) + spot) 0) chunks;
+  let dirty = ref 0 in
+  Hashtbl.iter
+    (fun c () ->
+      for a = c * cs to ((c + 1) * cs) - 1 do
+        if Sparse_mem.read_u8 mem2 a <> 0 then incr dirty
+      done)
+    chunks;
+  Alcotest.(check int) "recycled bytes that read non-zero" 0 !dirty;
+  Sparse_mem.release mem2
+
 (* ---------- Clock ---------- *)
 
 let test_clock () =
@@ -288,6 +354,8 @@ let suite =
     Alcotest.test_case "sparse mem cross-chunk" `Quick test_mem_cross_chunk;
     Alcotest.test_case "sparse mem fill/int" `Quick test_mem_fill_and_int;
     Alcotest.test_case "sparse mem negative addr" `Quick test_mem_negative_addr;
+    Alcotest.test_case "sparse mem recycled pages read zero" `Quick
+      test_mem_recycled_reads_zero;
     QCheck_alcotest.to_alcotest prop_mem_roundtrip;
     Alcotest.test_case "clock" `Quick test_clock;
     Alcotest.test_case "threads" `Quick test_threads;

@@ -6,12 +6,12 @@
 
 let test_counter_basics () =
   let reg = Metrics.create () in
-  let c = Metrics.counter reg "x" in
+  let c = Metrics.counter_named reg "x" in
   Alcotest.(check int) "starts at 0" 0 (Metrics.count c);
   Metrics.incr c;
   Metrics.add c 41;
   Alcotest.(check int) "incr + add" 42 (Metrics.count c);
-  let c' = Metrics.counter reg "x" in
+  let c' = Metrics.counter_named reg "x" in
   Metrics.incr c';
   Alcotest.(check int) "find-or-create shares the cell" 43 (Metrics.count c);
   Metrics.add c 0;
@@ -19,7 +19,7 @@ let test_counter_basics () =
 
 let test_counter_monotonic () =
   let reg = Metrics.create () in
-  let c = Metrics.counter reg "x" in
+  let c = Metrics.counter_named reg "x" in
   Alcotest.check_raises "negative add rejected"
     (Invalid_argument "Metrics.add: counters are monotonic") (fun () ->
       Metrics.add c (-1));
@@ -27,7 +27,7 @@ let test_counter_monotonic () =
 
 let test_gauge () =
   let reg = Metrics.create () in
-  let g = Metrics.gauge reg "g" in
+  let g = Metrics.gauge_named reg "g" in
   Metrics.set g 7;
   Metrics.set g 3;
   Alcotest.(check int) "level follows last set" 3 (Metrics.level g);
@@ -37,7 +37,7 @@ let test_gauge () =
 
 let test_histogram_boundaries () =
   let reg = Metrics.create () in
-  let h = Metrics.histogram reg ~bounds:[| 10; 20; 30 |] "h" in
+  let h = Metrics.histogram_named reg ~bounds:[| 10; 20; 30 |] "h" in
   (* A value lands in the first bucket with bound >= v: exact bounds stay
      in their own bucket, bound+1 spills into the next. *)
   List.iter (Metrics.observe h) [ 0; 10; 11; 20; 21; 30; 31; 1000 ];
@@ -52,7 +52,7 @@ let test_histogram_boundaries () =
 
 let test_histogram_default_bounds () =
   let reg = Metrics.create () in
-  let h = Metrics.histogram reg "sizes" in
+  let h = Metrics.histogram_named reg "sizes" in
   Alcotest.(check (array int)) "default bounds" Metrics.default_bounds
     (Metrics.bucket_bounds h);
   Alcotest.(check int) "overflow bucket exists"
@@ -63,27 +63,27 @@ let test_histogram_default_bounds () =
 
 let test_metrics_merge () =
   let a = Metrics.create () and b = Metrics.create () in
-  Metrics.add (Metrics.counter a "c") 3;
-  Metrics.add (Metrics.counter b "c") 4;
-  Metrics.add (Metrics.counter b "only_b") 7;
-  Metrics.set (Metrics.gauge a "g") 10;
-  Metrics.set (Metrics.gauge b "g") 2;
+  Metrics.add (Metrics.counter_named a "c") 3;
+  Metrics.add (Metrics.counter_named b "c") 4;
+  Metrics.add (Metrics.counter_named b "only_b") 7;
+  Metrics.set (Metrics.gauge_named a "g") 10;
+  Metrics.set (Metrics.gauge_named b "g") 2;
   Metrics.merge_into ~dst:a ~src:b;
-  Alcotest.(check int) "counters sum" 7 (Metrics.count (Metrics.counter a "c"));
+  Alcotest.(check int) "counters sum" 7 (Metrics.count (Metrics.counter_named a "c"));
   Alcotest.(check int) "missing counter created" 7
-    (Metrics.count (Metrics.counter a "only_b"));
+    (Metrics.count (Metrics.counter_named a "only_b"));
   Alcotest.(check int) "gauge takes last merged level" 2
-    (Metrics.level (Metrics.gauge a "g"));
+    (Metrics.level (Metrics.gauge_named a "g"));
   Alcotest.(check int) "gauge high watermark is max" 10
-    (Metrics.high_watermark (Metrics.gauge a "g"));
+    (Metrics.high_watermark (Metrics.gauge_named a "g"));
   Alcotest.(check int) "src counter untouched" 4
-    (Metrics.count (Metrics.counter b "c"))
+    (Metrics.count (Metrics.counter_named b "c"))
 
 let test_metrics_merge_histograms () =
   let a = Metrics.create () and b = Metrics.create () in
   let bounds = [| 10; 20 |] in
-  let ha = Metrics.histogram a ~bounds "h" in
-  let hb = Metrics.histogram b ~bounds "h" in
+  let ha = Metrics.histogram_named a ~bounds "h" in
+  let hb = Metrics.histogram_named b ~bounds "h" in
   List.iter (Metrics.observe ha) [ 5; 15 ];
   List.iter (Metrics.observe hb) [ 15; 25; 25 ];
   Metrics.merge_into ~dst:a ~src:b;
@@ -97,7 +97,7 @@ let test_metrics_merge_histograms () =
   Alcotest.(check int) "post-merge p99" 20 (Metrics.percentile ha 0.99);
   (* Same name, different bounds: refuse rather than mis-bin. *)
   let c = Metrics.create () in
-  ignore (Metrics.histogram c ~bounds:[| 1; 2 |] "h");
+  ignore (Metrics.histogram_named c ~bounds:[| 1; 2 |] "h");
   Alcotest.(check bool) "bounds mismatch rejected" true
     (try
        Metrics.merge_into ~dst:a ~src:c;
@@ -107,7 +107,245 @@ let test_metrics_merge_histograms () =
   let d = Metrics.create () in
   Metrics.merge_into ~dst:d ~src:b;
   Alcotest.(check (array int)) "missing histogram created" [| 0; 1; 2 |]
-    (Metrics.bucket_counts (Metrics.histogram d ~bounds "h"))
+    (Metrics.bucket_counts (Metrics.histogram_named d ~bounds "h"))
+
+(* ---------- Keyed registries against a name-keyed model ---------- *)
+
+(* What a registry holds, keyed by name as the registry was before
+   instruments had ids: counts, (level, high) and raw observations. *)
+type model = {
+  m_counters : (string, int) Hashtbl.t;
+  m_gauges : (string, int * int) Hashtbl.t;
+  m_hists : (string, int array * int list) Hashtbl.t; (* bounds, values *)
+}
+
+let new_model () =
+  { m_counters = Hashtbl.create 8; m_gauges = Hashtbl.create 8; m_hists = Hashtbl.create 8 }
+
+let model_counter_names = Array.init 12 (Printf.sprintf "model.c%02d")
+let model_gauge_names = Array.init 5 (Printf.sprintf "model.g%d")
+let model_hist_names = Array.init 4 (Printf.sprintf "model.h%d")
+
+let model_bounds i =
+  match i with
+  | 0 -> Metrics.default_bounds
+  | 1 -> [| 10; 20; 30 |]
+  | 2 -> [| 1 |]
+  | _ -> [| 5; 50; 500; 5000 |]
+
+(* One registry and its model, from [n] random operations: define,
+   add, set and observe, through keys or through names. *)
+let random_registry g n =
+  let reg = Metrics.create () and md = new_model () in
+  let pick a = a.(Prng.int g (Array.length a)) in
+  for _ = 1 to n do
+    let by_key = Prng.bool g in
+    match Prng.int g 3 with
+    | 0 ->
+      let name = pick model_counter_names and v = Prng.int g 3 * Prng.int g 20 in
+      let c =
+        if by_key then Metrics.counter reg (Metrics.counter_key name)
+        else Metrics.counter_named reg name
+      in
+      Metrics.add c v;
+      let old = Option.value ~default:0 (Hashtbl.find_opt md.m_counters name) in
+      Hashtbl.replace md.m_counters name (old + v)
+    | 1 ->
+      let name = pick model_gauge_names in
+      let gauge =
+        if by_key then Metrics.gauge reg (Metrics.gauge_key name)
+        else Metrics.gauge_named reg name
+      in
+      let level, high =
+        Option.value ~default:(0, 0) (Hashtbl.find_opt md.m_gauges name)
+      in
+      if Prng.int g 4 = 0 then Hashtbl.replace md.m_gauges name (level, high)
+      else begin
+        let v = Prng.int g 120 - 10 in
+        Metrics.set gauge v;
+        Hashtbl.replace md.m_gauges name (v, max high v)
+      end
+    | _ ->
+      let i = Prng.int g (Array.length model_hist_names) in
+      let name = model_hist_names.(i) and bounds = model_bounds i in
+      let h =
+        if by_key then Metrics.histogram reg ~bounds (Metrics.histogram_key name)
+        else Metrics.histogram_named reg ~bounds name
+      in
+      let _, vs =
+        Option.value ~default:(bounds, []) (Hashtbl.find_opt md.m_hists name)
+      in
+      let vs =
+        if Prng.int g 4 = 0 then vs
+        else begin
+          let v = Prng.int g 70_000 in
+          Metrics.observe h v;
+          v :: vs
+        end
+      in
+      Hashtbl.replace md.m_hists name (bounds, vs)
+  done;
+  (reg, md)
+
+(* The model of folding [mds] in order: counts and observations add, a
+   gauge's level is the last definer's, its high the largest. *)
+let model_fold mds =
+  let acc = new_model () in
+  List.iter
+    (fun md ->
+      Hashtbl.iter
+        (fun k v ->
+          let old = Option.value ~default:0 (Hashtbl.find_opt acc.m_counters k) in
+          Hashtbl.replace acc.m_counters k (old + v))
+        md.m_counters;
+      Hashtbl.iter
+        (fun k (level, high) ->
+          let h = match Hashtbl.find_opt acc.m_gauges k with Some (_, h) -> h | None -> 0 in
+          Hashtbl.replace acc.m_gauges k (level, max h high))
+        md.m_gauges;
+      Hashtbl.iter
+        (fun k (bounds, vs) ->
+          let old = match Hashtbl.find_opt acc.m_hists k with Some (_, o) -> o | None -> [] in
+          Hashtbl.replace acc.m_hists k (bounds, vs @ old))
+        md.m_hists)
+    mds;
+  acc
+
+let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let model_bucket bounds v =
+  let rec go i = if i >= Array.length bounds || v <= bounds.(i) then i else go (i + 1) in
+  go 0
+
+let model_buckets bounds vs =
+  let b = Array.make (Array.length bounds + 1) 0 in
+  List.iter (fun v -> let i = model_bucket bounds v in b.(i) <- b.(i) + 1) vs;
+  b
+
+(* The bound of the bucket holding the q-th smallest value, saturating to
+   the largest bound. *)
+let model_percentile bounds vs q =
+  let n = List.length vs and nb = Array.length bounds in
+  if n = 0 || nb = 0 then 0
+  else
+    let target = max 1 (int_of_float (ceil (q *. float_of_int n))) in
+    let v = List.nth (List.sort compare vs) (target - 1) in
+    bounds.(min (model_bucket bounds v) (nb - 1))
+
+let model_json md : Obs_json.t =
+  let hist (bounds, vs) =
+    let buckets = model_buckets bounds vs in
+    `Assoc
+      [ ("observations", `Int (List.length vs));
+        ("sum", `Int (List.fold_left ( + ) 0 vs));
+        ("p50", `Int (model_percentile bounds vs 0.50));
+        ("p90", `Int (model_percentile bounds vs 0.90));
+        ("p99", `Int (model_percentile bounds vs 0.99));
+        ("buckets",
+         `Assoc
+           (Array.to_list
+              (Array.mapi
+                 (fun i n ->
+                   ( (if i < Array.length bounds then Printf.sprintf "le_%d" bounds.(i)
+                      else "inf"),
+                     `Int n ))
+                 buckets))) ]
+  in
+  `Assoc
+    [ ("counters", `Assoc (List.map (fun (k, v) -> (k, `Int v)) (sorted md.m_counters)));
+      ("gauges",
+       `Assoc
+         (List.map
+            (fun (k, (l, h)) -> (k, `Assoc [ ("value", `Int l); ("high", `Int h) ]))
+            (sorted md.m_gauges)));
+      ("histograms", `Assoc (List.map (fun (k, v) -> (k, hist v)) (sorted md.m_hists))) ]
+
+let check_against_model tag reg md =
+  Alcotest.(check (list (pair string int))) (tag ^ ": counters_list")
+    (sorted md.m_counters) (Metrics.counters_list reg);
+  Alcotest.(check (list (triple string int int))) (tag ^ ": gauges_list")
+    (List.map (fun (k, (l, h)) -> (k, l, h)) (sorted md.m_gauges))
+    (Metrics.gauges_list reg);
+  Alcotest.(check (list (pair (array int) (array int)))) (tag ^ ": histograms_list")
+    (List.map (fun (_, (bounds, vs)) -> (bounds, model_buckets bounds vs)) (sorted md.m_hists))
+    (List.map
+       (fun h -> (Metrics.bucket_bounds h, Metrics.bucket_counts h))
+       (Metrics.histograms_list reg));
+  Alcotest.(check string) (tag ^ ": to_json")
+    (Obs_json.to_string (model_json md))
+    (Obs_json.to_string (Metrics.to_json reg))
+
+(* Random sets and orders of instruments over 60 trials: each registry
+   alone, their fold by [merge_into] in uid order, and the same
+   registries absorbed by three shards in a shuffled order and reduced,
+   all match the name-keyed model. *)
+let test_keyed_registry_model () =
+  let g = Prng.create ~seed:2024 in
+  for trial = 1 to 60 do
+    let n = 1 + Prng.int g 8 in
+    let regs = List.init n (fun _ -> random_registry g (Prng.int g 25)) in
+    List.iteri
+      (fun i (reg, md) -> check_against_model (Printf.sprintf "trial %d, registry %d" trial i) reg md)
+      regs;
+    let expected = model_fold (List.map snd regs) in
+    let direct = Metrics.create () in
+    List.iter (fun (reg, _) -> Metrics.merge_into ~dst:direct ~src:reg) regs;
+    check_against_model (Printf.sprintf "trial %d, merged" trial) direct expected;
+    let shards = Array.init 3 (fun _ -> Metrics_shard.create ()) in
+    let order = Array.of_list (List.mapi (fun i r -> (i + 1, r)) regs) in
+    for i = Array.length order - 1 downto 1 do
+      let j = Prng.int g (i + 1) in
+      let x = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- x
+    done;
+    Array.iter
+      (fun (uid, (reg, _)) ->
+        let tele = Telemetry.create () in
+        Metrics.merge_into ~dst:(Telemetry.metrics tele) ~src:reg;
+        Metrics_shard.absorb shards.(Prng.int g 3) ~uid tele)
+      order;
+    let sharded = Metrics.create () in
+    ignore (Metrics_shard.reduce_into shards ~metrics:sharded ~profile:(Profiler.create ()));
+    check_against_model (Printf.sprintf "trial %d, sharded" trial) sharded expected
+  done
+
+(* Two domains intern the same 300 names at once, in different orders,
+   and count through them: each name gets one id, distinct names get
+   distinct ids, and the two registries merge as names. *)
+let test_keys_from_two_domains () =
+  let names = Array.init 300 (Printf.sprintf "two_domains.c%03d") in
+  let work seed () =
+    let g = Prng.create ~seed in
+    let order = Array.copy names in
+    for i = Array.length order - 1 downto 1 do
+      let j = Prng.int g (i + 1) in
+      let x = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- x
+    done;
+    let reg = Metrics.create () in
+    let ids =
+      Array.map
+        (fun name ->
+          let k = Metrics.counter_key name in
+          Metrics.incr (Metrics.counter reg k);
+          (name, Metrics.key_id k))
+        order
+    in
+    (List.sort compare (Array.to_list ids), reg)
+  in
+  let d1 = Domain.spawn (work 1) and d2 = Domain.spawn (work 2) in
+  let ids1, r1 = Domain.join d1 and ids2, r2 = Domain.join d2 in
+  Alcotest.(check (list (pair string int))) "one id per name" ids1 ids2;
+  Alcotest.(check int) "distinct names, distinct ids" 300
+    (List.length (List.sort_uniq compare (List.map snd ids1)));
+  let merged = Metrics.create () in
+  Metrics.merge_into ~dst:merged ~src:r1;
+  Metrics.merge_into ~dst:merged ~src:r2;
+  Alcotest.(check (list (pair string int))) "merged by name"
+    (List.map (fun n -> (n, 2)) (Array.to_list names))
+    (Metrics.counters_list merged)
 
 let test_profiler_merge () =
   let a = Profiler.create () and b = Profiler.create () in
@@ -154,7 +392,7 @@ let prop_profiler_registry_agree =
       List.iter
         (fun (i, n) ->
           Profiler.charge p phases.(i) n;
-          Metrics.add (Metrics.counter reg (Profiler.name phases.(i))) n)
+          Metrics.add (Metrics.counter_named reg (Profiler.name phases.(i))) n)
         ops;
       let counter_total =
         List.fold_left (fun acc (_, n) -> acc + n) 0 (Metrics.counters_list reg)
@@ -164,7 +402,7 @@ let prop_profiler_registry_agree =
       && List.for_all
            (fun ph ->
              Profiler.cycles p ph
-             = Metrics.count (Metrics.counter reg (Profiler.name ph)))
+             = Metrics.count (Metrics.counter_named reg (Profiler.name ph)))
            Profiler.all)
 
 (* Machine-level attribution: everything the clock advances is charged to
@@ -241,7 +479,7 @@ let heartbleed_outcome = lazy (
 let test_heartbleed_metrics () =
   let o = Lazy.force heartbleed_outcome in
   let reg = Telemetry.metrics o.Execution.telemetry in
-  let count name = Metrics.count (Metrics.counter reg name) in
+  let count name = Metrics.count (Metrics.counter_named reg name) in
   Alcotest.(check bool) "smu.decisions nonzero" true (count "smu.decisions" > 0);
   Alcotest.(check bool) "installs bounded by allocations" true
     (count "wmu.installs" <= count "smu.allocations");
@@ -374,7 +612,7 @@ let test_obs_json () =
 let test_telemetry_json () =
   let m = Machine.create ~seed:1 () in
   Machine.work_as m Profiler.Wmu_install 120;
-  Metrics.incr (Metrics.counter (Machine.registry m) "wmu.installs");
+  Metrics.incr (Metrics.counter_named (Machine.registry m) "wmu.installs");
   let s =
     Telemetry.json_string (Machine.telemetry m)
       ~total_cycles:(Clock.cycles (Machine.clock m))
@@ -424,7 +662,7 @@ let test_with_sink_flushes () =
 
 let test_histogram_percentiles () =
   let reg = Metrics.create () in
-  let h = Metrics.histogram reg ~bounds:[| 10; 20; 30 |] "h" in
+  let h = Metrics.histogram_named reg ~bounds:[| 10; 20; 30 |] "h" in
   Alcotest.(check int) "empty histogram" 0 (Metrics.percentile h 0.5);
   List.iter (Metrics.observe h) [ 1; 2; 3; 4; 5; 6; 7; 8; 25 ];
   (* 9 observations: the 5th sits in the <=10 bucket, the 9th in <=30. *)
@@ -441,7 +679,7 @@ let test_histogram_percentiles () =
 
 let test_histogram_json_has_percentiles () =
   let reg = Metrics.create () in
-  let h = Metrics.histogram reg ~bounds:[| 10; 20 |] "sizes" in
+  let h = Metrics.histogram_named reg ~bounds:[| 10; 20 |] "sizes" in
   List.iter (Metrics.observe h) [ 5; 15; 15 ];
   let s = Obs_json.to_string (Metrics.to_json reg) in
   let contains needle =
@@ -1408,6 +1646,10 @@ let suite =
     Alcotest.test_case "histogram default bounds" `Quick test_histogram_default_bounds;
     Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
     Alcotest.test_case "metrics merge histograms" `Quick test_metrics_merge_histograms;
+    Alcotest.test_case "keyed registry matches a name-keyed model" `Quick
+      test_keyed_registry_model;
+    Alcotest.test_case "keys interned from two domains at once" `Quick
+      test_keys_from_two_domains;
     Alcotest.test_case "profiler merge" `Quick test_profiler_merge;
     Alcotest.test_case "profiler charges" `Quick test_profiler;
     QCheck_alcotest.to_alcotest prop_profiler_registry_agree;
