@@ -30,6 +30,9 @@ let plant m ~base ~size ~ctx_id ~canary =
   Sparse_mem.write_u64 mem (boundary_addr ~app ~size) canary;
   app
 
+let checks m =
+  Option.value ~default:0 (Metrics.find_count (Machine.registry m) k_checks)
+
 let check m ~app ~size ~expected =
   Metrics.incr (Metrics.counter (Machine.registry m) k_checks);
   Machine.work_as m Profiler.Canary_check Cost.canary_check;

@@ -45,7 +45,13 @@ val plant : Machine.t -> base:int -> size:int -> ctx_id:int -> canary:int64 -> i
     pointer.  Charges {!Cost.canary_plant}. *)
 
 val check : Machine.t -> app:int -> size:int -> expected:int64 -> bool
-(** Is the canary intact?  Charges {!Cost.canary_check}. *)
+(** Is the canary intact?  Charges {!Cost.canary_check} and counts the
+    check in the machine's [canary.checks] counter. *)
+
+val checks : Machine.t -> int
+(** Canary checks made on this machine so far: [canary.checks], read
+    without defining it, so a machine that never checks does not list it
+    at zero. *)
 
 val read_header : Machine.t -> app:int -> (int * int * int) option
 (** [(real_base, size, ctx_id)] if the identifier matches, [None] for a

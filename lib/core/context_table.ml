@@ -51,7 +51,6 @@ type t = {
   c_bursts : Metrics.counter;
   c_revivals : Metrics.counter;
   g_contexts : Metrics.gauge;
-  mutable allocations : int;
 }
 
 (* Fills unused entry slots. *)
@@ -123,8 +122,7 @@ let create ~params ~machine ~rng =
       c_allocations = Metrics.counter reg k_allocations;
       c_bursts = Metrics.counter reg k_bursts;
       c_revivals = Metrics.counter reg k_revivals;
-      g_contexts = Metrics.gauge reg k_contexts;
-      allocations = 0 }
+      g_contexts = Metrics.gauge reg k_contexts }
   in
   Sparse_mem.on_release (Machine.mem machine) (fun () -> recycle t);
   t
@@ -250,7 +248,6 @@ let on_allocation t ctx =
     end
   in
   if e.allocs = 0 then Metrics.set t.g_contexts t.st.count;
-  t.allocations <- t.allocations + 1;
   Metrics.incr t.c_allocations;
   e.allocs <- e.allocs + 1;
   Machine.work_as t.machine Profiler.Smu_lookup Cost.prob_update;
@@ -325,7 +322,7 @@ let find t (site, off) =
 
 let find_by_id t id = if id >= 0 && id < t.st.count then Some t.st.entries.(id) else None
 let num_contexts t = t.st.count
-let total_allocations t = t.allocations
+let total_allocations t = Metrics.count t.c_allocations
 
 let iter f t =
   for id = 0 to t.st.count - 1 do

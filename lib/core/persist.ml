@@ -61,20 +61,11 @@ let merge_delta dst ~base src =
 
 let footer_magic = "#csod.store/2"
 
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let checksum_line acc line =
-  let acc = ref acc in
-  String.iter
-    (fun c ->
-      acc :=
-        Int64.mul (Int64.logxor !acc (Int64.of_int (Char.code c))) fnv_prime)
-    line;
-  (* Terminator byte so ["ab";"c"] and ["a";"bc"] differ. *)
-  Int64.mul (Int64.logxor !acc 0x0aL) fnv_prime
-
-let checksum lines = List.fold_left checksum_line fnv_offset lines
+(* Each line is followed by a terminator byte so ["ab";"c"] and
+   ["a";"bc"] differ. *)
+let checksum lines =
+  List.fold_left (fun h line -> Fnv.byte (Fnv.string h line) 0x0a) Fnv.offset
+    lines
 
 let render_lines t = List.map (fun (a, b) -> Printf.sprintf "%d %d" a b) (keys t)
 
@@ -117,11 +108,7 @@ let save ?faults t path =
     write_string tmp (String.sub content 0 (String.length content / 2));
     Sys.remove tmp
   end
-  else begin
-    let tmp = path ^ ".tmp" in
-    write_string tmp content;
-    Sys.rename tmp path
-  end
+  else Atomic_file.write path content
 
 (* Whitespace-tolerant tokenizer: fleet reports come from many writers, so
    stray tabs, doubled spaces and trailing blanks must not poison a store. *)

@@ -30,7 +30,6 @@ type t = {
   reported : (int * float, unit) Hashtbl.t;
   mutable reports : Report.t list; (* newest first *)
   mutable traps : int;
-  mutable canary_checks : int;
   mutable consecutive_install_failures : int;
   mutable degraded : bool; (* canary-only: watchpoint machinery given up *)
   mutable finished : bool;
@@ -157,7 +156,6 @@ let create ?(params = Params.default) ?store ?respond ?(seed = 0) ~machine
       reported = Hashtbl.create 16;
       reports = [];
       traps = 0;
-      canary_checks = 0;
       consecutive_install_failures = 0;
       degraded = false;
       finished = false }
@@ -308,7 +306,6 @@ let csod_malloc t ~size ~ctx =
 (* Evidence mode: everything [free] needs is in the object header the
    allocation path planted (Figure 5) — no side table exists. *)
 let check_canary t ~app ~size ~ctx_id ~source =
-  t.canary_checks <- t.canary_checks + 1;
   if not (Canary.check t.machine ~app ~size ~expected:t.canary) then begin
     Metrics.incr t.c_corruptions;
     match Context_table.find_by_id t.contexts ctx_id with
@@ -400,7 +397,7 @@ let stats t =
     allocations = Context_table.total_allocations t.contexts;
     watched_times = Watch_table.installs t.watches;
     traps = t.traps;
-    canary_checks = t.canary_checks;
+    canary_checks = Canary.checks t.machine;
     live_objects = Heap.live_objects t.heap }
 
 let context_table t = t.contexts

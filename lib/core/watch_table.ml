@@ -18,7 +18,6 @@ type t = {
   c_evictions : Metrics.counter;
   c_replacements : Metrics.counter;
   c_free_removals : Metrics.counter;
-  mutable installs : int;
   mutable startup : bool;
 }
 
@@ -72,7 +71,6 @@ let create ~params ~machine ~rng =
       c_evictions = Metrics.counter reg k_evictions;
       c_replacements = Metrics.counter reg k_replacements;
       c_free_removals = Metrics.counter reg k_free_removals;
-      installs = 0;
       startup = true }
   in
   let combined = params.Params.combined_syscall in
@@ -146,11 +144,11 @@ let install t ~obj_addr ~watch_addr ~entry =
     in
     Ring.push t.ring wp;
     List.iter (fun (_, fd) -> Int_table.replace t.by_fd fd wp) fds;
-    t.installs <- t.installs + 1;
     Metrics.incr t.c_installs;
     Flight_recorder.watch ~at:(Clock.cycles (Machine.clock t.machine))
       ~addr:obj_addr ~ctx:entry.Context_table.id;
-    if t.installs >= Hw_breakpoint.num_slots then t.startup <- false;
+    if Metrics.count t.c_installs >= Hw_breakpoint.num_slots then
+      t.startup <- false;
     true
   end
 
@@ -248,5 +246,5 @@ let on_free t ~obj_addr =
 
 let in_startup t = t.startup
 let find_by_fd t fd = Int_table.find_opt t.by_fd fd
-let installs t = t.installs
+let installs t = Metrics.count t.c_installs
 let live t = Ring.to_list t.ring

@@ -50,11 +50,14 @@ let config ?domains ?(epoch_size = 32) ?faults ?(trace = false) ?on_health
   | _ -> ());
   { workload; domains; epoch_size; faults; trace; on_health; patch_threshold }
 
-(* Fault/degradation counters surfaced per health record; only names the
-   merged registry has actually seen appear in the stream. *)
-let fault_counter_names =
-  [ "runtime.degraded"; "runtime.install_failures"; "trap.dropped";
-    "trap.delayed"; "persist.corrupt_lines" ]
+(* Fault/degradation counters surfaced per health record, in this order;
+   only counters the merged registry has actually seen appear in the
+   stream. *)
+let fault_counters =
+  List.map
+    (fun name -> (name, Metrics.counter_key name))
+    [ "runtime.degraded"; "runtime.install_failures"; "trap.dropped";
+      "trap.delayed"; "persist.corrupt_lines" ]
 
 (* ---- incremental stepping ----
 
@@ -70,8 +73,9 @@ type 'a t = {
   cfg : config;
   execute : 'a executor;
   shared : Persist.t;
-  metrics : Metrics.t;
-  profile : Profiler.t;
+  tele : Telemetry.t;
+      (* the fleet aggregate: every execution's bundle, folded in uid
+         order at the barriers *)
   c_crashes : Metrics.counter;
   pool_faults : Fault_injector.t option;
   expected_users : int option;
@@ -83,7 +87,6 @@ type 'a t = {
   mutable epochs_rev : Epoch.row list;
   mutable detections : int;
   mutable degraded_total : int;
-  mutable snapshots_total : int;
   mutable health_rev : Health.sample list;
   mutable spans_rev : Trace_export.fleet_span list;
   mutable observer_prev : float;
@@ -106,17 +109,16 @@ let start ?store ?expected_users ?(lean = false) ?(epoch0 = 0) ?(uid0 = 1)
   let shared =
     match store with Some s -> Persist.copy s | None -> Persist.create ()
   in
-  let metrics = Metrics.create () in
+  let tele = Telemetry.create () in
   (* The pool injector is fleet-wide (salt 0): crash decisions are indexed
      draws keyed by chunk index = uid - 1, so they are identical for any
      domain count.  Registered unconditionally so a zero plan and no plan
      produce byte-identical metrics. *)
-  let c_crashes = Metrics.counter metrics k_crashes in
+  let c_crashes = Metrics.counter (Telemetry.metrics tele) k_crashes in
   { cfg;
     execute;
     shared;
-    metrics;
-    profile = Profiler.create ();
+    tele;
     c_crashes;
     pool_faults =
       Option.map (fun plan -> Fault_injector.create ~plan ~salt:0) cfg.faults;
@@ -129,14 +131,13 @@ let start ?store ?expected_users ?(lean = false) ?(epoch0 = 0) ?(uid0 = 1)
     epochs_rev = [];
     detections = 0;
     degraded_total = 0;
-    snapshots_total = 0;
     health_rev = [];
     spans_rev = [];
     observer_prev = 0.0;
     first = None;
     arrived = 0 }
 
-let metrics t = t.metrics
+let metrics t = Telemetry.metrics t.tele
 let store t = t.shared
 let first_catch t = t.first
 let detections t = t.detections
@@ -161,19 +162,9 @@ let step t ~arrivals:n =
   let base = Persist.copy t.shared in
   let locals = Array.map (fun _ -> Persist.copy t.shared) users in
   let execs, workers =
-    Pool.map_local ?faults:t.pool_faults ~index_base:(uid_base - 1)
-      ~record_spans:cfg.trace ~domains:cfg.domains
-      ~local:(fun ~slot:_ -> Metrics_shard.create ())
-      n
-      ~f:(fun shard i ->
-        let exec = t.execute ~user:users.(i) ~store:locals.(i) in
-        (match exec.telemetry with
-        | Some tele ->
-          (* Lock-free local update: the shard belongs to this worker
-             until the join. *)
-          Metrics_shard.absorb shard ~uid:users.(i).Workload.uid tele
-        | None -> ());
-        exec)
+    Pool.map_stats ?faults:t.pool_faults ~index_base:(uid_base - 1)
+      ~record_spans:cfg.trace ~domains:cfg.domains n
+      ~f:(fun i -> t.execute ~user:users.(i) ~store:locals.(i))
   in
   let t_barrier0 = Unix.gettimeofday () in
   (* Epoch barrier, pass A: fold the fleet's evidence back in, in uid
@@ -183,10 +174,6 @@ let step t ~arrivals:n =
   Array.iteri
     (fun i exec ->
       Persist.merge_delta t.shared ~base locals.(i);
-      (match exec.telemetry with
-      | Some tele ->
-        t.snapshots_total <- t.snapshots_total + Telemetry.snapshot_count tele
-      | None -> ());
       if exec.degraded then t.degraded_total <- t.degraded_total + 1;
       if exec.detected then incr epoch_detections;
       epoch_cycles := !epoch_cycles + exec.cycles;
@@ -195,14 +182,17 @@ let step t ~arrivals:n =
       if not t.lean then
         t.seats_rev <- { user = users.(i); epoch = e; exec } :: t.seats_rev)
     execs;
-  (* Pass B: the telemetry reduction — a tree-reduce of the per-worker
-     shards — timed on its own so the health stream prices the merge and
-     nothing else. *)
+  (* Pass B: fold each execution's telemetry into the aggregate, also in
+     uid order, so a gauge's level is the highest uid's that defines it.
+     Timed on its own so the health stream prices the merge and nothing
+     else. *)
   let (), merge_seconds =
     Pool.timed (fun () ->
-        ignore
-          (Metrics_shard.reduce_into (Array.map fst workers)
-             ~metrics:t.metrics ~profile:t.profile))
+        Array.iter
+          (fun exec ->
+            Option.iter (fun src -> Telemetry.merge_into ~dst:t.tele ~src)
+              exec.telemetry)
+          execs)
   in
   let t_merge1 = Unix.gettimeofday () in
   t.detections <- t.detections + !epoch_detections;
@@ -214,11 +204,10 @@ let step t ~arrivals:n =
   let epoch_seconds = t_merge1 -. t_epoch0 in
   let loads =
     Array.to_list workers
-    |> List.map (fun (_, wk) ->
+    |> List.map (fun wk ->
            { Health.slot = wk.Pool.slot; executed = wk.Pool.executed;
              busy_seconds = wk.Pool.busy_seconds })
   in
-  let counters = Metrics.counters_list t.metrics in
   let users_total =
     match t.expected_users with Some u -> u | None -> t.arrived
   in
@@ -249,10 +238,10 @@ let step t ~arrivals:n =
         | None -> 0);
       faults =
         List.filter_map
-          (fun name ->
-            Option.map (fun v -> (name, v)) (List.assoc_opt name counters))
-          fault_counter_names;
-      snapshots = t.snapshots_total;
+          (fun (name, k) ->
+            Option.map (fun v -> (name, v)) (Metrics.find_count (metrics t) k))
+          fault_counters;
+      snapshots = Telemetry.snapshot_count t.tele;
       epoch_seconds;
       merge_seconds;
       observer_seconds = t.observer_prev;
@@ -272,7 +261,7 @@ let step t ~arrivals:n =
         if not t.lean then t.health_rev <- sample :: t.health_rev;
         if cfg.trace then begin
           Array.iter
-            (fun (_, wk) ->
+            (fun wk ->
               List.iter
                 (fun (i, c0, c1) ->
                   let uid = uid_base + i in
@@ -320,8 +309,8 @@ let finish t =
     epochs = List.rev t.epochs_rev;
     first_catch = t.first;
     detections = t.detections;
-    metrics = t.metrics;
-    profile = t.profile;
+    metrics = metrics t;
+    profile = Telemetry.profiler t.tele;
     store = t.shared;
     domains = t.cfg.domains;
     wall_seconds = Unix.gettimeofday () -. t.t_run0;

@@ -49,9 +49,7 @@ type 'a report = {
   first_catch : 'a seat option;  (** earliest by (epoch, uid) *)
   detections : int;
   metrics : Metrics.t;
-      (** per-user registries, merged at barriers through per-worker
-          {!Metrics_shard}s — bit-identical to folding the seats'
-          registries in uid order *)
+      (** per-user registries, folded in uid order at each barrier *)
   profile : Profiler.t;          (** per-user profiles, summed *)
   store : Persist.t;             (** final shared store *)
   domains : int;

@@ -37,16 +37,15 @@ type worker = {
   mutable spans : (int * float * float) list;
 }
 
-let map_local ?faults ?(index_base = 0) ?(record_spans = false) ~domains
-    ~local n ~f =
-  if domains < 1 then invalid_arg "Pool.map_local: domains < 1";
-  if n < 0 then invalid_arg "Pool.map_local: negative size";
+let map_stats ?faults ?(index_base = 0) ?(record_spans = false) ~domains n
+    ~f =
+  if domains < 1 then invalid_arg "Pool.map_stats: domains < 1";
+  if n < 0 then invalid_arg "Pool.map_stats: negative size";
   record_crashes ?faults ~index_base n;
   let width = min domains (max n 1) in
-  (* Locals and stat records are created in the calling domain, touched by
-     exactly one worker during the parallel section, and read back only
-     after every domain has joined — no synchronization needed. *)
-  let locals = Array.init width (fun slot -> local ~slot) in
+  (* Stat records are created in the calling domain, touched by exactly
+     one worker during the parallel section, and read back only after
+     every domain has joined — no synchronization needed. *)
   let workers =
     Array.init width (fun slot ->
         { slot; executed = 0; busy_seconds = 0.0; last_stop = 0.0; spans = [] })
@@ -54,7 +53,7 @@ let map_local ?faults ?(index_base = 0) ?(record_spans = false) ~domains
   let run_chunk slot i =
     let w = workers.(slot) in
     let t0 = Unix.gettimeofday () in
-    let v = f locals.(slot) i in
+    let v = f i in
     let t1 = Unix.gettimeofday () in
     w.executed <- w.executed + 1;
     w.busy_seconds <- w.busy_seconds +. (t1 -. t0);
@@ -125,14 +124,10 @@ let map_local ?faults ?(index_base = 0) ?(record_spans = false) ~domains
         results
     end
   in
-  (results, Array.init width (fun i -> (locals.(i), workers.(i))))
+  (results, workers)
 
-let map ?faults ?(index_base = 0) ~domains n ~f =
-  fst
-    (map_local ?faults ~index_base ~domains
-       ~local:(fun ~slot:_ -> ())
-       n
-       ~f:(fun () i -> f i))
+let map ?faults ?index_base ~domains n ~f =
+  fst (map_stats ?faults ?index_base ~domains n ~f)
 
 let timed f =
   let t0 = Unix.gettimeofday () in

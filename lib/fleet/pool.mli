@@ -28,26 +28,20 @@ type worker = {
     by exactly one domain during the parallel section and is safe to read
     once the call returns. *)
 
-val map_local :
+val map_stats :
   ?faults:Fault_injector.t ->
   ?index_base:int ->
   ?record_spans:bool ->
   domains:int ->
-  local:(slot:int -> 'b) ->
   int ->
-  f:('b -> int -> 'a) ->
-  'a array * ('b * worker) array
-(** [map_local ~domains ~local n ~f] is {!map} with per-worker state:
-    [local ~slot] runs once per worker in the {e calling} domain before
-    the parallel section, and [f] receives the local of whichever worker
-    runs the chunk.  Returns the results plus each worker's [(local,
-    stats)] pair, in slot order — the width is [min domains (max n 1)].
-    Locals let workers accumulate privately (e.g. a telemetry shard per
-    domain) with no synchronization: the caller reduces the returned
-    array after the implicit join.  Chunks degraded to the caller by a
-    double crash, and all chunks of a serial ([width = 1]) map, are
-    accounted to slot 0.  [record_spans] (default false) additionally
-    captures a per-chunk [(index, start, stop)] span on each worker. *)
+  f:(int -> 'a) ->
+  'a array * worker array
+(** [map_stats ~domains n ~f] is {!map} plus each worker's load
+    statistics, in slot order — the width is [min domains (max n 1)].
+    Chunks degraded to the caller by a double crash, and all chunks of a
+    serial ([width = 1]) map, are accounted to slot 0.  [record_spans]
+    (default false) additionally captures a per-chunk [(index, start,
+    stop)] span on each worker. *)
 
 val map :
   ?faults:Fault_injector.t ->

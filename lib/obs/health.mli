@@ -10,8 +10,8 @@
     telemetry plane itself.
 
     The stream deliberately self-measures: [merge_seconds] is the wall
-    time of the barrier's telemetry reduction (the tree-reduce of the
-    per-worker shards), and
+    time of the barrier's telemetry merge (the uid-order fold of every
+    execution's registry and profile into the fleet aggregate), and
     [observer_seconds] is what the {e previous} barrier spent building and
     emitting health and trace data (the current record cannot contain its
     own emission cost).  Every perf claim read off the stream carries its

@@ -88,6 +88,11 @@ let counter t (k : counter key) =
   if k.id < Array.length a && a.(k.id) != no_counter then a.(k.id)
   else define_counter t k
 
+let find_count t (k : counter key) =
+  let a = t.counters in
+  if k.id < Array.length a && a.(k.id) != no_counter then Some a.(k.id).count
+  else None
+
 let counter_named t name = counter t (counter_key name)
 let incr c = c.count <- c.count + 1
 
@@ -119,10 +124,6 @@ let set g v =
 
 let level g = g.level
 let high_watermark g = g.high
-let gauge_of g = g.g_key
-
-let iter_gauges f t =
-  Array.iter (fun g -> if g != no_gauge then f g) t.gauges
 
 (* ---- histograms ---- *)
 

@@ -40,6 +40,11 @@ val counter_key : string -> counter key
 val counter : t -> counter key -> counter
 (** Find-or-create by key: an array index. *)
 
+val find_count : t -> counter key -> int option
+(** The count of the counter [t] defines under that key, if any.  Unlike
+    {!counter} it defines nothing, so reading a counter an execution never
+    touched does not list it, at zero, in the registry's output. *)
+
 val counter_named : t -> string -> counter
 (** [counter t (counter_key name)]: for ad-hoc names. *)
 
@@ -61,12 +66,6 @@ val set : gauge -> int -> unit
 val level : gauge -> int
 val high_watermark : gauge -> int
 (** Largest value ever set. *)
-
-val gauge_of : gauge -> gauge key
-(** The key the gauge was defined under. *)
-
-val iter_gauges : (gauge -> unit) -> t -> unit
-(** The registry's gauges, in key-id order. *)
 
 (** {1 Histograms} *)
 

@@ -15,17 +15,8 @@ let kind_of_string = function
 
 type record = { seq : int; kind : kind; body : Obs_json.t }
 
-(* Same FNV-1a 64 as Persist's snapshot seal, over the rendered body. *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let crc s =
-  let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  !h
+(* FNV-1a over the rendered body. *)
+let crc s = Fnv.string Fnv.offset s
 
 let line r =
   let body = Obs_json.to_string r.body in

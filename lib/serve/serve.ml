@@ -96,21 +96,6 @@ let meta_body cfg : Obs_json.t =
        `List (List.map (fun r -> `String (Alert.to_spec r)) cfg.rules));
       ("windows", `List (List.map (fun w -> `Int w) cfg.windows)) ]
 
-(* A failed write, close or rename leaves neither an open channel nor
-   [PATH.tmp] behind; the error still reaches the caller. *)
-let atomic_write path content =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  try
-    output_string oc content;
-    close_out oc;
-    Sys.rename tmp path
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    close_out_noerr oc;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    Printexc.raise_with_backtrace e bt
-
 (* ---- status ---- *)
 
 let status_core ~epoch ~arrived ~detections ~patched ~total_cycles ~last ~wins
@@ -188,7 +173,7 @@ let publish_status t ~now =
   match t.cfg.status_path with
   | None -> ()
   | Some path ->
-    atomic_write path (Obs_json.to_string (status_at t ~now) ^ "\n")
+    Atomic_file.write path (Obs_json.to_string (status_at t ~now) ^ "\n")
 
 (* ---- checkpoint ---- *)
 
@@ -229,7 +214,7 @@ let publish_checkpoint t =
   match t.cfg.checkpoint_path with
   | None -> ()
   | Some path ->
-    atomic_write path (Obs_json.to_string (checkpoint_json t) ^ "\n")
+    Atomic_file.write path (Obs_json.to_string (checkpoint_json t) ^ "\n")
 
 (* ---- start / resume ---- *)
 

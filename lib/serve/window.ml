@@ -124,26 +124,7 @@ let ordered t =
   let start = if t.count <= t.win then 0 else t.count mod t.win in
   Array.init n (fun i -> t.ring.((start + i) mod t.win))
 
-let aggregate t =
-  let slots = ordered t in
-  let n = Array.length slots in
-  if n = 0 then empty
-  else begin
-    (* Pairwise tree-fold over adjacent spans, the stride-doubling shape
-       of Metrics_shard.reduce_into.  merge is associative over adjacent
-       groupings, so this equals the linear fold — pinned in
-       test_serve. *)
-    let stride = ref 1 in
-    while !stride < n do
-      let i = ref 0 in
-      while !i + !stride < n do
-        slots.(!i) <- merge slots.(!i) slots.(!i + !stride);
-        i := !i + (2 * !stride)
-      done;
-      stride := 2 * !stride
-    done;
-    slots.(0)
-  end
+let aggregate t = Array.fold_left merge empty (ordered t)
 
 type set = { windows : (int * t) list (* size-sorted *) }
 

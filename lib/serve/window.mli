@@ -3,13 +3,12 @@
     A window of size [W] holds per-epoch aggregates for the last [W]
     epochs in a ring and reduces them on demand — O(W) memory however
     long the service runs.  The reduction has {e exact merge semantics}:
-    {!merge} over adjacent spans is associative, delta fields are plain
-    sums, so {!aggregate} — computed as a pairwise tree over the ring,
-    the same shape {!Metrics_shard.reduce_into} uses at epoch barriers —
-    is bit-identical to a from-scratch linear fold over the same epochs
-    (pinned by [test_serve]).  Windowed numbers read off a dashboard are
-    therefore never "approximately" the last [W] epochs: they are exactly
-    the fold of those epochs' records. *)
+    {!merge} over adjacent spans is associative and delta fields are
+    plain sums, so {!aggregate} — a left fold over the ring in epoch
+    order — is bit-identical to a from-scratch fold over the same epochs'
+    records (pinned by [test_serve]).  Windowed numbers read off a
+    dashboard are therefore never "approximately" the last [W] epochs:
+    they are exactly the fold of those epochs' records. *)
 
 type agg = {
   epochs : int;        (** epochs covered; 0 for {!empty} *)
@@ -54,8 +53,7 @@ val size : t -> int
 val push : t -> Serve_obs.t -> unit
 
 val aggregate : t -> agg
-(** Pairwise tree-reduction of the ring in epoch order — provably equal
-    to folding the covered epochs' records from scratch. *)
+(** {!merge} folded over the ring in epoch order, from {!empty}. *)
 
 (** {2 Window sets}
 

@@ -50,24 +50,14 @@ type exec_result = {
 
 (* ---- replay hash: FNV-1a folded over the executed trace ---------------- *)
 
-let fnv_offset = 0xCBF29CE484222325L
-let fnv_prime = 0x100000001B3L
-
-let mix_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
-
 let mix_int64 h v =
   let h = ref h in
   for i = 0 to 7 do
-    h := mix_byte !h (Int64.to_int (Int64.shift_right_logical v (8 * i)))
+    h := Fnv.byte !h (Int64.to_int (Int64.shift_right_logical v (8 * i)))
   done;
   !h
 
 let mix_int h v = mix_int64 h (Int64.of_int v)
-
-let mix_string h s =
-  let h = ref h in
-  String.iter (fun c -> h := mix_byte !h (Char.code c)) s;
-  !h
 
 (* ---- execution --------------------------------------------------------- *)
 
@@ -79,7 +69,7 @@ let op_by_name a name = List.find_opt (fun o -> o.op_name = name) a.ops
 
 let exec a ~seed steps =
   with_state a ~seed (fun s ->
-      let hash = ref fnv_offset in
+      let hash = ref Fnv.offset in
       let applied = ref 0 in
       let failed = ref None in
       (try
@@ -92,7 +82,7 @@ let exec a ~seed steps =
              | Some o when not (o.pre s) -> () (* skipped: precondition gone *)
              | Some o ->
                incr applied;
-               hash := mix_string !hash st.op;
+               hash := Fnv.string !hash st.op;
                List.iter (fun v -> hash := mix_int !hash v) st.args;
                let outcome =
                  match o.apply s st.args with
@@ -102,7 +92,7 @@ let exec a ~seed steps =
                hash := mix_int64 !hash (a.digest s);
                (match outcome with
                | Some msg ->
-                 hash := mix_string !hash msg;
+                 hash := Fnv.string !hash msg;
                  failed := Some (i, msg);
                  raise Exit
                | None -> ()))

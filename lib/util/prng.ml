@@ -60,13 +60,9 @@ let fork t label =
   (* FNV-1a over the label bytes, folded with one draw from [t]: forks with
      distinct labels get unrelated streams, and forking never reuses the
      parent's stream beyond that single draw. *)
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
-    label;
   let seed =
-    Int64.to_int (Int64.logxor !h (next t)) land max_int
+    Int64.to_int (Int64.logxor (Fnv.string Fnv.offset label) (next t))
+    land max_int
   in
   create ~seed
 

@@ -347,6 +347,28 @@ let test_persist_enospc_preserves_published_store () =
       Alcotest.(check bool) "abandoned tmp cleaned up" false
         (Sys.file_exists (path ^ ".tmp")))
 
+(* A store path that is a non-empty directory cannot be renamed onto: the
+   error reaches the caller and no PATH.tmp is left behind. *)
+let test_persist_failed_save_cleans_up () =
+  with_temp (fun file ->
+      Sys.remove file;
+      Sys.mkdir file 0o755;
+      let keep = Filename.concat file "keep" in
+      Out_channel.with_open_text keep ignore;
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.remove keep;
+          Sys.rmdir file;
+          if Sys.file_exists (file ^ ".tmp") then Sys.remove (file ^ ".tmp"))
+        (fun () ->
+          (match Persist.save (mk_store [ (64, 0) ]) file with
+          | () -> Alcotest.fail "saving onto a directory succeeded"
+          | exception Sys_error _ -> ());
+          Alcotest.(check bool) "no tmp file left" false
+            (Sys.file_exists (file ^ ".tmp"));
+          Alcotest.(check bool) "the directory is untouched" true
+            (Sys.file_exists keep)))
+
 (* ---------- Pool: join-all and crash requeue ---------- *)
 
 (* Regression for the join-all fix: when one chunk raises, every in-flight
@@ -513,6 +535,8 @@ let suite =
       test_persist_torn_write_recoverable;
     Alcotest.test_case "persist: enospc keeps the old store" `Quick
       test_persist_enospc_preserves_published_store;
+    Alcotest.test_case "persist: failed save leaves no tmp" `Quick
+      test_persist_failed_save_cleans_up;
     Alcotest.test_case "pool: joins all before re-raising" `Quick
       test_pool_joins_all_before_reraise;
     Alcotest.test_case "pool: crash requeue determinism" `Quick

@@ -348,47 +348,35 @@ let test_stepping_equals_run () =
     r.Fleet.detections
     (Fleet.detections t2 + Fleet.detections resumed)
 
-(* ---------- Per-worker locals and load stats ---------- *)
+(* ---------- Per-worker load stats ---------- *)
 
-let test_map_local_stats () =
+let test_map_stats () =
   let results, workers =
-    Pool.map_local ~domains:4 ~record_spans:true
-      ~local:(fun ~slot -> (slot, ref 0))
-      40
-      ~f:(fun (_, seen) i ->
-        incr seen;
-        i * i)
+    Pool.map_stats ~domains:4 ~record_spans:true 40 ~f:(fun i -> i * i)
   in
   Alcotest.(check (array int)) "results in order"
     (Array.init 40 (fun i -> i * i))
     results;
   Alcotest.(check int) "one worker per slot" 4 (Array.length workers);
   Array.iteri
-    (fun i ((slot, seen), w) ->
-      Alcotest.(check int) "locals in slot order" i slot;
+    (fun i w ->
       Alcotest.(check int) "stats slot matches" i w.Pool.slot;
-      Alcotest.(check int) "local saw every chunk of its worker" !seen
-        w.Pool.executed;
       Alcotest.(check int) "one span per chunk" w.Pool.executed
         (List.length w.Pool.spans);
       Alcotest.(check bool) "busy time non-negative" true
         (w.Pool.busy_seconds >= 0.0))
     workers;
   Alcotest.(check int) "executed partitions the input" 40
-    (Array.fold_left (fun n (_, w) -> n + w.Pool.executed) 0 workers);
+    (Array.fold_left (fun n w -> n + w.Pool.executed) 0 workers);
   (* Width never exceeds the work: 2 chunks on 8 domains is 2 workers, and
      an empty map still returns a (idle) slot-0 worker. *)
-  let _, narrow =
-    Pool.map_local ~domains:8 ~local:(fun ~slot -> slot) 2 ~f:(fun _ i -> i)
-  in
+  let _, narrow = Pool.map_stats ~domains:8 2 ~f:(fun i -> i) in
   Alcotest.(check int) "width clamped to n" 2 (Array.length narrow);
-  let empty, solo =
-    Pool.map_local ~domains:4 ~local:(fun ~slot -> slot) 0 ~f:(fun _ i -> i)
-  in
+  let empty, solo = Pool.map_stats ~domains:4 0 ~f:(fun i -> i) in
   Alcotest.(check int) "empty map: no results" 0 (Array.length empty);
   Alcotest.(check int) "empty map: one idle worker" 1 (Array.length solo);
   Alcotest.(check int) "empty map: nothing executed" 0
-    (snd solo.(0)).Pool.executed
+    solo.(0).Pool.executed
 
 (* ---------- Sharded vs per-user telemetry aggregation ---------- *)
 
@@ -598,7 +586,7 @@ let suite =
       test_wave_period_longer_than_run;
     Alcotest.test_case "stepping API equals run" `Quick
       test_stepping_equals_run;
-    Alcotest.test_case "pool: map_local worker stats" `Quick test_map_local_stats;
+    Alcotest.test_case "pool: map_stats worker stats" `Quick test_map_stats;
     Alcotest.test_case "sharded telemetry: synthetic equivalence" `Quick
       test_sharded_equivalence_synthetic;
     Alcotest.test_case "sharded telemetry: real-execution equivalence" `Slow

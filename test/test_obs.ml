@@ -276,9 +276,8 @@ let check_against_model tag reg md =
     (Obs_json.to_string (Metrics.to_json reg))
 
 (* Random sets and orders of instruments over 60 trials: each registry
-   alone, their fold by [merge_into] in uid order, and the same
-   registries absorbed by three shards in a shuffled order and reduced,
-   all match the name-keyed model. *)
+   alone and their fold by [merge_into] in uid order match the name-keyed
+   model. *)
 let test_keyed_registry_model () =
   let g = Prng.create ~seed:2024 in
   for trial = 1 to 60 do
@@ -291,23 +290,6 @@ let test_keyed_registry_model () =
     let direct = Metrics.create () in
     List.iter (fun (reg, _) -> Metrics.merge_into ~dst:direct ~src:reg) regs;
     check_against_model (Printf.sprintf "trial %d, merged" trial) direct expected;
-    let shards = Array.init 3 (fun _ -> Metrics_shard.create ()) in
-    let order = Array.of_list (List.mapi (fun i r -> (i + 1, r)) regs) in
-    for i = Array.length order - 1 downto 1 do
-      let j = Prng.int g (i + 1) in
-      let x = order.(i) in
-      order.(i) <- order.(j);
-      order.(j) <- x
-    done;
-    Array.iter
-      (fun (uid, (reg, _)) ->
-        let tele = Telemetry.create () in
-        Metrics.merge_into ~dst:(Telemetry.metrics tele) ~src:reg;
-        Metrics_shard.absorb shards.(Prng.int g 3) ~uid tele)
-      order;
-    let sharded = Metrics.create () in
-    ignore (Metrics_shard.reduce_into shards ~metrics:sharded ~profile:(Profiler.create ()));
-    check_against_model (Printf.sprintf "trial %d, sharded" trial) sharded expected
   done
 
 (* Two domains intern the same 300 names at once, in different orders,
