@@ -1,7 +1,7 @@
 # Convenience targets around dune.
 
-.PHONY: all build test check bench metrics fleet faults perf engines \
-	validate sim respond clean
+.PHONY: all build test check help-clean bench metrics fleet faults perf \
+	engines validate sim respond clean
 
 all: build
 
@@ -13,11 +13,23 @@ test:
 
 # Tier-1 gate plus a telemetry smoke run: build, full test suite, and one
 # interpreted program under CSOD with metrics on (must detect and print
-# the METRICS / CYCLE ATTRIBUTION tables).
+# the METRICS / CYCLE ATTRIBUTION tables), then clean help text.
 check:
 	dune build
 	dune runtest
 	dune exec bin/csod_run.exe -- exec examples/demo.mc --input 12 --tool csod --metrics
+	$(MAKE) help-clean
+
+# Every subcommand's --help renders without a markup error: cmdliner
+# reports a bad doc-string escape on stderr and still exits 0.
+help-clean:
+	dune build
+	@for c in exec explain fleet list replay run serve sim top validate; do \
+	  err=$$(./_build/default/bin/csod_run.exe $$c --help=plain 2>&1 >/dev/null); \
+	  if [ -n "$$err" ]; then \
+	    echo "csod_run $$c --help=plain wrote to stderr:"; echo "$$err"; exit 1; \
+	  fi; \
+	done
 
 bench:
 	dune exec bench/main.exe

@@ -56,20 +56,13 @@ let engine_conv =
   in
   Arg.conv (parse, print)
 
-(* Resolve --engine into the process-wide default that Execution.run picks
-   up.  vm-buggy-cycles is the planted miscounting bug kept around for the
+(* Resolve --engine into the engine a command passes as [~engine].
+   vm-buggy-cycles is the planted miscounting bug kept around for the
    differential-testing net — a live demonstration that the golden pins
    and the sweep catch a one-cycle divergence. *)
-let apply_engine = function
-  | `Interp ->
-    Vm.buggy_cycles := false;
-    Engine.set_default Engine.Interp
-  | `Vm ->
-    Vm.buggy_cycles := false;
-    Engine.set_default Engine.Vm
-  | `Vm_buggy ->
-    Vm.buggy_cycles := true;
-    Engine.set_default Engine.Vm
+let apply_engine e =
+  Vm.buggy_cycles := e = `Vm_buggy;
+  match e with `Interp -> Engine.Interp | `Vm | `Vm_buggy -> Engine.Vm
 
 (* Shared options *)
 let engine_arg =
@@ -119,13 +112,13 @@ let faults_arg =
   Arg.(value & opt (some faults_conv) None
        & info [ "faults" ] ~docv:"SPEC"
            ~doc:"Deterministic fault injection plan, e.g. \
-                 $(b,seed=7,ebusy=0.25,trap-drop=0.1,persist-torn\\@0).  \
+                 $(b,seed=7,ebusy=0.25,trap-drop=0.1,persist-torn@0).  \
                  Points: ebusy, eacces (perf_event_open failures), \
                  trap-drop, trap-delay (SIGTRAP delivery), persist-torn, \
                  persist-enospc (store writes), worker-crash (fleet pool).  \
                  $(i,point)=$(i,RATE) fails that fraction of opportunities; \
-                 $(i,point)\\@$(i,T) fails once at virtual second T \
-                 (worker-crash\\@N: chunk index N).  Faults draw from their \
+                 $(i,point)@$(i,T) fails once at virtual second T \
+                 (worker-crash@N: chunk index N).  Faults draw from their \
                  own PRNG stream, so a plan of $(b,none) is bit-identical \
                  to no plan.")
 
@@ -365,7 +358,7 @@ let run_cmd =
   let run name engine tool policy no_evidence benign seed runs store_file
       faults respond metrics profile metrics_json events snapshot_sec flight
       trace_out =
-    apply_engine engine;
+    let engine = apply_engine engine in
     match Buggy_app.by_name name with
     | None ->
       Printf.eprintf "unknown application %S; try 'csod_run list'\n" name;
@@ -383,8 +376,8 @@ let run_cmd =
       with_events events (fun () ->
           for s = seed to seed + runs - 1 do
             let execute () =
-              Execution.run ~app ~config ~input ~seed:s ~store ~respond
-                ~snapshot_cycles ?faults ()
+              Execution.run ~app ~config ~engine ~input ~seed:s ~store
+                ~respond ~snapshot_cycles ?faults ()
             in
             let o =
               match cap with
@@ -566,7 +559,7 @@ let fleet_cmd =
   in
   let run name engine users domains epoch benign_frac burst wave_period seed
       policy no_evidence store_file faults respond json live trace_out =
-    apply_engine engine;
+    let engine = apply_engine engine in
     match Buggy_app.by_name name with
     | None ->
       Printf.eprintf "unknown application %S\n" name;
@@ -611,7 +604,8 @@ let fleet_cmd =
           in
           let report =
             Fleet.run ?store cfg
-              ~execute:(Execution.executor ~app ~config ~respond ?faults ())
+              ~execute:
+                (Execution.executor ~app ~config ~engine ~respond ?faults ())
           in
           save_store ?faults:report.Fleet.faults report.Fleet.store store_file;
           (match trace_out with
@@ -707,9 +701,9 @@ let serve_cmd =
     Arg.(value & opt (some string) None
          & info [ "alerts" ] ~docv:"SPEC"
              ~doc:"Alert rules, comma-separated: \
-                   $(i,name)[>$(i,LIMIT)|<$(i,LIMIT)][\\@$(i,WINDOW)] with \
+                   $(i,name)[>$(i,LIMIT)|<$(i,LIMIT)][@$(i,WINDOW)] with \
                    names stall, degraded, skew, faults, cdf, patch — e.g. \
-                   $(b,stall\\@50,degraded>0.1\\@10).  Default \
+                   $(b,stall@50,degraded>0.1@10).  Default \
                    $(b,stall,degraded,skew).")
   in
   let alerts_file_arg =
@@ -777,7 +771,7 @@ let serve_cmd =
       seed policy no_evidence faults respond alerts alerts_file windows
       history rotate status_file checkpoint checkpoint_every live
       no_color =
-    apply_engine engine;
+    let engine = apply_engine engine in
     match Buggy_app.by_name name with
     | None ->
       Printf.eprintf "unknown application %S\n" name;
@@ -823,7 +817,8 @@ let serve_cmd =
       in
       (match
          Serve.start cfg
-           ~execute:(Execution.executor ~app ~config ~respond ?faults ())
+           ~execute:
+             (Execution.executor ~app ~config ~engine ~respond ?faults ())
        with
       | Error m ->
         Printf.eprintf "serve: %s\n" m;
@@ -1018,9 +1013,10 @@ let sim_cmd =
     Arg.(value & opt_all string []
          & info [ "alphabet" ] ~docv:"NAME"
              ~doc:"Alphabet to sweep (repeatable).  Default: every \
-                   real-system alphabet (heap, runtime, fleet, store).  The \
-                   planted-bug alphabets (store-buggy-merge, \
-                   fleet-evidence-bug) are reachable only by explicit name.")
+                   real-system alphabet (heap, runtime, fleet, store, \
+                   respond).  The planted-bug alphabets (store-buggy-merge, \
+                   fleet-evidence-bug, respond-lost-conviction) are \
+                   reachable only by explicit name.")
   in
   let sim_runs_arg =
     Arg.(value & opt int 100
@@ -1088,8 +1084,7 @@ let sim_cmd =
     Printf.printf "replay: %d records re-executed bit-identically\n"
       (List.length lines)
   in
-  let run engine alphabets seed runs ops no_shrink out replay =
-    apply_engine engine;
+  let run alphabets seed runs ops no_shrink out replay =
     match replay with
     | Some file -> replay_file file
     | None ->
@@ -1153,7 +1148,7 @@ let sim_cmd =
              runnable csod.sim.repro/1 record.  $(b,--replay FILE) \
              re-executes recorded counterexamples bit-identically (replay \
              hash over ops, arguments and per-step state digests).")
-    Term.(const run $ engine_arg $ alphabet_arg $ seed_arg $ sim_runs_arg
+    Term.(const run $ alphabet_arg $ seed_arg $ sim_runs_arg
           $ ops_arg $ no_shrink_arg $ out_arg $ replay_arg)
 
 (* ---- validate: check JSONL against the schema registry ---- *)
@@ -1213,7 +1208,7 @@ let exec_cmd =
   let run file inputs module_name engine tool policy no_evidence seed
       store_file faults respond dump metrics profile metrics_json events
       snapshot_sec flight trace_out =
-    apply_engine engine;
+    let engine = apply_engine engine in
     let source = In_channel.with_open_text file In_channel.input_all in
     match Program.load [ { Program.file; module_name; source } ] with
     | Error errs ->
@@ -1224,7 +1219,7 @@ let exec_cmd =
     | Ok program ->
       let store = load_store store_file in
       let execute () =
-        Execution.run_program ~program ~inputs:(Array.of_list inputs)
+        Execution.run_program ~program ~inputs:(Array.of_list inputs) ~engine
           ~config:(config_of ~tool ~policy ~no_evidence) ~seed ~store ~respond
           ~snapshot_cycles:(snapshot_cycles_of snapshot_sec) ?faults ()
       in

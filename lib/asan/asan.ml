@@ -151,4 +151,3 @@ let tool t =
 
 let detections t = List.rev t.detections
 let detected t = t.detections <> []
-let redzone t = t.redzone

@@ -54,7 +54,6 @@ val create :
 val tool : t -> Tool.t
 val detections : t -> detection list
 val detected : t -> bool
-val redzone : t -> int
 
 val extra_resident_bytes : t -> int
 (** Shadow granules + quarantine holdings, for Table V. *)

@@ -18,12 +18,6 @@
 val header_size : int
 (** 32 bytes. *)
 
-val canary_size : int
-(** 8 bytes. *)
-
-val identifier : int
-(** Header magic marking CSOD-managed objects. *)
-
 val rounded : int -> int
 (** Requested size rounded up to the 8-byte word the hardware watches. *)
 

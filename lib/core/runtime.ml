@@ -385,9 +385,7 @@ let tool t =
     at_exit = (fun () -> finish t);
     extra_resident_bytes = (fun () -> Context_table.memory_bytes t.contexts) }
 
-let params t = t.params
 let store t = t.store
-let respond t = t.respond
 let degraded t = t.degraded
 let detections t = List.rev t.reports
 let detected t = t.reports <> []

@@ -53,16 +53,7 @@ val create :
 val tool : t -> Tool.t
 (** The interposition surface to run applications against. *)
 
-val params : t -> Params.t
 val store : t -> Persist.t
-
-val respond : t -> Respond.t option
-(** The active-response layer this runtime was built with, if any. *)
-
-val patch_pad : int
-(** Guard slack (bytes) a code-less patch adds past a convicted context's
-    object: overflows up to this size land in owned memory, below the
-    canary. *)
 
 val degraded : t -> bool
 (** True once the runtime has fallen back to canary-only mode: after

@@ -28,7 +28,6 @@ let create ~plan ~salt =
     forced = [];
     counts = Hashtbl.create 8 }
 
-let plan t = t.plan
 
 let record ?(n = 1) t point =
   let c = Option.value ~default:0 (Hashtbl.find_opt t.counts point) in

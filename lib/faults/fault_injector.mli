@@ -16,8 +16,6 @@ val create : plan:Fault_plan.t -> salt:int -> t
 (** [salt] decorrelates executions sharing one plan (use the execution
     seed).  Same (plan, salt) ⇒ same decision stream. *)
 
-val plan : t -> Fault_plan.t
-
 val force : t -> Fault_plan.point -> unit
 (** [force t point] schedules a deterministic single-shot: the next
     {!fire} at [point] returns true, consuming the forced shot instead of

@@ -29,7 +29,6 @@ type point =
 
 val all_points : point list
 val point_name : point -> string
-val point_of_name : string -> point option
 
 val point_id : point -> int
 (** Stable small integer naming the point in hash-derived streams. *)

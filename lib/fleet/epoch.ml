@@ -6,6 +6,10 @@ type row = {
   store_size : int;
 }
 
+let of_sample (s : Health.sample) =
+  { epoch = s.epoch; arrivals = s.arrivals; detections = s.detections;
+    cumulative = s.cumulative; store_size = s.store_contexts }
+
 let cdf ~total_users r =
   if total_users = 0 then 0.0
   else float_of_int r.cumulative /. float_of_int total_users

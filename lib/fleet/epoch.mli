@@ -17,6 +17,9 @@ type row = {
   store_size : int;      (** shared-store contexts after this barrier *)
 }
 
+val of_sample : Health.sample -> row
+(** The row of the health sample built at the same barrier. *)
+
 val cdf : total_users:int -> row -> float
 (** [cumulative / total_users]. *)
 

@@ -84,7 +84,6 @@ type 'a t = {
   mutable next_uid : int;
   mutable epoch : int;
   mutable seats_rev : 'a seat list;
-  mutable epochs_rev : Epoch.row list;
   mutable detections : int;
   mutable degraded_total : int;
   mutable health_rev : Health.sample list;
@@ -128,7 +127,6 @@ let start ?store ?expected_users ?(lean = false) ?(epoch0 = 0) ?(uid0 = 1)
     next_uid = uid0;
     epoch = epoch0;
     seats_rev = [];
-    epochs_rev = [];
     detections = 0;
     degraded_total = 0;
     health_rev = [];
@@ -196,11 +194,6 @@ let step t ~arrivals:n =
   in
   let t_merge1 = Unix.gettimeofday () in
   t.detections <- t.detections + !epoch_detections;
-  if not t.lean then
-    t.epochs_rev <-
-      { Epoch.epoch = e; arrivals = n; detections = !epoch_detections;
-        cumulative = t.detections; store_size = Persist.count t.shared }
-      :: t.epochs_rev;
   let epoch_seconds = t_merge1 -. t_epoch0 in
   let loads =
     Array.to_list workers
@@ -305,8 +298,9 @@ let finish t =
   | Some inj ->
     Metrics.add t.c_crashes (Fault_injector.count inj Fault_plan.Worker_crash)
   | None -> ());
+  let health = List.rev t.health_rev in
   { seats = Array.of_list (List.rev t.seats_rev);
-    epochs = List.rev t.epochs_rev;
+    epochs = List.map Epoch.of_sample health;
     first_catch = t.first;
     detections = t.detections;
     metrics = metrics t;
@@ -315,7 +309,7 @@ let finish t =
     domains = t.cfg.domains;
     wall_seconds = Unix.gettimeofday () -. t.t_run0;
     faults = t.pool_faults;
-    health = List.rev t.health_rev;
+    health;
     trace_spans = List.rev t.spans_rev }
 
 let run ?store cfg ~execute =

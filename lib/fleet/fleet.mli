@@ -46,6 +46,7 @@ type 'a seat = { user : Workload.user; epoch : int; exec : 'a execution }
 type 'a report = {
   seats : 'a seat array;         (** uid order, one per user *)
   epochs : Epoch.row list;
+      (** the detection CDF: {!Epoch.of_sample} of each [health] sample *)
   first_catch : 'a seat option;  (** earliest by (epoch, uid) *)
   detections : int;
   metrics : Metrics.t;

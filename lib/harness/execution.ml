@@ -23,11 +23,9 @@ let instrumented_pred (app : Buggy_app.t) program site =
   | Some m -> List.mem m app.Buggy_app.instrumented_modules
   | None -> false
 
-let run_program ~program ~inputs ?instrumented ~config ?engine ?(seed = 1)
-    ?store ?(respond = Respond.Off) ?(snapshot_cycles = 0) ?faults () =
-  let engine =
-    match engine with Some e -> e | None -> Engine.current_default ()
-  in
+let run_program ~program ~inputs ?instrumented ~config ?(engine = Engine.Vm)
+    ?(seed = 1) ?store ?(respond = Respond.Off) ?(snapshot_cycles = 0) ?faults
+    () =
   (* One injector per execution, salted by the execution seed: a fleet of
      executions sharing one plan still faults each user differently, and
      identically for any domain count. *)
@@ -98,11 +96,8 @@ let run ~(app : Buggy_app.t) ~config ?engine ?(input = Buggy) ?seed ?store
   run_program ~program ~inputs ~instrumented:(instrumented_pred app program)
     ~config ?engine ?seed ?store ?respond ?snapshot_cycles ?faults ()
 
-let executor ~app ~config ?engine ?input_of ?(respond = Respond.Off) ?faults ()
-    =
-  let engine =
-    match engine with Some e -> e | None -> Engine.current_default ()
-  in
+let executor ~app ~config ?(engine = Engine.Vm) ?input_of
+    ?(respond = Respond.Off) ?faults () =
   (* Force the program memo (and, for the VM, the bytecode cache) now:
      fleet workers may call the executor from several domains at once, and
      neither memo table is synchronized. *)

@@ -60,9 +60,8 @@ val run :
   outcome
 (** Execute the app once on a fresh machine: {!run_program} on the app's
     program, the inputs [input] picks, and its instrumented modules.
-    [engine] picks the MiniC execution engine (default
-    {!Engine.current_default}, i.e. the bytecode VM unless the CLI
-    overrode it); both engines are observably identical, so the choice
+    [engine] picks the MiniC execution engine (default the bytecode VM,
+    {!Engine.Vm}); both engines are observably identical, so the choice
     only affects host-time throughput.  [seed] (default 1) varies
     both the machine RNG (CSOD's sampling draws) and the program-visible
     [rand] (timing jitter), modeling distinct production executions.
@@ -89,9 +88,7 @@ val executor :
     [user.benign]), against the store snapshot the fleet hands over.  The
     returned closure is safe to call from pool domains — the app's
     program memo (and the VM's bytecode cache) is forced eagerly, and each
-    execution builds its own machine, heap and tool.  The engine is
-    resolved once, when the executor is built, so a fleet run is uniform
-    even if the process default changes mid-flight. *)
+    execution builds its own machine, heap and tool. *)
 
 val run_until_detected :
   app:Buggy_app.t -> config:Config.t -> max_runs:int -> (int * outcome) option

@@ -43,6 +43,6 @@ val observe :
     (default 1) seeds both the machine and the program-visible [rand], so
     an oracle run can be paired with a detection run of the same seed for
     allocation-index correlation.  [engine] defaults to {!Engine.Interp}
-    — unlike {!Execution.run}, the oracle ignores the process default, so
-    ground truth always rides the reference semantics unless a caller
-    explicitly opts into the VM (the engine A/B tests do). *)
+    — unlike {!Execution.run}, whose default is the VM — so ground truth
+    always rides the reference semantics unless a caller explicitly opts
+    into the VM (the engine A/B tests do). *)

@@ -90,7 +90,6 @@ let pc t = t.pc
 
 let telemetry t = t.telemetry
 let registry t = Telemetry.metrics t.telemetry
-let faults t = t.faults
 
 (* Every cycle the machine advances goes through [charge], which attributes
    it to the current phase — so the profiler's per-phase totals sum exactly

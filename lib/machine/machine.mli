@@ -46,11 +46,6 @@ val telemetry : t -> Telemetry.t
 val registry : t -> Metrics.t
 (** Shorthand for [Telemetry.metrics (telemetry t)]. *)
 
-val faults : t -> Fault_injector.t option
-(** The injector this machine was armed with, if any — shared with tools
-    that inject their own faults (persistence, fleet) so one plan covers
-    the whole run. *)
-
 (** {1 Execution context} *)
 
 val set_pc : t -> int -> unit

@@ -78,9 +78,6 @@ type code = {
   funcs : (string, func_info) Hashtbl.t;
 }
 
-val compile : Program.t -> code
-(** Compile afresh, ignoring the cache. *)
-
 type Program.cached += Code of code
 
 val get : Program.t -> code

@@ -12,14 +12,6 @@ type t = Interp | Vm
 
 val to_string : t -> string
 
-val set_default : t -> unit
-(** Set the process-wide default engine (used by [Execution.run] when no
-    explicit engine is passed).  The CLI threads [--engine] through
-    this. *)
-
-val current_default : unit -> t
-(** The current default; [Vm] unless overridden. *)
-
 val run :
   engine:t ->
   machine:Machine.t ->

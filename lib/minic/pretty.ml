@@ -103,8 +103,6 @@ and pp_simple_no_semi ppf (s : Ast.stmt) =
 and pp_block indent ppf stmts =
   List.iter (fun s -> Format.fprintf ppf "\n%a" (pp_stmt indent) s) stmts
 
-let stmt ppf s = pp_stmt 0 ppf s
-
 let func ppf (f : Ast.func) =
   Format.fprintf ppf "fn %s(%s) {%a\n}" f.Ast.fname
     (String.concat ", " f.Ast.params)

@@ -6,14 +6,9 @@
     property.  Used by tooling that wants to display or re-emit checked
     programs (e.g. the CLI's [--dump] flag). *)
 
-val expr : Format.formatter -> Ast.expr -> unit
-(** Minimal parentheses: emitted only where precedence or associativity
-    requires them. *)
-
-val stmt : Format.formatter -> Ast.stmt -> unit
-val func : Format.formatter -> Ast.func -> unit
-
 val program_to_string : Ast.func list -> string
 (** Whole compilation unit, functions separated by blank lines. *)
 
 val expr_to_string : Ast.expr -> string
+(** Minimal parentheses: emitted only where precedence or associativity
+    requires them. *)

@@ -39,7 +39,6 @@ val frame_size : t -> string -> int
 
 type frame_info = { floc : Srcloc.t; in_func : string; in_module : string }
 
-val frame_of_addr : t -> int -> frame_info option
 val symbolize : t -> int -> string
 (** ["file:line (function)"], or ["0x<addr>"] when unknown — the paper's
     fallback when symbols are stripped. *)

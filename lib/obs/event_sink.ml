@@ -1,14 +1,23 @@
-type t = { write : string -> unit; flush : unit -> unit; mutable events : int }
+(* [line] is rendered into afresh by every event and handed to [out]. *)
+type t = {
+  out : Buffer.t -> unit;
+  flush : unit -> unit;
+  line : Buffer.t;
+  mutable events : int;
+}
 
-let make ?(flush = fun () -> ()) write = { write; flush; events = 0 }
+let of_out ?(flush = fun () -> ()) out =
+  { out; flush; line = Buffer.create 256; events = 0 }
+
+let make ?flush write = of_out ?flush (fun line -> write (Buffer.contents line))
 
 let to_channel oc =
-  make
-    (fun line -> output_string oc line; output_char oc '\n')
+  of_out
+    (fun line -> Buffer.output_buffer oc line; output_char oc '\n')
     ~flush:(fun () -> flush oc)
 
 let to_buffer buf =
-  make (fun line -> Buffer.add_string buf line; Buffer.add_char buf '\n')
+  of_out (fun line -> Buffer.add_buffer buf line; Buffer.add_char buf '\n')
 
 let events t = t.events
 
@@ -42,7 +51,9 @@ let emit name fields =
   | None -> ()
   | Some t ->
     t.events <- t.events + 1;
-    t.write (Obs_json.to_string (`Assoc (("event", `String name) :: fields)))
+    Buffer.clear t.line;
+    Obs_json.write t.line (`Assoc (("event", `String name) :: fields));
+    t.out t.line
 
 let with_sink t f =
   let prev = !current in

@@ -10,6 +10,8 @@
     produce byte-identical streams. *)
 
 type t
+(** A sink renders each event into one line buffer it reuses, then hands
+    the line to its writer. *)
 
 val make : ?flush:(unit -> unit) -> (string -> unit) -> t
 (** [make write] builds a sink from a line writer; [flush] (default a
@@ -17,7 +19,8 @@ val make : ?flush:(unit -> unit) -> (string -> unit) -> t
     {!flush_installed}. *)
 
 val to_channel : out_channel -> t
-(** Lines are written to [oc] under the channel's own buffering; the
+(** Lines are copied from the line buffer into [oc]
+    ([Buffer.output_buffer]) under the channel's own buffering; the
     sink's flush flushes [oc].  The caller owns and closes the channel. *)
 
 val to_buffer : Buffer.t -> t

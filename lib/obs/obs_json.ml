@@ -7,26 +7,40 @@ type t =
   | `List of t list
   | `Assoc of (string * t) list ]
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
+(* [s] as a quoted JSON string, escaped straight into [buf]: runs of
+   plain bytes are copied whole. *)
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  let run = ref 0 in
+  String.iteri
+    (fun i c ->
+      if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+        Buffer.add_substring buf s !run (i - !run);
+        run := i + 1;
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      end)
     s;
-  Buffer.contents buf
+  Buffer.add_substring buf s !run (String.length s - !run);
+  Buffer.add_char buf '"'
+
+(* Digit by digit, most significant first: no intermediate string and no
+   shared scratch bytes, so concurrent writers into distinct buffers
+   cannot interfere. *)
+let rec add_nat buf n =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
 
 let rec write buf (v : t) =
   match v with
   | `Null -> Buffer.add_string buf "null"
   | `Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | `Int n when n >= 0 -> add_nat buf n
   | `Int n -> Buffer.add_string buf (string_of_int n)
   | `Float f ->
     if Float.is_finite f then
@@ -34,10 +48,7 @@ let rec write buf (v : t) =
          prints a bare "1." (invalid JSON): "1" and "1e-05" are valid. *)
       Buffer.add_string buf (Printf.sprintf "%.12g" f)
     else Buffer.add_string buf "null"
-  | `String s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+  | `String s -> add_quoted buf s
   | `List items ->
     Buffer.add_char buf '[';
     List.iteri
@@ -51,9 +62,8 @@ let rec write buf (v : t) =
     List.iteri
       (fun i (k, item) ->
         if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\":";
+        add_quoted buf k;
+        Buffer.add_char buf ':';
         write buf item)
       fields;
     Buffer.add_char buf '}'

@@ -20,6 +20,9 @@ val to_string : t -> string
 (** Compact (single-line) rendering.  Non-finite floats print as [null] so
     the output is always valid JSON. *)
 
+val write : Buffer.t -> t -> unit
+(** Append {!to_string}'s rendering to the buffer. *)
+
 val of_string : string -> (t, string) result
 (** Parse one JSON document.  Numbers without a fraction or exponent come
     back as [`Int], everything else as [`Float], so a value printed by

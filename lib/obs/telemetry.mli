@@ -55,6 +55,5 @@ val profile_table : t -> total_cycles:int -> string
 (** Rendered {!Table_fmt} table of nonzero phases with their share of the
     charged cycles. *)
 
-val metrics_table : t -> string
 val summary : t -> total_cycles:int -> string
-(** [metrics_table] followed by [profile_table]. *)
+(** The metrics table followed by {!profile_table}. *)

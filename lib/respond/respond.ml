@@ -116,7 +116,6 @@ let create mode =
     patched_allocs = 0;
     events = 0 }
 
-let mode t = t.mode
 let oblivious t = t.mode = Oblivious
 
 let patch_threshold t =

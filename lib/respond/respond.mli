@@ -44,7 +44,6 @@ type t
 
 val create : mode -> t
 
-val mode : t -> mode
 val oblivious : t -> bool
 val patch_threshold : t -> int option
 (** [Some n] iff the mode is [Patch n]. *)

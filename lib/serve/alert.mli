@@ -41,9 +41,6 @@ val defaults : rule list
 (** The rules [parse "stall,degraded,skew"] yields — the service's
     out-of-the-box set. *)
 
-val holds : rule -> Window.agg -> bool
-(** Does the condition hold over this (full) window aggregate? *)
-
 type event = {
   rule : rule;
   epoch : int;         (** barrier at which the transition happened *)

@@ -145,9 +145,9 @@ let truncate dir ~segment ~lines =
          done
        with End_of_file -> ());
       close_in ic;
-      let oc = open_out path in
-      Buffer.output_buffer oc keep;
-      close_out oc
+      (* Whole or not at all: the kept prefix is the segment resume
+         continues, so a failed rewrite must leave it as it was. *)
+      Atomic_file.write path (Buffer.contents keep)
     end
   end
 

@@ -15,20 +15,9 @@
     count — pinned by [test_serve].  [csod_run replay] re-renders the
     dashboard and re-evaluates alert rules from these files alone. *)
 
-val schema : string
-(** ["csod.serve.history/1"]. *)
-
 type kind = Meta | Health | Alert
 
-val kind_to_string : kind -> string
-
 type record = { seq : int; kind : kind; body : Obs_json.t }
-
-val line : record -> string
-(** The serialized JSONL line (no trailing newline). *)
-
-val of_json : Obs_json.t -> (record, string) result
-(** Strict record decode: schema, fields and the real checksum. *)
 
 val spec : Schema.t
 (** Per stream: contiguous [seq], health bodies decode and alert bodies
@@ -60,9 +49,10 @@ val close : writer -> unit
 val truncate : string -> segment:int -> lines:int -> unit
 (** Roll the directory back to a checkpointed writer position: segments
     past [segment] are deleted and the [segment] file is cut to its
-    first [lines] lines.  Resume uses this so records appended after the
-    last checkpoint (by a crashed session) cannot duplicate the ones the
-    resumed session re-emits. *)
+    first [lines] lines, rewritten with {!Atomic_file.write} so a failed
+    rewrite leaves the segment as it was.  Resume uses this so records
+    appended after the last checkpoint (by a crashed session) cannot
+    duplicate the ones the resumed session re-emits. *)
 
 (** {2 Reading} *)
 

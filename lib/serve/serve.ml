@@ -50,22 +50,12 @@ type 'a t = {
   (* Wall time of the last refresh; [neg_infinity] until the first
      barrier, so that barrier always refreshes. *)
   mutable refreshed_at : float;
-  (* Run-lifetime cumulatives (survive checkpoint/resume; the fleet
-     session's own registries restart at zero after a resume). *)
-  mutable arrived : int;
-  mutable detections : int;
-  mutable total_cycles : int;
-  mutable patched : int;
-  mutable degraded : int;
-  mutable worker_crashes : int;
-  mutable snapshots : int;
-  mutable faults_cum : (string * int) list;
-  (* Previous barrier's fleet-session cumulatives, for per-epoch deltas. *)
-  mutable prev_patched : int;
-  mutable prev_degraded : int;
-  mutable prev_crashes : int;
-  mutable prev_snapshots : int;
-  mutable prev_faults : (string * int) list;
+  (* Every observation of the run, merged: the run's tallies (they
+     survive checkpoint/resume). *)
+  mutable total : Window.agg;
+  (* [total] when this fleet session began: the session's registries
+     restart at zero after a resume, so its cumulatives count from here. *)
+  base : Window.agg;
   mutable last_obs : Serve_obs.t option;
 }
 
@@ -98,16 +88,16 @@ let meta_body cfg : Obs_json.t =
 
 (* ---- status ---- *)
 
-let status_core ~epoch ~arrived ~detections ~patched ~total_cycles ~last ~wins
-    ~alerts ~window_sizes : (string * Obs_json.t) list =
-  [ ("schema", `String status_schema); ("epoch", `Int epoch);
-    ("arrived", `Int arrived); ("detections", `Int detections);
-    ("patched", `Int patched);
-    ("cdf",
-     `Float
-       (if arrived > 0 then float_of_int detections /. float_of_int arrived
-        else 0.0));
-    ("virtual_seconds", `Float (virtual_seconds_of total_cycles));
+let cdf ~detections ~arrived =
+  if arrived > 0 then float_of_int detections /. float_of_int arrived else 0.0
+
+let status_core ~(total : Window.agg) ~last ~wins ~alerts ~window_sizes :
+    (string * Obs_json.t) list =
+  [ ("schema", `String status_schema); ("epoch", `Int (total.last_epoch + 1));
+    ("arrived", `Int total.arrivals); ("detections", `Int total.detections);
+    ("patched", `Int total.patched);
+    ("cdf", `Float (cdf ~detections:total.detections ~arrived:total.arrivals));
+    ("virtual_seconds", `Float (virtual_seconds_of total.cycles));
     ("last",
      match last with Some o -> Serve_obs.to_json o | None -> `Null);
     ("windows",
@@ -138,9 +128,7 @@ let status_core ~epoch ~arrived ~detections ~patched ~total_cycles ~last ~wins
 (* [now]: one clock reading gives both wall members. *)
 let status_at t ~now : Obs_json.t =
   `Assoc
-    (status_core ~epoch:(Fleet.epoch t.fleet) ~arrived:t.arrived
-       ~detections:t.detections ~patched:t.patched ~total_cycles:t.total_cycles
-       ~last:t.last_obs ~wins:t.wins ~alerts:t.alerts
+    (status_core ~total:t.total ~last:t.last_obs ~wins:t.wins ~alerts:t.alerts
        ~window_sizes:t.cfg.windows
     @ [ ("wall",
          `Assoc
@@ -178,17 +166,17 @@ let publish_status t ~now =
 (* ---- checkpoint ---- *)
 
 let checkpoint_json t : Obs_json.t =
+  let a = t.total in
   `Assoc
     [ ("schema", `String checkpoint_schema);
       ("epoch", `Int (Fleet.epoch t.fleet));
       ("next_uid", `Int (Fleet.next_uid t.fleet));
-      ("arrived", `Int t.arrived); ("detections", `Int t.detections);
-      ("total_cycles", `Int t.total_cycles); ("patched", `Int t.patched);
-      ("degraded", `Int t.degraded);
-      ("worker_crashes", `Int t.worker_crashes);
-      ("snapshots", `Int t.snapshots);
-      ("faults",
-       `Assoc (List.map (fun (k, v) -> (k, `Int v)) t.faults_cum));
+      ("arrived", `Int a.arrivals); ("detections", `Int a.detections);
+      ("total_cycles", `Int a.cycles); ("patched", `Int a.patched);
+      ("degraded", `Int a.degraded);
+      ("worker_crashes", `Int a.worker_crashes);
+      ("snapshots", `Int a.snapshots);
+      ("faults", `Assoc (List.map (fun (k, v) -> (k, `Int v)) a.faults));
       ("store",
        (* [site; off; hits]: evidence counts survive the checkpoint so a
           resumed service keeps its convictions. *)
@@ -218,26 +206,29 @@ let publish_checkpoint t =
 
 (* ---- start / resume ---- *)
 
+(* A service over [total]'s run so far, its fleet session starting at
+   [total]'s next epoch. *)
+let make cfg ~execute ?store ?uid0 ~total ~wins ~alerts hist =
+  { cfg;
+    fleet =
+      Fleet.start ?store ?uid0 ~lean:true ~epoch0:(total.Window.last_epoch + 1)
+        (Fleet.config ~domains:cfg.domains ~epoch_size:cfg.epoch_size
+           ?faults:cfg.faults ?patch_threshold:cfg.patch_threshold cfg.workload)
+        ~execute;
+    wins; alerts; hist;
+    t_start = Unix.gettimeofday ();
+    refreshed_at = neg_infinity;
+    total; base = total; last_obs = None }
+
 let fresh cfg ~execute =
   let hist =
     Option.map (fun dir -> History.writer ~rotate:cfg.rotate dir)
       cfg.history_dir
   in
   let t =
-    { cfg;
-      fleet = Fleet.start ~lean:true (Fleet.config ~domains:cfg.domains
-                ~epoch_size:cfg.epoch_size ?faults:cfg.faults
-                ?patch_threshold:cfg.patch_threshold cfg.workload)
-                ~execute;
-      wins = Window.set (all_window_sizes cfg);
-      alerts = Alert.engine cfg.rules;
-      hist;
-      t_start = Unix.gettimeofday ();
-      refreshed_at = neg_infinity;
-      arrived = 0; detections = 0; total_cycles = 0; patched = 0;
-      degraded = 0; worker_crashes = 0; snapshots = 0; faults_cum = [];
-      prev_patched = 0; prev_degraded = 0; prev_crashes = 0;
-      prev_snapshots = 0; prev_faults = []; last_obs = None }
+    make cfg ~execute ~total:Window.empty
+      ~wins:(Window.set (all_window_sizes cfg)) ~alerts:(Alert.engine cfg.rules)
+      hist
   in
   (* The meta record leads the history; only the first session writes it
      (seq 0), so a resumed run's segments stay byte-identical to an
@@ -267,7 +258,7 @@ let decode_checkpoint json =
     | _ -> None
   in
   let int = Schema.int json and get k = Option.get (Obs_json.member k json) in
-  let* faults_cum = Obs_json.counts (get "faults") in
+  let* faults = Obs_json.counts (get "faults") in
   (* [site; off] (pre-respond, hits = 1) or [site; off; hits]. *)
   let key = function
     | `List [ `Int a; `Int b ] -> Some (a, b, 1)
@@ -287,13 +278,19 @@ let decode_checkpoint json =
         Some (Some (seq, segment, lines))
       | _ -> None)
   in
-  Some
-    ( int "epoch", int "next_uid", int "arrived", int "detections",
-      int "total_cycles",
+  let epoch = int "epoch" in
+  let total =
+    { Window.empty with
+      epochs = epoch; first_epoch = (if epoch > 0 then 0 else -1);
+      last_epoch = epoch - 1; arrivals = int "arrived";
+      detections = int "detections"; cycles = int "total_cycles";
       (* Absent in pre-respond checkpoints: read as 0. *)
-      (match Obs_json.member "patched" json with Some (`Int n) -> n | _ -> 0),
-      int "degraded", int "worker_crashes", int "snapshots", faults_cum,
-      store_keys, wins, history )
+      patched =
+        (match Obs_json.member "patched" json with Some (`Int n) -> n | _ -> 0);
+      degraded = int "degraded"; worker_crashes = int "worker_crashes";
+      snapshots = int "snapshots"; faults }
+  in
+  Some (total, int "next_uid", store_keys, wins, history)
 
 let checkpoint_spec =
   Schema.make checkpoint_schema checkpoint_fields ~check:(fun j ->
@@ -302,9 +299,7 @@ let checkpoint_spec =
 let resume cfg ~execute json =
   match decode_checkpoint json with
   | None -> Error "malformed checkpoint"
-  | Some
-      ( epoch, next_uid, arrived, detections, total_cycles, patched, degraded,
-        worker_crashes, snapshots, faults_cum, store_keys, wins, history ) ->
+  | Some (total, next_uid, store_keys, wins, history) ->
     let alerts = Alert.engine cfg.rules in
     let ok =
       match Obs_json.member "alerts" json with
@@ -320,15 +315,6 @@ let resume cfg ~execute json =
         (fun (a, b, h) ->
           for _ = 1 to h do Persist.add store (a, b) done)
         store_keys;
-      (* The fleet's [patched] tally is a state count over the shared
-         store; seed the delta baseline from the restored evidence so the
-         first resumed epoch reports only {e new} convictions. *)
-      let prev_patched =
-        match cfg.patch_threshold with
-        | None -> 0
-        | Some th ->
-          List.length (List.filter (fun (_, _, h) -> h >= th) store_keys)
-      in
       let hist =
         match (cfg.history_dir, history) with
         | Some dir, Some (seq, segment, lines) ->
@@ -337,21 +323,7 @@ let resume cfg ~execute json =
         | Some dir, None -> Some (History.writer ~rotate:cfg.rotate dir)
         | None, _ -> None
       in
-      Ok
-        { cfg;
-          fleet =
-            Fleet.start ~store ~lean:true ~epoch0:epoch ~uid0:next_uid
-              (Fleet.config ~domains:cfg.domains ~epoch_size:cfg.epoch_size
-                 ?faults:cfg.faults ?patch_threshold:cfg.patch_threshold
-                 cfg.workload)
-              ~execute;
-          wins; alerts; hist;
-          t_start = Unix.gettimeofday ();
-          refreshed_at = neg_infinity;
-          arrived; detections; total_cycles; patched; degraded;
-          worker_crashes; snapshots; faults_cum;
-          prev_patched; prev_degraded = 0; prev_crashes = 0;
-          prev_snapshots = 0; prev_faults = []; last_obs = None }
+      Ok (make cfg ~execute ~store ~uid0:next_uid ~total ~wins ~alerts hist)
     end
 
 let start cfg ~execute =
@@ -374,70 +346,50 @@ type outcome = {
   refreshed : bool;
 }
 
-let delta_faults ~prev now =
-  List.filter_map
-    (fun (k, v) ->
-      let d = v - Option.value ~default:0 (List.assoc_opt k prev) in
-      if d <> 0 then Some (k, d) else None)
-    now
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let add_faults cum delta =
-  List.fold_left
-    (fun acc (k, d) ->
-      let v = Option.value ~default:0 (List.assoc_opt k acc) + d in
-      (k, v) :: List.remove_assoc k acc)
-    cum delta
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 let step t =
   let e = Fleet.epoch t.fleet in
-  let remaining = t.cfg.workload.Workload.users - t.arrived in
+  let total = t.total and base = t.base in
   let n =
-    min remaining (Workload.rate t.cfg.workload ~epoch_size:t.cfg.epoch_size e)
+    min
+      (t.cfg.workload.Workload.users - total.arrivals)
+      (Workload.rate t.cfg.workload ~epoch_size:t.cfg.epoch_size e)
+    |> max 0
   in
-  let n = max 0 n in
   let r = Fleet.step t.fleet ~arrivals:n in
   let s = r.Fleet.sample in
-  (* The sample's tallies are fleet-session cumulatives; the observation
-     wants this epoch's deltas (and a resumed session's registries
-     restart at zero, so deltas are the only thing that survives a
-     checkpoint boundary unchanged). *)
-  let crashes_now = s.Health.worker_crashes in
-  (* [patched] is a state count (convictions only accumulate), so the
-     delta is never negative. *)
-  let d_patched = max 0 (s.Health.patched - t.prev_patched) in
-  let d_degraded = s.Health.degraded - t.prev_degraded in
-  let d_crashes = crashes_now - t.prev_crashes in
-  let d_snapshots = s.Health.snapshots - t.prev_snapshots in
-  let d_faults = delta_faults ~prev:t.prev_faults s.Health.faults in
-  t.prev_patched <- s.Health.patched;
-  t.prev_degraded <- s.Health.degraded;
-  t.prev_crashes <- crashes_now;
-  t.prev_snapshots <- s.Health.snapshots;
-  t.prev_faults <- s.Health.faults;
-  t.arrived <- t.arrived + n;
-  t.detections <- t.detections + s.Health.detections;
-  t.total_cycles <- t.total_cycles + r.Fleet.epoch_cycles;
-  t.patched <- t.patched + d_patched;
-  t.degraded <- t.degraded + d_degraded;
-  t.worker_crashes <- t.worker_crashes + d_crashes;
-  t.snapshots <- t.snapshots + d_snapshots;
-  t.faults_cum <- add_faults t.faults_cum d_faults;
+  (* The sample's tallies are fleet-session cumulatives, counted from
+     [base]: the epoch's delta is [base + s - total].  [patched] is
+     instead a state count over the restored store, so its delta is
+     [s - total], never negative. *)
+  let delta field now = field base + now - field total in
+  let count k l = Option.value ~default:0 (List.assoc_opt k l) in
+  let faults =
+    List.filter_map
+      (fun (k, v) ->
+        let d = count k base.faults + v - count k total.faults in
+        if d <> 0 then Some (k, d) else None)
+      s.Health.faults
+    |> List.sort compare
+  in
+  let arrived = total.arrivals + n in
+  let cumulative = total.detections + s.Health.detections in
   let obs =
-    { Serve_obs.epoch = e; arrivals = n; arrived = t.arrived;
-      detections = s.Health.detections; cumulative = t.detections;
-      cdf =
-        (if t.arrived > 0 then
-           float_of_int t.detections /. float_of_int t.arrived
-         else 0.0);
-      store_contexts = s.Health.store_contexts; patched = d_patched;
-      degraded = d_degraded;
-      worker_crashes = d_crashes; faults = d_faults; snapshots = d_snapshots;
+    { Serve_obs.epoch = e; arrivals = n; arrived;
+      detections = s.Health.detections; cumulative;
+      cdf = cdf ~detections:cumulative ~arrived;
+      store_contexts = s.Health.store_contexts;
+      patched = max 0 (s.Health.patched - total.patched);
+      degraded = delta (fun a -> a.Window.degraded) s.Health.degraded;
+      worker_crashes =
+        delta (fun a -> a.Window.worker_crashes) s.Health.worker_crashes;
+      faults;
+      snapshots = delta (fun a -> a.Window.snapshots) s.Health.snapshots;
       cycles = r.Fleet.epoch_cycles;
-      virtual_seconds = virtual_seconds_of t.total_cycles;
+      virtual_seconds =
+        virtual_seconds_of (total.cycles + r.Fleet.epoch_cycles);
       cycle_skew = r.Fleet.cycle_skew }
   in
+  t.total <- Window.merge total (Window.of_obs obs);
   Window.push_set t.wins obs;
   let events = Alert.observe t.alerts t.wins ~epoch:e in
   (match t.hist with
@@ -470,9 +422,8 @@ let finish t =
   Fleet.finish t.fleet
 
 let epoch t = Fleet.epoch t.fleet
-let arrived t = t.arrived
-let detections t = t.detections
-let virtual_seconds t = virtual_seconds_of t.total_cycles
+let arrived t = t.total.arrivals
+let detections t = t.total.detections
 let last t = t.last_obs
 let windows t = t.wins
 
@@ -634,21 +585,13 @@ let replay dir =
     let last_obs =
       match List.rev observations with [] -> None | o :: _ -> Some o
     in
-    let epoch, arrived, detections, total_cycles =
-      match last_obs with
-      | Some o ->
-        ( o.Serve_obs.epoch + 1, o.Serve_obs.arrived, o.Serve_obs.cumulative,
-          List.fold_left (fun s (o : Serve_obs.t) -> s + o.cycles) 0
-            observations )
-      | None -> (0, 0, 0, 0)
-    in
-    let patched =
-      List.fold_left (fun s (o : Serve_obs.t) -> s + o.patched) 0 observations
+    let total =
+      List.fold_left
+        (fun a o -> Window.merge a (Window.of_obs o))
+        Window.empty observations
     in
     let status : Obs_json.t =
-      `Assoc
-        (status_core ~epoch ~arrived ~detections ~patched ~total_cycles
-           ~last:last_obs ~wins ~alerts ~window_sizes)
+      `Assoc (status_core ~total ~last:last_obs ~wins ~alerts ~window_sizes)
     in
     Ok
       { meta = Some meta_json; observations; recorded; recomputed;

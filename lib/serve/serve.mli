@@ -107,7 +107,6 @@ val finish : 'a t -> 'a Fleet.report
 val epoch : 'a t -> int
 val arrived : 'a t -> int
 val detections : 'a t -> int
-val virtual_seconds : 'a t -> float
 val last : 'a t -> Serve_obs.t option
 val windows : 'a t -> Window.set
 

@@ -112,8 +112,6 @@ let create ~size =
   if size < 1 then invalid_arg "Window.create: size must be >= 1";
   { win = size; ring = Array.make size empty; count = 0 }
 
-let size t = t.win
-
 let push t o =
   t.ring.(t.count mod t.win) <- of_obs o;
   t.count <- t.count + 1

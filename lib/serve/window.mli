@@ -48,8 +48,6 @@ type t
 val create : size:int -> t
 (** Raises [Invalid_argument] if [size < 1]. *)
 
-val size : t -> int
-
 val push : t -> Serve_obs.t -> unit
 
 val aggregate : t -> agg

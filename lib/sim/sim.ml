@@ -159,8 +159,8 @@ let run_one a ~seed ~ops =
 
 (* ---- shrinking --------------------------------------------------------- *)
 
-let shrink ?(budget = 4000) a f =
-  let budget = ref budget in
+let shrink a f =
+  let budget = ref 4000 in
   let attempt steps =
     if !budget <= 0 then None
     else begin

@@ -87,16 +87,6 @@ val exec : 's alphabet -> seed:int -> step list -> exec_result
     whose precondition does not hold), check after every step, stop at the
     first violation.  Pure in [seed] and [steps]. *)
 
-val run_one : 's alphabet -> seed:int -> ops:int -> failure option
-(** Generate and execute one sequence of at most [ops] operations. *)
-
-val shrink : ?budget:int -> 's alphabet -> failure -> failure
-(** Minimize a counterexample: ddmin-style chunk removal to a 1-removal
-    fixpoint, then per-argument minimization (0, halving, decrement), each
-    candidate re-executed deterministically; a candidate is kept if {e any}
-    invariant still fails.  [budget] (default 4000) bounds the number of
-    re-executions. *)
-
 val run :
   ?shrink_failures:bool ->
   ?max_failures:int ->
@@ -106,7 +96,11 @@ val run :
   ops:int ->
   failure list
 (** A sweep: [runs] sequences on seeds [seed, seed+1, ...], each failure
-    shrunk (default true).  Stops early after [max_failures] (default 1). *)
+    shrunk (default true).  Stops early after [max_failures] (default 1).
+    Shrinking is ddmin-style chunk removal to a 1-removal fixpoint, then
+    per-argument minimization (0, halving, decrement), each candidate
+    re-executed deterministically; a candidate is kept if {e any}
+    invariant still fails, within 4000 re-executions. *)
 
 val run_packed :
   ?shrink_failures:bool ->

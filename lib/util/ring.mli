@@ -12,7 +12,6 @@ val create : capacity:int -> 'a t
 (** [create ~capacity] makes an empty ring holding at most [capacity]
     elements.  Raises [Invalid_argument] if [capacity <= 0]. *)
 
-val capacity : _ t -> int
 val length : _ t -> int
 val is_empty : _ t -> bool
 val is_full : _ t -> bool

@@ -432,11 +432,11 @@ let aggregate metrics profile =
 let check_fold domains (r : _ Fleet.report) =
   let metrics, profile = per_user_fold r in
   Alcotest.(check bool)
-    (Printf.sprintf "sharded = per-user fold, %d domains" domains)
+    (Printf.sprintf "aggregate = per-user fold, %d domains" domains)
     true
     (aggregate r.Fleet.metrics r.Fleet.profile = aggregate metrics profile)
 
-let test_sharded_equivalence_synthetic () =
+let test_fold_equivalence_synthetic () =
   let w = Workload.make ~users:100 () in
   List.iter
     (fun domains ->
@@ -457,10 +457,10 @@ let test_sharded_equivalence_synthetic () =
            gauges))
     [ 1; 2; 4 ]
 
-(* Same equivalence over real CSOD executions: a sharded fleet's registry
+(* Same equivalence over real CSOD executions: the fleet's registry
    and profile equal the per-user fold over its seats, and the whole
    fingerprint is the same at domains 1/2/4. *)
-let test_sharded_equivalence_real () =
+let test_fold_equivalence_real () =
   let app = zziplib () in
   let config = Config.csod_default in
   let w = Workload.make ~benign_frac:0.25 ~users:300 () in
@@ -587,10 +587,10 @@ let suite =
     Alcotest.test_case "stepping API equals run" `Quick
       test_stepping_equals_run;
     Alcotest.test_case "pool: map_stats worker stats" `Quick test_map_stats;
-    Alcotest.test_case "sharded telemetry: synthetic equivalence" `Quick
-      test_sharded_equivalence_synthetic;
-    Alcotest.test_case "sharded telemetry: real-execution equivalence" `Slow
-      test_sharded_equivalence_real;
+    Alcotest.test_case "telemetry = per-user fold: synthetic" `Quick
+      test_fold_equivalence_synthetic;
+    Alcotest.test_case "telemetry = per-user fold: real runs" `Slow
+      test_fold_equivalence_real;
     Alcotest.test_case "health stream: one sample per epoch" `Quick
       test_health_per_epoch;
     Alcotest.test_case "health stream and report match their specs" `Quick

@@ -424,6 +424,53 @@ let test_event_sink () =
   Alcotest.(check string) "JSONL line, event field first"
     "{\"event\":\"hello\",\"n\":1}\n" (Buffer.contents b)
 
+(* Every sink renders through its reused line buffer exactly what
+   [Obs_json.to_string] renders, for the encoder's edge values; a long
+   event followed by a short one catches a buffer that is not cleared. *)
+let test_event_sink_renders_as_to_string () =
+  let edges : (string * Obs_json.t) list =
+    [ ("nan", `Float Float.nan); ("neg_zero", `Float (-0.));
+      ("inf", `Float infinity); ("neg_inf", `Float neg_infinity);
+      ("subnormal", `Float 4.9e-324); ("neg", `Int (-42)); ("zero", `Int 0);
+      ("min_int", `Int min_int); ("max_int", `Int max_int);
+      ("ten", `Int 10);
+      ("chars", `String "a\"b\\c\n\r\t\x00\x01\x1f\x7f\xc3\xa9z");
+      ("key \"\\\x02", `List [ `Int 7; `Null; `Bool true ]) ]
+  in
+  let expected =
+    {|{"event":"edges","nan":null,"neg_zero":-0,"inf":null,"neg_inf":null,|}
+    ^ {|"subnormal":4.94065645841e-324,"neg":-42,"zero":0,|}
+    ^ {|"min_int":-4611686018427387904,"max_int":4611686018427387903,|}
+    ^ {|"ten":10,"chars":"a\"b\\c\n\r\t\u0000\u0001\u001f|} ^ "\x7f\xc3\xa9z\","
+    ^ {|"key \"\\\u0002":[7,null,true]}|}
+  in
+  Alcotest.(check string) "to_string" expected
+    (Obs_json.to_string (`Assoc (("event", `String "edges") :: edges)));
+  let events = [ ("edges", edges); ("short", [ ("n", `Int 1) ]) ] in
+  let want =
+    List.map
+      (fun (name, fields) ->
+        Obs_json.to_string (`Assoc (("event", `String name) :: fields)))
+      events
+  in
+  let emit_all sink =
+    Event_sink.with_sink sink (fun () ->
+        List.iter (fun (name, fields) -> Event_sink.emit name fields) events)
+  in
+  let lines s = String.split_on_char '\n' s |> List.filter (( <> ) "") in
+  let b = Buffer.create 64 in
+  emit_all (Event_sink.to_buffer b);
+  Alcotest.(check (list string)) "to_buffer" want (lines (Buffer.contents b));
+  let got = ref [] in
+  emit_all (Event_sink.make (fun l -> got := l :: !got));
+  Alcotest.(check (list string)) "make" want (List.rev !got);
+  let path = Filename.temp_file "csod_sink" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc ->
+      emit_all (Event_sink.to_channel oc));
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check (list string)) "to_channel" want (lines text)
+
 (* ---------- Snapshots under the virtual clock ---------- *)
 
 let snapshot_stream seed =
@@ -1638,6 +1685,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_machine_attribution;
     Alcotest.test_case "in_phase: outermost wins" `Quick test_in_phase_outermost_wins;
     Alcotest.test_case "event sink install/restore" `Quick test_event_sink;
+    Alcotest.test_case "event sink renders as to_string" `Quick
+      test_event_sink_renders_as_to_string;
     Alcotest.test_case "snapshot determinism" `Quick test_snapshot_determinism;
     Alcotest.test_case "heartbleed metrics" `Quick test_heartbleed_metrics;
     Alcotest.test_case "heartbleed profile coverage" `Quick

@@ -53,7 +53,7 @@ let last_n n l =
 
 (* ---------- Window ---------- *)
 
-let test_window_tree_equals_fold () =
+let test_window_ring_equals_fold () =
   List.iter
     (fun size ->
       let w = Window.create ~size in
@@ -314,6 +314,41 @@ let test_history_resume_position () =
   Alcotest.(check (list int)) "contiguous seqs" [ 0; 1; 2; 3; 4; 5; 6; 7 ]
     (List.map (fun (r : History.record) -> r.History.seq) records)
 
+(* The kept prefix is rewritten whole through a tmp file and a rename:
+   byte-identical to the segment's first lines, later segments gone, no
+   tmp file left beside it. *)
+let test_history_truncate_atomic () =
+  let dir = temp_dir "csod_hist" in
+  let w = History.writer ~rotate:6 dir in
+  for i = 0 to 8 do
+    ignore (History.append w History.Health (Serve_obs.to_json (obs i)))
+  done;
+  History.close w;
+  let seg0 = List.hd (History.segments dir) in
+  let before = In_channel.with_open_bin seg0 In_channel.input_all in
+  let prefix =
+    String.split_on_char '\n' before
+    |> List.filteri (fun i _ -> i < 4)
+    |> List.map (fun l -> l ^ "\n")
+    |> String.concat ""
+  in
+  (* A rewrite that cannot start (its tmp path is taken by a directory)
+     raises and leaves the segment as it was. *)
+  Unix.mkdir (seg0 ^ ".tmp") 0o755;
+  Alcotest.(check bool) "blocked rewrite raises" true
+    (match History.truncate dir ~segment:0 ~lines:4 with
+     | () -> false
+     | exception Sys_error _ -> true);
+  Alcotest.(check string) "blocked rewrite keeps the segment" before
+    (In_channel.with_open_bin seg0 In_channel.input_all);
+  Unix.rmdir (seg0 ^ ".tmp");
+  History.truncate dir ~segment:0 ~lines:4;
+  Alcotest.(check string) "kept prefix byte-identical" prefix
+    (In_channel.with_open_bin seg0 In_channel.input_all);
+  Alcotest.(check (list string)) "only the truncated segment left"
+    [ "serve-000000.jsonl" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
 (* ---------- Serve ---------- *)
 
 (* Synthetic executor with evidence flow (detections ramp as the store
@@ -460,6 +495,63 @@ let test_serve_checkpoint_resume () =
     (List.map
        (fun e -> Obs_json.to_string (Alert.event_to_json e))
        (events_a @ events_b));
+  Alcotest.(check string) "final status identical minus wall"
+    (Obs_json.to_string (strip_wall (Serve.status_json ref_t)))
+    (Obs_json.to_string (strip_wall (Serve.status_json t)))
+
+(* Real executions: a fault plan (worker crashes included) and code-less
+   patching, so the fault, crash and patch tallies are non-zero when the
+   checkpoint is taken and keep moving after the resume. *)
+let test_serve_resume_carries_tallies () =
+  let app = Option.get (Buggy_app.by_name "zziplib") in
+  let plan =
+    Result.get_ok
+      (Fault_plan.of_string "seed=9,ebusy=0.5,trap-drop=0.3,worker-crash=0.1")
+  in
+  let execute =
+    Execution.executor ~app ~config:Config.csod_default
+      ~respond:(Respond.Patch 2) ~faults:plan ()
+  in
+  let cfg ?checkpoint_path dir =
+    Serve.config ~domains:2 ~epoch_size:16 ~faults:plan ~patch_threshold:2
+      ~rules:(Result.get_ok (Alert.parse "faults>0@2,patch>0@2"))
+      ~windows:[ 1; 4 ] ~history_dir:dir ~rotate:7 ?checkpoint_path
+      (Workload.make ~base_seed:3 ~users:300 ())
+  in
+  let run cfg ~epochs =
+    let t = Result.get_ok (Serve.start cfg ~execute) in
+    while Serve.epoch t < epochs do ignore (Serve.step t) done;
+    ignore (Serve.finish t);
+    t
+  in
+  let tallies ckpt =
+    let j = Result.get_ok (Obs_json.of_string (read_file ckpt)) in
+    let int k =
+      Option.get (Option.bind (Obs_json.member k j) Obs_json.to_int)
+    in
+    ( int "worker_crashes", int "patched",
+      Option.bind (Obs_json.member "faults" j) Obs_json.counts )
+  in
+  let ref_dir = temp_dir "csod_serve" in
+  let ref_ckpt = Filename.concat ref_dir "ckpt.json" in
+  let ref_t = run (cfg ~checkpoint_path:ref_ckpt ref_dir) ~epochs:24 in
+  let dir = temp_dir "csod_serve" in
+  let ckpt = Filename.concat dir "ckpt.json" in
+  ignore (run (cfg ~checkpoint_path:ckpt dir) ~epochs:11);
+  let crashes, patched, faults = tallies ckpt in
+  Alcotest.(check bool) "crashes before the checkpoint" true (crashes > 0);
+  Alcotest.(check bool) "a conviction before the checkpoint" true (patched > 0);
+  Alcotest.(check bool) "faults before the checkpoint" true
+    (match faults with Some (_ :: _) -> true | _ -> false);
+  let t = run (cfg ~checkpoint_path:ckpt dir) ~epochs:24 in
+  let crashes', _, faults' = tallies ckpt in
+  Alcotest.(check bool) "crashes after the resume" true (crashes' > crashes);
+  Alcotest.(check bool) "faults after the resume" true (faults' <> faults);
+  Alcotest.(check (list (pair string string)))
+    "history bytes identical to the uninterrupted run"
+    (dir_contents ref_dir) (dir_contents dir);
+  Alcotest.(check string) "final checkpoint identical" (read_file ref_ckpt)
+    (read_file ckpt);
   Alcotest.(check string) "final status identical minus wall"
     (Obs_json.to_string (strip_wall (Serve.status_json ref_t)))
     (Obs_json.to_string (strip_wall (Serve.status_json t)))
@@ -631,8 +723,8 @@ let test_cli_live_paced () =
     (find_sub text "served 200 epochs:" <> None)
 
 let suite =
-  [ Alcotest.test_case "window: tree-reduce = from-scratch fold" `Quick
-      test_window_tree_equals_fold;
+  [ Alcotest.test_case "window: ring = from-scratch fold" `Quick
+      test_window_ring_equals_fold;
     Alcotest.test_case "window: merge identity and associativity" `Quick
       test_window_merge_properties;
     Alcotest.test_case "window: agg JSON round-trip" `Quick
@@ -648,6 +740,8 @@ let suite =
       test_history_roundtrip_and_corruption;
     Alcotest.test_case "history: resume position and truncation" `Quick
       test_history_resume_position;
+    Alcotest.test_case "history: truncate rewrites atomically" `Quick
+      test_history_truncate_atomic;
     Alcotest.test_case "serve: bit-identical across domains" `Slow
       test_serve_deterministic_across_domains;
     Alcotest.test_case "serve: windows = fold of durable history" `Quick
@@ -656,6 +750,8 @@ let suite =
       test_serve_replay_equivalence;
     Alcotest.test_case "serve: checkpoint resume, same stream" `Slow
       test_serve_checkpoint_resume;
+    Alcotest.test_case "serve: resume carries fault, crash and patch tallies"
+      `Quick test_serve_resume_carries_tallies;
     Alcotest.test_case "serve: population drain and idle epochs" `Quick
       test_serve_population_drain;
     Alcotest.test_case "serve: outputs match their specs" `Quick
