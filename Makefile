@@ -73,14 +73,15 @@ validate:
 	dune exec bin/csod_run.exe -- validate /tmp/csod_events.jsonl
 	grep -q '"event":"detection"' /tmp/csod_events.jsonl
 
-# Bounded simulation sweep: ~2k weighted operation sequences across the
-# five stack-layer alphabets (heap+sparse memory, runtime, fleet, store,
-# respond),
+# Bounded simulation sweep: ~3k weighted operation sequences across the
+# six stack-layer alphabets (heap+sparse memory, runtime, fleet, store,
+# respond, then runtime-threads by name),
 # model invariants checked after every step, counterexamples shrunk and
 # printed as runnable csod.sim.repro/1 lines (non-zero exit on failure).
 # The committed planted-bug repro must also keep replaying bit-identically.
 sim:
 	dune exec bin/csod_run.exe -- sim --seed 1 --runs 500 --ops 60
+	dune exec bin/csod_run.exe -- sim --alphabet runtime-threads --seed 1 --runs 500 --ops 60
 	dune exec bin/csod_run.exe -- sim --replay examples/sim/planted.repro.jsonl
 
 # Survival smoke: Heartbleed under the failure-oblivious policy must run

@@ -26,7 +26,8 @@
    row per (app, rate): the detection-rate-vs-fault-rate curve.
 
    `throughput` (explicit-only, JSONL) times the single-execution hot
-   paths — malloc, free, read, write, trap — in real nanoseconds and
+   paths — malloc, free, read, write, trap, a watchpoint's install and
+   removal — in real nanoseconds and
    emits one csod.bench.throughput/2 row per (op, mode).  This is the
    `make perf` target.
 
@@ -741,7 +742,8 @@ let metrics () =
 (* Throughput: ns/op of the single-execution hot paths (JSONL)         *)
 
 (* Explicit-only target.  Each row times one hot-path operation (malloc,
-   free, read, write, trap) in real nanoseconds.  [mode] is "serial" (bare
+   free, read, write, trap, and a watchpoint's install plus removal on one
+   thread, "watch", and on 16, "watch16") in real nanoseconds.  [mode] is "serial" (bare
    machine) or "metrics" (flight recorder + telemetry snapshots armed).
    Absolute ns/op track the host; ratios between rows of one run (e.g.
    malloc over serial read) are what compare across runs and against the
@@ -844,6 +846,25 @@ let throughput () =
               Machine.store_word m 0x9000 i
             done))
   in
+  (* A watchpoint installed on every thread and removed again by its
+     object's [free], through the WMU: the host cost behind one simulated
+     Figure 3 + Figure 4 sequence per thread, on one thread and on 16. *)
+  let watch_bench ~mode ~threads ~iters =
+    with_machine ~mode (fun m ->
+        for _ = 2 to threads do
+          ignore (Threads.spawn (Machine.threads m) ~name:"worker")
+        done;
+        let params = Params.default in
+        let ct = Context_table.create ~params ~machine:m ~rng:(Prng.create ~seed:1) in
+        let wt = Watch_table.create ~params ~machine:m ~rng:(Prng.create ~seed:2) in
+        let entry = Context_table.on_allocation ct (Alloc_ctx.synthetic ~callsite:0x40 ()) in
+        measure ~iters (fun n ->
+            for i = 0 to n - 1 do
+              let a = 0x1000_0000 + (i land 0xFFFF * 64) in
+              ignore (Watch_table.install wt ~obj_addr:a ~watch_addr:(a + 32) ~entry);
+              ignore (Watch_table.on_free wt ~obj_addr:a)
+            done))
+  in
   List.iter
     (fun (mode_name, mode) ->
       progress "throughput: read/write, mode %s" mode_name;
@@ -855,7 +876,12 @@ let throughput () =
       row ~op:"malloc" ~mode:mode_name ~iters:alloc_iters malloc_ns;
       row ~op:"free" ~mode:mode_name ~iters:alloc_iters free_ns;
       progress "throughput: trap, mode %s" mode_name;
-      row ~op:"trap" ~mode:mode_name ~iters:iters_trap (trap_bench ~mode))
+      row ~op:"trap" ~mode:mode_name ~iters:iters_trap (trap_bench ~mode);
+      progress "throughput: watch install + free, mode %s" mode_name;
+      List.iter
+        (fun (op, threads, iters) ->
+          row ~op ~mode:mode_name ~iters (watch_bench ~mode ~threads ~iters))
+        [ ("watch", 1, 400_000); ("watch16", 16, 50_000) ])
     [ ("serial", `Serial); ("metrics", `Metrics) ]
 
 (* ------------------------------------------------------------------ *)

@@ -1014,7 +1014,8 @@ let sim_cmd =
          & info [ "alphabet" ] ~docv:"NAME"
              ~doc:"Alphabet to sweep (repeatable).  Default: every \
                    real-system alphabet (heap, runtime, fleet, store, \
-                   respond).  The planted-bug alphabets (store-buggy-merge, \
+                   respond); runtime-threads (the runtime with thread \
+                   spawn and exit) runs by name.  The planted-bug alphabets (store-buggy-merge, \
                    fleet-evidence-bug, respond-lost-conviction) are \
                    reachable only by explicit name.")
   in

@@ -2,33 +2,97 @@
    key set is what pins contexts at 100% watch probability; the counts feed
    the code-less patching policy (a context is patched once its count
    reaches the conviction threshold).  The on-disk format is unchanged —
-   counts are an in-memory, mergeable refinement. *)
-type t = (Alloc_ctx.key, int) Hashtbl.t
+   counts are an in-memory, mergeable refinement.
 
-let create () : t = Hashtbl.create 16
-let mem t key = Hashtbl.mem t key
+   The keys sit in dense columns in first-insertion order, found through
+   one open-addressing index over (call site, stack offset) — the layout
+   of {!Context_table}'s: [index] holds a dense id, or -1, and is a power
+   of two at most half full.  A probe compares two ints, so [mem] on the
+   allocation path calls no generic hash, and [copy] is four blits. *)
+type t = {
+  mutable sites : int array;
+  mutable offsets : int array;
+  mutable counts : int array;
+  mutable count : int;
+  mutable index : int array;
+  mutable shift : int; (* 63 - log2 (capacity of [index]) *)
+}
 
-let add t key =
-  match Hashtbl.find_opt t key with
-  | Some n -> Hashtbl.replace t key (n + 1)
-  | None -> Hashtbl.add t key 1
+let create () =
+  { sites = [||]; offsets = [||]; counts = [||]; count = 0;
+    index = [| -1; -1 |]; shift = 62 }
 
-let hits t key = match Hashtbl.find_opt t key with Some n -> n | None -> 0
-let count t = Hashtbl.length t
-let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort compare
+let[@inline] home t site off =
+  (((site * 0x9E3779B1) lxor (off * 0x85EBCA77)) * 0x9E3779B97F4A7C1) lsr t.shift
+
+(* The index cell holding the id of (site, off), or the empty cell where it
+   would go. *)
+let position t site off =
+  let index = t.index in
+  let mask = Array.length index - 1 in
+  let i = ref (home t site off) in
+  while
+    let id = index.(!i) in
+    id >= 0 && not (t.sites.(id) = site && t.offsets.(id) = off)
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let find t (site, off) = t.index.(position t site off)
+
+let grown a n = let b = Array.make n 0 in Array.blit a 0 b 0 (Array.length a); b
+
+(* Add [n] hits to (site, off), appending it if absent. *)
+let add_hits t site off n =
+  let i = position t site off in
+  let id = t.index.(i) in
+  if id >= 0 then t.counts.(id) <- t.counts.(id) + n
+  else begin
+    let id = t.count in
+    if id = Array.length t.sites then begin
+      let cap = max 8 (2 * id) in
+      t.sites <- grown t.sites cap;
+      t.offsets <- grown t.offsets cap;
+      t.counts <- grown t.counts cap
+    end;
+    t.sites.(id) <- site;
+    t.offsets.(id) <- off;
+    t.counts.(id) <- n;
+    t.count <- id + 1;
+    if 2 * t.count > Array.length t.index then begin
+      t.index <- Array.make (2 * Array.length t.index) (-1);
+      t.shift <- t.shift - 1;
+      for k = 0 to id do
+        t.index.(position t t.sites.(k) t.offsets.(k)) <- k
+      done
+    end
+    else t.index.(i) <- id
+  end
+
+let mem t key = find t key >= 0
+let add t (site, off) = add_hits t site off 1
+
+let hits t key =
+  let id = find t key in
+  if id >= 0 then t.counts.(id) else 0
+
+let count t = t.count
+
+let keys t =
+  List.sort compare (List.init t.count (fun id -> (t.sites.(id), t.offsets.(id))))
 
 let merge dst src =
-  Hashtbl.iter
-    (fun k n ->
-      match Hashtbl.find_opt dst k with
-      | Some m -> Hashtbl.replace dst k (m + n)
-      | None -> Hashtbl.add dst k n)
-    src
+  for id = 0 to src.count - 1 do
+    add_hits dst src.sites.(id) src.offsets.(id) src.counts.(id)
+  done
 
 let copy t =
-  let c = create () in
-  merge c t;
-  c
+  { t with
+    sites = Array.copy t.sites;
+    offsets = Array.copy t.offsets;
+    counts = Array.copy t.counts;
+    index = Array.copy t.index }
 
 (* Fold [src] into [dst] counting only the evidence [src] gained over
    [base].  The fleet snapshots the shared store into [base] at each epoch
@@ -37,15 +101,15 @@ let copy t =
    shared counts exact — evidence inherited from the snapshot is never
    counted twice, while every key set operation stays a plain merge. *)
 let merge_delta dst ~base src =
-  Hashtbl.iter
-    (fun k n ->
-      let b = hits base k in
-      if n > b then begin
-        match Hashtbl.find_opt dst k with
-        | Some m -> Hashtbl.replace dst k (m + n - b)
-        | None -> Hashtbl.add dst k (n - b)
-      end)
-    src
+  for id = 0 to src.count - 1 do
+    let site = src.sites.(id) and off = src.offsets.(id) in
+    let b =
+      let j = base.index.(position base site off) in
+      if j >= 0 then base.counts.(j) else 0
+    in
+    let n = src.counts.(id) in
+    if n > b then add_hits dst site off (n - b)
+  done
 
 (* ---------- on-disk format ----------
 

@@ -125,25 +125,25 @@ let k_degraded = Metrics.counter_key "runtime.degraded"
 let create ?(params = Params.default) ?store ?respond ?(seed = 0) ~machine
     ~heap () =
   let root = Machine.rng machine in
-  (* Offset the streams by [seed] so distinct executions sample differently
-     ([bits53] advances one draw, like [bits64], without boxing it). *)
-  let mk () =
-    let g = Prng.split root in
-    for _ = 1 to seed land 0xff do
-      ignore (Prng.bits53 g)
-    done;
-    g
-  in
-  let rng = mk () in
-  let canary_rng = mk () in
+  (* Four streams split off the machine's in a fixed order, each offset by
+     [seed] draws so distinct executions sample differently. *)
+  let rng = Prng.split root in
+  let canary_rng = Prng.split root in
+  let watch_rng = Prng.split root in
+  let context_rng = Prng.split root in
+  let offset = seed land 0xff in
+  Prng.advance rng offset;
+  Prng.advance canary_rng offset;
+  Prng.advance watch_rng offset;
+  Prng.advance context_rng offset;
   let reg = Machine.registry machine in
   let t =
     { params;
       machine;
       heap;
       store = (match store with Some s -> s | None -> Persist.create ());
-      contexts = Context_table.create ~params ~machine ~rng:(mk ());
-      watches = Watch_table.create ~params ~machine ~rng:(mk ());
+      contexts = Context_table.create ~params ~machine ~rng:context_rng;
+      watches = Watch_table.create ~params ~machine ~rng:watch_rng;
       rng;
       canary = Prng.canary64 canary_rng;
       c_decisions = Metrics.counter reg k_decisions;

@@ -5,15 +5,26 @@
     deallocation (Figure 4).  An installed watchpoint's claim to its slot
     weakens with age — its effective probability halves every
     [installed_halflife_sec] — so that objects that have sat unwatched-by-
-    overflow for a long time yield to fresh candidates. *)
+    overflow for a long time yield to fresh candidates.
+
+    At most four watchpoints are live, so the table keeps four reused
+    slots in flat arrays: each field is a column, the near-FIFO ring is an
+    array of slot numbers, and each thread's descriptors are one row of
+    four.  Installing, replacing, removing on [free], and the thread
+    spawn/exit hooks write these in place; once the descriptor rows cover
+    the threads in use they allocate nothing and hash nothing.  A {!wp}
+    is a snapshot of one slot, built only when asked for ({!live},
+    {!find_by_fd}). *)
 
 type wp = {
   obj_addr : int;                 (** application pointer of the watched object *)
   watch_addr : int;               (** boundary word the hardware watches *)
   entry : Context_table.entry;    (** allocation context of the object *)
-  mutable fds : (Threads.tid * Hw_breakpoint.fd) list;
+  fds : (Threads.tid * Hw_breakpoint.fd) list;
+      (** each alive thread's descriptor, in spawn order *)
   installed_at : float;           (** virtual seconds *)
   prob_at_install : float;
+  serial : int;                   (** install number, unique within the table *)
 }
 
 type t
@@ -37,7 +48,8 @@ val in_startup : t -> bool
     Section III-B2 could never reduce installation overhead. *)
 
 val install : t -> obj_addr:int -> watch_addr:int -> entry:Context_table.entry -> bool
-(** Install on a free slot for every alive thread (6 syscalls each).
+(** Install on a free slot for every alive thread (6 syscalls each), in
+    spawn order, so the threads' fds count up in that order.
     Raises [Failure] if no slot is free — callers must check or replace.
     Returns whether the watchpoint was actually armed: under fault
     injection [perf_event_open] can fail with [`EBUSY] (retried up to three
@@ -67,10 +79,13 @@ val on_free : t -> obj_addr:int -> bool
 
 val find_by_fd : t -> Hw_breakpoint.fd -> wp option
 (** Signal-handler lookup: which watchpoint fired?  Matches the paper's
-    one-by-one comparison of saved descriptors. *)
+    one-by-one comparison of saved descriptors: it scans each live slot's
+    descriptor column, and hashes nothing. *)
 
 val remove : t -> wp -> unit
-(** Full removal (disable + close on every thread). *)
+(** Full removal (disable + close on every thread) of the watchpoint
+    [wp] snapshots, found by its {!wp.serial}; a snapshot of a watchpoint
+    already removed is ignored. *)
 
 val installs : t -> int
 (** Total installations performed — the "WT" (watched times) column of

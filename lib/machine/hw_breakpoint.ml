@@ -4,43 +4,170 @@ type access_kind = Read | Write
 let watch_len = 8
 let num_slots = 4
 
-type event = {
-  ev_fd : fd;
-  addr : int;
-  tid : Threads.tid;
-  slot : int; (* the debug register holding [addr] *)
-  mutable enabled : bool;
-  mutable configured : bool;
-}
+let enospc = -28
+let ebusy = -16
+let eacces = -13
 
-(* The debug-register file.  Slot [i] holds one distinct watched address
+(* The open events live in one open-addressing table keyed by fd, two int
+   columns wide: [keys] holds an fd or -1, [infos] the event it names,
+   packed as [tid lsl 3 lor slot lsl 1 lor enabled].  The table is sized
+   by the events open at once (a power of two, at most half full), never
+   by the fds a machine has handed out, which grow without bound.  fds
+   are consecutive, so the home cell is a Fibonacci hash of the fd rather
+   than the fd itself: consecutive keys land far apart instead of forming
+   one probe cluster.  Removal shifts the rest of its cluster back, so
+   there are no tombstones.
+
+   The debug-register file: slot [i] holds one distinct watched address
    and the number of open events on it, and is free again when that count
-   drops to zero.  [armed.(i).(tid)] lists the slot's enabled events for
-   thread [tid] in ascending fd order (normally at most one).  Opening,
-   arming and the comparator each visit at most [num_slots] slots and one
-   thread's list, so none of them grows with the number of threads or of
-   open events — a watchpoint installed for every one of N threads costs N
-   times one thread's install, not N squared. *)
+   drops to zero.  [armed_min.(tid * num_slots + i)] is the lowest enabled
+   fd of thread [tid] on slot [i] ([max_int] when none) and [armed_n] the
+   number of them (normally at most one).  Opening, arming and the
+   comparator each visit at most [num_slots] slots and one thread's row,
+   so none of them grows with the number of threads or of open events — a
+   watchpoint installed for every one of N threads costs N times one
+   thread's install, not N squared.  Nothing here allocates once the
+   table and the rows cover the events and threads in use. *)
 type t = {
-  events : event Int_table.t;
+  mutable keys : int array;
+  mutable infos : int array;
+  mutable shift : int; (* Sys.int_size - log2 (capacity) *)
+  mutable n_events : int;
   slot_addr : int array;
   slot_refs : int array;
-  armed : event list array array;
+  mutable armed_min : int array;
+  mutable armed_n : int array;
   mutable n_armed : int;
   mutable next_fd : fd;
   mutable syscalls : int;
   faults : Fault_injector.t option;
 }
 
+let initial_cells = 16
+let initial_tids = 8
+
 let create ?faults () =
-  { events = Int_table.create 64;
+  { keys = Array.make initial_cells (-1);
+    infos = Array.make initial_cells 0;
+    shift = Sys.int_size - 4;
+    n_events = 0;
     slot_addr = Array.make num_slots 0;
     slot_refs = Array.make num_slots 0;
-    armed = Array.init num_slots (fun _ -> Array.make 8 []);
+    armed_min = Array.make (initial_tids * num_slots) max_int;
+    armed_n = Array.make (initial_tids * num_slots) 0;
     n_armed = 0;
     next_fd = 100;
     syscalls = 0;
     faults }
+
+let[@inline] info_tid info = info lsr 3
+let[@inline] info_slot info = (info lsr 1) land 3
+let[@inline] info_enabled info = info land 1 = 1
+
+(* ---------- The event table ---------- *)
+
+let[@inline] home shift fd = (fd * 0x9E3779B97F4A7C1) lsr shift
+
+(* The cell holding [fd], or the empty cell where it would go. *)
+let cell t fd =
+  let keys = t.keys in
+  let mask = Array.length keys - 1 in
+  let i = ref (home t.shift fd) in
+  while
+    let k = keys.(!i) in
+    k >= 0 && k <> fd
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let grow t =
+  let keys = t.keys and infos = t.infos in
+  let n = 2 * Array.length keys in
+  t.keys <- Array.make n (-1);
+  t.infos <- Array.make n 0;
+  t.shift <- t.shift - 1;
+  for j = 0 to Array.length keys - 1 do
+    if keys.(j) >= 0 then begin
+      let i = cell t keys.(j) in
+      t.keys.(i) <- keys.(j);
+      t.infos.(i) <- infos.(j)
+    end
+  done
+
+let insert t fd info =
+  if 2 * (t.n_events + 1) > Array.length t.keys then grow t;
+  let i = cell t fd in
+  t.keys.(i) <- fd;
+  t.infos.(i) <- info;
+  t.n_events <- t.n_events + 1
+
+(* Empty cell [i], then move back every later entry of its cluster whose
+   home does not lie strictly between the hole and itself. *)
+let delete t i =
+  let keys = t.keys and infos = t.infos in
+  let mask = Array.length keys - 1 in
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  while keys.(!j) >= 0 do
+    let h = home t.shift keys.(!j) in
+    if (!j - h) land mask >= (!j - !hole) land mask then begin
+      keys.(!hole) <- keys.(!j);
+      infos.(!hole) <- infos.(!j);
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  keys.(!hole) <- -1;
+  t.n_events <- t.n_events - 1
+
+(* The cell of an open [fd]; raises on a closed or unknown one. *)
+let cell_exn t fd =
+  let i = cell t fd in
+  if t.keys.(i) < 0 then invalid_arg (Printf.sprintf "Hw_breakpoint: bad fd %d" fd);
+  i
+
+(* ---------- Per-thread armed rows ---------- *)
+
+let cover_tid t tid =
+  let n = Array.length t.armed_min in
+  if (tid + 1) * num_slots > n then begin
+    let m = max ((tid + 1) * num_slots) (2 * n) in
+    let grown a fill = let b = Array.make m fill in Array.blit a 0 b 0 n; b in
+    t.armed_min <- grown t.armed_min max_int;
+    t.armed_n <- grown t.armed_n 0
+  end
+
+let arm t fd info =
+  let tid = info_tid info in
+  cover_tid t tid;
+  let r = (tid * num_slots) + info_slot info in
+  if fd < t.armed_min.(r) then t.armed_min.(r) <- fd;
+  t.armed_n.(r) <- t.armed_n.(r) + 1;
+  t.n_armed <- t.n_armed + 1
+
+(* The lowest enabled fd left on [info]'s slot and thread: a scan of the
+   table, needed only when one thread holds several events on one
+   address. *)
+let lowest_armed t info =
+  let best = ref max_int in
+  for i = 0 to Array.length t.keys - 1 do
+    if t.keys.(i) >= 0 && t.infos.(i) = info && t.keys.(i) < !best then
+      best := t.keys.(i)
+  done;
+  !best
+
+(* [info] is the event's, already marked disabled in the table. *)
+let disarm t fd info =
+  let r = (info_tid info * num_slots) + info_slot info in
+  t.armed_n.(r) <- t.armed_n.(r) - 1;
+  t.n_armed <- t.n_armed - 1;
+  if t.armed_min.(r) = fd then
+    t.armed_min.(r) <-
+      (if t.armed_n.(r) = 0 then max_int else lowest_armed t (info lor 1))
+
+let armed_count t = t.n_armed
+
+(* ---------- The syscall surface ---------- *)
 
 (* The slot already watching [addr], else the lowest free one, else -1. *)
 let slot_for t addr =
@@ -51,99 +178,74 @@ let slot_for t addr =
   done;
   if !found >= 0 then !found else !free
 
-(* Thread [tid]'s armed lists of [slot], grown to cover [tid]. *)
-let tid_lists t slot tid =
-  let lists = t.armed.(slot) in
-  if tid < Array.length lists then lists
-  else begin
-    let grown = Array.make (max (tid + 1) (2 * Array.length lists)) [] in
-    Array.blit lists 0 grown 0 (Array.length lists);
-    t.armed.(slot) <- grown;
-    grown
-  end
-
-let arm t ev =
-  let lists = tid_lists t ev.slot ev.tid in
-  let rec ins = function
-    | [] -> [ ev ]
-    | e :: _ as l when ev.ev_fd < e.ev_fd -> ev :: l
-    | e :: rest -> e :: ins rest
-  in
-  lists.(ev.tid) <- ins lists.(ev.tid);
-  t.n_armed <- t.n_armed + 1
-
-(* [l] without [ev], sharing the tail past it: removing a thread's only
-   event allocates nothing. *)
-let rec without ev = function
-  | [] -> []
-  | e :: rest -> if e == ev then rest else e :: without ev rest
-
-let disarm t ev =
-  let lists = t.armed.(ev.slot) in
-  lists.(ev.tid) <- without ev lists.(ev.tid);
-  t.n_armed <- t.n_armed - 1
-
-let armed_count t = t.n_armed
-
 (* Environmental failures are consulted first: a debugger squatting on the
    registers (EBUSY) or a permission change (EACCES) hits the syscall before
    the architectural slot check ever would. *)
 let injected_failure t ~now =
   match t.faults with
-  | None -> None
+  | None -> 0
   | Some inj ->
-    if Fault_injector.fire ?now inj Fault_plan.Perf_ebusy then Some `EBUSY
-    else if Fault_injector.fire ?now inj Fault_plan.Perf_eacces then Some `EACCES
-    else None
+    if Fault_injector.fire ?now inj Fault_plan.Perf_ebusy then ebusy
+    else if Fault_injector.fire ?now inj Fault_plan.Perf_eacces then eacces
+    else 0
 
-let perf_event_open ?now t ~addr ~tid =
+let open_event ?now t ~addr ~tid =
+  if tid < 0 then invalid_arg "Hw_breakpoint: negative tid";
   t.syscalls <- t.syscalls + 1;
-  match injected_failure t ~now with
-  | Some e -> Error e
-  | None ->
-  let slot = slot_for t addr in
-  if slot < 0 then Error `ENOSPC
-  else begin
-    t.slot_addr.(slot) <- addr;
-    t.slot_refs.(slot) <- t.slot_refs.(slot) + 1;
-    let fd = t.next_fd in
-    t.next_fd <- fd + 1;
-    Int_table.add t.events fd
-      { ev_fd = fd; addr; tid; slot; enabled = false; configured = false };
-    Ok fd
-  end
+  let failure = injected_failure t ~now in
+  if failure < 0 then failure
+  else
+    let slot = slot_for t addr in
+    if slot < 0 then enospc
+    else begin
+      t.slot_addr.(slot) <- addr;
+      t.slot_refs.(slot) <- t.slot_refs.(slot) + 1;
+      let fd = t.next_fd in
+      t.next_fd <- fd + 1;
+      insert t fd ((tid lsl 3) lor (slot lsl 1));
+      fd
+    end
 
-let event_exn t fd =
-  match Int_table.find t.events fd with
-  | ev -> ev
-  | exception Not_found -> invalid_arg (Printf.sprintf "Hw_breakpoint: bad fd %d" fd)
+let open_result r =
+  if r >= 0 then Ok r
+  else if r = enospc then Error `ENOSPC
+  else if r = ebusy then Error `EBUSY
+  else Error `EACCES
+
+let perf_event_open ?now t ~addr ~tid = open_result (open_event ?now t ~addr ~tid)
 
 let fcntl_setup t fd =
   t.syscalls <- t.syscalls + 4;
-  (event_exn t fd).configured <- true
+  ignore (cell_exn t fd)
 
 let ioctl_enable t fd =
   t.syscalls <- t.syscalls + 1;
-  let ev = event_exn t fd in
-  if not ev.enabled then begin
-    ev.enabled <- true;
-    arm t ev
+  let i = cell_exn t fd in
+  let info = t.infos.(i) in
+  if not (info_enabled info) then begin
+    t.infos.(i) <- info lor 1;
+    arm t fd info
   end
 
 let ioctl_disable t fd =
   t.syscalls <- t.syscalls + 1;
-  let ev = event_exn t fd in
-  if ev.enabled then begin
-    ev.enabled <- false;
-    disarm t ev
+  let i = cell_exn t fd in
+  let info = t.infos.(i) in
+  if info_enabled info then begin
+    t.infos.(i) <- info lxor 1;
+    disarm t fd info
   end
 
 let close t fd =
   t.syscalls <- t.syscalls + 1;
-  let ev = event_exn t fd in
-  if ev.enabled then disarm t ev;
-  t.slot_refs.(ev.slot) <- t.slot_refs.(ev.slot) - 1;
-  Int_table.remove t.events fd
+  let i = cell_exn t fd in
+  let info = t.infos.(i) in
+  let slot = info_slot info in
+  delete t i;
+  if info_enabled info then disarm t fd (info lxor 1);
+  t.slot_refs.(slot) <- t.slot_refs.(slot) - 1
+
+(* ---------- Hardware side ---------- *)
 
 let ranges_overlap a1 l1 a2 l2 = a1 < a2 + l2 && a2 < a1 + l1
 
@@ -151,18 +253,16 @@ let ranges_overlap a1 l1 a2 l2 = a1 < a2 + l2 && a2 < a1 + l1
    overlaps, or [max_int]. *)
 let first_armed t ~addr ~len ~tid =
   let best = ref max_int in
-  for slot = 0 to num_slots - 1 do
-    if
-      t.slot_refs.(slot) > 0
-      && ranges_overlap addr len t.slot_addr.(slot) watch_len
-    then begin
-      let lists = t.armed.(slot) in
-      if tid >= 0 && tid < Array.length lists then
-        match lists.(tid) with
-        | ev :: _ when ev.ev_fd < !best -> best := ev.ev_fd
-        | _ -> ()
-    end
-  done;
+  if tid >= 0 && (tid + 1) * num_slots <= Array.length t.armed_min then
+    for slot = 0 to num_slots - 1 do
+      if
+        t.slot_refs.(slot) > 0
+        && ranges_overlap addr len t.slot_addr.(slot) watch_len
+      then begin
+        let fd = t.armed_min.((tid * num_slots) + slot) in
+        if fd < !best then best := fd
+      end
+    done;
   !best
 
 let check_access t ~addr ~len ~kind:_ ~tid =
@@ -174,9 +274,12 @@ let check_access t ~addr ~len ~kind:_ ~tid =
     if fd = max_int then None else Some fd
 
 let watched_addrs t =
-  List.filter_map
-    (fun slot -> if t.slot_refs.(slot) > 0 then Some t.slot_addr.(slot) else None)
-    (List.init num_slots Fun.id)
+  let rec from slot =
+    if slot = num_slots then []
+    else if t.slot_refs.(slot) > 0 then t.slot_addr.(slot) :: from (slot + 1)
+    else from (slot + 1)
+  in
+  from 0
 
 let syscall_count t = t.syscalls
-let live_fd_count t = Int_table.length t.events
+let live_fd_count t = t.n_events

@@ -12,7 +12,16 @@
     API entry point mirrors one syscall from the paper's Figures 3 and 4, so
     installing a watchpoint for a thread costs six syscalls and removing it
     costs two — the "eight system calls ... for each thread" the paper
-    reports when explaining its overhead. *)
+    reports when explaining its overhead.
+
+    The state is flat and sized by what is open at once: an
+    open-addressing table of the open events (two int columns, keyed by a
+    Fibonacci hash of the fd), the four slots, and one row of four
+    lowest-armed fds per thread.  fds keep counting up for the machine's
+    lifetime, but the table grows only with the events open together, so
+    a long run that opens and closes hundreds of thousands of events keeps
+    a table of a few dozen cells.  Once the table and the rows cover the
+    events and threads in use, no call here allocates. *)
 
 type fd = int
 
@@ -46,6 +55,20 @@ val perf_event_open :
     — transient, worth retrying) or [`EACCES] (permissions — persistent);
     [now] is the virtual time the injector's one-shots are judged against.
     The event starts disabled, as in the paper's Figure 3 flow. *)
+
+val open_event : ?now:float -> t -> addr:int -> tid:Threads.tid -> int
+(** {!perf_event_open} with the result as the kernel returns it: the fd,
+    or a negative error code ({!enospc}, {!ebusy} or {!eacces}).  It
+    builds no result block, so the watchpoint installer's per-thread
+    opens allocate nothing. *)
+
+val enospc : int
+val ebusy : int
+val eacces : int
+(** The negated errno values {!open_event} returns. *)
+
+val open_result : int -> (fd, [ `ENOSPC | `EBUSY | `EACCES ]) result
+(** An {!open_event} return value as {!perf_event_open}'s result. *)
 
 val fcntl_setup : t -> fd -> unit
 (** Stand-in for the three [fcntl] calls ([O_ASYNC], [F_SETSIG SIGTRAP],

@@ -321,19 +321,21 @@ let access_count t = Metrics.count t.c_accesses
 let syscall_count t = Metrics.count t.c_syscalls
 let work_cycles t = t.n_work_cycles
 
-let install_watch ?(combined = false) t ~addr ~tid =
+let arm_watch ~combined t ~addr ~tid =
   (* Only a fault injector reads the time: without one, opening an event
      for each of many threads boxes no clock reading per thread. *)
   let now = match t.faults with None -> None | Some _ -> Some (Clock.seconds t.clock) in
-  match Hw_breakpoint.perf_event_open ?now t.hw ~addr ~tid with
-  | Error _ as e ->
-    charge_syscalls t 1;
-    e
-  | Ok fd ->
+  let fd = Hw_breakpoint.open_event ?now t.hw ~addr ~tid in
+  if fd < 0 then charge_syscalls t 1
+  else begin
     Hw_breakpoint.fcntl_setup t.hw fd;
     Hw_breakpoint.ioctl_enable t.hw fd;
-    charge_syscalls t (if combined then 1 else 6);
-    Ok fd
+    charge_syscalls t (if combined then 1 else 6)
+  end;
+  fd
+
+let install_watch ?(combined = false) t ~addr ~tid =
+  Hw_breakpoint.open_result (arm_watch ~combined t ~addr ~tid)
 
 let remove_watch ?(combined = false) t fd =
   Hw_breakpoint.ioctl_disable t.hw fd;

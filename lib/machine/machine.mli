@@ -190,5 +190,10 @@ val install_watch :
     and [`EACCES] only occur under fault injection ({!create}'s [faults]);
     the failed open still costs one syscall. *)
 
+val arm_watch : combined:bool -> t -> addr:int -> tid:Threads.tid -> int
+(** {!install_watch} returning the fd or a negative
+    {!Hw_breakpoint.open_event} error code: the watchpoint installer's
+    form, which builds no result block. *)
+
 val remove_watch : ?combined:bool -> t -> Hw_breakpoint.fd -> unit
 (** With [combined], one syscall instead of two. *)

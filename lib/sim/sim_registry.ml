@@ -7,7 +7,8 @@ let default =
 
 let all =
   default
-  @ [ Sim_store.alphabet ~buggy_merge:true ();
+  @ [ Sim_runtime.threads_alphabet ();
+      Sim_store.alphabet ~buggy_merge:true ();
       Sim_fleet.alphabet ~plant:true ();
       Sim_respond.alphabet ~plant:true () ]
 

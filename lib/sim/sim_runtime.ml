@@ -177,9 +177,9 @@ let digest st =
   mix (if Runtime.degraded st.rt then 1 else 0);
   !h
 
-let alphabet () =
+let packed name ops check digest =
   Sim.Packed
-    { Sim.name = "runtime";
+    { Sim.name;
       ops;
       init =
         (fun ~seed ->
@@ -200,3 +200,104 @@ let alphabet () =
         (fun st ->
           Runtime.finish st.rt;
           Sparse_mem.release (Machine.mem st.machine)) }
+
+let alphabet () = packed "runtime" ops check digest
+
+(* ---------- runtime-threads ---------- *)
+
+let max_threads = 8
+
+let thread_ops : state Sim.op list =
+  [ { Sim.op_name = "spawn";
+      weight = 1;
+      pre = (fun st -> Threads.alive_count (Machine.threads st.machine) < max_threads);
+      gen = (fun _ _ -> []);
+      apply =
+        (fun st _ ->
+          ignore (Threads.spawn (Machine.threads st.machine) ~name:"worker");
+          Ok ()) };
+    { Sim.op_name = "exit-thread";
+      weight = 1;
+      pre = (fun st -> Threads.alive_count (Machine.threads st.machine) > 1);
+      gen = (fun _ g -> [ Prng.int g max_threads ]);
+      apply =
+        (fun st args ->
+          (* Any alive thread but main, by index among them. *)
+          let threads = Machine.threads st.machine in
+          let workers = List.tl (Threads.alive threads) in
+          let idx = match args with i :: _ -> i | [] -> 0 in
+          Threads.exit_thread threads (List.nth workers (idx mod List.length workers));
+          Ok ()) } ]
+
+(* Every live watchpoint is armed on every alive thread, once each,
+   except where an open failed: ENOSPC cannot happen while the table
+   alone owns the debug registers, so only an injected EBUSY or EACCES
+   excuses a missing descriptor, and each fired fault excuses at most
+   one.  Every descriptor names its watchpoint, and the hardware's
+   armed and open counts are the descriptors' count. *)
+let check_threads st =
+  let wt = Runtime.watch_table st.rt and hw = Machine.hw st.machine in
+  let alive = Threads.alive (Machine.threads st.machine) in
+  let live = Watch_table.live wt in
+  let fds = List.concat_map (fun (wp : Watch_table.wp) -> wp.Watch_table.fds) live in
+  let missing = (List.length alive * List.length live) - List.length fds in
+  let excused =
+    Fault_injector.count st.inj Fault_plan.Perf_ebusy
+    + Fault_injector.count st.inj Fault_plan.Perf_eacces
+  in
+  let stray =
+    List.find_opt
+      (fun (wp : Watch_table.wp) ->
+        let tids = List.map fst wp.Watch_table.fds in
+        List.length (List.sort_uniq compare tids) <> List.length tids
+        || List.exists (fun tid -> not (List.mem tid alive)) tids
+        || List.exists
+             (fun (_, fd) ->
+               match Watch_table.find_by_fd wt fd with
+               | Some w -> w.Watch_table.serial <> wp.Watch_table.serial
+               | None -> true)
+             wp.Watch_table.fds)
+      live
+  in
+  match stray with
+  | Some wp ->
+    Some
+      (Printf.sprintf "watchpoint on 0x%x: descriptors not one per alive thread, or not its own"
+         wp.Watch_table.obj_addr)
+  | None ->
+    if missing > excused then
+      Some
+        (Printf.sprintf "%d (watchpoint, thread) pairs unarmed, %d perf faults fired"
+           missing excused)
+    else if Hw_breakpoint.armed_count hw <> List.length fds then
+      Some
+        (Printf.sprintf "hardware arms %d, watch table holds %d descriptors"
+           (Hw_breakpoint.armed_count hw) (List.length fds))
+    else if Hw_breakpoint.live_fd_count hw <> List.length fds then
+      Some
+        (Printf.sprintf "%d events open, watch table holds %d descriptors"
+           (Hw_breakpoint.live_fd_count hw) (List.length fds))
+    else if List.length (Hw_breakpoint.watched_addrs hw) > Hw_breakpoint.num_slots then
+      Some "more watched addresses than debug registers"
+    else if Heap.live_objects st.heap <> List.length st.live then
+      Some
+        (Printf.sprintf "heap live count %d, model %d" (Heap.live_objects st.heap)
+           (List.length st.live))
+    else begin
+      let detections = List.length (Runtime.detections st.rt) in
+      if detections < st.last_detections then
+        Some
+          (Printf.sprintf "detections went backwards: %d after %d" detections
+             st.last_detections)
+      else begin
+        st.last_detections <- detections;
+        None
+      end
+    end
+
+let digest_threads st =
+  Int64.add (Int64.mul (digest st) 31L)
+    (Int64.of_int (Threads.alive_count (Machine.threads st.machine)))
+
+let threads_alphabet () =
+  packed "runtime-threads" (ops @ thread_ops) check_threads digest_threads

@@ -12,3 +12,14 @@
 
 val alphabet : unit -> Sim.packed
 (** Registered as ["runtime"]. *)
+
+val threads_alphabet : unit -> Sim.packed
+(** Registered as ["runtime-threads"]: the same ops plus [spawn] (up to
+    eight alive threads) and [exit-thread] (any alive thread but main).
+    Its invariant replaces the single-thread one: every live watchpoint
+    holds exactly one descriptor on each alive thread and none on a dead
+    one, unless a fired EBUSY or EACCES accounts for the gap (at most one
+    gap per fired fault); every descriptor maps back to its watchpoint
+    through {!Watch_table.find_by_fd}; the hardware's armed and open
+    event counts equal the descriptors'; and the heap and detection
+    checks of ["runtime"] hold. *)

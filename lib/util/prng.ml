@@ -6,21 +6,22 @@ type t = Bytes.t
 external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* splitmix64, used to expand the seed into the four xoshiro words. *)
-let splitmix64 state =
+(* The [k]th output of splitmix64 started at [seed], used to expand the
+   seed into the four xoshiro words.  Computed in place rather than by
+   stepping a shared state, so no word is boxed. *)
+let[@inline] splitmix64 seed k =
   let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
+  let z = add seed (mul (of_int k) 0x9E3779B97F4A7C15L) in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
 let create ~seed =
-  let st = ref (Int64.of_int seed) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
+  let seed = Int64.of_int seed in
+  let s0 = splitmix64 seed 1 in
+  let s1 = splitmix64 seed 2 in
+  let s2 = splitmix64 seed 3 in
+  let s3 = splitmix64 seed 4 in
   (* xoshiro must not start from the all-zero state. *)
   let s3 = if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then 1L else s3 in
   let t = Bytes.create 32 in
@@ -51,6 +52,26 @@ let[@inline] next t =
   result
 
 let bits64 t = next t
+
+(* [n] steps of [next] with the state in registers and without the output
+   scrambler, which nothing reads. *)
+let advance t n =
+  let open Int64 in
+  let s0 = ref (get t 0) and s1 = ref (get t 8) and s2 = ref (get t 16) in
+  let s3 = ref (get t 24) in
+  for _ = 1 to n do
+    let tt = shift_left !s1 17 in
+    s2 := logxor !s2 !s0;
+    s3 := logxor !s3 !s1;
+    s1 := logxor !s1 !s2;
+    s0 := logxor !s0 !s3;
+    s2 := logxor !s2 tt;
+    s3 := rotl !s3 45
+  done;
+  set t 0 !s0;
+  set t 8 !s1;
+  set t 16 !s2;
+  set t 24 !s3
 
 let split t =
   let seed = Int64.to_int (next t) land max_int in

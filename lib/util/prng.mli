@@ -34,6 +34,10 @@ val copy : t -> t
 val bits64 : t -> int64
 (** [bits64 t] returns 64 uniformly distributed bits. *)
 
+val advance : t -> int -> unit
+(** [advance t n] leaves [t] in the state [n] calls to {!bits64} would,
+    without computing their results. *)
+
 val int : t -> int -> int
 (** [int t bound] returns a uniform integer in [\[0, bound)].  [bound] must be
     positive.  Uses rejection sampling, so the result is unbiased. *)

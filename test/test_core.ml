@@ -352,6 +352,82 @@ let test_wt_find_by_fd () =
     | Some wp -> Alcotest.(check int) "fd maps to watchpoint" 0x100 wp.Watch_table.obj_addr
     | None -> Alcotest.fail "find_by_fd missed")
 
+(* Forty threads watching four objects hold 160 descriptors, more than
+   the event table and the descriptor rows start with, and five rounds of
+   removal and reinstallation push the fds far past them: every trap's fd
+   still names the watchpoint and the thread that took it. *)
+let test_wt_many_fds () =
+  let wt, ct, machine = mk_wt () in
+  let threads = Machine.threads machine in
+  for i = 1 to 39 do
+    ignore (Threads.spawn threads ~name:(Printf.sprintf "w%d" i))
+  done;
+  let objs = [| 0x1000; 0x2000; 0x3000; 0x4000 |] in
+  let hit = ref (-1) and hit_tid = ref (-1) in
+  Machine.set_trap_handler machine (fun i ->
+      hit := i.Machine.fd;
+      hit_tid := i.Machine.tid);
+  for round = 1 to 5 do
+    Array.iteri
+      (fun k a ->
+        Alcotest.(check bool) "installed" true
+          (Watch_table.install wt ~obj_addr:a ~watch_addr:(a + 0x40)
+             ~entry:(entry_for ct (k + 1))))
+      objs;
+    Alcotest.(check int) "one fd per thread and watchpoint" 160
+      (Hw_breakpoint.live_fd_count (Machine.hw machine));
+    List.iter
+      (fun tid ->
+        Threads.set_current threads tid;
+        Array.iter
+          (fun a ->
+            hit := -1;
+            ignore (Machine.load_word machine (a + 0x40));
+            Alcotest.(check int) "trap on the accessing thread" tid !hit_tid;
+            match Watch_table.find_by_fd wt !hit with
+            | Some wp ->
+              Alcotest.(check int) (Printf.sprintf "round %d: fd maps to its object" round)
+                a wp.Watch_table.obj_addr;
+              Alcotest.(check bool) "fd is the thread's own" true
+                (List.mem (tid, !hit) wp.Watch_table.fds)
+            | None -> Alcotest.fail (Printf.sprintf "fd %d unknown" !hit))
+          objs)
+      (Threads.alive threads);
+    Threads.set_current threads 0;
+    Array.iter (fun a -> ignore (Watch_table.on_free wt ~obj_addr:a)) objs;
+    Alcotest.(check int) "all closed" 0 (Hw_breakpoint.live_fd_count (Machine.hw machine))
+  done
+
+(* A thread's exit disables and closes its own descriptor of every
+   watchpoint, two syscalls each, and no other thread's. *)
+let test_wt_exit_closes_own () =
+  let wt, ct, machine = mk_wt () in
+  let threads = Machine.threads machine in
+  let tids = List.init 4 (fun i -> Threads.spawn threads ~name:(Printf.sprintf "w%d" i)) in
+  List.iteri
+    (fun k a ->
+      ignore
+        (Watch_table.install wt ~obj_addr:a ~watch_addr:(a + 0x40) ~entry:(entry_for ct (k + 1))))
+    [ 0x1000; 0x2000; 0x3000 ];
+  let before = Watch_table.live wt in
+  let leaving = List.nth tids 2 in
+  let syscalls = Machine.syscall_count machine in
+  Threads.exit_thread threads leaving;
+  Alcotest.(check int) "two syscalls per closed descriptor" (syscalls + 6)
+    (Machine.syscall_count machine);
+  Alcotest.(check int) "three descriptors fewer" (15 - 3)
+    (Hw_breakpoint.live_fd_count (Machine.hw machine));
+  List.iter2
+    (fun (b : Watch_table.wp) (a : Watch_table.wp) ->
+      Alcotest.(check (list (pair int int))) "the others' descriptors kept"
+        (List.filter (fun (tid, _) -> tid <> leaving) b.Watch_table.fds)
+        a.Watch_table.fds;
+      let fd = List.assoc leaving b.Watch_table.fds in
+      Alcotest.check_raises "the leaver's descriptor is closed"
+        (Invalid_argument (Printf.sprintf "Hw_breakpoint: bad fd %d" fd))
+        (fun () -> Hw_breakpoint.close (Machine.hw machine) fd))
+    before (Watch_table.live wt)
+
 (* ---------- Canary ---------- *)
 
 let test_canary_layout () =
@@ -608,6 +684,10 @@ let suite =
     Alcotest.test_case "wt: step decay" `Quick test_wt_decay_steps;
     Alcotest.test_case "wt: thread propagation" `Quick test_wt_thread_propagation;
     Alcotest.test_case "wt: find by fd" `Quick test_wt_find_by_fd;
+    Alcotest.test_case "wt: fds past the tables' initial size map back" `Quick
+      test_wt_many_fds;
+    Alcotest.test_case "wt: thread exit closes exactly its descriptors" `Quick
+      test_wt_exit_closes_own;
     Alcotest.test_case "canary: layout" `Quick test_canary_layout;
     Alcotest.test_case "canary: plant/check" `Quick test_canary_plant_check;
     Alcotest.test_case "canary: foreign header" `Quick test_canary_foreign_header;

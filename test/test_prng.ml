@@ -108,6 +108,25 @@ let test_bool_balance () =
   done;
   Alcotest.(check bool) "roughly balanced" true (!t > 4_500 && !t < 5_500)
 
+(* [advance g n] steps the state as [n] draws would: the next draws of
+   both generators agree, for n = 0..300 from random seeds. *)
+let test_advance () =
+  let seeds = Prng.create ~seed:2024 in
+  for _ = 1 to 20 do
+    let seed = Prng.int seeds max_int in
+    for n = 0 to 300 do
+      let a = Prng.create ~seed and b = Prng.create ~seed in
+      Prng.advance a n;
+      for _ = 1 to n do
+        ignore (Prng.bits64 b)
+      done;
+      for k = 1 to 4 do
+        Alcotest.(check int64) (Printf.sprintf "seed %d, n %d, draw %d" seed n k)
+          (Prng.bits64 b) (Prng.bits64 a)
+      done
+    done
+  done
+
 let prop_int_in_bounds =
   QCheck.Test.make ~name:"Prng.int stays in [0, bound)" ~count:500
     QCheck.(pair small_int (int_range 1 1_000_000))
@@ -135,6 +154,7 @@ let suite =
       test_fork_independent_of_parent_continuation;
     Alcotest.test_case "int bound 1" `Quick test_int_bound_edge;
     Alcotest.test_case "int rejects bound 0" `Quick test_int_rejects_nonpositive;
+    Alcotest.test_case "advance = n draws" `Quick test_advance;
     Alcotest.test_case "below_percent extremes" `Quick test_below_percent_extremes;
     Alcotest.test_case "below_percent rate" `Quick test_below_percent_rate;
     Alcotest.test_case "float range" `Quick test_float_range;

@@ -1,82 +1,4 @@
-(* Tests for Ring, Stats and Table_fmt. *)
-
-(* ---------- Ring ---------- *)
-
-let test_ring_fifo () =
-  let r = Ring.create ~capacity:3 in
-  Alcotest.(check bool) "empty" true (Ring.is_empty r);
-  Ring.push r 1;
-  Ring.push r 2;
-  Ring.push r 3;
-  Alcotest.(check bool) "full" true (Ring.is_full r);
-  Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (Ring.to_list r);
-  Alcotest.(check (option int)) "peek oldest" (Some 1) (Ring.peek r);
-  Alcotest.(check (option int)) "pop oldest" (Some 1) (Ring.pop r);
-  Ring.push r 4;
-  Alcotest.(check (list int)) "wraps" [ 2; 3; 4 ] (Ring.to_list r)
-
-let test_ring_push_full () =
-  let r = Ring.create ~capacity:1 in
-  Ring.push r 1;
-  Alcotest.check_raises "push on full" (Failure "Ring.push: full") (fun () ->
-      Ring.push r 2)
-
-let test_ring_push_overwriting () =
-  let r = Ring.create ~capacity:3 in
-  Alcotest.(check (option int)) "room" None (Ring.push_overwriting r 1);
-  Alcotest.(check (option int)) "room" None (Ring.push_overwriting r 2);
-  Alcotest.(check (option int)) "room" None (Ring.push_overwriting r 3);
-  Alcotest.(check (option int)) "evicts oldest" (Some 1) (Ring.push_overwriting r 4);
-  Alcotest.(check (option int)) "evicts next" (Some 2) (Ring.push_overwriting r 5);
-  Alcotest.(check (list int)) "keeps newest" [ 3; 4; 5 ] (Ring.to_list r);
-  Alcotest.(check bool) "still full" true (Ring.is_full r)
-
-let test_ring_advance () =
-  let r = Ring.create ~capacity:4 in
-  List.iter (Ring.push r) [ 1; 2; 3 ];
-  Ring.advance r;
-  Alcotest.(check (list int)) "rotated" [ 2; 3; 1 ] (Ring.to_list r);
-  let single = Ring.create ~capacity:4 in
-  Ring.push single 9;
-  Ring.advance single;
-  Alcotest.(check (list int)) "single element unchanged" [ 9 ] (Ring.to_list single)
-
-let test_ring_remove_where () =
-  let r = Ring.create ~capacity:4 in
-  List.iter (Ring.push r) [ 10; 20; 30; 40 ];
-  let removed = Ring.remove_where r (fun x -> x = 30) in
-  Alcotest.(check (option int)) "removed element" (Some 30) removed;
-  Alcotest.(check (list int)) "order preserved" [ 10; 20; 40 ] (Ring.to_list r);
-  Alcotest.(check (option int)) "miss" None (Ring.remove_where r (fun x -> x = 99));
-  Ring.push r 50;
-  Alcotest.(check (list int)) "reusable after removal" [ 10; 20; 40; 50 ] (Ring.to_list r)
-
-let prop_ring_model =
-  let open QCheck in
-  Test.make ~name:"Ring matches Queue model" ~count:200
-    (list (int_range 0 2))
-    (fun ops ->
-      let r = Ring.create ~capacity:8 in
-      let q = Queue.create () in
-      let counter = ref 0 in
-      List.iter
-        (fun op ->
-          match op with
-          | 0 ->
-            if not (Ring.is_full r) then begin
-              incr counter;
-              Ring.push r !counter;
-              Queue.push !counter q
-            end
-          | 1 ->
-            let a = Ring.pop r in
-            let b = if Queue.is_empty q then None else Some (Queue.pop q) in
-            assert (a = b)
-          | _ ->
-            Ring.advance r;
-            if Queue.length q > 1 then Queue.push (Queue.pop q) q)
-        ops;
-      Ring.to_list r = List.of_seq (Queue.to_seq q))
+(* Tests for Stats and Table_fmt. *)
 
 (* ---------- Stats ---------- *)
 
@@ -143,13 +65,7 @@ let test_table_fmt_numbers () =
   Alcotest.(check string) "float" "1.07" (Table_fmt.fmt_float 1.067)
 
 let suite =
-  [ Alcotest.test_case "ring FIFO order" `Quick test_ring_fifo;
-    Alcotest.test_case "ring push on full" `Quick test_ring_push_full;
-    Alcotest.test_case "ring push_overwriting" `Quick test_ring_push_overwriting;
-    Alcotest.test_case "ring advance" `Quick test_ring_advance;
-    Alcotest.test_case "ring remove_where" `Quick test_ring_remove_where;
-    QCheck_alcotest.to_alcotest prop_ring_model;
-    Alcotest.test_case "stats mean" `Quick test_stats_mean;
+  [ Alcotest.test_case "stats mean" `Quick test_stats_mean;
     Alcotest.test_case "stats geomean" `Quick test_stats_geomean;
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
     Alcotest.test_case "stats stddev" `Quick test_stats_stddev;
