@@ -1,7 +1,7 @@
 # Convenience targets around dune.
 
 .PHONY: all build test check help-clean bench metrics fleet faults perf \
-	engines validate sim respond clean
+	engines validate sim respond loc clean
 
 all: build
 
@@ -96,6 +96,13 @@ respond:
 	dune exec bin/csod_run.exe -- serve zziplib --users 200 --epoch 32 --epochs 12 --domains 2 --seed 1 --respond patch=3 --alerts 'patch>0@2' > /tmp/csod_respond_serve.out
 	grep -q 'patch>0@2 FIRING' /tmp/csod_respond_serve.out
 	grep -q 'patch>0@2 cleared' /tmp/csod_respond_serve.out
+
+# Lines of OCaml (.ml + .mli) under each source tree, the counts every
+# CHANGES.md entry reports.
+loc:
+	@for d in lib bin bench test; do \
+	  printf '%-7s %6d\n' "$$d/" "$$(find $$d \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l)"; \
+	done
 
 clean:
 	dune clean

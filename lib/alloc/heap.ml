@@ -1,20 +1,19 @@
 exception Error of string
 
 (* Everything the heap keeps per object and per free block, in flat int
-   arrays: a [malloc]/[free] pair allocates nothing on the OCaml heap and
-   never calls the generic hash.
+   arrays and two {!Int_index} tables: a [malloc]/[free] pair allocates
+   nothing on the OCaml heap and never calls the generic hash.
 
    Live objects sit in dense slots [0, count), one parallel array per
-   field; freeing an object moves the last slot into its hole.  [index]
-   maps an address to its slot by open addressing (linear probing, a
-   power-of-two capacity at most half full, backward-shift deletion), so
-   it never holds a tombstone.
+   field, and [index] maps an address to its slot; freeing an object moves
+   the last slot into its hole and re-points that object's key.
 
    A small class's free list is a stack of freed blocks (linked nodes)
    over the unused rest of its last chunk ([fresh_next], [fresh_limit]):
    a freed block is reused before the chunk's next one, in the order a
    list refilled a chunk at a time and consed onto on [free] yields.  A
-   large block size keeps a stack of freed blocks only.
+   large block size keeps a stack of freed blocks only, its top node in
+   [large_head] while the stack is not empty.
 
    The store goes back to a domain-local spare at its grown size when the
    machine's memory is released, and the released heap points at a shared
@@ -26,17 +25,15 @@ type store = {
   mutable base : int array;          (* base of the underlying block (differs
                                         from the address for memalign
                                         interior pointers) *)
-  mutable pos : int array;           (* the slot's position in [index] *)
   mutable count : int;
-  mutable index : int array;         (* slot, or -1 *)
-  mutable shift : int;               (* 63 - log2 (capacity of [index]) *)
+  index : Int_index.t;               (* address -> slot *)
   small_head : int array;            (* per class: top freed node, or -1 *)
   fresh_next : int array;            (* per class: next unused chunk address *)
   fresh_limit : int array;           (* per class: end of the current chunk *)
   touched : int array;               (* classes ever refilled, first
                                         [n_touched] slots *)
   mutable n_touched : int;
-  large_head : int Int_table.t;      (* block granules -> top freed node *)
+  large_head : Int_index.t;          (* block granules -> top freed node *)
   mutable node_addr : int array;
   mutable node_next : int array;     (* next node down the stack, or -1 *)
   mutable node_top : int;            (* nodes ever handed out *)
@@ -68,78 +65,18 @@ let fresh_store () =
     req_size = Array.make initial_slots 0;
     block = Array.make initial_slots 0;
     base = Array.make initial_slots 0;
-    pos = Array.make initial_slots 0;
     count = 0;
-    index = Array.make (2 * initial_slots) (-1);
-    shift = 63 - 6;
+    index = Int_index.create initial_slots;
     small_head = Array.make Size_class.num_small_classes (-1);
     fresh_next = Array.make Size_class.num_small_classes 0;
     fresh_limit = Array.make Size_class.num_small_classes 0;
     touched = Array.make Size_class.num_small_classes 0;
     n_touched = 0;
-    large_head = Int_table.create 16;
+    large_head = Int_index.create 8;
     node_addr = Array.make initial_slots 0;
     node_next = Array.make initial_slots 0;
     node_top = 0;
     node_free = -1 }
-
-(* Fibonacci hashing: the top bits of the address times an odd constant. *)
-let[@inline] home s a = (a * 0x9E3779B97F4A7C1) lsr s.shift
-
-(* The index position holding address [a], or -1. *)
-let position s a =
-  let index = s.index in
-  let mask = Array.length index - 1 in
-  let i = ref (home s a) and found = ref (-2) in
-  while !found = -2 do
-    let slot = index.(!i) in
-    if slot < 0 then found := -1
-    else if s.addr.(slot) = a then found := !i
-    else i := (!i + 1) land mask
-  done;
-  !found
-
-let slot_of s a =
-  let p = position s a in
-  if p < 0 then -1 else s.index.(p)
-
-let index_insert s a slot =
-  let index = s.index in
-  let mask = Array.length index - 1 in
-  let i = ref (home s a) in
-  while index.(!i) >= 0 do i := (!i + 1) land mask done;
-  index.(!i) <- slot;
-  s.pos.(slot) <- !i
-
-(* Empty position [hole]: pull back every later entry of its cluster that
-   may sit there, so a probe never stops short of its key. *)
-let index_delete s hole =
-  let index = s.index in
-  let mask = Array.length index - 1 in
-  let hole = ref hole and j = ref ((hole + 1) land mask) in
-  while index.(!j) >= 0 do
-    let slot = index.(!j) in
-    let h = home s s.addr.(slot) in
-    (* The entry stays unless its home lies cyclically outside (hole, j]. *)
-    let stays =
-      if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j
-    in
-    if not stays then begin
-      index.(!hole) <- slot;
-      s.pos.(slot) <- !hole;
-      hole := !j
-    end;
-    j := (!j + 1) land mask
-  done;
-  index.(!hole) <- -1
-
-let grow_index s =
-  let cap = 2 * Array.length s.index in
-  s.index <- Array.make cap (-1);
-  s.shift <- s.shift - 1;
-  for slot = 0 to s.count - 1 do
-    index_insert s s.addr.(slot) slot
-  done
 
 let grown a n = let b = Array.make n 0 in Array.blit a 0 b 0 (Array.length a); b
 
@@ -148,30 +85,23 @@ let grow_slots s =
   s.addr <- grown s.addr n;
   s.req_size <- grown s.req_size n;
   s.block <- grown s.block n;
-  s.base <- grown s.base n;
-  s.pos <- grown s.pos n
+  s.base <- grown s.base n
 
 let add_object s ~addr ~req_size ~block ~base =
   if s.count = Array.length s.addr then grow_slots s;
-  if 2 * (s.count + 1) > Array.length s.index then grow_index s;
   let slot = s.count in
   s.addr.(slot) <- addr;
   s.req_size.(slot) <- req_size;
   s.block.(slot) <- block;
   s.base.(slot) <- base;
   s.count <- slot + 1;
-  index_insert s addr slot
+  Int_index.add s.index addr 0 slot
 
-(* Remove the object at index position [p], filling its slot with the
-   last one. *)
-let remove_object s p =
-  let slot = s.index.(p) in
-  index_delete s p;
+(* Fill the hole [free] left at [slot] with the last slot's object. *)
+let fill_hole s slot =
   let last = s.count - 1 in
   if slot <> last then begin
-    let p = s.pos.(last) in
-    s.index.(p) <- slot;
-    s.pos.(slot) <- p;
+    Int_index.replace s.index s.addr.(last) 0 slot;
     s.addr.(slot) <- s.addr.(last);
     s.req_size.(slot) <- s.req_size.(last);
     s.block.(slot) <- s.block.(last);
@@ -215,23 +145,23 @@ let drop_node s n =
 let spare_store : store Spare.t = Spare.create ()
 
 (* What a released heap points at: it holds no object, and a lookup in
-   its two-position index finds none.  Nothing ever writes to it — the
+   its empty indexes finds none.  Nothing ever writes to it — the
    first block a released heap hands out gives it a store of its own
    ([take_block]). *)
 let no_store =
-  { addr = [||]; req_size = [||]; block = [||]; base = [||]; pos = [||];
-    count = 0; index = [| -1; -1 |]; shift = 62; small_head = [||];
-    fresh_next = [||]; fresh_limit = [||]; touched = [||]; n_touched = 0;
-    large_head = Int_table.create 1; node_addr = [||]; node_next = [||];
+  { addr = [||]; req_size = [||]; block = [||]; base = [||]; count = 0;
+    index = Int_index.create 0; small_head = [||]; fresh_next = [||];
+    fresh_limit = [||]; touched = [||]; n_touched = 0;
+    large_head = Int_index.create 0; node_addr = [||]; node_next = [||];
     node_top = 0; node_free = -1 }
 
 (* Empty [s] for its next heap, keeping every array at its grown size.
-   Only the index positions of objects still live, and the classes the
-   execution refilled, are cleared: most executions free every object
-   and use a few of the 256 classes. *)
+   Only the keys of objects still live, and the classes the execution
+   refilled, are cleared: most executions free every object and use a
+   few of the 256 classes. *)
 let empty s =
   for slot = 0 to s.count - 1 do
-    s.index.(s.pos.(slot)) <- -1
+    ignore (Int_index.remove s.index s.addr.(slot) 0)
   done;
   s.count <- 0;
   for i = 0 to s.n_touched - 1 do
@@ -241,7 +171,7 @@ let empty s =
     s.fresh_limit.(c) <- 0
   done;
   s.n_touched <- 0;
-  Int_table.clear s.large_head;
+  Int_index.clear s.large_head;
   s.node_top <- 0;
   s.node_free <- -1
 
@@ -293,12 +223,6 @@ let carve t n =
    of one class are adjacent, as in a real segregated heap. *)
 let chunk_bytes = 16384
 
-(* The top freed node of a large block size, or -1. *)
-let large_top s key =
-  match Int_table.find s.large_head key with
-  | top -> top
-  | exception Not_found -> -1
-
 let take_block t block =
   if t.s == no_store then t.s <- fresh_store ();
   let s = t.s in
@@ -327,9 +251,11 @@ let take_block t block =
   end
   else begin
     let key = block / Size_class.align in
-    let top = large_top s key in
+    let top = Int_index.find s.large_head key 0 in
     if top >= 0 then begin
-      Int_table.replace s.large_head key s.node_next.(top);
+      let next = s.node_next.(top) in
+      if next >= 0 then Int_index.replace s.large_head key 0 next
+      else ignore (Int_index.remove s.large_head key 0);
       drop_node s top
     end
     else carve t block
@@ -343,7 +269,8 @@ let return_block t block base =
   end
   else begin
     let key = block / Size_class.align in
-    Int_table.replace s.large_head key (push_node s base (large_top s key))
+    let top = push_node s base (Int_index.find s.large_head key 0) in
+    Int_index.replace s.large_head key 0 top
   end
 
 let register t ~addr ~base ~req_size ~block =
@@ -370,15 +297,14 @@ let malloc t size =
 let free t addr =
   Machine.work_as t.m Profiler.Alloc_fast Cost.malloc_base;
   let s = t.s in
-  let p = position s addr in
-  if p < 0 then begin
+  let slot = Int_index.remove s.index addr 0 in
+  if slot < 0 then begin
     if addr = 0 then () (* free(NULL) is a no-op *)
     else raise (Error (Printf.sprintf "free: invalid or already-freed pointer 0x%x" addr))
   end
   else begin
-    let slot = s.index.(p) in
     let req_size = s.req_size.(slot) and block = s.block.(slot) and base = s.base.(slot) in
-    remove_object s p;
+    fill_hole s slot;
     t.frees <- t.frees + 1;
     Metrics.incr t.c_frees;
     t.live_bytes <- t.live_bytes - req_size;
@@ -405,7 +331,7 @@ let realloc t ptr size =
   end
   else
     let s = t.s in
-    let slot = slot_of s ptr in
+    let slot = Int_index.find s.index ptr 0 in
     if slot < 0 then raise (Error (Printf.sprintf "realloc: invalid pointer 0x%x" ptr))
     else if size <= s.block.(slot) - (ptr - s.base.(slot)) then begin
       (* Shrink or grow within the existing block: update bookkeeping. *)
@@ -445,14 +371,14 @@ let memalign t ~alignment ~size =
 
 let size_of t addr =
   let s = t.s in
-  let slot = slot_of s addr in
+  let slot = Int_index.find s.index addr 0 in
   if slot < 0 then None else Some s.req_size.(slot)
 
-let is_live t addr = position t.s addr >= 0
+let is_live t addr = Int_index.find t.s.index addr 0 >= 0
 
 let usable_size t addr =
   let s = t.s in
-  let slot = slot_of s addr in
+  let slot = Int_index.find s.index addr 0 in
   if slot < 0 then None else Some (s.block.(slot) - (addr - s.base.(slot)))
 
 (* Slot order: allocation order, but for the moves [free] makes. *)

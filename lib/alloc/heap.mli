@@ -20,13 +20,16 @@ exception Error of string
 
 val create : Machine.t -> t
 (** An empty heap drawing address space from the machine via [sbrk].  Its
-    objects and free blocks live in flat [int] arrays, so [malloc] and
-    [free] allocate nothing on the OCaml heap once the arrays have grown.
+    objects and free blocks live in flat [int] arrays, found through two
+    {!Int_index} tables (address to object, block size to its stack of
+    freed blocks), so [malloc] and [free] allocate nothing on the OCaml
+    heap once the arrays have grown.
     The arrays start at a few dozen slots and double as needed; they come
     from a domain-local spare when one is there, and go back to it at
     their grown size when the machine's memory is released
     ({!Sparse_mem.release}): a warm execution builds none, and emptying
-    them touches only the size classes the execution used.  The released
+    them touches only the objects still live and the size classes the
+    execution used.  The released
     heap forgets its live objects and free blocks but stays usable: it
     points at a shared empty store and builds arrays of its own only if
     it allocates again. *)

@@ -21,21 +21,16 @@ type entry = {
   bt_len : int;
 }
 
-(* One open-addressing index over (call site, stack offset) into a dense
+(* One {!Int_index} from (call site, stack offset) to an id, into a dense
    array of entries indexed by id: ids are dense and handed out in
-   first-sight order, and entries are never removed.  [index] holds an
-   id, or -1; its capacity is a power of two at most half full.  A probe
-   compares two ints of [sites]/[offsets] (the key of entry [id]), so a
-   lookup that finds its context allocates nothing.  The arrays go back
-   to a domain-local spare at their grown size when the machine's memory
-   is released, so a warm execution builds none. *)
+   first-sight order, and entries are never removed.  A lookup that finds
+   its context allocates nothing.  The arrays go back to a domain-local
+   spare at their grown size when the machine's memory is released, so a
+   warm execution builds none. *)
 type store = {
   mutable entries : entry array;
-  mutable sites : int array;
-  mutable offsets : int array;
   mutable count : int;
-  mutable index : int array;
-  mutable shift : int;  (* 63 - log2 (capacity of [index]) *)
+  index : Int_index.t;
   (* Every context's full backtrace, innermost first, one after another:
      written once on first sight, read only to build a report. *)
   mutable bt : int array;
@@ -75,33 +70,33 @@ let bt_slots = 1024
 
 let fresh_store () =
   { entries = Array.make initial_slots no_entry;
-    sites = Array.make initial_slots 0;
-    offsets = Array.make initial_slots 0;
     count = 0;
-    index = Array.make (2 * initial_slots) (-1);
-    shift = 63 - 6;
+    index = Int_index.create initial_slots;
     bt = Array.make bt_slots 0;
     bt_top = 0 }
 
 let spare_stores : store Spare.t = Spare.create ()
 
 (* What a released table points at: it holds no context, and a lookup in
-   its two-position index finds none.  Nothing ever writes to it — the
+   its empty index finds none.  Nothing ever writes to it — the
    first context a released table sees gives it a store of its own
    ([on_allocation]). *)
 let no_store =
-  { entries = [||]; sites = [||]; offsets = [||]; count = 0;
-    index = [| -1; -1 |]; shift = 62; bt = [||]; bt_top = 0 }
+  { entries = [||]; count = 0; index = Int_index.create 0; bt = [||]; bt_top = 0 }
 
 (* Hand the arrays to the next table on this domain, emptied: the index
-   loses its ids, and the entries are dropped so the spare does not keep
-   them alive.  The released table forgets its contexts and points at
-   [no_store], so it stays usable without aliasing its successor's
-   arrays, and builds its own only if it sees a context again. *)
+   loses the keys of this execution's contexts, and the entries are
+   dropped so the spare does not keep them alive.  The released table
+   forgets its contexts and points at [no_store], so it stays usable
+   without aliasing its successor's arrays, and builds its own only if it
+   sees a context again. *)
 let recycle t =
   let s = t.st in
   t.st <- no_store;
-  Array.fill s.index 0 (Array.length s.index) (-1);
+  for id = 0 to s.count - 1 do
+    let site, off = s.entries.(id).key in
+    ignore (Int_index.remove s.index site off)
+  done;
   Array.fill s.entries 0 s.count no_entry;
   s.count <- 0;
   s.bt_top <- 0;
@@ -127,50 +122,17 @@ let create ~params ~machine ~rng =
   Sparse_mem.on_release (Machine.mem machine) (fun () -> recycle t);
   t
 
-(* Fibonacci hashing of the mixed pair. *)
-let[@inline] home s site off =
-  (((site * 0x9E3779B1) lxor (off * 0x85EBCA77)) * 0x9E3779B97F4A7C1) lsr s.shift
-
-(* The index position of (site, off): the one holding its id, or the empty
-   one where it would go. *)
-let position s site off =
-  let index = s.index in
-  let mask = Array.length index - 1 in
-  let i = ref (home s site off) in
-  while
-    let id = index.(!i) in
-    id >= 0 && not (s.sites.(id) = site && s.offsets.(id) = off)
-  do
-    i := (!i + 1) land mask
-  done;
-  !i
-
-let lookup s site off = s.index.(position s site off)
-
-let grown a n fill = let b = Array.make n fill in Array.blit a 0 b 0 (Array.length a); b
-
-(* Append [e] under its key, growing the arrays and the index by
-   doubling. *)
+(* Append [e] under its key, doubling the entries when full. *)
 let add s (e : entry) site off =
   let id = s.count in
   if id = Array.length s.entries then begin
-    let n = 2 * id in
-    s.entries <- grown s.entries n no_entry;
-    s.sites <- grown s.sites n 0;
-    s.offsets <- grown s.offsets n 0
+    let a = Array.make (2 * id) no_entry in
+    Array.blit s.entries 0 a 0 id;
+    s.entries <- a
   end;
   s.entries.(id) <- e;
-  s.sites.(id) <- site;
-  s.offsets.(id) <- off;
   s.count <- id + 1;
-  if 2 * s.count > Array.length s.index then begin
-    s.index <- Array.make (2 * Array.length s.index) (-1);
-    s.shift <- s.shift - 1;
-    for k = 0 to id do
-      s.index.(position s s.sites.(k) s.offsets.(k)) <- k
-    done
-  end
-  else s.index.(position s site off) <- id
+  Int_index.add s.index site off id
 
 (* [Clock.seconds], computed here: a [float] returned from another module
    is boxed, and the allocation path reads the time on every call. *)
@@ -237,7 +199,7 @@ let full_ctx t e =
 let on_allocation t ctx =
   Machine.work_as t.machine Profiler.Smu_lookup Cost.context_lookup;
   let site = ctx.Alloc_ctx.callsite and off = ctx.Alloc_ctx.stack_offset in
-  let id = lookup t.st site off in
+  let id = Int_index.find t.st.index site off in
   let e =
     if id >= 0 then t.st.entries.(id)
     else begin
@@ -317,7 +279,7 @@ let pin t e =
     note_prob t e Flight_recorder.Pin ~from_p:before
 
 let find t (site, off) =
-  let id = lookup t.st site off in
+  let id = Int_index.find t.st.index site off in
   if id < 0 then None else Some t.st.entries.(id)
 
 let find_by_id t id = if id >= 0 && id < t.st.count then Some t.st.entries.(id) else None

@@ -48,8 +48,9 @@ type t
 
 val create : params:Params.t -> machine:Machine.t -> rng:Prng.t -> t
 (** [rng] drives the reviving coin flips.  Entries sit in a dense array
-    indexed by id, found by one open-addressing index over (call site,
-    stack offset); both start at a few dozen slots and double as needed.
+    indexed by id, found by one {!Int_index} from (call site, stack
+    offset) to the id; both start at a few dozen slots and double as
+    needed.
     These arrays and the buffer of full backtraces come from a
     domain-local spare when one is there, and go back to it, emptied, at
     their grown size when the machine's memory is released

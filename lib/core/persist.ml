@@ -4,95 +4,37 @@
    reaches the conviction threshold).  The on-disk format is unchanged —
    counts are an in-memory, mergeable refinement.
 
-   The keys sit in dense columns in first-insertion order, found through
-   one open-addressing index over (call site, stack offset) — the layout
-   of {!Context_table}'s: [index] holds a dense id, or -1, and is a power
-   of two at most half full.  A probe compares two ints, so [mem] on the
-   allocation path calls no generic hash, and [copy] is four blits. *)
-type t = {
-  mutable sites : int array;
-  mutable offsets : int array;
-  mutable counts : int array;
-  mutable count : int;
-  mutable index : int array;
-  mutable shift : int; (* 63 - log2 (capacity of [index]) *)
-}
+   The store is one {!Int_index} from (call site, stack offset) to the
+   count, so [mem] on the allocation path calls no generic hash and [copy]
+   is one blit. *)
+type t = Int_index.t
 
-let create () =
-  { sites = [||]; offsets = [||]; counts = [||]; count = 0;
-    index = [| -1; -1 |]; shift = 62 }
+let create () = Int_index.create 0
 
-let[@inline] home t site off =
-  (((site * 0x9E3779B1) lxor (off * 0x85EBCA77)) * 0x9E3779B97F4A7C1) lsr t.shift
-
-(* The index cell holding the id of (site, off), or the empty cell where it
-   would go. *)
-let position t site off =
-  let index = t.index in
-  let mask = Array.length index - 1 in
-  let i = ref (home t site off) in
-  while
-    let id = index.(!i) in
-    id >= 0 && not (t.sites.(id) = site && t.offsets.(id) = off)
-  do
-    i := (!i + 1) land mask
-  done;
-  !i
-
-let find t (site, off) = t.index.(position t site off)
-
-let grown a n = let b = Array.make n 0 in Array.blit a 0 b 0 (Array.length a); b
-
-(* Add [n] hits to (site, off), appending it if absent. *)
+(* Add [n] hits to (site, off), binding it if absent. *)
 let add_hits t site off n =
-  let i = position t site off in
-  let id = t.index.(i) in
-  if id >= 0 then t.counts.(id) <- t.counts.(id) + n
-  else begin
-    let id = t.count in
-    if id = Array.length t.sites then begin
-      let cap = max 8 (2 * id) in
-      t.sites <- grown t.sites cap;
-      t.offsets <- grown t.offsets cap;
-      t.counts <- grown t.counts cap
-    end;
-    t.sites.(id) <- site;
-    t.offsets.(id) <- off;
-    t.counts.(id) <- n;
-    t.count <- id + 1;
-    if 2 * t.count > Array.length t.index then begin
-      t.index <- Array.make (2 * Array.length t.index) (-1);
-      t.shift <- t.shift - 1;
-      for k = 0 to id do
-        t.index.(position t t.sites.(k) t.offsets.(k)) <- k
-      done
-    end
-    else t.index.(i) <- id
-  end
+  Int_index.replace t site off (Int.max 0 (Int_index.find t site off) + n)
 
-let mem t key = find t key >= 0
+let mem t (site, off) = Int_index.find t site off >= 0
 let add t (site, off) = add_hits t site off 1
-
-let hits t key =
-  let id = find t key in
-  if id >= 0 then t.counts.(id) else 0
-
-let count t = t.count
+let hits t (site, off) = Int.max 0 (Int_index.find t site off)
+let count = Int_index.length
 
 let keys t =
-  List.sort compare (List.init t.count (fun id -> (t.sites.(id), t.offsets.(id))))
+  let acc = ref [] in
+  for i = 0 to Int_index.cells t - 1 do
+    if Int_index.cell_value t i >= 0 then
+      acc := (Int_index.cell_a t i, Int_index.cell_b t i) :: !acc
+  done;
+  List.sort compare !acc
 
 let merge dst src =
-  for id = 0 to src.count - 1 do
-    add_hits dst src.sites.(id) src.offsets.(id) src.counts.(id)
+  for i = 0 to Int_index.cells src - 1 do
+    let n = Int_index.cell_value src i in
+    if n >= 0 then add_hits dst (Int_index.cell_a src i) (Int_index.cell_b src i) n
   done
 
-let copy t =
-  { t with
-    sites = Array.copy t.sites;
-    offsets = Array.copy t.offsets;
-    counts = Array.copy t.counts;
-    index = Array.copy t.index }
+let copy = Int_index.copy
 
 (* Fold [src] into [dst] counting only the evidence [src] gained over
    [base].  The fleet snapshots the shared store into [base] at each epoch
@@ -101,14 +43,13 @@ let copy t =
    shared counts exact — evidence inherited from the snapshot is never
    counted twice, while every key set operation stays a plain merge. *)
 let merge_delta dst ~base src =
-  for id = 0 to src.count - 1 do
-    let site = src.sites.(id) and off = src.offsets.(id) in
-    let b =
-      let j = base.index.(position base site off) in
-      if j >= 0 then base.counts.(j) else 0
-    in
-    let n = src.counts.(id) in
-    if n > b then add_hits dst site off (n - b)
+  for i = 0 to Int_index.cells src - 1 do
+    let n = Int_index.cell_value src i in
+    if n >= 0 then begin
+      let site = Int_index.cell_a src i and off = Int_index.cell_b src i in
+      let b = Int.max 0 (Int_index.find base site off) in
+      if n > b then add_hits dst site off (n - b)
+    end
   done
 
 (* ---------- on-disk format ----------

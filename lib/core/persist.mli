@@ -17,9 +17,9 @@
 
     Stores live in memory (the fleet/crowdsourcing simulations share one
     per simulated user) and can be saved to and loaded from a real file
-    (the CLI's behaviour, matching the paper's).  In memory a store is a
-    flat table over the two ints of a key: {!mem} on the allocation path,
-    {!copy} and the merges call no generic hash. *)
+    (the CLI's behaviour, matching the paper's).  In memory a store is one
+    {!Int_index} from the two ints of a key to its hit count: {!mem} on
+    the allocation path, {!copy} and the merges call no generic hash. *)
 
 type t
 

@@ -8,15 +8,10 @@ let enospc = -28
 let ebusy = -16
 let eacces = -13
 
-(* The open events live in one open-addressing table keyed by fd, two int
-   columns wide: [keys] holds an fd or -1, [infos] the event it names,
-   packed as [tid lsl 3 lor slot lsl 1 lor enabled].  The table is sized
-   by the events open at once (a power of two, at most half full), never
-   by the fds a machine has handed out, which grow without bound.  fds
-   are consecutive, so the home cell is a Fibonacci hash of the fd rather
-   than the fd itself: consecutive keys land far apart instead of forming
-   one probe cluster.  Removal shifts the rest of its cluster back, so
-   there are no tombstones.
+(* The open events live in one {!Int_index} from fd to the event it
+   names, packed as [tid lsl 3 lor slot lsl 1 lor enabled].  The table is
+   sized by the events open at once, never by the fds a machine has
+   handed out, which grow without bound.
 
    The debug-register file: slot [i] holds one distinct watched address
    and the number of open events on it, and is free again when that count
@@ -29,10 +24,7 @@ let eacces = -13
    thread's install, not N squared.  Nothing here allocates once the
    table and the rows cover the events and threads in use. *)
 type t = {
-  mutable keys : int array;
-  mutable infos : int array;
-  mutable shift : int; (* Sys.int_size - log2 (capacity) *)
-  mutable n_events : int;
+  events : Int_index.t;
   slot_addr : int array;
   slot_refs : int array;
   mutable armed_min : int array;
@@ -43,14 +35,10 @@ type t = {
   faults : Fault_injector.t option;
 }
 
-let initial_cells = 16
 let initial_tids = 8
 
 let create ?faults () =
-  { keys = Array.make initial_cells (-1);
-    infos = Array.make initial_cells 0;
-    shift = Sys.int_size - 4;
-    n_events = 0;
+  { events = Int_index.create 8;
     slot_addr = Array.make num_slots 0;
     slot_refs = Array.make num_slots 0;
     armed_min = Array.make (initial_tids * num_slots) max_int;
@@ -64,67 +52,11 @@ let[@inline] info_tid info = info lsr 3
 let[@inline] info_slot info = (info lsr 1) land 3
 let[@inline] info_enabled info = info land 1 = 1
 
-(* ---------- The event table ---------- *)
-
-let[@inline] home shift fd = (fd * 0x9E3779B97F4A7C1) lsr shift
-
-(* The cell holding [fd], or the empty cell where it would go. *)
-let cell t fd =
-  let keys = t.keys in
-  let mask = Array.length keys - 1 in
-  let i = ref (home t.shift fd) in
-  while
-    let k = keys.(!i) in
-    k >= 0 && k <> fd
-  do
-    i := (!i + 1) land mask
-  done;
-  !i
-
-let grow t =
-  let keys = t.keys and infos = t.infos in
-  let n = 2 * Array.length keys in
-  t.keys <- Array.make n (-1);
-  t.infos <- Array.make n 0;
-  t.shift <- t.shift - 1;
-  for j = 0 to Array.length keys - 1 do
-    if keys.(j) >= 0 then begin
-      let i = cell t keys.(j) in
-      t.keys.(i) <- keys.(j);
-      t.infos.(i) <- infos.(j)
-    end
-  done
-
-let insert t fd info =
-  if 2 * (t.n_events + 1) > Array.length t.keys then grow t;
-  let i = cell t fd in
-  t.keys.(i) <- fd;
-  t.infos.(i) <- info;
-  t.n_events <- t.n_events + 1
-
-(* Empty cell [i], then move back every later entry of its cluster whose
-   home does not lie strictly between the hole and itself. *)
-let delete t i =
-  let keys = t.keys and infos = t.infos in
-  let mask = Array.length keys - 1 in
-  let hole = ref i and j = ref ((i + 1) land mask) in
-  while keys.(!j) >= 0 do
-    let h = home t.shift keys.(!j) in
-    if (!j - h) land mask >= (!j - !hole) land mask then begin
-      keys.(!hole) <- keys.(!j);
-      infos.(!hole) <- infos.(!j);
-      hole := !j
-    end;
-    j := (!j + 1) land mask
-  done;
-  keys.(!hole) <- -1;
-  t.n_events <- t.n_events - 1
-
-(* The cell of an open [fd]; raises on a closed or unknown one. *)
-let cell_exn t fd =
-  let i = cell t fd in
-  if t.keys.(i) < 0 then invalid_arg (Printf.sprintf "Hw_breakpoint: bad fd %d" fd);
-  i
+(* The event an open [fd] names; raises on a closed or unknown one. *)
+let info_exn t fd =
+  let info = Int_index.find t.events fd 0 in
+  if info < 0 then invalid_arg (Printf.sprintf "Hw_breakpoint: bad fd %d" fd);
+  info
 
 (* ---------- Per-thread armed rows ---------- *)
 
@@ -150,9 +82,9 @@ let arm t fd info =
    address. *)
 let lowest_armed t info =
   let best = ref max_int in
-  for i = 0 to Array.length t.keys - 1 do
-    if t.keys.(i) >= 0 && t.infos.(i) = info && t.keys.(i) < !best then
-      best := t.keys.(i)
+  for i = 0 to Int_index.cells t.events - 1 do
+    let fd = Int_index.cell_a t.events i in
+    if Int_index.cell_value t.events i = info && fd < !best then best := fd
   done;
   !best
 
@@ -202,7 +134,7 @@ let open_event ?now t ~addr ~tid =
       t.slot_refs.(slot) <- t.slot_refs.(slot) + 1;
       let fd = t.next_fd in
       t.next_fd <- fd + 1;
-      insert t fd ((tid lsl 3) lor (slot lsl 1));
+      Int_index.add t.events fd 0 ((tid lsl 3) lor (slot lsl 1));
       fd
     end
 
@@ -216,32 +148,29 @@ let perf_event_open ?now t ~addr ~tid = open_result (open_event ?now t ~addr ~ti
 
 let fcntl_setup t fd =
   t.syscalls <- t.syscalls + 4;
-  ignore (cell_exn t fd)
+  ignore (info_exn t fd)
 
 let ioctl_enable t fd =
   t.syscalls <- t.syscalls + 1;
-  let i = cell_exn t fd in
-  let info = t.infos.(i) in
+  let info = info_exn t fd in
   if not (info_enabled info) then begin
-    t.infos.(i) <- info lor 1;
+    Int_index.replace t.events fd 0 (info lor 1);
     arm t fd info
   end
 
 let ioctl_disable t fd =
   t.syscalls <- t.syscalls + 1;
-  let i = cell_exn t fd in
-  let info = t.infos.(i) in
+  let info = info_exn t fd in
   if info_enabled info then begin
-    t.infos.(i) <- info lxor 1;
+    Int_index.replace t.events fd 0 (info lxor 1);
     disarm t fd info
   end
 
 let close t fd =
   t.syscalls <- t.syscalls + 1;
-  let i = cell_exn t fd in
-  let info = t.infos.(i) in
+  let info = Int_index.remove t.events fd 0 in
+  if info < 0 then invalid_arg (Printf.sprintf "Hw_breakpoint: bad fd %d" fd);
   let slot = info_slot info in
-  delete t i;
   if info_enabled info then disarm t fd (info lxor 1);
   t.slot_refs.(slot) <- t.slot_refs.(slot) - 1
 
@@ -282,4 +211,4 @@ let watched_addrs t =
   from 0
 
 let syscall_count t = t.syscalls
-let live_fd_count t = t.n_events
+let live_fd_count t = Int_index.length t.events

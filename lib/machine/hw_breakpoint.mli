@@ -14,10 +14,9 @@
     costs two — the "eight system calls ... for each thread" the paper
     reports when explaining its overhead.
 
-    The state is flat and sized by what is open at once: an
-    open-addressing table of the open events (two int columns, keyed by a
-    Fibonacci hash of the fd), the four slots, and one row of four
-    lowest-armed fds per thread.  fds keep counting up for the machine's
+    The state is flat and sized by what is open at once: an {!Int_index}
+    from each open event's fd to its thread, slot and enabled bit, the
+    four slots, and one row of four lowest-armed fds per thread.  fds keep counting up for the machine's
     lifetime, but the table grows only with the events open together, so
     a long run that opens and closes hundreds of thousands of events keeps
     a table of a few dozen cells.  Once the table and the rows cover the

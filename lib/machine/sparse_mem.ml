@@ -40,11 +40,15 @@ let fresh_page () =
     set_empty_extent b;
     b
 
+(* The chunks touched sit in [pages.(0 .. n_pages - 1)], and [index] maps
+   a chunk number to its position there. *)
 type t = {
-  chunks : Bytes.t Int_table.t;
+  index : Int_index.t;
+  mutable pages : Bytes.t array;
+  mutable n_pages : int;
   (* One-entry direct-mapped cache of the last chunk touched: interpreter
      traffic is overwhelmingly sequential or loop-local, so most accesses
-     hit the same 64K chunk as their predecessor and skip the hashtable. *)
+     hit the same 64K chunk as their predecessor and skip the index. *)
   mutable cache_idx : int;
   mutable cache_chunk : Bytes.t;
   (* The cached chunk's written extent, kept here so a write updates two
@@ -58,10 +62,14 @@ type t = {
 
 let no_chunk = Bytes.create 0
 
-(* Most executions touch a handful of chunks: a small table is cheap to
-   build and to sweep on release, and grows like any [Hashtbl]. *)
+(* Most executions touch a handful of chunks: small tables are cheap to
+   build and to sweep on release, and double as needed. *)
+let initial_pages = 4
+
 let create () =
-  { chunks = Int_table.create 16;
+  { index = Int_index.create initial_pages;
+    pages = Array.make initial_pages no_chunk;
+    n_pages = 0;
     cache_idx = -1;
     cache_chunk = no_chunk;
     cache_lo = chunk_size;
@@ -100,24 +108,34 @@ let release t =
     set_cache t (-1) no_chunk;
     let pool = Domain.DLS.get pool_key in
     let pooled = ref (List.length !pool) in
-    Int_table.iter
-      (fun _ b ->
-        if !pooled < max_pooled_pages then begin
-          pool := b :: !pool;
-          incr pooled
-        end)
-      t.chunks;
-    Int_table.reset t.chunks
+    for p = 0 to t.n_pages - 1 do
+      if !pooled < max_pooled_pages then begin
+        pool := t.pages.(p) :: !pool;
+        incr pooled
+      end
+    done;
+    t.n_pages <- 0;
+    Int_index.clear t.index
   end
 
 let check addr = if addr < 0 then invalid_arg "Sparse_mem: negative address"
 
-(* The chunk's storage, or [no_chunk] when untouched, allocating nothing:
-   [find_opt] would box a found chunk in [Some], and [find] raising
-   [Not_found] measured slower than a second probe — reads of untouched
+(* The chunk's storage, or [no_chunk] when untouched: reads of untouched
    memory, which the cache never holds, take this path every time. *)
 let lookup t idx =
-  if Int_table.mem t.chunks idx then Int_table.find t.chunks idx else no_chunk
+  let p = Int_index.find t.index idx 0 in
+  if p < 0 then no_chunk else t.pages.(p)
+
+let add_page t idx b =
+  let p = t.n_pages in
+  if p = Array.length t.pages then begin
+    let a = Array.make (2 * p) no_chunk in
+    Array.blit t.pages 0 a 0 p;
+    t.pages <- a
+  end;
+  t.pages.(p) <- b;
+  t.n_pages <- p + 1;
+  Int_index.add t.index idx 0 p
 
 (* Chunk lookup for a write (materializes the chunk on a miss). *)
 let chunk_for t addr =
@@ -129,7 +147,7 @@ let chunk_for t addr =
       if b != no_chunk then b
       else begin
         let b = fresh_page () in
-        Int_table.add t.chunks idx b;
+        add_page t idx b;
         b
       end
     in

@@ -4,7 +4,9 @@
     in fixed-size chunks, so a heap spanning gigabytes of virtual addresses
     costs only what is actually touched — the same property [mmap]-backed
     allocators rely on, and what lets Table V count resident (touched)
-    memory separately from reserved address space. *)
+    memory separately from reserved address space.  The chunks touched
+    sit in a dense array, found through an {!Int_index} from chunk number
+    to position, behind a one-entry cache of the last chunk touched. *)
 
 type t
 

@@ -32,6 +32,11 @@ type packed = Packed : 's alphabet -> packed
 let name_of (Packed a) = a.name
 let find packs name = List.find_opt (fun p -> name_of p = name) packs
 
+let digest_ints vs =
+  List.fold_left
+    (fun h v -> Int64.mul (Int64.logxor h (Int64.of_int v)) 0x100000001B3L)
+    0x9E3779B97F4A7C15L vs
+
 type failure = {
   alphabet : string;
   seed : int;

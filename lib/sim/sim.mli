@@ -64,6 +64,12 @@ type packed = Packed : 's alphabet -> packed
 val name_of : packed -> string
 val find : packed list -> string -> packed option
 
+val digest_ints : int list -> int64
+(** The alphabets' common digest opening: the ints folded, in order, by an
+    FNV-1a style multiply from a fixed seed.  An alphabet's [digest] folds
+    its counters here and combines the result with any order-independent
+    fold of its own. *)
+
 (** {1 Counterexamples} *)
 
 type failure = {

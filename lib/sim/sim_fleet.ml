@@ -142,17 +142,16 @@ let check st =
   else None
 
 let digest st =
-  let h = ref 0x9E3779B97F4A7C15L in
-  let mix v = h := Int64.mul (Int64.logxor !h (Int64.of_int v)) 0x100000001B3L in
-  mix (Fleet.detections st.fleet);
-  mix (Fleet.arrived st.fleet);
-  mix (Fleet.next_uid st.fleet);
-  mix (Fleet.epoch st.fleet);
+  let h =
+    Sim.digest_ints
+      [ Fleet.detections st.fleet; Fleet.arrived st.fleet;
+        Fleet.next_uid st.fleet; Fleet.epoch st.fleet ]
+  in
   let acc = ref 0L in
   List.iter
     (fun (c, o) -> acc := Int64.add !acc (Int64.of_int (((c * 131) + o) + 1)))
     (Persist.keys (Fleet.store st.fleet));
-  Int64.logxor !h !acc
+  Int64.logxor h !acc
 
 let alphabet ?(plant = false) () =
   Sim.Packed

@@ -188,18 +188,17 @@ let check st =
       st.live None
 
 let digest st =
-  let h = ref 0x9E3779B97F4A7C15L in
-  let mix v = h := Int64.mul (Int64.logxor !h (Int64.of_int v)) 0x100000001B3L in
-  mix (Heap.live_objects st.heap);
-  mix (Heap.live_bytes st.heap);
-  mix (Heap.total_allocs st.heap);
-  mix (Heap.total_frees st.heap);
+  let h =
+    Sim.digest_ints
+      [ Heap.live_objects st.heap; Heap.live_bytes st.heap;
+        Heap.total_allocs st.heap; Heap.total_frees st.heap ]
+  in
   (* Order-independent fold over the byte model. *)
   let acc = ref 0L in
   Hashtbl.iter
     (fun a v -> acc := Int64.add !acc (Int64.of_int (((a * 31) + v) lxor (a lsr 7))))
     st.bytes;
-  Int64.logxor !h !acc
+  Int64.logxor h !acc
 
 let alphabet () =
   Sim.Packed

@@ -173,16 +173,13 @@ let check st =
   else None
 
 let digest st =
-  let h = ref 0x9E3779B97F4A7C15L in
-  let mix v = h := Int64.mul (Int64.logxor !h (Int64.of_int v)) 0x100000001B3L in
   let so = summary st.obl and sp = summary st.pat in
-  mix so.Respond.redirected_reads;
-  mix so.Respond.redirected_writes;
-  mix so.Respond.escapes;
-  mix so.Respond.events;
-  mix sp.Respond.patched_allocs;
-  mix (List.length (Runtime.detections st.pat.rt));
-  mix (Persist.count st.store);
+  let h =
+    Sim.digest_ints
+      [ so.Respond.redirected_reads; so.Respond.redirected_writes;
+        so.Respond.escapes; so.Respond.events; sp.Respond.patched_allocs;
+        List.length (Runtime.detections st.pat.rt); Persist.count st.store ]
+  in
   let acc = ref 0L in
   List.iter
     (fun ((site, off) as k) ->
@@ -190,7 +187,7 @@ let digest st =
         Int64.add !acc
           (Int64.of_int ((((site * 131) + off) * 17) + Persist.hits st.store k)))
     (Persist.keys st.store);
-  Int64.logxor !h !acc
+  Int64.logxor h !acc
 
 let make_side ~seed ~offset ~store resp =
   let machine = Machine.create ~seed:(seed + offset) () in

@@ -163,19 +163,13 @@ let check st =
   end
 
 let digest st =
-  let h = ref 0x9E3779B97F4A7C15L in
-  let mix v = h := Int64.mul (Int64.logxor !h (Int64.of_int v)) 0x100000001B3L in
   let s = Runtime.stats st.rt in
-  mix s.Runtime.contexts;
-  mix s.Runtime.allocations;
-  mix s.Runtime.watched_times;
-  mix s.Runtime.traps;
-  mix s.Runtime.canary_checks;
-  mix s.Runtime.live_objects;
-  mix (Hw_breakpoint.armed_count (Machine.hw st.machine));
-  mix (List.length (Runtime.detections st.rt));
-  mix (if Runtime.degraded st.rt then 1 else 0);
-  !h
+  Sim.digest_ints
+    [ s.Runtime.contexts; s.Runtime.allocations; s.Runtime.watched_times;
+      s.Runtime.traps; s.Runtime.canary_checks; s.Runtime.live_objects;
+      Hw_breakpoint.armed_count (Machine.hw st.machine);
+      List.length (Runtime.detections st.rt);
+      (if Runtime.degraded st.rt then 1 else 0) ]
 
 let packed name ops check digest =
   Sim.Packed

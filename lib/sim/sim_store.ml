@@ -159,11 +159,11 @@ let check st =
   end
 
 let digest st =
-  let h = ref 0x9E3779B97F4A7C15L in
-  let mix v = h := Int64.mul (Int64.logxor !h (Int64.of_int v)) 0x100000001B3L in
-  mix (Persist.count st.s1);
-  mix (Persist.count st.s2);
-  mix (match st.saved with Nothing -> 0 | Exact _ -> 1 | Subset _ -> 2);
+  let h =
+    Sim.digest_ints
+      [ Persist.count st.s1; Persist.count st.s2;
+        (match st.saved with Nothing -> 0 | Exact _ -> 1 | Subset _ -> 2) ]
+  in
   let acc = ref 0L in
   let fold s =
     List.iter
@@ -172,7 +172,7 @@ let digest st =
   in
   fold st.s1;
   fold st.s2;
-  Int64.logxor !h !acc
+  Int64.logxor h !acc
 
 let alphabet ?(buggy_merge = false) () =
   Sim.Packed

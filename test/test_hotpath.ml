@@ -175,6 +175,35 @@ let test_heap_no_alloc () =
         live.(slot) <- Heap.malloc h size
       done)
 
+(* A heap handed on through the domain's spare keeps its free-block stacks
+   table at its grown size: the next heap's first large-block [free] and
+   the [malloc] that reuses that block allocate nothing. *)
+let test_recycled_heap_large_block_no_alloc () =
+  let cycle () =
+    let m = Machine.create () in
+    let h = Heap.create m in
+    let p = Heap.malloc h 5_000 in
+    let w = words (fun () -> Heap.free h p; ignore (Heap.malloc h 5_000)) in
+    Sparse_mem.release (Machine.mem m);
+    w
+  in
+  ignore (cycle ());
+  let w = cycle () in
+  if native then Alcotest.(check (float 0.0)) "free + reuse: minor words" 0.0 w
+
+(* On a warm domain a machine's first write to a chunk takes a pooled page
+   and binds it in the chunk index, allocating nothing. *)
+let test_pooled_chunk_write_no_alloc () =
+  let cycle () =
+    let mem = Sparse_mem.create () in
+    let w = words (fun () -> Sparse_mem.write_int mem 0x1000_0000 7) in
+    Sparse_mem.release mem;
+    w
+  in
+  ignore (cycle ());
+  let w = cycle () in
+  if native then Alcotest.(check (float 0.0)) "first write: minor words" 0.0 w
+
 (* Freeing an object scans the four ring slots for its watchpoint: a miss
    allocates nothing, and neither does a hit, which closes the
    watchpoint's perf event on every thread. *)
@@ -438,6 +467,10 @@ let suite =
     Alcotest.test_case "allocation-free: checked accesses, 16 threads armed" `Quick
       test_machine_access_no_alloc;
     Alcotest.test_case "allocation-free: heap malloc/free" `Quick test_heap_no_alloc;
+    Alcotest.test_case "allocation-free: recycled heap's first large-block free and reuse"
+      `Quick test_recycled_heap_large_block_no_alloc;
+    Alcotest.test_case "allocation-free: warm domain's first write to a pooled chunk"
+      `Quick test_pooled_chunk_write_no_alloc;
     Alcotest.test_case "allocation-free: watch table on_free, hit and miss" `Quick
       test_watch_on_free_no_alloc;
     Alcotest.test_case "allocation-free: watch install and removal, 1 and 16 threads"
