@@ -118,7 +118,7 @@ let table3 () =
       ~columns:[ ("Application", Table_fmt.Left);
                  ("Contexts", Table_fmt.Right); ("Allocations", Table_fmt.Right);
                  ("Ctx before", Table_fmt.Right); ("Allocs before", Table_fmt.Right);
-                 ("Class", Table_fmt.Left) ]
+                 ("Class", Table_fmt.Left); ("Shared pairs", Table_fmt.Right) ]
   in
   List.iter
     (fun (r : Characteristics.table3_row) ->
@@ -137,13 +137,18 @@ let table3 () =
           Printf.sprintf "%s [%s]"
             (Table_fmt.fmt_int r.Characteristics.before_allocations)
             (Table_fmt.fmt_int pba);
-          r.Characteristics.detected_kind ])
+          r.Characteristics.detected_kind;
+          Printf.sprintf "%d (%.1f%%)" r.Characteristics.ambiguous_keys
+            (100.0 *. float_of_int r.Characteristics.ambiguous_allocations
+            /. float_of_int (max 1 r.Characteristics.total_allocations)) ])
     (Characteristics.table3 ());
   Table_fmt.print t;
   Printf.printf
     "Note: \"before\" columns count at the overflowed object's allocation\n\
      (inclusive).  Libdwarf's paper row counts up to the overflow event\n\
-     instead; see EXPERIMENTS.md.\n"
+     instead; see EXPERIMENTS.md.  \"Shared pairs\" counts the (call site,\n\
+     stack offset) pairs that reach more than one full chain, and the\n\
+     share of allocations made under them.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Table IV                                                            *)
@@ -829,13 +834,12 @@ let throughput () =
         let ptrs = Array.make alloc_batch 0 in
         let t_m = ref infinity and t_f = ref infinity in
         let k = ref 0 in
+        let ctx = Alloc_ctx.synthetic ~callsite:0x40 () in
         for _ = 1 to alloc_rounds do
           let t0 = Unix.gettimeofday () in
           for i = 0 to alloc_batch - 1 do
             incr k;
-            let ctx =
-              Alloc_ctx.synthetic ~callsite:(0x40 + (!k / 256 mod 64)) ()
-            in
+            Alloc_ctx.point ctx ~callsite:(0x40 + (!k / 256 mod 64)) ~stack_offset:0;
             ptrs.(i) <- tool.Tool.malloc ~size:(16 + (!k mod 7 * 24)) ~ctx
           done;
           let t1 = Unix.gettimeofday () in

@@ -15,7 +15,14 @@ type t = {
   name : string;
   malloc : size:int -> ctx:Alloc_ctx.t -> int;
       (** Allocate [size] usable bytes; the returned pointer is what the
-          application sees (possibly offset past a tool header). *)
+          application sees (possibly offset past a tool header).  [ctx] is
+          valid only during this call: the caller re-points it for its
+          next allocation, so a tool copies the pair it needs
+          ({!Alloc_ctx.key}) and never keeps the handle.  A tool that
+          wants the full chain writes it ([Alloc_ctx.write]) during
+          this call into a buffer of its own; the writer charges
+          {!Cost.backtrace_full} itself, so a tool charges nothing for
+          it. *)
   free : ptr:int -> unit;
       (** Release an application pointer.  May raise {!Heap.Error} on heap
           misuse, or a tool-specific exception on detected corruption. *)

@@ -23,10 +23,8 @@ let plant m ~base ~size ~ctx_id ~canary =
   Machine.work_as m Profiler.Canary_plant Cost.canary_plant;
   let app = base + header_size in
   let mem = Machine.mem m in
-  Sparse_mem.write_int mem base base; (* RealObjectPtr *)
-  Sparse_mem.write_int mem (base + 8) size; (* ObjectSize *)
-  Sparse_mem.write_int mem (base + 16) ctx_id; (* CallingContextPtr *)
-  Sparse_mem.write_int mem (base + 24) identifier;
+  (* RealObjectPtr | ObjectSize | CallingContextPtr | Identifier *)
+  Sparse_mem.write_int4 mem base base size ctx_id identifier;
   Sparse_mem.write_u64 mem (boundary_addr ~app ~size) canary;
   app
 
@@ -40,18 +38,20 @@ let check m ~app ~size ~expected =
   Flight_recorder.canary_check ~at:(Clock.cycles (Machine.clock m)) ~addr:app ~ok;
   ok
 
-(* Header fields are read one [int] at a time so the free path, which
-   needs all three, allocates no tuple or option to get them. *)
-let has_header m ~app =
+type header = int array
+
+let header () = Array.make 4 0
+
+(* The four words in one span, into the caller's buffer: the free path
+   and the exit sweep read a header per object and allocate nothing. *)
+let read_header m ~app h =
   let base = app - header_size in
-  base >= 0 && Sparse_mem.read_int (Machine.mem m) (base + 24) = identifier
+  base >= 0
+  && begin
+    Sparse_mem.read_ints (Machine.mem m) base h;
+    h.(3) = identifier
+  end
 
-let field m ~app k = Sparse_mem.read_int (Machine.mem m) (app - header_size + (8 * k))
-let real_base m ~app = field m ~app 0
-let object_size m ~app = field m ~app 1
-let context_id m ~app = field m ~app 2
-
-let read_header m ~app =
-  if has_header m ~app then
-    Some (real_base m ~app, object_size m ~app, context_id m ~app)
-  else None
+let[@inline] real_base (h : header) = h.(0)
+let[@inline] object_size (h : header) = h.(1)
+let[@inline] context_id (h : header) = h.(2)

@@ -13,7 +13,10 @@
     memalign), the object size (locating the canary), and the allocation
     context; the identifier marks CSOD-managed objects.  All header/canary
     traffic uses unwatched accesses: the runtime must never trip the very
-    watchpoint it planted. *)
+    watchpoint it planted.  The header stays in simulated memory, so an
+    overflow from below that corrupts it is seen as such; it is written
+    as one 32-byte span at [malloc] and read back as one at [free] and at
+    exit, while the canary stays a single word access. *)
 
 val header_size : int
 (** 32 bytes. *)
@@ -36,7 +39,8 @@ val boundary_addr : app:int -> size:int -> int
 
 val plant : Machine.t -> base:int -> size:int -> ctx_id:int -> canary:int64 -> int
 (** Write header and canary (evidence mode); returns the application
-    pointer.  Charges {!Cost.canary_plant}. *)
+    pointer.  The header's four words are one {!Sparse_mem.write_int4}.
+    Charges {!Cost.canary_plant}. *)
 
 val check : Machine.t -> app:int -> size:int -> expected:int64 -> bool
 (** Is the canary intact?  Charges {!Cost.canary_check} and counts the
@@ -47,15 +51,20 @@ val checks : Machine.t -> int
     without defining it, so a machine that never checks does not list it
     at zero. *)
 
-val read_header : Machine.t -> app:int -> (int * int * int) option
-(** [(real_base, size, ctx_id)] if the identifier matches, [None] for a
-    foreign or corrupted header. *)
+type header
+(** A scratch buffer for one object header's four words, owned by its
+    reader (the runtime keeps one). *)
 
-val has_header : Machine.t -> app:int -> bool
-(** Does [app] carry a CSOD header ([read_header] is [Some _])? *)
+val header : unit -> header
 
-val real_base : Machine.t -> app:int -> int
-val object_size : Machine.t -> app:int -> int
-val context_id : Machine.t -> app:int -> int
-(** The three fields of [read_header], read one at a time without
-    allocating; meaningful only when {!has_header}. *)
+val read_header : Machine.t -> app:int -> header -> bool
+(** Read the 32-byte header in front of [app] into the buffer, with one
+    chunk resolution (word by word when it straddles a chunk), and say
+    whether it carries the CSOD identifier: [false] for a foreign or
+    corrupted header, or one that would start below address 0.  Allocates
+    nothing. *)
+
+val real_base : header -> int
+val object_size : header -> int
+val context_id : header -> int
+(** The fields {!read_header} read; meaningful only when it said [true]. *)

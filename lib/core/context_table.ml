@@ -32,9 +32,9 @@ type store = {
   mutable count : int;
   index : Int_index.t;
   (* Every context's full backtrace, innermost first, one after another:
-     written once on first sight, read only to build a report. *)
-  mutable bt : int array;
-  mutable bt_top : int;
+     written once on first sight by the handle's writer, read only to
+     build a report. *)
+  bt : Alloc_ctx.chain;
 }
 
 type t = {
@@ -72,8 +72,7 @@ let fresh_store () =
   { entries = Array.make initial_slots no_entry;
     count = 0;
     index = Int_index.create initial_slots;
-    bt = Array.make bt_slots 0;
-    bt_top = 0 }
+    bt = Alloc_ctx.chain bt_slots }
 
 let spare_stores : store Spare.t = Spare.create ()
 
@@ -82,7 +81,7 @@ let spare_stores : store Spare.t = Spare.create ()
    first context a released table sees gives it a store of its own
    ([on_allocation]). *)
 let no_store =
-  { entries = [||]; count = 0; index = Int_index.create 0; bt = [||]; bt_top = 0 }
+  { entries = [||]; count = 0; index = Int_index.create 0; bt = Alloc_ctx.chain 0 }
 
 (* Hand the arrays to the next table on this domain, emptied: the index
    loses the keys of this execution's contexts, and the entries are
@@ -99,7 +98,7 @@ let recycle t =
   done;
   Array.fill s.entries 0 s.count no_entry;
   s.count <- 0;
-  s.bt_top <- 0;
+  s.bt.Alloc_ctx.len <- 0;
   Spare.give spare_stores s
 
 let k_allocations = Metrics.counter_key "smu.allocations"
@@ -158,28 +157,15 @@ let clamp_floor t e =
     if e.s.floor_since = 0.0 then e.s.floor_since <- now t
   end
 
-(* Append [frames] to the backtrace buffer, doubling it when full. *)
-let store_backtrace s frames =
-  let off = s.bt_top in
-  let len = List.length frames in
-  if off + len > Array.length s.bt then begin
-    let cap = ref (max bt_slots (Array.length s.bt)) in
-    while off + len > !cap do cap := 2 * !cap done;
-    let arr = Array.make !cap 0 in
-    Array.blit s.bt 0 arr 0 off;
-    s.bt <- arr
-  end;
-  List.iteri (fun i pc -> Array.unsafe_set s.bt (off + i) pc) frames;
-  s.bt_top <- off + len;
-  len
-
 let fresh_entry t (ctx : Alloc_ctx.t) =
   (* First sight of this context: the paper acquires the whole calling
-     context once, with the expensive backtrace walk. *)
-  let bt_off = t.st.bt_top in
-  let bt_len = store_backtrace t.st (ctx.Alloc_ctx.backtrace ()) in
+     context once, with the expensive backtrace walk, which the handle's
+     writer appends straight to the table's buffer (and charges). *)
+  let bt = t.st.bt in
+  let bt_off = bt.Alloc_ctx.len in
+  ctx.Alloc_ctx.write bt;
   { id = t.st.count;
-    key = Alloc_ctx.key ctx;
+    key = (ctx.Alloc_ctx.callsite, ctx.Alloc_ctx.stack_offset);
     s =
       { prob = t.params.Params.initial_prob;
         window_start = now t;
@@ -190,11 +176,9 @@ let fresh_entry t (ctx : Alloc_ctx.t) =
     window_count = 0;
     pinned = false;
     bt_off;
-    bt_len }
+    bt_len = bt.Alloc_ctx.len - bt_off }
 
-let full_ctx t e =
-  let rec go i acc = if i < e.bt_off then acc else go (i - 1) (t.st.bt.(i) :: acc) in
-  go (e.bt_off + e.bt_len - 1) []
+let full_ctx t e = Alloc_ctx.to_list t.st.bt ~off:e.bt_off ~len:e.bt_len
 
 let on_allocation t ctx =
   Machine.work_as t.machine Profiler.Smu_lookup Cost.context_lookup;
@@ -255,7 +239,7 @@ let on_allocation t ctx =
   end;
   e
 
-let effective_prob t e =
+let[@inline] effective_prob t e =
   if e.pinned then 1.0
   else if e.s.burst_until > 0.0 && now t < e.s.burst_until then
     t.params.Params.burst_prob
@@ -292,4 +276,4 @@ let iter f t =
   done
 
 let memory_bytes t =
-  (charged_buckets * 8) + (t.st.count * ((4 * 8) + (10 * 8))) + (8 * t.st.bt_top)
+  (charged_buckets * 8) + (t.st.count * ((4 * 8) + (10 * 8))) + (8 * t.st.bt.Alloc_ctx.len)

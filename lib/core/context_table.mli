@@ -59,12 +59,15 @@ val create : params:Params.t -> machine:Machine.t -> rng:Prng.t -> t
     its own only if it sees a context again. *)
 
 val on_allocation : t -> Alloc_ctx.t -> entry
-(** The per-allocation hot path: look up (or create, capturing the full
-    backtrace once) the context entry — a lookup that finds it allocates
-    nothing — count the allocation, apply
-    degradation, burst bookkeeping, and the reviving rule.  Charges
-    {!Cost.context_lookup} and {!Cost.prob_update} (plus
-    {!Cost.backtrace_full} on first sight) to the machine clock. *)
+(** The per-allocation hot path: look up (or create) the context entry,
+    count the allocation, apply degradation, burst bookkeeping, and the
+    reviving rule.  A lookup that finds its entry allocates nothing.  A
+    first sight has the handle write its full chain once, straight into
+    the table's buffer ([Alloc_ctx.write]), and allocates the
+    entry and no list.  Charges {!Cost.context_lookup} and
+    {!Cost.prob_update} to the machine clock; an engine's writer charges
+    {!Cost.backtrace_full} on first sight.  Reads the handle only during
+    the call. *)
 
 val effective_prob : t -> entry -> float
 (** The probability a sampling decision should use {e now}: 1.0 when

@@ -16,6 +16,7 @@ type t = {
   watches : Watch_table.t;
   rng : Prng.t; (* sampling decisions; per paper, per-thread generators *)
   canary : int64; (* this run's random canary value (evidence mode) *)
+  header : Canary.header; (* [free]'s and the exit sweep's header reads *)
   c_decisions : Metrics.counter;
   c_watched : Metrics.counter;
   c_reports : Metrics.counter;
@@ -146,6 +147,7 @@ let create ?(params = Params.default) ?store ?respond ?(seed = 0) ~machine
       watches = Watch_table.create ~params ~machine ~rng:watch_rng;
       rng;
       canary = Prng.canary64 canary_rng;
+      header = Canary.header ();
       c_decisions = Metrics.counter reg k_decisions;
       c_watched = Metrics.counter reg k_watched;
       c_reports = Metrics.counter reg k_reports;
@@ -343,12 +345,11 @@ let csod_free t ~ptr =
     (match t.respond with
     | Some r when Respond.oblivious r -> Respond.release r ~obj:ptr
     | _ -> ());
-    if evidence t && Canary.has_header t.machine ~app:ptr then begin
-      let base = Canary.real_base t.machine ~app:ptr in
-      check_canary t ~app:ptr
-        ~size:(Canary.object_size t.machine ~app:ptr)
-        ~ctx_id:(Canary.context_id t.machine ~app:ptr)
-        ~source:Report.Canary_free;
+    let h = t.header in
+    if evidence t && Canary.read_header t.machine ~app:ptr h then begin
+      let base = Canary.real_base h in
+      check_canary t ~app:ptr ~size:(Canary.object_size h)
+        ~ctx_id:(Canary.context_id h) ~source:Report.Canary_free;
       Heap.free t.heap base
     end
     else
@@ -369,10 +370,10 @@ let finish t =
           (* [addr] is the raw block; the application pointer sits past the
              header.  Only blocks carrying the CSOD identifier are ours. *)
           let app = Canary.app_ptr ~evidence:true ~base:addr in
-          match Canary.read_header t.machine ~app with
-          | Some (base, size, ctx_id) when base = addr ->
-            check_canary t ~app ~size ~ctx_id ~source:Report.Canary_exit
-          | _ -> ())
+          let h = t.header in
+          if Canary.read_header t.machine ~app h && Canary.real_base h = addr then
+            check_canary t ~app ~size:(Canary.object_size h)
+              ~ctx_id:(Canary.context_id h) ~source:Report.Canary_exit)
         t.heap;
     Machine.clear_trap_handler t.machine
   end

@@ -18,6 +18,8 @@ type table3_row = {
   before_contexts : int;
   before_allocations : int;
   detected_kind : string;
+  ambiguous_keys : int;
+  ambiguous_allocations : int;
 }
 
 let table3 () =
@@ -38,7 +40,9 @@ let table3 () =
             detected_kind =
               (match o.Oracle.kind with
               | Tool.Read -> "Over-read"
-              | Tool.Write -> "Over-write") }))
+              | Tool.Write -> "Over-write");
+            ambiguous_keys = Oracle.ambiguous_keys t;
+            ambiguous_allocations = Oracle.ambiguous_allocations t }))
     (Buggy_app.all ())
 
 type table4_row = {

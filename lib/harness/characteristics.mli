@@ -17,6 +17,11 @@ type table3_row = {
   before_contexts : int;     (** census when the overflowed object was allocated *)
   before_allocations : int;
   detected_kind : string;    (** oracle-confirmed class, cross-checked with Table I *)
+  ambiguous_keys : int;
+      (** (call site, stack offset) pairs that reached more than one
+          distinct full chain (Section III-A1 says the pair is almost
+          always unique) *)
+  ambiguous_allocations : int;  (** allocations under those pairs *)
 }
 
 val table3 : unit -> table3_row list

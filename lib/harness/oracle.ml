@@ -22,10 +22,15 @@ type obj = {
    Contiguous overflows strike within the first few words. *)
 let zone = 32
 
+(* Every distinct full chain a (call site, stack offset) key reached, and
+   the allocations made under the key. *)
+type census = { mutable chains : int array list; mutable allocs : int }
+
 type t = {
   heap : Heap.t;
   tripwires : (int, obj) Hashtbl.t; (* one entry per zone byte *)
-  contexts : (Alloc_ctx.key, unit) Hashtbl.t;
+  contexts : (Alloc_ctx.key, census) Hashtbl.t;
+  chain : Alloc_ctx.chain; (* scratch: the current allocation's chain *)
   sizes : (int, int) Hashtbl.t; (* live object -> requested size *)
   mutable allocs : int;
   mutable first : overflow option;
@@ -35,6 +40,7 @@ let create _machine heap =
   { heap;
     tripwires = Hashtbl.create 4096;
     contexts = Hashtbl.create 256;
+    chain = Alloc_ctx.chain 64;
     sizes = Hashtbl.create 1024;
     allocs = 0;
     first = None }
@@ -49,6 +55,34 @@ let unregister t addr size =
     Hashtbl.remove t.tripwires (addr + size + i)
   done
 
+(* Is the chain in [c] the same as [a]? *)
+let same_chain (c : Alloc_ctx.chain) a =
+  c.Alloc_ctx.len = Array.length a
+  && begin
+    let rec from i = i = Array.length a || (c.Alloc_ctx.pcs.(i) = a.(i) && from (i + 1)) in
+    from 0
+  end
+
+(* The census of the paper's claim that the cheap pair is almost always
+   unique per full context (Section III-A1): write every allocation's
+   chain through its handle, and keep the distinct ones per key. *)
+let note_chain t ctx =
+  let key = Alloc_ctx.key ctx in
+  let c = t.chain in
+  c.Alloc_ctx.len <- 0;
+  ctx.Alloc_ctx.write c;
+  let k =
+    match Hashtbl.find_opt t.contexts key with
+    | Some k -> k
+    | None ->
+      let k = { chains = []; allocs = 0 } in
+      Hashtbl.add t.contexts key k;
+      k
+  in
+  k.allocs <- k.allocs + 1;
+  if not (List.exists (same_chain c) k.chains) then
+    k.chains <- Array.sub c.Alloc_ctx.pcs 0 c.Alloc_ctx.len :: k.chains
+
 let oracle_malloc t ~size ~ctx =
   (* Pad the block so the tripwire zone lies inside the object's own
      allocation, exactly as detection tools pad theirs: a neighbour can
@@ -56,8 +90,7 @@ let oracle_malloc t ~size ~ctx =
   let addr = Heap.malloc t.heap (size + zone) in
   Hashtbl.replace t.sizes addr size;
   t.allocs <- t.allocs + 1;
-  if not (Hashtbl.mem t.contexts (Alloc_ctx.key ctx)) then
-    Hashtbl.add t.contexts (Alloc_ctx.key ctx) ();
+  note_chain t ctx;
   let obj =
     { o_addr = addr;
       o_size = size;
@@ -109,6 +142,14 @@ let tool t =
 let first_overflow t = t.first
 let total_contexts t = Hashtbl.length t.contexts
 let total_allocations t = t.allocs
+
+let ambiguous f t =
+  Hashtbl.fold
+    (fun _ k n -> match k.chains with _ :: _ :: _ -> n + f k | _ -> n)
+    t.contexts 0
+
+let ambiguous_keys = ambiguous (fun _ -> 1)
+let ambiguous_allocations = ambiguous (fun k -> k.allocs)
 
 let observe ?(seed = 1) ?(engine = Engine.Interp) ~(app : Buggy_app.t) ~input
     () =

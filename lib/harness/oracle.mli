@@ -35,6 +35,16 @@ val first_overflow : t -> overflow option
 val total_contexts : t -> int
 val total_allocations : t -> int
 
+val ambiguous_keys : t -> int
+(** (call site, stack offset) keys that reached more than one distinct
+    full chain.  The oracle writes every allocation's chain through its
+    handle into a scratch buffer of its own, so this census costs the
+    oracle run a backtrace per allocation and the detection runs
+    nothing. *)
+
+val ambiguous_allocations : t -> int
+(** Allocations made under the keys {!ambiguous_keys} counts. *)
+
 val observe :
   ?seed:int -> ?engine:Engine.t -> app:Buggy_app.t ->
   input:Execution.input_choice -> unit -> (t, string) result

@@ -57,6 +57,8 @@ let run ~(profile : Perf_profile.t) ~config ?(seed = 11) () =
   let mint_every = if cold = 0 then max_int else max 1 (nsim / (cold + 1)) in
   let next_cold = ref 0 in
   let avg = profile.Perf_profile.avg_obj_bytes in
+  (* One handle, re-pointed before each malloc. *)
+  let ctx = Alloc_ctx.synthetic ~callsite:0 () in
   for i = 0 to nsim - 1 do
     Machine.work machine compute_per_iter;
     if access_charge_per_iter > 0 then Machine.work machine access_charge_per_iter;
@@ -69,7 +71,7 @@ let run ~(profile : Perf_profile.t) ~config ?(seed = 11) () =
       else if Prng.int rng 10 < 9 then hot_base + Prng.int rng hot
       else cold_base + Prng.int rng (max 1 cold)
     in
-    let ctx = Alloc_ctx.synthetic ~callsite ~stack_offset:(callsite land 0xff) () in
+    Alloc_ctx.point ctx ~callsite ~stack_offset:(callsite land 0xff);
     (* a handful of distinct size classes per program, as real
        allocators observe; spread around the profile mean *)
     let size = max 1 ((avg / 2) + (max 1 (avg / 4) * Prng.int rng 5)) in

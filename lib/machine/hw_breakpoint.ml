@@ -52,11 +52,12 @@ let[@inline] info_tid info = info lsr 3
 let[@inline] info_slot info = (info lsr 1) land 3
 let[@inline] info_enabled info = info land 1 = 1
 
-(* The event an open [fd] names; raises on a closed or unknown one. *)
-let info_exn t fd =
-  let info = Int_index.find t.events fd 0 in
-  if info < 0 then invalid_arg (Printf.sprintf "Hw_breakpoint: bad fd %d" fd);
-  info
+(* The cell of the event an open [fd] names, so a toggle reads and
+   rewrites it in one probe; raises on a closed or unknown fd. *)
+let cell_exn t fd =
+  let i = Int_index.locate t.events fd 0 in
+  if i < 0 then invalid_arg (Printf.sprintf "Hw_breakpoint: bad fd %d" fd);
+  i
 
 (* ---------- Per-thread armed rows ---------- *)
 
@@ -148,21 +149,23 @@ let perf_event_open ?now t ~addr ~tid = open_result (open_event ?now t ~addr ~ti
 
 let fcntl_setup t fd =
   t.syscalls <- t.syscalls + 4;
-  ignore (info_exn t fd)
+  ignore (cell_exn t fd)
 
 let ioctl_enable t fd =
   t.syscalls <- t.syscalls + 1;
-  let info = info_exn t fd in
+  let i = cell_exn t fd in
+  let info = Int_index.cell_value t.events i in
   if not (info_enabled info) then begin
-    Int_index.replace t.events fd 0 (info lor 1);
+    Int_index.set_cell_value t.events i (info lor 1);
     arm t fd info
   end
 
 let ioctl_disable t fd =
   t.syscalls <- t.syscalls + 1;
-  let info = info_exn t fd in
+  let i = cell_exn t fd in
+  let info = Int_index.cell_value t.events i in
   if info_enabled info then begin
-    Int_index.replace t.events fd 0 (info lxor 1);
+    Int_index.set_cell_value t.events i (info lxor 1);
     disarm t fd info
   end
 

@@ -216,6 +216,45 @@ let read_int t addr = Int64.to_int (read_u64 t addr)
 let write_int t addr v = write_u64 t addr (Int64.of_int v)
 let equal_u64 t addr v = read_u64 t addr = v
 
+(* A run of words in one chunk costs one chunk resolution and, for a
+   store, one extent note; a run that straddles two chunks goes word by
+   word.  The CSOD object header is such a run: four words planted at
+   [malloc], read back at [free] and at exit. *)
+let write_int4 t addr a b c d =
+  check addr;
+  let off = addr mod chunk_size in
+  if off <= chunk_size - 32 then begin
+    let ch = chunk_for t addr in
+    Bytes.set_int64_le ch off (Int64.of_int a);
+    Bytes.set_int64_le ch (off + 8) (Int64.of_int b);
+    Bytes.set_int64_le ch (off + 16) (Int64.of_int c);
+    Bytes.set_int64_le ch (off + 24) (Int64.of_int d);
+    note_write t off 32
+  end
+  else begin
+    write_int t addr a;
+    write_int t (addr + 8) b;
+    write_int t (addr + 16) c;
+    write_int t (addr + 24) d
+  end
+
+let read_ints t addr dst =
+  check addr;
+  let n = Array.length dst in
+  let off = addr mod chunk_size in
+  if off <= chunk_size - (8 * n) then begin
+    let ch = chunk_at t addr in
+    if ch == no_chunk then Array.fill dst 0 n 0
+    else
+      for i = 0 to n - 1 do
+        dst.(i) <- Int64.to_int (Bytes.get_int64_le ch (off + (8 * i)))
+      done
+  end
+  else
+    for i = 0 to n - 1 do
+      dst.(i) <- read_int t (addr + (8 * i))
+    done
+
 (* Store returning the displaced value: the armed response layer's
    pre-write capture folded into the write itself, so the squash path
    costs one chunk lookup instead of a separate read followed by a

@@ -6,7 +6,9 @@
     allocators rely on, and what lets Table V count resident (touched)
     memory separately from reserved address space.  The chunks touched
     sit in a dense array, found through an {!Int_index} from chunk number
-    to position, behind a one-entry cache of the last chunk touched. *)
+    to position, behind a one-entry cache of the last chunk touched.  A
+    run of words in one chunk, such as the 32-byte CSOD object header
+    ({!write_int4}, {!read_ints}), resolves its chunk once. *)
 
 type t
 
@@ -39,6 +41,17 @@ val read_int : t -> addr -> int
 val write_int : t -> addr -> int -> unit
 (** [write_int t a v] stores [v] sign-extended to 64 bits; allocates
     nothing. *)
+
+val write_int4 : t -> addr -> int -> int -> int -> int -> unit
+(** [write_int4 t a w0 w1 w2 w3] stores four consecutive words from [a],
+    as four {!write_int}s would, with one chunk resolution and one note of
+    the chunk's written extent when the 32 bytes lie in one chunk (word
+    by word when they straddle two).  Allocates nothing. *)
+
+val read_ints : t -> addr -> int array -> unit
+(** [read_ints t a dst] loads [Array.length dst] consecutive words from
+    [a] into [dst], as that many {!read_int}s would, with one chunk
+    resolution when they lie in one chunk.  Allocates nothing. *)
 
 val exchange_u8 : t -> addr -> int -> int
 (** [exchange_u8 t a v] stores the low 8 bits of [v] and returns the byte

@@ -27,6 +27,7 @@ type st = {
   app_rng : Prng.t;
   buf : Buffer.t;
   mutable frames : frame list; (* innermost first *)
+  ctx : Alloc_ctx.t; (* the run's one handle, re-pointed per malloc *)
   mutable steps : int;
   step_limit : int;
 }
@@ -52,20 +53,21 @@ let declare st _loc name v =
 let push_scope st = (frame st).scopes <- ref [] :: (frame st).scopes
 let pop_scope st = (frame st).scopes <- List.tl (frame st).scopes
 
-(* The full calling context, innermost first: current pc, then the call
-   site of every live frame from innermost to outermost. *)
-let backtrace_of_frames frames pc =
-  pc :: List.map (fun f -> f.callsite) frames
+(* The full calling context, innermost first, appended to [c]: [pc],
+   then the call site of every live frame from innermost to outermost.
+   The run's one frame walker, for the handle's writer and the machine's
+   backtrace provider alike. *)
+let write_frames st pc c =
+  Alloc_ctx.push c pc;
+  List.iter (fun f -> Alloc_ctx.push c f.callsite) st.frames
 
-let make_ctx st (call_expr : Ast.expr) : Alloc_ctx.t =
-  let frames = st.frames in
-  let sp = (frame st).sp in
-  { Alloc_ctx.callsite = call_expr.eaddr;
-    stack_offset = stack_base - sp;
-    backtrace =
-      (fun () ->
-        Machine.work st.m Cost.backtrace_full;
-        backtrace_of_frames frames call_expr.eaddr) }
+(* The tool uses the handle only inside [malloc], while [st.frames] are
+   the frames live at the call, so the run's one handle serves every
+   allocation. *)
+let make_ctx st (call_expr : Ast.expr) =
+  Alloc_ctx.point st.ctx ~callsite:call_expr.eaddr
+    ~stack_offset:(stack_base - (frame st).sp);
+  st.ctx
 
 let truthy v = v <> 0
 let of_bool b = if b then 1 else 0
@@ -341,7 +343,7 @@ let run ~machine ~tool ~program ?(inputs = [||]) ?(app_seed = 1) ?(step_limit = 
     | Some f -> f
     | None -> failwith "Interp.run: program has no main (did Sema run?)"
   in
-  let st =
+  let rec st =
     { m = machine;
       tool;
       program;
@@ -349,10 +351,20 @@ let run ~machine ~tool ~program ?(inputs = [||]) ?(app_seed = 1) ?(step_limit = 
       app_rng = Prng.create ~seed:app_seed;
       buf = Buffer.create 256;
       frames = [];
+      ctx;
       steps = 0;
       step_limit }
+  and ctx =
+    { Alloc_ctx.callsite = 0;
+      stack_offset = 0;
+      write =
+        (fun c ->
+          Machine.work machine Cost.backtrace_full;
+          write_frames st ctx.Alloc_ctx.callsite c) }
   in
   Machine.set_backtrace_provider machine (fun () ->
-      backtrace_of_frames st.frames (Machine.pc machine));
+      let c = Alloc_ctx.chain 16 in
+      write_frames st (Machine.pc machine) c;
+      Alloc_ctx.to_list c ~off:0 ~len:c.Alloc_ctx.len);
   let rv = call_function st main.faddr "main" [] in
   { output = Buffer.contents st.buf; return_value = rv; steps = st.steps }

@@ -36,8 +36,7 @@ type st = {
   buggy : bool;      (* buggy_cycles snapshot, taken once per run *)
   mutable frames : int array;   (* [nframes] frames of [frame_words] *)
   mutable nframes : int;
-  mutable cur_callsite : int;   (* of the malloc/calloc calling the tool *)
-  backtrace : unit -> int list; (* the run's one backtrace thunk *)
+  ctx : Alloc_ctx.t;            (* the run's one handle, re-pointed per malloc *)
   mutable steps : int;
   step_limit : int;
   mutable stack : int array;    (* operand stack *)
@@ -53,23 +52,23 @@ let error loc fmt =
 let stack_base = Interp.stack_base
 let statement_cost = Interp.statement_cost
 
-(* The call sites of the live frames, innermost first, after [pc]. *)
-let backtrace_of_frames st pc =
-  let rec go k acc =
-    if k = st.nframes then acc
-    else go (k + 1) (Array.unsafe_get st.frames (frame_words * k) :: acc)
-  in
-  pc :: go 0 []
+(* The run's one frame walker: [pc], then the call sites of the live
+   frames, innermost first, appended to [c].  It serves the handle's
+   writer and the machine's backtrace provider alike. *)
+let write_frames st pc c =
+  Alloc_ctx.push c pc;
+  for k = st.nframes - 1 downto 0 do
+    Alloc_ctx.push c (Array.unsafe_get st.frames (frame_words * k))
+  done
 
 let top_vsp st = Array.unsafe_get st.frames ((frame_words * (st.nframes - 1)) + 1)
 
-(* The tool takes the backtrace synchronously inside [malloc], so one
-   thunk per run, reading the live frames and [cur_callsite], serves every
-   allocation. *)
-let make_ctx st : Alloc_ctx.t =
-  { Alloc_ctx.callsite = st.cur_callsite;
-    stack_offset = stack_base - top_vsp st;
-    backtrace = st.backtrace }
+(* The tool uses the handle only inside [malloc], so the run's one
+   handle, re-pointed here, serves every allocation; its writer reads the
+   live frames and the call site at the call. *)
+let make_ctx st site =
+  Alloc_ctx.point st.ctx ~callsite:site ~stack_offset:(stack_base - top_vsp st);
+  st.ctx
 
 let of_bool b = if b then 1 else 0
 
@@ -415,8 +414,7 @@ and dispatch st code i : int =
     let size = st.stack.(top) in
     if size < 0 then error loc "malloc of negative size %d" size;
     Machine.set_pc st.m site;
-    st.cur_callsite <- site;
-    st.stack.(top) <- st.tool.Tool.malloc ~size ~ctx:(make_ctx st);
+    st.stack.(top) <- st.tool.Tool.malloc ~size ~ctx:(make_ctx st site);
     dispatch st code (i + 1)
   | Compile.Calloc { addr = site; loc } ->
     let sp = st.sp - 1 in
@@ -428,8 +426,7 @@ and dispatch st code i : int =
       error loc "calloc of %d * %d bytes overflows" count size;
     let total = count * size in
     Machine.set_pc st.m site;
-    st.cur_callsite <- site;
-    let p = st.tool.Tool.malloc ~size:total ~ctx:(make_ctx st) in
+    let p = st.tool.Tool.malloc ~size:total ~ctx:(make_ctx st site) in
     (* zeroing is in-bounds by definition; modeled as one bulk operation *)
     Sparse_mem.fill (Machine.mem st.m) p total 0;
     Machine.work st.m total;
@@ -571,11 +568,7 @@ let run ~machine ~tool ~program ?(inputs = [||]) ?(app_seed = 1)
       buggy = !buggy_cycles;
       frames = Spare.take spare_frames ~fresh:fresh_slots;
       nframes = 0;
-      cur_callsite = 0;
-      backtrace =
-        (fun () ->
-          Machine.work machine Cost.backtrace_full;
-          backtrace_of_frames st st.cur_callsite);
+      ctx;
       steps = 0;
       step_limit;
       stack = Spare.take spare_stack ~fresh:fresh_slots;
@@ -583,9 +576,18 @@ let run ~machine ~tool ~program ?(inputs = [||]) ?(app_seed = 1)
       locals = Spare.take spare_locals ~fresh:fresh_slots;
       lbase = 0;
       ltop = 0 }
+  and ctx =
+    { Alloc_ctx.callsite = 0;
+      stack_offset = 0;
+      write =
+        (fun c ->
+          Machine.work machine Cost.backtrace_full;
+          write_frames st ctx.Alloc_ctx.callsite c) }
   in
   Machine.set_backtrace_provider machine (fun () ->
-      backtrace_of_frames st (Machine.pc machine));
+      let c = Alloc_ctx.chain (st.nframes + 1) in
+      write_frames st (Machine.pc machine) c;
+      Alloc_ctx.to_list c ~off:0 ~len:c.Alloc_ctx.len);
   let rv =
     Fun.protect
       ~finally:(fun () ->

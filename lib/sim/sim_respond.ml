@@ -17,6 +17,7 @@ type side = {
   rt : Runtime.t;
   tool : Tool.t;
   resp : Respond.t;
+  ctx : Alloc_ctx.t; (* re-pointed before each malloc *)
 }
 
 type state = {
@@ -38,6 +39,11 @@ let convict_key c = (0xA00 + (c mod 3), 0)
    the redirect obligation is deterministic, not a sampling coin. *)
 let oblivious_read_site pc = 0x700 + (pc mod 8)
 let oblivious_write_site pc = 0x780 + (pc mod 8)
+
+(* The side's one handle, re-pointed at [callsite] (stack offset 0). *)
+let repoint side ~callsite =
+  Alloc_ctx.point side.ctx ~callsite ~stack_offset:0;
+  side.ctx
 
 let oblivious_store () =
   let s = Persist.create () in
@@ -62,7 +68,7 @@ let ops : state Sim.op list =
           let size, pc =
             match args with s :: p :: _ -> (max 1 s, p) | _ -> (8, 0)
           in
-          let ctx = Alloc_ctx.synthetic ~callsite:(oblivious_read_site pc) () in
+          let ctx = repoint st.obl ~callsite:(oblivious_read_site pc) in
           let s0 = summary st.obl in
           let p = st.obl.tool.Tool.malloc ~size ~ctx in
           Machine.set_pc st.obl.machine (0x400 + (pc mod 64));
@@ -96,7 +102,7 @@ let ops : state Sim.op list =
             | s :: p :: v :: _ -> (max 1 s, p, (v mod 255) + 1)
             | _ -> (8, 0, 1)
           in
-          let ctx = Alloc_ctx.synthetic ~callsite:(oblivious_write_site pc) () in
+          let ctx = repoint st.obl ~callsite:(oblivious_write_site pc) in
           let s0 = summary st.obl in
           let p = st.obl.tool.Tool.malloc ~size ~ctx in
           let oob = Canary.boundary_addr ~app:p ~size in
@@ -143,7 +149,7 @@ let ops : state Sim.op list =
           let convicted = model_hits st key >= st.threshold in
           let d0 = List.length (Runtime.detections st.pat.rt) in
           let s0 = summary st.pat in
-          let ctx = Alloc_ctx.synthetic ~callsite:(fst key) () in
+          let ctx = repoint st.pat ~callsite:(fst key) in
           let p = st.pat.tool.Tool.malloc ~size ~ctx in
           Machine.set_pc st.pat.machine (0x800 + (c mod 3));
           (* The word past the object.  A convicted context's object
@@ -193,7 +199,8 @@ let make_side ~seed ~offset ~store resp =
   let machine = Machine.create ~seed:(seed + offset) () in
   let heap = Heap.create machine in
   let rt = Runtime.create ~seed:offset ~store ~respond:resp ~machine ~heap () in
-  { machine; heap; rt; tool = Runtime.tool rt; resp }
+  { machine; heap; rt; tool = Runtime.tool rt; resp;
+    ctx = Alloc_ctx.synthetic ~callsite:0 () }
 
 let threshold = 2
 

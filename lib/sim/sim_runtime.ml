@@ -13,6 +13,7 @@ type state = {
   rt : Runtime.t;
   tool : Tool.t;
   inj : Fault_injector.t;
+  ctx : Alloc_ctx.t; (* re-pointed before each malloc *)
   mutable live : obj list; (* allocation order, oldest first *)
   mutable last_detections : int;
 }
@@ -44,8 +45,8 @@ let ops : state Sim.op list =
             | s :: c :: o :: _ -> (max 1 s, c mod 16, o mod 4)
             | _ -> (8, 0, 0)
           in
-          let ctx = Alloc_ctx.synthetic ~callsite ~stack_offset:soff () in
-          let p = st.tool.Tool.malloc ~size ~ctx in
+          Alloc_ctx.point st.ctx ~callsite ~stack_offset:soff;
+          let p = st.tool.Tool.malloc ~size ~ctx:st.ctx in
           st.live <- st.live @ [ { ptr = p; size } ];
           Ok ()) };
     { Sim.op_name = "free";
@@ -186,6 +187,7 @@ let packed name ops check digest =
             rt;
             tool = Runtime.tool rt;
             inj;
+            ctx = Alloc_ctx.synthetic ~callsite:0 ();
             live = [];
             last_detections = 0 });
       check;

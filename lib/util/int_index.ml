@@ -89,6 +89,16 @@ let replace t a b v =
   if t.cells.((3 * i) + 2) >= 0 then t.cells.((3 * i) + 2) <- v
   else insert t i a b v
 
+let locate t a b =
+  let i = probe t a b in
+  if t.cells.((3 * i) + 2) >= 0 then i else -1
+
+let set_cell_value t i v =
+  check_value v;
+  let k = (3 * i) + 2 in
+  if t.cells.(k) < 0 then invalid_arg "Int_index.set_cell_value: empty cell";
+  t.cells.(k) <- v
+
 let remove t a b =
   let c = t.cells and mask = t.mask in
   let i = probe t a b in

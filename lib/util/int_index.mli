@@ -34,6 +34,11 @@ val replace : t -> int -> int -> int -> unit
 (** [replace t a b v] binds [(a, b)] to [v], bound or not.  Raises
     [Invalid_argument] when [v] is negative. *)
 
+val locate : t -> int -> int -> int
+(** [locate t a b] is the cell bound to [(a, b)], or -1 when the key is
+    absent: with {!cell_value} and {!set_cell_value}, a read and an update
+    of one key in one probe. *)
+
 val remove : t -> int -> int -> int
 (** [remove t a b] unbinds [(a, b)] and returns the value it had, or -1
     when it was absent. *)
@@ -57,3 +62,9 @@ val cells : t -> int
 val cell_a : t -> int -> int
 val cell_b : t -> int -> int
 val cell_value : t -> int -> int
+
+val set_cell_value : t -> int -> int -> unit
+(** [set_cell_value t i v] rebinds the key of the bound cell [i] to [v]
+    in place: no probe, and no change to which cells are bound, so it may
+    run during a scan.  Raises [Invalid_argument] when the cell is empty
+    or [v] is negative. *)

@@ -108,7 +108,7 @@ let bool t = Int64.logand (next t) 1L = 1L
 
 (* [float] and the generator step are inlined here, so the test allocates
    nothing of its own. *)
-let below_percent t p =
+let[@inline] below_percent t p =
   if p <= 0.0 then false else if p >= 1.0 then true else float t < p
 
 let rec canary64 t =

@@ -12,6 +12,19 @@ let ctx ?(off = 0) callsite = Alloc_ctx.synthetic ~callsite ~stack_offset:off ()
 
 let feq = Alcotest.float 1e-9
 
+(* A planted header's three fields, [None] without the CSOD identifier. *)
+let read_header m ~app =
+  let h = Canary.header () in
+  if Canary.read_header m ~app h then
+    Some (Canary.real_base h, Canary.object_size h, Canary.context_id h)
+  else None
+
+(* The CallingContextPtr field, identifier or not. *)
+let context_id m ~app =
+  let h = Canary.header () in
+  ignore (Canary.read_header m ~app h);
+  Canary.context_id h
+
 (* ---------- Context_table ---------- *)
 
 let test_ct_initial_prob () =
@@ -62,11 +75,11 @@ let test_ct_find_by_id_bounds () =
     [ -1; n; max_int; min_int ];
   let base = Machine.sbrk m 128 in
   let app = Canary.plant m ~base ~size:16 ~ctx_id:2 ~canary:0x1234L in
-  Alcotest.(check int) "planted id" 2 (Canary.context_id m ~app);
+  Alcotest.(check int) "planted id" 2 (context_id m ~app);
   (* an overflow from below rewrote the CallingContextPtr field *)
   Sparse_mem.write_int (Machine.mem m) (base + 16) 0x4141_4141_4141_4141;
   Alcotest.(check bool) "corrupted id" true
-    (Context_table.find_by_id ct (Canary.context_id m ~app) = None)
+    (Context_table.find_by_id ct (context_id m ~app) = None)
 
 let test_ct_degradation_accumulates () =
   let ct, _ = mk_ct () in
@@ -451,7 +464,7 @@ let test_canary_plant_check () =
   Alcotest.(check bool) "intact" true (Canary.check m ~app ~size:24 ~expected:0xDEADBEEFL);
   Alcotest.(check (option (triple int int int))) "header readable"
     (Some (base, 24, 77))
-    (Canary.read_header m ~app);
+    (read_header m ~app);
   (* corrupt one canary byte *)
   Sparse_mem.write_u8 (Machine.mem m) (Canary.boundary_addr ~app ~size:24) 0x00;
   Alcotest.(check bool) "corruption detected" false
@@ -461,9 +474,9 @@ let test_canary_foreign_header () =
   let m = Machine.create () in
   let base = Machine.sbrk m 128 in
   Alcotest.(check (option (triple int int int))) "no identifier: not ours" None
-    (Canary.read_header m ~app:(base + 32));
+    (read_header m ~app:(base + 32));
   Alcotest.(check (option (triple int int int))) "negative base" None
-    (Canary.read_header m ~app:8)
+    (read_header m ~app:8)
 
 (* ---------- Persist ---------- *)
 

@@ -1,6 +1,7 @@
 (* Pins for the per-allocation and per-access hot paths: they allocate
-   nothing on the OCaml heap (the CSOD allocation path one boxed float, on
-   top of the heap's own), and the debug-register bookkeeping costs the
+   nothing on the OCaml heap (the CSOD allocation path included), a
+   context's first sight allocates its entry and no list, and the
+   debug-register bookkeeping costs the
    same per thread whether 2 or 16 threads exist.  Allocation is counted
    with [Gc.minor_words], which is exact and deterministic, so these pins
    never flake the way host-time thresholds would.  Only native code
@@ -290,14 +291,15 @@ let alloc_loop tool =
     done
 
 (* The CSOD layers (context table, sampling coin, canary plant and check,
-   header reads) add one boxed float per allocation to the raw heap's own
-   once every context has been seen: the sampling probability, boxed to
-   cross from [Context_table] through [Runtime] into [Prng].  This is the
-   steady state of runs of 256 allocations from each of 64 call sites; a
-   first sight still allocates (the entry and its backtrace), so this
-   pins the lookup-hit path only.  The state is measured after the
-   warm-up has decayed every context's probability, and a little slack
-   covers the rare coin that wins. *)
+   header reads) add nothing to the raw heap's own allocation once every
+   context has been seen: the sampling probability stays unboxed from
+   [Context_table] through [Runtime] into [Prng], and the header is
+   written and read through the runtime's own buffer.  This is the steady
+   state of runs of 256 allocations from each of 64 call sites; a first
+   sight still allocates its entry, so this pins the lookup-hit path
+   only.  The state is measured after the warm-up has decayed every
+   context's probability.  Before the probability was unboxed this read
+   2 words per allocation. *)
 let test_csod_alloc_path_no_alloc () =
   let baseline =
     let m = Machine.create () in
@@ -314,10 +316,49 @@ let test_csod_alloc_path_no_alloc () =
   let n = 20_000 in
   let wb = words (fun () -> baseline n) and wc = words (fun () -> csod n) in
   if native then
+    Alcotest.(check (float 0.0))
+      (Printf.sprintf "CSOD adds 0 words per allocation (heap %.0f, CSOD %.0f)" wb wc)
+      0.0 (wc -. wb)
+
+(* A context's first sight writes its full chain straight into the
+   table's buffer: it allocates the entry (its record, its sampling
+   record, its key pair) and no list, so the words per first sight do not
+   grow with the chain's depth.  Measured on a table whose arrays a
+   released table of the same size handed on, so nothing grows. *)
+let test_first_sight_no_list () =
+  let params = Params.default in
+  let contexts = 200 in
+  let first_sights depth =
+    let ctx =
+      { Alloc_ctx.callsite = 0;
+        stack_offset = 0;
+        write = (fun c -> for pc = 1 to depth do Alloc_ctx.push c pc done) }
+    in
+    let cycle () =
+      let m = Machine.create () in
+      let ct = Context_table.create ~params ~machine:m ~rng:(Prng.create ~seed:3) in
+      let w =
+        words (fun () ->
+            for i = 1 to contexts do
+              Alloc_ctx.point ctx ~callsite:(0x40 + i) ~stack_offset:(i land 7);
+              ignore (Context_table.on_allocation ct ctx)
+            done)
+      in
+      Alcotest.(check int) "every context new" contexts (Context_table.num_contexts ct);
+      Sparse_mem.release (Machine.mem m);
+      w
+    in
+    ignore (cycle ());
+    cycle ()
+  in
+  let shallow = first_sights 1 and deep = first_sights 300 in
+  if native then begin
+    Alcotest.(check (float 0.0)) "a 300-frame chain costs what a 1-frame one does" shallow deep;
     Alcotest.(check bool)
-      (Printf.sprintf "CSOD adds < 2.1 words per allocation (heap %.0f, CSOD %.0f)" wb wc)
+      (Printf.sprintf "%.1f words per first sight <= 18" (deep /. float_of_int contexts))
       true
-      (wc -. wb < 2.1 *. float_of_int n)
+      (deep <= 18. *. float_of_int contexts)
+  end
 
 (* ---------- Executions allocate nothing in the major heap ---------- *)
 
@@ -425,18 +466,19 @@ let heartbleed_words rung =
    raw heap, then CSOD.  Measured on x86-64, OCaml 5.1 (minor / promoted
    words per execution):
 
-   | rung           | frames in a list, contexts as lists | heap and SMU in records | flat tables | flat watchpoints |
-   |----------------|-------------------------------------|-------------------------|-------------|------------------|
-   | VM + bump tool |                           586k / 2k |             22.6k / 0   | 22.6k / 0   | 22.2k / 0        |
-   | + raw heap     |                           702k / 6k |            138.8k / 0   | 23.8k / 0   | 22.3k / 0        |
-   | + CSOD         |                         893k / 142k |         332.3k / 14.3k  | 193.2k / 0  | 169.8k / 0       |
+   | rung           | frames in a list, contexts as lists | heap and SMU in records | flat tables | flat watchpoints | re-pointed handles |
+   |----------------|-------------------------------------|-------------------------|-------------|------------------|--------------------|
+   | VM + bump tool |                           586k / 2k |             22.6k / 0   | 22.6k / 0   | 22.2k / 0        | 616 / 0            |
+   | + raw heap     |                           702k / 6k |            138.8k / 0   | 23.8k / 0   | 22.3k / 0        | 625 / 0            |
+   | + CSOD         |                         893k / 142k |         332.3k / 14.3k  | 193.2k / 0  | 169.8k / 0       | 6,583 / 0          |
 
-   What the VM still allocates is the [Alloc_ctx.t] handed to each of the
-   5,403 [malloc]s; the raw heap adds only the small arrays a released
-   heap keeps.  Most of what CSOD adds is the 307 first-sight contexts,
-   each with the full backtrace the VM hands over as a list; its
-   watchpoint installs and removals add nothing since they moved into
-   flat, reused slots.  The bounds
+   The VM re-points its one [Alloc_ctx.t] at each of the 5,403
+   [malloc]s instead of building one, so what it allocates is its run's
+   fixed set-up; the raw heap adds only the small arrays a released heap
+   keeps.  What CSOD adds is the 307 first-sight contexts, 18 words each
+   (entry, sampling record, key pair), since the VM writes each full
+   chain straight into the table's buffer instead of handing over a list;
+   its hit path, watchpoint installs and removals add nothing.  The bounds
    leave about 15% slack on minor words; promoted words depend on where
    the minor collections fall. *)
 let test_allocation_ladder () =
@@ -451,9 +493,9 @@ let test_allocation_ladder () =
       (fun (name, w, bound) ->
         Alcotest.(check bool) (Printf.sprintf "%s: %.0f words <= %.0f" name w bound)
           true (w <= bound))
-      [ ("VM + bump tool, minor", vm, 26_000.);
-        ("+ raw heap, minor", heap, 27_500.);
-        ("+ CSOD, minor", csod, 195_000.);
+      [ ("VM + bump tool, minor", vm, 710.);
+        ("+ raw heap, minor", heap, 720.);
+        ("+ CSOD, minor", csod, 7_600.);
         ("+ CSOD, promoted", promoted, 3_000.) ]
 
 let suite =
@@ -482,4 +524,6 @@ let suite =
     Alcotest.test_case "fixed cost: set-up and release, warm domain" `Quick
       test_fixed_cost_words;
     Alcotest.test_case "allocation ladder: warm Heartbleed, VM / + heap / + CSOD"
-      `Quick test_allocation_ladder ]
+      `Quick test_allocation_ladder;
+    Alcotest.test_case "first sight: entry only, no list, whatever the depth" `Quick
+      test_first_sight_no_list ]

@@ -39,7 +39,10 @@ let test_cost_sanity () =
 let test_alloc_ctx () =
   let c = Alloc_ctx.synthetic ~stack_offset:24 ~callsite:0x400 () in
   Alcotest.(check (pair int int)) "key" (0x400, 24) (Alloc_ctx.key c);
-  Alcotest.(check (list int)) "synthetic backtrace" [ 0x400 ] (c.Alloc_ctx.backtrace ());
+  let chain = Alloc_ctx.chain 0 in
+  c.Alloc_ctx.write chain;
+  Alcotest.(check (list int)) "synthetic backtrace" [ 0x400 ]
+    (Alloc_ctx.to_list chain ~off:0 ~len:chain.Alloc_ctx.len);
   let d = Alloc_ctx.synthetic ~callsite:7 () in
   Alcotest.(check int) "default offset" 0 d.Alloc_ctx.stack_offset
 

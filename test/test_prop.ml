@@ -264,6 +264,9 @@ type dobs = {
   d_rv : int;
   d_allocs : (int * int * int * int) list;
       (* size, callsite, stack offset, returned pointer *)
+  d_chains : (int * int * int list) list;
+      (* callsite, stack offset and the chain the engine wrote, at every
+         first sight *)
   d_frees : int list;
   d_reports : string list;
   d_prng : int64; (* machine-PRNG position: same draws in the same order *)
@@ -275,16 +278,28 @@ let d_observe engine program ~inputs ~seed ~step_limit =
   let machine = Machine.create ~seed () in
   let heap = Heap.create machine in
   let inst = Config.instantiate Config.csod_default ~machine ~heap ~seed () in
-  let allocs = ref [] and frees = ref [] in
+  let allocs = ref [] and frees = ref [] and chains = ref [] in
   let tool = inst.Config.tool in
   let rec_tool =
     { tool with
       Tool.malloc =
         (fun ~size ~ctx ->
-          let p = tool.Tool.malloc ~size ~ctx in
-          allocs :=
-            (size, ctx.Alloc_ctx.callsite, ctx.Alloc_ctx.stack_offset, p)
-            :: !allocs;
+          (* The engine re-points its one handle at every malloc: read
+             the pair before the call, and log each chain as it is
+             written. *)
+          let site = ctx.Alloc_ctx.callsite and off = ctx.Alloc_ctx.stack_offset in
+          let logged =
+            { ctx with
+              Alloc_ctx.write =
+                (fun c ->
+                  let from = c.Alloc_ctx.len in
+                  ctx.Alloc_ctx.write c;
+                  chains :=
+                    (site, off, Alloc_ctx.to_list c ~off:from ~len:(c.Alloc_ctx.len - from))
+                    :: !chains) }
+          in
+          let p = tool.Tool.malloc ~size ~ctx:logged in
+          allocs := (size, site, off, p) :: !allocs;
           p);
       free =
         (fun ~ptr ->
@@ -327,6 +342,7 @@ let d_observe engine program ~inputs ~seed ~step_limit =
       d_steps = !steps;
       d_rv = !rv;
       d_allocs = List.rev !allocs;
+      d_chains = List.rev !chains;
       d_frees = List.rev !frees;
       d_reports = reports;
       d_prng = Prng.bits64 (Machine.rng machine);
@@ -350,6 +366,9 @@ let describe_diff a b =
   if a.d_allocs <> b.d_allocs then
     p "\n  alloc streams differ (%d vs %d allocations)"
       (List.length a.d_allocs) (List.length b.d_allocs);
+  if a.d_chains <> b.d_chains then
+    p "\n  first-sight chains differ (%d vs %d contexts)"
+      (List.length a.d_chains) (List.length b.d_chains);
   if a.d_frees <> b.d_frees then p "\n  free streams differ";
   if a.d_reports <> b.d_reports then
     p "\n  reports differ (%d vs %d)" (List.length a.d_reports)

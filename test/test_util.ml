@@ -84,7 +84,8 @@ let keys_homed_at g ~n ~cell ~b count =
   in
   go [] count
 
-(* Seeded add/replace/remove/find/clear runs against a [Hashtbl] model,
+(* Seeded add/replace/remove/find/locate-and-set/clear runs against a
+   [Hashtbl] model,
    each over its own pool of keys:
    - keys forced into the last cell of a 16-cell table, plus neighbours
      homed at cells 0 and 1, so clusters wrap past the end and removals
@@ -141,7 +142,18 @@ let test_int_index_model () =
       | r when r < 90 ->
         expect step "remove" ~want:(bound k) (Int_index.remove t a b);
         Hashtbl.remove model k
-      | r when r < 100 -> expect step "find" ~want:(bound k) (Int_index.find t a b)
+      | r when r < 95 -> expect step "find" ~want:(bound k) (Int_index.find t a b)
+      | r when r < 100 ->
+        (* read and rewrite one key in place, in one probe *)
+        let i = Int_index.locate t a b in
+        if Hashtbl.mem model k then begin
+          expect step "located key a" ~want:a (Int_index.cell_a t i);
+          expect step "located key b" ~want:b (Int_index.cell_b t i);
+          expect step "located value" ~want:(bound k) (Int_index.cell_value t i);
+          Int_index.set_cell_value t i v;
+          Hashtbl.replace model k v
+        end
+        else expect step "locate absent" ~want:(-1) i
       | _ ->
         Int_index.clear t;
         Hashtbl.reset model);
@@ -168,7 +180,14 @@ let test_int_index_model () =
   Alcotest.(check bool) (Printf.sprintf "doublings: 2 cells grew to %d" cells) true
     (cells >= 2048);
   Alcotest.check_raises "negative value" (Invalid_argument "Int_index: negative value")
-    (fun () -> Int_index.replace (Int_index.create 0) 1 0 (-1))
+    (fun () -> Int_index.replace (Int_index.create 0) 1 0 (-1));
+  let t = Int_index.create 0 in
+  Int_index.add t 1 0 5;
+  Alcotest.check_raises "set: negative value" (Invalid_argument "Int_index: negative value")
+    (fun () -> Int_index.set_cell_value t (Int_index.locate t 1 0) (-1));
+  Alcotest.check_raises "set: empty cell"
+    (Invalid_argument "Int_index.set_cell_value: empty cell")
+    (fun () -> Int_index.set_cell_value t (1 - Int_index.locate t 1 0) 3)
 
 let suite =
   [ Alcotest.test_case "stats mean" `Quick test_stats_mean;
