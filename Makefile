@@ -21,10 +21,15 @@ check:
 	$(MAKE) help-clean
 
 # Every subcommand's --help renders without a markup error: cmdliner
-# reports a bad doc-string escape on stderr and still exits 0.
+# reports a bad doc-string escape on stderr and still exits 0.  The
+# subcommands are the COMMANDS section of the top-level help, so a new
+# one cannot skip the check; the top-level help ("") is checked too.
 help-clean:
 	dune build
-	@for c in exec explain fleet list replay run serve sim top validate; do \
+	@cmds=$$(./_build/default/bin/csod_run.exe --help=plain \
+	  | sed -n '/^COMMANDS/,/^[A-Z]/s/^       \([a-z][a-z-]*\) .*/\1/p'); \
+	if [ -z "$$cmds" ]; then echo "no subcommands in csod_run --help=plain"; exit 1; fi; \
+	for c in "" $$cmds; do \
 	  err=$$(./_build/default/bin/csod_run.exe $$c --help=plain 2>&1 >/dev/null); \
 	  if [ -n "$$err" ]; then \
 	    echo "csod_run $$c --help=plain wrote to stderr:"; echo "$$err"; exit 1; \

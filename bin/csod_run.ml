@@ -12,9 +12,88 @@
 
    The persistent store of overflowing contexts can be saved/loaded with
    --store FILE, mirroring how the paper's runtime carries evidence across
-   executions. *)
+   executions.
+
+   Every flag, lookup and file access that several subcommands share is
+   defined once below, as a cmdliner term the subcommands compose. *)
 
 open Cmdliner
+
+(* ---- files: every path a flag names goes through here ---- *)
+
+(* The CLI's answer to a bad path: one line on stderr, exit 1. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun s ->
+      prerr_endline ("csod_run: " ^ s);
+      exit 1)
+    fmt
+
+(* [Sys_error] reads "PATH: reason" when an open fails, but only "reason"
+   when a read does (a directory opens, then refuses to be read). *)
+let sys_fail path m =
+  if String.starts_with ~prefix:(path ^ ": ") m then fail "%s" m
+  else fail "%s: %s" path m
+
+(* The whole of the input file [path]. *)
+let read path =
+  try In_channel.with_open_text path In_channel.input_all
+  with Sys_error m -> sys_fail path m
+
+(* An output file the CLI writes itself, opened before any work and
+   closed, so flushed, at exit. *)
+let output ?(append = false) path =
+  let mode = if append then Open_append else Open_trunc in
+  match open_out_gen [ Open_wronly; Open_creat; mode; Open_text ] 0o666 path with
+  | oc ->
+    at_exit (fun () -> close_out oc);
+    oc
+  | exception Sys_error m -> sys_fail path m
+
+(* One line to an output flag's channel. *)
+let put (_, oc) s =
+  output_string oc s;
+  output_char oc '\n'
+
+(* A path [lib/] writes during the run (the store, status and checkpoint
+   files, or with [dir] the history directory) must be one before the run
+   starts, or the run's work is lost to it at the end. *)
+let check_path ?(dir = false) path =
+  let kind p =
+    match Unix.stat p with
+    | s -> Ok s.Unix.st_kind
+    | exception Unix.Unix_error (e, _, _) -> Error e
+  in
+  let bad e = fail "%s: %s" path (Unix.error_message e) in
+  (match kind (Filename.dirname path) with
+  | Ok Unix.S_DIR -> ()
+  | Ok _ -> bad Unix.ENOTDIR
+  | Error e -> bad e);
+  match kind path with
+  | Ok Unix.S_DIR when not dir -> bad Unix.EISDIR
+  | Ok k when dir && k <> Unix.S_DIR -> bad Unix.ENOTDIR
+  | Error e when e <> Unix.ENOENT -> bad e
+  | _ -> ()
+
+(* A FILE flag, as the path [lib/] writes ([checked]) or as the path and
+   channel of an output the CLI writes, "-" for stdout ([opened]). *)
+let checked ?dir arg =
+  Term.(const (fun p -> Option.iter (check_path ?dir) p; p) $ arg)
+
+let opened arg =
+  Term.(const (Option.map (fun p -> (p, if p = "-" then stdout else output p))) $ arg)
+
+let file_opt ?vopt ~doc names =
+  Arg.(value & opt ?vopt (some string) None & info names ~docv:"FILE" ~doc)
+
+(* A subcommand: its term yields the run, which goes under one net so a
+   file error no check above foresaw (a permission, a full disk) still
+   ends in one line. *)
+let command name ~doc term =
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const (fun run -> try run () with Sys_error m -> fail "%s" m) $ term)
+
+(* ---- converters ---- *)
 
 let policy_conv =
   let parse = function
@@ -56,33 +135,88 @@ let engine_conv =
   in
   Arg.conv (parse, print)
 
-(* Resolve --engine into the engine a command passes as [~engine].
+let of_result_conv of_string to_string =
+  let parse s = Result.map_error (fun m -> `Msg m) (of_string s) in
+  Arg.conv (parse, fun ppf v -> Fmt.string ppf (to_string v))
+
+let faults_conv = of_result_conv Fault_plan.of_string Fault_plan.to_string
+let respond_conv = of_result_conv Respond.mode_of_string Respond.mode_to_string
+
+let burst_conv =
+  of_result_conv
+    (fun s ->
+      Option.to_result (Workload.burst_of_string s)
+        ~none:(Printf.sprintf "unknown burst %S (steady|frontload|wave)" s))
+    Workload.burst_name
+
+let recorder_capacity_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > Flight_recorder.max_capacity ->
+      Error
+        (`Msg
+           (Printf.sprintf "expected at most %d records (the recorder's bound), got %S"
+              Flight_recorder.max_capacity s))
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* ---- what a run executes ---- *)
+
+let app_t =
+  let lookup name =
+    match Buggy_app.by_name name with
+    | Some app -> app
+    | None ->
+      Printf.eprintf "unknown application %S; try 'csod_run list'\n" name;
+      exit 1
+  in
+  Term.(const lookup
+        $ Arg.(required & pos 0 (some string) None
+               & info [] ~docv:"APP" ~doc:"Application name (see $(b,list))."))
+
+(* --engine, resolved into the engine a command passes as [~engine].
    vm-buggy-cycles is the planted miscounting bug kept around for the
    differential-testing net — a live demonstration that the golden pins
    and the sweep catch a one-cycle divergence. *)
-let apply_engine e =
-  Vm.buggy_cycles := e = `Vm_buggy;
-  match e with `Interp -> Engine.Interp | `Vm | `Vm_buggy -> Engine.Vm
+let engine_t =
+  let apply e =
+    Vm.buggy_cycles := e = `Vm_buggy;
+    match e with `Interp -> Engine.Interp | `Vm | `Vm_buggy -> Engine.Vm
+  in
+  Term.(const apply
+        $ Arg.(value & opt engine_conv `Vm
+               & info [ "engine" ] ~docv:"ENGINE"
+                   ~doc:"MiniC execution engine: $(b,vm) (default — compiled \
+                         bytecode, several times faster), $(b,interp) (the \
+                         reference AST interpreter), or $(b,vm-buggy-cycles) (the \
+                         VM with a deliberately planted cycle-miscounting bug, for \
+                         exercising the differential-testing net).  Both real \
+                         engines are observably bit-identical: same virtual \
+                         cycles, detections, output and PRNG stream."))
 
-(* Shared options *)
-let engine_arg =
-  Arg.(value & opt engine_conv `Vm
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"MiniC execution engine: $(b,vm) (default — compiled \
-                 bytecode, several times faster), $(b,interp) (the \
-                 reference AST interpreter), or $(b,vm-buggy-cycles) (the \
-                 VM with a deliberately planted cycle-miscounting bug, for \
-                 exercising the differential-testing net).  Both real \
-                 engines are observably bit-identical: same virtual \
-                 cycles, detections, output and PRNG stream.")
-
-let policy_arg =
-  Arg.(value & opt policy_conv Params.Near_fifo
-       & info [ "policy" ] ~docv:"POLICY" ~doc:"Watchpoint replacement policy.")
+(* The tool configuration: [tool] is --tool's term, or a constant where a
+   command runs CSOD only. *)
+let config_t tool =
+  let config tool policy no_evidence =
+    match tool with
+    | `Csod -> Config.csod_with_policy policy ~evidence:(not no_evidence)
+    | `Asan -> Config.asan_min_redzone
+    | `None -> Config.Baseline
+  in
+  Term.(const config $ tool
+        $ Arg.(value & opt policy_conv Params.Near_fifo
+               & info [ "policy" ] ~docv:"POLICY" ~doc:"Watchpoint replacement policy.")
+        $ Arg.(value & flag & info [ "no-evidence" ] ~doc:"Disable the canary mechanism."))
 
 let tool_arg =
   Arg.(value & opt tool_conv `Csod
        & info [ "tool" ] ~docv:"TOOL" ~doc:"Detection tool to run under.")
+
+let input_t =
+  Term.(const (fun benign -> if benign then Execution.Benign else Execution.Buggy)
+        $ Arg.(value & flag & info [ "benign" ] ~doc:"Use the overflow-free input."))
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Execution seed.")
@@ -90,23 +224,13 @@ let seed_arg =
 let runs_arg =
   Arg.(value & opt int 1 & info [ "runs" ] ~docv:"N" ~doc:"Number of executions.")
 
-let no_evidence_arg =
-  Arg.(value & flag & info [ "no-evidence" ] ~doc:"Disable the canary mechanism.")
+let store_t =
+  checked
+    (file_opt [ "store" ]
+       ~doc:"Load/save the persistent store of overflowing contexts.")
 
-let benign_arg =
-  Arg.(value & flag & info [ "benign" ] ~doc:"Use the overflow-free input.")
-
-let store_arg =
-  Arg.(value & opt (some string) None
-       & info [ "store" ] ~docv:"FILE"
-           ~doc:"Load/save the persistent store of overflowing contexts.")
-
-let faults_conv =
-  let parse s =
-    match Fault_plan.of_string s with Ok p -> Ok p | Error m -> Error (`Msg m)
-  in
-  let print ppf p = Fmt.string ppf (Fault_plan.to_string p) in
-  Arg.conv (parse, print)
+let load_store = function None -> Persist.create () | Some file -> Persist.load file
+let save_store ?faults store = Option.iter (Persist.save ?faults store)
 
 let faults_arg =
   Arg.(value & opt (some faults_conv) None
@@ -122,15 +246,6 @@ let faults_arg =
                  own PRNG stream, so a plan of $(b,none) is bit-identical \
                  to no plan.")
 
-let respond_conv =
-  let parse s =
-    match Respond.mode_of_string s with
-    | Ok m -> Ok m
-    | Error m -> Error (`Msg m)
-  in
-  let print ppf m = Fmt.string ppf (Respond.mode_to_string m) in
-  Arg.conv (parse, print)
-
 let respond_arg =
   Arg.(value & opt respond_conv Respond.Off
        & info [ "respond" ] ~docv:"MODE"
@@ -143,58 +258,15 @@ let respond_arg =
                  default 3 — its allocation sites are over-allocated and \
                  redzoned so the overflow becomes harmless).")
 
-(* Telemetry options *)
-let metrics_arg =
-  Arg.(value & flag
-       & info [ "metrics" ]
-           ~doc:"Print the metrics registry and per-phase cycle attribution \
-                 after the run.")
+let print_fault_summary = function
+  | None -> ()
+  | Some inj -> Printf.printf "faults: %s\n" (Fault_injector.summary inj)
 
-let profile_arg =
-  Arg.(value & flag
-       & info [ "profile" ]
-           ~doc:"Print the per-phase cycle-attribution table after the run.")
+let color_t =
+  Term.(const (fun no_color -> (not no_color) && Unix.isatty Unix.stdout)
+        $ Arg.(value & flag & info [ "no-color" ] ~doc:"Disable ANSI colors."))
 
-let metrics_json_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-json" ] ~docv:"FILE"
-           ~doc:"Write the full telemetry dump (counters, gauges, histograms, \
-                 per-phase cycles) as JSON to $(docv) ($(b,-) for stdout).")
-
-let events_arg =
-  Arg.(value & opt (some string) None
-       & info [ "events" ] ~docv:"FILE"
-           ~doc:"Stream the flight recorder's lifecycle records (allocations, \
-                 sampling decisions, watchpoint installs/evictions, traps, \
-                 canary checks, detections, probability changes, phases) and \
-                 periodic snapshots as JSONL to $(docv) ($(b,-) for stdout).  \
-                 Implies a recorder.")
-
-let snapshot_arg =
-  Arg.(value & opt (some float) None
-       & info [ "snapshot-sec" ] ~docv:"SECS"
-           ~doc:"Emit a telemetry snapshot event every $(docv) of virtual time \
-                 (requires $(b,--events)).")
-
-let snapshot_cycles_of = function
-  | None -> 0
-  | Some sec ->
-    if sec <= 0.0 then 0
-    else int_of_float (sec *. float_of_int Cost.cycles_per_second)
-
-(* Flight recorder options *)
-let recorder_capacity_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > Flight_recorder.max_capacity ->
-      Error
-        (`Msg
-           (Printf.sprintf "expected at most %d records (the recorder's bound), got %S"
-              Flight_recorder.max_capacity s))
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
+(* ---- observing an execution: run, exec and explain ---- *)
 
 let flight_arg =
   Arg.(value
@@ -209,86 +281,116 @@ let flight_arg =
                     most %d."
                    Flight_recorder.default_capacity Flight_recorder.max_capacity))
 
-let trace_out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace-out" ] ~docv:"FILE"
-           ~doc:"Write the recorded execution as Chrome trace-event JSON to \
-                 $(docv) ($(b,-) for stdout) — open it in chrome://tracing or \
-                 ui.perfetto.dev.  Implies $(b,--flight-recorder).")
+let trace_out_t =
+  opened
+    (file_opt [ "trace-out" ]
+       ~doc:"Write the recorded execution as Chrome trace-event JSON to \
+             $(docv) ($(b,-) for stdout) — open it in chrome://tracing or \
+             ui.perfetto.dev.  Implies $(b,--flight-recorder).")
 
-(* [--trace-out] and [--events] read the recorder, so they imply one. *)
-let recorder_capacity ~flight ~trace_out ~events =
-  match flight with
-  | Some n -> Some n
-  | None when trace_out <> None || events <> None ->
-    Some Flight_recorder.default_capacity
-  | None -> None
+let write_trace ((path, _) as out) records =
+  put out (Trace_export.to_string ~cycles_per_second:Cost.cycles_per_second records);
+  if path <> "-" then Printf.printf "trace written to %s\n" path
 
-let write_trace file records =
-  let s =
-    Trace_export.to_string ~cycles_per_second:Cost.cycles_per_second records
+type observe = {
+  metrics : bool;
+  profile : bool;
+  metrics_json : (string * out_channel) option;
+  events : (string * out_channel) option;
+  snapshot_cycles : int;
+  capacity : int option;  (* a recorder per execution, when any flag reads one *)
+  shown : bool;           (* --flight-recorder or --trace-out: print the recording *)
+  trace_out : (string * out_channel) option;
+}
+
+let observe_t =
+  let make metrics profile metrics_json events snapshot_sec flight trace_out =
+    { metrics; profile; metrics_json; events;
+      snapshot_cycles =
+        (match snapshot_sec with
+        | Some sec when sec > 0.0 ->
+          int_of_float (sec *. float_of_int Cost.cycles_per_second)
+        | _ -> 0);
+      (* [--trace-out] and [--events] read the recorder, so they imply one. *)
+      capacity =
+        (match flight with
+        | None when trace_out <> None || events <> None ->
+          Some Flight_recorder.default_capacity
+        | capacity -> capacity);
+      shown = flight <> None || trace_out <> None;
+      trace_out }
   in
-  match file with
-  | "-" ->
-    print_string s;
-    print_newline ()
-  | file ->
-    Out_channel.with_open_text file (fun oc ->
-        output_string oc s;
-        output_char oc '\n');
-    Printf.printf "trace written to %s\n" file
+  Term.(const make
+        $ Arg.(value & flag
+               & info [ "metrics" ]
+                   ~doc:"Print the metrics registry and per-phase cycle \
+                         attribution after the run.")
+        $ Arg.(value & flag
+               & info [ "profile" ]
+                   ~doc:"Print the per-phase cycle-attribution table after the run.")
+        $ opened
+            (file_opt [ "metrics-json" ]
+               ~doc:"Write the full telemetry dump (counters, gauges, histograms, \
+                     per-phase cycles) as JSON to $(docv) ($(b,-) for stdout).")
+        $ opened
+            (file_opt [ "events" ]
+               ~doc:"Stream the flight recorder's lifecycle records (allocations, \
+                     sampling decisions, watchpoint installs/evictions, traps, \
+                     canary checks, detections, probability changes, phases) and \
+                     periodic snapshots as JSONL to $(docv) ($(b,-) for stdout).  \
+                     Implies a recorder.")
+        $ Arg.(value & opt (some float) None
+               & info [ "snapshot-sec" ] ~docv:"SECS"
+                   ~doc:"Emit a telemetry snapshot event every $(docv) of virtual \
+                         time (requires $(b,--events)).")
+        $ flight_arg $ trace_out_t)
 
-(* The recorder's summary line, and its trace if [--trace-out] asked. *)
-let print_recording ~trace_out r =
-  Printf.printf "flight recorder: %d records kept (%d emitted, %d overwritten)\n"
-    (Flight_recorder.recorded r - Flight_recorder.dropped r)
-    (Flight_recorder.recorded r) (Flight_recorder.dropped r);
-  Option.iter (fun file -> write_trace file (Flight_recorder.records r)) trace_out
-
-(* Run [f] with a JSONL event sink streaming to [file], if one was asked
-   for. *)
-let with_events file f =
-  match file with
-  | None -> f ()
-  | Some "-" ->
-    Event_sink.install (Event_sink.to_channel stdout);
-    Fun.protect
-      ~finally:(fun () -> Event_sink.uninstall (); flush stdout)
-      f
-  | Some file ->
-    Out_channel.with_open_text file (fun oc ->
-        Event_sink.install (Event_sink.to_channel oc);
-        Fun.protect ~finally:Event_sink.uninstall f)
-
-let emit_telemetry ~metrics ~profile ~metrics_json tele ~cycles =
-  if metrics then print_string (Telemetry.summary tele ~total_cycles:cycles)
-  else if profile then print_string (Telemetry.profile_table tele ~total_cycles:cycles);
-  if metrics || profile then print_newline ();
-  match metrics_json with
-  | None -> ()
-  | Some "-" -> print_endline (Telemetry.json_string tele ~total_cycles:cycles)
-  | Some file ->
-    Out_channel.with_open_text file (fun oc ->
-        output_string oc (Telemetry.json_string tele ~total_cycles:cycles);
-        output_char oc '\n')
-
-let config_of ~tool ~policy ~no_evidence =
-  match tool with
-  | `Csod -> Config.csod_with_policy policy ~evidence:(not no_evidence)
-  | `Asan -> Config.asan_min_redzone
-  | `None -> Config.Baseline
-
-let load_store = function
-  | None -> Persist.create ()
-  | Some file -> Persist.load file
-
-let save_store ?faults store = function
-  | None -> ()
-  | Some file -> Persist.save ?faults store file
-
-let print_fault_summary = function
-  | None -> ()
-  | Some inj -> Printf.printf "faults: %s\n" (Fault_injector.summary inj)
+(* Run [f] under the observation flags, streaming --events throughout.
+   [f] wraps each execution in the [recorded] it is given — a fresh
+   recorder per execution, so the kept recording is one coherent run, not
+   a splice — and returns the final outcome.  Its telemetry and recording
+   are shown after; [final] is its seed when it was not the only
+   execution, since each execution runs on a fresh machine and registries
+   are not carried across runs. *)
+let observed o ?final f =
+  let recording = ref None in
+  let recorded execute =
+    match o.capacity with
+    | None -> execute ()
+    | Some capacity ->
+      let r = Flight_recorder.create ~capacity () in
+      recording := Some r;
+      Flight_recorder.with_recorder r execute
+  in
+  let last =
+    match o.events with
+    | None -> f recorded
+    | Some (_, oc) ->
+      Event_sink.install (Event_sink.to_channel oc);
+      Fun.protect ~finally:Event_sink.uninstall (fun () -> f recorded)
+  in
+  Option.iter
+    (fun (out : Execution.outcome) ->
+      let tele = out.Execution.telemetry and total_cycles = out.Execution.cycles in
+      if o.metrics || o.profile then
+        Option.iter (Printf.printf "(telemetry of the final execution, seed %d)\n") final;
+      if o.metrics then print_string (Telemetry.summary tele ~total_cycles)
+      else if o.profile then print_string (Telemetry.profile_table tele ~total_cycles);
+      if o.metrics || o.profile then print_newline ();
+      Option.iter
+        (fun out -> put out (Telemetry.json_string tele ~total_cycles))
+        o.metrics_json)
+    last;
+  (* A recorder implied only by --events leaves stdout as it was. *)
+  (match !recording with
+  | Some r when o.shown ->
+    Option.iter (Printf.printf "(flight recording of the final execution, seed %d)\n") final;
+    Printf.printf "flight recorder: %d records kept (%d emitted, %d overwritten)\n"
+      (Flight_recorder.recorded r - Flight_recorder.dropped r)
+      (Flight_recorder.recorded r) (Flight_recorder.dropped r);
+    Option.iter (fun out -> write_trace out (Flight_recorder.records r)) o.trace_out
+  | _ -> ());
+  last
 
 (* ---- list ---- *)
 
@@ -301,8 +403,7 @@ let list_cmd =
           a.Buggy_app.reference)
       (Buggy_app.all ())
   in
-  Cmd.v (Cmd.info "list" ~doc:"List the bundled buggy applications.")
-    Term.(const run $ const ())
+  command "list" ~doc:"List the bundled buggy applications." (Term.const run)
 
 (* ---- run ---- *)
 
@@ -351,351 +452,208 @@ let print_outcome ~symbolize (o : Execution.outcome) =
        canary-only detection\n"
 
 let run_cmd =
-  let app_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"APP" ~doc:"Application name (see $(b,list)).")
-  in
-  let run name engine tool policy no_evidence benign seed runs store_file
-      faults respond metrics profile metrics_json events snapshot_sec flight
-      trace_out =
-    let engine = apply_engine engine in
-    match Buggy_app.by_name name with
-    | None ->
-      Printf.eprintf "unknown application %S; try 'csod_run list'\n" name;
-      exit 1
-    | Some app ->
-      let config = config_of ~tool ~policy ~no_evidence in
-      let store = load_store store_file in
-      let input = if benign then Execution.Benign else Execution.Buggy in
-      let snapshot_cycles = snapshot_cycles_of snapshot_sec in
-      let cap = recorder_capacity ~flight ~trace_out ~events in
-      let detected = ref 0 in
-      let survived = ref 0 in
-      let last = ref None in
-      let last_rec = ref None in
-      with_events events (fun () ->
+  let run app engine config input seed runs store_file faults respond obs () =
+    let store = load_store store_file in
+    let final = if runs > 1 then Some (seed + runs - 1) else None in
+    let last =
+      observed obs ?final (fun recorded ->
+          let detected = ref 0 and survived = ref 0 and last = ref None in
           for s = seed to seed + runs - 1 do
-            let execute () =
-              Execution.run ~app ~config ~engine ~input ~seed:s ~store
-                ~respond ~snapshot_cycles ?faults ()
-            in
             let o =
-              match cap with
-              | None -> execute ()
-              | Some capacity ->
-                (* A fresh recorder per execution so the kept recording is
-                   one coherent run, not a splice. *)
-                let r = Flight_recorder.create ~capacity () in
-                last_rec := Some r;
-                Flight_recorder.with_recorder r execute
+              recorded (fun () ->
+                  Execution.run ~app ~config ~engine ~input ~seed:s ~store
+                    ~respond ~snapshot_cycles:obs.snapshot_cycles ?faults ())
             in
             if runs = 1 then print_outcome ~symbolize:(Execution.symbolizer app) o;
             if o.Execution.detected then incr detected;
             if o.Execution.survived then incr survived;
             last := Some o
-          done);
-      if runs > 1 then begin
-        Printf.printf "%s: detected in %d/%d executions (%s)\n" app.Buggy_app.name
-          !detected runs (Config.label config);
-        if respond = Respond.Oblivious then
-          Printf.printf "%s: survived %d/%d executions under oblivious mode\n"
-            app.Buggy_app.name !survived runs;
-        match !last with
-        | Some o ->
-          print_fault_summary o.Execution.faults;
-          if o.Execution.degraded then
-            Printf.printf "(final execution degraded to canary-only mode)\n"
-        | None -> ()
-      end;
-      (match !last with
-      | Some o ->
-        (* With --runs > 1 the telemetry shown is the final execution's:
-           each execution runs on a fresh machine, so registries are not
-           carried across runs. *)
-        if (metrics || profile) && runs > 1 then
-          Printf.printf "(telemetry of the final execution, seed %d)\n"
-            (seed + runs - 1);
-        emit_telemetry ~metrics ~profile ~metrics_json o.Execution.telemetry
-          ~cycles:o.Execution.cycles
-      | None -> ());
-      (* A recorder implied only by --events leaves stdout as it was. *)
-      (match !last_rec with
-      | Some r when flight <> None || trace_out <> None ->
-        if runs > 1 then
-          Printf.printf "(flight recording of the final execution, seed %d)\n"
-            (seed + runs - 1);
-        print_recording ~trace_out r
-      | _ -> ());
-      save_store
-        ?faults:(match !last with Some o -> o.Execution.faults | None -> None)
-        store store_file
+          done;
+          if runs > 1 then begin
+            Printf.printf "%s: detected in %d/%d executions (%s)\n" app.Buggy_app.name
+              !detected runs (Config.label config);
+            if respond = Respond.Oblivious then
+              Printf.printf "%s: survived %d/%d executions under oblivious mode\n"
+                app.Buggy_app.name !survived runs;
+            Option.iter
+              (fun o ->
+                print_fault_summary o.Execution.faults;
+                if o.Execution.degraded then
+                  Printf.printf "(final execution degraded to canary-only mode)\n")
+              !last
+          end;
+          !last)
+    in
+    save_store ?faults:(Option.bind last (fun o -> o.Execution.faults)) store store_file
   in
-  Cmd.v
-    (Cmd.info "run" ~doc:"Run a bundled buggy application under a detection tool.")
-    Term.(const run $ app_arg $ engine_arg $ tool_arg $ policy_arg $ no_evidence_arg $ benign_arg
-          $ seed_arg $ runs_arg $ store_arg $ faults_arg $ respond_arg
-          $ metrics_arg $ profile_arg $ metrics_json_arg $ events_arg
-          $ snapshot_arg $ flight_arg $ trace_out_arg)
+  command "run" ~doc:"Run a bundled buggy application under a detection tool."
+    Term.(const run $ app_t $ engine_t $ config_t tool_arg $ input_t $ seed_arg
+          $ runs_arg $ store_t $ faults_arg $ respond_arg $ observe_t)
 
 (* ---- explain: post-mortem diagnosis ---- *)
 
 let explain_cmd =
-  let app_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"APP" ~doc:"Application name (see $(b,list)).")
+  let run app config input seed runs flight trace_out () =
+    let capacity =
+      Option.value flight ~default:Flight_recorder.default_capacity
+    in
+    let a = Postmortem.analyze ~app ~config ~input ~seed ~capacity () in
+    Printf.printf "%s, %s, seed %d\n" app.Buggy_app.name (Config.label config)
+      seed;
+    print_string (Postmortem.render ~symbolize:(Execution.symbolizer app) a);
+    Option.iter (fun out -> write_trace out a.Postmortem.records) trace_out;
+    if runs > 1 then begin
+      Printf.printf "\n=== miss attribution over %d runs (seeds %d..%d) ===\n"
+        runs seed (seed + runs - 1);
+      List.iter
+        (fun (label, n) ->
+          Printf.printf "  %-24s %5d  (%.1f%%)\n" label n
+            (100.0 *. float_of_int n /. float_of_int runs))
+        (Effectiveness.miss_attribution ~app ~config ~runs ~from_seed:seed ())
+    end
   in
-  let run name policy no_evidence benign seed runs flight trace_out =
-    match Buggy_app.by_name name with
-    | None ->
-      Printf.eprintf "unknown application %S; try 'csod_run list'\n" name;
-      exit 1
-    | Some app ->
-      let config = Config.csod_with_policy policy ~evidence:(not no_evidence) in
-      let input = if benign then Execution.Benign else Execution.Buggy in
-      let capacity =
-        Option.value flight ~default:Flight_recorder.default_capacity
-      in
-      let a = Postmortem.analyze ~app ~config ~input ~seed ~capacity () in
-      Printf.printf "%s, %s, seed %d\n" app.Buggy_app.name (Config.label config)
-        seed;
-      print_string (Postmortem.render ~symbolize:(Execution.symbolizer app) a);
-      (match trace_out with
-      | Some file -> write_trace file a.Postmortem.records
-      | None -> ());
-      if runs > 1 then begin
-        Printf.printf "\n=== miss attribution over %d runs (seeds %d..%d) ===\n"
-          runs seed (seed + runs - 1);
-        let tally =
-          Effectiveness.miss_attribution ~app ~config ~runs ~from_seed:seed ()
-        in
-        List.iter
-          (fun (label, n) ->
-            Printf.printf "  %-24s %5d  (%.1f%%)\n" label n
-              (100.0 *. float_of_int n /. float_of_int runs))
-          tally
-      end
+  command "explain"
+    ~doc:"Post-mortem diagnosis: run an app under CSOD with a flight \
+          recorder plus the ground-truth oracle, and explain why the bug \
+          was detected or missed (failed coin flips, lost watchpoints, \
+          probability timeline).  With $(b,--runs) N, also tally the \
+          verdicts across N seeds."
+    Term.(const run $ app_t $ config_t (const `Csod) $ input_t $ seed_arg
+          $ runs_arg $ flight_arg $ trace_out_t)
+
+(* ---- the fleet's shape: fleet and serve ---- *)
+
+type fleet = {
+  app : Buggy_app.t;
+  config : Config.t;
+  workload : Workload.t;
+  domains : int;
+  epoch_size : int;
+  faults : Fault_plan.t option;
+  patch_threshold : int option;  (* --respond patch=N, for the health tallies *)
+  execute : Execution.outcome Fleet.executor;
+}
+
+(* The flags both commands share; only the defaults of --users and --burst
+   differ. *)
+let fleet_t ~users ~burst =
+  let make app engine config users domains epoch_size benign_frac burst
+      wave_period seed faults respond =
+    { app; config; domains; epoch_size; faults;
+      workload =
+        Workload.make ~benign_frac ~base_seed:seed ~burst ~wave_period ~users ();
+      patch_threshold =
+        (match respond with Respond.Patch n -> Some n | _ -> None);
+      execute = Execution.executor ~app ~config ~engine ~respond ?faults () }
   in
-  Cmd.v
-    (Cmd.info "explain"
-       ~doc:"Post-mortem diagnosis: run an app under CSOD with a flight \
-             recorder plus the ground-truth oracle, and explain why the bug \
-             was detected or missed (failed coin flips, lost watchpoints, \
-             probability timeline).  With $(b,--runs) N, also tally the \
-             verdicts across N seeds.")
-    Term.(const run $ app_arg $ policy_arg $ no_evidence_arg $ benign_arg
-          $ seed_arg $ runs_arg $ flight_arg $ trace_out_arg)
+  Term.(const make $ app_t $ engine_t $ config_t (const `Csod)
+        $ Arg.(value & opt int users
+               & info [ "users" ] ~docv:"N"
+                   ~doc:"Population: arrivals stop once $(docv) users have been \
+                         admitted ($(b,serve) keeps observing the idle fleet).")
+        $ Arg.(value & opt int (Pool.default_domains ())
+               & info [ "domains" ] ~docv:"N"
+                   ~doc:"Domains executing users in parallel (default: the \
+                         hardware's recommended count).  Reports, history, \
+                         alerts and the status snapshot are bit-identical for \
+                         every value; only their wall-clock fields change.")
+        $ Arg.(value & opt int 32
+               & info [ "epoch" ] ~docv:"N"
+                   ~doc:"Mean arrivals per epoch.  Evidence is exchanged only at \
+                         epoch barriers (periodic fleet report upload): contexts \
+                         found in epoch $(i,e) are pinned from epoch $(i,e+1) on.")
+        $ Arg.(value & opt float 0.0
+               & info [ "benign-frac" ] ~docv:"F"
+                   ~doc:"Fraction of users running the overflow-free input.")
+        $ Arg.(value & opt burst_conv burst
+               & info [ "burst" ] ~docv:"SHAPE"
+                   ~doc:"Arrival shape: steady, frontload (launch spike) or wave \
+                         (diurnal traffic, what a service sees).")
+        $ Arg.(value & opt int 2
+               & info [ "wave-period" ] ~docv:"N"
+                   ~doc:"Full heavy+light cycle of the $(b,wave) burst, in epochs \
+                         (the heavy half comes first, so even a period longer than \
+                         the run admits its launch cohort at epoch 0).")
+        $ seed_arg $ faults_arg $ respond_arg)
 
 (* ---- fleet ---- *)
 
-let burst_conv =
-  let parse s =
-    match Workload.burst_of_string s with
-    | Some b -> Ok b
-    | None ->
-      Error (`Msg (Printf.sprintf "unknown burst %S (steady|frontload|wave)" s))
-  in
-  let print ppf b = Fmt.string ppf (Workload.burst_name b) in
-  Arg.conv (parse, print)
-
 let fleet_cmd =
-  let app_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"APP" ~doc:"Application name.")
-  in
-  let users_arg =
-    Arg.(value & opt int 1000 & info [ "users" ] ~docv:"N" ~doc:"Fleet size.")
-  in
-  let domains_arg =
-    Arg.(value & opt int (Pool.default_domains ())
-         & info [ "domains" ] ~docv:"N"
-             ~doc:"Domains executing users in parallel (default: the \
-                   hardware's recommended count).  The report is identical \
-                   for every value; only the wall clock changes.")
-  in
-  let epoch_arg =
-    Arg.(value & opt int 32
-         & info [ "epoch" ] ~docv:"N"
-             ~doc:"Mean arrivals per epoch.  Evidence is exchanged only at \
-                   epoch barriers (periodic fleet report upload): contexts \
-                   found in epoch $(i,e) are pinned from epoch $(i,e+1) on.")
-  in
-  let benign_frac_arg =
-    Arg.(value & opt float 0.0
-         & info [ "benign-frac" ] ~docv:"F"
-             ~doc:"Fraction of users running the overflow-free input.")
-  in
-  let burst_arg =
-    Arg.(value & opt burst_conv Workload.Steady
-         & info [ "burst" ] ~docv:"SHAPE"
-             ~doc:"Arrival shape: steady, frontload (launch spike) or wave.")
-  in
-  let wave_period_arg =
-    Arg.(value & opt int 2
-         & info [ "wave-period" ] ~docv:"N"
-             ~doc:"Full heavy+light cycle of the $(b,wave) burst, in epochs \
-                   (the heavy half comes first, so even a period longer than \
-                   the run admits its launch cohort at epoch 0).")
-  in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit the full fleet report as one JSON object on stdout \
-                   (schema csod.fleet.report/1) instead of the summary.")
-  in
   let live_arg =
-    Arg.(value & opt ~vopt:(Some "-") (some string) None
-         & info [ "live" ] ~docv:"FILE"
-             ~doc:"Stream one csod.fleet.health/2 JSONL record per epoch \
-                   barrier to $(docv) (default stdout), flushed line by \
-                   line — tail it, or watch it with $(b,csod_run top).")
+    file_opt [ "live" ] ~vopt:(Some "-")
+      ~doc:"Stream one csod.fleet.health/2 JSONL record per epoch \
+            barrier to $(docv) (default stdout), flushed line by \
+            line — tail it, or watch it with $(b,csod_run top)."
   in
-  let fleet_trace_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace-out" ] ~docv:"FILE"
-             ~doc:"Write the run's wall-clock timeline (per-domain user \
-                   chunks, barrier waits, merges) as Chrome trace-event JSON \
-                   to $(docv) ($(b,-) for stdout) — open it in \
-                   ui.perfetto.dev.")
+  let trace_arg =
+    file_opt [ "trace-out" ]
+      ~doc:"Write the run's wall-clock timeline (per-domain user \
+            chunks, barrier waits, merges) as Chrome trace-event JSON \
+            to $(docv) ($(b,-) for stdout) — open it in \
+            ui.perfetto.dev."
   in
-  let run name engine users domains epoch benign_frac burst wave_period seed
-      policy no_evidence store_file faults respond json live trace_out =
-    let engine = apply_engine engine in
-    match Buggy_app.by_name name with
-    | None ->
-      Printf.eprintf "unknown application %S\n" name;
-      exit 1
-    | Some app ->
-      let config = config_of ~tool:`Csod ~policy ~no_evidence in
-      let workload =
-        Workload.make ~benign_frac ~base_seed:seed ~burst ~wave_period ~users
-          ()
-      in
-      (* The live stream goes through the fleet's health callback — invoked
-         at barriers, in the main domain — NOT through a process-global
-         event sink, which runtime trace points would race from the worker
-         domains. *)
-      let with_live f =
-        match live with
-        | None -> f None
-        | Some "-" -> f (Some stdout)
-        | Some file -> Out_channel.with_open_text file (fun oc -> f (Some oc))
-      in
-      with_live (fun live_oc ->
-          let on_health =
-            Option.map
-              (fun oc s ->
-                output_string oc (Obs_json.to_string (Health.to_json s));
-                output_char oc '\n';
-                (* Line-by-line flush: the stream is tail-able while the
-                   run is still going. *)
-                flush oc)
-              live_oc
-          in
-          let cfg =
-            Fleet.config ~domains ~epoch_size:epoch ?faults
-              ~trace:(trace_out <> None)
-              ?on_health
-              ?patch_threshold:
-                (match respond with Respond.Patch n -> Some n | _ -> None)
-              workload
-          in
-          let store =
-            match store_file with Some f -> Some (Persist.load f) | None -> None
-          in
-          let report =
-            Fleet.run ?store cfg
-              ~execute:
-                (Execution.executor ~app ~config ~engine ~respond ?faults ())
-          in
-          save_store ?faults:report.Fleet.faults report.Fleet.store store_file;
-          (match trace_out with
-          | None -> ()
-          | Some out ->
-            let s =
-              Trace_export.fleet_spans_to_string ~domains
-                report.Fleet.trace_spans
-            in
-            (match out with
-            | "-" -> print_endline s
-            | file ->
-              Out_channel.with_open_text file (fun oc ->
-                  output_string oc s;
-                  output_char oc '\n');
-              (* stderr: stdout may be carrying --json or --live=- *)
-              Printf.eprintf "fleet trace written to %s\n" file));
-          if json then
-            print_endline
-              (Obs_json.to_string
-                 (Fleet.to_json ~app:app.Buggy_app.name
-                    ~config:(Config.label config) report))
-          else if live <> Some "-" then begin
-            Printf.printf "%s under %s\n" app.Buggy_app.name
-              (Config.label config);
-            print_string (Fleet.summary report);
-            match report.Fleet.faults with
-            | Some inj ->
-              Printf.printf "pool faults: %s\n" (Fault_injector.summary inj)
-            | None -> ()
-          end)
+  let run f store_file json live trace_out () =
+    (* The live stream goes through the fleet's health callback — invoked
+       at barriers, in the main domain — NOT through a process-global
+       event sink, which runtime trace points would race from the worker
+       domains. *)
+    let on_health =
+      Option.map
+        (fun ((_, oc) as out) s ->
+          put out (Obs_json.to_string (Health.to_json s));
+          (* Line-by-line flush: the stream is tail-able while the run is
+             still going. *)
+          flush oc)
+        live
+    in
+    let cfg =
+      Fleet.config ~domains:f.domains ~epoch_size:f.epoch_size ?faults:f.faults
+        ~trace:(trace_out <> None) ?on_health ?patch_threshold:f.patch_threshold
+        f.workload
+    in
+    let report =
+      Fleet.run ?store:(Option.map Persist.load store_file) cfg ~execute:f.execute
+    in
+    save_store ?faults:report.Fleet.faults report.Fleet.store store_file;
+    Option.iter
+      (fun ((path, _) as out) ->
+        put out
+          (Trace_export.fleet_spans_to_string ~domains:f.domains
+             report.Fleet.trace_spans);
+        (* stderr: stdout may be carrying --json or --live=- *)
+        if path <> "-" then Printf.eprintf "fleet trace written to %s\n" path)
+      trace_out;
+    if json then
+      print_endline
+        (Obs_json.to_string
+           (Fleet.to_json ~app:f.app.Buggy_app.name
+              ~config:(Config.label f.config) report))
+    else if Option.map fst live <> Some "-" then begin
+      Printf.printf "%s under %s\n" f.app.Buggy_app.name (Config.label f.config);
+      print_string (Fleet.summary report);
+      match report.Fleet.faults with
+      | Some inj -> Printf.printf "pool faults: %s\n" (Fault_injector.summary inj)
+      | None -> ()
+    end
   in
-  Cmd.v
-    (Cmd.info "fleet"
-       ~doc:"Crowdsourcing simulation: a parallel fleet of users sharing \
-             overflow evidence at epoch barriers.")
-    Term.(const run $ app_arg $ engine_arg $ users_arg $ domains_arg
-          $ epoch_arg $ benign_frac_arg $ burst_arg $ wave_period_arg
-          $ seed_arg $ policy_arg $ no_evidence_arg $ store_arg $ faults_arg
-          $ respond_arg $ json_arg $ live_arg $ fleet_trace_arg)
+  command "fleet"
+    ~doc:"Crowdsourcing simulation: a parallel fleet of users sharing \
+          overflow evidence at epoch barriers."
+    Term.(const run $ fleet_t ~users:1000 ~burst:Workload.Steady $ store_t
+          $ Arg.(value & flag
+                 & info [ "json" ]
+                     ~doc:"Emit the full fleet report as one JSON object on stdout \
+                           (schema csod.fleet.report/1) instead of the summary.")
+          $ opened live_arg $ opened trace_arg)
 
 (* ---- serve: long-running service loop over the fleet ---- *)
 
-let no_color_arg =
-  Arg.(value & flag & info [ "no-color" ] ~doc:"Disable ANSI colors.")
-
 let serve_cmd =
-  let app_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"APP" ~doc:"Application name.")
-  in
-  let users_arg =
-    Arg.(value & opt int 100_000
-         & info [ "users" ] ~docv:"N"
-             ~doc:"Population ceiling: arrivals stop once $(docv) users have \
-                   been admitted (the service keeps observing the idle \
-                   fleet).")
-  in
-  let domains_arg =
-    Arg.(value & opt int (Pool.default_domains ())
-         & info [ "domains" ] ~docv:"N"
-             ~doc:"Domains executing users in parallel.  History, alerts and \
-                   the status snapshot (minus its $(b,wall) member) are \
-                   bit-identical for every value.")
-  in
-  let epoch_arg =
-    Arg.(value & opt int 32
-         & info [ "epoch" ] ~docv:"N" ~doc:"Mean arrivals per epoch.")
-  in
   let epochs_arg =
     Arg.(value & opt int 200
          & info [ "epochs" ] ~docv:"N"
              ~doc:"Epoch barriers to drive before exiting (a resumed service \
                    counts the epochs already served).")
-  in
-  let benign_frac_arg =
-    Arg.(value & opt float 0.0
-         & info [ "benign-frac" ] ~docv:"F"
-             ~doc:"Fraction of users running the overflow-free input.")
-  in
-  let burst_arg =
-    Arg.(value & opt burst_conv Workload.Wave
-         & info [ "burst" ] ~docv:"SHAPE"
-             ~doc:"Arrival shape: steady, frontload or wave (default wave — \
-                   diurnal traffic is what a service sees).")
-  in
-  let wave_period_arg =
-    Arg.(value & opt int 2
-         & info [ "wave-period" ] ~docv:"N"
-             ~doc:"Full heavy+light wave cycle, in epochs.")
   in
   let alerts_arg =
     Arg.(value & opt (some string) None
@@ -707,10 +665,9 @@ let serve_cmd =
                    $(b,stall,degraded,skew).")
   in
   let alerts_file_arg =
-    Arg.(value & opt (some string) None
-         & info [ "alerts-file" ] ~docv:"FILE"
-             ~doc:"Read alert rules from $(docv) (one per line, $(b,#) \
-                   comments); combined with $(b,--alerts).")
+    file_opt [ "alerts-file" ]
+      ~doc:"Read alert rules from $(docv) (one per line, $(b,#) \
+            comments); combined with $(b,--alerts)."
   in
   let windows_arg =
     Arg.(value & opt string "1,10,100"
@@ -730,19 +687,17 @@ let serve_cmd =
          & info [ "rotate" ] ~docv:"N" ~doc:"History lines per segment file.")
   in
   let status_file_arg =
-    Arg.(value & opt (some string) None
-         & info [ "status-file" ] ~docv:"FILE"
-             ~doc:"Atomically republish a csod.serve.status/1 snapshot to \
-                   $(docv) at most every 0.1 s of wall time (at every \
-                   barrier when epochs are slower) and on exit — watch it \
-                   with $(b,csod_run top --follow).")
+    file_opt [ "status-file" ]
+      ~doc:"Atomically republish a csod.serve.status/1 snapshot to \
+            $(docv) at most every 0.1 s of wall time (at every \
+            barrier when epochs are slower) and on exit — watch it \
+            with $(b,csod_run top --follow)."
   in
   let checkpoint_file_arg =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ] ~docv:"FILE"
-             ~doc:"Checkpoint the service state to $(docv); a later \
-                   $(b,serve) with the same configuration resumes the same \
-                   deterministic stream from it.")
+    file_opt [ "checkpoint" ]
+      ~doc:"Checkpoint the service state to $(docv); a later \
+            $(b,serve) with the same configuration resumes the same \
+            deterministic stream from it."
   in
   let checkpoint_every_arg =
     Arg.(value & opt int 0
@@ -767,121 +722,91 @@ let serve_cmd =
     then None
     else Some ints
   in
-  let run name engine users domains epoch epochs benign_frac burst wave_period
-      seed policy no_evidence faults respond alerts alerts_file windows
-      history rotate status_file checkpoint checkpoint_every live
-      no_color =
-    let engine = apply_engine engine in
-    match Buggy_app.by_name name with
-    | None ->
-      Printf.eprintf "unknown application %S\n" name;
-      exit 1
-    | Some app ->
-      let rules_spec =
-        String.concat "\n"
-          (Option.to_list alerts
-          @ (match alerts_file with
-            | Some f -> [ In_channel.with_open_text f In_channel.input_all ]
-            | None -> []))
-      in
-      let rules =
-        if rules_spec = "" then Alert.defaults
-        else
-          match Alert.parse rules_spec with
-          | Ok [] -> Alert.defaults
-          | Ok rules -> rules
-          | Error m ->
-            Printf.eprintf "%s\n" m;
-            exit 1
-      in
-      let windows =
-        match parse_windows windows with
-        | Some ws -> ws
-        | None ->
-          Printf.eprintf "bad --windows %S (comma-separated sizes >= 1)\n"
-            windows;
+  let run f epochs alerts alerts_file windows history rotate status_file
+      checkpoint checkpoint_every live color () =
+    let rules_spec =
+      String.concat "\n" (Option.to_list alerts @ Option.to_list (Option.map read alerts_file))
+    in
+    let rules =
+      if rules_spec = "" then Alert.defaults
+      else
+        match Alert.parse rules_spec with
+        | Ok [] -> Alert.defaults
+        | Ok rules -> rules
+        | Error m ->
+          Printf.eprintf "%s\n" m;
           exit 1
-      in
-      let config = config_of ~tool:`Csod ~policy ~no_evidence in
-      let workload =
-        Workload.make ~benign_frac ~base_seed:seed ~burst ~wave_period ~users
-          ()
-      in
-      let cfg =
-        Serve.config ~domains ~epoch_size:epoch ?faults
-          ?patch_threshold:
-            (match respond with Respond.Patch n -> Some n | _ -> None)
-          ~rules ~windows ?history_dir:history ~rotate
-          ?status_path:status_file ?checkpoint_path:checkpoint
-          ~checkpoint_every workload
-      in
-      (match
-         Serve.start cfg
-           ~execute:
-             (Execution.executor ~app ~config ~engine ~respond ?faults ())
-       with
-      | Error m ->
-        Printf.eprintf "serve: %s\n" m;
+    in
+    let windows =
+      match parse_windows windows with
+      | Some ws -> ws
+      | None ->
+        Printf.eprintf "bad --windows %S (comma-separated sizes >= 1)\n"
+          windows;
         exit 1
-      | Ok t ->
-        let color = (not no_color) && Unix.isatty Unix.stdout in
-        let resumed_at = Serve.epoch t in
-        if resumed_at > 0 then
-          Printf.printf "resumed from %s at epoch %d\n"
-            (Option.value checkpoint ~default:"checkpoint") resumed_at;
-        let paint () =
-          if live && color then print_string "\x1b[2J\x1b[H";
-          (match Serve.render_status ~color (Serve.status_json t) with
-          | Some s -> print_string s
-          | None -> ());
-          flush stdout
-        in
-        let fired = ref 0 and cleared = ref 0 and painted = ref false in
-        while Serve.epoch t < epochs do
-          let o = Serve.step t in
-          List.iter
-            (fun (ev : Alert.event) ->
-              if ev.Alert.firing then incr fired else incr cleared;
-              if not live then
-                Printf.printf "[alert] %s %s at epoch %d\n"
-                  (Alert.to_spec ev.Alert.rule)
-                  (if ev.Alert.firing then "FIRING" else "cleared")
-                  ev.Alert.epoch)
-            o.Serve.events;
-          painted := live && o.Serve.refreshed;
-          if !painted then paint ()
-        done;
-        let report = Serve.finish t in
-        (* The final state, unless --live's last barrier just drew it. *)
-        if not !painted then paint ();
-        Printf.printf
-          "served %d epochs: %d arrived, %d detections, %d alerts fired, %d \
-           cleared, %.3f s wall\n"
-          (Serve.epoch t - resumed_at)
-          (Serve.arrived t) (Serve.detections t) !fired !cleared
-          report.Fleet.wall_seconds;
-        (match report.Fleet.first_catch with
-        | Some s ->
+    in
+    let cfg =
+      Serve.config ~domains:f.domains ~epoch_size:f.epoch_size ?faults:f.faults
+        ?patch_threshold:f.patch_threshold ~rules ~windows ?history_dir:history
+        ~rotate ?status_path:status_file ?checkpoint_path:checkpoint
+        ~checkpoint_every f.workload
+    in
+    match Serve.start cfg ~execute:f.execute with
+    | Error m ->
+      Printf.eprintf "serve: %s\n" m;
+      exit 1
+    | Ok t ->
+      let resumed_at = Serve.epoch t in
+      if resumed_at > 0 then
+        Printf.printf "resumed from %s at epoch %d\n"
+          (Option.value checkpoint ~default:"checkpoint") resumed_at;
+      let paint () =
+        if live && color then print_string "\x1b[2J\x1b[H";
+        Option.iter print_string (Serve.render_status ~color (Serve.status_json t));
+        flush stdout
+      in
+      let fired = ref 0 and cleared = ref 0 and painted = ref false in
+      while Serve.epoch t < epochs do
+        let o = Serve.step t in
+        List.iter
+          (fun (ev : Alert.event) ->
+            if ev.Alert.firing then incr fired else incr cleared;
+            if not live then
+              Printf.printf "[alert] %s %s at epoch %d\n"
+                (Alert.to_spec ev.Alert.rule)
+                (if ev.Alert.firing then "FIRING" else "cleared")
+                ev.Alert.epoch)
+          o.Serve.events;
+        painted := live && o.Serve.refreshed;
+        if !painted then paint ()
+      done;
+      let report = Serve.finish t in
+      (* The final state, unless --live's last barrier just drew it. *)
+      if not !painted then paint ();
+      Printf.printf
+        "served %d epochs: %d arrived, %d detections, %d alerts fired, %d \
+         cleared, %.3f s wall\n"
+        (Serve.epoch t - resumed_at)
+        (Serve.arrived t) (Serve.detections t) !fired !cleared
+        report.Fleet.wall_seconds;
+      Option.iter
+        (fun s ->
           Printf.printf "first catch: user #%d in epoch %d\n"
-            s.Fleet.user.Workload.uid s.Fleet.epoch
-        | None -> ()))
+            s.Fleet.user.Workload.uid s.Fleet.epoch)
+        report.Fleet.first_catch
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Run the fleet as a long-lived service in virtual time: \
-             open-ended arrivals, rolling-window telemetry, alert rules, \
-             durable checksummed history, live status snapshots and \
-             checkpoint/resume.  Deterministic: the same seed and schedule \
-             produce bit-identical history and alerts at any \
-             $(b,--domains).")
-    Term.(const run $ app_arg $ engine_arg $ users_arg $ domains_arg
-          $ epoch_arg $ epochs_arg $ benign_frac_arg $ burst_arg
-          $ wave_period_arg
-          $ seed_arg $ policy_arg $ no_evidence_arg $ faults_arg
-          $ respond_arg $ alerts_arg
-          $ alerts_file_arg $ windows_arg $ history_arg $ rotate_arg
-          $ status_file_arg $ checkpoint_file_arg
-          $ checkpoint_every_arg $ live_arg $ no_color_arg)
+  command "serve"
+    ~doc:"Run the fleet as a long-lived service in virtual time: \
+          open-ended arrivals, rolling-window telemetry, alert rules, \
+          durable checksummed history, live status snapshots and \
+          checkpoint/resume.  Deterministic: the same seed and schedule \
+          produce bit-identical history and alerts at any \
+          $(b,--domains)."
+    Term.(const run $ fleet_t ~users:100_000 ~burst:Workload.Wave $ epochs_arg
+          $ alerts_arg $ alerts_file_arg $ windows_arg
+          $ checked ~dir:true history_arg $ rotate_arg
+          $ checked status_file_arg $ checked checkpoint_file_arg
+          $ checkpoint_every_arg $ live_arg $ color_t)
 
 (* ---- replay: re-render and re-check a history directory offline ---- *)
 
@@ -891,16 +816,13 @@ let replay_cmd =
          & info [] ~docv:"DIR"
              ~doc:"History directory written by $(b,serve --history).")
   in
-  let run dir no_color =
+  let run dir color () =
     match Serve.replay dir with
     | Error m ->
       Printf.eprintf "replay: %s\n" m;
       exit 1
     | Ok r ->
-      let color = (not no_color) && Unix.isatty Unix.stdout in
-      (match Serve.render_status ~color r.Serve.status with
-      | Some s -> print_string s
-      | None -> ());
+      Option.iter print_string (Serve.render_status ~color r.Serve.status);
       List.iter
         (fun body ->
           let str k =
@@ -931,13 +853,12 @@ let replay_cmd =
         exit 1
       end
   in
-  Cmd.v
-    (Cmd.info "replay"
-       ~doc:"Rebuild the service's view from its durable history alone: \
-             verify line checksums, re-render the dashboard, re-evaluate the \
-             alert rules over the recorded health stream and compare against \
-             the recorded alert transitions (non-zero exit on mismatch).")
-    Term.(const run $ dir_arg $ no_color_arg)
+  command "replay"
+    ~doc:"Rebuild the service's view from its durable history alone: \
+          verify line checksums, re-render the dashboard, re-evaluate the \
+          alert rules over the recorded health stream and compare against \
+          the recorded alert transitions (non-zero exit on mismatch)."
+    Term.(const run $ dir_arg $ color_t)
 
 (* ---- top: one-screen dashboard over a health stream ---- *)
 
@@ -958,31 +879,25 @@ let top_cmd =
          & info [ "interval" ] ~docv:"SECS"
              ~doc:"Polling interval with $(b,--follow).")
   in
-  let read_samples file =
-    (* Skip blank, foreign and torn lines: the stream may be mid-write
-       when we poll it. *)
-    if not (Sys.file_exists file) then []
-    else
-      In_channel.with_open_text file In_channel.input_lines
-      |> List.filter_map (fun line ->
-             Result.to_option
-               (Result.bind (Obs_json.of_string line) Health.of_json))
-  in
-  (* A status file is a single csod.serve.status/1 object (atomically
-     republished by [serve --status-file]); anything [render_status]
-     refuses is treated as a health JSONL stream. *)
-  let read_status file =
-    if not (Sys.file_exists file) then None
-    else
-      In_channel.with_open_text file In_channel.input_all
-      |> String.trim |> Obs_json.of_string |> Result.to_option
-  in
-  let run file follow interval no_color =
-    let color = (not no_color) && Unix.isatty Unix.stdout in
+  let run file follow interval color () =
     let render () =
-      (match Option.bind (read_status file) (Serve.render_status ~color) with
+      (* A file not there yet is an empty stream.  A status file is a single
+         csod.serve.status/1 object (atomically republished by [serve
+         --status-file]); anything [render_status] refuses is a health
+         JSONL stream, whose blank, foreign and torn lines are skipped: it
+         may be mid-write when we poll it. *)
+      let text = if Sys.file_exists file then read file else "" in
+      (match
+         Option.bind
+           (Result.to_option (Obs_json.of_string (String.trim text)))
+           (Serve.render_status ~color)
+       with
       | Some s -> print_string s
-      | None -> print_string (Health.render ~color (read_samples file)));
+      | None ->
+        String.split_on_char '\n' text
+        |> List.filter_map (fun line ->
+               Result.to_option (Result.bind (Obs_json.of_string line) Health.of_json))
+        |> Health.render ~color |> print_string);
       flush stdout
     in
     if not follow then render ()
@@ -998,13 +913,12 @@ let top_cmd =
       with Sys.Break -> ()
     end
   in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:"Render a fleet health stream (csod.fleet.health/2 JSONL) or a \
-             service status snapshot (csod.serve.status/1, auto-detected) as \
-             a one-screen dashboard: detection CDF, rolling windows, alert \
-             states, throughput, straggler skew, per-domain load bars.")
-    Term.(const run $ file_arg $ follow_arg $ interval_arg $ no_color_arg)
+  command "top"
+    ~doc:"Render a fleet health stream (csod.fleet.health/2 JSONL) or a \
+          service status snapshot (csod.serve.status/1, auto-detected) as \
+          a one-screen dashboard: detection CDF, rolling windows, alert \
+          states, throughput, straggler skew, per-domain load bars."
+    Term.(const run $ file_arg $ follow_arg $ interval_arg $ color_t)
 
 (* ---- sim: deterministic simulation testing with shrinking ---- *)
 
@@ -1036,22 +950,20 @@ let sim_cmd =
                    minimizing it.")
   in
   let out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"FILE"
-             ~doc:"Append each counterexample as one csod.sim.repro/1 JSONL \
-                   line to $(docv).")
+    file_opt [ "out" ]
+      ~doc:"Append each counterexample as one csod.sim.repro/1 JSONL \
+            line to $(docv)."
   in
   let replay_arg =
-    Arg.(value & opt (some string) None
-         & info [ "replay" ] ~docv:"FILE"
-             ~doc:"Re-execute every csod.sim.repro/1 record in $(docv) and \
-                   verify each fails at the recorded step with the recorded \
-                   message and replay hash (bit-identical trace).  Non-zero \
-                   exit on any divergence.")
+    file_opt [ "replay" ]
+      ~doc:"Re-execute every csod.sim.repro/1 record in $(docv) and \
+            verify each fails at the recorded step with the recorded \
+            message and replay hash (bit-identical trace).  Non-zero \
+            exit on any divergence."
   in
   let replay_file file =
     let lines =
-      In_channel.with_open_text file In_channel.input_lines
+      String.split_on_char '\n' (read file)
       |> List.filter (fun l -> String.trim l <> "")
     in
     if lines = [] then begin
@@ -1085,7 +997,7 @@ let sim_cmd =
     Printf.printf "replay: %d records re-executed bit-identically\n"
       (List.length lines)
   in
-  let run alphabets seed runs ops no_shrink out replay =
+  let run alphabets seed runs ops no_shrink out replay () =
     match replay with
     | Some file -> replay_file file
     | None ->
@@ -1103,17 +1015,14 @@ let sim_cmd =
                 exit 1)
             names
       in
-      let out_oc =
-        Option.map (fun f -> open_out_gen [ Open_append; Open_creat ] 0o644 f) out
-      in
+      let out = Option.map (fun f -> (f, output ~append:true f)) out in
       let failures = ref 0 in
       List.iter
         (fun pack ->
-          let fs =
-            Sim.run_packed ~shrink_failures:(not no_shrink) pack ~seed ~runs
-              ~ops
-          in
-          (match fs with
+          (match
+             Sim.run_packed ~shrink_failures:(not no_shrink) pack ~seed ~runs
+               ~ops
+           with
           | [] ->
             Printf.printf "%-18s %d runs x %d ops: ok\n" (Sim.name_of pack)
               runs ops
@@ -1123,32 +1032,26 @@ let sim_cmd =
                 incr failures;
                 Printf.printf "%-18s FAILED\n%s" (Sim.name_of pack)
                   (Sim.summary f);
-                match out_oc with
-                | Some oc ->
-                  output_string oc (Sim.repro_line f);
-                  output_char oc '\n'
-                | None -> ())
+                Option.iter (fun out -> put out (Sim.repro_line f)) out)
               fs);
           flush stdout)
         packs;
-      Option.iter close_out out_oc;
       (match (out, !failures) with
-      | Some file, n when n > 0 ->
+      | Some (file, _), n when n > 0 ->
         Printf.printf "%d counterexample%s appended to %s\n" n
           (if n = 1 then "" else "s")
           file
       | _ -> ());
       if !failures > 0 then exit 1
   in
-  Cmd.v
-    (Cmd.info "sim"
-       ~doc:"Deterministic simulation testing: draw weighted operation \
-             sequences over a stack layer (heap, runtime, fleet, store), \
-             check a model-based invariant after every step, shrink any \
-             counterexample to a minimal operation list, and emit it as a \
-             runnable csod.sim.repro/1 record.  $(b,--replay FILE) \
-             re-executes recorded counterexamples bit-identically (replay \
-             hash over ops, arguments and per-step state digests).")
+  command "sim"
+    ~doc:"Deterministic simulation testing: draw weighted operation \
+          sequences over a stack layer (heap, runtime, fleet, store), \
+          check a model-based invariant after every step, shrink any \
+          counterexample to a minimal operation list, and emit it as a \
+          runnable csod.sim.repro/1 record.  $(b,--replay FILE) \
+          re-executes recorded counterexamples bit-identically (replay \
+          hash over ops, arguments and per-step state digests)."
     Term.(const run $ alphabet_arg $ seed_arg $ sim_runs_arg
           $ ops_arg $ no_shrink_arg $ out_arg $ replay_arg)
 
@@ -1166,11 +1069,8 @@ let validate_cmd =
     Arg.(value & pos 0 string "-"
          & info [] ~docv:"FILE" ~doc:"JSONL input; $(b,-) reads stdin.")
   in
-  let run schema file =
-    let text =
-      if file = "-" then In_channel.input_all stdin
-      else In_channel.with_open_bin file In_channel.input_all
-    in
+  let run schema file () =
+    let text = if file = "-" then In_channel.input_all stdin else read file in
     match Schema.validate Schemas.all ?schema text with
     | Ok n ->
       Printf.printf "%s: %d valid JSONL line(s)%s\n" file n
@@ -1179,12 +1079,11 @@ let validate_cmd =
       Printf.eprintf "%s: %s\n" file e;
       exit 1
   in
-  Cmd.v
-    (Cmd.info "validate"
-       ~doc:"Check that FILE holds one JSON object per line, no torn or \
-             empty line, and that every line tagged with a known csod.* \
-             schema conforms to its spec (a line with an unknown csod.* \
-             tag fails).")
+  command "validate"
+    ~doc:"Check that FILE holds one JSON object per line, no torn or \
+          empty line, and that every line tagged with a known csod.* \
+          schema conforms to its spec (a line with an unknown csod.* \
+          tag fails)."
     Term.(const run $ schema_arg $ file_arg)
 
 (* ---- exec: user-supplied MiniC program ---- *)
@@ -1206,12 +1105,9 @@ let exec_cmd =
     Arg.(value & flag
          & info [ "dump" ] ~doc:"Pretty-print the checked program and exit.")
   in
-  let run file inputs module_name engine tool policy no_evidence seed
-      store_file faults respond dump metrics profile metrics_json events
-      snapshot_sec flight trace_out =
-    let engine = apply_engine engine in
-    let source = In_channel.with_open_text file In_channel.input_all in
-    match Program.load [ { Program.file; module_name; source } ] with
+  let run file inputs module_name engine config seed store_file faults respond
+      dump obs () =
+    match Program.load [ { Program.file; module_name; source = read file } ] with
     | Error errs ->
       List.iter (fun e -> Printf.eprintf "%s\n" (Format.asprintf "%a" Program.pp_error e)) errs;
       exit 1
@@ -1219,37 +1115,23 @@ let exec_cmd =
       print_endline (Pretty.program_to_string (Program.functions program))
     | Ok program ->
       let store = load_store store_file in
-      let execute () =
-        Execution.run_program ~program ~inputs:(Array.of_list inputs) ~engine
-          ~config:(config_of ~tool ~policy ~no_evidence) ~seed ~store ~respond
-          ~snapshot_cycles:(snapshot_cycles_of snapshot_sec) ?faults ()
-      in
-      let recorder =
-        Option.map
-          (fun capacity -> Flight_recorder.create ~capacity ())
-          (recorder_capacity ~flight ~trace_out ~events)
-      in
       let o =
-        with_events events (fun () ->
-            match recorder with
-            | None -> execute ()
-            | Some r -> Flight_recorder.with_recorder r execute)
+        observed obs (fun recorded ->
+            let o =
+              recorded (fun () ->
+                  Execution.run_program ~program ~inputs:(Array.of_list inputs)
+                    ~engine ~config ~seed ~store ~respond
+                    ~snapshot_cycles:obs.snapshot_cycles ?faults ())
+            in
+            print_outcome ~symbolize:(Program.symbolize program) o;
+            Some o)
       in
-      print_outcome ~symbolize:(Program.symbolize program) o;
-      emit_telemetry ~metrics ~profile ~metrics_json o.Execution.telemetry
-        ~cycles:o.Execution.cycles;
-      (match recorder with
-      | Some r when flight <> None || trace_out <> None -> print_recording ~trace_out r
-      | _ -> ());
-      save_store ?faults:o.Execution.faults store store_file
+      save_store ?faults:(Option.bind o (fun o -> o.Execution.faults)) store store_file
   in
-  Cmd.v
-    (Cmd.info "exec" ~doc:"Run a MiniC source file under a detection tool.")
-    Term.(const run $ file_arg $ inputs_arg $ module_arg $ engine_arg
-          $ tool_arg $ policy_arg
-          $ no_evidence_arg $ seed_arg $ store_arg $ faults_arg $ respond_arg
-          $ dump_arg $ metrics_arg $ profile_arg $ metrics_json_arg
-          $ events_arg $ snapshot_arg $ flight_arg $ trace_out_arg)
+  command "exec" ~doc:"Run a MiniC source file under a detection tool."
+    Term.(const run $ file_arg $ inputs_arg $ module_arg $ engine_t
+          $ config_t tool_arg $ seed_arg $ store_t $ faults_arg $ respond_arg
+          $ dump_arg $ observe_t)
 
 let () =
   let info =

@@ -19,7 +19,12 @@ type t = {
   access_backtrace : int list;
       (** innermost first; empty for canary evidence, which only proves the
           write happened, not where *)
-  alloc_backtrace : int list;  (** innermost first *)
+  alloc_backtrace : int list;
+      (** innermost first: the chain saved when the object's (call site,
+          stack offset) pair was first seen, which the context entry holds
+          (paper §III-A1, Fig. 5).  A pair reached through several chains
+          reports its first one, not necessarily the chain that allocated
+          this object (DESIGN.md §7). *)
   ctx_key : Alloc_ctx.key;     (** allocation context of the victim object *)
   object_addr : int;
   watch_addr : int;

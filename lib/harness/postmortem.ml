@@ -32,6 +32,7 @@ type analysis = {
   oracle : Oracle.overflow option;
   target_addr : int option; (* overflowing object's address in this run *)
   target_ctx : int option;
+  target_seq : int option; (* its allocation record's seq *)
   verdict : verdict;
   seed : int;
 }
@@ -43,27 +44,36 @@ let find_alloc_by_index records index =
     (fun r -> match r.kind with Alloc a -> a.index = index | _ -> false)
     records
 
-(* The object's story: records touching [addr] from its allocation up to
-   (and including) the free that ends its life — address reuse by a later
-   object must not bleed in. *)
-let story records ~addr ~from_seq =
-  let rec go acc = function
+(* The story of the object whose allocation record has sequence number
+   [from_seq]: records touching it from that allocation up to (and
+   including) the free that ends its life — address reuse by a later
+   object must not bleed in.  A trap carries the address of the access,
+   not the object's: it is the object's when the access starts inside the
+   object or on the watched word at its boundary. *)
+let story records ~from_seq =
+  let rec go ~addr ~boundary acc = function
     | [] -> List.rev acc
-    | r :: rest when r.seq < from_seq -> go acc rest
     | r :: rest -> (
       let mine a = a = addr in
+      let go = go ~addr ~boundary in
       match r.kind with
       | Free a when mine a.addr -> List.rev (r :: acc)
-      | Alloc a when mine a.addr && r.seq > from_seq -> List.rev acc
-      | Alloc a when mine a.addr -> go (r :: acc) rest
+      | Alloc a when mine a.addr -> List.rev acc
       | Decision a when mine a.addr -> go (r :: acc) rest
       | Watch a when mine a.addr -> go (r :: acc) rest
       | Replace a when mine a.victim || mine a.by -> go (r :: acc) rest
       | Unwatch_free a when mine a.addr -> go (r :: acc) rest
-      | Trap a when mine a.addr -> go (r :: acc) rest
+      | Trap a when a.addr >= addr && a.addr < boundary + 8 -> go (r :: acc) rest
       | Canary_check a when mine a.addr -> go (r :: acc) rest
       | Detection a when mine a.addr -> go (r :: acc) rest
       | _ -> go acc rest)
+  in
+  let rec start = function
+    | r :: rest when r.seq < from_seq -> start rest
+    | ({ kind = Alloc a; _ } as r) :: rest when r.seq = from_seq ->
+      go ~addr:a.addr ~boundary:(Canary.boundary_addr ~app:a.addr ~size:a.size)
+        [ r ] rest
+    | _ -> []
   in
   (* The Watch/Replace record is emitted inside the install that the
      sampling decision triggered, so it carries an earlier seq than its
@@ -76,7 +86,22 @@ let story records ~addr ~from_seq =
     | r :: rest -> r :: reorder rest
     | [] -> []
   in
-  reorder (go [] records)
+  reorder (start records)
+
+(* The allocation record of each detected object, oldest detection first:
+   the latest allocation at the detection's address before it, since the
+   heap reuses addresses. *)
+let detected_allocs records =
+  let latest = Hashtbl.create 64 in
+  List.filter_map
+    (fun r ->
+      match r.kind with
+      | Alloc a ->
+        Hashtbl.replace latest a.addr r;
+        None
+      | Detection d -> Some (Hashtbl.find_opt latest d.addr)
+      | _ -> None)
+    records
 
 let classify ~records ~story:st ~addr =
   let detection =
@@ -150,7 +175,7 @@ let analyze ~(app : Buggy_app.t) ~config ?(input = Execution.Buggy) ?(seed = 1)
     | Error msg, _ -> No_oracle msg
     | Ok _, None -> Record_dropped
     | Ok _, Some (from_seq, addr, _) ->
-      classify ~records ~story:(story records ~addr ~from_seq) ~addr
+      classify ~records ~story:(story records ~from_seq) ~addr
   in
   { outcome;
     records;
@@ -159,6 +184,7 @@ let analyze ~(app : Buggy_app.t) ~config ?(input = Execution.Buggy) ?(seed = 1)
     oracle = (match oracle with Ok ov -> Some ov | Error _ -> None);
     target_addr = Option.map (fun (_, addr, _) -> addr) target;
     target_ctx = Option.map (fun (_, _, ctx) -> ctx) target;
+    target_seq = Option.map (fun (seq, _, _) -> seq) target;
     verdict;
     seed }
 
@@ -168,7 +194,8 @@ let secs at = float_of_int at /. float_of_int Cost.cycles_per_second
 let fmt_t at = Printf.sprintf "t=%10.6fs" (secs at)
 let pct p = Printf.sprintf "%.4f%%" (p *. 100.)
 
-let line_of_record ~symbolize r =
+(* One story line; [addr] is the address of the object whose story it is. *)
+let line_of_record ~symbolize ~addr r =
   let t = fmt_t r.at in
   match r.kind with
   | Alloc a ->
@@ -184,6 +211,10 @@ let line_of_record ~symbolize r =
           else if d.coin then "coin won, but no watchpoint slot yielded"
           else "coin failed -> skip"))
   | Watch _ -> Some (Printf.sprintf "%s  watchpoint installed at object boundary" t)
+  | Replace p when p.by = addr ->
+    Some
+      (Printf.sprintf "%s  took the watchpoint slot from 0x%x (ctx#%d)" t
+         p.victim p.victim_ctx)
   | Replace p ->
     Some
       (Printf.sprintf "%s  EVICTED: watchpoint handed to 0x%x (ctx#%d)" t p.by
@@ -293,33 +324,33 @@ let verdict_sentence = function
 let render ~symbolize a =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  (* The story of the object whose allocation record has seq [from_seq]. *)
+  let add_story from_seq =
+    let st = story a.records ~from_seq in
+    let addr = match st with { kind = Alloc al; _ } :: _ -> al.addr | _ -> -1 in
+    List.iter
+      (fun r -> Option.iter (add "  %s\n") (line_of_record ~symbolize ~addr r))
+      st
+  in
   add "flight recorder: %d records kept (%d emitted, %d overwritten)\n"
     (List.length a.records) a.recorded a.dropped;
-  (* Detections, each with its object's lifecycle span. *)
+  (* Detections, each with its object's lifecycle span.  The ring keeps the
+     newest records, so a dropped detection record is an early one. *)
   (match a.outcome.Execution.reports with
   | [] -> add "\nno detection in this execution.\n"
   | reports ->
+    let allocs = detected_allocs a.records in
+    let lost = List.length reports - List.length allocs in
     List.iteri
       (fun i r ->
         add "\n=== detection #%d: %s ===\n" (i + 1) (Report.one_line ~symbolize r);
-        let addr = r.Report.object_addr in
-        match
-          List.find_opt
-            (fun rec_ -> match rec_.kind with Alloc al -> al.addr = addr | _ -> false)
-            a.records
-        with
-        | None -> add "  (object's allocation record no longer in the ring)\n"
-        | Some alloc_rec ->
-          List.iter
-            (fun rec_ ->
-              match line_of_record ~symbolize rec_ with
-              | Some l -> add "  %s\n" l
-              | None -> ())
-            (story a.records ~addr ~from_seq:alloc_rec.seq))
+        match if i < lost then None else List.nth allocs (i - lost) with
+        | Some alloc -> add_story alloc.seq
+        | None -> add "  (object's allocation record no longer in the ring)\n")
       reports);
   (* The bug itself, detected or missed. *)
-  (match (a.oracle, a.target_addr) with
-  | Some ov, Some addr ->
+  (match (a.oracle, a.target_seq) with
+  | Some ov, Some from_seq ->
     let site, _off = ov.Oracle.alloc_ctx_key in
     add "\n=== the bug (oracle ground truth) ===\n";
     add "overflowing allocation context: %s (ctx#%d), alloc #%d\n"
@@ -331,19 +362,7 @@ let render ~symbolize a =
     | Detected _ -> ()
     | _ ->
       add "\nthe overflowing object's life:\n";
-      (match
-         List.find_opt
-           (fun r -> match r.kind with Alloc al -> al.addr = addr | _ -> false)
-           a.records
-       with
-      | None -> add "  (records overwritten)\n"
-      | Some alloc_rec ->
-        List.iter
-          (fun rec_ ->
-            match line_of_record ~symbolize rec_ with
-            | Some l -> add "  %s\n" l
-            | None -> ())
-          (story a.records ~addr ~from_seq:alloc_rec.seq)));
+      add_story from_seq);
     (match a.target_ctx with
     | None -> ()
     | Some ctx ->

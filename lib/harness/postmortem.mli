@@ -39,6 +39,9 @@ type analysis = {
   target_addr : int option;
       (** the overflowing object's address in the recorded run *)
   target_ctx : int option;
+  target_seq : int option;
+      (** the sequence number of its allocation record: the object's story
+          starts there *)
   verdict : verdict;
   seed : int;
 }

@@ -336,6 +336,114 @@ let test_miss_attribution_tally () =
       Alcotest.(check bool) (label ^ " positive") true (n > 0))
     tally
 
+(* Every watchpoint detection's story is the detected object's: it was
+   watched, it trapped, and it was not freed before it was detected.  The
+   heap reuses addresses, so the first allocation at the reported address
+   can be an earlier object (Memcached seed 1 picked alloc #59, freed 16
+   s before the detection of alloc #442). *)
+let index_of s needle =
+  let nl = String.length needle in
+  let rec go i =
+    if i + nl > String.length s then max_int
+    else if String.sub s i nl = needle then i
+    else go (i + 1)
+  in
+  go 0
+
+let test_postmortem_stories_follow_the_object () =
+  List.iter
+    (fun name ->
+      let app = Option.get (Buggy_app.by_name name) in
+      for seed = 1 to 8 do
+        let a = Postmortem.analyze ~app ~config:Config.csod_default ~seed () in
+        let rendered =
+          Postmortem.render ~symbolize:(Execution.symbolizer app) a
+        in
+        (* Section i+1 is detection #i+1's; the last is the ground truth. *)
+        let rec split s =
+          match index_of s "\n=== " with
+          | n when n = max_int -> [ s ]
+          | n -> String.sub s 0 n :: split (String.sub s (n + 5) (String.length s - n - 5))
+        in
+        let sections = Array.of_list (split rendered) in
+        List.iteri
+          (fun i (r : Report.t) ->
+            if r.Report.source = Report.Watchpoint then begin
+              let st = sections.(i + 1) in
+              let at = index_of st in
+              let where = Printf.sprintf "%s seed %d detection #%d" name seed (i + 1) in
+              Alcotest.(check bool) (where ^ ": watched") true
+                (at "watchpoint installed" < max_int);
+              Alcotest.(check bool) (where ^ ": trapped") true (at "TRAP" < max_int);
+              Alcotest.(check bool) (where ^ ": detected") true
+                (at "DETECTED" < max_int);
+              Alcotest.(check bool) (where ^ ": not freed before detected") true
+                (at "freed" > at "DETECTED")
+            end)
+          a.Postmortem.outcome.Execution.reports
+      done)
+    [ "Memcached"; "MySQL"; "Heartbleed" ]
+
+(* A report names the chain first seen for its object's (call site, stack
+   offset) pair, which the context entry holds (paper Section III-A1,
+   Fig. 5), not necessarily the chain that allocated the object.  Zziplib
+   seed 15 is such a case: its report names zip.c:46, the object came from
+   zip.c:56.  A context keyed by chain must update this test. *)
+let test_report_chain_is_first_sight () =
+  let app = Option.get (Buggy_app.by_name "Zziplib") in
+  let seed = 15 in
+  (* Each allocation's (pair, chain, size), in allocation order, from an
+     uninstrumented run of the same seed: the program allocates the same
+     sequence under every tool. *)
+  let machine = Machine.create ~seed () in
+  let heap = Heap.create machine in
+  let base = Tool.baseline heap in
+  let buf = Alloc_ctx.chain 64 in
+  let allocs = ref [] in
+  let malloc ~size ~ctx =
+    let off = buf.Alloc_ctx.len in
+    ctx.Alloc_ctx.write buf;
+    allocs :=
+      (Alloc_ctx.key ctx, Alloc_ctx.to_list buf ~off ~len:(buf.Alloc_ctx.len - off), size)
+      :: !allocs;
+    base.Tool.malloc ~size ~ctx
+  in
+  ignore
+    (Engine.run ~engine:Engine.Vm ~machine ~tool:{ base with Tool.malloc } ~program:(Buggy_app.program app)
+       ~inputs:app.Buggy_app.buggy_inputs ~app_seed:seed ());
+  let allocs = Array.of_list (List.rev !allocs) in
+  let first_sight key =
+    let _, chain, _ = List.find (fun (k, _, _) -> k = key) (Array.to_list allocs) in
+    chain
+  in
+  let recorder = Flight_recorder.create () in
+  let o =
+    Flight_recorder.with_recorder recorder (fun () ->
+        Execution.run ~app ~config:Config.csod_default ~seed ())
+  in
+  let r =
+    match o.Execution.reports with
+    | r :: _ -> r
+    | [] -> Alcotest.fail "Zziplib seed 15 detects its overflow"
+  in
+  (* The detected object's allocation: the latest at its address. *)
+  let index, size =
+    List.fold_left
+      (fun acc (rec_ : Flight_recorder.record) ->
+        match rec_.Flight_recorder.kind with
+        | Flight_recorder.Alloc a when a.addr = r.Report.object_addr -> (a.index, a.size)
+        | _ -> acc)
+      (0, 0)
+      (Flight_recorder.records recorder)
+  in
+  let key, own_chain, own_size = allocs.(index - 1) in
+  Alcotest.(check int) "the runs allocate alike" size own_size;
+  Alcotest.(check (pair int int)) "the report's pair is the object's" key r.Report.ctx_key;
+  Alcotest.(check (list int)) "the report names the pair's first-sight chain"
+    (first_sight key) r.Report.alloc_backtrace;
+  Alcotest.(check bool) "which is not the chain that allocated the object" true
+    (own_chain <> r.Report.alloc_backtrace)
+
 let suite =
   suite
   @ [ Alcotest.test_case "crashing program still checked at exit" `Quick
@@ -345,4 +453,8 @@ let suite =
       Alcotest.test_case "postmortem: verdict matches outcome" `Quick
         test_postmortem_verdict_consistent;
       Alcotest.test_case "miss attribution tally" `Quick
-        test_miss_attribution_tally ]
+        test_miss_attribution_tally;
+      Alcotest.test_case "postmortem: stories follow the detected object"
+        `Quick test_postmortem_stories_follow_the_object;
+      Alcotest.test_case "report: chain is the pair's first-sight chain" `Quick
+        test_report_chain_is_first_sight ]

@@ -26,4 +26,5 @@ let () =
       ("harness", Test_harness.suite);
       ("respond", Test_respond.suite);
       ("misc", Test_misc.suite);
-      ("limitations", Test_limitations.suite) ]
+      ("limitations", Test_limitations.suite);
+      ("cli", Test_cli.suite) ]
