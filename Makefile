@@ -91,13 +91,15 @@ sim:
 
 # Survival smoke: Heartbleed under the failure-oblivious policy must run
 # to completion (exit 0) with at least one redirect recorded as a
-# csod.respond.event/1 line, and a short zziplib service with code-less
+# flight-recorder respond record, streamed by --events and drawn as an
+# instant by --trace-out, and a short zziplib service with code-less
 # patching armed must fire and then clear a patch alert once fleet
 # evidence convicts the overflowing context.
 respond:
-	dune exec bin/csod_run.exe -- run heartbleed --seed 1 --respond oblivious --events /tmp/csod_respond.jsonl > /dev/null
-	grep -q '^{"event":"respond",.*"kind":"redirect-' /tmp/csod_respond.jsonl
+	dune exec bin/csod_run.exe -- run heartbleed --seed 1 --respond oblivious --events /tmp/csod_respond.jsonl --trace-out /tmp/csod_respond_trace.json > /dev/null
+	grep -q '^{"event":"respond","seq":[0-9]*,"at":[0-9]*,"action":"redirect-' /tmp/csod_respond.jsonl
 	dune exec bin/csod_run.exe -- validate /tmp/csod_respond.jsonl
+	grep -q '{"name":"redirect-read via watchpoint: [^"]*","ph":"i"' /tmp/csod_respond_trace.json
 	dune exec bin/csod_run.exe -- serve zziplib --users 200 --epoch 32 --epochs 12 --domains 2 --seed 1 --respond patch=3 --alerts 'patch>0@2' > /tmp/csod_respond_serve.out
 	grep -q 'patch>0@2 FIRING' /tmp/csod_respond_serve.out
 	grep -q 'patch>0@2 cleared' /tmp/csod_respond_serve.out

@@ -118,22 +118,14 @@ let tool_conv =
   Arg.conv (parse, print)
 
 let engine_conv =
-  let parse = function
-    | "interp" -> Ok `Interp
-    | "vm" -> Ok `Vm
-    | "vm-buggy-cycles" -> Ok `Vm_buggy
-    | s ->
+  let parse s =
+    match List.find_opt (fun e -> Engine.to_string e = s) Engine.all with
+    | Some e -> Ok e
+    | None ->
       Error
         (`Msg (Printf.sprintf "unknown engine %S (interp|vm|vm-buggy-cycles)" s))
   in
-  let print ppf e =
-    Fmt.string ppf
-      (match e with
-      | `Interp -> "interp"
-      | `Vm -> "vm"
-      | `Vm_buggy -> "vm-buggy-cycles")
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun ppf e -> Fmt.string ppf (Engine.to_string e))
 
 let of_result_conv of_string to_string =
   let parse s = Result.map_error (fun m -> `Msg m) (of_string s) in
@@ -148,6 +140,24 @@ let burst_conv =
       Option.to_result (Workload.burst_of_string s)
         ~none:(Printf.sprintf "unknown burst %S (steady|frontload|wave)" s))
     Workload.burst_name
+
+(* Numeric flags refuse an out-of-range value as a usage error (exit 124),
+   before the value reaches a library constructor that would raise. *)
+let int_at_least min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" min s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let fraction_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when f >= 0. && f <= 1. -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "expected a number in [0, 1], got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
 
 let recorder_capacity_conv =
   let parse s =
@@ -176,25 +186,20 @@ let app_t =
         $ Arg.(required & pos 0 (some string) None
                & info [] ~docv:"APP" ~doc:"Application name (see $(b,list))."))
 
-(* --engine, resolved into the engine a command passes as [~engine].
-   vm-buggy-cycles is the planted miscounting bug kept around for the
-   differential-testing net — a live demonstration that the golden pins
-   and the sweep catch a one-cycle divergence. *)
+(* --engine, the engine a command passes as [~engine].  vm-buggy-cycles
+   is the planted miscounting bug kept around for the differential-testing
+   net — a live demonstration that the golden pins and the sweep catch a
+   one-cycle divergence. *)
 let engine_t =
-  let apply e =
-    Vm.buggy_cycles := e = `Vm_buggy;
-    match e with `Interp -> Engine.Interp | `Vm | `Vm_buggy -> Engine.Vm
-  in
-  Term.(const apply
-        $ Arg.(value & opt engine_conv `Vm
-               & info [ "engine" ] ~docv:"ENGINE"
-                   ~doc:"MiniC execution engine: $(b,vm) (default — compiled \
-                         bytecode, several times faster), $(b,interp) (the \
-                         reference AST interpreter), or $(b,vm-buggy-cycles) (the \
-                         VM with a deliberately planted cycle-miscounting bug, for \
-                         exercising the differential-testing net).  Both real \
-                         engines are observably bit-identical: same virtual \
-                         cycles, detections, output and PRNG stream."))
+  Arg.(value & opt engine_conv Engine.Vm
+       & info [ "engine" ] ~docv:"ENGINE"
+           ~doc:"MiniC execution engine: $(b,vm) (default — compiled \
+                 bytecode, several times faster), $(b,interp) (the \
+                 reference AST interpreter), or $(b,vm-buggy-cycles) (the \
+                 VM with a deliberately planted cycle-miscounting bug, for \
+                 exercising the differential-testing net).  Both real \
+                 engines are observably bit-identical: same virtual \
+                 cycles, detections, output and PRNG stream.")
 
 (* The tool configuration: [tool] is --tool's term, or a constant where a
    command runs CSOD only. *)
@@ -222,7 +227,7 @@ let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Execution seed.")
 
 let runs_arg =
-  Arg.(value & opt int 1 & info [ "runs" ] ~docv:"N" ~doc:"Number of executions.")
+  Arg.(value & opt (int_at_least 1) 1 & info [ "runs" ] ~docv:"N" ~doc:"Number of executions.")
 
 let store_t =
   checked
@@ -336,8 +341,8 @@ let observe_t =
             (file_opt [ "events" ]
                ~doc:"Stream the flight recorder's lifecycle records (allocations, \
                      sampling decisions, watchpoint installs/evictions, traps, \
-                     canary checks, detections, probability changes, phases) and \
-                     periodic snapshots as JSONL to $(docv) ($(b,-) for stdout).  \
+                     canary checks, detections, probability changes, phases, \
+                     responses) and periodic snapshots as JSONL to $(docv) ($(b,-) for stdout).  \
                      Implies a recorder.")
         $ Arg.(value & opt (some float) None
                & info [ "snapshot-sec" ] ~docv:"SECS"
@@ -547,29 +552,29 @@ let fleet_t ~users ~burst =
       execute = Execution.executor ~app ~config ~engine ~respond ?faults () }
   in
   Term.(const make $ app_t $ engine_t $ config_t (const `Csod)
-        $ Arg.(value & opt int users
+        $ Arg.(value & opt (int_at_least 0) users
                & info [ "users" ] ~docv:"N"
                    ~doc:"Population: arrivals stop once $(docv) users have been \
                          admitted ($(b,serve) keeps observing the idle fleet).")
-        $ Arg.(value & opt int (Pool.default_domains ())
+        $ Arg.(value & opt (int_at_least 1) (Pool.default_domains ())
                & info [ "domains" ] ~docv:"N"
                    ~doc:"Domains executing users in parallel (default: the \
                          hardware's recommended count).  Reports, history, \
                          alerts and the status snapshot are bit-identical for \
                          every value; only their wall-clock fields change.")
-        $ Arg.(value & opt int 32
+        $ Arg.(value & opt (int_at_least 1) 32
                & info [ "epoch" ] ~docv:"N"
                    ~doc:"Mean arrivals per epoch.  Evidence is exchanged only at \
                          epoch barriers (periodic fleet report upload): contexts \
                          found in epoch $(i,e) are pinned from epoch $(i,e+1) on.")
-        $ Arg.(value & opt float 0.0
+        $ Arg.(value & opt fraction_conv 0.0
                & info [ "benign-frac" ] ~docv:"F"
                    ~doc:"Fraction of users running the overflow-free input.")
         $ Arg.(value & opt burst_conv burst
                & info [ "burst" ] ~docv:"SHAPE"
                    ~doc:"Arrival shape: steady, frontload (launch spike) or wave \
                          (diurnal traffic, what a service sees).")
-        $ Arg.(value & opt int 2
+        $ Arg.(value & opt (int_at_least 1) 2
                & info [ "wave-period" ] ~docv:"N"
                    ~doc:"Full heavy+light cycle of the $(b,wave) burst, in epochs \
                          (the heavy half comes first, so even a period longer than \
@@ -683,7 +688,7 @@ let serve_cmd =
                    them offline.")
   in
   let rotate_arg =
-    Arg.(value & opt int 4096
+    Arg.(value & opt (int_at_least 1) 4096
          & info [ "rotate" ] ~docv:"N" ~doc:"History lines per segment file.")
   in
   let status_file_arg =
@@ -700,7 +705,7 @@ let serve_cmd =
             deterministic stream from it."
   in
   let checkpoint_every_arg =
-    Arg.(value & opt int 0
+    Arg.(value & opt (int_at_least 0) 0
          & info [ "checkpoint-every" ] ~docv:"N"
              ~doc:"Epochs between checkpoints (0: only on exit).")
   in

@@ -48,12 +48,8 @@ type t = {
   g_live_bytes : Metrics.gauge;
   h_alloc_bytes : Metrics.histogram;
   mutable carved : int;                  (* bytes ever taken from sbrk *)
-  mutable live_bytes : int;
-  mutable peak_live : int;
   mutable live_block_bytes : int;        (* block bytes currently backing live objects *)
   mutable peak_block_bytes : int;
-  mutable allocs : int;
-  mutable frees : int;
 }
 
 (* A cold store is small: a heap that never grows it costs a few hundred
@@ -200,12 +196,8 @@ let create m =
       g_live_bytes = Metrics.gauge reg k_live_bytes;
       h_alloc_bytes = Metrics.histogram reg k_alloc_bytes;
       carved = 0;
-      live_bytes = 0;
-      peak_live = 0;
       live_block_bytes = 0;
-      peak_block_bytes = 0;
-      allocs = 0;
-      frees = 0 }
+      peak_block_bytes = 0 }
   in
   Sparse_mem.on_release (Machine.mem m) (fun () -> recycle t);
   t
@@ -273,14 +265,15 @@ let return_block t block base =
     Int_index.replace s.large_head key 0 top
   end
 
+(* The allocation and free counts and the live bytes are the heap's
+   instruments themselves: the gauge keeps its high watermark, the peak. *)
+let add_live t n = Metrics.set t.g_live_bytes (Metrics.level t.g_live_bytes + n)
+
 let register t ~addr ~base ~req_size ~block =
   add_object t.s ~addr ~req_size ~block ~base;
-  t.allocs <- t.allocs + 1;
   Metrics.incr t.c_mallocs;
   Metrics.observe t.h_alloc_bytes req_size;
-  t.live_bytes <- t.live_bytes + req_size;
-  if t.live_bytes > t.peak_live then t.peak_live <- t.live_bytes;
-  Metrics.set t.g_live_bytes t.live_bytes;
+  add_live t req_size;
   t.live_block_bytes <- t.live_block_bytes + block;
   if t.live_block_bytes > t.peak_block_bytes then
     t.peak_block_bytes <- t.live_block_bytes
@@ -305,10 +298,8 @@ let free t addr =
   else begin
     let req_size = s.req_size.(slot) and block = s.block.(slot) and base = s.base.(slot) in
     fill_hole s slot;
-    t.frees <- t.frees + 1;
     Metrics.incr t.c_frees;
-    t.live_bytes <- t.live_bytes - req_size;
-    Metrics.set t.g_live_bytes t.live_bytes;
+    add_live t (-req_size);
     t.live_block_bytes <- t.live_block_bytes - block;
     return_block t block base
   end
@@ -335,9 +326,7 @@ let realloc t ptr size =
     if slot < 0 then raise (Error (Printf.sprintf "realloc: invalid pointer 0x%x" ptr))
     else if size <= s.block.(slot) - (ptr - s.base.(slot)) then begin
       (* Shrink or grow within the existing block: update bookkeeping. *)
-      t.live_bytes <- t.live_bytes - s.req_size.(slot) + size;
-      if t.live_bytes > t.peak_live then t.peak_live <- t.live_bytes;
-      Metrics.set t.g_live_bytes t.live_bytes;
+      add_live t (size - s.req_size.(slot));
       s.req_size.(slot) <- size;
       ptr
     end
@@ -389,10 +378,10 @@ let iter_live f t =
   done
 
 let live_objects t = t.s.count
-let live_bytes t = t.live_bytes
-let peak_live_bytes t = t.peak_live
-let total_allocs t = t.allocs
-let total_frees t = t.frees
+let live_bytes t = Metrics.level t.g_live_bytes
+let peak_live_bytes t = Metrics.high_watermark t.g_live_bytes
+let total_allocs t = Metrics.count t.c_mallocs
+let total_frees t = Metrics.count t.c_frees
 
 let resident_bytes t =
   (* Peak block bytes backing live objects, plus object-table metadata

@@ -19,7 +19,10 @@ exception Error of string
     realloc of an unknown pointer.  The message identifies the pointer. *)
 
 val create : Machine.t -> t
-(** An empty heap drawing address space from the machine via [sbrk].  Its
+(** An empty heap drawing address space from the machine via [sbrk].
+    At most one heap per machine: its tallies ({!total_allocs} to
+    {!peak_live_bytes}) are the [heap.*] instruments of the machine's
+    metrics registry, which a second heap would share.  Its
     objects and free blocks live in flat [int] arrays, found through two
     {!Int_index} tables (address to object, block size to its stack of
     freed blocks), so [malloc] and [free] allocate nothing on the OCaml

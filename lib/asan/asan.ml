@@ -42,9 +42,6 @@ let create ?(redzone = 16) ?(quarantine_budget = 98_304) ?(instrumented = fun _ 
   if redzone < 16 || redzone mod 8 <> 0 then
     invalid_arg "Asan.create: redzone must be a multiple of 8, at least 16";
   let reg = Machine.registry machine in
-  (match respond with
-  | Some r when Respond.oblivious r -> Respond.attach r machine
-  | _ -> ());
   let t =
     { machine;
       heap;
@@ -129,9 +126,8 @@ let on_access t ~addr ~len ~kind ~site =
         let obj =
           match owning_block t addr with Some (app, _) -> app | None -> addr
         in
-        Respond.redirect r t.machine ~source:Respond.Asan_shadow ~kind ~site
-          ~ctx:(site, 0) ~obj ~addr ~len
-          ~at_sec:(Clock.seconds (Machine.clock t.machine))
+        Respond.redirect r ~source:Respond.Asan_shadow ~kind ~ctx:(site, 0)
+          ~obj ~addr ~len ~at:(Clock.cycles (Machine.clock t.machine))
       | _ -> ()
     end
   end

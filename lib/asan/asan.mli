@@ -41,8 +41,9 @@ val create :
     series uses 128).  [quarantine_budget] bounds the bytes retained by
     the deallocation quarantine (default 96 KiB).  [instrumented] decides,
     from a code address, whether the access was compiled with
-    instrumentation (default: everything).  [respond] in oblivious mode
-    redirects each access whose shadow check fails: since the check runs
+    instrumentation (default: everything).  [respond] (built by
+    {!Respond.create} on the same machine) in oblivious mode redirects each
+    access whose shadow check fails: since the check runs
     before the machine access, the redirect is armed ahead of the
     load/store it compensates.
 

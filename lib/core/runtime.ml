@@ -59,14 +59,13 @@ let record_overflow t (entry : Context_table.entry) report =
    the slab value.  No PRNG draw, no extra clock charge — response must not
    perturb the sampling stream. *)
 let redirect_trap t r (wp : Watch_table.wp) (info : Machine.trap_info) =
-  Respond.redirect r t.machine ~source:Respond.Watchpoint
+  Respond.redirect r ~source:Respond.Watchpoint
     ~kind:
       (match info.Machine.access_kind with
       | Hw_breakpoint.Read -> Tool.Read
       | Hw_breakpoint.Write -> Tool.Write)
-    ~site:(fst wp.Watch_table.entry.Context_table.key)
     ~ctx:wp.Watch_table.entry.Context_table.key ~obj:wp.Watch_table.obj_addr
-    ~addr:info.Machine.access_addr ~len:info.Machine.access_len ~at_sec:(now t)
+    ~addr:info.Machine.access_addr ~len:info.Machine.access_len ~at:(cycles t)
 
 let handle_trap t (info : Machine.trap_info) =
   t.traps <- t.traps + 1;
@@ -162,9 +161,6 @@ let create ?(params = Params.default) ?store ?respond ?(seed = 0) ~machine
       degraded = false;
       finished = false }
   in
-  (match respond with
-  | Some r when Respond.oblivious r -> Respond.attach r machine
-  | _ -> ());
   Machine.set_trap_handler machine (handle_trap t);
   t
 
@@ -270,8 +266,8 @@ let csod_malloc t ~size ~ctx =
     end;
     (match t.respond with
     | Some r ->
-      Respond.record_patch r ~site:(fst entry.Context_table.key)
-        ~ctx:entry.Context_table.key ~addr:app ~at_sec:(now t)
+      Respond.record_patch r ~ctx:entry.Context_table.key ~addr:app
+        ~at:(cycles t)
     | None -> ());
     app
   end
@@ -333,8 +329,7 @@ let check_canary t ~app ~size ~ctx_id ~source =
       match t.respond with
       | Some r when Respond.oblivious r ->
         Respond.record_escape r ~source:Respond.Canary
-          ~site:(fst entry.Context_table.key) ~ctx:entry.Context_table.key
-          ~addr:app ~at_sec:(now t)
+          ~ctx:entry.Context_table.key ~addr:app ~at:(cycles t)
       | _ -> ()
   end
 

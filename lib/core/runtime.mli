@@ -41,8 +41,8 @@ val create :
     context found in [store] (default: fresh empty store).
 
     [respond] selects the active-response policy (default none — identical
-    behaviour to a build without the layer).  Oblivious mode arms the
-    machine's squash/override hooks and redirects every detected
+    behaviour to a build without the layer), built by {!Respond.create}
+    on the same machine.  Oblivious mode redirects every detected
     out-of-bounds access into the response layer's shadow slab; the
     watchpoint then {e stays armed} (the object's later accesses need
     redirecting too), with reports still limited to one per object.  Patch

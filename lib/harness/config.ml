@@ -35,7 +35,11 @@ let instantiate t ~machine ~heap ?(instrumented = fun _ -> true) ?store
     ?(respond = Respond.Off) ?(seed = 0) () =
   (* [Off] constructs no layer at all: the tools receive [None] and behave
      bit-identically to a build that predates the response code. *)
-  let rsp = match respond with Respond.Off -> None | m -> Some (Respond.create m) in
+  let rsp =
+    match (t, respond) with
+    | Baseline, _ | _, Respond.Off -> None
+    | _, m -> Some (Respond.create m ~machine)
+  in
   match t with
   | Baseline ->
     { tool = Tool.baseline heap;

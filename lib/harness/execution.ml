@@ -102,9 +102,7 @@ let executor ~app ~config ?(engine = Engine.Vm) ?input_of
      fleet workers may call the executor from several domains at once, and
      neither memo table is synchronized. *)
   let program = Buggy_app.program app in
-  (match engine with
-  | Engine.Vm -> Engine.precompile program
-  | Engine.Interp -> ());
+  if engine <> Engine.Interp then Engine.precompile program;
   let input_of =
     match input_of with
     | Some f -> f

@@ -66,6 +66,7 @@ let story records ~from_seq =
       | Trap a when a.addr >= addr && a.addr < boundary + 8 -> go (r :: acc) rest
       | Canary_check a when mine a.addr -> go (r :: acc) rest
       | Detection a when mine a.addr -> go (r :: acc) rest
+      | Respond a when mine a.obj -> go (r :: acc) rest
       | _ -> go acc rest)
   in
   let rec start = function
@@ -229,6 +230,11 @@ let line_of_record ~symbolize ~addr r =
   | Detection d -> Some (Printf.sprintf "%s  DETECTED via %s" t d.source)
   | Free _ -> Some (Printf.sprintf "%s  freed" t)
   | Fault f -> Some (Printf.sprintf "%s  FAULT injected: %s" t f.point)
+  | Respond r ->
+    Some
+      (Printf.sprintf "%s  RESPONSE %s via %s (%d bytes at +%d)" t
+         (respond_action_name r.action) (respond_source_name r.source) r.len
+         (r.addr - r.obj))
   | Prob _ | Phase _ -> None
 
 (* A context's probability timeline.  Runs of consecutive decays collapse

@@ -8,9 +8,14 @@
     purely on speed versus pedigree.  The golden corpus and the
     differential sweep in the test suite enforce the equivalence. *)
 
-type t = Interp | Vm
+type t = Interp | Vm | Vm_buggy_cycles
+(** [Vm_buggy_cycles] is the VM with a planted bug, for the
+    differential-testing net (see {!Vm.run}). *)
+
+val all : t list
 
 val to_string : t -> string
+(** ["interp"], ["vm"], ["vm-buggy-cycles"]: the [--engine] values. *)
 
 val run :
   engine:t ->

@@ -13,12 +13,6 @@
    against the callee's statically computed [fi_max_stack], so the
    per-instruction stack operations are unchecked array accesses. *)
 
-let buggy_cycles = ref false
-(* Planted bug for the differential-testing net: when set, every taken
-   backward jump charges one extra virtual cycle, silently inflating the
-   cycle total of any program with a loop.  The sweep must catch it and
-   test/test_minic.ml pins a shrunk repro. *)
-
 (* Frame [k] occupies words [frame_words * k] onward of [st.frames]:
    the call site (code address of the call expression), the simulated
    stack pointer of the activation, the instruction index to resume (-1
@@ -33,7 +27,7 @@ type st = {
   inputs : int array;
   app_rng : Prng.t;
   buf : Buffer.t;
-  buggy : bool;      (* buggy_cycles snapshot, taken once per run *)
+  buggy : bool;      (* the planted bug: see [run]'s [buggy_cycles] *)
   mutable frames : int array;   (* [nframes] frames of [frame_words] *)
   mutable nframes : int;
   ctx : Alloc_ctx.t;            (* the run's one handle, re-pointed per malloc *)
@@ -550,8 +544,8 @@ let spare_locals : int array Spare.t = Spare.create ()
 let spare_frames : int array Spare.t = Spare.create ()
 let fresh_slots () = Array.make 1024 0
 
-let run ~machine ~tool ~program ?(inputs = [||]) ?(app_seed = 1)
-    ?(step_limit = 50_000_000) () =
+let run ?(buggy_cycles = false) ~machine ~tool ~program ?(inputs = [||])
+    ?(app_seed = 1) ?(step_limit = 50_000_000) () =
   let code = Compile.get program in
   let main =
     match Hashtbl.find_opt code.Compile.funcs "main" with
@@ -565,7 +559,7 @@ let run ~machine ~tool ~program ?(inputs = [||]) ?(app_seed = 1)
       inputs;
       app_rng = Prng.create ~seed:app_seed;
       buf = Buffer.create 256;
-      buggy = !buggy_cycles;
+      buggy = buggy_cycles;
       frames = Spare.take spare_frames ~fresh:fresh_slots;
       nframes = 0;
       ctx;

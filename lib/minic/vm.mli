@@ -6,13 +6,8 @@
     counts, and error messages (raised as {!Interp.Runtime_error}).  The
     compiled form is cached on the program via {!Compile.get}. *)
 
-val buggy_cycles : bool ref
-(** Planted bug for the differential-testing net: when true, every taken
-    backward jump charges one extra virtual cycle.  Exposed on the CLI as
-    [--engine vm-buggy-cycles]; the differential sweep must catch it and
-    [test/test_minic.ml] pins a shrunk repro.  Default false. *)
-
 val run :
+  ?buggy_cycles:bool ->
   machine:Machine.t ->
   tool:Tool.t ->
   program:Program.t ->
@@ -21,4 +16,7 @@ val run :
   ?step_limit:int ->
   unit ->
   Interp.result
-(** Same contract as {!Interp.run}, bit-identical observables. *)
+(** Same contract as {!Interp.run}, bit-identical observables, unless
+    [buggy_cycles] (default false) plants a bug for the differential-testing
+    net: every taken backward jump then charges one extra virtual cycle.
+    The sweep must catch it, and [test/test_minic.ml] pins a repro. *)

@@ -1,12 +1,12 @@
 (** Structured JSONL event sink.
 
     One JSON object per line, first field ["event"] naming the kind.  The
-    {!Flight_recorder}'s lifecycle hooks, the telemetry snapshotter and
-    [Respond]'s events all emit here when a sink is installed; with none installed every emission site costs exactly one
-    branch ({!active}).
+    {!Flight_recorder}'s lifecycle hooks and the telemetry snapshotter
+    emit here when a sink is installed; with none installed every
+    emission site costs exactly one branch ({!active}).
 
     Events carry no wall-clock timestamps — callers include virtual-clock
-    fields ([at_sec], [cycles]) instead, so two runs with the same seed
+    fields ([at], [cycles]) instead, so two runs with the same seed
     produce byte-identical streams. *)
 
 type t

@@ -24,6 +24,28 @@ let cause_of_code = function
   | 4 -> Pin
   | _ -> Degrade
 
+type respond_action = Redirect_read | Redirect_write | Escape | Patch
+type respond_source = Watchpoint | Asan_shadow | Canary
+
+let respond_action_name = function
+  | Redirect_read -> "redirect-read"
+  | Redirect_write -> "redirect-write"
+  | Escape -> "escape"
+  | Patch -> "patch"
+
+let respond_source_name = function
+  | Watchpoint -> "watchpoint"
+  | Asan_shadow -> "asan"
+  | Canary -> "canary"
+
+(* A [respond] record's code: the action's index in the low two bits, the
+   source's above them. *)
+let respond_actions = [| Redirect_read; Redirect_write; Escape; Patch |]
+let respond_sources = [| Watchpoint; Asan_shadow; Canary |]
+let rec index a x i = if a.(i) == x then i else index a x (i + 1)
+let respond_code action source =
+  index respond_actions action 0 lor (index respond_sources source 0 lsl 2)
+
 type kind =
   | Alloc of { index : int; addr : int; size : int; ctx : int; site : int; off : int }
   | Decision of {
@@ -44,6 +66,9 @@ type kind =
   | Prob of { ctx : int; cause : prob_cause; from_p : float; to_p : float }
   | Phase of { phase : string; start : int; stop : int }
   | Fault of { point : string }
+  | Respond of {
+      action : respond_action; source : respond_source;
+      site : int; off : int; obj : int; addr : int; len : int }
 
 type record = { seq : int; at : int; kind : kind }
 
@@ -61,7 +86,8 @@ type record = { seq : int; at : int; kind : kind }
 
    Column 0 is the slot's head: the kind tag in the low [tag_bits] bits
    and a small code above it, so no slot holds a pointer.  The code is
-   [decision]'s three flags, [canary_check]'s [ok], the [prob] cause, or —
+   [decision]'s three flags, [canary_check]'s [ok], the [prob] cause,
+   [respond]'s action and source, or —
    for [trap]'s access, [detection]'s source and [fault]'s point — the
    string's index in the recorder's intern table, which the cold path
    fills the first time it sees a string.  Column 1 is [at]; columns 2-7
@@ -94,6 +120,7 @@ let tag_detection = 8
 let tag_prob = 9
 let tag_phase = 10
 let tag_fault = 11
+let tag_respond = 12
 let tag_bits = 4
 let[@inline] head tag code = tag lor (code lsl tag_bits)
 let phase_bits = 4
@@ -206,7 +233,11 @@ let kind_of_slot t s =
       { phase = phase_names.(code land ((1 lsl phase_bits) - 1));
         start = (if span > 0 then stop - span else i 0);
         stop }
-  else Fault { point = t.names.(code) }
+  else if tag = tag_fault then Fault { point = t.names.(code) }
+  else
+    Respond
+      { action = respond_actions.(code land 3); source = respond_sources.(code lsr 2);
+        site = i 0; off = i 1; obj = i 2; addr = i 3; len = i 4 }
 
 let records t =
   let first = if t.seq > t.cap then t.seq - t.cap else 0 in
@@ -272,6 +303,12 @@ let kind_fields = function
   | Phase { phase; start; stop } ->
     ("phase", [ ("phase", `String phase); ("start", `Int start); ("stop", `Int stop) ])
   | Fault { point } -> ("fault", [ ("point", `String point) ])
+  | Respond { action; source; site; off; obj; addr; len } ->
+    ( "respond",
+      [ ("action", `String (respond_action_name action));
+        ("source", `String (respond_source_name source)); ("site", `Int site);
+        ("stack_offset", `Int off); ("obj", `Int obj); ("addr", `Int addr);
+        ("len", `Int len) ] )
 
 let record_fields r =
   let name, fields = kind_fields r.kind in
@@ -422,4 +459,16 @@ let fault ~at ~point =
   | None -> ()
   | Some t ->
     let s = slot t ~at (head tag_fault (intern t point)) in
+    publish t s
+
+let respond ~at ~action ~source ~site ~off ~obj ~addr ~len =
+  match !current with
+  | None -> ()
+  | Some t ->
+    let s = slot t ~at (head tag_respond (respond_code action source)) in
+    set t 2 s site;
+    set t 3 s off;
+    set t 4 s obj;
+    set t 5 s addr;
+    set t 6 s len;
     publish t s

@@ -12,8 +12,9 @@
     uninitialised [Bytes] block of 64-bit words that the GC never scans:
     creating one costs a single allocation with no fill, and a record is
     a few unboxed stores with no write barrier and no allocation.  Names
-    are stored as small codes — a phase as its {!Profiler.index}, a trap's
-    access, a detection's source and a fault's point as indices into a
+    are stored as small codes — a phase as its {!Profiler.index}, a
+    response's action and source as their constructors, a trap's access,
+    a detection's source and a fault's point as indices into a
     per-recorder intern table — so no slot holds a pointer.  There is no
     pool of rings to hand back: each execution that is diagnosed gets a
     fresh recorder and is read after {!with_recorder} returns, and
@@ -34,6 +35,13 @@
 type prob_cause = Decay | Halve_on_watch | Throttle | Revive | Pin | Degrade
 
 val prob_cause_name : prob_cause -> string
+
+(** What {!Respond} did, and whose detection it answered. *)
+type respond_action = Redirect_read | Redirect_write | Escape | Patch
+type respond_source = Watchpoint | Asan_shadow | Canary
+
+val respond_action_name : respond_action -> string
+val respond_source_name : respond_source -> string
 
 type kind =
   | Alloc of { index : int; addr : int; size : int; ctx : int; site : int; off : int }
@@ -66,6 +74,12 @@ type kind =
       (** one outermost profiler-phase interval, in cycles *)
   | Fault of { point : string }
       (** an injected fault fired at this point (see {!Fault_plan}) *)
+  | Respond of {
+      action : respond_action; source : respond_source;
+      site : int; off : int; obj : int; addr : int; len : int }
+      (** a response to a [len]-byte access at [addr] in the object at
+          [obj] from context [(site, off)] (ASan: the access site, 0); an
+          escape or a patch has [addr = obj], [len = 0] *)
 
 type record = { seq : int; at : int; kind : kind }
 (** [seq] is the global emission number (monotonic even across ring
@@ -135,3 +149,7 @@ val phase : phase:Profiler.phase -> start:int -> stop:int -> unit
 (** Its record carries [Profiler.name phase], and [at = stop]. *)
 
 val fault : at:int -> point:string -> unit
+
+val respond :
+  at:int -> action:respond_action -> source:respond_source -> site:int ->
+  off:int -> obj:int -> addr:int -> len:int -> unit

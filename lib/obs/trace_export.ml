@@ -3,7 +3,8 @@
    The output is the "JSON object format": {"traceEvents": [...]} with
    phase intervals as complete ("X") slices, object lifecycles as async
    ("b"/"n"/"e") spans keyed by object address, context probabilities as
-   counter ("C") tracks, and detections as global instants ("i").  Both
+   counter ("C") tracks, detections and injected faults as global instants
+   ("i"), and active responses as instants on the runtime's track.  Both
    chrome://tracing and ui.perfetto.dev open it directly. *)
 
 open Flight_recorder
@@ -52,6 +53,12 @@ let async ~interest ~us addr r ~name ~ph ?(args = []) () =
          ~args)
   else None
 
+(* An instant on the runtime's track: global, or on its thread ("t"). *)
+let instant ~us r ~cat ?(scope = "g") name =
+  Some
+    (event ~name ~ph:"i" ~ts:(us r.at) ~pid:runtime_pid
+       [ ("cat", `String cat); ("tid", `Int 0); ("s", `String scope) ])
+
 let to_json ~cycles_per_second recs =
   let us = us_of ~cycles_per_second in
   let interest = interesting_addrs recs in
@@ -97,11 +104,8 @@ let to_json ~cycles_per_second recs =
             ~name:(if ok then "canary ok" else "canary CORRUPT")
             ~ph:"n" ()
         | Detection { addr; source; _ } ->
-          Some
-            (event
-               ~name:(Printf.sprintf "DETECTION via %s: obj 0x%x" source addr)
-               ~ph:"i" ~ts:(us r.at) ~pid:runtime_pid
-               [ ("cat", `String "detection"); ("tid", `Int 0); ("s", `String "g") ])
+          instant ~us r ~cat:"detection"
+            (Printf.sprintf "DETECTION via %s: obj 0x%x" source addr)
         | Prob { ctx; to_p; _ } ->
           Some
             (event
@@ -110,11 +114,12 @@ let to_json ~cycles_per_second recs =
                [ ("tid", `Int 0) ]
                ~args:[ ("percent", `Float (to_p *. 100.)) ])
         | Fault { point } ->
-          Some
-            (event
-               ~name:(Printf.sprintf "FAULT injected: %s" point)
-               ~ph:"i" ~ts:(us r.at) ~pid:runtime_pid
-               [ ("cat", `String "fault"); ("tid", `Int 0); ("s", `String "g") ]))
+          instant ~us r ~cat:"fault" (Printf.sprintf "FAULT injected: %s" point)
+        | Respond { action; source; obj; addr; len; _ } ->
+          instant ~us r ~cat:"respond" ~scope:"t"
+            (Printf.sprintf "%s via %s: obj 0x%x +%d, %d bytes"
+               (respond_action_name action) (respond_source_name source) obj
+               (addr - obj) len))
       recs
   in
   (* Close spans still open at the end of the recording so viewers never

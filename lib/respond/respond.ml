@@ -1,23 +1,9 @@
-(* Active response: what happens after CSOD detects an overflow.
-
-   Two policies, both built on the evidence pipeline the detector already
-   maintains:
-
-   - Failure-oblivious mode (Rigger et al.): a detected out-of-bounds
-     access is redirected into a per-allocation shadow slab — reads return
-     manufactured values (the slab entry, or zero), writes land in the slab
-     instead of adjacent memory — and the execution continues.  The report
-     is still produced; the response only changes what happens next.
-
-   - Code-less patching (Zeng et al.): once fleet evidence convicts a
-     context (hit count in the Persist store reaches a threshold), every
-     future allocation from that context is quietly over-allocated with a
-     guard slack, so the overflow lands in memory the allocation owns.  No
-     redirect, no report, no cost for unconvicted contexts.
-
-   This module holds the policy state: the mode, the shadow slab and the
-   tallies; each event goes to the installed {!Event_sink}, if any.  The runtime and the ASan tool decide *when* to
-   redirect; the machine applies the squash/override mechanics. *)
+(* Active response: failure-oblivious redirects (Rigger et al.) and
+   code-less patches (Zeng et al.); respond.mli describes both.  This
+   module holds the policy state — the mode, the shadow slab and the
+   tallies — and records each action as a {!Flight_recorder} record.  The
+   runtime and the ASan tool decide *when* to redirect; the machine
+   applies the squash/override mechanics. *)
 
 type mode = Off | Oblivious | Patch of int
 
@@ -42,57 +28,11 @@ let mode_to_string = function
   | Oblivious -> "oblivious"
   | Patch n -> Printf.sprintf "patch=%d" n
 
-type source = Watchpoint | Asan_shadow | Canary
-
-let source_name = function
-  | Watchpoint -> "watchpoint"
-  | Asan_shadow -> "asan"
-  | Canary -> "canary"
-
-type event = {
-  kind : string;  (* redirect-read | redirect-write | patch | escape *)
-  source : string;
-  site : int;
-  ctx : int * int;
-  addr : int;
-  offset : int;
-  len : int;
-  at_sec : float;
-}
-
-let schema = "csod.respond.event/1"
-
-let event_to_json (e : event) : Obs_json.t =
-  let a, b = e.ctx in
-  `Assoc
-    [ ("schema", `String schema);
-      ("kind", `String e.kind);
-      ("source", `String e.source);
-      ("site", `Int e.site);
-      ("ctx", `List [ `Int a; `Int b ]);
-      ("addr", `Int e.addr);
-      ("offset", `Int e.offset);
-      ("len", `Int e.len);
-      ("at_sec", `Float e.at_sec) ]
-
-let spec =
-  Schema.make schema
-    Schema.
-      [ ("kind", String); ("source", String); ("site", Int); ("ctx", List);
-        ("addr", Int); ("offset", Int); ("len", Int); ("at_sec", Float) ]
-    ~check:(fun json ->
-      let kinds = [ "redirect-read"; "redirect-write"; "escape"; "patch" ] in
-      let sources = List.map source_name [ Watchpoint; Asan_shadow; Canary ] in
-      match Obs_json.(member "kind" json, member "source" json, member "ctx" json) with
-      | Some (`String k), _, _ when not (List.mem k kinds) ->
-        Error (Printf.sprintf "unknown respond event kind %S" k)
-      | _, Some (`String s), _ when not (List.mem s sources) ->
-        Error (Printf.sprintf "unknown respond source %S" s)
-      | _, _, Some (`List [ `Int _; `Int _ ]) -> Ok ()
-      | _ -> Error "respond ctx is not an [int, int] pair")
+type source = Flight_recorder.respond_source = Watchpoint | Asan_shadow | Canary
 
 type t = {
   mode : mode;
+  machine : Machine.t;
   (* (allocation base, byte offset past the object) -> squashed value.
      Offsets key the slab rather than absolute addresses so a freed-then-
      reused address range cannot leak one object's redirected bytes into
@@ -103,18 +43,27 @@ type t = {
   mutable redirected_writes : int;
   mutable escapes : int;
   mutable patched_allocs : int;
-  mutable events : int;
 }
 
-let create mode =
-  { mode;
-    slab = Hashtbl.create 64;
-    target_obj = 0;
-    redirected_reads = 0;
-    redirected_writes = 0;
-    escapes = 0;
-    patched_allocs = 0;
-    events = 0 }
+(* In oblivious mode, arm the machine's squash/override hooks.  The
+   [on_squash] callback fires only for stores a redirect asked to squash,
+   so [target_obj] — set just before each squash request — is always the
+   allocation the store overflowed. *)
+let create mode ~machine =
+  let t =
+    { mode;
+      machine;
+      slab = Hashtbl.create 64;
+      target_obj = 0;
+      redirected_reads = 0;
+      redirected_writes = 0;
+      escapes = 0;
+      patched_allocs = 0 }
+  in
+  if mode = Oblivious then
+    Machine.arm_respond machine ~on_squash:(fun ~addr ~len:_ ~value ->
+        Hashtbl.replace t.slab (t.target_obj, addr - t.target_obj) value);
+  t
 
 let oblivious t = t.mode = Oblivious
 
@@ -123,8 +72,6 @@ let patch_threshold t =
 
 let slab_get t ~obj ~off =
   match Hashtbl.find_opt t.slab (obj, off) with Some v -> v | None -> 0
-
-let slab_put t ~obj ~off ~value = Hashtbl.replace t.slab (obj, off) value
 
 (* Drop a freed object's slab bytes.  The heap reuses address ranges, and a
    recycled range can start at the very same base — without this, a new
@@ -138,55 +85,40 @@ let release t ~obj =
   in
   List.iter (Hashtbl.remove t.slab) stale
 
-(* Arm the machine's squash/override hooks.  The [on_squash] callback fires
-   only for stores the runtime asked to squash, so [target_obj] — set just
-   before each squash request — is always the allocation the store
-   overflowed. *)
-let attach t machine =
-  Machine.arm_respond machine ~on_squash:(fun ~addr ~len:_ ~value ->
-      slab_put t ~obj:t.target_obj ~off:(addr - t.target_obj) ~value)
-
-let record t ~kind ~source ~site ~ctx ~addr ~offset ~len ~at_sec =
-  t.events <- t.events + 1;
-  if Event_sink.active () then
-    let e =
-      { kind; source = source_name source; site; ctx; addr; offset; len; at_sec }
-    in
-    Event_sink.emit "respond"
-      (match event_to_json e with `Assoc fields -> fields | _ -> [])
-
 (* Redirect the access whose detection is being handled right now.  For a
    write, the machine squashes the store and hands the discarded value to
    the slab; for a read, the slab (or zero) substitutes for the bytes the
    program had no right to see.  No PRNG draw, no clock charge beyond what
    the detection itself already cost: response must not perturb sampling. *)
-let redirect t machine ~source ~kind ~site ~ctx ~obj ~addr ~len ~at_sec =
-  let offset = addr - obj in
-  (match (kind : Tool.access_kind) with
-  | Tool.Read ->
-    t.redirected_reads <- t.redirected_reads + 1;
-    Machine.override_read machine (slab_get t ~obj ~off:offset);
-    record t ~kind:"redirect-read" ~source ~site ~ctx ~addr ~offset ~len ~at_sec
-  | Tool.Write ->
-    t.redirected_writes <- t.redirected_writes + 1;
-    t.target_obj <- obj;
-    Machine.squash_write machine;
-    record t ~kind:"redirect-write" ~source ~site ~ctx ~addr ~offset ~len
-      ~at_sec)
+let redirect t ~source ~kind ~ctx:(site, off) ~obj ~addr ~len ~at =
+  let action =
+    match (kind : Tool.access_kind) with
+    | Tool.Read ->
+      t.redirected_reads <- t.redirected_reads + 1;
+      Machine.override_read t.machine (slab_get t ~obj ~off:(addr - obj));
+      Flight_recorder.Redirect_read
+    | Tool.Write ->
+      t.redirected_writes <- t.redirected_writes + 1;
+      t.target_obj <- obj;
+      Machine.squash_write t.machine;
+      Flight_recorder.Redirect_write
+  in
+  Flight_recorder.respond ~at ~action ~source ~site ~off ~obj ~addr ~len
 
 (* A canary found corrupted means the overflow already escaped into
    adjacent memory before any redirect could happen (e.g. the watchpoint
    was never armed, or its trap was dropped).  That execution did not
    survive obliviously — recording it keeps fault plans honest: a dropped
    trap can never fake a survival. *)
-let record_escape t ~source ~site ~ctx ~addr ~at_sec =
+let record_escape t ~source ~ctx:(site, off) ~addr ~at =
   t.escapes <- t.escapes + 1;
-  record t ~kind:"escape" ~source ~site ~ctx ~addr ~offset:0 ~len:0 ~at_sec
+  Flight_recorder.respond ~at ~action:Flight_recorder.Escape ~source ~site ~off
+    ~obj:addr ~addr ~len:0
 
-let record_patch t ~site ~ctx ~addr ~at_sec =
+let record_patch t ~ctx:(site, off) ~addr ~at =
   t.patched_allocs <- t.patched_allocs + 1;
-  record t ~kind:"patch" ~source:Watchpoint ~site ~ctx ~addr ~offset:0 ~len:0
-    ~at_sec
+  Flight_recorder.respond ~at ~action:Flight_recorder.Patch ~source:Watchpoint
+    ~site ~off ~obj:addr ~addr ~len:0
 
 type summary = {
   smode : mode;
@@ -194,7 +126,6 @@ type summary = {
   redirected_writes : int;
   escapes : int;
   patched_allocs : int;
-  events : int;
 }
 
 let summary t =
@@ -202,8 +133,7 @@ let summary t =
     redirected_reads = t.redirected_reads;
     redirected_writes = t.redirected_writes;
     escapes = t.escapes;
-    patched_allocs = t.patched_allocs;
-    events = t.events }
+    patched_allocs = t.patched_allocs }
 
 (* Oblivious survival: every detected out-of-bounds access was redirected
    and nothing escaped into adjacent memory. *)

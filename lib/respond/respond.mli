@@ -18,7 +18,7 @@
       unconvicted contexts pay nothing.
 
     The module is pure policy state (mode, slab, tallies); each response
-    event goes to the installed {!Event_sink}, if any, and is counted.  The
+    is counted and recorded as a {!Flight_recorder} [Respond] record.  The
     runtime and the ASan tool decide when to invoke it, and the machine
     ({!Machine.squash_write} / {!Machine.override_read}) applies the
     mechanics.  None of its operations draw from any PRNG or charge the
@@ -37,49 +37,41 @@ val mode_of_string : string -> (mode, string) result
 
 val mode_to_string : mode -> string
 
-type source = Watchpoint | Asan_shadow | Canary
+type source = Flight_recorder.respond_source = Watchpoint | Asan_shadow | Canary
     (** Which detector accused the access being responded to. *)
 
 type t
 
-val create : mode -> t
+val create : mode -> machine:Machine.t -> t
+(** The policy state for one execution on [machine].  In [Oblivious] mode
+    it arms the machine's response hooks ({!Machine.arm_respond}), routing
+    squashed store values into this layer's shadow slab; the other modes
+    leave the machine as it is. *)
 
 val oblivious : t -> bool
 val patch_threshold : t -> int option
 (** [Some n] iff the mode is [Patch n]. *)
 
-val attach : t -> Machine.t -> unit
-(** Arm the machine's response hooks, routing squashed store values into
-    this layer's shadow slab.  Call once at tool construction when the
-    mode is not [Off]. *)
-
 val redirect :
-  t ->
-  Machine.t ->
-  source:source ->
-  kind:Tool.access_kind ->
-  site:int ->
-  ctx:int * int ->
-  obj:int ->
-  addr:int ->
-  len:int ->
-  at_sec:float ->
-  unit
+  t -> source:source -> kind:Tool.access_kind -> ctx:int * int -> obj:int ->
+  addr:int -> len:int -> at:int -> unit
 (** Redirect the access whose detection is currently being handled: squash
     the write into the slab at [(obj, addr - obj)], or override the read
-    with the slab value (zero when never written).  Records a
-    [csod.respond.event/1] and bumps the redirect tallies. *)
+    with the slab value (zero when never written).  Bumps the redirect
+    tallies and records a [redirect-read] or [redirect-write] response
+    (its [site] and [off] are [ctx]'s) at cycle [at]. *)
 
 val record_escape :
-  t -> source:source -> site:int -> ctx:int * int -> addr:int -> at_sec:float -> unit
+  t -> source:source -> ctx:int * int -> addr:int -> at:int -> unit
 (** A corruption that was detected {e after the fact} (corrupted canary):
     adjacent memory was already overwritten, so the execution cannot claim
     oblivious survival.  This is how a dropped trap under fault injection
-    is prevented from faking a survival. *)
+    is prevented from faking a survival.  Records an [escape] of the
+    object at [addr]. *)
 
-val record_patch :
-  t -> site:int -> ctx:int * int -> addr:int -> at_sec:float -> unit
-(** A convicted context's allocation was given guard slack. *)
+val record_patch : t -> ctx:int * int -> addr:int -> at:int -> unit
+(** A convicted context's allocation at [addr] was given guard slack;
+    records a [patch]. *)
 
 val slab_get : t -> obj:int -> off:int -> int
 (** Slab lookup; 0 when that offset was never redirected to. *)
@@ -95,7 +87,6 @@ type summary = {
   redirected_writes : int;
   escapes : int;
   patched_allocs : int;
-  events : int;  (** response events emitted *)
 }
 
 val summary : t -> summary
@@ -103,11 +94,5 @@ val summary : t -> summary
 val survived : t -> bool
 (** Oblivious mode with zero escapes: every detected out-of-bounds access
     was redirected before adjacent memory saw it. *)
-
-val schema : string
-(** ["csod.respond.event/1"]. *)
-
-val spec : Schema.t
-(** The event format: a known kind and source, and a two-int [ctx]. *)
 
 val pp_summary : Format.formatter -> summary -> unit

@@ -101,6 +101,6 @@ let emit_row spec fields =
 
 let all =
   [ Health.spec; Alert.spec; History.spec; Serve.status_spec;
-    Serve.checkpoint_spec; Sim.repro_spec Sim_registry.all; Respond.spec;
+    Serve.checkpoint_spec; Sim.repro_spec Sim_registry.all;
     Fleet.report_spec; bench_fleet; bench_exec; bench_respond;
     bench_resilience; bench_metrics; bench_throughput ]

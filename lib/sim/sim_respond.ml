@@ -183,7 +183,11 @@ let digest st =
   let h =
     Sim.digest_ints
       [ so.Respond.redirected_reads; so.Respond.redirected_writes;
-        so.Respond.escapes; so.Respond.events; sp.Respond.patched_allocs;
+        so.Respond.escapes;
+        (* the oblivious side's response count, which saved repros hash *)
+        so.Respond.redirected_reads + so.Respond.redirected_writes
+        + so.Respond.escapes + so.Respond.patched_allocs;
+        sp.Respond.patched_allocs;
         List.length (Runtime.detections st.pat.rt); Persist.count st.store ]
   in
   let acc = ref 0L in
@@ -195,9 +199,10 @@ let digest st =
     (Persist.keys st.store);
   Int64.logxor h !acc
 
-let make_side ~seed ~offset ~store resp =
+let make_side ~seed ~offset ~store mode =
   let machine = Machine.create ~seed:(seed + offset) () in
   let heap = Heap.create machine in
+  let resp = Respond.create mode ~machine in
   let rt = Runtime.create ~seed:offset ~store ~respond:resp ~machine ~heap () in
   { machine; heap; rt; tool = Runtime.tool rt; resp;
     ctx = Alloc_ctx.synthetic ~callsite:0 () }
@@ -213,10 +218,8 @@ let alphabet ?(plant = false) () =
           let store = Persist.create () in
           { obl =
               make_side ~seed ~offset:0 ~store:(oblivious_store ())
-                (Respond.create Respond.Oblivious);
-            pat =
-              make_side ~seed ~offset:1 ~store
-                (Respond.create (Respond.Patch threshold));
+                Respond.Oblivious;
+            pat = make_side ~seed ~offset:1 ~store (Respond.Patch threshold);
             store;
             threshold;
             hits = Hashtbl.create 8;

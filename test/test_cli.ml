@@ -1,8 +1,9 @@
 (* The csod_run binary's error contract: a file flag naming a path that
    cannot be read or written ends the command with one "csod_run: PATH:
    reason" line on stderr and exit 1, before any work (nothing on stdout),
-   never with cmdliner's "internal error"; and every subcommand that takes
-   an application names an unknown one the same way. *)
+   never with cmdliner's "internal error"; a numeric flag out of its range
+   is a usage error (exit 124, nothing on stdout); and every subcommand
+   that takes an application names an unknown one the same way. *)
 
 let read_file f = In_channel.with_open_text f In_channel.input_all
 
@@ -82,6 +83,28 @@ let test_unknown_app () =
       Alcotest.(check string) (sub ^ ": stdout") "" out)
     [ "run"; "explain"; "fleet"; "serve" ]
 
+(* Every numeric flag a library constructor would refuse, with a value
+   outside its range: the flag is the last argument. *)
+let bad_numbers =
+  [ [ "fleet"; "zziplib"; "--users=-5" ];
+    [ "fleet"; "zziplib"; "--epoch"; "0" ];
+    [ "fleet"; "zziplib"; "--benign-frac"; "2" ];
+    [ "fleet"; "zziplib"; "--domains"; "0" ];
+    [ "fleet"; "zziplib"; "--wave-period"; "0" ];
+    [ "serve"; "zziplib"; "--epochs"; "1"; "--epoch"; "0" ];
+    [ "serve"; "zziplib"; "--epochs"; "1"; "--rotate"; "0" ];
+    [ "serve"; "zziplib"; "--epochs"; "1"; "--checkpoint-every=-1" ];
+    [ "run"; "zziplib"; "--runs"; "0" ];
+    [ "run"; "zziplib"; "--runs=-3" ] ]
+
+let test_bad_number_is_usage_error args () =
+  let code, out, err = csod_run args in
+  let cmd = String.concat " " args in
+  Alcotest.(check int) (cmd ^ ": exit code") 124 code;
+  Alcotest.(check string) (cmd ^ ": no work done") "" out;
+  Alcotest.(check bool) (cmd ^ ": not an internal error") false
+    (String.starts_with ~prefix:"csod_run: internal error" err)
+
 (* "bad path: serve --history, a file": the subcommand, the flag (FILE for
    a positional) and what its path is. *)
 let label (args, reason) =
@@ -106,5 +129,19 @@ let suite =
     (fun case ->
       Alcotest.test_case (label case) `Quick (test_bad_path_fails_cleanly case))
     bad_paths
+  @ List.map
+      (fun args ->
+        let rev = List.rev args in
+        let flag, value =
+          match String.index_opt (List.hd rev) '=' with
+          | Some i ->
+            let a = List.hd rev in
+            (String.sub a 0 i, String.sub a (i + 1) (String.length a - i - 1))
+          | None -> (List.nth rev 1, List.hd rev)
+        in
+        Alcotest.test_case
+          (Printf.sprintf "bad number: %s %s %s" (List.hd args) flag value)
+          `Quick (test_bad_number_is_usage_error args))
+      bad_numbers
   @ [ Alcotest.test_case "unknown application, one message" `Quick
         test_unknown_app ]

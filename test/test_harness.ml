@@ -384,6 +384,33 @@ let test_postmortem_stories_follow_the_object () =
       done)
     [ "Memcached"; "MySQL"; "Heartbleed" ]
 
+(* Under failure-oblivious response each redirect is a recorder record of
+   the detected object, so it reads in that object's story, after the
+   detection and before the free. *)
+let test_postmortem_story_shows_redirects () =
+  let app = Option.get (Buggy_app.by_name "Heartbleed") in
+  let a = Postmortem.analyze ~app ~config:Config.csod_default ~seed:1 () in
+  let r = Flight_recorder.create () in
+  let outcome =
+    Flight_recorder.with_recorder r (fun () ->
+        Execution.run ~app ~config:Config.csod_default ~seed:1
+          ~respond:Respond.Oblivious ())
+  in
+  let rendered =
+    Postmortem.render ~symbolize:(Execution.symbolizer app)
+      { a with Postmortem.outcome; records = Flight_recorder.records r }
+  in
+  let story =
+    let from = index_of rendered "=== detection #1" in
+    Alcotest.(check bool) "a detection section" true (from < max_int);
+    String.sub rendered from (String.length rendered - from)
+  in
+  let at = index_of story in
+  Alcotest.(check bool) "the redirect is in the story" true
+    (at "RESPONSE redirect-read via watchpoint (1 bytes at +" < max_int);
+  Alcotest.(check bool) "after the detection" true
+    (at "DETECTED" < at "RESPONSE redirect-read")
+
 (* A report names the chain first seen for its object's (call site, stack
    offset) pair, which the context entry holds (paper Section III-A1,
    Fig. 5), not necessarily the chain that allocated the object.  Zziplib
@@ -456,5 +483,7 @@ let suite =
         test_miss_attribution_tally;
       Alcotest.test_case "postmortem: stories follow the detected object"
         `Quick test_postmortem_stories_follow_the_object;
+      Alcotest.test_case "postmortem: redirects join the object's story" `Quick
+        test_postmortem_story_shows_redirects;
       Alcotest.test_case "report: chain is the pair's first-sight chain" `Quick
         test_report_chain_is_first_sight ]

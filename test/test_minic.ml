@@ -602,14 +602,10 @@ let test_vm_buggy_cycles_repro () =
   Alcotest.(check int) "clean vm agrees on cycles" ci cv;
   Alcotest.(check int) "clean vm agrees on return" ri.Interp.return_value
     rv.Interp.return_value;
-  Fun.protect
-    ~finally:(fun () -> Vm.buggy_cycles := false)
-    (fun () ->
-      Vm.buggy_cycles := true;
-      let rb, cb = run_engine Engine.Vm src in
-      Alcotest.(check int) "buggy vm still computes the right answer"
-        ri.Interp.return_value rb.Interp.return_value;
-      Alcotest.(check int) "one extra cycle per taken backward jump" (ci + 3) cb)
+  let rb, cb = run_engine Engine.Vm_buggy_cycles src in
+  Alcotest.(check int) "buggy vm still computes the right answer"
+    ri.Interp.return_value rb.Interp.return_value;
+  Alcotest.(check int) "one extra cycle per taken backward jump" (ci + 3) cb
 
 let suite =
   suite

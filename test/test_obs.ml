@@ -564,7 +564,19 @@ let test_metrics_do_not_perturb () =
 (* The lifecycle stream is a subscriber of the flight recorder: a
    detecting Heartbleed run under a sink and a ring that drops nothing
    streams exactly [records r], in order and byte for byte.  A bare run
-   emits nothing else (no snapshots, no respond events). *)
+   emits nothing else (no snapshots, no respond records). *)
+let streamed ?respond ~config ~seed app =
+  let b = Buffer.create 4096 in
+  let r = Flight_recorder.create ~capacity:(1 lsl 17) () in
+  ignore
+    (Event_sink.with_sink (Event_sink.to_buffer b) (fun () ->
+         Flight_recorder.with_recorder r (fun () ->
+             Execution.run ~app ~config ~seed ?respond ())));
+  let lines =
+    String.split_on_char '\n' (Buffer.contents b) |> List.filter (( <> ) "")
+  in
+  (r, lines)
+
 let lifecycle_stream = lazy (
   let app = Option.get (Buggy_app.by_name "Heartbleed") in
   let seed =
@@ -574,16 +586,7 @@ let lifecycle_stream = lazy (
     | Some (seed, _) -> seed
     | None -> Alcotest.fail "no detecting seed"
   in
-  let b = Buffer.create 4096 in
-  let r = Flight_recorder.create ~capacity:(1 lsl 17) () in
-  ignore
-    (Event_sink.with_sink (Event_sink.to_buffer b) (fun () ->
-         Flight_recorder.with_recorder r (fun () ->
-             Execution.run ~app ~config:Config.csod_default ~seed ())));
-  let lines =
-    String.split_on_char '\n' (Buffer.contents b) |> List.filter (( <> ) "")
-  in
-  (r, lines))
+  streamed ~config:Config.csod_default ~seed app)
 
 let event_name line =
   match Obs_json.of_string line with
@@ -591,24 +594,68 @@ let event_name line =
     match Obs_json.member "event" j with Some (`String e) -> e | _ -> "")
   | Error msg -> Alcotest.failf "unparsable line %s: %s" line msg
 
+(* The ring's records as the stream's lines. *)
+let ring_lines r =
+  List.map
+    (fun rec_ ->
+      match Flight_recorder.record_to_json rec_ with
+      | `Assoc (("kind", kind) :: fields) ->
+        Obs_json.to_string (`Assoc (("event", kind) :: fields))
+      | _ -> Alcotest.fail "record_to_json: kind is not the first field")
+    (Flight_recorder.records r)
+
 let test_lifecycle_stream_is_the_ring () =
   let r, lines = Lazy.force lifecycle_stream in
   Alcotest.(check int) "ring dropped nothing" 0 (Flight_recorder.dropped r);
-  let expected =
-    List.map
-      (fun rec_ ->
-        match Flight_recorder.record_to_json rec_ with
-        | `Assoc (("kind", kind) :: fields) ->
-          Obs_json.to_string (`Assoc (("event", kind) :: fields))
-        | _ -> Alcotest.fail "record_to_json: kind is not the first field")
-      (Flight_recorder.records r)
-  in
-  Alcotest.(check (list string)) "stream = records, in order" expected lines;
+  Alcotest.(check (list string)) "stream = records, in order" (ring_lines r) lines;
   let count e = List.length (List.filter (fun l -> event_name l = e) lines) in
   Alcotest.(check int) "exactly one detection" 1 (count "detection");
   Alcotest.(check int) "the ring counted it" 1 (Flight_recorder.detection_count r);
   Alcotest.(check int) "one decision per allocation" (count "alloc")
-    (count "decision")
+    (count "decision");
+  Alcotest.(check int) "no respond records" 0 (count "respond")
+
+(* Under failure-oblivious response the redirects are ring records too:
+   the stream is still the ring, byte for byte, with CSOD and with ASan,
+   and no line carries a schema tag of its own. *)
+let test_respond_stream_is_the_ring () =
+  let app = Option.get (Buggy_app.by_name "Heartbleed") in
+  List.iter
+    (fun (config, seed) ->
+      let label = Printf.sprintf "%s seed %d" (Config.label config) seed in
+      let r, lines = streamed ~respond:Respond.Oblivious ~config ~seed app in
+      Alcotest.(check int) (label ^ ": ring dropped nothing") 0
+        (Flight_recorder.dropped r);
+      Alcotest.(check (list string)) (label ^ ": stream = records") (ring_lines r)
+        lines;
+      let actions =
+        List.filter_map
+          (fun rec_ ->
+            match rec_.Flight_recorder.kind with
+            | Flight_recorder.Respond { action; _ } -> Some action
+            | _ -> None)
+          (Flight_recorder.records r)
+      in
+      Alcotest.(check bool) (label ^ ": reads redirected") true
+        (List.mem Flight_recorder.Redirect_read actions);
+      let trace =
+        Trace_export.to_json ~cycles_per_second:Cost.cycles_per_second
+          (Flight_recorder.records r)
+      in
+      let instants =
+        match Obs_json.member "traceEvents" trace with
+        | Some (`List evs) ->
+          List.filter (fun e -> Obs_json.member "cat" e = Some (`String "respond")) evs
+        | _ -> []
+      in
+      Alcotest.(check int) (label ^ ": an instant per response") (List.length actions)
+        (List.length instants);
+      Alcotest.(check bool) (label ^ ": untagged") true
+        (List.for_all
+           (fun l -> Obs_json.member "schema" (Result.get_ok (Obs_json.of_string l)) = None)
+           lines))
+    [ (Config.csod_default, 1); (Config.csod_default, 3);
+      (Config.asan_min_redzone, 1); (Config.asan_min_redzone, 3) ]
 
 (* The stream reports the probability the decision used: the first object
    is installed at start-up, with probability 1, not the halved
@@ -757,6 +804,10 @@ let lifecycle_schema : Flight_recorder.kind -> string * (string * _) list =
   | Phase _ ->
     ("phase", [ ("phase", `String); ("start", `Int); ("stop", `Int) ])
   | Fault _ -> ("fault", [ ("point", `String) ])
+  | Respond _ ->
+    ( "respond",
+      [ ("action", `String); ("source", `String); ("site", `Int);
+        ("stack_offset", `Int); ("obj", `Int); ("addr", `Int); ("len", `Int) ] )
 
 let json_type : Obs_json.t -> _ = function
   | `Int _ -> `Int
@@ -784,14 +835,17 @@ let test_lifecycle_event_schema () =
           Flight_recorder.prob ~at:10 ~ctx:1 ~cause:Flight_recorder.Halve_on_watch
             ~from_p:1.0 ~to_p:0.5;
           Flight_recorder.phase ~phase:Profiler.App ~start:0 ~stop:11;
-          Flight_recorder.fault ~at:12 ~point:"ebusy"));
+          Flight_recorder.fault ~at:12 ~point:"ebusy";
+          Flight_recorder.respond ~at:13 ~action:Flight_recorder.Redirect_write
+            ~source:Flight_recorder.Watchpoint ~site:3 ~off:0 ~obj:0x40
+            ~addr:0x50 ~len:8));
   let lines =
     String.split_on_char '\n' (Buffer.contents b) |> List.filter (( <> ) "")
   in
   let records = Flight_recorder.records r in
   Alcotest.(check int) "one line per hook" (List.length records)
     (List.length lines);
-  Alcotest.(check int) "all 12 kinds streamed" 12
+  Alcotest.(check int) "all 13 kinds streamed" 13
     (List.length
        (List.sort_uniq compare
           (List.map (fun r -> fst (lifecycle_schema r.Flight_recorder.kind)) records)));
@@ -1074,7 +1128,20 @@ let test_recorder_round_trip () =
         [ "a source never seen before"; "watchpoint"; "a source never seen before" ];
       List.iter
         (fun point -> push (F.Fault { point }) (fun at -> F.fault ~at ~point))
-        [ "point-1"; "point-2"; "point-3"; "point-1"; ""; "read" ]);
+        [ "point-1"; "point-2"; "point-3"; "point-1"; ""; "read" ];
+      List.iteri
+        (fun k (action, source) ->
+          let v = List.nth ints (k mod List.length ints) in
+          let w = List.nth ints ((k + 1) mod List.length ints) in
+          push
+            (F.Respond { action; source; site = v; off = w; obj = -v; addr = w; len = v })
+            (fun at ->
+              F.respond ~at ~action ~source ~site:v ~off:w ~obj:(-v) ~addr:w ~len:v))
+        (List.concat_map
+           (fun action ->
+             List.map (fun source -> (action, source))
+               [ F.Watchpoint; F.Asan_shadow; F.Canary ])
+           [ F.Redirect_read; F.Redirect_write; F.Escape; F.Patch ]));
   let expected =
     List.rev !expected
     |> List.mapi (fun seq (at, kind) -> canonical { F.seq; at; kind })
@@ -1574,17 +1641,15 @@ let test_schema_kinds () =
 let test_schema_untagged_streams () =
   let v text = Schema.validate Schemas.all text in
   let respond =
-    Result.get_ok
-      (Obs_json.of_string
-         {|{"schema":"csod.respond.event/1","kind":"redirect-read","source":"watchpoint","site":4,"ctx":[4,8],"addr":64,"offset":8,"len":1,"at_sec":0.5}|})
+    {|{"event":"respond","seq":1,"at":9,"action":"redirect-read","source":"watchpoint","site":4,"stack_offset":8,"obj":56,"addr":64,"len":1}|}
   in
-  let line j = Obs_json.to_string j ^ "\n" in
-  let good = line respond in
+  let good = respond ^ "\n" in
   Alcotest.(check (result int string)) "lifecycle + respond lines" (Ok 2)
     (v ("{\"event\":\"start\",\"seq\":0}\n" ^ good));
-  Alcotest.(check bool) "bad respond line caught" true
+  Alcotest.(check bool) "retired respond tag refused" true
     (Result.is_error
-       (v (line (with_field "kind" (`String "teleport") respond))));
+       (v ({|{"schema":"csod.respond.event/1","kind":"redirect-read","source":"watchpoint","site":4,"ctx":[4,8],"addr":64,"offset":8,"len":1,"at_sec":0.5}|}
+         ^ "\n")));
   Alcotest.(check bool) "unknown csod tag" true
     (Result.is_error (v "{\"schema\":\"csod.nope/1\"}\n"));
   Alcotest.(check (result int string)) "foreign tag" (Ok 1)
@@ -1594,8 +1659,8 @@ let test_schema_untagged_streams () =
 
 let test_schema_registry () =
   let names = List.map Schema.name Schemas.all in
-  Alcotest.(check int) "fourteen formats" 14 (List.length names);
-  Alcotest.(check int) "one spec each" 14
+  Alcotest.(check int) "thirteen formats" 13 (List.length names);
+  Alcotest.(check int) "one spec each" 13
     (List.length (List.sort_uniq compare names))
 
 (* A bench row that does not match its spec is refused before printing. *)
@@ -1694,6 +1759,8 @@ let suite =
     Alcotest.test_case "telemetry does not perturb" `Quick test_metrics_do_not_perturb;
     Alcotest.test_case "lifecycle stream equals the ring" `Quick
       test_lifecycle_stream_is_the_ring;
+    Alcotest.test_case "respond stream equals the ring" `Quick
+      test_respond_stream_is_the_ring;
     Alcotest.test_case "start-up decision streams prob 1" `Quick
       test_startup_decision_streamed;
     Alcotest.test_case "json encoder" `Quick test_obs_json;

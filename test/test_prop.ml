@@ -413,8 +413,6 @@ let diff_sweep_engines () =
    cycle per taken backward jump): proof the net is tight enough to see a
    single-cycle divergence.  test_minic.ml pins the shrunk repro. *)
 let diff_sweep_catches_planted_bug () =
-  Vm.buggy_cycles := true;
-  Fun.protect ~finally:(fun () -> Vm.buggy_cycles := false) @@ fun () ->
   let caught = ref false in
   (try
      for seed = 9000 to 9029 do
@@ -426,7 +424,10 @@ let diff_sweep_catches_planted_bug () =
          let a =
            d_observe Engine.Interp program ~inputs ~seed ~step_limit:50_000
          in
-         let b = d_observe Engine.Vm program ~inputs ~seed ~step_limit:50_000 in
+         let b =
+           d_observe Engine.Vm_buggy_cycles program ~inputs ~seed
+             ~step_limit:50_000
+         in
          if a <> b then begin
            caught := true;
            raise Exit

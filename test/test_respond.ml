@@ -351,26 +351,30 @@ let test_patch_below_threshold_unchanged () =
   Alcotest.(check int) "no padding below threshold" 0
     (summary_of o).Respond.patched_allocs
 
-(* The redirect records streamed to an event sink match their spec. *)
-let test_events_match_spec () =
-  let buf = Buffer.create 4096 in
-  ignore
-    (Event_sink.with_sink (Event_sink.to_buffer buf) (fun () ->
-         oblivious_run ~seed:1 "Heartbleed"));
-  let tagged =
-    String.split_on_char '\n' (Buffer.contents buf)
-    |> List.filter (fun l ->
-           match Obs_json.of_string l with
-           | Ok j -> Obs_json.member "schema" j = Some (`String Respond.schema)
-           | Error _ -> false)
+(* Every response is a flight-recorder record: the ring holds one per
+   counted action, with the action and source the runtime saw. *)
+let test_records_match_summary () =
+  let r = Flight_recorder.create () in
+  let o =
+    Flight_recorder.with_recorder r (fun () -> oblivious_run ~seed:1 "Heartbleed")
   in
-  Alcotest.(check bool) "redirects recorded" true (tagged <> []);
-  match
-    Schema.validate Schemas.all ~schema:Respond.schema
-      (String.concat "" (List.map (fun l -> l ^ "\n") tagged))
-  with
-  | Ok n -> Alcotest.(check int) "every event valid" (List.length tagged) n
-  | Error e -> Alcotest.fail e
+  let s = summary_of o in
+  let count action =
+    List.length
+      (List.filter
+         (fun rec_ ->
+           match rec_.Flight_recorder.kind with
+           | Flight_recorder.Respond { action = a; source; _ } ->
+             a = action && source = Respond.Watchpoint
+           | _ -> false)
+         (Flight_recorder.records r))
+  in
+  Alcotest.(check bool) "redirects recorded" true (s.Respond.redirected_reads > 0);
+  Alcotest.(check int) "a record per redirected read" s.Respond.redirected_reads
+    (count Flight_recorder.Redirect_read);
+  Alcotest.(check int) "a record per redirected write"
+    s.Respond.redirected_writes (count Flight_recorder.Redirect_write);
+  Alcotest.(check int) "no escape" 0 (count Flight_recorder.Escape)
 
 let suite =
   [ Alcotest.test_case "mode parsing" `Quick test_mode_parsing;
@@ -396,4 +400,5 @@ let suite =
       test_patch_convicts_and_silences;
     Alcotest.test_case "patch: below threshold unchanged" `Quick
       test_patch_below_threshold_unchanged;
-    Alcotest.test_case "events match their spec" `Quick test_events_match_spec ]
+    Alcotest.test_case "response records match the summary" `Quick
+      test_records_match_summary ]
