@@ -72,11 +72,13 @@ engines:
 # Event-stream hygiene: the JSONL emitted by --events must be one JSON
 # object per line, never a torn line, with every schema-tagged line
 # matching its spec (csod_run validate), and the detecting seed-3 run
-# must stream its detection record.
+# must stream its detection record and, with snapshots scheduled, its
+# snapshot records between the recorder's own.
 validate:
-	dune exec bin/csod_run.exe -- run heartbleed --seed 3 --events /tmp/csod_events.jsonl > /dev/null
+	dune exec bin/csod_run.exe -- run heartbleed --seed 3 --snapshot-sec 0.01 --events /tmp/csod_events.jsonl > /dev/null
 	dune exec bin/csod_run.exe -- validate /tmp/csod_events.jsonl
 	grep -q '"event":"detection"' /tmp/csod_events.jsonl
+	grep -q '^{"event":"snapshot",' /tmp/csod_events.jsonl
 
 # Bounded simulation sweep: ~3k weighted operation sequences across the
 # six stack-layer alphabets (heap+sparse memory, runtime, fleet, store,

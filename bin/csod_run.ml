@@ -80,8 +80,8 @@ let check_path ?(dir = false) path =
 let checked ?dir arg =
   Term.(const (fun p -> Option.iter (check_path ?dir) p; p) $ arg)
 
-let opened arg =
-  Term.(const (Option.map (fun p -> (p, if p = "-" then stdout else output p))) $ arg)
+let open_output p = (p, if p = "-" then stdout else output p)
+let opened arg = Term.(const (Option.map open_output) $ arg)
 
 let file_opt ?vopt ~doc names =
   Arg.(value & opt ?vopt (some string) None & info names ~docv:"FILE" ~doc)
@@ -158,6 +158,22 @@ let fraction_conv =
     | _ -> Error (`Msg (Printf.sprintf "expected a number in [0, 1], got %S" s))
   in
   Arg.conv (parse, Format.pp_print_float)
+
+(* --snapshot-sec, read as the virtual cycles between snapshots: at least
+   one, and fewer than [max_int]. *)
+let snapshot_cycles_conv =
+  let cps = float_of_int Cost.cycles_per_second in
+  let parse s =
+    match float_of_string_opt s with
+    | Some sec when sec *. cps >= 1. && sec *. cps < float_of_int max_int ->
+      Ok (int_of_float (sec *. cps))
+    | _ ->
+      Error
+        (`Msg
+           (Printf.sprintf "expected a number of seconds in [%g, %g), got %S"
+              (1. /. cps) (float_of_int max_int /. cps) s))
+  in
+  Arg.conv (parse, fun ppf c -> Format.pp_print_float ppf (float_of_int c /. cps))
 
 let recorder_capacity_conv =
   let parse s =
@@ -263,6 +279,16 @@ let respond_arg =
                  default 3 — its allocation sites are over-allocated and \
                  redzoned so the overflow becomes harmless).")
 
+(* --tool and --respond together: a response acts on a tool's detections,
+   and --tool none builds no response layer. *)
+let tool_respond_t =
+  let check config respond =
+    if config = Config.Baseline && respond <> Respond.Off then
+      `Error (true, "--respond needs a detection tool: --tool none detects nothing")
+    else `Ok (config, respond)
+  in
+  Term.(ret (const check $ config_t tool_arg $ respond_arg))
+
 let print_fault_summary = function
   | None -> ()
   | Some inj -> Printf.printf "faults: %s\n" (Fault_injector.summary inj)
@@ -308,14 +334,32 @@ type observe = {
   trace_out : (string * out_channel) option;
 }
 
+(* --events and --snapshot-sec, checked together before any output is
+   opened: snapshots go out on the events stream. *)
+let events_t =
+  let check events snapshot_cycles =
+    if snapshot_cycles <> None && events = None then
+      `Error (true, "--snapshot-sec requires --events: snapshots go out on its stream")
+    else `Ok (Option.map open_output events, Option.value snapshot_cycles ~default:0)
+  in
+  Term.(ret
+          (const check
+          $ file_opt [ "events" ]
+              ~doc:"Stream the flight recorder's lifecycle records (allocations, \
+                    sampling decisions, watchpoint installs/evictions, traps, \
+                    canary checks, detections, probability changes, phases, \
+                    responses) and periodic snapshots as JSONL to $(docv) ($(b,-) for stdout).  \
+                    Implies a recorder: each execution's recorder writes \
+                    its records into the stream as it makes them."
+          $ Arg.(value & opt (some snapshot_cycles_conv) None
+                 & info [ "snapshot-sec" ] ~docv:"SECS"
+                     ~doc:"Emit a telemetry snapshot event into the $(b,--events) \
+                           stream every $(docv) of virtual time (requires \
+                           $(b,--events); at least one cycle).")))
+
 let observe_t =
-  let make metrics profile metrics_json events snapshot_sec flight trace_out =
-    { metrics; profile; metrics_json; events;
-      snapshot_cycles =
-        (match snapshot_sec with
-        | Some sec when sec > 0.0 ->
-          int_of_float (sec *. float_of_int Cost.cycles_per_second)
-        | _ -> 0);
+  let make (events, snapshot_cycles) metrics profile metrics_json flight trace_out =
+    { metrics; profile; metrics_json; events; snapshot_cycles;
       (* [--trace-out] and [--events] read the recorder, so they imply one. *)
       capacity =
         (match flight with
@@ -325,7 +369,8 @@ let observe_t =
       shown = flight <> None || trace_out <> None;
       trace_out }
   in
-  Term.(const make
+  (* [events_t] goes first, so a refused combination opens no output. *)
+  Term.(const make $ events_t
         $ Arg.(value & flag
                & info [ "metrics" ]
                    ~doc:"Print the metrics registry and per-phase cycle \
@@ -337,43 +382,27 @@ let observe_t =
             (file_opt [ "metrics-json" ]
                ~doc:"Write the full telemetry dump (counters, gauges, histograms, \
                      per-phase cycles) as JSON to $(docv) ($(b,-) for stdout).")
-        $ opened
-            (file_opt [ "events" ]
-               ~doc:"Stream the flight recorder's lifecycle records (allocations, \
-                     sampling decisions, watchpoint installs/evictions, traps, \
-                     canary checks, detections, probability changes, phases, \
-                     responses) and periodic snapshots as JSONL to $(docv) ($(b,-) for stdout).  \
-                     Implies a recorder.")
-        $ Arg.(value & opt (some float) None
-               & info [ "snapshot-sec" ] ~docv:"SECS"
-                   ~doc:"Emit a telemetry snapshot event every $(docv) of virtual \
-                         time (requires $(b,--events)).")
         $ flight_arg $ trace_out_t)
 
-(* Run [f] under the observation flags, streaming --events throughout.
-   [f] wraps each execution in the [recorded] it is given — a fresh
-   recorder per execution, so the kept recording is one coherent run, not
-   a splice — and returns the final outcome.  Its telemetry and recording
-   are shown after; [final] is its seed when it was not the only
-   execution, since each execution runs on a fresh machine and registries
-   are not carried across runs. *)
+(* Run [f] under the observation flags.  [f] wraps each execution in the
+   [recorded] it is given — a fresh recorder per execution, so the kept
+   recording is one coherent run, not a splice; each one streams into the
+   --events channel, so several executions share one file — and returns
+   the final outcome.  Its telemetry and recording are shown after;
+   [final] is its seed when it was not the only execution, since each
+   execution runs on a fresh machine and registries are not carried
+   across runs. *)
 let observed o ?final f =
   let recording = ref None in
   let recorded execute =
     match o.capacity with
     | None -> execute ()
     | Some capacity ->
-      let r = Flight_recorder.create ~capacity () in
+      let r = Flight_recorder.create ~capacity ?stream:(Option.map snd o.events) () in
       recording := Some r;
       Flight_recorder.with_recorder r execute
   in
-  let last =
-    match o.events with
-    | None -> f recorded
-    | Some (_, oc) ->
-      Event_sink.install (Event_sink.to_channel oc);
-      Fun.protect ~finally:Event_sink.uninstall (fun () -> f recorded)
-  in
+  let last = f recorded in
   Option.iter
     (fun (out : Execution.outcome) ->
       let tele = out.Execution.telemetry and total_cycles = out.Execution.cycles in
@@ -457,7 +486,7 @@ let print_outcome ~symbolize (o : Execution.outcome) =
        canary-only detection\n"
 
 let run_cmd =
-  let run app engine config input seed runs store_file faults respond obs () =
+  let run app engine (config, respond) input seed runs store_file faults obs () =
     let store = load_store store_file in
     let final = if runs > 1 then Some (seed + runs - 1) else None in
     let last =
@@ -492,8 +521,8 @@ let run_cmd =
     save_store ?faults:(Option.bind last (fun o -> o.Execution.faults)) store store_file
   in
   command "run" ~doc:"Run a bundled buggy application under a detection tool."
-    Term.(const run $ app_t $ engine_t $ config_t tool_arg $ input_t $ seed_arg
-          $ runs_arg $ store_t $ faults_arg $ respond_arg $ observe_t)
+    Term.(const run $ app_t $ engine_t $ tool_respond_t $ input_t $ seed_arg
+          $ runs_arg $ store_t $ faults_arg $ observe_t)
 
 (* ---- explain: post-mortem diagnosis ---- *)
 
@@ -599,8 +628,8 @@ let fleet_cmd =
   in
   let run f store_file json live trace_out () =
     (* The live stream goes through the fleet's health callback — invoked
-       at barriers, in the main domain — NOT through a process-global
-       event sink, which runtime trace points would race from the worker
+       at barriers, in the main domain — NOT through the process-global
+       recorder's stream, which runtime hooks would race from the worker
        domains. *)
     let on_health =
       Option.map
@@ -1110,7 +1139,7 @@ let exec_cmd =
     Arg.(value & flag
          & info [ "dump" ] ~doc:"Pretty-print the checked program and exit.")
   in
-  let run file inputs module_name engine config seed store_file faults respond
+  let run file inputs module_name engine (config, respond) seed store_file faults
       dump obs () =
     match Program.load [ { Program.file; module_name; source = read file } ] with
     | Error errs ->
@@ -1135,8 +1164,8 @@ let exec_cmd =
   in
   command "exec" ~doc:"Run a MiniC source file under a detection tool."
     Term.(const run $ file_arg $ inputs_arg $ module_arg $ engine_t
-          $ config_t tool_arg $ seed_arg $ store_t $ faults_arg $ respond_arg
-          $ dump_arg $ observe_t)
+          $ tool_respond_t $ seed_arg $ store_t $ faults_arg $ dump_arg
+          $ observe_t)
 
 let () =
   let info =

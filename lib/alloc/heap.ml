@@ -22,9 +22,6 @@ type store = {
   mutable addr : int array;
   mutable req_size : int array;      (* size the caller asked for *)
   mutable block : int array;         (* bytes reserved *)
-  mutable base : int array;          (* base of the underlying block (differs
-                                        from the address for memalign
-                                        interior pointers) *)
   mutable count : int;
   index : Int_index.t;               (* address -> slot *)
   small_head : int array;            (* per class: top freed node, or -1 *)
@@ -60,7 +57,6 @@ let fresh_store () =
   { addr = Array.make initial_slots 0;
     req_size = Array.make initial_slots 0;
     block = Array.make initial_slots 0;
-    base = Array.make initial_slots 0;
     count = 0;
     index = Int_index.create initial_slots;
     small_head = Array.make Size_class.num_small_classes (-1);
@@ -80,16 +76,14 @@ let grow_slots s =
   let n = 2 * Array.length s.addr in
   s.addr <- grown s.addr n;
   s.req_size <- grown s.req_size n;
-  s.block <- grown s.block n;
-  s.base <- grown s.base n
+  s.block <- grown s.block n
 
-let add_object s ~addr ~req_size ~block ~base =
+let add_object s ~addr ~req_size ~block =
   if s.count = Array.length s.addr then grow_slots s;
   let slot = s.count in
   s.addr.(slot) <- addr;
   s.req_size.(slot) <- req_size;
   s.block.(slot) <- block;
-  s.base.(slot) <- base;
   s.count <- slot + 1;
   Int_index.add s.index addr 0 slot
 
@@ -100,8 +94,7 @@ let fill_hole s slot =
     Int_index.replace s.index s.addr.(last) 0 slot;
     s.addr.(slot) <- s.addr.(last);
     s.req_size.(slot) <- s.req_size.(last);
-    s.block.(slot) <- s.block.(last);
-    s.base.(slot) <- s.base.(last)
+    s.block.(slot) <- s.block.(last)
   end;
   s.count <- last
 
@@ -145,7 +138,7 @@ let spare_store : store Spare.t = Spare.create ()
    first block a released heap hands out gives it a store of its own
    ([take_block]). *)
 let no_store =
-  { addr = [||]; req_size = [||]; block = [||]; base = [||]; count = 0;
+  { addr = [||]; req_size = [||]; block = [||]; count = 0;
     index = Int_index.create 0; small_head = [||]; fresh_next = [||];
     fresh_limit = [||]; touched = [||]; n_touched = 0;
     large_head = Int_index.create 0; node_addr = [||]; node_next = [||];
@@ -253,15 +246,15 @@ let take_block t block =
     else carve t block
   end
 
-let return_block t block base =
+let return_block t block addr =
   let s = t.s in
   if block <= Size_class.max_class then begin
     let c = Size_class.small_index block in
-    s.small_head.(c) <- push_node s base s.small_head.(c)
+    s.small_head.(c) <- push_node s addr s.small_head.(c)
   end
   else begin
     let key = block / Size_class.align in
-    let top = push_node s base (Int_index.find s.large_head key 0) in
+    let top = push_node s addr (Int_index.find s.large_head key 0) in
     Int_index.replace s.large_head key 0 top
   end
 
@@ -269,22 +262,19 @@ let return_block t block base =
    instruments themselves: the gauge keeps its high watermark, the peak. *)
 let add_live t n = Metrics.set t.g_live_bytes (Metrics.level t.g_live_bytes + n)
 
-let register t ~addr ~base ~req_size ~block =
-  add_object t.s ~addr ~req_size ~block ~base;
-  Metrics.incr t.c_mallocs;
-  Metrics.observe t.h_alloc_bytes req_size;
-  add_live t req_size;
-  t.live_block_bytes <- t.live_block_bytes + block;
-  if t.live_block_bytes > t.peak_block_bytes then
-    t.peak_block_bytes <- t.live_block_bytes
-
 let malloc t size =
   if size < 0 then raise (Error "malloc: negative size");
   if size > Size_class.max_request then raise (Error "malloc: size overflows");
   Machine.work_as t.m Profiler.Alloc_fast Cost.malloc_base;
   let block = Size_class.block_bytes size in
   let addr = take_block t block in
-  register t ~addr ~base:addr ~req_size:size ~block;
+  add_object t.s ~addr ~req_size:size ~block;
+  Metrics.incr t.c_mallocs;
+  Metrics.observe t.h_alloc_bytes size;
+  add_live t size;
+  t.live_block_bytes <- t.live_block_bytes + block;
+  if t.live_block_bytes > t.peak_block_bytes then
+    t.peak_block_bytes <- t.live_block_bytes;
   addr
 
 let free t addr =
@@ -296,66 +286,12 @@ let free t addr =
     else raise (Error (Printf.sprintf "free: invalid or already-freed pointer 0x%x" addr))
   end
   else begin
-    let req_size = s.req_size.(slot) and block = s.block.(slot) and base = s.base.(slot) in
+    let req_size = s.req_size.(slot) and block = s.block.(slot) in
     fill_hole s slot;
     Metrics.incr t.c_frees;
     add_live t (-req_size);
     t.live_block_bytes <- t.live_block_bytes - block;
-    return_block t block base
-  end
-
-let calloc t ~count ~size =
-  if count < 0 || size < 0 then raise (Error "calloc: negative argument");
-  if size > 0 && count > max_int / size then
-    raise (Error "calloc: count * size overflows");
-  let total = count * size in
-  let addr = malloc t total in
-  Sparse_mem.fill (Machine.mem t.m) addr total 0;
-  addr
-
-let realloc t ptr size =
-  if size < 0 then raise (Error "realloc: negative size");
-  if ptr = 0 then malloc t size
-  else if size = 0 then begin
-    free t ptr;
-    0
-  end
-  else
-    let s = t.s in
-    let slot = Int_index.find s.index ptr 0 in
-    if slot < 0 then raise (Error (Printf.sprintf "realloc: invalid pointer 0x%x" ptr))
-    else if size <= s.block.(slot) - (ptr - s.base.(slot)) then begin
-      (* Shrink or grow within the existing block: update bookkeeping. *)
-      add_live t (size - s.req_size.(slot));
-      s.req_size.(slot) <- size;
-      ptr
-    end
-    else begin
-      let old_size = s.req_size.(slot) in
-      let fresh = malloc t size in
-      let mem = Machine.mem t.m in
-      for i = 0 to min old_size size - 1 do
-        Sparse_mem.write_u8 mem (fresh + i) (Sparse_mem.read_u8 mem (ptr + i))
-      done;
-      free t ptr;
-      fresh
-    end
-
-let memalign t ~alignment ~size =
-  if alignment <= 0 || alignment land (alignment - 1) <> 0 then
-    raise (Error "memalign: alignment must be a positive power of two");
-  if alignment > 4096 then raise (Error "memalign: alignment too large");
-  if alignment <= Size_class.align then malloc t size
-  else begin
-    if size < 0 then raise (Error "memalign: negative size");
-    if size > Size_class.max_request - alignment then
-      raise (Error "memalign: size overflows");
-    Machine.work_as t.m Profiler.Alloc_fast Cost.malloc_base;
-    let block = Size_class.block_bytes (size + alignment) in
-    let base = take_block t block in
-    let addr = (base + alignment - 1) / alignment * alignment in
-    register t ~addr ~base ~req_size:size ~block;
-    addr
+    return_block t block addr
   end
 
 let size_of t addr =
@@ -368,7 +304,7 @@ let is_live t addr = Int_index.find t.s.index addr 0 >= 0
 let usable_size t addr =
   let s = t.s in
   let slot = Int_index.find s.index addr 0 in
-  if slot < 0 then None else Some (s.block.(slot) - (addr - s.base.(slot)))
+  if slot < 0 then None else Some s.block.(slot)
 
 (* Slot order: allocation order, but for the moves [free] makes. *)
 let iter_live f t =
@@ -384,8 +320,9 @@ let total_allocs t = Metrics.count t.c_mallocs
 let total_frees t = Metrics.count t.c_frees
 
 let resident_bytes t =
-  (* Peak block bytes backing live objects, plus object-table metadata
-     (4 words per entry).  Free-list slack is reusable address space, not
+  (* Peak block bytes backing live objects, plus allocator metadata: 4
+     words per live object, a real allocator's chunk header (not this
+     table's own columns).  Free-list slack is reusable address space, not
      resident pages: untouched sparse memory costs nothing, mirroring how
      VmHWM sees an mmap-backed allocator. *)
   t.peak_block_bytes + (t.s.count * 4 * 8)

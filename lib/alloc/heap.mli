@@ -15,8 +15,8 @@
 type t
 
 exception Error of string
-(** Raised on heap misuse: double free, free of a non-heap pointer, or
-    realloc of an unknown pointer.  The message identifies the pointer. *)
+(** Raised on heap misuse: double free or free of a non-heap pointer.
+    The message identifies the pointer. *)
 
 val create : Machine.t -> t
 (** An empty heap drawing address space from the machine via [sbrk].
@@ -50,21 +50,6 @@ val malloc : t -> int -> int
 val free : t -> int -> unit
 (** Return a block.  Raises {!Error} on double free or unknown pointers. *)
 
-val calloc : t -> count:int -> size:int -> int
-(** Zeroing allocation.  Raises {!Error} on a negative argument or when
-    [count * size] overflows. *)
-
-val realloc : t -> int -> int -> int
-(** [realloc t ptr size]; [ptr = 0] behaves as [malloc], [size = 0] frees
-    and returns 0.  Contents are copied up to the smaller size.  Raises
-    {!Error} on a negative size, whatever [ptr]. *)
-
-val memalign : t -> alignment:int -> size:int -> int
-(** Power-of-two alignments up to 4096.  May over-allocate and return an
-    interior pointer; [free] accepts that pointer.  Raises {!Error} on a
-    bad alignment, a negative size, or a size whose padding would pass
-    [max_int]. *)
-
 (** {1 Introspection} *)
 
 val size_of : t -> int -> int option
@@ -83,9 +68,7 @@ val iter_live : (addr:int -> size:int -> unit) -> t -> unit
     still-allocated object at exit, so the order is the order of its
     exit-time reports.  It is allocation order, except that {!free} moves
     the most recently placed live object into the freed one's place: with
-    [a b c d] live, freeing [b] walks [a d c].  A {!realloc} keeps its
-    object's place, in place or moved (the new block is allocated last,
-    then freeing the old one moves it there).  The order is a pure
+    [a b c d] live, freeing [b] walks [a d c].  The order is a pure
     function of the sequence of allocation calls.  [f] must not allocate
     or free on this heap. *)
 

@@ -21,9 +21,9 @@
     snapshot)]; snapshots only change at barriers; and all merges happen
     at barriers in uid (= seed) order.  Wall-clock time is the only field
     that varies.  The executor must keep its side effects confined to the
-    structures it creates and the store it is handed (in particular it
-    must not emit to the process-global {!Event_sink} from inside the
-    parallel section). *)
+    structures it creates and the store it is handed; in particular it
+    must not install a {!Flight_recorder}, the one process-global the
+    runtime's hooks write to, from inside the parallel section. *)
 
 type 'a execution = {
   payload : 'a;                    (** whatever the executor wants kept *)
@@ -77,9 +77,9 @@ type config = {
           Default [false]. *)
   on_health : (Health.sample -> unit) option;
       (** live health callback, invoked at each epoch barrier from the
-          main domain (all workers joined) — safe to write to a channel
-          or the installed {!Event_sink}.  It is the only channel health
-          samples go out on: the fleet itself emits nothing to the sink. *)
+          main domain (all workers joined) — safe to write to a channel.
+          It is the only channel health samples go out on: the fleet
+          itself writes them nowhere else. *)
   patch_threshold : int option;
       (** evidence hits at which the shared store convicts a context.
           Only feeds the [patched] tally of health samples — the actual

@@ -140,12 +140,14 @@ type t = {
   mutable detections : int;
   mutable names : string array; (* interned strings, by code *)
   mutable n_names : int;
+  stream : out_channel option; (* the [--events] JSONL stream, if any *)
+  line : Buffer.t; (* each streamed line is rendered here afresh *)
 }
 
 let default_capacity = 65_536
 let max_capacity = 1 lsl 24
 
-let create ?(capacity = default_capacity) () =
+let create ?(capacity = default_capacity) ?stream () =
   if capacity <= 0 then
     invalid_arg "Flight_recorder.create: capacity must be positive";
   if capacity > max_capacity then
@@ -161,7 +163,9 @@ let create ?(capacity = default_capacity) () =
     allocs = 0;
     detections = 0;
     names = [| "read"; "write" |];
-    n_names = 2 }
+    n_names = 2;
+    stream;
+    line = Buffer.create 256 }
 
 let capacity t = t.cap
 let recorded t = t.seq
@@ -249,16 +253,25 @@ let records t =
   in
   go (t.seq - 1) []
 
-(* Process-global, like {!Event_sink}: the hooks live in module-level
-   runtime code with no handle to thread a recorder through. *)
+(* Process-global: the hooks live in module-level runtime code with no
+   handle to thread a recorder through. *)
 let current : t option ref = ref None
 
 let active () = !current <> None
 
+(* Flushing when the recording ends is the no-truncation guarantee: the
+   stream is complete up to its last newline the moment the callback
+   returns, even if the caller never closes the channel.  A process that
+   [exit]s mid-recording is covered by the stdlib, whose [exit] flushes
+   every open channel. *)
 let with_recorder t f =
   let prev = !current in
   current := Some t;
-  Fun.protect ~finally:(fun () -> current := prev) f
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter flush t.stream;
+      current := prev)
+    f
 
 (* Claim the next slot and write the two columns every record shares. *)
 let[@inline] slot t ~at h =
@@ -318,17 +331,33 @@ let record_to_json r : Obs_json.t =
   let name, fields = record_fields r in
   `Assoc (("kind", `String name) :: fields)
 
+(* One [{"event":<name>,…fields}] line into [oc], rendered in the
+   recorder's reused line buffer. *)
+let write_line t oc name fields =
+  Buffer.clear t.line;
+  Obs_json.write t.line (`Assoc (("event", `String name) :: fields));
+  Buffer.output_buffer oc t.line;
+  output_char oc '\n'
+
+let streaming () =
+  match !current with Some { stream = Some _; _ } -> true | _ -> false
+
+let stream_event name fields =
+  match !current with
+  | Some ({ stream = Some oc; _ } as t) -> write_line t oc name fields
+  | _ -> ()
+
 (* The stream is a subscriber of the ring: the record just written at slot
    [s] goes out as one [{"event":<kind>,"seq":…,"at":…,…}] line. *)
-let stream t s =
+let stream t oc s =
   let name, fields =
     record_fields { seq = t.seq - 1; at = get t col_at s; kind = kind_of_slot t s }
   in
-  Event_sink.emit name fields
+  write_line t oc name fields
 
 (* Every hook ends here once its columns are written: one more branch when
-   no sink is installed. *)
-let[@inline] publish t s = if Event_sink.active () then stream t s
+   the recorder has no stream. *)
+let[@inline] publish t s = match t.stream with None -> () | Some oc -> stream t oc s
 
 (* ---- typed hooks ----
 

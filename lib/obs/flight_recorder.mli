@@ -1,7 +1,6 @@
 (** Flight recorder: a bounded, always-on ring of compact lifecycle records.
 
-    Where {!Event_sink} streams events out of the process as they happen,
-    the flight recorder keeps the {e recent} history in memory — a
+    The flight recorder keeps the {e recent} history in memory — a
     fixed-capacity ring whose oldest records are overwritten, charged
     O(1) per hook — so that when a detection fires (or a bug is missed)
     the object's whole life (alloc → watch → evict → trap → canary → free)
@@ -25,10 +24,14 @@
     only what it can tell you afterwards.  Timestamps ([at]) are virtual
     cycles read by the hook's caller.
 
-    The recorder is the runtime's one lifecycle channel.  When an
-    {!Event_sink} is installed, every hook also streams its record as one
-    JSONL line, [{"event":<kind>,"seq":…,"at":…,…}], encoded like
-    {!record_to_json}; {!records} reads the ring back. *)
+    The recorder is the runtime's one lifecycle channel, and it owns the
+    [--events] stream.  A recorder created with a [stream] channel writes
+    every record into it as one JSONL line,
+    [{"event":<kind>,"seq":…,"at":…,…}], encoded like {!record_to_json};
+    {!Telemetry}'s snapshots go out on the installed recorder's stream
+    too ({!stream_event}).  Lines carry no wall-clock time, so two runs
+    with the same seed stream byte-identical files.  {!records} reads the
+    ring back. *)
 
 (** {1 Records} *)
 
@@ -96,9 +99,12 @@ val max_capacity : int
 (** The largest capacity {!create} accepts: 2{^24} records, a 1 GiB ring.
     A bound on what one process may ask for, not a tuning knob. *)
 
-val create : ?capacity:int -> unit -> t
+val create : ?capacity:int -> ?stream:out_channel -> unit -> t
 (** A fresh recorder holding at most [capacity] (default
-    {!default_capacity}) records.  Raises [Invalid_argument] unless
+    {!default_capacity}) records, streaming each one as a JSONL line into
+    [stream] when given.  Lines are rendered in one line buffer the
+    recorder reuses, and written under the channel's own buffering; the
+    caller owns and closes the channel.  Raises [Invalid_argument] unless
     [0 < capacity <= max_capacity]. *)
 
 val capacity : t -> int
@@ -122,14 +128,24 @@ val record_to_json : record -> Obs_json.t
 
 val active : unit -> bool
 val with_recorder : t -> (unit -> 'a) -> 'a
-(** Install [t] for the duration of the callback, restoring the previous
-    recorder afterwards. *)
+(** Install [t] for the duration of the callback, then flush its stream
+    (so the file ends on a newline the moment recording stops) and
+    restore the previous recorder. *)
+
+val streaming : unit -> bool
+(** Whether the installed recorder has a stream. *)
+
+val stream_event : string -> (string * Obs_json.t) list -> unit
+(** [stream_event name fields] writes [{"event": name, ...fields}] to the
+    installed recorder's stream, between the records around it; a no-op
+    when there is none.  Check {!streaming} first so field lists are
+    never built needlessly. *)
 
 (** {1 Hooks}
 
     Each is a no-op costing one branch when no recorder is installed, and
-    streams its record to the installed {!Event_sink} when there is one.
-    With no sink, a hook allocates nothing once its names are interned.
+    streams its record when the recorder has a stream.  With no stream, a
+    hook allocates nothing once its names are interned.
     Hot-path callers should check {!active} before computing arguments. *)
 
 val alloc : at:int -> addr:int -> size:int -> ctx:int -> site:int -> off:int -> unit

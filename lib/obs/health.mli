@@ -2,8 +2,8 @@
 
     The fleet simulator builds a {!sample} at every epoch barrier — in the
     main domain, after all workers have joined, so emission can never race
-    the parallel section — and hands it to the run's health callback
-    and/or the installed {!Event_sink}.  Serialised as one
+    the parallel section — and hands it to the run's health callback,
+    the only place samples go.  Serialised as one
     [csod.fleet.health/2] JSONL line per epoch, the stream is the live
     view of the run: rolling detection CDF, per-domain throughput,
     degradation and fault tallies, straggler skew, and the cost of the

@@ -2,7 +2,7 @@
     exporters.
 
     Yojson-compatible constructors, but zero dependencies: the metrics
-    registry, the JSONL event sink and the bench harness all need to emit
+    registry, the flight recorder's JSONL stream and the bench harness all need to emit
     machine-readable output without pulling a JSON library into the build.
     The parser exists for the consumers of those streams ([csod_run top]
     reads the fleet health JSONL back). *)

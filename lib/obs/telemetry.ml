@@ -25,7 +25,7 @@ let snapshot_count t = t.snapshots
 
 let emit_snapshot t ~now =
   t.snapshots <- t.snapshots + 1;
-  Event_sink.emit "snapshot"
+  Flight_recorder.stream_event "snapshot"
     [ ("seq", `Int t.snapshots); ("cycles", `Int now);
       ("metrics", Metrics.to_json t.metrics);
       ("profile", Profiler.to_json t.profiler) ]
@@ -35,7 +35,7 @@ let emit_snapshot t ~now =
    sequence numbers in lockstep with virtual time. *)
 let[@inline never] emit_due_snapshots t ~now =
   while now >= t.next_snapshot do
-    if Event_sink.active () then emit_snapshot t ~now:t.next_snapshot;
+    if Flight_recorder.streaming () then emit_snapshot t ~now:t.next_snapshot;
     t.next_snapshot <- t.next_snapshot + t.snapshot_every
   done
 

@@ -4,7 +4,10 @@
     Every {!Machine.t} owns one bundle; the allocator, the CSOD runtime
     units and the ASan baseline all reach it through the machine they
     already hold.  Telemetry never draws randomness and never advances the
-    clock, so its presence cannot change a simulated execution. *)
+    clock, so its presence cannot change a simulated execution.  Its
+    periodic snapshots are the one kind of line on the [--events] stream
+    that is not a {!Flight_recorder} record: they go out on the installed
+    recorder's stream, between the records around them. *)
 
 type t
 
@@ -15,9 +18,11 @@ val profiler : t -> Profiler.t
 (** {1 Periodic snapshots} *)
 
 val set_snapshot_interval : t -> cycles:int -> unit
-(** Emit a ["snapshot"] event to the installed {!Event_sink} every
-    [cycles] of virtual time; [0] (the default) disables snapshots.  With
-    snapshots disabled each clock advance costs one comparison. *)
+(** Emit a ["snapshot"] event on the installed recorder's stream
+    ({!Flight_recorder.stream_event}) every [cycles] of virtual time; [0]
+    (the default) disables snapshots.  A boundary crossed while no stream
+    is attached emits nothing and is not counted.  With snapshots
+    disabled each clock advance costs one comparison. *)
 
 val tick : t -> now:int -> unit
 (** Called by the machine after every clock advance with the new cycle

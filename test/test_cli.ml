@@ -1,8 +1,9 @@
 (* The csod_run binary's error contract: a file flag naming a path that
    cannot be read or written ends the command with one "csod_run: PATH:
    reason" line on stderr and exit 1, before any work (nothing on stdout),
-   never with cmdliner's "internal error"; a numeric flag out of its range
-   is a usage error (exit 124, nothing on stdout); and every subcommand
+   never with cmdliner's "internal error"; a numeric flag out of its range,
+   or flags that do not go together, are a usage error (exit 124, nothing
+   on stdout); and every subcommand
    that takes an application names an unknown one the same way. *)
 
 let read_file f = In_channel.with_open_text f In_channel.input_all
@@ -95,7 +96,26 @@ let bad_numbers =
     [ "serve"; "zziplib"; "--epochs"; "1"; "--rotate"; "0" ];
     [ "serve"; "zziplib"; "--epochs"; "1"; "--checkpoint-every=-1" ];
     [ "run"; "zziplib"; "--runs"; "0" ];
-    [ "run"; "zziplib"; "--runs=-3" ] ]
+    [ "run"; "zziplib"; "--runs=-3" ];
+    [ "run"; "zziplib"; "--events"; "afile"; "--snapshot-sec=-1" ];
+    [ "run"; "zziplib"; "--events"; "afile"; "--snapshot-sec"; "0" ];
+    [ "run"; "zziplib"; "--events"; "afile"; "--snapshot-sec"; "nan" ];
+    [ "run"; "zziplib"; "--events"; "afile"; "--snapshot-sec"; "inf" ];
+    [ "run"; "zziplib"; "--events"; "afile"; "--snapshot-sec"; "1e-12" ];
+    [ "run"; "zziplib"; "--events"; "afile"; "--snapshot-sec"; "1e300" ];
+    [ "exec"; demo; "--events"; "afile"; "--snapshot-sec=-0.5" ] ]
+
+(* Flags that are each in range but do not go together, also usage errors:
+   a label and the command line. *)
+let bad_combinations =
+  [ ( "run --snapshot-sec without --events",
+      [ "run"; "zziplib"; "--snapshot-sec"; "0.001" ] );
+    ( "exec --snapshot-sec without --events",
+      [ "exec"; demo; "--snapshot-sec"; "0.001" ] );
+    ( "run --respond with --tool none",
+      [ "run"; "zziplib"; "--tool"; "none"; "--respond"; "oblivious"; "--runs"; "3" ] );
+    ( "exec --respond with --tool none",
+      [ "exec"; demo; "--input"; "12"; "--tool"; "none"; "--respond"; "patch" ] ) ]
 
 let test_bad_number_is_usage_error args () =
   let code, out, err = csod_run args in
@@ -143,5 +163,9 @@ let suite =
           (Printf.sprintf "bad number: %s %s %s" (List.hd args) flag value)
           `Quick (test_bad_number_is_usage_error args))
       bad_numbers
+  @ List.map
+      (fun (name, args) ->
+        Alcotest.test_case ("usage: " ^ name) `Quick (test_bad_number_is_usage_error args))
+      bad_combinations
   @ [ Alcotest.test_case "unknown application, one message" `Quick
         test_unknown_app ]

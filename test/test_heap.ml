@@ -78,78 +78,6 @@ let test_heap_double_free () =
    with Heap.Error _ -> ());
   Heap.free h 0 (* free(NULL) is a no-op *)
 
-let test_heap_calloc () =
-  let h = mk_heap () in
-  let mem = Machine.mem (Heap.machine h) in
-  (* dirty a block, free it, then calloc over the reused memory *)
-  let a = Heap.malloc h 64 in
-  Sparse_mem.fill mem a 64 0xFF;
-  Heap.free h a;
-  let b = Heap.calloc h ~count:8 ~size:8 in
-  Alcotest.(check int) "same block" a b;
-  for i = 0 to 63 do
-    Alcotest.(check int) "zeroed" 0 (Sparse_mem.read_u8 mem (b + i))
-  done;
-  (* a wrapped count * size must not yield a small block *)
-  List.iter
-    (fun (count, size) ->
-      match Heap.calloc h ~count ~size with
-      | _ -> Alcotest.fail (Printf.sprintf "calloc %d * %d: expected Heap.Error" count size)
-      | exception Heap.Error _ -> ())
-    [ (1 lsl 61, 8); (8, 1 lsl 61); (max_int, 2) ];
-  Alcotest.(check int) "nothing allocated" 2 (Heap.total_allocs h);
-  Alcotest.(check int) "live bytes" 64 (Heap.live_bytes h)
-
-let test_heap_realloc () =
-  let h = mk_heap () in
-  let mem = Machine.mem (Heap.machine h) in
-  let a = Heap.malloc h 32 in
-  for i = 0 to 31 do
-    Sparse_mem.write_u8 mem (a + i) (i + 1)
-  done;
-  (* growth beyond the block copies content *)
-  let b = Heap.realloc h a 512 in
-  Alcotest.(check bool) "moved" true (b <> a);
-  for i = 0 to 31 do
-    Alcotest.(check int) "content copied" (i + 1) (Sparse_mem.read_u8 mem (b + i))
-  done;
-  Alcotest.(check bool) "old block dead" false (Heap.is_live h a);
-  (* shrink stays in place *)
-  let c = Heap.realloc h b 64 in
-  Alcotest.(check int) "shrink in place" b c;
-  Alcotest.(check (option int)) "size updated" (Some 64) (Heap.size_of h c);
-  (* realloc of null behaves as malloc; size 0 frees *)
-  let d = Heap.realloc h 0 16 in
-  Alcotest.(check bool) "realloc(NULL)" true (Heap.is_live h d);
-  Alcotest.(check int) "realloc to 0 frees" 0 (Heap.realloc h d 0);
-  Alcotest.(check bool) "gone" false (Heap.is_live h d);
-  (* a negative size is rejected, not applied in place *)
-  let live = Heap.live_bytes h in
-  Alcotest.check_raises "negative size" (Heap.Error "realloc: negative size") (fun () ->
-      ignore (Heap.realloc h c (-5)));
-  Alcotest.check_raises "negative size, NULL" (Heap.Error "realloc: negative size")
-    (fun () -> ignore (Heap.realloc h 0 (-5)));
-  Alcotest.(check (option int)) "object untouched" (Some 64) (Heap.size_of h c);
-  Alcotest.(check int) "live bytes untouched" live (Heap.live_bytes h);
-  (try
-     ignore (Heap.realloc h 0xBAD 8);
-     Alcotest.fail "realloc of foreign pointer must raise"
-   with Heap.Error _ -> ())
-
-let test_heap_memalign () =
-  let h = mk_heap () in
-  List.iter
-    (fun alignment ->
-      let p = Heap.memalign h ~alignment ~size:100 in
-      Alcotest.(check int) (Printf.sprintf "aligned to %d" alignment) 0 (p mod alignment);
-      Alcotest.(check (option int)) "size recorded" (Some 100) (Heap.size_of h p);
-      Heap.free h p)
-    [ 16; 64; 256; 1024; 4096 ];
-  (try
-     ignore (Heap.memalign h ~alignment:24 ~size:8);
-     Alcotest.fail "non-power-of-two alignment must raise"
-   with Heap.Error _ -> ())
-
 let test_heap_peak_tracking () =
   let h = mk_heap () in
   let a = Heap.malloc h 1000 in
@@ -175,8 +103,7 @@ let test_heap_iter_live () =
     sorted
 
 (* [iter_live] walks slots: allocation order, except that [free] moves
-   the last slot into the freed one, and [realloc] keeps its object's
-   slot whether or not it moves it. *)
+   the last slot into the freed one. *)
 let test_heap_iter_live_order () =
   let h = mk_heap () in
   let walk () =
@@ -193,16 +120,10 @@ let test_heap_iter_live_order () =
   Alcotest.(check (list int)) "free b: d takes its slot" [ a; d; c ] (walk ());
   let e = Heap.malloc h 16 in
   Alcotest.(check (list int)) "a new object goes last" [ a; d; c; e ] (walk ());
-  let d' = Heap.realloc h d 2000 in
-  Alcotest.(check bool) "realloc moved d" true (d' <> d);
-  Alcotest.(check (list int)) "moved realloc keeps the slot" [ a; d'; c; e ] (walk ());
-  let a' = Heap.realloc h a 8 in
-  Alcotest.(check int) "in-place realloc" a a';
-  Alcotest.(check (list int)) "in-place realloc keeps the slot" [ a; d'; c; e ] (walk ());
   Heap.free h e;
-  Alcotest.(check (list int)) "free the last slot" [ a; d'; c ] (walk ());
+  Alcotest.(check (list int)) "free the last slot" [ a; d; c ] (walk ());
   Heap.free h a;
-  Alcotest.(check (list int)) "free the first slot" [ c; d' ] (walk ())
+  Alcotest.(check (list int)) "free the first slot" [ c; d ] (walk ())
 
 (* A heap whose object table grew past 8,192 entries hands it on when its
    memory is released; the next heap must walk its objects in exactly the
@@ -246,9 +167,9 @@ let test_heap_recycling_unobservable () =
   Heap.free h1 p;
   Alcotest.(check int) "successor untouched" 64 (Heap.live_objects recycled)
 
-(* A request whose rounding, alignment padding or break advance would
-   pass [max_int] is refused with [Heap.Error], like a negative one, and
-   leaves the heap as it was. *)
+(* A request whose rounding or break advance would pass [max_int] is
+   refused with [Heap.Error], like a negative one, and leaves the heap as
+   it was. *)
 let test_heap_size_overflow () =
   let h = mk_heap () in
   let refused name f =
@@ -259,10 +180,7 @@ let test_heap_size_overflow () =
   let a = Heap.malloc h 24 in
   refused "malloc (max_int - 20)" (fun () -> Heap.malloc h (max_int - 20));
   refused "malloc max_int" (fun () -> Heap.malloc h max_int);
-  refused "memalign, negative size" (fun () -> Heap.memalign h ~alignment:32 ~size:(-5));
-  refused "memalign, padding wraps" (fun () ->
-      Heap.memalign h ~alignment:64 ~size:(max_int - 40));
-  refused "realloc max_int" (fun () -> Heap.realloc h a max_int);
+  refused "malloc, negative size" (fun () -> Heap.malloc h (-5));
   Alcotest.(check int) "one live object" 1 (Heap.live_objects h);
   Alcotest.(check int) "live bytes" 24 (Heap.live_bytes h);
   Alcotest.(check (option int)) "object untouched" (Some 24) (Heap.size_of h a);
@@ -277,7 +195,7 @@ let test_heap_size_overflow () =
    [Hashtbl.Make] keyed by address with [Hashtbl.hash], created at 4,096
    buckets and given the [replace]/[remove] calls the heap made on it.
    [iter_live] walks the same set of objects (in its own order).  A
-   seeded stream of malloc, free, realloc and memalign grows past 8,192
+   seeded stream of malloc and free grows past 8,192
    live objects, so the model's bucket count doubles, and then shrinks
    again. *)
 module Ref_objects = Hashtbl.Make (struct
@@ -311,35 +229,11 @@ let test_heap_model () =
       Ref_objects.replace model p (s, block s);
       add p
     end
-    else if r < alloc_pct + ((100 - alloc_pct) / 2) then begin
+    else begin
       let p = take () in
       Heap.free h p;
       Ref_objects.remove model p;
       freed := p :: !freed
-    end
-    else if r mod 2 = 0 then begin
-      let p = take () in
-      let s = 1 + Prng.int g 600 in
-      let q = Heap.realloc h p s in
-      if q = p then begin
-        let _, usable = Ref_objects.find model p in
-        Ref_objects.replace model p (s, usable)
-      end
-      else begin
-        Ref_objects.replace model q (s, block s);
-        Ref_objects.remove model p;
-        freed := p :: !freed
-      end;
-      add q
-    end
-    else begin
-      let alignment = [| 32; 64; 256; 4096 |].(Prng.int g 4) and s = size () in
-      let p = Heap.memalign h ~alignment ~size:s in
-      let usable = Option.get (Heap.usable_size h p) in
-      Alcotest.(check bool) "memalign: aligned, covers the request" true
-        (p mod alignment = 0 && usable >= s && usable <= block (s + alignment));
-      Ref_objects.replace model p (s, usable);
-      add p
     end
   in
   let peak = ref 0 in
@@ -433,9 +327,6 @@ let suite =
     Alcotest.test_case "heap alignment" `Quick test_heap_alignment;
     Alcotest.test_case "heap block reuse" `Quick test_heap_reuse;
     Alcotest.test_case "heap double/foreign free" `Quick test_heap_double_free;
-    Alcotest.test_case "heap calloc zeroes" `Quick test_heap_calloc;
-    Alcotest.test_case "heap realloc" `Quick test_heap_realloc;
-    Alcotest.test_case "heap memalign" `Quick test_heap_memalign;
     Alcotest.test_case "heap peak tracking" `Quick test_heap_peak_tracking;
     Alcotest.test_case "heap live walk" `Quick test_heap_iter_live;
     Alcotest.test_case "heap size arithmetic overflow" `Quick test_heap_size_overflow;
