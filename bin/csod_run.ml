@@ -729,14 +729,31 @@ let serve_cmd =
   in
   let checkpoint_file_arg =
     file_opt [ "checkpoint" ]
-      ~doc:"Checkpoint the service state to $(docv); a later \
-            $(b,serve) with the same configuration resumes the same \
-            deterministic stream from it."
+      ~doc:"Checkpoint the evidence store and the $(b,--history) \
+            position to $(docv) (requires $(b,--history)); a later \
+            $(b,serve) with the same configuration replays the history \
+            and resumes the same deterministic stream from it, and one \
+            under another configuration is refused."
   in
   let checkpoint_every_arg =
     Arg.(value & opt (int_at_least 0) 0
          & info [ "checkpoint-every" ] ~docv:"N"
-             ~doc:"Epochs between checkpoints (0: only on exit).")
+             ~doc:"Epochs between checkpoints (0: only on exit; above 0 \
+                   requires $(b,--checkpoint)).")
+  in
+  (* --history, --checkpoint and --checkpoint-every, checked together: a
+     resume replays the history, and an interval needs a checkpoint. *)
+  let durable_t =
+    let check history checkpoint every =
+      if checkpoint <> None && history = None then
+        `Error (true, "--checkpoint requires --history: a resume replays the history")
+      else if every > 0 && checkpoint = None then
+        `Error (true, "--checkpoint-every requires --checkpoint: there is no checkpoint to write")
+      else `Ok (history, checkpoint, every)
+    in
+    Term.(ret
+            (const check $ checked ~dir:true history_arg
+            $ checked checkpoint_file_arg $ checkpoint_every_arg))
   in
   let live_arg =
     Arg.(value & flag
@@ -756,8 +773,8 @@ let serve_cmd =
     then None
     else Some ints
   in
-  let run f epochs alerts alerts_file windows history rotate status_file
-      checkpoint checkpoint_every live color () =
+  let run f epochs alerts alerts_file windows
+      (history, checkpoint, checkpoint_every) rotate status_file live color () =
     let rules_spec =
       String.concat "\n" (Option.to_list alerts @ Option.to_list (Option.map read alerts_file))
     in
@@ -823,9 +840,11 @@ let serve_cmd =
         (Serve.epoch t - resumed_at)
         (Serve.arrived t) (Serve.detections t) !fired !cleared
         report.Fleet.wall_seconds;
+      (* A resumed session's fleet saw only the epochs since the resume. *)
       Option.iter
         (fun s ->
-          Printf.printf "first catch: user #%d in epoch %d\n"
+          Printf.printf "first catch%s: user #%d in epoch %d\n"
+            (if resumed_at > 0 then " since the resume" else "")
             s.Fleet.user.Workload.uid s.Fleet.epoch)
         report.Fleet.first_catch
   in
@@ -837,10 +856,8 @@ let serve_cmd =
           produce bit-identical history and alerts at any \
           $(b,--domains)."
     Term.(const run $ fleet_t ~users:100_000 ~burst:Workload.Wave $ epochs_arg
-          $ alerts_arg $ alerts_file_arg $ windows_arg
-          $ checked ~dir:true history_arg $ rotate_arg
-          $ checked status_file_arg $ checked checkpoint_file_arg
-          $ checkpoint_every_arg $ live_arg $ color_t)
+          $ alerts_arg $ alerts_file_arg $ windows_arg $ durable_t $ rotate_arg
+          $ checked status_file_arg $ live_arg $ color_t)
 
 (* ---- replay: re-render and re-check a history directory offline ---- *)
 

@@ -204,39 +204,3 @@ let firing t =
   List.filter_map
     (fun s -> if s.firing then Some (s.rule, s.since) else None)
     t.states
-
-let states_to_json t : Obs_json.t =
-  `List
-    (List.map
-       (fun s ->
-         (`Assoc
-            [ ("spec", `String (to_spec s.rule));
-              ("firing", `Bool s.firing); ("since", `Int s.since) ]
-           : Obs_json.t))
-       t.states)
-
-let restore_states t json =
-  let entry e =
-    match Obs_json.(member "spec" e, member "firing" e, member "since" e) with
-    | Some (`String spec), Some (`Bool firing), Some (`Int since)
-      when List.exists (fun s -> to_spec s.rule = spec) t.states ->
-      Some (spec, firing, since)
-    | _ -> None
-  in
-  match json with
-  | `List entries -> (
-    match Obs_json.all entry entries with
-    | None -> false
-    | Some parsed ->
-      List.iter
-        (fun (spec, firing, since) ->
-          List.iter
-            (fun s ->
-              if to_spec s.rule = spec then begin
-                s.firing <- firing;
-                s.since <- since
-              end)
-            t.states)
-        parsed;
-      true)
-  | _ -> false

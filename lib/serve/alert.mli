@@ -72,10 +72,3 @@ val observe : t -> Window.set -> epoch:int -> event list
 
 val firing : t -> (rule * int) list
 (** Currently-firing rules with their fire epochs. *)
-
-val states_to_json : t -> Obs_json.t
-val restore_states : t -> Obs_json.t -> bool
-(** Checkpoint round-trip for the firing states.  [restore_states]
-    matches entries to rules by canonical spec and returns [false] if
-    any entry is unknown or malformed (engine left untouched on
-    failure). *)

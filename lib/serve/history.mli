@@ -3,7 +3,7 @@
     The service appends one JSONL line per event to rotating segment
     files ([serve-000000.jsonl], [serve-000001.jsonl], ...) in a history
     directory.  Every line carries a monotonic [seq], a [kind]
-    ([meta] — run configuration, written first in each session;
+    ([meta] — run configuration, written first, once per run;
     [health] — one {!Serve_obs.t} per epoch barrier; [alert] — one
     {!Alert.event} per transition) and an FNV-1a 64 checksum of its
     rendered [body] (the same hash {!Persist} seals snapshots with), so

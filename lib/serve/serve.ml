@@ -1,5 +1,5 @@
 let status_schema = "csod.serve.status/1"
-let checkpoint_schema = "csod.serve.checkpoint/1"
+let checkpoint_schema = "csod.serve.checkpoint/2"
 let status_period = 0.1
 
 type config = {
@@ -29,16 +29,52 @@ let config ?domains ?(epoch_size = 32) ?faults ?patch_threshold
   | _ -> ());
   if rotate < 1 then invalid_arg "Serve.config: rotate < 1";
   if checkpoint_every < 0 then invalid_arg "Serve.config: checkpoint_every < 0";
+  if checkpoint_path <> None && history_dir = None then
+    invalid_arg "Serve.config: a checkpoint needs a history directory";
   List.iter
     (fun w -> if w < 1 then invalid_arg "Serve.config: window < 1")
     windows;
   { workload; domains; epoch_size; faults; patch_threshold; rules; windows;
     history_dir; rotate; status_path; checkpoint_path; checkpoint_every }
 
-(* Dashboard sizes plus every rule's judging window: one ring each. *)
-let all_window_sizes cfg =
-  List.sort_uniq compare
-    (cfg.windows @ List.map (fun (r : Alert.rule) -> r.window) cfg.rules)
+(* What the windows and alerts of a run derive from besides its health
+   stream: its rules and dashboard sizes. *)
+type meta = { rules : Alert.rule list; windows : int list }
+
+(* One health observation through the windows and the rules: the live
+   loop and [rebuild] both advance through this. *)
+let feed wins alerts (o : Serve_obs.t) =
+  Window.push_set wins o;
+  Alert.observe alerts wins ~epoch:o.epoch
+
+type rebuilt = {
+  total : Window.agg;
+  wins : Window.set;
+  alerts : Alert.t;
+  last : Serve_obs.t option;
+  events : Obs_json.t list;  (* the alert bodies the stream derives *)
+}
+
+(* The service's view after a health stream, from fresh rings (dashboard
+   sizes plus every rule's judging window) and rules: what a resume
+   continues from and what [replay] checks the recorded alerts against. *)
+let rebuild m observations =
+  let wins =
+    Window.set
+      (m.windows @ List.map (fun (r : Alert.rule) -> r.window) m.rules)
+  and alerts = Alert.engine m.rules in
+  let events =
+    List.concat_map
+      (fun o -> List.map Alert.event_to_json (feed wins alerts o))
+      observations
+  in
+  { total =
+      List.fold_left
+        (fun a o -> Window.merge a (Window.of_obs o))
+        Window.empty observations;
+    wins; alerts;
+    last = List.fold_left (fun _ o -> Some o) None observations;
+    events }
 
 type 'a t = {
   cfg : config;
@@ -50,8 +86,8 @@ type 'a t = {
   (* Wall time of the last refresh; [neg_infinity] until the first
      barrier, so that barrier always refreshes. *)
   mutable refreshed_at : float;
-  (* Every observation of the run, merged: the run's tallies (they
-     survive checkpoint/resume). *)
+  (* Every observation of the run, merged: the run's tallies (a resume
+     rebuilds them from the history). *)
   mutable total : Window.agg;
   (* [total] when this fleet session began: the session's registries
      restart at zero after a resume, so its cumulatives count from here. *)
@@ -64,7 +100,7 @@ let virtual_seconds_of cycles =
 
 (* Meta body: the deterministic run description — everything here must be
    independent of the domain count, or history segments would differ
-   across --domains. *)
+   across --domains.  A resume compares it whole with the recorded one. *)
 let meta_body cfg : Obs_json.t =
   let w = cfg.workload in
   `Assoc
@@ -163,179 +199,215 @@ let publish_status t ~now =
   | Some path ->
     Atomic_file.write path (Obs_json.to_string (status_at t ~now) ^ "\n")
 
+(* ---- history, read back ---- *)
+
+(* A history directory by kind.  A health body that does not decode is an
+   error line, as a failed checksum is: neither becomes a record. *)
+type log = {
+  meta : Obs_json.t option;       (* the first meta record *)
+  observations : Serve_obs.t list;
+  recorded : Obs_json.t list;     (* alert bodies *)
+  errors : string list;
+}
+
+let read_log dir =
+  let records, errors = History.read dir in
+  let of_kind kind =
+    List.filter_map
+      (fun (r : History.record) -> if r.kind = kind then Some r else None)
+      records
+  in
+  let health =
+    List.map
+      (fun (r : History.record) -> (r.seq, Serve_obs.of_json r.body))
+      (of_kind History.Health)
+  in
+  { meta = List.nth_opt (List.map (fun r -> r.History.body) (of_kind Meta)) 0;
+    observations = List.filter_map snd health;
+    recorded = List.map (fun r -> r.History.body) (of_kind Alert);
+    errors =
+      errors
+      @ List.filter_map
+          (function
+            | seq, None -> Some (Printf.sprintf "seq %d: malformed health body" seq)
+            | _, Some _ -> None)
+          health }
+
+(* The rules and dashboard sizes a meta record names.  Strict: a missing
+   or mistyped member is an error naming it, never a default. *)
+let meta_of_json json =
+  let list k f =
+    match Obs_json.member k json with
+    | Some (`List l) -> Obs_json.all f l
+    | _ -> None
+  in
+  match
+    ( list "alerts" (function `String s -> Some s | _ -> None),
+      list "windows" (function `Int w when w >= 1 -> Some w | _ -> None) )
+  with
+  | None, _ -> Error "meta record: \"alerts\" is not a list of rule specs"
+  | _, None -> Error "meta record: \"windows\" is not a list of sizes >= 1"
+  | Some specs, Some windows ->
+    Result.map
+      (fun rules -> { rules; windows })
+      (Result.map_error (( ^ ) "meta record: \"alerts\": ")
+         (Alert.parse (String.concat "," specs)))
+
+(* Alert bodies compared in stream order, one line per difference. *)
+let alert_mismatches recorded recomputed =
+  let strings l = Array.of_list (List.map Obs_json.to_string l) in
+  let r = strings recorded and c = strings recomputed in
+  let at a i = if i < Array.length a then a.(i) else "(none)" in
+  List.init (max (Array.length r) (Array.length c)) Fun.id
+  |> List.filter_map (fun i ->
+         if at r i = at c i then None
+         else
+           Some
+             (Printf.sprintf "alert %d differs: recorded %s, recomputed %s" i
+                (at r i) (at c i)))
+
 (* ---- checkpoint ---- *)
 
-let checkpoint_json t : Obs_json.t =
-  let a = t.total in
-  `Assoc
-    [ ("schema", `String checkpoint_schema);
-      ("epoch", `Int (Fleet.epoch t.fleet));
-      ("next_uid", `Int (Fleet.next_uid t.fleet));
-      ("arrived", `Int a.arrivals); ("detections", `Int a.detections);
-      ("total_cycles", `Int a.cycles); ("patched", `Int a.patched);
-      ("degraded", `Int a.degraded);
-      ("worker_crashes", `Int a.worker_crashes);
-      ("snapshots", `Int a.snapshots);
-      ("faults", `Assoc (List.map (fun (k, v) -> (k, `Int v)) a.faults));
-      ("store",
-       (* [site; off; hits]: evidence counts survive the checkpoint so a
-          resumed service keeps its convictions. *)
-       `List
-         (let store = Fleet.store t.fleet in
-          List.map
-            (fun (a, b) ->
-              (`List [ `Int a; `Int b; `Int (Persist.hits store (a, b)) ]
-                : Obs_json.t))
-            (Persist.keys store)));
-      ("windows", Window.set_to_json t.wins);
-      ("alerts", Alert.states_to_json t.alerts);
-      ("history",
-       match t.hist with
-       | Some w ->
-         `Assoc
-           [ ("seq", `Int (History.seq w));
-             ("segment", `Int (History.segment w));
-             ("lines", `Int (History.lines_in_segment w)) ]
-       | None -> `Null) ]
-
+(* The evidence store and the history position: the rest of the service's
+   state is rebuilt from the history. *)
 let publish_checkpoint t =
-  match t.cfg.checkpoint_path with
-  | None -> ()
-  | Some path ->
-    Atomic_file.write path (Obs_json.to_string (checkpoint_json t) ^ "\n")
+  match (t.cfg.checkpoint_path, t.hist) with
+  | Some path, Some w ->
+    let store = Fleet.store t.fleet in
+    let json : Obs_json.t =
+      `Assoc
+        [ ("schema", `String checkpoint_schema);
+          ("epoch", `Int (Fleet.epoch t.fleet));
+          ("store",
+           `List
+             (List.map
+                (fun (a, b) ->
+                  (`List [ `Int a; `Int b; `Int (Persist.hits store (a, b)) ]
+                    : Obs_json.t))
+                (Persist.keys store)));
+          ("history",
+           `Assoc
+             [ ("seq", `Int (History.seq w));
+               ("segment", `Int (History.segment w));
+               ("lines", `Int (History.lines_in_segment w)) ]) ]
+    in
+    Atomic_file.write path (Obs_json.to_string json ^ "\n")
+  | _ -> ()
+
+(* The epoch, the store's [(site, off, hits)] and the history position of
+   a record with the spec's fields. *)
+let decode_checkpoint json =
+  let hit = function
+    | `List [ `Int a; `Int b; `Int h ] when h >= 1 -> Some (a, b, h)
+    | _ -> None
+  in
+  let get k = Option.get (Obs_json.member k json) in
+  let position =
+    let h = get "history" in
+    match Obs_json.(member "seq" h, member "segment" h, member "lines" h) with
+    | Some (`Int seq), Some (`Int segment), Some (`Int lines)
+      when seq >= 1 && segment >= 0 && lines >= 0 ->
+      Some (seq, segment, lines)
+    | _ -> None
+  in
+  match ((match get "store" with `List l -> Obs_json.all hit l | _ -> None),
+         position) with
+  | _ when Schema.int json "epoch" < 0 -> Error "negative epoch"
+  | None, _ -> Error "malformed store"
+  | _, None -> Error "malformed history position"
+  | Some store, Some position -> Ok (Schema.int json "epoch", store, position)
+
+let checkpoint_spec =
+  Schema.make checkpoint_schema
+    Schema.[ ("epoch", Int); ("store", List); ("history", Object) ]
+    ~check:(fun j -> Result.map ignore (decode_checkpoint j))
 
 (* ---- start / resume ---- *)
 
-(* A service over [total]'s run so far, its fleet session starting at
-   [total]'s next epoch. *)
-let make cfg ~execute ?store ?uid0 ~total ~wins ~alerts hist =
+(* A service continuing [r]'s run, its fleet session starting at the next
+   epoch and uid. *)
+let make cfg ~execute ?store (r : rebuilt) hist =
   { cfg;
     fleet =
-      Fleet.start ?store ?uid0 ~lean:true ~epoch0:(total.Window.last_epoch + 1)
+      Fleet.start ?store ~uid0:(r.total.arrivals + 1) ~lean:true
+        ~epoch0:(r.total.last_epoch + 1)
         (Fleet.config ~domains:cfg.domains ~epoch_size:cfg.epoch_size
            ?faults:cfg.faults ?patch_threshold:cfg.patch_threshold cfg.workload)
         ~execute;
-    wins; alerts; hist;
+    wins = r.wins; alerts = r.alerts; hist;
     t_start = Unix.gettimeofday ();
     refreshed_at = neg_infinity;
-    total; base = total; last_obs = None }
+    total = r.total; base = r.total; last_obs = r.last }
 
 let fresh cfg ~execute =
   let hist =
     Option.map (fun dir -> History.writer ~rotate:cfg.rotate dir)
       cfg.history_dir
   in
-  let t =
-    make cfg ~execute ~total:Window.empty
-      ~wins:(Window.set (all_window_sizes cfg)) ~alerts:(Alert.engine cfg.rules)
-      hist
-  in
-  (* The meta record leads the history; only the first session writes it
-     (seq 0), so a resumed run's segments stay byte-identical to an
-     uninterrupted one's. *)
-  (match t.hist with
-  | Some w when History.seq w = 0 ->
-    ignore (History.append w History.Meta (meta_body cfg))
-  | _ -> ());
-  t
+  (* The meta record leads the history; a resumed session continues
+     after it, so its segments stay byte-identical to an uninterrupted
+     run's. *)
+  Option.iter (fun w -> ignore (History.append w History.Meta (meta_body cfg)))
+    hist;
+  make cfg ~execute (rebuild { rules = cfg.rules; windows = cfg.windows } []) hist
 
-let checkpoint_fields =
-  Schema.
-    [ ("epoch", Int); ("next_uid", Int); ("arrived", Int);
-      ("detections", Int); ("total_cycles", Int); ("degraded", Int);
-      ("worker_crashes", Int); ("snapshots", Int); ("faults", Object);
-      ("store", List); ("windows", Object); ("alerts", List);
-      ("history", Nullable Object) ]
+(* The leaves of [configured] that [recorded] does not repeat, dotted
+   ("workload.base_seed"): what a refused resume names. *)
+let differing recorded configured =
+  let rec leaves name : Obs_json.t -> (string * string) list = function
+    | `Assoc kvs ->
+      List.concat_map
+        (fun (k, v) -> leaves (if name = "" then k else name ^ "." ^ k) v)
+        kvs
+    | v -> [ (name, Obs_json.to_string v) ]
+  in
+  let kept = leaves "" recorded in
+  List.filter_map
+    (fun (k, v) -> if List.assoc_opt k kept = Some v then None else Some k)
+    (leaves "" configured)
 
-(* The checkpoint decoder: everything [resume] restores, before it is
-   matched against the configuration. *)
-let decode_checkpoint json =
-  let ( let* ) = Option.bind in
-  let* () =
-    match Obs_json.member "schema" json with
-    | Some (`String s) when s = checkpoint_schema ->
-      Result.to_option (Schema.has_fields checkpoint_fields json)
-    | _ -> None
+(* Cut the history back to the checkpoint's position, then replay what is
+   kept: it must be this configuration's run, whole, as long as the
+   checkpoint, with the alerts its health stream derives. *)
+let resume cfg ~execute ~dir json =
+  let ( let* ) = Result.bind in
+  let* () = Schema.shape checkpoint_spec json in
+  let* epoch, hits, (seq, segment, lines) = decode_checkpoint json in
+  History.truncate dir ~segment ~lines;
+  let log = read_log dir and configured = meta_body cfg in
+  let r =
+    rebuild { rules = cfg.rules; windows = cfg.windows } log.observations
   in
-  let int = Schema.int json and get k = Option.get (Obs_json.member k json) in
-  let* faults = Obs_json.counts (get "faults") in
-  (* [site; off] (pre-respond, hits = 1) or [site; off; hits]. *)
-  let key = function
-    | `List [ `Int a; `Int b ] -> Some (a, b, 1)
-    | `List [ `Int a; `Int b; `Int h ] when h >= 1 -> Some (a, b, h)
-    | _ -> None
-  in
-  let* store_keys =
-    match get "store" with `List l -> Obs_json.all key l | _ -> None
-  in
-  let* wins = Window.set_of_json (get "windows") in
-  let* history =
-    match get "history" with
-    | `Null -> Some None
-    | h -> (
-      match Obs_json.(member "seq" h, member "segment" h, member "lines" h) with
-      | Some (`Int seq), Some (`Int segment), Some (`Int lines) ->
-        Some (Some (seq, segment, lines))
-      | _ -> None)
-  in
-  let epoch = int "epoch" in
-  let total =
-    { Window.empty with
-      epochs = epoch; first_epoch = (if epoch > 0 then 0 else -1);
-      last_epoch = epoch - 1; arrivals = int "arrived";
-      detections = int "detections"; cycles = int "total_cycles";
-      (* Absent in pre-respond checkpoints: read as 0. *)
-      patched =
-        (match Obs_json.member "patched" json with Some (`Int n) -> n | _ -> 0);
-      degraded = int "degraded"; worker_crashes = int "worker_crashes";
-      snapshots = int "snapshots"; faults }
-  in
-  Some (total, int "next_uid", store_keys, wins, history)
-
-let checkpoint_spec =
-  Schema.make checkpoint_schema checkpoint_fields ~check:(fun j ->
-      if decode_checkpoint j = None then Error "malformed checkpoint" else Ok ())
-
-let resume cfg ~execute json =
-  match decode_checkpoint json with
-  | None -> Error "malformed checkpoint"
-  | Some (total, next_uid, store_keys, wins, history) ->
-    let alerts = Alert.engine cfg.rules in
-    let ok =
-      match Obs_json.member "alerts" json with
-      | Some states -> Alert.restore_states alerts states
-      | None -> false
-    in
-    if not ok then Error "checkpoint alert states do not match the rule set"
-    else if Window.sizes wins <> all_window_sizes cfg then
-      Error "checkpoint window sizes do not match the configuration"
-    else begin
-      let store = Persist.create () in
-      List.iter
-        (fun (a, b, h) ->
-          for _ = 1 to h do Persist.add store (a, b) done)
-        store_keys;
-      let hist =
-        match (cfg.history_dir, history) with
-        | Some dir, Some (seq, segment, lines) ->
-          History.truncate dir ~segment ~lines;
-          Some (History.writer ~rotate:cfg.rotate ~seq ~segment ~lines dir)
-        | Some dir, None -> Some (History.writer ~rotate:cfg.rotate dir)
-        | None, _ -> None
-      in
-      Ok (make cfg ~execute ~store ~uid0:next_uid ~total ~wins ~alerts hist)
-    end
+  let refused fmt = Printf.ksprintf (fun m -> Error ("history " ^ dir ^ m)) fmt in
+  match (log.errors, log.meta, alert_mismatches log.recorded r.events) with
+  | e :: _, _, _ -> refused ": %s" e
+  | [], None, _ -> refused ": no meta record"
+  | [], Some m, _ when Obs_json.to_string m <> Obs_json.to_string configured ->
+    refused " was written by another configuration (%s)"
+      (match differing m configured with
+       | [] -> "meta record"
+       | fields -> String.concat ", " fields)
+  | _ when List.length log.observations <> epoch ->
+    refused " holds %d epochs, the checkpoint %d"
+      (List.length log.observations) epoch
+  | _, _, m :: _ -> refused ": %s" m
+  | _ ->
+    let store = Persist.create () in
+    List.iter
+      (fun (a, b, h) -> for _ = 1 to h do Persist.add store (a, b) done)
+      hits;
+    Ok
+      (make cfg ~execute ~store r
+         (Some (History.writer ~rotate:cfg.rotate ~seq ~segment ~lines dir)))
 
 let start cfg ~execute =
-  match cfg.checkpoint_path with
-  | Some path when Sys.file_exists path -> (
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let content = really_input_string ic len in
-    close_in ic;
-    match Obs_json.of_string (String.trim content) with
-    | Error e -> Error (Printf.sprintf "checkpoint %s: %s" path e)
-    | Ok json -> resume cfg ~execute json)
+  match (cfg.checkpoint_path, cfg.history_dir) with
+  | Some path, Some dir when Sys.file_exists path ->
+    let content = In_channel.with_open_bin path In_channel.input_all in
+    Result.map_error
+      (Printf.sprintf "cannot resume from %s: %s" path)
+      (Result.bind (Obs_json.of_string (String.trim content))
+         (resume cfg ~execute ~dir))
   | _ -> Ok (fresh cfg ~execute)
 
 (* ---- the epoch ---- *)
@@ -390,8 +462,7 @@ let step t =
       cycle_skew = r.Fleet.cycle_skew }
   in
   t.total <- Window.merge total (Window.of_obs obs);
-  Window.push_set t.wins obs;
-  let events = Alert.observe t.alerts t.wins ~epoch:e in
+  let events = feed t.wins t.alerts obs in
   (match t.hist with
   | Some w ->
     ignore (History.append w History.Health (Serve_obs.to_json obs));
@@ -495,7 +566,7 @@ let render_status ?(color = true) json =
 (* ---- offline replay ---- *)
 
 type replay = {
-  meta : Obs_json.t option;
+  meta : Obs_json.t;
   observations : Serve_obs.t list;
   recorded : Obs_json.t list;
   recomputed : Obs_json.t list;
@@ -505,94 +576,19 @@ type replay = {
 }
 
 let replay dir =
-  let records, read_errors = History.read dir in
-  let meta =
-    List.find_map
-      (fun (r : History.record) ->
-        if r.kind = History.Meta then Some r.body else None)
-      records
-  in
-  match meta with
+  let log = read_log dir in
+  match log.meta with
   | None -> Error (Printf.sprintf "%s: no meta record in history" dir)
-  | Some meta_json -> (
-    let rules =
-      match Obs_json.member "alerts" meta_json with
-      | Some (`List l) ->
-        let specs =
-          List.filter_map (function `String s -> Some s | _ -> None) l
-        in
-        Result.value ~default:Alert.defaults
-          (Alert.parse (String.concat "," specs))
-      | _ -> Alert.defaults
-    in
-    let window_sizes =
-      match Obs_json.member "windows" meta_json with
-      | Some (`List l) -> List.filter_map Obs_json.to_int l
-      | _ -> [ 1; 10; 100 ]
-    in
-    let observations =
-      List.filter_map
-        (fun (r : History.record) ->
-          if r.kind = History.Health then Serve_obs.of_json r.body else None)
-        records
-    in
-    let recorded =
-      List.filter_map
-        (fun (r : History.record) ->
-          if r.kind = History.Alert then Some r.body else None)
-        records
-    in
-    (* Re-drive the windows and rules over the recorded health stream:
-       the alert stream is a pure function of it. *)
-    let all_sizes =
-      List.sort_uniq compare
-        (window_sizes @ List.map (fun (r : Alert.rule) -> r.window) rules)
-    in
-    let wins = Window.set all_sizes in
-    let alerts = Alert.engine rules in
-    let recomputed =
-      List.concat_map
-        (fun (o : Serve_obs.t) ->
-          Window.push_set wins o;
-          List.map Alert.event_to_json
-            (Alert.observe alerts wins ~epoch:o.Serve_obs.epoch))
-        observations
-    in
-    let rec diff i rec_l comp_l acc =
-      match (rec_l, comp_l) with
-      | [], [] -> List.rev acc
-      | r :: rt, c :: ct ->
-        let acc =
-          if Obs_json.to_string r = Obs_json.to_string c then acc
-          else
-            Printf.sprintf "alert %d differs: recorded %s, recomputed %s" i
-              (Obs_json.to_string r) (Obs_json.to_string c)
-            :: acc
-        in
-        diff (i + 1) rt ct acc
-      | r :: rt, [] ->
-        diff (i + 1) rt []
-          (Printf.sprintf "alert %d only recorded: %s" i
-             (Obs_json.to_string r)
-          :: acc)
-      | [], c :: ct ->
-        diff (i + 1) [] ct
-          (Printf.sprintf "alert %d only recomputed: %s" i
-             (Obs_json.to_string c)
-          :: acc)
-    in
-    let mismatches = diff 0 recorded recomputed [] in
-    let last_obs =
-      match List.rev observations with [] -> None | o :: _ -> Some o
-    in
-    let total =
-      List.fold_left
-        (fun a o -> Window.merge a (Window.of_obs o))
-        Window.empty observations
-    in
-    let status : Obs_json.t =
-      `Assoc (status_core ~total ~last:last_obs ~wins ~alerts ~window_sizes)
-    in
-    Ok
-      { meta = Some meta_json; observations; recorded; recomputed;
-        mismatches; read_errors; status })
+  | Some meta ->
+    Result.map
+      (fun m ->
+        let r = rebuild m log.observations in
+        { meta; observations = log.observations; recorded = log.recorded;
+          recomputed = r.events;
+          mismatches = alert_mismatches log.recorded r.events;
+          read_errors = log.errors;
+          status =
+            `Assoc
+              (status_core ~total:r.total ~last:r.last ~wins:r.wins
+                 ~alerts:r.alerts ~window_sizes:m.windows) })
+      (Result.map_error (Printf.sprintf "%s: %s" dir) (meta_of_json meta))

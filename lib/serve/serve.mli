@@ -24,11 +24,12 @@
     [test_serve].  Wall-clock facts exist only in the status ["wall"]
     object, never in history.
 
-    The service is resumable: {!start} finding an intact checkpoint at
-    [config.checkpoint_path] reconstructs the store, windows, alert
-    states and history position and continues the {e same} deterministic
-    stream (fleet epoch/uid offsets keep fault draws aligned), so the
-    remaining history bytes match an uninterrupted run's. *)
+    The history is the service's durable log; a checkpoint holds only
+    what it cannot rebuild: the evidence store and the history position.
+    {!start} resumes by replaying the history through the fold {!replay}
+    runs, then continues the {e same} deterministic stream (fleet
+    epoch/uid offsets keep fault draws aligned), so the remaining history
+    bytes match an uninterrupted run's. *)
 
 type config = {
   workload : Workload.t;
@@ -46,7 +47,7 @@ type config = {
   rotate : int;  (** history lines per segment *)
   status_path : string option;
       (** the status file, republished at each refresh and by {!finish} *)
-  checkpoint_path : string option;
+  checkpoint_path : string option;  (** needs [history_dir] *)
   checkpoint_every : int;  (** epochs between checkpoints; 0 = only final *)
 }
 
@@ -68,7 +69,8 @@ val config :
     no faults, no patch threshold, [rules = Alert.defaults],
     [windows = \[1; 10; 100\]],
     no history/status/checkpoint files, [rotate = 4096],
-    [checkpoint_every = 0]. *)
+    [checkpoint_every = 0].  Raises [Invalid_argument] on a checkpoint
+    path without a history directory, which a resume replays. *)
 
 val status_period : float
 (** Least wall time between two status refreshes: 0.1 s.  A reader
@@ -80,11 +82,15 @@ type 'a t
 
 val start : config -> execute:'a Fleet.executor -> ('a t, string) result
 (** A fresh service — unless [config.checkpoint_path] names an existing
-    file, in which case the service resumes from it ([Error] if the
-    checkpoint is unreadable or inconsistent, rather than silently
-    restarting the stream from epoch 0).  On resume the history
-    directory is truncated back to the checkpointed position, so a crash
-    after the last checkpoint cannot leave duplicate records. *)
+    file, in which case the service resumes from it: the history is cut
+    back to the checkpoint's position (records a crashed session wrote
+    after it go) and the kept records are replayed.  [Error], rather than
+    a restart or a continuation of another run, when the checkpoint is not
+    [csod.serve.checkpoint/2], a kept history line is corrupt, the meta
+    record differs from this configuration's (workload and seed, epoch
+    size, faults, patch threshold, rules, windows), the history holds
+    another number of epochs than the checkpoint, or its health records
+    derive another alert stream than the recorded one. *)
 
 type outcome = {
   obs : Serve_obs.t;           (** the epoch's deterministic record *)
@@ -121,8 +127,9 @@ val status_spec : Schema.t
     and every window aggregate decode. *)
 
 val checkpoint_spec : Schema.t
-(** The checkpoint format ([csod.serve.checkpoint/1]), checked by the
-    decoder {!start} resumes from. *)
+(** The checkpoint format ([csod.serve.checkpoint/2]: [epoch], [store] as
+    [\[site, off, hits\]] triples, [history] as [seq], [segment] and
+    [lines]), checked by the decoder {!start} resumes from. *)
 
 val render_status : ?color:bool -> Obs_json.t -> string option
 (** One-screen dashboard for a [csod.serve.status/1] document — used by
@@ -132,20 +139,25 @@ val render_status : ?color:bool -> Obs_json.t -> string option
 (** {2 Offline replay}
 
     [csod_run replay] rebuilds the service's view from the history
-    directory alone: windows and alert rules are re-evaluated over the
-    recorded health bodies and the recomputed alert stream is compared,
-    JSON-for-JSON, against the recorded one. *)
+    directory alone, through the fold a resume runs: windows and alert
+    rules are re-evaluated over the recorded health bodies and the
+    recomputed alert stream is compared, JSON-for-JSON, against the
+    recorded one. *)
 
 type replay = {
-  meta : Obs_json.t option;        (** the run's meta record *)
+  meta : Obs_json.t;               (** the run's meta record *)
   observations : Serve_obs.t list; (** health bodies, epoch order *)
   recorded : Obs_json.t list;      (** alert bodies as written *)
   recomputed : Obs_json.t list;    (** alert bodies re-derived offline *)
   mismatches : string list;        (** recorded/recomputed differences *)
-  read_errors : string list;       (** corrupt or checksum-failed lines *)
+  read_errors : string list;
+      (** corrupt or checksum-failed lines, and health bodies that do not
+          decode *)
   status : Obs_json.t;             (** final status rebuilt from history
                                        (no ["wall"] member) *)
 }
 
 val replay : string -> (replay, string) result
-(** [Error] when the directory has no readable meta record. *)
+(** [Error] when the directory has no readable meta record, or its
+    [alerts] or [windows] member is missing or mistyped (the error names
+    it: no default rules or windows stand in). *)

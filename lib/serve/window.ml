@@ -91,7 +91,8 @@ let agg_of_json json =
       { epochs = int "epochs"; first_epoch = int "first_epoch";
         last_epoch = int "last_epoch"; arrivals = int "arrivals";
         detections = int "detections";
-        (* Absent in pre-respond checkpoints: read as 0. *)
+        (* Absent in pre-respond alert windows: read as 0 so old
+           histories replay. *)
         patched =
           (match Obs_json.member "patched" json with
            | Some (`Int n) -> n
@@ -130,8 +131,6 @@ let set sizes =
   let sizes = List.sort_uniq compare sizes in
   { windows = List.map (fun w -> (w, create ~size:w)) sizes }
 
-let sizes s = List.map fst s.windows
-
 let rows s =
   match s.windows with [] -> 0 | (_, t) :: _ -> t.count
 
@@ -139,40 +138,3 @@ let push_set s o = List.iter (fun (_, t) -> push t o) s.windows
 
 let get s w =
   Option.map aggregate (List.assoc_opt w s.windows)
-
-let set_to_json s : Obs_json.t =
-  let win (w, t) : string * Obs_json.t =
-    ( string_of_int w,
-      `Assoc
-        [ ("count", `Int t.count);
-          ("slots", `List (Array.to_list (Array.map agg_to_json (ordered t))))
-        ] )
-  in
-  `Assoc [ ("windows", `Assoc (List.map win s.windows)) ]
-
-let set_of_json json =
-  let ( let* ) = Option.bind in
-  let parse_one (k, v) =
-    let* w = int_of_string_opt k in
-    let* count, slots =
-      match Obs_json.(member "count" v, member "slots" v) with
-      | Some (`Int count), Some (`List l) when w >= 1 && List.length l <= w ->
-        Option.map (fun slots -> (count, slots)) (Obs_json.all agg_of_json l)
-      | _ -> None
-    in
-    let t = create ~size:w in
-    (* Refill the ring at the positions the live service had them: the
-       oldest restored slot sits at index [count - n]. *)
-    let n = List.length slots in
-    List.iteri (fun i a -> t.ring.((count - n + i) mod w) <- a) slots;
-    t.count <- count;
-    Some (w, t)
-  in
-  let* parsed =
-    match Obs_json.member "windows" json with
-    | Some (`Assoc kvs) -> Obs_json.all parse_one kvs
-    | _ -> None
-  in
-  match List.map (fun (_, t) -> t.count) parsed with
-  | c :: rest when not (List.for_all (( = ) c) rest) -> None
-  | _ -> Some { windows = List.sort (fun (a, _) (b, _) -> compare a b) parsed }

@@ -64,17 +64,10 @@ type set
 val set : int list -> set
 (** Deduplicates and sorts the sizes; raises on any size < 1. *)
 
-val sizes : set -> int list
 val rows : set -> int
-(** Observations pushed into the set over its lifetime (survives
-    checkpoint/resume). *)
+(** Observations pushed into the set over its lifetime. *)
 
 val push_set : set -> Serve_obs.t -> unit
 val get : set -> int -> agg option
 (** The aggregate of the window of that exact size, if the set has one. *)
 
-val set_to_json : set -> Obs_json.t
-val set_of_json : Obs_json.t -> set option
-(** Checkpoint round-trip: ring contents, push counts and stream
-    position are all restored, so a resumed service aggregates exactly
-    as the uninterrupted one. *)

@@ -46,7 +46,8 @@ let bad_paths =
     ([ "fleet"; "zziplib"; "--users"; "10"; "--trace-out"; missing ], under_missing);
     ([ "fleet"; "zziplib"; "--users"; "10"; "--store"; missing ], under_missing);
     ([ "serve"; "zziplib"; "--epochs"; "2"; "--status-file"; missing ], under_missing);
-    ([ "serve"; "zziplib"; "--epochs"; "2"; "--checkpoint"; missing ], under_missing);
+    ([ "serve"; "zziplib"; "--epochs"; "2"; "--history"; "adir"; "--checkpoint"; missing ],
+     under_missing);
     ([ "serve"; "zziplib"; "--epochs"; "2"; "--history"; missing ], under_missing);
     ([ "sim"; "--runs"; "1"; "--out"; missing ], under_missing);
     ([ "validate"; missing ], under_missing);
@@ -115,7 +116,11 @@ let bad_combinations =
     ( "run --respond with --tool none",
       [ "run"; "zziplib"; "--tool"; "none"; "--respond"; "oblivious"; "--runs"; "3" ] );
     ( "exec --respond with --tool none",
-      [ "exec"; demo; "--input"; "12"; "--tool"; "none"; "--respond"; "patch" ] ) ]
+      [ "exec"; demo; "--input"; "12"; "--tool"; "none"; "--respond"; "patch" ] );
+    ( "serve --checkpoint-every without --checkpoint",
+      [ "serve"; "zziplib"; "--users"; "300"; "--epochs"; "5"; "--checkpoint-every"; "2" ] );
+    ( "serve --checkpoint without --history",
+      [ "serve"; "zziplib"; "--epochs"; "2"; "--checkpoint"; "afile" ] ) ]
 
 let test_bad_number_is_usage_error args () =
   let code, out, err = csod_run args in

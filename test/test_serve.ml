@@ -96,37 +96,6 @@ let test_window_agg_json_roundtrip () =
   Alcotest.(check (option reject)) "garbage rejected" None
     (Option.map ignore (Window.agg_of_json (`Assoc [ ("epochs", `String "x") ])))
 
-let test_window_set_roundtrip () =
-  let s = Window.set [ 1; 10; 100; 10 ] in
-  Alcotest.(check (list int)) "sizes deduped and sorted" [ 1; 10; 100 ]
-    (Window.sizes s);
-  for i = 0 to 57 do
-    Window.push_set s (obs i)
-  done;
-  let json = Window.set_to_json s in
-  match Window.set_of_json json with
-  | None -> Alcotest.fail "set_of_json failed"
-  | Some s' ->
-    Alcotest.(check int) "rows restored" (Window.rows s) (Window.rows s');
-    List.iter
-      (fun w ->
-        Alcotest.(check (option agg_doc))
-          (Printf.sprintf "window %d aggregate restored" w)
-          (Window.get s w) (Window.get s' w))
-      (Window.sizes s);
-    (* The restored set keeps aggregating identically as the stream
-       continues — the checkpoint/resume property at the window level. *)
-    for i = 58 to 80 do
-      Window.push_set s (obs i);
-      Window.push_set s' (obs i)
-    done;
-    List.iter
-      (fun w ->
-        Alcotest.(check (option agg_doc))
-          (Printf.sprintf "window %d tracks after restore" w)
-          (Window.get s w) (Window.get s' w))
-      (Window.sizes s)
-
 (* ---------- Alert ---------- *)
 
 let specs_of rules = List.map Alert.to_spec rules
@@ -202,31 +171,6 @@ let test_alert_fire_clear () =
   let quiet = List.init 2 (fun i -> flat i 0) in
   Alcotest.(check int) "cold start: no eligibility before the window fills" 0
     (List.length (drive rules quiet))
-
-let test_alert_states_roundtrip () =
-  let rules = Result.get_ok (Alert.parse "stall@3,degraded>0.1@2") in
-  let stream = List.init 8 (fun i -> flat i 0) in
-  let wins =
-    Window.set (List.map (fun (r : Alert.rule) -> r.Alert.window) rules)
-  in
-  let eng = Alert.engine rules in
-  List.iter
-    (fun (o : Serve_obs.t) ->
-      Window.push_set wins o;
-      ignore (Alert.observe eng wins ~epoch:o.Serve_obs.epoch))
-    stream;
-  let eng' = Alert.engine rules in
-  Alcotest.(check bool) "restore accepts matching rules" true
-    (Alert.restore_states eng' (Alert.states_to_json eng));
-  Alcotest.(check (list (pair string int)))
-    "firing state restored"
-    (List.map (fun ((r : Alert.rule), s) -> (Alert.to_spec r, s))
-       (Alert.firing eng))
-    (List.map (fun ((r : Alert.rule), s) -> (Alert.to_spec r, s))
-       (Alert.firing eng'));
-  let other = Alert.engine (Result.get_ok (Alert.parse "skew>3@4")) in
-  Alcotest.(check bool) "restore rejects a different rule set" false
-    (Alert.restore_states other (Alert.states_to_json eng))
 
 (* ---------- History ---------- *)
 
@@ -365,17 +309,17 @@ let serve_exec ~user ~store =
     telemetry = None;
     degraded = uid mod 11 = 0 }
 
-let serve_workload users =
-  Workload.make ~base_seed:5 ~burst:Workload.Wave ~wave_period:8 ~users ()
+let serve_workload ?(seed = 5) users =
+  Workload.make ~base_seed:seed ~burst:Workload.Wave ~wave_period:8 ~users ()
 
-let serve_cfg ?(domains = 2) ?checkpoint_path ?(checkpoint_every = 0) ~dir ()
-    =
-  Serve.config ~domains ~epoch_size:16
-    ~rules:
-      (Result.get_ok (Alert.parse "stall@5,degraded>0.05@4,cdf<0.6@6,skew>3@4"))
+let serve_cfg ?(domains = 2) ?seed ?(epoch_size = 16)
+    ?(rules = "stall@5,degraded>0.05@4,cdf<0.6@6,skew>3@4") ?checkpoint_path
+    ?(checkpoint_every = 0) ~dir () =
+  Serve.config ~domains ~epoch_size
+    ~rules:(Result.get_ok (Alert.parse rules))
     ~windows:[ 1; 4; 16 ] ~history_dir:dir ~rotate:7
     ~status_path:(Filename.concat dir "status.json")
-    ?checkpoint_path ~checkpoint_every (serve_workload 300)
+    ?checkpoint_path ~checkpoint_every (serve_workload ?seed 300)
 
 let run_serve cfg ~epochs =
   match Serve.start cfg ~execute:serve_exec with
@@ -524,13 +468,13 @@ let test_serve_resume_carries_tallies () =
     ignore (Serve.finish t);
     t
   in
-  let tallies ckpt =
-    let j = Result.get_ok (Obs_json.of_string (read_file ckpt)) in
-    let int k =
-      Option.get (Option.bind (Obs_json.member k j) Obs_json.to_int)
-    in
-    ( int "worker_crashes", int "patched",
-      Option.bind (Obs_json.member "faults" j) Obs_json.counts )
+  (* The run's tallies so far, summed over the history's observations. *)
+  let tallies dir =
+    match Serve.replay dir with
+    | Error m -> Alcotest.fail m
+    | Ok r ->
+      let a = linear_fold r.Serve.observations in
+      (a.Window.worker_crashes, a.Window.patched, a.Window.faults)
   in
   let ref_dir = temp_dir "csod_serve" in
   let ref_ckpt = Filename.concat ref_dir "ckpt.json" in
@@ -538,13 +482,12 @@ let test_serve_resume_carries_tallies () =
   let dir = temp_dir "csod_serve" in
   let ckpt = Filename.concat dir "ckpt.json" in
   ignore (run (cfg ~checkpoint_path:ckpt dir) ~epochs:11);
-  let crashes, patched, faults = tallies ckpt in
+  let crashes, patched, faults = tallies dir in
   Alcotest.(check bool) "crashes before the checkpoint" true (crashes > 0);
   Alcotest.(check bool) "a conviction before the checkpoint" true (patched > 0);
-  Alcotest.(check bool) "faults before the checkpoint" true
-    (match faults with Some (_ :: _) -> true | _ -> false);
+  Alcotest.(check bool) "faults before the checkpoint" true (faults <> []);
   let t = run (cfg ~checkpoint_path:ckpt dir) ~epochs:24 in
-  let crashes', _, faults' = tallies ckpt in
+  let crashes', _, faults' = tallies dir in
   Alcotest.(check bool) "crashes after the resume" true (crashes' > crashes);
   Alcotest.(check bool) "faults after the resume" true (faults' <> faults);
   Alcotest.(check (list (pair string string)))
@@ -555,6 +498,90 @@ let test_serve_resume_carries_tallies () =
   Alcotest.(check string) "final status identical minus wall"
     (Obs_json.to_string (strip_wall (Serve.status_json ref_t)))
     (Obs_json.to_string (strip_wall (Serve.status_json t)))
+
+(* A resume that would continue another run, or a history that cannot be
+   this run's, is an [Error] naming why: a 10-epoch run checkpointed on
+   exit, tampered with, then resumed under another configuration. *)
+let resume_refusals =
+  let under ?seed ?epoch_size ?rules () ~dir ~ckpt =
+    serve_cfg ?seed ?epoch_size ?rules ~dir ~checkpoint_path:ckpt ()
+  in
+  let untouched ~dir:_ ~ckpt:_ = () in
+  let write path text =
+    Out_channel.with_open_text path (fun oc -> output_string oc text)
+  in
+  let corrupt ~dir ~ckpt:_ =
+    let seg = List.hd (History.segments dir) in
+    write seg (replace_once (read_file seg) ~sub:{|"epoch":0,|} ~by:{|"epoch":9,|})
+  in
+  [ ("another seed", under ~seed:6 (), untouched, "workload.base_seed");
+    ("another epoch size", under ~epoch_size:8 (), untouched, "epoch_size");
+    ("another rule set", under ~rules:"stall@5" (), untouched, "alerts");
+    ( "a history cut below the checkpoint", under (),
+      (fun ~dir ~ckpt:_ -> History.truncate dir ~segment:0 ~lines:4),
+      "the checkpoint 10" );
+    ("a corrupt kept line", under (), corrupt, "checksum");
+    ( "a /1 checkpoint", under (),
+      (fun ~dir:_ ~ckpt ->
+        write ckpt {|{"schema":"csod.serve.checkpoint/1","epoch":10}|}),
+      "csod.serve.checkpoint/1" ) ]
+
+let test_serve_resume_refused (_, resume_cfg, tamper, expect) () =
+  let dir = temp_dir "csod_serve" in
+  let ckpt = Filename.concat dir "ckpt.json" in
+  ignore (run_serve (serve_cfg ~dir ~checkpoint_path:ckpt ()) ~epochs:10);
+  tamper ~dir ~ckpt;
+  match Serve.start (resume_cfg ~dir ~ckpt) ~execute:serve_exec with
+  | Ok _ -> Alcotest.fail "the resume was accepted"
+  | Error m ->
+    if find_sub m expect = None then
+      Alcotest.failf "error %S does not name %S" m expect
+
+let test_serve_checkpoint_needs_history () =
+  Alcotest.check_raises "a checkpoint without a history"
+    (Invalid_argument "Serve.config: a checkpoint needs a history directory")
+    (fun () -> ignore (Serve.config ~checkpoint_path:"ckpt.json" (serve_workload 30)))
+
+(* [replay] takes its rules and windows from the meta record or fails
+   naming the member; no default stands in.  A health body that does not
+   decode is a read error, not a skipped record. *)
+let test_serve_replay_meta_strict () =
+  let history ?(extra = []) meta =
+    let dir = temp_dir "csod_hist" in
+    let w = History.writer dir in
+    ignore (History.append w History.Meta meta);
+    for i = 0 to 3 do
+      ignore (History.append w History.Health (Serve_obs.to_json (obs i)))
+    done;
+    List.iter (fun body -> ignore (History.append w History.Health body)) extra;
+    History.close w;
+    dir
+  in
+  let refused what meta field =
+    match Serve.replay (history meta) with
+    | Ok _ -> Alcotest.failf "%s: replayed" what
+    | Error m ->
+      if find_sub m field = None then
+        Alcotest.failf "%s: error %S does not name %s" what m field
+  in
+  let windows = ("windows", `List [ `Int 2 ]) in
+  refused "no alerts" (`Assoc [ windows ]) {|"alerts"|};
+  refused "an unknown rule"
+    (`Assoc [ ("alerts", `List [ `String "nosuch@3" ]); windows ])
+    {|"alerts"|};
+  refused "mistyped windows"
+    (`Assoc [ ("alerts", `List [ `String "stall@3" ]); ("windows", `String "2") ])
+    {|"windows"|};
+  let meta : Obs_json.t = `Assoc [ ("alerts", `List [ `String "stall@3" ]); windows ] in
+  match Serve.replay (history ~extra:[ `Assoc [ ("epoch", `String "x") ] ] meta) with
+  | Error m -> Alcotest.fail m
+  | Ok r ->
+    Alcotest.(check string) "the meta record" (Obs_json.to_string meta)
+      (Obs_json.to_string r.Serve.meta);
+    Alcotest.(check int) "decoded health records" 4
+      (List.length r.Serve.observations);
+    Alcotest.(check (list string)) "the undecodable one is a read error"
+      [ "seq 5: malformed health body" ] r.Serve.read_errors
 
 let test_serve_population_drain () =
   (* A tiny population drains quickly; the service keeps stepping an idle
@@ -698,6 +725,30 @@ let test_serve_failed_publication_cleans_up () =
     Alcotest.(check bool) "the directory is untouched" true
       (Sys.file_exists (Filename.concat status "keep"))
 
+(* A resumed [serve]'s fleet saw only the epochs since the resume, and its
+   summary says so. *)
+let test_cli_resume_first_catch () =
+  let dir = temp_dir "csod_serve" in
+  let serve epochs =
+    let out = Filename.concat dir "out" in
+    let code =
+      Sys.command
+        (Filename.quote_command "../bin/csod_run.exe" ~stdout:out
+           [ "serve"; "zziplib"; "--users"; "3000"; "--epochs"; epochs;
+             "--history"; Filename.concat dir "hist"; "--checkpoint";
+             Filename.concat dir "ckpt.json"; "--no-color" ])
+    in
+    Alcotest.(check int) ("exit code, --epochs " ^ epochs) 0 code;
+    read_file out
+  in
+  let first = serve "4" and resumed = serve "8" in
+  Alcotest.(check bool) "the run's first catch" true
+    (find_sub first "first catch: user #" <> None);
+  Alcotest.(check bool) "the resumed session's, labelled" true
+    (find_sub resumed "first catch since the resume: user #" <> None);
+  Alcotest.(check bool) "not passed off as the run's" true
+    (find_sub resumed "first catch: " = None)
+
 (* [serve --live] repaints on the status refreshes, not at every barrier. *)
 let test_cli_live_paced () =
   let out = Filename.temp_file "csod_live" ".out" in
@@ -729,13 +780,9 @@ let suite =
       test_window_merge_properties;
     Alcotest.test_case "window: agg JSON round-trip" `Quick
       test_window_agg_json_roundtrip;
-    Alcotest.test_case "window: set checkpoint round-trip" `Quick
-      test_window_set_roundtrip;
     Alcotest.test_case "alert: spec grammar" `Quick test_alert_parse;
     Alcotest.test_case "alert: fire/clear transitions" `Quick
       test_alert_fire_clear;
-    Alcotest.test_case "alert: state checkpoint round-trip" `Quick
-      test_alert_states_roundtrip;
     Alcotest.test_case "history: round-trip, rotation, corruption" `Quick
       test_history_roundtrip_and_corruption;
     Alcotest.test_case "history: resume position and truncation" `Quick
@@ -752,6 +799,12 @@ let suite =
       test_serve_checkpoint_resume;
     Alcotest.test_case "serve: resume carries fault, crash and patch tallies"
       `Quick test_serve_resume_carries_tallies;
+    Alcotest.test_case "serve: a checkpoint needs a history" `Quick
+      test_serve_checkpoint_needs_history;
+    Alcotest.test_case "serve: replay reads its configuration strictly" `Quick
+      test_serve_replay_meta_strict;
+    Alcotest.test_case "serve: resumed first catch labelled" `Quick
+      test_cli_resume_first_catch;
     Alcotest.test_case "serve: population drain and idle epochs" `Quick
       test_serve_population_drain;
     Alcotest.test_case "serve: outputs match their specs" `Quick
@@ -766,3 +819,8 @@ let suite =
       test_serve_failed_publication_cleans_up;
     Alcotest.test_case "serve: cli --live repaints on refreshes" `Quick
       test_cli_live_paced ]
+  @ List.map
+      (fun ((what, _, _, _) as case) ->
+        Alcotest.test_case ("serve: resume refused, " ^ what) `Quick
+          (test_serve_resume_refused case))
+      resume_refusals
