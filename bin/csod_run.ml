@@ -714,7 +714,9 @@ let serve_cmd =
          & info [ "history" ] ~docv:"DIR"
              ~doc:"Append checksummed csod.serve.history/1 segments under \
                    $(docv); $(b,csod_run replay) re-renders and re-checks \
-                   them offline.")
+                   them offline.  A fresh run (no $(b,--checkpoint) file to \
+                   resume from) into a directory that already holds \
+                   segments is refused with exit 1.")
   in
   let rotate_arg =
     Arg.(value & opt (int_at_least 1) 4096

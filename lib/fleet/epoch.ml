@@ -1,20 +1,4 @@
-type row = {
-  epoch : int;
-  arrivals : int;
-  detections : int;
-  cumulative : int;
-  store_size : int;
-}
-
-let of_sample (s : Health.sample) =
-  { epoch = s.epoch; arrivals = s.arrivals; detections = s.detections;
-    cumulative = s.cumulative; store_size = s.store_contexts }
-
-let cdf ~total_users r =
-  if total_users = 0 then 0.0
-  else float_of_int r.cumulative /. float_of_int total_users
-
-let table ~total_users rows =
+let table samples =
   let t =
     Table_fmt.create ~title:"DETECTION CDF"
       ~columns:
@@ -23,17 +7,16 @@ let table ~total_users rows =
           ("CDF", Table_fmt.Right); ("Store", Table_fmt.Right) ]
   in
   List.iter
-    (fun r ->
+    (fun (s : Health.sample) ->
       Table_fmt.add_row t
-        [ string_of_int r.epoch; string_of_int r.arrivals;
-          string_of_int r.detections; string_of_int r.cumulative;
-          Table_fmt.fmt_percent (cdf ~total_users r);
-          string_of_int r.store_size ])
-    rows;
+        [ string_of_int s.epoch; string_of_int s.arrivals;
+          string_of_int s.detections; string_of_int s.cumulative;
+          Table_fmt.fmt_percent s.cdf; string_of_int s.store_contexts ])
+    samples;
   Table_fmt.render t
 
-let to_json r : Obs_json.t =
+let to_json (s : Health.sample) : Obs_json.t =
   `Assoc
-    [ ("epoch", `Int r.epoch); ("arrivals", `Int r.arrivals);
-      ("detections", `Int r.detections); ("cumulative", `Int r.cumulative);
-      ("store_size", `Int r.store_size) ]
+    [ ("epoch", `Int s.epoch); ("arrivals", `Int s.arrivals);
+      ("detections", `Int s.detections); ("cumulative", `Int s.cumulative);
+      ("store_size", `Int s.store_contexts) ]

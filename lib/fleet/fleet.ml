@@ -11,9 +11,27 @@ type 'a executor = user:Workload.user -> store:Persist.t -> 'a execution
 
 type 'a seat = { user : Workload.user; epoch : int; exec : 'a execution }
 
+type 'a epoch = {
+  index : int;
+  seats : 'a seat array;
+  detections : int;
+  degraded : int;
+  worker_crashes : int;
+  faults : (string * int) list;
+  snapshots : int;
+  cycles : int;
+  cycle_skew : float;
+  store_contexts : int;
+  patched : int;
+  workers : Pool.worker array;
+  started_at : float;
+  barrier_at : float;
+  merged_at : float;
+  merge_seconds : float;
+}
+
 type 'a report = {
   seats : 'a seat array;
-  epochs : Epoch.row list;
   first_catch : 'a seat option;
   detections : int;
   metrics : Metrics.t;
@@ -50,24 +68,15 @@ let config ?domains ?(epoch_size = 32) ?faults ?(trace = false) ?on_health
   | _ -> ());
   { workload; domains; epoch_size; faults; trace; on_health; patch_threshold }
 
-(* Fault/degradation counters surfaced per health record, in this order;
-   only counters the merged registry has actually seen appear in the
-   stream. *)
+(* Fault/degradation counters surfaced per epoch, in this order; only
+   counters the merged registry has actually seen appear. *)
 let fault_counters =
   List.map
     (fun name -> (name, Metrics.counter_key name))
     [ "runtime.degraded"; "runtime.install_failures"; "trap.dropped";
       "trap.delayed"; "persist.corrupt_lines" ]
 
-(* ---- incremental stepping ----
-
-   The run-to-completion driver below is a thin loop over this state: the
-   fleet advances one epoch barrier at a time, so an open-ended service
-   can drive it for days of virtual time without knowing the arrival
-   schedule upfront.  [lean] keeps memory flat for such callers: per-seat
-   and per-epoch accumulation is skipped (only the first detecting seat is
-   retained), leaving the store, the merged registries and the running
-   tallies — everything O(contexts + counters), nothing O(users). *)
+(* ---- incremental stepping: the state holds nothing O(users) ---- *)
 
 type 'a t = {
   cfg : config;
@@ -78,31 +87,17 @@ type 'a t = {
          order at the barriers *)
   c_crashes : Metrics.counter;
   pool_faults : Fault_injector.t option;
-  expected_users : int option;
-  lean : bool;
   t_run0 : float;
   mutable next_uid : int;
   mutable epoch : int;
-  mutable seats_rev : 'a seat list;
   mutable detections : int;
-  mutable degraded_total : int;
-  mutable health_rev : Health.sample list;
-  mutable spans_rev : Trace_export.fleet_span list;
-  mutable observer_prev : float;
   mutable first : 'a seat option;
   mutable arrived : int;
 }
 
-type epoch_result = {
-  sample : Health.sample;
-  epoch_cycles : int;
-  cycle_skew : float;
-}
-
 let k_crashes = Metrics.counter_key "fleet.worker_crashes"
 
-let start ?store ?expected_users ?(lean = false) ?(epoch0 = 0) ?(uid0 = 1)
-    cfg ~execute =
+let start ?store ?(epoch0 = 0) ?(uid0 = 1) cfg ~execute =
   if epoch0 < 0 then invalid_arg "Fleet.start: epoch0 < 0";
   if uid0 < 1 then invalid_arg "Fleet.start: uid0 < 1";
   let shared =
@@ -114,26 +109,11 @@ let start ?store ?expected_users ?(lean = false) ?(epoch0 = 0) ?(uid0 = 1)
      domain count.  Registered unconditionally so a zero plan and no plan
      produce byte-identical metrics. *)
   let c_crashes = Metrics.counter (Telemetry.metrics tele) k_crashes in
-  { cfg;
-    execute;
-    shared;
-    tele;
-    c_crashes;
+  { cfg; execute; shared; tele; c_crashes;
     pool_faults =
       Option.map (fun plan -> Fault_injector.create ~plan ~salt:0) cfg.faults;
-    expected_users;
-    lean;
     t_run0 = Unix.gettimeofday ();
-    next_uid = uid0;
-    epoch = epoch0;
-    seats_rev = [];
-    detections = 0;
-    degraded_total = 0;
-    health_rev = [];
-    spans_rev = [];
-    observer_prev = 0.0;
-    first = None;
-    arrived = 0 }
+    next_uid = uid0; epoch = epoch0; detections = 0; first = None; arrived = 0 }
 
 let metrics t = Telemetry.metrics t.tele
 let store t = t.shared
@@ -143,16 +123,19 @@ let arrived t = t.arrived
 let next_uid t = t.next_uid
 let epoch t = t.epoch
 
+let crashes t =
+  match t.pool_faults with
+  | Some inj -> Fault_injector.count inj Fault_plan.Worker_crash
+  | None -> 0
+
 let step t ~arrivals:n =
   if n < 0 then invalid_arg "Fleet.step: negative arrivals";
-  let cfg = t.cfg in
-  let w = cfg.workload in
-  let e = t.epoch in
-  let t_epoch0 = Unix.gettimeofday () in
-  let uid_base = t.next_uid in
-  let users = Array.init n (fun i -> Workload.user w (uid_base + i)) in
+  let cfg = t.cfg and e = t.epoch and uid_base = t.next_uid in
+  let started_at = Unix.gettimeofday () in
+  let users = Array.init n (fun i -> Workload.user cfg.workload (uid_base + i)) in
   t.next_uid <- t.next_uid + n;
   t.arrived <- t.arrived + n;
+  let crashes0 = crashes t in
   (* Snapshots are taken in the main domain, before any worker starts:
      every execution of this epoch sees exactly the evidence uploaded by
      previous epochs, no more.  [base] pins that evidence level so the
@@ -164,26 +147,27 @@ let step t ~arrivals:n =
       ~record_spans:cfg.trace ~domains:cfg.domains n
       ~f:(fun i -> t.execute ~user:users.(i) ~store:locals.(i))
   in
-  let t_barrier0 = Unix.gettimeofday () in
+  let barrier_at = Unix.gettimeofday () in
   (* Epoch barrier, pass A: fold the fleet's evidence back in, in uid
      (= seed) order so store merges are deterministic. *)
-  let epoch_detections = ref 0 in
-  let epoch_cycles = ref 0 in
-  Array.iteri
-    (fun i exec ->
-      Persist.merge_delta t.shared ~base locals.(i);
-      if exec.degraded then t.degraded_total <- t.degraded_total + 1;
-      if exec.detected then incr epoch_detections;
-      epoch_cycles := !epoch_cycles + exec.cycles;
-      if exec.detected && t.first = None then
-        t.first <- Some { user = users.(i); epoch = e; exec };
-      if not t.lean then
-        t.seats_rev <- { user = users.(i); epoch = e; exec } :: t.seats_rev)
-    execs;
+  let seats =
+    Array.mapi
+      (fun i exec ->
+        Persist.merge_delta t.shared ~base locals.(i);
+        { user = users.(i); epoch = e; exec })
+      execs
+  in
+  let count p = Array.fold_left (fun k (s : _ seat) -> if p s.exec then k + 1 else k) 0 seats in
+  let detections = count (fun x -> x.detected) in
+  if t.first = None then t.first <- Array.find_opt (fun s -> s.exec.detected) seats;
   (* Pass B: fold each execution's telemetry into the aggregate, also in
      uid order, so a gauge's level is the highest uid's that defines it.
      Timed on its own so the health stream prices the merge and nothing
      else. *)
+  let counts () =
+    List.map (fun (name, k) -> (name, Metrics.find_count (metrics t) k)) fault_counters
+  in
+  let faults0 = counts () and snapshots0 = Telemetry.snapshot_count t.tele in
   let (), merge_seconds =
     Pool.timed (fun () ->
         Array.iter
@@ -192,147 +176,127 @@ let step t ~arrivals:n =
               exec.telemetry)
           execs)
   in
-  let t_merge1 = Unix.gettimeofday () in
-  t.detections <- t.detections + !epoch_detections;
-  let epoch_seconds = t_merge1 -. t_epoch0 in
-  let loads =
-    Array.to_list workers
-    |> List.map (fun wk ->
-           { Health.slot = wk.Pool.slot; executed = wk.Pool.executed;
-             busy_seconds = wk.Pool.busy_seconds })
-  in
-  let users_total =
-    match t.expected_users with Some u -> u | None -> t.arrived
-  in
-  let sample =
-    { Health.epoch = e; arrivals = n; detections = !epoch_detections;
-      cumulative = t.detections;
-      users = users_total;
-      cdf =
-        (if users_total > 0 then
-           float_of_int t.detections /. float_of_int users_total
-         else 0.0);
-      store_contexts = Persist.count t.shared;
-      patched =
-        (* Convicted (= patchable) contexts at this barrier, from the
-           shared store only — every domain ordering sees the same store
-           after the uid-ordered merge, so the tally is deterministic. *)
-        (match cfg.patch_threshold with
-        | Some threshold ->
-          List.fold_left
-            (fun acc k ->
-              if Persist.hits t.shared k >= threshold then acc + 1 else acc)
-            0 (Persist.keys t.shared)
-        | None -> 0);
-      degraded = t.degraded_total;
-      worker_crashes =
-        (match t.pool_faults with
-        | Some inj -> Fault_injector.count inj Fault_plan.Worker_crash
-        | None -> 0);
-      faults =
-        List.filter_map
-          (fun (name, k) ->
-            Option.map (fun v -> (name, v)) (Metrics.find_count (metrics t) k))
-          fault_counters;
-      snapshots = Telemetry.snapshot_count t.tele;
-      epoch_seconds;
-      merge_seconds;
-      observer_seconds = t.observer_prev;
-      execs_per_sec =
-        (if epoch_seconds > 0.0 then float_of_int n /. epoch_seconds
-         else 0.0);
-      straggler_skew =
-        Health.straggler_skew
-          (List.map (fun l -> l.Health.busy_seconds) loads);
-      domains = loads }
-  in
-  (* The observer effect, self-measured: everything below is pure
-     observability (health emission, trace spans) and its cost lands in
-     the next record's [observer_seconds]. *)
-  let (), obs_dt =
-    Pool.timed (fun () ->
-        if not t.lean then t.health_rev <- sample :: t.health_rev;
-        if cfg.trace then begin
-          Array.iter
-            (fun wk ->
-              List.iter
-                (fun (i, c0, c1) ->
-                  let uid = uid_base + i in
-                  t.spans_rev <-
-                    { Trace_export.track = wk.Pool.slot;
-                      name = Printf.sprintf "user #%d" uid;
-                      start_s = c0 -. t.t_run0;
-                      stop_s = c1 -. t.t_run0;
-                      args = [ ("epoch", `Int e); ("uid", `Int uid) ] }
-                    :: t.spans_rev)
-                wk.Pool.spans;
-              if wk.Pool.executed > 0 && t_barrier0 > wk.Pool.last_stop then
-                t.spans_rev <-
-                  { Trace_export.track = wk.Pool.slot;
-                    name = "barrier wait";
-                    start_s = wk.Pool.last_stop -. t.t_run0;
-                    stop_s = t_barrier0 -. t.t_run0;
-                    args = [ ("epoch", `Int e) ] }
-                  :: t.spans_rev)
-            workers;
-          t.spans_rev <-
-            { Trace_export.track = cfg.domains;
-              name = Printf.sprintf "epoch %d merge" e;
-              start_s = t_barrier0 -. t.t_run0;
-              stop_s = t_merge1 -. t.t_run0;
-              args = [ ("epoch", `Int e) ] }
-            :: t.spans_rev
-        end;
-        match cfg.on_health with Some cb -> cb sample | None -> ())
-  in
-  t.observer_prev <- obs_dt;
+  t.detections <- t.detections + detections;
   t.epoch <- e + 1;
-  { sample;
-    epoch_cycles = !epoch_cycles;
+  { index = e; seats; detections;
+    degraded = count (fun (x : _ execution) -> x.degraded);
+    worker_crashes = crashes t - crashes0;
+    faults =
+      List.map2
+        (fun (name, now) (_, before) ->
+          Option.map (fun v -> (name, v - Option.value before ~default:0)) now)
+        (counts ()) faults0
+      |> List.filter_map Fun.id;
+    snapshots = Telemetry.snapshot_count t.tele - snapshots0;
+    cycles = Array.fold_left (fun c (x : _ execution) -> c + x.cycles) 0 execs;
     cycle_skew =
       Health.straggler_skew
-        (Array.to_list (Array.map (fun x -> float_of_int x.cycles) execs)) }
+        (Array.to_list (Array.map (fun (x : _ execution) -> float_of_int x.cycles) execs));
+    store_contexts = Persist.count t.shared;
+    patched =
+      (* Convicted (= patchable) contexts at this barrier, from the shared
+         store only — every domain ordering sees the same store after the
+         uid-ordered merge, so the tally is deterministic. *)
+      (match cfg.patch_threshold with
+      | Some n ->
+        List.length
+          (List.filter (fun k -> Persist.hits t.shared k >= n) (Persist.keys t.shared))
+      | None -> 0);
+    workers; started_at; barrier_at; merged_at = Unix.gettimeofday ();
+    merge_seconds }
 
 let finish t =
-  (match t.pool_faults with
-  | Some inj ->
-    Metrics.add t.c_crashes (Fault_injector.count inj Fault_plan.Worker_crash)
-  | None -> ());
-  let health = List.rev t.health_rev in
-  { seats = Array.of_list (List.rev t.seats_rev);
-    epochs = List.map Epoch.of_sample health;
-    first_catch = t.first;
-    detections = t.detections;
-    metrics = metrics t;
-    profile = Telemetry.profiler t.tele;
-    store = t.shared;
-    domains = t.cfg.domains;
-    wall_seconds = Unix.gettimeofday () -. t.t_run0;
-    faults = t.pool_faults;
-    health;
-    trace_spans = List.rev t.spans_rev }
+  Metrics.add t.c_crashes (crashes t);
+  { seats = [||]; first_catch = t.first; detections = t.detections;
+    metrics = metrics t; profile = Telemetry.profiler t.tele; store = t.shared;
+    domains = t.cfg.domains; wall_seconds = Unix.gettimeofday () -. t.t_run0;
+    faults = t.pool_faults; health = []; trace_spans = [] }
+
+(* The epoch's wall-clock spans: each worker's user chunks and its wait
+   at the barrier, in slot order, then the merge. *)
+let spans t (ep : _ epoch) =
+  let span track name s0 s1 args =
+    { Trace_export.track; name; start_s = s0 -. t.t_run0;
+      stop_s = s1 -. t.t_run0; args = ("epoch", `Int ep.index) :: args }
+  in
+  List.concat_map
+    (fun (wk : Pool.worker) ->
+      List.rev_map
+        (fun (i, c0, c1) ->
+          let uid = ep.seats.(i).user.Workload.uid in
+          span wk.slot (Printf.sprintf "user #%d" uid) c0 c1 [ ("uid", `Int uid) ])
+        wk.spans
+      @
+      if wk.executed > 0 && ep.barrier_at > wk.last_stop then
+        [ span wk.slot "barrier wait" wk.last_stop ep.barrier_at [] ]
+      else [])
+    (Array.to_list ep.workers)
+  @ [ span t.cfg.domains (Printf.sprintf "epoch %d merge" ep.index)
+        ep.barrier_at ep.merged_at [] ]
 
 let run ?store cfg ~execute =
   let arrivals = Workload.arrivals cfg.workload ~epoch_size:cfg.epoch_size in
-  let total_users = Array.fold_left ( + ) 0 arrivals in
-  let t = start ?store ~expected_users:total_users cfg ~execute in
-  Array.iter (fun n -> ignore (step t ~arrivals:n)) arrivals;
-  finish t
-
-let until_detected ?store ~users ~execute () =
-  let rec go uid =
-    if uid > users then None
-    else begin
-      let user = { Workload.uid; seed = uid; benign = false } in
-      let local =
-        match store with Some s -> s | None -> Persist.create ()
+  let users = Array.fold_left ( + ) 0 arrivals in
+  let t = start ?store cfg ~execute in
+  let seats = ref [] and health : Health.sample list ref = ref [] in
+  let spans_rev = ref [] and observer = ref 0.0 in
+  Array.iter
+    (fun n ->
+      let ep = step t ~arrivals:n in
+      (* The sample's tallies are the run's so far: this epoch's plus the
+         previous sample's. *)
+      let so_far f = match !health with s :: _ -> f s | [] -> 0 in
+      let loads =
+        Array.to_list ep.workers
+        |> List.map (fun (wk : Pool.worker) ->
+               { Health.slot = wk.slot; executed = wk.executed;
+                 busy_seconds = wk.busy_seconds })
       in
-      let exec = execute ~user ~store:local in
-      if exec.detected then Some { user; epoch = uid - 1; exec }
-      else go (uid + 1)
-    end
-  in
-  go 1
+      let epoch_seconds = ep.merged_at -. ep.started_at in
+      let sample =
+        { Health.epoch = ep.index; arrivals = n; detections = ep.detections;
+          cumulative = t.detections; users;
+          cdf =
+            (if users > 0 then float_of_int t.detections /. float_of_int users
+             else 0.0);
+          store_contexts = ep.store_contexts;
+          patched = ep.patched;
+          degraded = ep.degraded + so_far (fun s -> s.degraded);
+          worker_crashes =
+            ep.worker_crashes + so_far (fun s -> s.worker_crashes);
+          faults =
+            List.map
+              (fun (k, v) ->
+                (k, v + so_far (fun s -> Option.value ~default:0 (List.assoc_opt k s.faults))))
+              ep.faults;
+          snapshots = ep.snapshots + so_far (fun s -> s.snapshots);
+          epoch_seconds;
+          merge_seconds = ep.merge_seconds;
+          observer_seconds = !observer;
+          execs_per_sec =
+            (if epoch_seconds > 0.0 then float_of_int n /. epoch_seconds
+             else 0.0);
+          straggler_skew =
+            Health.straggler_skew
+              (List.map (fun l -> l.Health.busy_seconds) loads);
+          domains = loads }
+      in
+      (* The observer effect, self-measured: everything below is pure
+         observability and its cost lands in the next sample's
+         [observer_seconds]. *)
+      let (), dt =
+        Pool.timed (fun () ->
+            seats := ep.seats :: !seats;
+            health := sample :: !health;
+            if cfg.trace then spans_rev := List.rev_append (spans t ep) !spans_rev;
+            Option.iter (fun cb -> cb sample) cfg.on_health)
+      in
+      observer := dt)
+    arrivals;
+  { (finish t) with
+    seats = Array.concat (List.rev !seats);
+    health = List.rev !health;
+    trace_spans = List.rev !spans_rev }
 
 let detection_uids r =
   Array.to_list r.seats
@@ -351,7 +315,7 @@ let summary r =
     (Printf.sprintf "fleet: %d users (%d benign), %d domain%s, %d epochs\n"
        users benign r.domains
        (if r.domains = 1 then "" else "s")
-       (List.length r.epochs));
+       (List.length r.health));
   (match r.first_catch with
   | Some s ->
     Buffer.add_string b
@@ -366,7 +330,7 @@ let summary r =
        r.detections users (Persist.count r.store)
        (if Persist.count r.store = 1 then "" else "s")
        r.wall_seconds);
-  Buffer.add_string b (Epoch.table ~total_users:users r.epochs);
+  Buffer.add_string b (Epoch.table r.health);
   Buffer.contents b
 
 let report_schema = "csod.fleet.report/1"
@@ -408,7 +372,7 @@ let to_json ?payload ~app ~config:config_label r : Obs_json.t =
             | None -> `Null);
            ("store_contexts", `Int (Persist.count r.store));
            ("wall_seconds", `Float r.wall_seconds);
-           ("epochs", `List (List.map Epoch.to_json r.epochs));
+           ("epochs", `List (List.map Epoch.to_json r.health));
            ("metrics", Metrics.to_json r.metrics);
            ("profile", Profiler.to_json r.profile) ];
          (match payload with

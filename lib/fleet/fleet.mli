@@ -15,6 +15,11 @@
     use synthetic ones), and the simulator provides scheduling, evidence
     flow and telemetry aggregation.
 
+    Each epoch is counted once, at its barrier: {!step} returns the
+    epoch's own facts (an {!type:epoch}), {!run} folds them into the
+    report's seats and its cumulative health stream, and a service
+    ([Serve]) projects them into its per-epoch record.
+
     {b Determinism}: the report — detections, sources, first-catch epoch,
     merged store and merged metrics — is bit-identical for any [domains]
     count.  Each execution is deterministic given [(user, store
@@ -43,10 +48,37 @@ type 'a executor = user:Workload.user -> store:Persist.t -> 'a execution
 
 type 'a seat = { user : Workload.user; epoch : int; exec : 'a execution }
 
+(** One epoch barrier's own facts, counted once at the barrier: {!run}
+    folds them into the report and its health stream, a service projects
+    them into its per-epoch record.  Every tally is the epoch's, not the
+    session's; only the wall-clock fields vary run to run. *)
+type 'a epoch = {
+  index : int;                   (** the epoch number *)
+  seats : 'a seat array;         (** uid order; its length is the arrivals *)
+  detections : int;
+  degraded : int;                (** executions that fell back to canary-only *)
+  worker_crashes : int;          (** injected pool crashes *)
+  faults : (string * int) list;
+      (** increments of the fault/degradation counters the merged registry
+          has seen, in a fixed order, zeros included *)
+  snapshots : int;               (** telemetry snapshots of the executions *)
+  cycles : int;                  (** summed virtual cycles *)
+  cycle_skew : float;
+      (** slowest / median execution in virtual cycles
+          ({!Health.straggler_skew}): the deterministic straggler signal *)
+  store_contexts : int;          (** shared-store contexts after the barrier *)
+  patched : int;
+      (** contexts with at least [config.patch_threshold] hits after the
+          barrier (0 without a threshold) *)
+  workers : Pool.worker array;   (** per-worker loads and spans, slot order *)
+  started_at : float;            (** wall clock when the epoch began, *)
+  barrier_at : float;            (** when the last worker joined, *)
+  merged_at : float;             (** and when the barrier finished *)
+  merge_seconds : float;         (** wall time of the telemetry merge *)
+}
+
 type 'a report = {
   seats : 'a seat array;         (** uid order, one per user *)
-  epochs : Epoch.row list;
-      (** the detection CDF: {!Epoch.of_sample} of each [health] sample *)
   first_catch : 'a seat option;  (** earliest by (epoch, uid) *)
   detections : int;
   metrics : Metrics.t;
@@ -58,7 +90,8 @@ type 'a report = {
   faults : Fault_injector.t option;
       (** the pool's crash injector, for post-run fault accounting *)
   health : Health.sample list;
-      (** one {!Health.sample} per epoch barrier, epoch order *)
+      (** one {!Health.sample} per epoch barrier, epoch order: the
+          detection CDF *)
   trace_spans : Trace_export.fleet_span list;
       (** with [config.trace]: wall-clock spans (domain chunks, barrier
           waits, merges) for {!Trace_export.fleet_spans_to_json} *)
@@ -73,19 +106,19 @@ type config = {
           crashed chunks are requeued/serialized, so the report stays
           bit-identical to an unfaulted run *)
   trace : bool;
-      (** record wall-clock epoch spans into [report.trace_spans].
+      (** {!run} records wall-clock epoch spans into [report.trace_spans].
           Default [false]. *)
   on_health : (Health.sample -> unit) option;
-      (** live health callback, invoked at each epoch barrier from the
-          main domain (all workers joined) — safe to write to a channel.
-          It is the only channel health samples go out on: the fleet
-          itself writes them nowhere else. *)
+      (** live health callback, invoked by {!run} at each epoch barrier
+          from the main domain (all workers joined) — safe to write to a
+          channel.  It is the only channel health samples go out on: the
+          fleet itself writes them nowhere else. *)
   patch_threshold : int option;
       (** evidence hits at which the shared store convicts a context.
-          Only feeds the [patched] tally of health samples — the actual
-          mitigation lives in the executor's response mode, which consults
-          the same store snapshots, so tally and behaviour agree.  Default
-          [None] (tally stays 0). *)
+          Only feeds the epoch's [patched] tally — the actual mitigation
+          lives in the executor's response mode, which consults the same
+          store snapshots, so tally and behaviour agree.  Default [None]
+          (tally stays 0). *)
 }
 
 val config :
@@ -103,9 +136,12 @@ val config :
 
 val run : ?store:Persist.t -> config -> execute:'a executor -> 'a report
 (** Simulate the whole fleet.  [store] seeds the shared store (default
-    empty) and is not mutated; the report carries its own.  Implemented
-    as {!start} + one {!step} per {!Workload.arrivals} epoch +
-    {!finish}. *)
+    empty) and is not mutated; the report carries its own.  {!start}, one
+    {!step} per {!Workload.arrivals} epoch, then {!finish}; [run] folds
+    the epochs into the report's seats, its health stream (cumulative
+    tallies over the known population, emitted through
+    [config.on_health], whose own cost the next sample's
+    [observer_seconds] carries) and, with [config.trace], its spans. *)
 
 (** {2 Incremental stepping}
 
@@ -113,54 +149,37 @@ val run : ?store:Persist.t -> config -> execute:'a executor -> 'a report
     under an open-ended arrival process, instead of materialising the
     whole schedule upfront.  Create a state with {!start}, advance it
     with {!step} (each call runs one complete epoch: snapshot, parallel
-    execution, evidence + telemetry barrier, health emission), and
-    {!finish} it into a report when done.  Each [step] has exactly the
-    semantics of the corresponding epoch of {!run}. *)
+    execution, evidence + telemetry barrier) and {!finish} it when done.
+    The state keeps nothing per user or per epoch — only the store, the
+    merged registries and the running tallies — so memory stays flat for
+    an unbounded run; what a caller keeps of each {!type:epoch} is its
+    own choice. *)
 
 type 'a t
 (** In-flight fleet state between epoch barriers. *)
 
-type epoch_result = {
-  sample : Health.sample;  (** the epoch's health record, as {!run} emits *)
-  epoch_cycles : int;
-      (** summed virtual cycles of the epoch's executions — the epoch's
-          contribution to the fleet's virtual clock, deterministic for
-          any domain count *)
-  cycle_skew : float;
-      (** slowest / median execution of the epoch in {e virtual} cycles
-          ({!Health.straggler_skew} over per-execution cycles) — the
-          deterministic straggler signal, unlike the sample's wall-clock
-          [straggler_skew] *)
-}
-
 val start :
   ?store:Persist.t ->
-  ?expected_users:int ->
-  ?lean:bool ->
   ?epoch0:int ->
   ?uid0:int ->
   config ->
   execute:'a executor ->
   'a t
-(** [expected_users] fixes the CDF denominator (and the sample's [users]
-    field); without it both track the users arrived so far — the right
-    reading for an open-ended run.  [lean] (default false) keeps memory
-    flat for unbounded runs: seats, epoch rows, health samples and trace
-    spans are not accumulated (the report from {!finish} carries only the
-    first detecting seat, the merged registries and the store).
-    [epoch0]/[uid0] (defaults 0/1) offset epoch numbering and uid
+(** [epoch0]/[uid0] (defaults 0/1) offset epoch numbering and uid
     assignment so a resumed service continues the same deterministic
     stream — pool fault draws are indexed by [uid - 1] and line up with
     an uninterrupted run. *)
 
-val step : 'a t -> arrivals:int -> epoch_result
+val step : 'a t -> arrivals:int -> 'a epoch
 (** Run one epoch with [arrivals] fresh users (uids assigned
-    sequentially).  Everything {!run} does per epoch happens here: the
-    health callback and event-sink emission included. *)
+    sequentially) and return its facts.  Neither the health callback nor
+    the trace is touched: {!run} builds those from the result. *)
 
 val finish : 'a t -> 'a report
 (** Commit the crash tally into the merged metrics and assemble the
-    report.  [wall_seconds] covers {!start} to {!finish}. *)
+    report: first catch, detections, merged registries and store, with no
+    seats, health samples or spans.  [wall_seconds] covers {!start} to
+    {!finish}. *)
 
 val metrics : 'a t -> Metrics.t
 (** The merged fleet registry so far (fault and degradation counters
@@ -171,7 +190,7 @@ val store : 'a t -> Persist.t
     mid-epoch. *)
 
 val first_catch : 'a t -> 'a seat option
-(** The earliest detecting seat so far — retained even in [lean] mode. *)
+(** The earliest detecting seat so far. *)
 
 val detections : 'a t -> int
 val arrived : 'a t -> int
@@ -179,19 +198,6 @@ val next_uid : 'a t -> int
 val epoch : 'a t -> int
 (** Running tallies: detections so far, users arrived so far, the next
     uid {!step} will assign, and the next epoch number. *)
-
-val until_detected :
-  ?store:Persist.t ->
-  users:int ->
-  execute:'a executor ->
-  unit ->
-  'a seat option
-(** The subsystem's sequential path: run users [1, 2, ...] (seed = uid,
-    buggy input) one at a time until the first detection.  With [store],
-    every execution shares it directly — each user benefits from all
-    earlier evidence, i.e. an epoch size of 1 ({!Evidence.fleet}'s
-    semantics).  Without, each execution gets a fresh empty store —
-    independent retries ({!Execution.run_until_detected}'s semantics). *)
 
 val detection_uids : 'a report -> int list
 (** Uids that detected, ascending — the fleet's detection set. *)
@@ -203,7 +209,8 @@ val to_json :
   ?payload:('a -> Obs_json.t) -> app:string -> config:string -> 'a report ->
   Obs_json.t
 (** Machine-readable report (schema [csod.fleet.report/1]): workload
-    echo, per-epoch rows, detection set, first catch, merged metrics. *)
+    echo, per-epoch rows ({!Epoch.to_json} of each health sample),
+    detection set, first catch, merged metrics. *)
 
 val report_spec : Schema.t
 (** The report's format. *)

@@ -28,11 +28,18 @@ let second_execution ?(seed = 1) () =
            second_run_watchpoint = has_source o2.Execution.reports Report.Watchpoint })
 
 let fleet ~app ~users ?(policy = Params.Near_fifo) () =
-  let store = Persist.create () in
-  let config = Config.csod_with_policy policy ~evidence:true in
-  match
-    Fleet.until_detected ~store ~users
-      ~execute:(Execution.executor ~app ~config ()) ()
-  with
-  | Some s -> Option.map (fun src -> (s.Fleet.user.Workload.uid, src)) s.Fleet.exec.Fleet.source
-  | None -> None
+  (* One arrival per epoch on one domain: each user starts from every
+     earlier user's evidence, and user uid runs seed uid. *)
+  let t =
+    Fleet.start
+      (Fleet.config ~domains:1 ~epoch_size:1
+         (Workload.make ~base_seed:1 ~benign_frac:0.0 ~users ()))
+      ~execute:
+        (Execution.executor ~app
+           ~config:(Config.csod_with_policy policy ~evidence:true) ())
+  in
+  while Fleet.first_catch t = None && Fleet.arrived t < users do
+    ignore (Fleet.step t ~arrivals:1)
+  done;
+  Option.bind (Fleet.first_catch t) (fun s ->
+      Option.map (fun src -> (s.Fleet.user.Workload.uid, src)) s.Fleet.exec.Fleet.source)

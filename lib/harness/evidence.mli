@@ -27,7 +27,8 @@ val fleet :
   app:Buggy_app.t -> users:int -> ?policy:Params.policy -> unit ->
   (int * Report.source) option
 (** Run up to [users] executions with a shared store; returns the 1-based
-    execution at which the overflow was first detected and how.  A thin
-    wrapper over {!Fleet.until_detected} (the subsystem's sequential
-    path); for a parallel population with epoch-based aggregation use
-    {!Fleet.run}. *)
+    execution at which the overflow was first detected and how.  The
+    fleet's sequential path: {!Fleet.step} one arrival per epoch on one
+    domain (user [uid] runs seed [uid] on the buggy input), so each
+    execution starts from all earlier evidence; for a parallel population
+    with epoch-based aggregation use {!Fleet.run}. *)

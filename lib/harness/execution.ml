@@ -122,10 +122,12 @@ let executor ~app ~config ?(engine = Engine.Vm) ?input_of
       degraded = o.degraded }
 
 let run_until_detected ~app ~config ~max_runs =
-  match
-    Fleet.until_detected ~users:max_runs ~execute:(executor ~app ~config ()) ()
-  with
-  | Some s -> Some (s.Fleet.user.Workload.uid, s.Fleet.exec.Fleet.payload)
-  | None -> None
+  let rec go seed =
+    if seed > max_runs then None
+    else
+      let o = run ~app ~config ~seed ~store:(Persist.create ()) () in
+      if o.detected then Some (seed, o) else go (seed + 1)
+  in
+  go 1
 
 let symbolizer app = Program.symbolize (Buggy_app.program app)

@@ -94,8 +94,8 @@ val run_until_detected :
   app:Buggy_app.t -> config:Config.t -> max_runs:int -> (int * outcome) option
 (** Repeat single executions with seeds 1, 2, ... until one detects the
     overflow; returns (number of executions needed, that outcome).  Each
-    execution is independent (fresh empty store) — this is
-    {!Fleet.until_detected} without a shared store. *)
+    execution is independent (fresh empty store): independent retries,
+    where {!Evidence.fleet} shares the evidence. *)
 
 val symbolizer : Buggy_app.t -> int -> string
 (** Address symbolizer for the app's program, for report formatting. *)

@@ -89,9 +89,6 @@ type 'a t = {
   (* Every observation of the run, merged: the run's tallies (a resume
      rebuilds them from the history). *)
   mutable total : Window.agg;
-  (* [total] when this fleet session began: the session's registries
-     restart at zero after a resume, so its cumulatives count from here. *)
-  base : Window.agg;
   mutable last_obs : Serve_obs.t option;
 }
 
@@ -201,8 +198,10 @@ let publish_status t ~now =
 
 (* ---- history, read back ---- *)
 
-(* A history directory by kind.  A health body that does not decode is an
-   error line, as a failed checksum is: neither becomes a record. *)
+(* A history directory by kind.  A record out of sequence (the log is
+   contiguous from seq 0, as the validator checks) or a health body that
+   does not decode is an error line, as a failed checksum is: neither
+   becomes a record. *)
 type log = {
   meta : Obs_json.t option;       (* the first meta record *)
   observations : Serve_obs.t list;
@@ -212,26 +211,25 @@ type log = {
 
 let read_log dir =
   let records, errors = History.read dir in
-  let of_kind kind =
+  let next = ref 0 and bad = ref [] in
+  let kept =
     List.filter_map
-      (fun (r : History.record) -> if r.kind = kind then Some r else None)
+      (fun (r : History.record) ->
+        let error m = bad := Printf.sprintf "seq %d%s" r.seq m :: !bad; None in
+        if r.seq <> !next then error (Printf.sprintf ", expected %d" !next)
+        else begin
+          incr next;
+          let o = if r.kind = History.Health then Serve_obs.of_json r.body else None in
+          if r.kind = History.Health && o = None then error ": malformed health body"
+          else Some (r, o)
+        end)
       records
   in
-  let health =
-    List.map
-      (fun (r : History.record) -> (r.seq, Serve_obs.of_json r.body))
-      (of_kind History.Health)
-  in
-  { meta = List.nth_opt (List.map (fun r -> r.History.body) (of_kind Meta)) 0;
-    observations = List.filter_map snd health;
-    recorded = List.map (fun r -> r.History.body) (of_kind Alert);
-    errors =
-      errors
-      @ List.filter_map
-          (function
-            | seq, None -> Some (Printf.sprintf "seq %d: malformed health body" seq)
-            | _, Some _ -> None)
-          health }
+  let bodies k = List.filter_map (fun ((r : History.record), _) -> if r.kind = k then Some r.body else None) kept in
+  { meta = List.nth_opt (bodies History.Meta) 0;
+    observations = List.filter_map snd kept;
+    recorded = bodies History.Alert;
+    errors = errors @ List.rev !bad }
 
 (* The rules and dashboard sizes a meta record names.  Strict: a missing
    or mistyped member is an error naming it, never a default. *)
@@ -329,7 +327,7 @@ let checkpoint_spec =
 let make cfg ~execute ?store (r : rebuilt) hist =
   { cfg;
     fleet =
-      Fleet.start ?store ~uid0:(r.total.arrivals + 1) ~lean:true
+      Fleet.start ?store ~uid0:(r.total.arrivals + 1)
         ~epoch0:(r.total.last_epoch + 1)
         (Fleet.config ~domains:cfg.domains ~epoch_size:cfg.epoch_size
            ?faults:cfg.faults ?patch_threshold:cfg.patch_threshold cfg.workload)
@@ -337,7 +335,7 @@ let make cfg ~execute ?store (r : rebuilt) hist =
     wins = r.wins; alerts = r.alerts; hist;
     t_start = Unix.gettimeofday ();
     refreshed_at = neg_infinity;
-    total = r.total; base = r.total; last_obs = r.last }
+    total = r.total; last_obs = r.last }
 
 let fresh cfg ~execute =
   let hist =
@@ -408,6 +406,12 @@ let start cfg ~execute =
       (Printf.sprintf "cannot resume from %s: %s" path)
       (Result.bind (Obs_json.of_string (String.trim content))
          (resume cfg ~execute ~dir))
+  | _, Some dir when History.segments dir <> [] ->
+    Error
+      (Printf.sprintf
+         "history %s already holds a run and no checkpoint resumes it: a \
+          fresh run would append a second one"
+         dir)
   | _ -> Ok (fresh cfg ~execute)
 
 (* ---- the epoch ---- *)
@@ -420,46 +424,31 @@ type outcome = {
 
 let step t =
   let e = Fleet.epoch t.fleet in
-  let total = t.total and base = t.base in
+  let total = t.total in
   let n =
     min
       (t.cfg.workload.Workload.users - total.arrivals)
       (Workload.rate t.cfg.workload ~epoch_size:t.cfg.epoch_size e)
     |> max 0
   in
-  let r = Fleet.step t.fleet ~arrivals:n in
-  let s = r.Fleet.sample in
-  (* The sample's tallies are fleet-session cumulatives, counted from
-     [base]: the epoch's delta is [base + s - total].  [patched] is
-     instead a state count over the restored store, so its delta is
-     [s - total], never negative. *)
-  let delta field now = field base + now - field total in
-  let count k l = Option.value ~default:0 (List.assoc_opt k l) in
-  let faults =
-    List.filter_map
-      (fun (k, v) ->
-        let d = count k base.faults + v - count k total.faults in
-        if d <> 0 then Some (k, d) else None)
-      s.Health.faults
-    |> List.sort compare
-  in
+  let ep = Fleet.step t.fleet ~arrivals:n in
   let arrived = total.arrivals + n in
-  let cumulative = total.detections + s.Health.detections in
+  let cumulative = total.detections + ep.detections in
   let obs =
     { Serve_obs.epoch = e; arrivals = n; arrived;
-      detections = s.Health.detections; cumulative;
+      detections = ep.detections; cumulative;
       cdf = cdf ~detections:cumulative ~arrived;
-      store_contexts = s.Health.store_contexts;
-      patched = max 0 (s.Health.patched - total.patched);
-      degraded = delta (fun a -> a.Window.degraded) s.Health.degraded;
-      worker_crashes =
-        delta (fun a -> a.Window.worker_crashes) s.Health.worker_crashes;
-      faults;
-      snapshots = delta (fun a -> a.Window.snapshots) s.Health.snapshots;
-      cycles = r.Fleet.epoch_cycles;
-      virtual_seconds =
-        virtual_seconds_of (total.cycles + r.Fleet.epoch_cycles);
-      cycle_skew = r.Fleet.cycle_skew }
+      store_contexts = ep.store_contexts;
+      (* [patched] counts convicted contexts in the store, which a resume
+         restores: the run's tally so far is the newly convicted ones. *)
+      patched = max 0 (ep.patched - total.patched);
+      degraded = ep.degraded;
+      worker_crashes = ep.worker_crashes;
+      faults = List.sort compare (List.filter (fun (_, d) -> d <> 0) ep.faults);
+      snapshots = ep.snapshots;
+      cycles = ep.cycles;
+      virtual_seconds = virtual_seconds_of (total.cycles + ep.cycles);
+      cycle_skew = ep.cycle_skew }
   in
   t.total <- Window.merge total (Window.of_obs obs);
   let events = feed t.wins t.alerts obs in

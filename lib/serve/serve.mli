@@ -4,7 +4,8 @@
     epoch under an open-ended {!Workload.rate} arrival process, and at
     every barrier
 
-    - projects the epoch into a deterministic {!Serve_obs.t},
+    - projects the epoch's facts ({!type:Fleet.epoch}) and the run's
+      tallies into a deterministic {!Serve_obs.t},
     - pushes it through the rolling {!Window.set},
     - evaluates the {!Alert} rules and logs fire/clear transitions,
     - appends health and alert records to the durable {!History},
@@ -29,7 +30,8 @@
     {!start} resumes by replaying the history through the fold {!replay}
     runs, then continues the {e same} deterministic stream (fleet
     epoch/uid offsets keep fault draws aligned), so the remaining history
-    bytes match an uninterrupted run's. *)
+    bytes match an uninterrupted run's.  A fresh start never writes into
+    a directory that already holds a run. *)
 
 type config = {
   workload : Workload.t;
@@ -86,11 +88,15 @@ val start : config -> execute:'a Fleet.executor -> ('a t, string) result
     back to the checkpoint's position (records a crashed session wrote
     after it go) and the kept records are replayed.  [Error], rather than
     a restart or a continuation of another run, when the checkpoint is not
-    [csod.serve.checkpoint/2], a kept history line is corrupt, the meta
-    record differs from this configuration's (workload and seed, epoch
-    size, faults, patch threshold, rules, windows), the history holds
-    another number of epochs than the checkpoint, or its health records
-    derive another alert stream than the recorded one. *)
+    [csod.serve.checkpoint/2], a kept history line is corrupt or out of
+    sequence, the meta record differs from this configuration's (workload
+    and seed, epoch size, faults, patch threshold, rules, windows), the
+    history holds another number of epochs than the checkpoint, or its
+    health records derive another alert stream than the recorded one.
+    A fresh start is refused too ([Error], nothing deleted or cut) when
+    [config.history_dir] already holds segments: appending a second run
+    after the first would leave a log that neither [replay] nor a resume
+    can read. *)
 
 type outcome = {
   obs : Serve_obs.t;           (** the epoch's deterministic record *)
@@ -151,8 +157,9 @@ type replay = {
   recomputed : Obs_json.t list;    (** alert bodies re-derived offline *)
   mismatches : string list;        (** recorded/recomputed differences *)
   read_errors : string list;
-      (** corrupt or checksum-failed lines, and health bodies that do not
-          decode *)
+      (** corrupt or checksum-failed lines, records out of sequence (the
+          log runs from seq 0 without a gap), and health bodies that do
+          not decode; none of them is replayed *)
   status : Obs_json.t;             (** final status rebuilt from history
                                        (no ["wall"] member) *)
 }

@@ -34,7 +34,8 @@ let fields =
   Schema.
     [ ("epoch", Int); ("arrivals", Int); ("arrived", Int);
       ("detections", Int); ("cumulative", Int); ("cdf", Float);
-      ("store_contexts", Int); ("degraded", Int); ("worker_crashes", Int);
+      ("store_contexts", Int); ("patched", Int); ("degraded", Int);
+      ("worker_crashes", Int);
       ("faults", Object); ("snapshots", Int); ("cycles", Int);
       ("virtual_seconds", Float); ("cycle_skew", Float) ]
 
@@ -49,13 +50,7 @@ let of_json json =
       { epoch = int "epoch"; arrivals = int "arrivals";
         arrived = int "arrived"; detections = int "detections";
         cumulative = int "cumulative"; cdf = flt "cdf";
-        store_contexts = int "store_contexts";
-        (* Absent in pre-respond histories: read as 0 so old segments
-           replay. *)
-        patched =
-          (match Obs_json.member "patched" json with
-           | Some (`Int n) -> n
-           | _ -> 0);
+        store_contexts = int "store_contexts"; patched = int "patched";
         degraded = int "degraded"; worker_crashes = int "worker_crashes";
         faults; snapshots = int "snapshots"; cycles = int "cycles";
         virtual_seconds = flt "virtual_seconds";

@@ -11,10 +11,9 @@
     (summed execution cycles), and re-derives the straggler signal from
     {e virtual} per-execution cycles instead of wall time.
 
-    Tally fields are per-epoch deltas, not cumulative — deltas make
-    rolling-window aggregation an exact sum ({!Window.merge}) and let a
-    resumed service keep emitting correct records without replaying its
-    past. *)
+    Tally fields are per-epoch counts, not cumulative — the epoch's own
+    facts as {!Fleet.step} returns them — so rolling-window aggregation is
+    an exact sum ({!Window.merge}). *)
 
 type t = {
   epoch : int;
@@ -44,5 +43,5 @@ val to_json : t -> Obs_json.t
 
 val of_json : Obs_json.t -> t option
 (** Parse a record back ([csod_run replay]'s reader).  [None] when a
-    required field is missing or mistyped (an int field must be an
-    integer token) or [cdf] lies outside [\[0, 1\]]. *)
+    required field ([patched] included) is missing or mistyped (an int
+    field must be an integer token) or [cdf] lies outside [\[0, 1\]]. *)

@@ -8,14 +8,20 @@
 
 let read_file f = In_channel.with_open_text f In_channel.input_all
 
-(* [csod_run args] in a fresh directory holding [adir/] (a directory) and
-   [afile] (a file): exit code, stdout, stderr. *)
-let csod_run args =
+(* [f dir] in a fresh directory holding [adir/] (a directory) and [afile]
+   (a file), removed afterwards. *)
+let in_fresh_dir f =
   let dir = Filename.temp_file "csod_cli" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   Unix.mkdir (Filename.concat dir "adir") 0o755;
   Out_channel.with_open_text (Filename.concat dir "afile") ignore;
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () -> f dir)
+
+(* [csod_run args] in [dir]: exit code, stdout, stderr. *)
+let csod_run_in dir args =
   let out = Filename.concat dir "stdout" and err = Filename.concat dir "stderr" in
   let exe = Filename.concat (Sys.getcwd ()) "../bin/csod_run.exe" in
   let code =
@@ -23,9 +29,9 @@ let csod_run args =
       (Printf.sprintf "cd %s && %s" (Filename.quote dir)
          (Filename.quote_command exe ~stdin:"/dev/null" ~stdout:out ~stderr:err args))
   in
-  let result = (code, read_file out, read_file err) in
-  ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
-  result
+  (code, read_file out, read_file err)
+
+let csod_run args = in_fresh_dir (fun dir -> csod_run_in dir args)
 
 let demo = Filename.concat (Sys.getcwd ()) "../examples/demo.mc"
 let missing = "/nonexistent-csod-dir/x"
@@ -74,6 +80,30 @@ let test_bad_path_fails_cleanly (args, reason) () =
     (Printf.sprintf "csod_run: %s: %s\n" path reason)
     err;
   Alcotest.(check string) (cmd ^ ": no work done") "" out
+
+(* A fresh serve into a history directory that already holds a run is
+   refused before any work, and the run already there is left as it was. *)
+let test_serve_refuses_used_history () =
+  in_fresh_dir (fun dir ->
+      let args =
+        [ "serve"; "gzip"; "--users"; "300"; "--epochs"; "5"; "--epoch"; "2";
+          "--history"; "dup" ]
+      in
+      let code, _, _ = csod_run_in dir args in
+      Alcotest.(check int) "first run" 0 code;
+      let segment = Filename.concat dir "dup/serve-000000.jsonl" in
+      let before = read_file segment in
+      let code, out, err = csod_run_in dir args in
+      Alcotest.(check int) "second run: exit code" 1 code;
+      Alcotest.(check string) "second run: no work done" "" out;
+      Alcotest.(check string) "second run: stderr"
+        "serve: history dup already holds a run and no checkpoint resumes it: \
+         a fresh run would append a second one\n"
+        err;
+      Alcotest.(check string) "the first run's history is untouched" before
+        (read_file segment);
+      Alcotest.(check (list string)) "no second segment" [ "serve-000000.jsonl" ]
+        (Array.to_list (Sys.readdir (Filename.concat dir "dup"))))
 
 let test_unknown_app () =
   List.iter
@@ -173,4 +203,6 @@ let suite =
         Alcotest.test_case ("usage: " ^ name) `Quick (test_bad_number_is_usage_error args))
       bad_combinations
   @ [ Alcotest.test_case "unknown application, one message" `Quick
-        test_unknown_app ]
+        test_unknown_app;
+      Alcotest.test_case "serve refuses a history that holds a run" `Quick
+        test_serve_refuses_used_history ]

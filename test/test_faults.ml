@@ -209,13 +209,18 @@ let test_ebusy_degrades_to_canary_only () =
    watchpoint way, because evidence made the install non-optional. *)
 let test_evidence_pinning_survives_ebusy_contention () =
   let app = zziplib () in
-  let store = Persist.create () in
-  (match
-     Fleet.until_detected ~store ~users:64
-       ~execute:(Execution.executor ~app ~config:Config.csod_default ()) ()
-   with
-  | None -> Alcotest.fail "zziplib not detected within 64 users"
-  | Some _ -> ());
+  (* The sequential fleet up to its first catch, as Evidence.fleet runs it. *)
+  let t =
+    Fleet.start
+      (Fleet.config ~domains:1 ~epoch_size:1 (Workload.make ~users:64 ()))
+      ~execute:(Execution.executor ~app ~config:Config.csod_default ())
+  in
+  while Fleet.first_catch t = None && Fleet.arrived t < 64 do
+    ignore (Fleet.step t ~arrivals:1)
+  done;
+  if Fleet.first_catch t = None then
+    Alcotest.fail "zziplib not detected within 64 users";
+  let store = Fleet.store t in
   Alcotest.(check bool) "evidence uploaded" true (Persist.count store > 0);
   let o =
     Execution.run ~app ~config:Config.csod_default ~seed:1 ~store
@@ -438,6 +443,10 @@ let test_pool_crash_requeue_determinism () =
 
 (* ---------- Fleet under faults ---------- *)
 
+(* The report's per-epoch rows: the health stream's deterministic part. *)
+let epoch_rows r =
+  List.map (fun s -> Obs_json.to_string (Epoch.to_json s)) r.Fleet.health
+
 let fleet_fingerprint r =
   ( Fleet.detection_uids r,
     Array.map (fun s -> s.Fleet.exec.Fleet.source) r.Fleet.seats,
@@ -445,7 +454,7 @@ let fleet_fingerprint r =
     Option.map
       (fun s -> (s.Fleet.user.Workload.uid, s.Fleet.epoch))
       r.Fleet.first_catch,
-    r.Fleet.epochs,
+    epoch_rows r,
     Persist.keys r.Fleet.store,
     Metrics.counters_list r.Fleet.metrics,
     Profiler.to_list r.Fleet.profile )
@@ -482,7 +491,7 @@ let test_fleet_worker_crash_same_report () =
   Alcotest.(check bool) "same merged store" true
     (Persist.keys bare.Fleet.store = Persist.keys faulted.Fleet.store);
   Alcotest.(check bool) "same epochs" true
-    (bare.Fleet.epochs = faulted.Fleet.epochs);
+    (epoch_rows bare = epoch_rows faulted);
   Alcotest.(check bool) "metrics agree modulo the crash counter" true
     (minus_crashes bare = minus_crashes faulted)
 

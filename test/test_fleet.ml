@@ -97,11 +97,11 @@ let test_epoch_barrier () =
     Alcotest.(check int) "first catch uid" 3 s.Fleet.user.Workload.uid;
     Alcotest.(check int) "first catch epoch" 0 s.Fleet.epoch
   | None -> Alcotest.fail "first catch expected");
-  let rows = r.Fleet.epochs in
+  let rows = r.Fleet.health in
   Alcotest.(check (list int)) "per-epoch detections" [ 1; 5 ]
-    (List.map (fun e -> e.Epoch.detections) rows);
+    (List.map (fun (s : Health.sample) -> s.detections) rows);
   Alcotest.(check (list int)) "store grows at the first barrier" [ 1; 1 ]
-    (List.map (fun e -> e.Epoch.store_size) rows);
+    (List.map (fun (s : Health.sample) -> s.store_contexts) rows);
   (* Epoch size 1 is the sequential path: evidence is visible to the very
      next user. *)
   let r1 = Fleet.run (Fleet.config ~domains:1 ~epoch_size:1 w) ~execute:synthetic in
@@ -113,21 +113,26 @@ let test_report_invariants () =
   let r = Fleet.run (Fleet.config ~domains:2 ~epoch_size:20 w) ~execute:synthetic in
   Alcotest.(check int) "one seat per user" 213 (Array.length r.Fleet.seats);
   Alcotest.(check int) "epoch arrivals cover the population" 213
-    (List.fold_left (fun n e -> n + e.Epoch.arrivals) 0 r.Fleet.epochs);
+    (List.fold_left (fun n (s : Health.sample) -> n + s.arrivals) 0 r.Fleet.health);
   Alcotest.(check int) "detections equal the last cumulative"
     r.Fleet.detections
-    (List.fold_left (fun _ e -> e.Epoch.cumulative) 0 r.Fleet.epochs);
+    (List.fold_left (fun _ (s : Health.sample) -> s.cumulative) 0 r.Fleet.health);
   Alcotest.(check bool) "cumulative is monotone" true
     (let rec mono = function
-       | a :: (b :: _ as rest) -> a.Epoch.cumulative <= b.Epoch.cumulative && mono rest
+       | (a : Health.sample) :: (b :: _ as rest) ->
+         a.cumulative <= b.cumulative && mono rest
        | _ -> true
      in
-     mono r.Fleet.epochs);
+     mono r.Fleet.health);
   Array.iteri
     (fun i s -> Alcotest.(check int) "seats in uid order" (i + 1) s.Fleet.user.Workload.uid)
     r.Fleet.seats
 
 (* ---------- Determinism across domain counts (real executions) ---------- *)
+
+(* The report's per-epoch rows: the health stream's deterministic part. *)
+let epoch_rows r =
+  List.map (fun s -> Obs_json.to_string (Epoch.to_json s)) r.Fleet.health
 
 (* The acceptance bar: a 1000-user fleet of real CSOD executions yields
    identical detection sets, first-catch epochs, merged counters and
@@ -147,7 +152,7 @@ let test_determinism_across_domains () =
       Array.map (fun s -> s.Fleet.exec.Fleet.source) r.Fleet.seats,
       Array.map (fun s -> s.Fleet.exec.Fleet.cycles) r.Fleet.seats,
       Option.map (fun s -> (s.Fleet.user.Workload.uid, s.Fleet.epoch)) r.Fleet.first_catch,
-      r.Fleet.epochs,
+      epoch_rows r,
       Persist.keys r.Fleet.store,
       Metrics.counters_list r.Fleet.metrics,
       Metrics.gauges_list r.Fleet.metrics,
@@ -161,22 +166,29 @@ let test_determinism_across_domains () =
 
 (* ---------- Sequential path ---------- *)
 
+(* Evidence.fleet is the epoch-size-1 fleet on one domain, stopped at the
+   first catch: it agrees with the whole run's first catch, and that run
+   uploads the evidence. *)
 let test_until_detected_shared_store () =
   let app = zziplib () in
-  let config = Config.csod_default in
-  (* Same semantics as Evidence.fleet: shared store, seeds 1, 2, ... *)
-  let store = Persist.create () in
-  match
-    Fleet.until_detected ~store ~users:64
-      ~execute:(Execution.executor ~app ~config ()) ()
-  with
+  let r =
+    Fleet.run
+      (Fleet.config ~domains:1 ~epoch_size:1 (Workload.make ~users:64 ()))
+      ~execute:(Execution.executor ~app ~config:Config.csod_default ())
+  in
+  match r.Fleet.first_catch with
   | None -> Alcotest.fail "zziplib not detected within 64 users"
   | Some s ->
-    Alcotest.(check bool) "agrees with Evidence.fleet" true
-      (match Evidence.fleet ~app ~users:64 () with
-      | Some (uid, _) -> uid = s.Fleet.user.Workload.uid
-      | None -> false);
-    Alcotest.(check bool) "evidence uploaded" true (Persist.count store > 0)
+    Alcotest.(check (option (pair int string))) "agrees with Evidence.fleet"
+      (Some
+         (s.Fleet.user.Workload.uid,
+          Report.source_name (Option.get s.Fleet.exec.Fleet.source)))
+      (Option.map
+         (fun (uid, src) -> (uid, Report.source_name src))
+         (Evidence.fleet ~app ~users:64 ()));
+    Alcotest.(check int) "user uid runs seed uid" s.Fleet.user.Workload.uid
+      s.Fleet.user.Workload.seed;
+    Alcotest.(check bool) "evidence uploaded" true (Persist.count r.Fleet.store > 0)
 
 let test_json_report () =
   let w = Workload.make ~users:10 () in
@@ -201,15 +213,15 @@ let test_empty_fleet () =
   Alcotest.(check int) "no seats" 0 (Array.length r.Fleet.seats);
   Alcotest.(check int) "no detections" 0 r.Fleet.detections;
   Alcotest.(check bool) "no first catch" true (r.Fleet.first_catch = None);
-  Alcotest.(check bool) "no epoch rows" true (r.Fleet.epochs = []);
+  Alcotest.(check bool) "no health samples" true (r.Fleet.health = []);
   Alcotest.(check int) "empty store" 0 (Persist.count r.Fleet.store);
-  (* The divide in the CDF is guarded: an empty population reads as 0. *)
-  let row =
-    { Epoch.epoch = 0; arrivals = 0; detections = 0; cumulative = 0;
-      store_size = 0 }
-  in
-  Alcotest.(check (float 0.0)) "cdf of empty population" 0.0
-    (Epoch.cdf ~total_users:0 row)
+  (* An empty run still renders: a summary with an empty CDF table, and a
+     report that conforms. *)
+  Alcotest.(check bool) "summary renders" true
+    (String.length (Fleet.summary r) > 0);
+  Alcotest.(check bool) "empty report conforms" true
+    (Schema.conforms Fleet.report_spec (Fleet.to_json ~app:"t" ~config:"c" r)
+    = Ok ())
 
 let test_single_user_fleet () =
   let app = zziplib () in
@@ -223,11 +235,11 @@ let test_single_user_fleet () =
   in
   let r1 = run 1 and r2 = run 2 in
   Alcotest.(check int) "one seat" 1 (Array.length r1.Fleet.seats);
-  (match r1.Fleet.epochs with
+  (match r1.Fleet.health with
   | [ row ] ->
-    Alcotest.(check int) "arrivals" 1 row.Epoch.arrivals;
+    Alcotest.(check int) "arrivals" 1 row.Health.arrivals;
     Alcotest.(check int) "cumulative = detections" r1.Fleet.detections
-      row.Epoch.cumulative
+      row.Health.cumulative
   | _ -> Alcotest.fail "expected exactly one epoch row");
   (* A pool wider than the population must change nothing. *)
   Alcotest.(check bool) "domain count irrelevant" true
@@ -285,61 +297,51 @@ let test_wave_period_longer_than_run () =
   Alcotest.(check int) "default period is 2" 2 legacy.Workload.wave_period
 
 (* The stepping API is the run loop, exposed: driving start/step/finish
-   by hand must reproduce Fleet.run exactly, and lean mode must drop only
-   the O(users) accumulation. *)
+   by hand reproduces Fleet.run's seats, tallies and per-epoch counts,
+   while the state itself keeps nothing per user. *)
 let test_stepping_equals_run () =
   let w = Workload.make ~benign_frac:0.2 ~burst:Workload.Wave ~users:137 () in
   let cfg = Fleet.config ~domains:2 ~epoch_size:20 w in
   let r = Fleet.run cfg ~execute:synthetic in
   let arrivals = Workload.arrivals w ~epoch_size:20 in
-  let total = Array.fold_left ( + ) 0 arrivals in
-  let t = Fleet.start ~expected_users:total cfg ~execute:synthetic in
-  let cycles = ref 0 in
-  Array.iter
-    (fun n ->
-      let er = Fleet.step t ~arrivals:n in
-      cycles := !cycles + er.Fleet.epoch_cycles)
-    arrivals;
+  let t = Fleet.start cfg ~execute:synthetic in
+  let epochs = Array.to_list (Array.map (fun n -> Fleet.step t ~arrivals:n) arrivals) in
   let r' = Fleet.finish t in
+  let seats = Array.concat (List.map (fun (ep : _ Fleet.epoch) -> ep.seats) epochs) in
   Alcotest.(check (list int)) "same detection set" (Fleet.detection_uids r)
-    (Fleet.detection_uids r');
+    (Fleet.detection_uids { r' with Fleet.seats });
   Alcotest.(check int) "same seat count" (Array.length r.Fleet.seats)
-    (Array.length r'.Fleet.seats);
+    (Array.length seats);
   Alcotest.(check string) "same merged metrics"
     (Obs_json.to_string (Metrics.to_json r.Fleet.metrics))
     (Obs_json.to_string (Metrics.to_json r'.Fleet.metrics));
   Alcotest.(check (list int)) "same health stream (epoch detections)"
     (List.map (fun (h : Health.sample) -> h.Health.detections) r.Fleet.health)
-    (List.map (fun (h : Health.sample) -> h.Health.detections) r'.Fleet.health);
-  (* epoch_cycles sums to the executor's total virtual cycles: the
+    (List.map (fun (ep : _ Fleet.epoch) -> ep.detections) epochs);
+  (* The epochs' cycles sum to the executor's total virtual work: the
      synthetic executor charges 1 cycle per user. *)
-  Alcotest.(check int) "epoch_cycles sum to the fleet's virtual work" 137
-    !cycles;
-  (* Lean mode: same tallies and first catch, no per-user accumulation. *)
-  let tl = Fleet.start ~lean:true ~expected_users:total cfg ~execute:synthetic in
-  Array.iter (fun n -> ignore (Fleet.step tl ~arrivals:n)) arrivals;
-  let rl = Fleet.finish tl in
-  Alcotest.(check int) "lean: same detections" r.Fleet.detections
-    rl.Fleet.detections;
-  Alcotest.(check int) "lean: no seats kept" 0 (Array.length rl.Fleet.seats);
-  Alcotest.(check bool) "lean: health not accumulated" true
-    (rl.Fleet.health = []);
-  (match (r.Fleet.first_catch, rl.Fleet.first_catch) with
+  Alcotest.(check int) "epoch cycles sum to the fleet's virtual work" 137
+    (List.fold_left (fun c (ep : _ Fleet.epoch) -> c + ep.cycles) 0 epochs);
+  (* The stepped state keeps tallies and the first catch, not seats. *)
+  Alcotest.(check int) "finish: same detections" r.Fleet.detections
+    r'.Fleet.detections;
+  Alcotest.(check int) "finish: no seats kept" 0 (Array.length r'.Fleet.seats);
+  Alcotest.(check bool) "finish: no health samples" true (r'.Fleet.health = []);
+  (match (r.Fleet.first_catch, r'.Fleet.first_catch) with
   | Some a, Some b ->
-    Alcotest.(check int) "lean: same first catch"
+    Alcotest.(check int) "finish: same first catch"
       a.Fleet.user.Workload.uid b.Fleet.user.Workload.uid
   | _ -> Alcotest.fail "first catch expected in both");
   (* epoch0/uid0 offsets: serving epochs [k..] with uids [m..] is the
      tail of the same stream. *)
-  let t2 = Fleet.start ~expected_users:total cfg ~execute:synthetic in
+  let t2 = Fleet.start cfg ~execute:synthetic in
   let split = 2 in
   Array.iteri
     (fun e n -> if e < split then ignore (Fleet.step t2 ~arrivals:n))
     arrivals;
   let resumed =
-    Fleet.start ~store:(Fleet.store t2) ~expected_users:total
-      ~epoch0:(Fleet.epoch t2) ~uid0:(Fleet.next_uid t2) cfg
-      ~execute:synthetic
+    Fleet.start ~store:(Fleet.store t2) ~epoch0:(Fleet.epoch t2)
+      ~uid0:(Fleet.next_uid t2) cfg ~execute:synthetic
   in
   Array.iteri
     (fun e n -> if e >= split then ignore (Fleet.step resumed ~arrivals:n))
@@ -472,7 +474,7 @@ let test_fold_equivalence_real () =
     in
     check_fold domains r;
     ( Fleet.detection_uids r,
-      r.Fleet.epochs,
+      epoch_rows r,
       Persist.keys r.Fleet.store,
       aggregate r.Fleet.metrics r.Fleet.profile )
   in
@@ -497,8 +499,8 @@ let test_health_per_epoch () =
          w)
       ~execute:telemetric
   in
-  let epochs = List.length r.Fleet.epochs in
-  Alcotest.(check int) "one sample per epoch" epochs
+  let arrivals = Workload.arrivals w ~epoch_size:16 in
+  Alcotest.(check int) "one sample per epoch" (Array.length arrivals)
     (List.length r.Fleet.health);
   Alcotest.(check bool) "callback saw the same stream" true
     (List.rev !streamed = r.Fleet.health);
@@ -512,12 +514,17 @@ let test_health_per_epoch () =
         (List.fold_left (fun n d -> n + d.Health.executed) 0 s.Health.domains
         = s.Health.arrivals))
     r.Fleet.health;
-  (* Health rows agree with the epoch rows the report already pins. *)
-  Alcotest.(check (list int)) "arrivals agree with epoch rows"
-    (List.map (fun e -> e.Epoch.arrivals) r.Fleet.epochs)
+  (* Health rows follow the schedule, and cumulative is the running sum
+     of the per-epoch detections. *)
+  Alcotest.(check (list int)) "arrivals follow the schedule"
+    (Array.to_list arrivals)
     (List.map (fun s -> s.Health.arrivals) r.Fleet.health);
-  Alcotest.(check (list int)) "cumulative agrees with epoch rows"
-    (List.map (fun e -> e.Epoch.cumulative) r.Fleet.epochs)
+  Alcotest.(check (list int)) "cumulative sums the epochs' detections"
+    (List.rev
+       (snd
+          (List.fold_left
+             (fun (c, acc) s -> (c + s.Health.detections, (c + s.Health.detections) :: acc))
+             (0, []) r.Fleet.health)))
     (List.map (fun s -> s.Health.cumulative) r.Fleet.health);
   (* Degraded-mode accounting comes from the executions themselves. *)
   let degraded_fleet ~user ~store =

@@ -583,6 +583,151 @@ let test_serve_replay_meta_strict () =
     Alcotest.(check (list string)) "the undecodable one is a read error"
       [ "seq 5: malformed health body" ] r.Serve.read_errors
 
+(* A fresh start into a directory that already holds a run is refused,
+   and nothing there is deleted or cut. *)
+let test_serve_fresh_refuses_used_history () =
+  let dir = temp_dir "csod_serve" in
+  ignore (run_serve (serve_cfg ~dir ()) ~epochs:5);
+  let before = dir_contents dir in
+  (match Serve.start (serve_cfg ~dir ()) ~execute:serve_exec with
+  | Ok _ -> Alcotest.fail "a second fresh run was started"
+  | Error m ->
+    if find_sub m "already holds a run" = None then
+      Alcotest.failf "error %S does not say why" m);
+  (* Neither does a checkpoint path whose file does not exist yet. *)
+  (match
+     Serve.start
+       (serve_cfg ~dir ~checkpoint_path:(Filename.concat dir "none.json") ())
+       ~execute:serve_exec
+   with
+  | Ok _ -> Alcotest.fail "a fresh run with a new checkpoint was started"
+  | Error _ -> ());
+  Alcotest.(check (list (pair string string))) "history untouched" before
+    (dir_contents dir)
+
+(* Two runs appended into one directory (what a fresh start did before
+   it refused): records past the first run are out of sequence, as the
+   validator says: replay reports them (and a resume, which refuses any
+   read error, refuses). *)
+let test_serve_log_sequence () =
+  let dir = temp_dir "csod_hist" in
+  let meta : Obs_json.t =
+    `Assoc [ ("alerts", `List [ `String "stall@3" ]); ("windows", `List [ `Int 2 ]) ]
+  in
+  for _ = 1 to 2 do
+    let w = History.writer dir in
+    ignore (History.append w History.Meta meta);
+    for i = 0 to 4 do
+      ignore (History.append w History.Health (Serve_obs.to_json (obs i)))
+    done;
+    History.close w
+  done;
+  (match Schema.validate Schemas.all ~schema:"csod.serve.history/1"
+           (read_file (List.hd (History.segments dir))) with
+   | Ok _ -> Alcotest.fail "the validator accepted the doubled history"
+   | Error e ->
+     if find_sub e "seq 0, expected 6" = None then Alcotest.failf "validator: %s" e);
+  match Serve.replay dir with
+  | Error m -> Alcotest.fail m
+  | Ok r ->
+    Alcotest.(check int) "only the first run replays" 5
+      (List.length r.Serve.observations);
+    Alcotest.(check (list string)) "every later record is a read error"
+      (List.init 6 (fun i -> Printf.sprintf "seq %d, expected 6" i))
+      r.Serve.read_errors
+
+(* The service and the fleet count the same epochs: a file-less service's
+   per-epoch records equal Fleet.run's health samples and seats, and
+   their running sums equal the samples' cumulatives — also when the
+   service is checkpointed at epoch 7 and resumed. *)
+let test_serve_counts_fleet_epochs () =
+  let app = Option.get (Buggy_app.by_name "zziplib") in
+  let plan =
+    Result.get_ok
+      (Fault_plan.of_string "seed=9,ebusy=0.5,trap-drop=0.3,worker-crash=0.1")
+  in
+  let execute =
+    Execution.executor ~app ~config:Config.csod_default
+      ~respond:(Respond.Patch 2) ~faults:plan ()
+  in
+  let w = Workload.make ~base_seed:3 ~users:300 () in
+  let r =
+    Fleet.run
+      (Fleet.config ~domains:2 ~epoch_size:16 ~faults:plan ~patch_threshold:2 w)
+      ~execute
+  in
+  let epochs = List.length r.Fleet.health in
+  let serve ?checkpoint_path ?history_dir () =
+    Serve.config ~domains:2 ~epoch_size:16 ~faults:plan ~patch_threshold:2
+      ?history_dir ?checkpoint_path w
+  in
+  let steps cfg ~until =
+    let t = Result.get_ok (Serve.start cfg ~execute) in
+    let os = List.init (until - Serve.epoch t) (fun _ -> (Serve.step t).Serve.obs) in
+    ignore (Serve.finish t);
+    os
+  in
+  let cycles e =
+    Array.fold_left
+      (fun c (s : _ Fleet.seat) -> if s.epoch = e then c + s.exec.cycles else c)
+      0 r.Fleet.seats
+  in
+  let check label os =
+    Alcotest.(check int) (label ^ ": one record per epoch") epochs
+      (List.length os);
+    ignore
+      (List.fold_left2
+         (fun sum (o : Serve_obs.t) (s : Health.sample) ->
+           let at = Printf.sprintf "%s, epoch %d" label s.epoch in
+           let (a : Window.agg) = Window.merge sum (Window.of_obs o) in
+           Alcotest.(check (list int)) (at ^ ": the epoch's counts")
+             [ s.arrivals; s.detections; s.store_contexts; cycles s.epoch ]
+             [ o.arrivals; o.detections; o.store_contexts; o.cycles ];
+           Alcotest.(check (list int)) (at ^ ": running sums = cumulatives")
+             [ s.cumulative; s.degraded; s.worker_crashes; s.snapshots;
+               s.patched ]
+             [ a.detections; a.degraded; a.worker_crashes; a.snapshots;
+               a.patched ];
+           Alcotest.(check (list (pair string int))) (at ^ ": fault sums")
+             (List.sort compare (List.filter (fun (_, v) -> v <> 0) s.faults))
+             a.faults;
+           a)
+         Window.empty os r.Fleet.health)
+  in
+  let whole = steps (serve ()) ~until:epochs in
+  check "file-less" whole;
+  let last = List.nth whole (epochs - 1) and (s : Health.sample) = List.nth r.Fleet.health (epochs - 1) in
+  Alcotest.(check bool) "the tallies move" true
+    (s.worker_crashes > 0 && s.patched > 0 && s.faults <> [] && last.arrived = 300);
+  let dir = temp_dir "csod_serve" in
+  let cfg = serve ~history_dir:dir ~checkpoint_path:(Filename.concat dir "ckpt.json") () in
+  let first = steps cfg ~until:7 in
+  check "resumed at epoch 7" (first @ steps cfg ~until:epochs)
+
+(* A health body without [patched] does not decode, and a history line
+   carrying one does not validate. *)
+let test_serve_obs_requires_patched () =
+  let without =
+    match Serve_obs.to_json (obs 3) with
+    | `Assoc kvs -> `Assoc (List.remove_assoc "patched" kvs)
+    | j -> j
+  in
+  Alcotest.(check bool) "the record decodes with patched" true
+    (Serve_obs.of_json (Serve_obs.to_json (obs 3)) = Some (obs 3));
+  Alcotest.(check bool) "not without" true (Serve_obs.of_json without = None);
+  let dir = temp_dir "csod_hist" in
+  let w = History.writer dir in
+  ignore (History.append w History.Health without);
+  History.close w;
+  match
+    Schema.validate Schemas.all ~schema:"csod.serve.history/1"
+      (read_file (List.hd (History.segments dir)))
+  with
+  | Ok _ -> Alcotest.fail "a health line without patched validated"
+  | Error e ->
+    if find_sub e "malformed health body" = None then
+      Alcotest.failf "validator: %s" e
+
 let test_serve_population_drain () =
   (* A tiny population drains quickly; the service keeps stepping an idle
      fleet (0 arrivals) without dividing by zero or firing spurious
@@ -805,6 +950,14 @@ let suite =
       test_serve_replay_meta_strict;
     Alcotest.test_case "serve: resumed first catch labelled" `Quick
       test_cli_resume_first_catch;
+    Alcotest.test_case "serve: a fresh start refuses a used history" `Quick
+      test_serve_fresh_refuses_used_history;
+    Alcotest.test_case "serve: replay reads the log in sequence" `Quick
+      test_serve_log_sequence;
+    Alcotest.test_case "serve: counts the fleet's epochs" `Quick
+      test_serve_counts_fleet_epochs;
+    Alcotest.test_case "serve obs: patched is required" `Quick
+      test_serve_obs_requires_patched;
     Alcotest.test_case "serve: population drain and idle epochs" `Quick
       test_serve_population_drain;
     Alcotest.test_case "serve: outputs match their specs" `Quick
