@@ -898,19 +898,19 @@ let replay_cmd =
         | [] -> ""
         | es -> Printf.sprintf ", %d corrupt lines skipped" (List.length es));
       List.iter (fun e -> Printf.eprintf "corrupt: %s\n" e) r.Serve.read_errors;
-      if r.Serve.mismatches = [] then
-        Printf.printf
-          "replay: recomputed alert stream matches the recorded one\n"
-      else begin
-        List.iter (fun m -> Printf.eprintf "replay: %s\n" m) r.Serve.mismatches;
-        exit 1
-      end
+      List.iter (fun m -> Printf.eprintf "replay: %s\n" m) r.Serve.mismatches;
+      (* Fail closed: a log that is not whole matches nothing. *)
+      if r.Serve.read_errors <> [] || r.Serve.mismatches <> [] then exit 1;
+      Printf.printf "replay: recomputed alert stream matches the recorded one\n"
   in
   command "replay"
     ~doc:"Rebuild the service's view from its durable history alone: \
-          verify line checksums, re-render the dashboard, re-evaluate the \
-          alert rules over the recorded health stream and compare against \
-          the recorded alert transitions (non-zero exit on mismatch)."
+          verify line checksums and the record sequence, re-render the \
+          dashboard, re-evaluate the alert rules over the recorded health \
+          stream and compare against the recorded alert transitions.  \
+          Non-zero exit on a mismatch or on any line that is not a record \
+          of the log (torn, empty, corrupt or out of sequence), which is \
+          listed on stderr and not replayed."
     Term.(const run $ dir_arg $ color_t)
 
 (* ---- top: one-screen dashboard over a health stream ---- *)
@@ -947,9 +947,8 @@ let top_cmd =
        with
       | Some s -> print_string s
       | None ->
-        String.split_on_char '\n' text
-        |> List.filter_map (fun line ->
-               Result.to_option (Result.bind (Obs_json.of_string line) Health.of_json))
+        Schema.read Health.spec text
+        |> List.filter_map Result.to_option
         |> Health.render ~color |> print_string);
       flush stdout
     in
@@ -1015,40 +1014,30 @@ let sim_cmd =
             exit on any divergence."
   in
   let replay_file file =
-    let lines =
-      String.split_on_char '\n' (read file)
-      |> List.filter (fun l -> String.trim l <> "")
-    in
-    if lines = [] then begin
+    let records = Schema.read (Sim.repro_spec Sim_registry.all) (read file) in
+    if records = [] then begin
       Printf.eprintf "replay: %s holds no repro records\n" file;
       exit 1
     end;
     let bad = ref 0 in
     List.iteri
-      (fun i line ->
-        let fail msg =
+      (fun i record ->
+        match Result.bind record (Sim.replay Sim_registry.all) with
+        | Ok msg ->
+          let f = Result.get_ok record in
+          Printf.printf "record %d: ok %s/%d %s\n" (i + 1) f.Sim.alphabet
+            f.Sim.seed msg
+        | Error m ->
           incr bad;
-          Printf.printf "record %d: FAIL %s\n" (i + 1) msg
-        in
-        match Obs_json.of_string line with
-        | Error m -> fail ("unparsable JSON: " ^ m)
-        | Ok json -> (
-          match Sim.of_json json with
-          | Error m -> fail ("bad repro record: " ^ m)
-          | Ok f -> (
-            match Sim.replay Sim_registry.all f with
-            | Ok msg ->
-              Printf.printf "record %d: ok %s/%d %s\n" (i + 1) f.Sim.alphabet
-                f.Sim.seed msg
-            | Error m -> fail m)))
-      lines;
+          Printf.printf "record %d: FAIL %s\n" (i + 1) m)
+      records;
     if !bad > 0 then begin
       Printf.eprintf "replay: %d of %d records diverged\n" !bad
-        (List.length lines);
+        (List.length records);
       exit 1
     end;
     Printf.printf "replay: %d records re-executed bit-identically\n"
-      (List.length lines)
+      (List.length records)
   in
   let run alphabets seed runs ops no_shrink out replay () =
     match replay with

@@ -60,11 +60,9 @@ let merge_delta dst ~base src =
      #csod.store/2 count=N sum=XXXXXXXXXXXXXXXX
 
    carrying the entry count and an FNV-1a checksum of the data lines, so a
-   reader can tell a complete store from a torn one.  Footer-less files (the
-   pre-footer format, or a tear that happened to land on a line boundary)
-   are still accepted: they carry no integrity data to check. *)
-
-let footer_magic = "#csod.store/2"
+   reader can tell a complete store from a torn one.  The footer is
+   mandatory: a footer-less file may be a tear that landed on a line
+   boundary, so it loads as recovered, never clean. *)
 
 (* Each line is followed by a terminator byte so ["ab";"c"] and
    ["a";"bc"] differ. *)
@@ -72,15 +70,14 @@ let checksum lines =
   List.fold_left (fun h line -> Fnv.byte (Fnv.string h line) 0x0a) Fnv.offset
     lines
 
-let render_lines t = List.map (fun (a, b) -> Printf.sprintf "%d %d" a b) (keys t)
+(* The footer of these data lines, byte for byte. *)
+let footer lines =
+  Printf.sprintf "#csod.store/2 count=%d sum=%016Lx" (List.length lines)
+    (checksum lines)
 
 let render t =
-  let lines = render_lines t in
-  let footer =
-    Printf.sprintf "%s count=%d sum=%016Lx" footer_magic (List.length lines)
-      (checksum lines)
-  in
-  String.concat "" (List.map (fun l -> l ^ "\n") (lines @ [ footer ]))
+  let lines = List.map (fun (a, b) -> Printf.sprintf "%d %d" a b) (keys t) in
+  String.concat "" (List.map (fun l -> l ^ "\n") (lines @ [ footer lines ]))
 
 let write_string path s =
   let oc = open_out path in
@@ -127,42 +124,6 @@ type load_outcome =
   | Clean of int
   | Recovered of { entries : int; corrupt_lines : int }
 
-let parse_footer line =
-  match tokens line with
-  | [ magic; cnt; sum ] when magic = footer_magic -> (
-    match
-      ( String.length cnt > 6 && String.sub cnt 0 6 = "count=",
-        String.length sum > 4 && String.sub sum 0 4 = "sum=" )
-    with
-    | true, true -> (
-      let cnt = String.sub cnt 6 (String.length cnt - 6) in
-      let sum = String.sub sum 4 (String.length sum - 4) in
-      match (int_of_string_opt cnt, Int64.of_string_opt ("0x" ^ sum)) with
-      | Some n, Some s -> Some (n, s)
-      | _ -> None)
-    | _ -> None)
-  | _ -> None
-
-(* Read the whole file and split on '\n' ourselves rather than looping over
-   [input_line]: a tear can cut a data line mid-token ("12345 6" out of
-   "12345 67\n"), and the truncated tail still parses as a well-formed —
-   but fabricated — context key.  [input_line] hides the missing
-   terminator, so the only reliable tear signal is the raw final byte. *)
-let read_lines path =
-  let ic = open_in_bin path in
-  let raw =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let lines = String.split_on_char '\n' raw in
-  (* A terminated file ends "...\n" and splits into lines @ [""]; drop the
-     empty sentinel.  Anything else means the last line was torn. *)
-  match List.rev lines with
-  | "" :: rev -> (List.rev rev, None)
-  | torn :: rev -> (List.rev rev, Some torn)
-  | [] -> ([], None)
-
 let k_corrupt_lines = Metrics.counter_key "persist.corrupt_lines"
 let k_recovered = Metrics.counter_key "persist.recovered"
 
@@ -170,51 +131,42 @@ let load_result ?metrics path =
   if not (Sys.file_exists path) then (create (), Missing)
   else begin
     let t = create () in
-    let corrupt = ref 0 in
-    let footer = ref None in
-    let data = ref [] in
-    let lines, torn = read_lines path in
-    List.iter
-      (fun line ->
-        if String.length line > 0 && line.[0] = '#' then
-          match parse_footer line with
-          | Some f -> footer := Some f
-          | None -> incr corrupt
-        else
-          match tokens line with
-          | [] -> ()
-          | [ a; b ] -> (
-            match (int_of_string_opt a, int_of_string_opt b) with
-            | Some a, Some b ->
+    (* Every line is a key or the footer.  An empty line or the torn final
+       fragment ({!Lines}) is corrupt: even when a fragment parses as two
+       integers it must not enter the store — it would pin a context that
+       never produced evidence. *)
+    let corrupt, found, data =
+      Lines.fold
+        (fun (corrupt, found, data) _ line ->
+          match line with
+          | Ok l when l.[0] = '#' && found = None -> (corrupt, Some l, data)
+          | Ok l -> (
+            match List.map int_of_string_opt (tokens l) with
+            | [ Some a; Some b ] ->
               add t (a, b);
               (* Re-render for the checksum: the writer normalized
                  whitespace, so a clean round-trip matches. *)
-              data := Printf.sprintf "%d %d" a b :: !data
-            | _ -> incr corrupt)
-          | _ -> incr corrupt)
-      lines;
-    (* An unterminated final line is a tear by definition (the writer always
-       terminates every line, footer included).  Even when the fragment
-       parses as two integers it must not enter the store — it would pin a
-       context that never produced evidence. *)
-    (match torn with
-    | Some frag -> if String.length frag > 0 then incr corrupt
-    | None -> ());
-    let data = List.rev !data in
-    let intact =
-      !corrupt = 0
-      && match !footer with
-         | None -> true (* legacy format: nothing to verify *)
-         | Some (n, sum) -> n = List.length data && sum = checksum data
+              (corrupt, found, Printf.sprintf "%d %d" a b :: data)
+            | _ -> (corrupt + 1, found, data))
+          | Error _ -> (corrupt + 1, found, data))
+        (0, None, [])
+        (In_channel.with_open_bin path In_channel.input_all)
     in
-    if intact then (t, Clean (count t))
+    let agrees =
+      Option.fold ~none:true ~some:(String.equal (footer (List.rev data))) found
+    in
+    if found <> None && agrees && corrupt = 0 then (t, Clean (count t))
     else begin
+      (* A footer that disagrees with the data means a line changed after
+         the write, and which one is unknown: keeping any key could keep a
+         made-up one. *)
+      let t = if agrees then t else create () in
       (match metrics with
       | None -> ()
       | Some reg ->
-        Metrics.add (Metrics.counter reg k_corrupt_lines) !corrupt;
+        Metrics.add (Metrics.counter reg k_corrupt_lines) corrupt;
         Metrics.add (Metrics.counter reg k_recovered) (count t));
-      (t, Recovered { entries = count t; corrupt_lines = !corrupt })
+      (t, Recovered { entries = count t; corrupt_lines = corrupt })
     end
   end
 

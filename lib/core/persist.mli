@@ -70,22 +70,21 @@ type load_outcome =
   | Missing  (** no file at that path — a first run, not an empty store *)
   | Clean of int  (** intact store with this many entries (possibly 0) *)
   | Recovered of { entries : int; corrupt_lines : int }
-      (** integrity failure — unparsable lines, a torn (unterminated) final
-          line, or a footer whose count or checksum disagrees; [entries]
-          valid contexts were salvaged *)
+      (** integrity failure — unparsable or empty lines, a torn
+          (unterminated) final line, no footer, or a footer whose count or
+          checksum disagrees; [entries] valid contexts were salvaged *)
 
 val load_result : ?metrics:Metrics.t -> string -> t * load_outcome
 (** Failure-oblivious load.  Missing file yields an empty store and
-    [Missing].  Blank lines and extra whitespace are tolerated; lines that
-    do not hold exactly two integers are {e skipped}, not fatal — every
-    parsable context is salvaged so past evidence keeps pinning contexts
-    even when the store was torn mid-write.  A final line not terminated by
-    ['\n'] is rejected outright (and counted corrupt) even when its
-    fragment parses: a tear can truncate ["12345 67"] to ["12345 6"], a
-    well-formed but fabricated key.  A footer-less file (the pre-footer
-    format) loads cleanly with no integrity check.  When [metrics] is
-    given, recovery bumps the ["persist.corrupt_lines"] and
-    ["persist.recovered"] counters. *)
+    [Missing].  Lines split by {!Lines.fold}, so an unterminated final
+    line is corrupt even when it parses: a tear can cut ["12345 67"] to
+    ["12345 6"], a well-formed but fabricated key.  Whitespace within a
+    line is tolerated; any other line that does not hold two integers is
+    skipped and counted.  Only a footer that matches the data loads
+    [Clean].  A footer-less file salvages every key ([Recovered]): a tear
+    on a line boundary looks the same.  A footer that disagrees salvages
+    nothing: the changed line may be a well-formed key never saved.
+    [metrics] counts ["persist.corrupt_lines"] and ["persist.recovered"]. *)
 
 val load : ?metrics:Metrics.t -> string -> t
 (** [fst (load_result ?metrics path)]. *)

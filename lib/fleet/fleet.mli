@@ -212,5 +212,5 @@ val to_json :
     echo, per-epoch rows ({!Epoch.to_json} of each health sample),
     detection set, first catch, merged metrics. *)
 
-val report_spec : Schema.t
+val report_spec : unit Schema.t
 (** The report's format. *)

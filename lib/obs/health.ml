@@ -71,46 +71,38 @@ let required =
       ("observer_seconds", Float); ("execs_per_sec", Float);
       ("straggler_skew", Float); ("domains", List) ]
 
-let of_json json =
-  let ( let* ) = Result.bind in
-  let* () =
-    match Obs_json.member "schema" json with
-    | Some (`String s) when s = schema -> Schema.has_fields required json
-    | _ -> Error ("not a " ^ schema ^ " record")
-  in
-  let int = Schema.int json and flt = Schema.float json in
-  let domain d =
-    match Obs_json.(member "domain" d, member "executed" d) with
-    | Some (`Int slot), Some (`Int executed) ->
-      Option.map
-        (fun busy_seconds -> { slot; executed; busy_seconds })
-        (Option.bind (Obs_json.member "busy_seconds" d) Obs_json.to_float)
-    | _ -> None
-  in
-  let get k = Option.get (Obs_json.member k json) in
-  match
-    ( Obs_json.counts (get "faults"),
-      match get "domains" with `List l -> Obs_json.all domain l | _ -> None )
-  with
-  | _ when flt "cdf" < 0.0 || flt "cdf" > 1.0 -> Error "cdf out of [0, 1]"
-  | None, _ -> Error "a fault count is not an int"
-  | _, None -> Error "malformed domain load"
-  | Some faults, Some domains ->
-    Ok
-      { epoch = int "epoch"; arrivals = int "arrivals";
-        detections = int "detections"; cumulative = int "cumulative";
-        users = int "users"; cdf = flt "cdf";
-        store_contexts = int "store_contexts"; patched = int "patched";
-        degraded = int "degraded"; worker_crashes = int "worker_crashes";
-        faults; snapshots = int "snapshots";
-        epoch_seconds = flt "epoch_seconds";
-        merge_seconds = flt "merge_seconds";
-        observer_seconds = flt "observer_seconds";
-        execs_per_sec = flt "execs_per_sec";
-        straggler_skew = flt "straggler_skew"; domains }
-
 let spec =
-  Schema.make schema required ~check:(fun j -> Result.map ignore (of_json j))
+  Schema.of_decoder schema required (fun json ->
+      let int = Schema.int json and flt = Schema.float json in
+      let domain d =
+        match Obs_json.(member "domain" d, member "executed" d) with
+        | Some (`Int slot), Some (`Int executed) ->
+          Option.map
+            (fun busy_seconds -> { slot; executed; busy_seconds })
+            (Option.bind (Obs_json.member "busy_seconds" d) Obs_json.to_float)
+        | _ -> None
+      in
+      let get k = Option.get (Obs_json.member k json) in
+      match
+        ( Obs_json.counts (get "faults"),
+          match get "domains" with `List l -> Obs_json.all domain l | _ -> None )
+      with
+      | _ when flt "cdf" < 0.0 || flt "cdf" > 1.0 -> Error "cdf out of [0, 1]"
+      | None, _ -> Error "a fault count is not an int"
+      | _, None -> Error "malformed domain load"
+      | Some faults, Some domains ->
+        Ok
+          { epoch = int "epoch"; arrivals = int "arrivals";
+            detections = int "detections"; cumulative = int "cumulative";
+            users = int "users"; cdf = flt "cdf";
+            store_contexts = int "store_contexts"; patched = int "patched";
+            degraded = int "degraded"; worker_crashes = int "worker_crashes";
+            faults; snapshots = int "snapshots";
+            epoch_seconds = flt "epoch_seconds";
+            merge_seconds = flt "merge_seconds";
+            observer_seconds = flt "observer_seconds";
+            execs_per_sec = flt "execs_per_sec";
+            straggler_skew = flt "straggler_skew"; domains })
 
 (* ---- one-screen renderer ---- *)
 

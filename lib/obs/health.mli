@@ -60,14 +60,10 @@ val straggler_skew : float list -> float
 val to_json : sample -> Obs_json.t
 (** The full JSONL object: [{"event": "fleet.health", ...fields}]. *)
 
-val of_json : Obs_json.t -> (sample, string) result
-(** Parse a line of the stream back (used by [csod_run top]).  [Error] if
-    the document is not a [csod.fleet.health/2] record: a missing or
-    mistyped field, a fault count that is not an int, or a [cdf] outside
-    [\[0, 1\]]. *)
-
-val spec : Schema.t
-(** The format: its fields, checked by {!of_json}. *)
+val spec : sample Schema.t
+(** The format and its decoder, which [csod_run top] reads the stream
+    with: [Error] on a missing or mistyped field, a fault count that is
+    not an int, or a [cdf] outside [\[0, 1\]]. *)
 
 val render : ?color:bool -> sample list -> string
 (** One-screen ANSI dashboard over the stream so far (oldest first):

@@ -1,13 +1,21 @@
 type kind = Int | Float | String | Bool | List | Object | Nullable of kind
 
-type t = {
+type 'a t = {
   name : string;
   fields : (string * kind) list;
-  stream : unit -> Obs_json.t -> (unit, string) result;
+  canonical : bool;
+  stream : unit -> Obs_json.t -> ('a, string) result;
 }
 
-let make ?(check = fun _ -> Ok ()) ?stream name fields =
-  { name; fields; stream = Option.value stream ~default:(fun () -> check) }
+let make ?(canonical = false) ?(stream = fun () _ -> Ok ()) name fields =
+  { name; fields; canonical; stream }
+
+let of_decoder name fields decode =
+  { name; fields; canonical = false; stream = (fun () -> decode) }
+
+let erase t =
+  { t with
+    stream = (fun () -> let d = t.stream () in fun j -> Result.map ignore (d j)) }
 
 let name t = t.name
 let ( let* ) = Result.bind
@@ -46,42 +54,51 @@ let shape t json =
   | `Assoc _, _ -> Error (Printf.sprintf "no schema tag, expected %S" t.name)
   | _ -> Error "not a JSON object"
 
-let conforms t json =
-  let* () = shape t json in
-  t.stream () json
+let decoder t () =
+  let d = t.stream () in
+  fun json -> Result.bind (shape t json) (fun () -> d json)
+
+let decode t json = decoder t () json
+let conforms t json = Result.map ignore (decode t json)
+let parse l = Result.map_error (( ^ ) "invalid JSON: ") (Obs_json.of_string l)
+
+(* [json], parsed from [l]: a canonical format's line is exactly the
+   rendering of its record, so no byte of it can change unseen. *)
+let rendered t l json =
+  if t.canonical && Obs_json.to_string json <> l then
+    Error "line is not the rendering of its record"
+  else Ok json
+
+let record t l =
+  let* json = Result.bind (parse l) (rendered t l) in
+  Result.map (fun () -> json) (shape t json)
+
+let read t text =
+  let d = t.stream () in
+  List.rev
+    (Lines.fold (fun acc _ l -> Result.bind (Result.bind l (record t)) d :: acc) [] text)
 
 let validate specs ?schema text =
   let find name = List.find_opt (fun t -> t.name = name) specs in
-  (* One stateful check per spec for the whole stream. *)
-  let checks = List.map (fun t -> (t.name, lazy (t.stream ()))) specs in
-  let check t json =
-    let* () = shape t json in
-    Lazy.force (List.assoc t.name checks) json
+  (* One decoder per spec for the whole stream. *)
+  let decoders = List.map (fun t -> (t.name, lazy (decoder t ()))) specs in
+  let check t l json =
+    Result.bind (rendered t l json) (Lazy.force (List.assoc t.name decoders))
   in
   let judge l =
-    match Obs_json.of_string l with
-    | _ when l = "" -> Error "empty line"
-    | Error e -> Error ("invalid JSON: " ^ e)
+    match parse l with
+    | Error e -> Error e
     | Ok (`Assoc _ as json) -> (
       match (schema, Obs_json.member "schema" json) with
-      | Some s, _ -> check (Option.get (find s)) json
+      | Some s, _ -> check (Option.get (find s)) l json
       | None, Some (`String tag) -> (
         match find tag with
-        | Some t -> check t json
+        | Some t -> check t l json
         | None when String.starts_with ~prefix:"csod." tag ->
           Error (Printf.sprintf "unknown schema tag %S" tag)
         | None -> Ok ())
       | None, _ -> Ok ())
     | Ok _ -> Error "line is not a JSON object"
-  in
-  let lines = String.split_on_char '\n' text in
-  let rec go n = function
-    | [] | [ "" ] -> Ok (n - 1)
-    | [ _ ] -> Error (Printf.sprintf "line %d: truncated final line (no newline)" n)
-    | l :: rest -> (
-      match judge l with
-      | Ok () -> go (n + 1) rest
-      | Error e -> Error (Printf.sprintf "line %d: %s" n e))
   in
   match schema with
   | Some s when find s = None ->
@@ -89,6 +106,15 @@ let validate specs ?schema text =
       (Printf.sprintf "unknown schema %S; known: %s" s
          (String.concat ", " (List.sort compare (List.map name specs))))
   | _ -> (
-    match (go 1 lines, schema) with
+    let lines =
+      Lines.fold
+        (fun acc n line ->
+          let* _ = acc in
+          match Result.bind line judge with
+          | Ok () -> Ok n
+          | Error e -> Error (Printf.sprintf "line %d: %s" n e))
+        (Ok 0) text
+    in
+    match (lines, schema) with
     | Ok 0, Some s -> Error (Printf.sprintf "empty stream (expected %s rows)" s)
     | r, _ -> r)

@@ -2,16 +2,16 @@
     formats [bench/main.exe] prints; each other spec lives next to its
     emitter. *)
 
-val bench_fleet : Schema.t
-val bench_exec : Schema.t
-val bench_respond : Schema.t
-val bench_resilience : Schema.t
-val bench_metrics : Schema.t
-val bench_throughput : Schema.t
+val bench_fleet : unit Schema.t
+val bench_exec : unit Schema.t
+val bench_respond : unit Schema.t
+val bench_resilience : unit Schema.t
+val bench_metrics : unit Schema.t
+val bench_throughput : unit Schema.t
 
-val emit_row : Schema.t -> (string * Obs_json.t) list -> unit
+val emit_row : 'a Schema.t -> (string * Obs_json.t) list -> unit
 (** Print one row on stdout, tag first.  Raises [Invalid_argument] when
     the row does not conform to the spec. *)
 
-val all : Schema.t list
+val all : unit Schema.t list
 (** The fourteen formats. *)

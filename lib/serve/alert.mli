@@ -53,7 +53,7 @@ val event_to_json : event -> Obs_json.t
 (** Schema [csod.fleet.alert/1]: spec echo, state, epochs, and the full
     window snapshot. *)
 
-val spec : Schema.t
+val spec : unit Schema.t
 (** Per stream, each rule fires then clears in turn, a fire's [since] is
     its epoch, and the window ends at or before the event's epoch. *)
 

@@ -13,64 +13,81 @@ let kind_of_string = function
   | "alert" -> Some Alert
   | _ -> None
 
-type record = { seq : int; kind : kind; body : Obs_json.t }
-
 (* FNV-1a over the rendered body. *)
 let crc s = Fnv.string Fnv.offset s
 
-let line r =
-  let body = Obs_json.to_string r.body in
+let line ~seq kind body =
+  let body = Obs_json.to_string body in
   Printf.sprintf
     {|{"schema":"%s","seq":%d,"kind":"%s","crc":"%016Lx","body":%s}|} schema
-    r.seq (kind_to_string r.kind) (crc body) body
+    seq (kind_to_string kind) (crc body) body
 
 let fields =
   Schema.[ ("seq", Int); ("kind", String); ("crc", String); ("body", Object) ]
 
-let of_json json =
-  let ( let* ) = Result.bind in
-  let* () =
-    match Obs_json.member "schema" json with
-    | Some (`String s) when s = schema -> Schema.has_fields fields json
-    | _ -> Error ("not a " ^ schema ^ " record")
-  in
-  let get k = Option.get (Obs_json.member k json) and seq = Schema.int json "seq" in
-  let body = get "body" in
-  let actual = Printf.sprintf "%016Lx" (crc (Obs_json.to_string body)) in
-  match (get "kind", get "crc") with
-  | `String k, `String stored when stored = actual -> (
-    match kind_of_string k with
-    | Some kind -> Ok { seq; kind; body }
-    | None -> Error (Printf.sprintf "unknown history kind %S" k))
-  | _, stored ->
-    Error
-      (Printf.sprintf "seq %d: checksum mismatch (%s vs %s)" seq
-         (Obs_json.to_string stored) actual)
+type log = {
+  meta : Obs_json.t option;
+  observations : Serve_obs.t list;
+  alerts : Obs_json.t list;
+  errors : string list;
+}
 
-(* Per stream: contiguous sequence numbers, and bodies that decode — alert
-   bodies under the alert stream check, resumed when the segment starts
-   past seq 0 (its earlier transitions are not in view). *)
-let check_stream () =
-  let next = ref None and alerts = ref (fun _ -> Ok ()) in
-  fun json ->
-    let ( let* ) = Result.bind in
-    let* r = of_json json in
-    let* () =
-      match !next with
-      | Some n when r.seq <> n ->
-        Error (Printf.sprintf "seq %d, expected %d" r.seq n)
-      | Some _ -> Ok ()
-      | None ->
-        alerts := Alert.transitions ~resumed:(r.seq <> 0) ();
-        Ok ()
-    in
-    next := Some (r.seq + 1);
-    match r.kind with
-    | Health when Serve_obs.of_json r.body = None -> Error "malformed health body"
-    | Meta | Health -> Ok ()
-    | Alert -> Result.bind (Schema.shape Alert.spec r.body) (fun () -> !alerts r.body)
+(* The log's rules, over the lines of a stream: [Ok] a record with the
+   format's fields, [Error] a line that holds none.  The checksum holds; the
+   seq runs on by one from [first] (or, for a lone later segment, from the
+   first record), where each lost line in between may have carried one; a
+   health body decodes; alert bodies keep the transition rules, resumed
+   when the stream starts past seq 0.  Every error about a record names its
+   seq.  A record out of sequence is not lost: it belongs to another run.
+   A record decodes to its place in the log (lists newest first). *)
+let decoder ?first () =
+  let last = ref (Option.map pred first) and lost = ref 0 and alerts = ref None in
+  function
+  | Error e ->
+    incr lost;
+    Error e
+  | Ok json -> (
+    let seq = Schema.int json "seq" and get k = Option.get (Obs_json.member k json) in
+    let error m = Error (Printf.sprintf "seq %d%s" seq m) in
+    let body = get "body" in
+    let actual = Printf.sprintf "%016Lx" (crc (Obs_json.to_string body)) in
+    let kind = match get "kind" with `String k -> kind_of_string k | _ -> None in
+    match kind with
+    | _ when get "crc" <> `String actual ->
+      incr lost;
+      error
+        (Printf.sprintf ": checksum mismatch (%s vs %s)"
+           (Obs_json.to_string (get "crc")) actual)
+    | None ->
+      incr lost;
+      error (": unknown history kind " ^ Obs_json.to_string (get "kind"))
+    | Some kind -> (
+      match !last with
+      | Some l when seq <= l || seq > l + 1 + !lost ->
+        error (Printf.sprintf ", expected %d" (l + 1))
+      | _ -> (
+        last := Some seq;
+        lost := 0;
+        if !alerts = None then
+          alerts :=
+            Some (Alert.transitions ~resumed:(Option.value first ~default:seq <> 0) ());
+        match kind with
+        | Meta -> Ok (fun log -> if log.meta = None then { log with meta = Some body } else log)
+        | Health -> (
+          match Serve_obs.of_json body with
+          | Some o -> Ok (fun log -> { log with observations = o :: log.observations })
+          | None -> error ": malformed health body")
+        | Alert -> (
+          match
+            Result.bind (Schema.shape Alert.spec body) (fun () -> Option.get !alerts body)
+          with
+          | Ok () -> Ok (fun log -> { log with alerts = body :: log.alerts })
+          | Error e -> error (": " ^ e)))))
 
-let spec = Schema.make schema ~stream:check_stream fields
+let spec =
+  Schema.make schema fields ~canonical:true ~stream:(fun () ->
+      let d = decoder () in
+      fun json -> Result.map ignore (d (Ok json)))
 
 (* Writing *)
 
@@ -108,7 +125,7 @@ let close w =
 let append w kind body =
   let seq = w.next_seq in
   let oc = channel w in
-  output_string oc (line { seq; kind; body });
+  output_string oc (line ~seq kind body);
   output_char oc '\n';
   flush oc;
   w.next_seq <- seq + 1;
@@ -136,18 +153,17 @@ let truncate dir ~segment ~lines =
       (Sys.readdir dir);
     let path = Filename.concat dir (segment_name segment) in
     if Sys.file_exists path then begin
-      let ic = open_in path in
-      let keep = Buffer.create 4096 in
-      (try
-         for _ = 1 to lines do
-           Buffer.add_string keep (input_line ic);
-           Buffer.add_char keep '\n'
-         done
-       with End_of_file -> ());
-      close_in ic;
+      (* The first [lines] lines that are lines: a torn fragment is never
+         completed into one. *)
+      let keep =
+        Lines.fold
+          (fun keep n line ->
+            match line with Ok l when n <= lines -> l :: keep | _ -> keep)
+          [] (In_channel.with_open_bin path In_channel.input_all)
+      in
       (* Whole or not at all: the kept prefix is the segment resume
          continues, so a failed rewrite must leave it as it was. *)
-      Atomic_file.write path (Buffer.contents keep)
+      Atomic_file.write path (String.concat "" (List.rev_map (fun l -> l ^ "\n") keep))
     end
   end
 
@@ -164,25 +180,27 @@ let segments dir =
     |> List.sort compare
     |> List.map (Filename.concat dir)
 
+(* One decoder over every segment, from seq 0.  A line that holds no record
+   is named by its file and line; a record, by its seq. *)
 let read dir =
-  let records = ref [] and errors = ref [] in
-  List.iter
-    (fun path ->
-      let ic = open_in path in
-      let lineno = ref 0 in
-      (try
-         while true do
-           let l = input_line ic in
-           incr lineno;
-           if String.trim l <> "" then
-             match Result.bind (Obs_json.of_string l) of_json with
-             | Ok r -> records := r :: !records
-             | Error e ->
-               errors :=
-                 Printf.sprintf "%s:%d: %s" (Filename.basename path) !lineno e
-                 :: !errors
-         done
-       with End_of_file -> ());
-      close_in ic)
-    (segments dir);
-  (List.rev !records, List.rev !errors)
+  let decode = decoder ~first:0 () in
+  let add file log n line =
+    let line = Result.bind line (Schema.record spec) in
+    match decode line with
+    | Ok place -> place log
+    | Error e ->
+      let e = if Result.is_ok line then e else Printf.sprintf "%s:%d: %s" file n e in
+      { log with errors = e :: log.errors }
+  in
+  let log =
+    List.fold_left
+      (fun log path ->
+        Lines.fold (add (Filename.basename path)) log
+          (In_channel.with_open_bin path In_channel.input_all))
+      { meta = None; observations = []; alerts = []; errors = [] }
+      (segments dir)
+  in
+  { log with
+    observations = List.rev log.observations;
+    alerts = List.rev log.alerts;
+    errors = List.rev log.errors }

@@ -6,9 +6,9 @@
     ([meta] — run configuration, written first, once per run;
     [health] — one {!Serve_obs.t} per epoch barrier; [alert] — one
     {!Alert.event} per transition) and an FNV-1a 64 checksum of its
-    rendered [body] (the same hash {!Persist} seals snapshots with), so
-    truncated or bit-flipped lines are detected rather than silently
-    trusted.
+    rendered [body] (the same hash {!Persist} seals snapshots with); a
+    line is exactly [Obs_json.to_string] of its record, so a truncated or
+    bit-flipped line is detected rather than silently trusted.
 
     Bodies are deterministic projections ({!Serve_obs}), so for a given
     seed and schedule the segment bytes are identical at any [--domains]
@@ -17,11 +17,11 @@
 
 type kind = Meta | Health | Alert
 
-type record = { seq : int; kind : kind; body : Obs_json.t }
-
-val spec : Schema.t
-(** Per stream: contiguous [seq], health bodies decode and alert bodies
-    pass {!Alert.spec}'s stream check. *)
+val spec : unit Schema.t
+(** The format, checked by the decoder {!read} runs: per stream, each
+    line's checksum holds, [seq] runs on by one from the first record,
+    health bodies decode and alert bodies pass {!Alert.spec}'s stream
+    check (resumed when the stream starts past seq 0). *)
 
 (** {2 Writing} *)
 
@@ -59,8 +59,19 @@ val truncate : string -> segment:int -> lines:int -> unit
 val segments : string -> string list
 (** The directory's segment files, segment order (full paths). *)
 
-val read : string -> record list * string list
-(** Read every segment: the valid records in file order plus one message
-    per rejected line (corruption, bad schema, checksum mismatch).
-    Corrupt lines are skipped, not fatal — history survives a torn
-    tail. *)
+type log = {
+  meta : Obs_json.t option;  (** the first meta record *)
+  observations : Serve_obs.t list;  (** health bodies, file order *)
+  alerts : Obs_json.t list;  (** alert bodies as written *)
+  errors : string list;
+      (** a line with no record (torn, empty, not JSON, wrong tag or
+          fields) as ["serve-000000.jsonl:LINE: reason"]; a record that
+          breaks the log's rules (checksum, sequence, body) as
+          ["seq N..."] *)
+}
+
+val read : string -> log
+(** Every segment through {!spec}'s decoder, as one stream from seq 0 (a
+    lost line may leave a gap of one).  Nothing in [errors] is in the log
+    and nothing is made up, but any error means the history is not whole:
+    [csod_run replay] fails on it and a resume refuses it. *)

@@ -172,12 +172,12 @@ let status_at t ~now : Obs_json.t =
 let status_json t = status_at t ~now:(Unix.gettimeofday ())
 
 let status_spec =
-  Schema.make status_schema
+  Schema.of_decoder status_schema
     Schema.
       [ ("epoch", Int); ("arrived", Int); ("detections", Int);
         ("patched", Int); ("cdf", Float); ("virtual_seconds", Float);
         ("last", Nullable Object); ("windows", Object); ("alerts", Object) ]
-    ~check:(fun json ->
+    (fun json ->
       let field k = Option.get (Obs_json.member k json) in
       let cdf = Schema.float json "cdf" in
       let aggs = match field "windows" with `Assoc l -> l | _ -> [] in
@@ -197,39 +197,6 @@ let publish_status t ~now =
     Atomic_file.write path (Obs_json.to_string (status_at t ~now) ^ "\n")
 
 (* ---- history, read back ---- *)
-
-(* A history directory by kind.  A record out of sequence (the log is
-   contiguous from seq 0, as the validator checks) or a health body that
-   does not decode is an error line, as a failed checksum is: neither
-   becomes a record. *)
-type log = {
-  meta : Obs_json.t option;       (* the first meta record *)
-  observations : Serve_obs.t list;
-  recorded : Obs_json.t list;     (* alert bodies *)
-  errors : string list;
-}
-
-let read_log dir =
-  let records, errors = History.read dir in
-  let next = ref 0 and bad = ref [] in
-  let kept =
-    List.filter_map
-      (fun (r : History.record) ->
-        let error m = bad := Printf.sprintf "seq %d%s" r.seq m :: !bad; None in
-        if r.seq <> !next then error (Printf.sprintf ", expected %d" !next)
-        else begin
-          incr next;
-          let o = if r.kind = History.Health then Serve_obs.of_json r.body else None in
-          if r.kind = History.Health && o = None then error ": malformed health body"
-          else Some (r, o)
-        end)
-      records
-  in
-  let bodies k = List.filter_map (fun ((r : History.record), _) -> if r.kind = k then Some r.body else None) kept in
-  { meta = List.nth_opt (bodies History.Meta) 0;
-    observations = List.filter_map snd kept;
-    recorded = bodies History.Alert;
-    errors = errors @ List.rev !bad }
 
 (* The rules and dashboard sizes a meta record names.  Strict: a missing
    or mistyped member is an error naming it, never a default. *)
@@ -292,33 +259,33 @@ let publish_checkpoint t =
     Atomic_file.write path (Obs_json.to_string json ^ "\n")
   | _ -> ()
 
-(* The epoch, the store's [(site, off, hits)] and the history position of
-   a record with the spec's fields. *)
-let decode_checkpoint json =
-  let hit = function
-    | `List [ `Int a; `Int b; `Int h ] when h >= 1 -> Some (a, b, h)
-    | _ -> None
-  in
-  let get k = Option.get (Obs_json.member k json) in
-  let position =
-    let h = get "history" in
-    match Obs_json.(member "seq" h, member "segment" h, member "lines" h) with
-    | Some (`Int seq), Some (`Int segment), Some (`Int lines)
-      when seq >= 1 && segment >= 0 && lines >= 0 ->
-      Some (seq, segment, lines)
-    | _ -> None
-  in
-  match ((match get "store" with `List l -> Obs_json.all hit l | _ -> None),
-         position) with
-  | _ when Schema.int json "epoch" < 0 -> Error "negative epoch"
-  | None, _ -> Error "malformed store"
-  | _, None -> Error "malformed history position"
-  | Some store, Some position -> Ok (Schema.int json "epoch", store, position)
-
-let checkpoint_spec =
-  Schema.make checkpoint_schema
+(* The epoch, the store's [(site, off, hits)] and the history position:
+   the one decoder [resume] and [validate] read a checkpoint with. *)
+let checkpoint =
+  Schema.of_decoder checkpoint_schema
     Schema.[ ("epoch", Int); ("store", List); ("history", Object) ]
-    ~check:(fun j -> Result.map ignore (decode_checkpoint j))
+    (fun json ->
+      let hit = function
+        | `List [ `Int a; `Int b; `Int h ] when h >= 1 -> Some (a, b, h)
+        | _ -> None
+      in
+      let get k = Option.get (Obs_json.member k json) in
+      let position =
+        let h = get "history" in
+        match Obs_json.(member "seq" h, member "segment" h, member "lines" h) with
+        | Some (`Int seq), Some (`Int segment), Some (`Int lines)
+          when seq >= 1 && segment >= 0 && lines >= 0 ->
+          Some (seq, segment, lines)
+        | _ -> None
+      in
+      match ((match get "store" with `List l -> Obs_json.all hit l | _ -> None),
+             position) with
+      | _ when Schema.int json "epoch" < 0 -> Error "negative epoch"
+      | None, _ -> Error "malformed store"
+      | _, None -> Error "malformed history position"
+      | Some store, Some position -> Ok (Schema.int json "epoch", store, position))
+
+let checkpoint_spec = Schema.erase checkpoint
 
 (* ---- start / resume ---- *)
 
@@ -367,17 +334,14 @@ let differing recorded configured =
 (* Cut the history back to the checkpoint's position, then replay what is
    kept: it must be this configuration's run, whole, as long as the
    checkpoint, with the alerts its health stream derives. *)
-let resume cfg ~execute ~dir json =
-  let ( let* ) = Result.bind in
-  let* () = Schema.shape checkpoint_spec json in
-  let* epoch, hits, (seq, segment, lines) = decode_checkpoint json in
+let resume cfg ~execute ~dir (epoch, hits, (seq, segment, lines)) =
   History.truncate dir ~segment ~lines;
-  let log = read_log dir and configured = meta_body cfg in
+  let log = History.read dir and configured = meta_body cfg in
   let r =
     rebuild { rules = cfg.rules; windows = cfg.windows } log.observations
   in
   let refused fmt = Printf.ksprintf (fun m -> Error ("history " ^ dir ^ m)) fmt in
-  match (log.errors, log.meta, alert_mismatches log.recorded r.events) with
+  match (log.errors, log.meta, alert_mismatches log.alerts r.events) with
   | e :: _, _, _ -> refused ": %s" e
   | [], None, _ -> refused ": no meta record"
   | [], Some m, _ when Obs_json.to_string m <> Obs_json.to_string configured ->
@@ -401,11 +365,13 @@ let resume cfg ~execute ~dir json =
 let start cfg ~execute =
   match (cfg.checkpoint_path, cfg.history_dir) with
   | Some path, Some dir when Sys.file_exists path ->
-    let content = In_channel.with_open_bin path In_channel.input_all in
     Result.map_error
       (Printf.sprintf "cannot resume from %s: %s" path)
-      (Result.bind (Obs_json.of_string (String.trim content))
-         (resume cfg ~execute ~dir))
+      (Result.bind
+         (Obs_json.of_string
+            (String.trim (In_channel.with_open_bin path In_channel.input_all)))
+         (fun json ->
+           Result.bind (Schema.decode checkpoint json) (resume cfg ~execute ~dir)))
   | _, Some dir when History.segments dir <> [] ->
     Error
       (Printf.sprintf
@@ -565,16 +531,16 @@ type replay = {
 }
 
 let replay dir =
-  let log = read_log dir in
+  let log = History.read dir in
   match log.meta with
   | None -> Error (Printf.sprintf "%s: no meta record in history" dir)
   | Some meta ->
     Result.map
       (fun m ->
         let r = rebuild m log.observations in
-        { meta; observations = log.observations; recorded = log.recorded;
+        { meta; observations = log.observations; recorded = log.alerts;
           recomputed = r.events;
-          mismatches = alert_mismatches log.recorded r.events;
+          mismatches = alert_mismatches log.alerts r.events;
           read_errors = log.errors;
           status =
             `Assoc

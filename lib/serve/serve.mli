@@ -128,14 +128,14 @@ val status_json : 'a t -> Obs_json.t
     ["wall"] sub-object (domain count, wall seconds, unix time) — the
     only nondeterministic member. *)
 
-val status_spec : Schema.t
+val status_spec : unit Schema.t
 (** The status format: [cdf] in [\[0, 1\]], and the last observation
     and every window aggregate decode. *)
 
-val checkpoint_spec : Schema.t
+val checkpoint_spec : unit Schema.t
 (** The checkpoint format ([csod.serve.checkpoint/2]: [epoch], [store] as
     [\[site, off, hits\]] triples, [history] as [seq], [segment] and
-    [lines]), checked by the decoder {!start} resumes from. *)
+    [lines]): the decoder {!start} resumes with, its value dropped. *)
 
 val render_status : ?color:bool -> Obs_json.t -> string option
 (** One-screen dashboard for a [csod.serve.status/1] document — used by
@@ -148,7 +148,10 @@ val render_status : ?color:bool -> Obs_json.t -> string option
     directory alone, through the fold a resume runs: windows and alert
     rules are re-evaluated over the recorded health bodies and the
     recomputed alert stream is compared, JSON-for-JSON, against the
-    recorded one. *)
+    recorded one.  The log is read by {!History.read}, the decoder
+    [validate] runs: a line it refuses is listed, never replayed, and
+    makes the audit fail — [csod_run replay] exits 1 on any read error
+    and claims no match for a log that is not whole. *)
 
 type replay = {
   meta : Obs_json.t;               (** the run's meta record *)
@@ -157,9 +160,11 @@ type replay = {
   recomputed : Obs_json.t list;    (** alert bodies re-derived offline *)
   mismatches : string list;        (** recorded/recomputed differences *)
   read_errors : string list;
-      (** corrupt or checksum-failed lines, records out of sequence (the
-          log runs from seq 0 without a gap), and health bodies that do
-          not decode; none of them is replayed *)
+      (** {!History.log}'s errors: torn, empty or corrupt lines, failed
+          checksums, records out of sequence (the log runs from seq 0),
+          health bodies that do not decode and alert transitions out of
+          turn; none of them is replayed, and any of them means the
+          history is not whole *)
   status : Obs_json.t;             (** final status rebuilt from history
                                        (no ["wall"] member) *)
 }

@@ -295,13 +295,8 @@ let repro_fields =
     [ ("alphabet", String); ("seed", Int); ("ops", List); ("failed_at", Int);
       ("failure", String); ("replay_hash", String); ("shrunk_from", Int) ]
 
-let of_json json =
-  let ( let* ) = Result.bind in
-  let* () =
-    match Obs_json.member "schema" json with
-    | Some (`String s) when s = schema -> Schema.has_fields repro_fields json
-    | _ -> Error ("not a " ^ schema ^ " record")
-  in
+(* A repro with the format's fields, decoded. *)
+let decode_repro json =
   let int = Schema.int json and get k = Option.get (Obs_json.member k json) in
   let str k = match get k with `String s -> s | _ -> "" in
   let step = function
@@ -338,17 +333,17 @@ let of_json json =
   | _ -> Error "ops is not a list"
 
 let repro_spec packs =
-  Schema.make schema repro_fields ~check:(fun json ->
-      let ( let* ) = Result.bind in
-      let* f = of_json json in
-      match find packs f.alphabet with
-      | None -> Error (Printf.sprintf "unknown alphabet %S" f.alphabet)
-      | Some (Packed a) -> (
-        let known = List.map (fun o -> o.op_name) a.ops in
-        match List.find_opt (fun st -> not (List.mem st.op known)) f.steps with
-        | Some st ->
-          Error (Printf.sprintf "op %S is not in the %s alphabet" st.op f.alphabet)
-        | None -> Ok ()))
+  Schema.of_decoder schema repro_fields (fun json ->
+      Result.bind (decode_repro json) (fun f ->
+          match find packs f.alphabet with
+          | None -> Error (Printf.sprintf "unknown alphabet %S" f.alphabet)
+          | Some (Packed a) -> (
+            let known = List.map (fun o -> o.op_name) a.ops in
+            match List.find_opt (fun st -> not (List.mem st.op known)) f.steps with
+            | Some st ->
+              Error
+                (Printf.sprintf "op %S is not in the %s alphabet" st.op f.alphabet)
+            | None -> Ok f)))
 
 let repro_line f = Obs_json.to_string (to_json f)
 

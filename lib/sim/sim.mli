@@ -124,14 +124,12 @@ val schema : string
 
 val to_json : failure -> Obs_json.t
 
-val of_json : Obs_json.t -> (failure, string) result
-(** Decode a repro.  [Error] unless every op's [args] are ints, the
-    sequence is non-empty, [failed_at] indexes it, [replay_hash] is 16
-    lowercase hex digits and [shrunk_from] is at least the op count. *)
-
-val repro_spec : packed list -> Schema.t
-(** The repro format, checked by {!of_json} and by naming only ops of its
-    alphabet among these. *)
+val repro_spec : packed list -> failure Schema.t
+(** The repro format and its decoder, which [csod_run sim --replay] reads
+    with: [Error] unless every op's [args] are ints, the sequence is
+    non-empty, [failed_at] indexes it, [replay_hash] is 16 lowercase hex
+    digits, [shrunk_from] is at least the op count, and every op is one of
+    its alphabet among these. *)
 
 val repro_line : failure -> string
 (** The counterexample as one [csod.sim.repro/1] JSONL line. *)

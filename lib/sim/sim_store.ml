@@ -99,17 +99,18 @@ let ops : state Sim.op list =
       gen = (fun _ _ -> []);
       apply =
         (fun st _ ->
-          let loaded = Persist.load st.path in
+          let loaded, outcome = Persist.load_result st.path in
           let got = KeySet.of_list (Persist.keys loaded) in
-          match st.saved with
-          | Nothing -> Ok ()
-          | Exact ks ->
+          match (st.saved, outcome) with
+          | Nothing, _ -> Ok ()
+          | Subset _, Persist.Clean _ -> Error "torn save loaded clean"
+          | Exact ks, _ ->
             if KeySet.equal got ks then Ok ()
             else
               Error
                 (Printf.sprintf "load found %d keys, save published %d"
                    (KeySet.cardinal got) (KeySet.cardinal ks))
-          | Subset ks ->
+          | Subset ks, _ ->
             (* A tear cuts at a byte offset; the loader rejects the final
                unterminated line outright, so salvage can never fabricate
                a key that was not published. *)

@@ -105,6 +105,58 @@ let test_serve_refuses_used_history () =
       Alcotest.(check (list string)) "no second segment" [ "serve-000000.jsonl" ]
         (Array.to_list (Sys.readdir (Filename.concat dir "dup"))))
 
+let find_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* Audits fail closed: a history segment with a copy of itself appended
+   replays its first run and lists the copy's lines, but [replay] exits 1
+   and never says the alert stream matches; [validate] refuses it too. *)
+let test_replay_fails_on_doubled_history () =
+  in_fresh_dir (fun dir ->
+      let code, _, _ =
+        csod_run_in dir
+          [ "serve"; "gzip"; "--users"; "300"; "--epochs"; "5"; "--epoch"; "2";
+            "--history"; "h" ]
+      in
+      Alcotest.(check int) "serve" 0 code;
+      let segment = Filename.concat dir "h/serve-000000.jsonl" in
+      let code, intact, _ = csod_run_in dir [ "replay"; "h"; "--no-color" ] in
+      Alcotest.(check int) "intact history replays" 0 code;
+      Alcotest.(check bool) "intact history matches" true
+        (find_sub intact "matches the recorded one");
+      let text = read_file segment in
+      Out_channel.with_open_bin segment (fun oc -> output_string oc (text ^ text));
+      let code, out, err = csod_run_in dir [ "replay"; "h"; "--no-color" ] in
+      Alcotest.(check int) "replay: exit code" 1 code;
+      Alcotest.(check bool) "replay prints what it read" true
+        (find_sub out "history: 5 health records");
+      Alcotest.(check bool) "no match claimed" false
+        (find_sub out "matches the recorded one");
+      Alcotest.(check bool) "the copy's lines listed" true
+        (find_sub err "corrupt: seq 0, expected 6");
+      let code, _, _ =
+        csod_run_in dir
+          [ "validate"; "--schema"; "csod.serve.history/1"; "h/serve-000000.jsonl" ]
+      in
+      Alcotest.(check int) "validate: exit code" 1 code)
+
+(* A repro file whose last record lost its newline: that record is torn,
+   never replayed, and the replay fails. *)
+let test_sim_replay_torn_record () =
+  in_fresh_dir (fun dir ->
+      let planted =
+        read_file (Filename.concat (Sys.getcwd ()) "../examples/sim/planted.repro.jsonl")
+      in
+      Out_channel.with_open_bin (Filename.concat dir "torn.jsonl") (fun oc ->
+          output_string oc (String.sub planted 0 (String.length planted - 1)));
+      let code, out, _ = csod_run_in dir [ "sim"; "--replay"; "torn.jsonl" ] in
+      Alcotest.(check int) "exit code" 1 code;
+      Alcotest.(check bool) "first record replays" true (find_sub out "record 1: ok");
+      Alcotest.(check bool) "torn record fails" true
+        (find_sub out "record 2: FAIL truncated final line"))
+
 let test_unknown_app () =
   List.iter
     (fun sub ->
@@ -205,4 +257,8 @@ let suite =
   @ [ Alcotest.test_case "unknown application, one message" `Quick
         test_unknown_app;
       Alcotest.test_case "serve refuses a history that holds a run" `Quick
-        test_serve_refuses_used_history ]
+        test_serve_refuses_used_history;
+      Alcotest.test_case "replay fails on a doubled history" `Quick
+        test_replay_fails_on_doubled_history;
+      Alcotest.test_case "sim --replay fails a torn record" `Quick
+        test_sim_replay_torn_record ]

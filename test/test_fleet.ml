@@ -568,7 +568,7 @@ let test_health_matches_spec () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "epoch %d: %s" s.Health.epoch e);
       Alcotest.(check bool) "decodes to the sample" true
-        (Health.of_json j = Ok s))
+        (Schema.decode Health.spec j = Ok s))
     r.Fleet.health;
   match
     Schema.conforms Fleet.report_spec (Fleet.to_json ~app:"t" ~config:"c" r)

@@ -22,6 +22,7 @@ let () =
       ("apps", Test_apps.suite);
       ("fleet", Test_fleet.suite);
       ("serve", Test_serve.suite);
+      ("decoders", Test_decoders.suite);
       ("faults", Test_faults.suite);
       ("harness", Test_harness.suite);
       ("respond", Test_respond.suite);

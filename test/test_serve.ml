@@ -209,15 +209,18 @@ let test_history_roundtrip_and_corruption () =
   History.close w;
   Alcotest.(check int) "rotation: 8 lines / 3 per segment = 3 files" 3
     (List.length (History.segments dir));
-  let records, errors = History.read dir in
+  let log = History.read dir in
+  let records =
+    Option.to_list log.History.meta
+    @ List.map Serve_obs.to_json log.History.observations
+  in
   Alcotest.(check int) "all records back" 8 (List.length records);
-  Alcotest.(check (list string)) "no errors" [] errors;
+  Alcotest.(check (list string)) "no errors" [] log.History.errors;
   List.iteri
-    (fun i (r : History.record) ->
-      Alcotest.(check int) "seq order" i r.History.seq;
-      Alcotest.(check string) "body round-trips"
+    (fun i r ->
+      Alcotest.(check string) "body round-trips, seq order"
         (Obs_json.to_string (List.nth bodies i))
-        (Obs_json.to_string r.History.body))
+        (Obs_json.to_string r))
     records;
   (* Flip one byte inside a body: the checksum must catch it, the reader
      must skip the line and keep everything else. *)
@@ -227,8 +230,10 @@ let test_history_roundtrip_and_corruption () =
     replace_once content ~sub:"\"arrivals\":1" ~by:"\"arrivals\":9"
   in
   Out_channel.with_open_text seg (fun oc -> output_string oc corrupted);
-  let records', errors' = History.read dir in
-  Alcotest.(check int) "corrupt line skipped" 7 (List.length records');
+  let log' = History.read dir in
+  let errors' = log'.History.errors in
+  Alcotest.(check int) "corrupt line skipped" 7
+    (1 + List.length log'.History.observations);
   Alcotest.(check int) "one error reported" 1 (List.length errors');
   Alcotest.(check bool) "error names the checksum" true
     (find_sub (List.hd errors') "checksum" <> None)
@@ -253,10 +258,10 @@ let test_history_resume_position () =
     ignore (History.append w' History.Health (Serve_obs.to_json (obs i)))
   done;
   History.close w';
-  let records, errors = History.read dir in
-  Alcotest.(check (list string)) "no errors after resume" [] errors;
+  let log = History.read dir in
+  Alcotest.(check (list string)) "no errors after resume" [] log.History.errors;
   Alcotest.(check (list int)) "contiguous seqs" [ 0; 1; 2; 3; 4; 5; 6; 7 ]
-    (List.map (fun (r : History.record) -> r.History.seq) records)
+    (List.map (fun (o : Serve_obs.t) -> o.Serve_obs.epoch) log.History.observations)
 
 (* The kept prefix is rewritten whole through a tmp file and a rename:
    byte-identical to the segment's first lines, later segments gone, no
@@ -377,15 +382,9 @@ let test_serve_deterministic_across_domains () =
 let test_serve_windows_match_history_fold () =
   let dir = temp_dir "csod_serve" in
   let t, _, _ = run_serve (serve_cfg ~dir ()) ~epochs:40 in
-  let records, errors = History.read dir in
-  Alcotest.(check (list string)) "clean history" [] errors;
-  let os =
-    List.filter_map
-      (fun (r : History.record) ->
-        if r.History.kind = History.Health then Serve_obs.of_json r.History.body
-        else None)
-      records
-  in
+  let log = History.read dir in
+  Alcotest.(check (list string)) "clean history" [] log.History.errors;
+  let os = log.History.observations in
   Alcotest.(check int) "one health record per epoch" 40 (List.length os);
   (* The live rolling windows equal a from-scratch fold over the durable
      history — the dashboard's numbers are exactly reconstructible. *)

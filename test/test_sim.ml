@@ -173,7 +173,7 @@ let test_repro_json_roundtrip () =
   (match Schema.conforms (Sim.repro_spec Sim_registry.all) (Sim.to_json f) with
   | Error m -> Alcotest.failf "repro does not match its spec: %s" m
   | Ok () -> ());
-  match Sim.of_json (Sim.to_json f) with
+  match Schema.decode (Sim.repro_spec Sim_registry.all) (Sim.to_json f) with
   | Error m -> Alcotest.failf "round-trip failed: %s" m
   | Ok f' -> Alcotest.(check bool) "identical record" true (f = f')
 
@@ -199,7 +199,7 @@ let test_repro_rejects_bad_ops () =
     (fun (what, arg) ->
       Alcotest.(check bool) what true
         (Result.is_error
-           (Sim.of_json (with_first_op (op "barrier" [ `Int 1; arg ])))))
+           (Schema.decode (Sim.repro_spec Sim_registry.all) (with_first_op (op "barrier" [ `Int 1; arg ])))))
     [ ("string arg", `String "x"); ("bool arg", `Bool true);
       ("float arg", `Float 1.5) ];
   Alcotest.(check bool) "op outside the alphabet" true
