@@ -615,9 +615,11 @@ let fleet_t ~users ~burst =
 let fleet_cmd =
   let live_arg =
     file_opt [ "live" ] ~vopt:(Some "-")
-      ~doc:"Stream one csod.fleet.health/2 JSONL record per epoch \
-            barrier to $(docv) (default stdout), flushed line by \
-            line — tail it, or watch it with $(b,csod_run top)."
+      ~doc:"Stream each epoch barrier's record (csod.fleet.health/3 \
+            JSONL: the epoch's own counts, the store after the barrier \
+            and a wall-clock object) to $(docv) (default stdout), \
+            flushed line by line — tail it, or watch it with \
+            $(b,csod_run top)."
   in
   let trace_arg =
     file_opt [ "trace-out" ]
@@ -634,7 +636,7 @@ let fleet_cmd =
     let on_health =
       Option.map
         (fun ((_, oc) as out) s ->
-          put out (Obs_json.to_string (Health.to_json s));
+          put out (Obs_json.to_string (Health.line s));
           (* Line-by-line flush: the stream is tail-able while the run is
              still going. *)
           flush oc)
@@ -712,7 +714,7 @@ let serve_cmd =
   let history_arg =
     Arg.(value & opt (some string) None
          & info [ "history" ] ~docv:"DIR"
-             ~doc:"Append checksummed csod.serve.history/1 segments under \
+             ~doc:"Append checksummed csod.serve.history/2 segments under \
                    $(docv); $(b,csod_run replay) re-renders and re-checks \
                    them offline.  A fresh run (no $(b,--checkpoint) file to \
                    resume from) into a directory that already holds \
@@ -724,7 +726,7 @@ let serve_cmd =
   in
   let status_file_arg =
     file_opt [ "status-file" ]
-      ~doc:"Atomically republish a csod.serve.status/1 snapshot to \
+      ~doc:"Atomically republish a csod.serve.status/2 snapshot to \
             $(docv) at most every 0.1 s of wall time (at every \
             barrier when epochs are slower) and on exit — watch it \
             with $(b,csod_run top --follow)."
@@ -815,7 +817,7 @@ let serve_cmd =
           (Option.value checkpoint ~default:"checkpoint") resumed_at;
       let paint () =
         if live && color then print_string "\x1b[2J\x1b[H";
-        Option.iter print_string (Serve.render_status ~color (Serve.status_json t));
+        Result.iter print_string (Serve.render_status ~color (Serve.status_json t));
         flush stdout
       in
       let fired = ref 0 and cleared = ref 0 and painted = ref false in
@@ -875,7 +877,7 @@ let replay_cmd =
       Printf.eprintf "replay: %s\n" m;
       exit 1
     | Ok r ->
-      Option.iter print_string (Serve.render_status ~color r.Serve.status);
+      Result.iter print_string (Serve.render_status ~color r.Serve.status);
       List.iter
         (fun body ->
           let str k =
@@ -892,7 +894,7 @@ let replay_cmd =
             (int "epoch"))
         r.Serve.recorded;
       Printf.printf "history: %d health records, %d alert transitions%s\n"
-        (List.length r.Serve.observations)
+        (List.length r.Serve.health)
         (List.length r.Serve.recorded)
         (match r.Serve.read_errors with
         | [] -> ""
@@ -919,7 +921,9 @@ let top_cmd =
   let file_arg =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"FILE"
-             ~doc:"Health JSONL stream (written by $(b,fleet --live=FILE)).")
+             ~doc:"Health JSONL stream (written by $(b,fleet --live=FILE)) \
+                   or service status file (written by \
+                   $(b,serve --status-file)).")
   in
   let follow_arg =
     Arg.(value & flag
@@ -935,21 +939,35 @@ let top_cmd =
   let run file follow interval color () =
     let render () =
       (* A file not there yet is an empty stream.  A status file is a single
-         csod.serve.status/1 object (atomically republished by [serve
-         --status-file]); anything [render_status] refuses is a health
-         JSONL stream, whose blank, foreign and torn lines are skipped: it
-         may be mid-write when we poll it. *)
+         csod.serve.status/2 object (atomically republished by [serve
+         --status-file]) read through its decoder; anything else is a
+         health JSONL stream, whose blank and torn lines are skipped: it
+         may be mid-write when we poll it.  A file that holds no record but
+         a line tagged with another csod.* schema is in a format this build
+         does not read: refused by name, never drawn as an empty one. *)
       let text = if Sys.file_exists file then read file else "" in
-      (match
-         Option.bind
-           (Result.to_option (Obs_json.of_string (String.trim text)))
-           (Serve.render_status ~color)
-       with
-      | Some s -> print_string s
-      | None ->
-        Schema.read Health.spec text
-        |> List.filter_map Result.to_option
-        |> Health.render ~color |> print_string);
+      let tag json =
+        match Obs_json.member "schema" json with Some (`String s) -> s | _ -> ""
+      in
+      (match Obs_json.of_string (String.trim text) with
+      | Ok json when String.starts_with ~prefix:"csod.serve.status/" (tag json) -> (
+        match Serve.render_status ~color json with
+        | Ok s -> print_string s
+        | Error e -> fail "%s: %s" file e)
+      | _ -> (
+        match List.filter_map Result.to_option (Schema.read Health.spec text) with
+        | [] ->
+          Lines.fold
+            (fun () _ line ->
+              match Result.bind line Obs_json.of_string with
+              | Ok json
+                when String.starts_with ~prefix:"csod." (tag json)
+                     && tag json <> Health.schema ->
+                Result.iter_error (fail "%s: %s" file) (Schema.decode Health.spec json)
+              | _ -> ())
+            () text;
+          print_string (Health.render ~color [])
+        | records -> print_string (Health.render ~color records)));
       flush stdout
     in
     if not follow then render ()
@@ -966,10 +984,13 @@ let top_cmd =
     end
   in
   command "top"
-    ~doc:"Render a fleet health stream (csod.fleet.health/2 JSONL) or a \
-          service status snapshot (csod.serve.status/1, auto-detected) as \
+    ~doc:"Render a fleet health stream (csod.fleet.health/3 JSONL, folded \
+          into users arrived, detections and the CDF over arrivals) or a \
+          service status snapshot (csod.serve.status/2, auto-detected) as \
           a one-screen dashboard: detection CDF, rolling windows, alert \
-          states, throughput, straggler skew, per-domain load bars."
+          states, throughput, straggler skew, per-domain load bars.  A \
+          file in another csod.* format (an older version's included) is \
+          refused with exit 1."
     Term.(const run $ file_arg $ follow_arg $ interval_arg $ color_t)
 
 (* ---- sim: deterministic simulation testing with shrinking ---- *)

@@ -12,17 +12,8 @@ type 'a executor = user:Workload.user -> store:Persist.t -> 'a execution
 type 'a seat = { user : Workload.user; epoch : int; exec : 'a execution }
 
 type 'a epoch = {
-  index : int;
+  record : Health.t;
   seats : 'a seat array;
-  detections : int;
-  degraded : int;
-  worker_crashes : int;
-  faults : (string * int) list;
-  snapshots : int;
-  cycles : int;
-  cycle_skew : float;
-  store_contexts : int;
-  patched : int;
   workers : Pool.worker array;
   started_at : float;
   barrier_at : float;
@@ -40,7 +31,7 @@ type 'a report = {
   domains : int;
   wall_seconds : float;
   faults : Fault_injector.t option;
-  health : Health.sample list;
+  health : Health.t list;
   trace_spans : Trace_export.fleet_span list;
 }
 
@@ -50,10 +41,10 @@ type config = {
   epoch_size : int;
   faults : Fault_plan.t option;
   trace : bool;
-  on_health : (Health.sample -> unit) option;
+  on_health : (Health.t -> unit) option;
   patch_threshold : int option;
       (* evidence hits at which the shared store convicts a context; drives
-         the per-epoch [patched] tally in health records *)
+         the [patched] state in epoch records *)
 }
 
 let config ?domains ?(epoch_size = 32) ?faults ?(trace = false) ?on_health
@@ -68,8 +59,8 @@ let config ?domains ?(epoch_size = 32) ?faults ?(trace = false) ?on_health
   | _ -> ());
   { workload; domains; epoch_size; faults; trace; on_health; patch_threshold }
 
-(* Fault/degradation counters surfaced per epoch, in this order; only
-   counters the merged registry has actually seen appear. *)
+(* Fault/degradation counters surfaced per epoch (name-sorted in the
+   record); only counters that moved this epoch appear. *)
 let fault_counters =
   List.map
     (fun name -> (name, Metrics.counter_key name))
@@ -165,7 +156,10 @@ let step t ~arrivals:n =
      Timed on its own so the health stream prices the merge and nothing
      else. *)
   let counts () =
-    List.map (fun (name, k) -> (name, Metrics.find_count (metrics t) k)) fault_counters
+    List.map
+      (fun (name, k) ->
+        (name, Option.value ~default:0 (Metrics.find_count (metrics t) k)))
+      fault_counters
   in
   let faults0 = counts () and snapshots0 = Telemetry.snapshot_count t.tele in
   let (), merge_seconds =
@@ -178,32 +172,33 @@ let step t ~arrivals:n =
   in
   t.detections <- t.detections + detections;
   t.epoch <- e + 1;
-  { index = e; seats; detections;
-    degraded = count (fun (x : _ execution) -> x.degraded);
-    worker_crashes = crashes t - crashes0;
-    faults =
-      List.map2
-        (fun (name, now) (_, before) ->
-          Option.map (fun v -> (name, v - Option.value before ~default:0)) now)
-        (counts ()) faults0
-      |> List.filter_map Fun.id;
-    snapshots = Telemetry.snapshot_count t.tele - snapshots0;
-    cycles = Array.fold_left (fun c (x : _ execution) -> c + x.cycles) 0 execs;
-    cycle_skew =
-      Health.straggler_skew
-        (Array.to_list (Array.map (fun (x : _ execution) -> float_of_int x.cycles) execs));
-    store_contexts = Persist.count t.shared;
-    patched =
-      (* Convicted (= patchable) contexts at this barrier, from the shared
-         store only — every domain ordering sees the same store after the
-         uid-ordered merge, so the tally is deterministic. *)
-      (match cfg.patch_threshold with
-      | Some n ->
-        List.length
-          (List.filter (fun k -> Persist.hits t.shared k >= n) (Persist.keys t.shared))
-      | None -> 0);
-    workers; started_at; barrier_at; merged_at = Unix.gettimeofday ();
-    merge_seconds }
+  let record =
+    { Health.epoch = e; arrivals = n; detections;
+      degraded = count (fun (x : _ execution) -> x.degraded);
+      worker_crashes = crashes t - crashes0;
+      faults =
+        List.map2 (fun (name, now) (_, before) -> (name, now - before)) (counts ()) faults0
+        |> List.filter (fun (_, d) -> d <> 0)
+        |> List.sort compare;
+      snapshots = Telemetry.snapshot_count t.tele - snapshots0;
+      cycles = Array.fold_left (fun c (x : _ execution) -> c + x.cycles) 0 execs;
+      cycle_skew =
+        Health.straggler_skew
+          (Array.to_list (Array.map (fun (x : _ execution) -> float_of_int x.cycles) execs));
+      store_contexts = Persist.count t.shared;
+      patched =
+        (* Convicted (= patchable) contexts at this barrier, from the shared
+           store only — every domain ordering sees the same store after the
+           uid-ordered merge, so the tally is deterministic. *)
+        (match cfg.patch_threshold with
+        | Some n ->
+          List.length
+            (List.filter (fun k -> Persist.hits t.shared k >= n) (Persist.keys t.shared))
+        | None -> 0);
+      wall = None }
+  in
+  { record; seats; workers; started_at; barrier_at;
+    merged_at = Unix.gettimeofday (); merge_seconds }
 
 let finish t =
   Metrics.add t.c_crashes (crashes t);
@@ -217,7 +212,7 @@ let finish t =
 let spans t (ep : _ epoch) =
   let span track name s0 s1 args =
     { Trace_export.track; name; start_s = s0 -. t.t_run0;
-      stop_s = s1 -. t.t_run0; args = ("epoch", `Int ep.index) :: args }
+      stop_s = s1 -. t.t_run0; args = ("epoch", `Int ep.record.epoch) :: args }
   in
   List.concat_map
     (fun (wk : Pool.worker) ->
@@ -231,65 +226,44 @@ let spans t (ep : _ epoch) =
         [ span wk.slot "barrier wait" wk.last_stop ep.barrier_at [] ]
       else [])
     (Array.to_list ep.workers)
-  @ [ span t.cfg.domains (Printf.sprintf "epoch %d merge" ep.index)
+  @ [ span t.cfg.domains (Printf.sprintf "epoch %d merge" ep.record.epoch)
         ep.barrier_at ep.merged_at [] ]
 
 let run ?store cfg ~execute =
   let arrivals = Workload.arrivals cfg.workload ~epoch_size:cfg.epoch_size in
-  let users = Array.fold_left ( + ) 0 arrivals in
   let t = start ?store cfg ~execute in
-  let seats = ref [] and health : Health.sample list ref = ref [] in
+  let seats = ref [] and health = ref [] in
   let spans_rev = ref [] and observer = ref 0.0 in
   Array.iter
     (fun n ->
       let ep = step t ~arrivals:n in
-      (* The sample's tallies are the run's so far: this epoch's plus the
-         previous sample's. *)
-      let so_far f = match !health with s :: _ -> f s | [] -> 0 in
-      let loads =
+      let domains =
         Array.to_list ep.workers
         |> List.map (fun (wk : Pool.worker) ->
                { Health.slot = wk.slot; executed = wk.executed;
                  busy_seconds = wk.busy_seconds })
       in
-      let epoch_seconds = ep.merged_at -. ep.started_at in
-      let sample =
-        { Health.epoch = ep.index; arrivals = n; detections = ep.detections;
-          cumulative = t.detections; users;
-          cdf =
-            (if users > 0 then float_of_int t.detections /. float_of_int users
-             else 0.0);
-          store_contexts = ep.store_contexts;
-          patched = ep.patched;
-          degraded = ep.degraded + so_far (fun s -> s.degraded);
-          worker_crashes =
-            ep.worker_crashes + so_far (fun s -> s.worker_crashes);
-          faults =
-            List.map
-              (fun (k, v) ->
-                (k, v + so_far (fun s -> Option.value ~default:0 (List.assoc_opt k s.faults))))
-              ep.faults;
-          snapshots = ep.snapshots + so_far (fun s -> s.snapshots);
-          epoch_seconds;
-          merge_seconds = ep.merge_seconds;
-          observer_seconds = !observer;
-          execs_per_sec =
-            (if epoch_seconds > 0.0 then float_of_int n /. epoch_seconds
-             else 0.0);
-          straggler_skew =
-            Health.straggler_skew
-              (List.map (fun l -> l.Health.busy_seconds) loads);
-          domains = loads }
+      let record =
+        { ep.record with
+          wall =
+            Some
+              { epoch_seconds = ep.merged_at -. ep.started_at;
+                merge_seconds = ep.merge_seconds;
+                observer_seconds = !observer;
+                straggler_skew =
+                  Health.straggler_skew
+                    (List.map (fun (l : Health.domain_load) -> l.busy_seconds) domains);
+                domains } }
       in
       (* The observer effect, self-measured: everything below is pure
-         observability and its cost lands in the next sample's
+         observability and its cost lands in the next record's
          [observer_seconds]. *)
       let (), dt =
         Pool.timed (fun () ->
             seats := ep.seats :: !seats;
-            health := sample :: !health;
+            health := record :: !health;
             if cfg.trace then spans_rev := List.rev_append (spans t ep) !spans_rev;
-            Option.iter (fun cb -> cb sample) cfg.on_health)
+            Option.iter (fun cb -> cb record) cfg.on_health)
       in
       observer := dt)
     arrivals;
@@ -330,7 +304,7 @@ let summary r =
        r.detections users (Persist.count r.store)
        (if Persist.count r.store = 1 then "" else "s")
        r.wall_seconds);
-  Buffer.add_string b (Epoch.table r.health);
+  Buffer.add_string b (Epoch.table ~users r.health);
   Buffer.contents b
 
 let report_schema = "csod.fleet.report/1"
@@ -372,7 +346,7 @@ let to_json ?payload ~app ~config:config_label r : Obs_json.t =
             | None -> `Null);
            ("store_contexts", `Int (Persist.count r.store));
            ("wall_seconds", `Float r.wall_seconds);
-           ("epochs", `List (List.map Epoch.to_json r.health));
+           ("epochs", `List (Epoch.to_json r.health));
            ("metrics", Metrics.to_json r.metrics);
            ("profile", Profiler.to_json r.profile) ];
          (match payload with

@@ -16,9 +16,11 @@
     flow and telemetry aggregation.
 
     Each epoch is counted once, at its barrier: {!step} returns the
-    epoch's own facts (an {!type:epoch}), {!run} folds them into the
-    report's seats and its cumulative health stream, and a service
-    ([Serve]) projects them into its per-epoch record.
+    epoch's record ({!Health.t}) with its seats and wall-clock spans,
+    {!run} attaches the record's [wall] and keeps the records as the
+    report's health stream, and a service ([Serve]) writes them to its
+    history.  Totals (cumulative detections, the CDF) are {!Health.fold}
+    over the records.
 
     {b Determinism}: the report — detections, sources, first-catch epoch,
     merged store and merged metrics — is bit-identical for any [domains]
@@ -48,28 +50,14 @@ type 'a executor = user:Workload.user -> store:Persist.t -> 'a execution
 
 type 'a seat = { user : Workload.user; epoch : int; exec : 'a execution }
 
-(** One epoch barrier's own facts, counted once at the barrier: {!run}
-    folds them into the report and its health stream, a service projects
-    them into its per-epoch record.  Every tally is the epoch's, not the
-    session's; only the wall-clock fields vary run to run. *)
+(** One epoch barrier, counted once at the barrier: its record, the seats
+    it ran and the wall clock it took. *)
 type 'a epoch = {
-  index : int;                   (** the epoch number *)
+  record : Health.t;
+      (** the epoch's deterministic facts, [wall = None]: every tally is
+          the epoch's, not the session's, and [store_contexts]/[patched]
+          are the store's state after the barrier *)
   seats : 'a seat array;         (** uid order; its length is the arrivals *)
-  detections : int;
-  degraded : int;                (** executions that fell back to canary-only *)
-  worker_crashes : int;          (** injected pool crashes *)
-  faults : (string * int) list;
-      (** increments of the fault/degradation counters the merged registry
-          has seen, in a fixed order, zeros included *)
-  snapshots : int;               (** telemetry snapshots of the executions *)
-  cycles : int;                  (** summed virtual cycles *)
-  cycle_skew : float;
-      (** slowest / median execution in virtual cycles
-          ({!Health.straggler_skew}): the deterministic straggler signal *)
-  store_contexts : int;          (** shared-store contexts after the barrier *)
-  patched : int;
-      (** contexts with at least [config.patch_threshold] hits after the
-          barrier (0 without a threshold) *)
   workers : Pool.worker array;   (** per-worker loads and spans, slot order *)
   started_at : float;            (** wall clock when the epoch began, *)
   barrier_at : float;            (** when the last worker joined, *)
@@ -89,9 +77,9 @@ type 'a report = {
   wall_seconds : float;
   faults : Fault_injector.t option;
       (** the pool's crash injector, for post-run fault accounting *)
-  health : Health.sample list;
-      (** one {!Health.sample} per epoch barrier, epoch order: the
-          detection CDF *)
+  health : Health.t list;
+      (** one record per epoch barrier, epoch order, each with its
+          [wall]: the detection CDF is their fold *)
   trace_spans : Trace_export.fleet_span list;
       (** with [config.trace]: wall-clock spans (domain chunks, barrier
           waits, merges) for {!Trace_export.fleet_spans_to_json} *)
@@ -108,14 +96,15 @@ type config = {
   trace : bool;
       (** {!run} records wall-clock epoch spans into [report.trace_spans].
           Default [false]. *)
-  on_health : (Health.sample -> unit) option;
+  on_health : (Health.t -> unit) option;
       (** live health callback, invoked by {!run} at each epoch barrier
-          from the main domain (all workers joined) — safe to write to a
-          channel.  It is the only channel health samples go out on: the
-          fleet itself writes them nowhere else. *)
+          with the epoch's record and its [wall], from the main domain
+          (all workers joined) — safe to write to a channel.  It is the
+          only channel records go out on: the fleet itself writes them
+          nowhere else. *)
   patch_threshold : int option;
       (** evidence hits at which the shared store convicts a context.
-          Only feeds the epoch's [patched] tally — the actual mitigation
+          Only feeds the record's [patched] state — the actual mitigation
           lives in the executor's response mode, which consults the same
           store snapshots, so tally and behaviour agree.  Default [None]
           (tally stays 0). *)
@@ -126,7 +115,7 @@ val config :
   ?epoch_size:int ->
   ?faults:Fault_plan.t ->
   ?trace:bool ->
-  ?on_health:(Health.sample -> unit) ->
+  ?on_health:(Health.t -> unit) ->
   ?patch_threshold:int ->
   Workload.t ->
   config
@@ -138,10 +127,10 @@ val run : ?store:Persist.t -> config -> execute:'a executor -> 'a report
 (** Simulate the whole fleet.  [store] seeds the shared store (default
     empty) and is not mutated; the report carries its own.  {!start}, one
     {!step} per {!Workload.arrivals} epoch, then {!finish}; [run] folds
-    the epochs into the report's seats, its health stream (cumulative
-    tallies over the known population, emitted through
-    [config.on_health], whose own cost the next sample's
-    [observer_seconds] carries) and, with [config.trace], its spans. *)
+    the epochs into the report's seats, its health stream (each epoch's
+    record with its [wall], emitted through [config.on_health], whose own
+    cost the next record's [observer_seconds] carries) and, with
+    [config.trace], its spans. *)
 
 (** {2 Incremental stepping}
 
@@ -172,13 +161,13 @@ val start :
 
 val step : 'a t -> arrivals:int -> 'a epoch
 (** Run one epoch with [arrivals] fresh users (uids assigned
-    sequentially) and return its facts.  Neither the health callback nor
-    the trace is touched: {!run} builds those from the result. *)
+    sequentially) and return it.  Neither the health callback nor the
+    trace is touched: {!run} builds those from the result. *)
 
 val finish : 'a t -> 'a report
 (** Commit the crash tally into the merged metrics and assemble the
     report: first catch, detections, merged registries and store, with no
-    seats, health samples or spans.  [wall_seconds] covers {!start} to
+    seats, health records or spans.  [wall_seconds] covers {!start} to
     {!finish}. *)
 
 val metrics : 'a t -> Metrics.t
@@ -209,7 +198,7 @@ val to_json :
   ?payload:('a -> Obs_json.t) -> app:string -> config:string -> 'a report ->
   Obs_json.t
 (** Machine-readable report (schema [csod.fleet.report/1]): workload
-    echo, per-epoch rows ({!Epoch.to_json} of each health sample),
+    echo, per-epoch rows ({!Epoch.to_json} of the health records),
     detection set, first catch, merged metrics. *)
 
 val report_spec : unit Schema.t

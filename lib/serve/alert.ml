@@ -105,7 +105,7 @@ let defaults =
   | Ok rules -> rules
   | Error _ -> assert false
 
-let holds r (a : Window.agg) =
+let holds r (a : Health.agg) =
   match r.cond with
   | Stall -> a.detections = 0
   | Degraded_above l ->
@@ -124,7 +124,7 @@ type event = {
   epoch : int;
   firing : bool;
   since : int;
-  window : Window.agg;
+  window : Health.agg;
 }
 
 let schema = "csod.fleet.alert/1"
@@ -136,7 +136,7 @@ let event_to_json e : Obs_json.t =
       ("spec", `String (to_spec e.rule));
       ("state", `String (if e.firing then "fire" else "clear"));
       ("epoch", `Int e.epoch); ("since", `Int e.since);
-      ("window", Window.agg_to_json e.window) ]
+      ("window", Health.agg_to_json e.window) ]
 
 let transitions ~resumed () =
   let last = Hashtbl.create 4 in
@@ -146,7 +146,7 @@ let transitions ~resumed () =
     let epoch = Schema.int json "epoch" and since = Schema.int json "since" in
     let prev = Hashtbl.find_opt last spec in
     Hashtbl.replace last spec firing;
-    match Option.bind (Obs_json.member "window" json) Window.agg_of_json with
+    match Option.bind (Obs_json.member "window" json) Health.agg_of_json with
     | None -> Error "malformed alert window"
     | Some _ when not (List.mem (str "state") [ "fire"; "clear" ]) ->
       Error (Printf.sprintf "alert state %S is not fire/clear" (str "state"))

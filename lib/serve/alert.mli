@@ -1,6 +1,6 @@
 (** Declarative alert rules over rolling-window aggregates.
 
-    A rule names a condition on one {!Window.agg} (detection stall,
+    A rule names a condition on one {!Health.agg} (detection stall,
     degraded fraction, virtual straggler skew, fault budget burn, CDF
     floor) and the window size it is judged over.  The engine evaluates
     every rule at each epoch barrier and emits an event only on a {e
@@ -10,9 +10,9 @@
     full ([rows >= window]), so a 50-epoch stall rule cannot fire at
     epoch 3 of a cold start.
 
-    Conditions read only {!Serve_obs.t}-derived aggregates, so alert
-    streams are bit-identical for a given seed and schedule, and
-    [csod_run replay] re-derives them offline from history alone. *)
+    Conditions read only the fold of the epoch records ({!Health.agg}),
+    so alert streams are bit-identical for a given seed and schedule,
+    and [csod_run replay] re-derives them offline from history alone. *)
 
 type condition =
   | Stall                      (** no detections anywhere in the window *)
@@ -46,7 +46,7 @@ type event = {
   epoch : int;         (** barrier at which the transition happened *)
   firing : bool;       (** [true] = fire, [false] = clear *)
   since : int;         (** epoch of the matching fire (= [epoch] on fire) *)
-  window : Window.agg; (** the aggregate that triggered the transition *)
+  window : Health.agg; (** the aggregate that triggered the transition *)
 }
 
 val event_to_json : event -> Obs_json.t

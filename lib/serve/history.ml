@@ -1,4 +1,4 @@
-let schema = "csod.serve.history/1"
+let schema = "csod.serve.history/2"
 
 type kind = Meta | Health | Alert
 
@@ -13,21 +13,23 @@ let kind_of_string = function
   | "alert" -> Some Alert
   | _ -> None
 
-(* FNV-1a over the rendered body. *)
-let crc s = Fnv.string Fnv.offset s
+(* FNV-1a over the record's seq, kind and rendered body: a flipped bit in
+   any of them is a checksum error, not a record out of sequence. *)
+let crc ~seq kind body =
+  Fnv.string Fnv.offset (Printf.sprintf "%d %s %s" seq kind body)
 
 let line ~seq kind body =
-  let body = Obs_json.to_string body in
+  let body = Obs_json.to_string body and kind = kind_to_string kind in
   Printf.sprintf
     {|{"schema":"%s","seq":%d,"kind":"%s","crc":"%016Lx","body":%s}|} schema
-    seq (kind_to_string kind) (crc body) body
+    seq kind (crc ~seq kind body) body
 
 let fields =
   Schema.[ ("seq", Int); ("kind", String); ("crc", String); ("body", Object) ]
 
 type log = {
   meta : Obs_json.t option;
-  observations : Serve_obs.t list;
+  health : Health.t list;
   alerts : Obs_json.t list;
   errors : string list;
 }
@@ -49,10 +51,9 @@ let decoder ?first () =
   | Ok json -> (
     let seq = Schema.int json "seq" and get k = Option.get (Obs_json.member k json) in
     let error m = Error (Printf.sprintf "seq %d%s" seq m) in
-    let body = get "body" in
-    let actual = Printf.sprintf "%016Lx" (crc (Obs_json.to_string body)) in
-    let kind = match get "kind" with `String k -> kind_of_string k | _ -> None in
-    match kind with
+    let body = get "body" and kind = match get "kind" with `String k -> k | _ -> "" in
+    let actual = Printf.sprintf "%016Lx" (crc ~seq kind (Obs_json.to_string body)) in
+    match kind_of_string kind with
     | _ when get "crc" <> `String actual ->
       incr lost;
       error
@@ -74,9 +75,9 @@ let decoder ?first () =
         match kind with
         | Meta -> Ok (fun log -> if log.meta = None then { log with meta = Some body } else log)
         | Health -> (
-          match Serve_obs.of_json body with
-          | Some o -> Ok (fun log -> { log with observations = o :: log.observations })
-          | None -> error ": malformed health body")
+          match Health.of_json body with
+          | Ok r -> Ok (fun log -> { log with health = r :: log.health })
+          | Error _ -> error ": malformed health body")
         | Alert -> (
           match
             Result.bind (Schema.shape Alert.spec body) (fun () -> Option.get !alerts body)
@@ -197,10 +198,10 @@ let read dir =
       (fun log path ->
         Lines.fold (add (Filename.basename path)) log
           (In_channel.with_open_bin path In_channel.input_all))
-      { meta = None; observations = []; alerts = []; errors = [] }
+      { meta = None; health = []; alerts = []; errors = [] }
       (segments dir)
   in
   { log with
-    observations = List.rev log.observations;
+    health = List.rev log.health;
     alerts = List.rev log.alerts;
     errors = List.rev log.errors }

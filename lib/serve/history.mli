@@ -1,19 +1,23 @@
-(** Durable, checksummed health history (schema [csod.serve.history/1]).
+(** Durable, checksummed health history (schema [csod.serve.history/2]).
 
     The service appends one JSONL line per event to rotating segment
     files ([serve-000000.jsonl], [serve-000001.jsonl], ...) in a history
     directory.  Every line carries a monotonic [seq], a [kind]
     ([meta] — run configuration, written first, once per run;
-    [health] — one {!Serve_obs.t} per epoch barrier; [alert] — one
-    {!Alert.event} per transition) and an FNV-1a 64 checksum of its
-    rendered [body] (the same hash {!Persist} seals snapshots with); a
-    line is exactly [Obs_json.to_string] of its record, so a truncated or
-    bit-flipped line is detected rather than silently trusted.
+    [health] — one epoch record ({!Health.t}, without [wall]) per epoch
+    barrier; [alert] — one {!Alert.event} per transition) and an FNV-1a 64
+    checksum (the same hash {!Persist} seals snapshots with) over its
+    [seq], its [kind] and its rendered [body].  A line is exactly
+    [Obs_json.to_string] of its record, so a truncated or bit-flipped line
+    is detected rather than silently trusted: a flip in a [seq] is a
+    checksum error, which loses that one record, not a record out of
+    sequence.
 
-    Bodies are deterministic projections ({!Serve_obs}), so for a given
-    seed and schedule the segment bytes are identical at any [--domains]
-    count — pinned by [test_serve].  [csod_run replay] re-renders the
-    dashboard and re-evaluates alert rules from these files alone. *)
+    Bodies are deterministic (the records carry no wall clock), so for a
+    given seed and schedule the segment bytes are identical at any
+    [--domains] count — pinned by [test_serve].  [csod_run replay]
+    re-renders the dashboard and re-evaluates alert rules from these
+    files alone.  A [csod.serve.history/1] line is refused by its tag. *)
 
 type kind = Meta | Health | Alert
 
@@ -61,7 +65,7 @@ val segments : string -> string list
 
 type log = {
   meta : Obs_json.t option;  (** the first meta record *)
-  observations : Serve_obs.t list;  (** health bodies, file order *)
+  health : Health.t list;  (** health bodies, file order *)
   alerts : Obs_json.t list;  (** alert bodies as written *)
   errors : string list;
       (** a line with no record (torn, empty, not JSON, wrong tag or

@@ -1,4 +1,4 @@
-let status_schema = "csod.serve.status/1"
+let status_schema = "csod.serve.status/2"
 let checkpoint_schema = "csod.serve.checkpoint/2"
 let status_period = 0.1
 
@@ -41,59 +41,48 @@ let config ?domains ?(epoch_size = 32) ?faults ?patch_threshold
    stream: its rules and dashboard sizes. *)
 type meta = { rules : Alert.rule list; windows : int list }
 
-(* One health observation through the windows and the rules: the live
-   loop and [rebuild] both advance through this. *)
-let feed wins alerts (o : Serve_obs.t) =
-  Window.push_set wins o;
-  Alert.observe alerts wins ~epoch:o.epoch
-
-type rebuilt = {
-  total : Window.agg;
+(* The service's view of its health stream: the run's total (the fold of
+   every record), the rolling windows over it, the alert rules and the
+   latest record.  The live loop and [rebuild] both advance it through
+   [feed]. *)
+type view = {
+  mutable total : Health.agg;
   wins : Window.set;
   alerts : Alert.t;
-  last : Serve_obs.t option;
-  events : Obs_json.t list;  (* the alert bodies the stream derives *)
+  mutable last : Health.t option;
 }
 
-(* The service's view after a health stream, from fresh rings (dashboard
-   sizes plus every rule's judging window) and rules: what a resume
-   continues from and what [replay] checks the recorded alerts against. *)
-let rebuild m observations =
-  let wins =
-    Window.set
-      (m.windows @ List.map (fun (r : Alert.rule) -> r.window) m.rules)
-  and alerts = Alert.engine m.rules in
-  let events =
-    List.concat_map
-      (fun o -> List.map Alert.event_to_json (feed wins alerts o))
-      observations
+let feed v (r : Health.t) =
+  let a = Health.span v.total r in
+  v.total <- Health.merge v.total a;
+  v.last <- Some r;
+  Window.push_set v.wins a;
+  Alert.observe v.alerts v.wins ~epoch:r.epoch
+
+(* The view after a health stream, from fresh rings (dashboard sizes plus
+   every rule's judging window) and rules, and the alert bodies the
+   stream derives: what a resume continues from and what [replay] checks
+   the recorded alerts against. *)
+let rebuild m records =
+  let v =
+    { total = Health.empty;
+      wins =
+        Window.set (m.windows @ List.map (fun (r : Alert.rule) -> r.window) m.rules);
+      alerts = Alert.engine m.rules;
+      last = None }
   in
-  { total =
-      List.fold_left
-        (fun a o -> Window.merge a (Window.of_obs o))
-        Window.empty observations;
-    wins; alerts;
-    last = List.fold_left (fun _ o -> Some o) None observations;
-    events }
+  (v, List.concat_map (fun r -> List.map Alert.event_to_json (feed v r)) records)
 
 type 'a t = {
   cfg : config;
   fleet : 'a Fleet.t;
-  wins : Window.set;
-  alerts : Alert.t;
+  view : view;
   hist : History.writer option;
   t_start : float;
   (* Wall time of the last refresh; [neg_infinity] until the first
      barrier, so that barrier always refreshes. *)
   mutable refreshed_at : float;
-  (* Every observation of the run, merged: the run's tallies (a resume
-     rebuilds them from the history). *)
-  mutable total : Window.agg;
-  mutable last_obs : Serve_obs.t option;
 }
-
-let virtual_seconds_of cycles =
-  float_of_int cycles /. float_of_int Cost.cycles_per_second
 
 (* Meta body: the deterministic run description — everything here must be
    independent of the domain count, or history segments would differ
@@ -121,25 +110,20 @@ let meta_body cfg : Obs_json.t =
 
 (* ---- status ---- *)
 
-let cdf ~detections ~arrived =
-  if arrived > 0 then float_of_int detections /. float_of_int arrived else 0.0
-
-let status_core ~(total : Window.agg) ~last ~wins ~alerts ~window_sizes :
-    (string * Obs_json.t) list =
+let status_core v ~window_sizes : (string * Obs_json.t) list =
+  let total = v.total in
   [ ("schema", `String status_schema); ("epoch", `Int (total.last_epoch + 1));
     ("arrived", `Int total.arrivals); ("detections", `Int total.detections);
-    ("patched", `Int total.patched);
-    ("cdf", `Float (cdf ~detections:total.detections ~arrived:total.arrivals));
-    ("virtual_seconds", `Float (virtual_seconds_of total.cycles));
-    ("last",
-     match last with Some o -> Serve_obs.to_json o | None -> `Null);
+    ("patched", `Int total.patched); ("cdf", `Float total.cdf_last);
+    ("virtual_seconds", `Float total.virtual_last);
+    ("last", match v.last with Some r -> Health.to_json r | None -> `Null);
     ("windows",
      `Assoc
        (List.filter_map
           (fun w ->
             Option.map
-              (fun a -> (string_of_int w, Window.agg_to_json a))
-              (Window.get wins w))
+              (fun a -> (string_of_int w, Health.agg_to_json a))
+              (Window.get v.wins w))
           window_sizes));
     ("alerts",
      `Assoc
@@ -147,7 +131,7 @@ let status_core ~(total : Window.agg) ~last ~wins ~alerts ~window_sizes :
           `List
             (List.map
                (fun r -> (`String (Alert.to_spec r) : Obs_json.t))
-               (Alert.rules alerts)));
+               (Alert.rules v.alerts)));
          ("firing",
           `List
             (List.map
@@ -156,13 +140,12 @@ let status_core ~(total : Window.agg) ~last ~wins ~alerts ~window_sizes :
                     [ ("spec", `String (Alert.to_spec r));
                       ("since", `Int since) ]
                    : Obs_json.t))
-               (Alert.firing alerts))) ]) ]
+               (Alert.firing v.alerts))) ]) ]
 
 (* [now]: one clock reading gives both wall members. *)
 let status_at t ~now : Obs_json.t =
   `Assoc
-    (status_core ~total:t.total ~last:t.last_obs ~wins:t.wins ~alerts:t.alerts
-       ~window_sizes:t.cfg.windows
+    (status_core t.view ~window_sizes:t.cfg.windows
     @ [ ("wall",
          `Assoc
            [ ("domains", `Int t.cfg.domains);
@@ -182,9 +165,9 @@ let status_spec =
       let cdf = Schema.float json "cdf" in
       let aggs = match field "windows" with `Assoc l -> l | _ -> [] in
       if cdf < 0. || cdf > 1. then Error "cdf out of [0, 1]"
-      else if field "last" <> `Null && Serve_obs.of_json (field "last") = None
-      then Error "malformed last observation"
-      else if List.exists (fun (_, a) -> Window.agg_of_json a = None) aggs
+      else if field "last" <> `Null && Result.is_error (Health.of_json (field "last"))
+      then Error "malformed last record"
+      else if List.exists (fun (_, a) -> Health.agg_of_json a = None) aggs
       then Error "malformed window aggregate"
       else
         Schema.has_fields Schema.[ ("rules", List); ("firing", List) ]
@@ -289,20 +272,19 @@ let checkpoint_spec = Schema.erase checkpoint
 
 (* ---- start / resume ---- *)
 
-(* A service continuing [r]'s run, its fleet session starting at the next
+(* A service continuing [v]'s run, its fleet session starting at the next
    epoch and uid. *)
-let make cfg ~execute ?store (r : rebuilt) hist =
+let make cfg ~execute ?store v hist =
   { cfg;
     fleet =
-      Fleet.start ?store ~uid0:(r.total.arrivals + 1)
-        ~epoch0:(r.total.last_epoch + 1)
+      Fleet.start ?store ~uid0:(v.total.arrivals + 1)
+        ~epoch0:(v.total.last_epoch + 1)
         (Fleet.config ~domains:cfg.domains ~epoch_size:cfg.epoch_size
            ?faults:cfg.faults ?patch_threshold:cfg.patch_threshold cfg.workload)
         ~execute;
-    wins = r.wins; alerts = r.alerts; hist;
+    view = v; hist;
     t_start = Unix.gettimeofday ();
-    refreshed_at = neg_infinity;
-    total = r.total; last_obs = r.last }
+    refreshed_at = neg_infinity }
 
 let fresh cfg ~execute =
   let hist =
@@ -314,7 +296,7 @@ let fresh cfg ~execute =
      run's. *)
   Option.iter (fun w -> ignore (History.append w History.Meta (meta_body cfg)))
     hist;
-  make cfg ~execute (rebuild { rules = cfg.rules; windows = cfg.windows } []) hist
+  make cfg ~execute (fst (rebuild { rules = cfg.rules; windows = cfg.windows } [])) hist
 
 (* The leaves of [configured] that [recorded] does not repeat, dotted
    ("workload.base_seed"): what a refused resume names. *)
@@ -337,11 +319,9 @@ let differing recorded configured =
 let resume cfg ~execute ~dir (epoch, hits, (seq, segment, lines)) =
   History.truncate dir ~segment ~lines;
   let log = History.read dir and configured = meta_body cfg in
-  let r =
-    rebuild { rules = cfg.rules; windows = cfg.windows } log.observations
-  in
+  let v, events = rebuild { rules = cfg.rules; windows = cfg.windows } log.health in
   let refused fmt = Printf.ksprintf (fun m -> Error ("history " ^ dir ^ m)) fmt in
-  match (log.errors, log.meta, alert_mismatches log.alerts r.events) with
+  match (log.errors, log.meta, alert_mismatches log.alerts events) with
   | e :: _, _, _ -> refused ": %s" e
   | [], None, _ -> refused ": no meta record"
   | [], Some m, _ when Obs_json.to_string m <> Obs_json.to_string configured ->
@@ -349,9 +329,8 @@ let resume cfg ~execute ~dir (epoch, hits, (seq, segment, lines)) =
       (match differing m configured with
        | [] -> "meta record"
        | fields -> String.concat ", " fields)
-  | _ when List.length log.observations <> epoch ->
-    refused " holds %d epochs, the checkpoint %d"
-      (List.length log.observations) epoch
+  | _ when List.length log.health <> epoch ->
+    refused " holds %d epochs, the checkpoint %d" (List.length log.health) epoch
   | _, _, m :: _ -> refused ": %s" m
   | _ ->
     let store = Persist.create () in
@@ -359,7 +338,7 @@ let resume cfg ~execute ~dir (epoch, hits, (seq, segment, lines)) =
       (fun (a, b, h) -> for _ = 1 to h do Persist.add store (a, b) done)
       hits;
     Ok
-      (make cfg ~execute ~store r
+      (make cfg ~execute ~store v
          (Some (History.writer ~rotate:cfg.rotate ~seq ~segment ~lines dir)))
 
 let start cfg ~execute =
@@ -383,49 +362,28 @@ let start cfg ~execute =
 (* ---- the epoch ---- *)
 
 type outcome = {
-  obs : Serve_obs.t;
+  record : Health.t;
   events : Alert.event list;
   refreshed : bool;
 }
 
 let step t =
   let e = Fleet.epoch t.fleet in
-  let total = t.total in
   let n =
     min
-      (t.cfg.workload.Workload.users - total.arrivals)
+      (t.cfg.workload.Workload.users - t.view.total.arrivals)
       (Workload.rate t.cfg.workload ~epoch_size:t.cfg.epoch_size e)
     |> max 0
   in
-  let ep = Fleet.step t.fleet ~arrivals:n in
-  let arrived = total.arrivals + n in
-  let cumulative = total.detections + ep.detections in
-  let obs =
-    { Serve_obs.epoch = e; arrivals = n; arrived;
-      detections = ep.detections; cumulative;
-      cdf = cdf ~detections:cumulative ~arrived;
-      store_contexts = ep.store_contexts;
-      (* [patched] counts convicted contexts in the store, which a resume
-         restores: the run's tally so far is the newly convicted ones. *)
-      patched = max 0 (ep.patched - total.patched);
-      degraded = ep.degraded;
-      worker_crashes = ep.worker_crashes;
-      faults = List.sort compare (List.filter (fun (_, d) -> d <> 0) ep.faults);
-      snapshots = ep.snapshots;
-      cycles = ep.cycles;
-      virtual_seconds = virtual_seconds_of (total.cycles + ep.cycles);
-      cycle_skew = ep.cycle_skew }
-  in
-  t.total <- Window.merge total (Window.of_obs obs);
-  let events = feed t.wins t.alerts obs in
+  let record = (Fleet.step t.fleet ~arrivals:n).record in
+  let events = feed t.view record in
   (match t.hist with
   | Some w ->
-    ignore (History.append w History.Health (Serve_obs.to_json obs));
+    ignore (History.append w History.Health (Health.to_json record));
     List.iter
       (fun ev -> ignore (History.append w History.Alert (Alert.event_to_json ev)))
       events
   | None -> ());
-  t.last_obs <- Some obs;
   (* Wall-paced: the status is republished at most once per
      [status_period], and at once if the clock stepped backwards. *)
   let now = Unix.gettimeofday () in
@@ -439,7 +397,7 @@ let step t =
   let completed = e + 1 in
   if t.cfg.checkpoint_every > 0 && completed mod t.cfg.checkpoint_every = 0
   then publish_checkpoint t;
-  { obs; events; refreshed }
+  { record; events; refreshed }
 
 let finish t =
   publish_status t ~now:(Unix.gettimeofday ());
@@ -448,16 +406,16 @@ let finish t =
   Fleet.finish t.fleet
 
 let epoch t = Fleet.epoch t.fleet
-let arrived t = t.total.arrivals
-let detections t = t.total.detections
-let last t = t.last_obs
-let windows t = t.wins
+let arrived t = t.view.total.arrivals
+let detections t = t.view.total.detections
+let last t = t.view.last
+let windows t = t.view.wins
 
 (* ---- rendering ---- *)
 
 let render_status ?(color = true) json =
   match Schema.conforms status_spec json with
-  | Error _ -> None
+  | Error _ as e -> e
   | Ok () ->
     let c code s = if color then Printf.sprintf "\x1b[%sm%s\x1b[0m" code s else s in
     let int = Schema.int json and flt = Schema.float json in
@@ -471,9 +429,9 @@ let render_status ?(color = true) json =
          "arrived %d  detections %d  cdf %.2f%%  store %s%s\n"
          (int "arrived") (int "detections")
          (100.0 *. flt "cdf")
-         (match Serve_obs.of_json (get "last") with
-          | Some o -> string_of_int o.Serve_obs.store_contexts
-          | None -> "-")
+         (match Health.of_json (get "last") with
+          | Ok r -> string_of_int r.store_contexts
+          | Error _ -> "-")
          (let p = int "patched" in
           if p > 0 then Printf.sprintf "  patched %d" p else ""));
     (match get "windows" with
@@ -483,12 +441,11 @@ let render_status ?(color = true) json =
            "window   epochs  arrivals  detect  degraded  crashes   skew     cdf\n");
       List.iter
         (fun (w, agg) ->
-          let a = Option.get (Window.agg_of_json agg) in
+          let a = Option.get (Health.agg_of_json agg) in
           Buffer.add_string b
             (Printf.sprintf "%6s  %7d  %8d  %6d  %8d  %7d  %5.2f  %5.2f%%\n" w
-               a.Window.epochs a.Window.arrivals a.Window.detections
-               a.Window.degraded a.Window.worker_crashes a.Window.skew_max
-               (100.0 *. a.Window.cdf_last)))
+               a.epochs a.arrivals a.detections a.degraded a.worker_crashes
+               a.skew_max (100.0 *. a.cdf_last)))
         wins
     | _ -> ());
     let list k f =
@@ -516,13 +473,13 @@ let render_status ?(color = true) json =
                 | None -> Printf.sprintf "%s %s" spec (c "32" "ok"))
               rules));
     Buffer.add_char b '\n';
-    Some (Buffer.contents b)
+    Ok (Buffer.contents b)
 
 (* ---- offline replay ---- *)
 
 type replay = {
   meta : Obs_json.t;
-  observations : Serve_obs.t list;
+  health : Health.t list;
   recorded : Obs_json.t list;
   recomputed : Obs_json.t list;
   mismatches : string list;
@@ -533,17 +490,17 @@ type replay = {
 let replay dir =
   let log = History.read dir in
   match log.meta with
-  | None -> Error (Printf.sprintf "%s: no meta record in history" dir)
+  | None ->
+    (* Say why: a history in another format holds no line of this one. *)
+    Error
+      (Printf.sprintf "%s: no meta record in history%s" dir
+         (match log.errors with e :: _ -> " (" ^ e ^ ")" | [] -> ""))
   | Some meta ->
     Result.map
       (fun m ->
-        let r = rebuild m log.observations in
-        { meta; observations = log.observations; recorded = log.alerts;
-          recomputed = r.events;
-          mismatches = alert_mismatches log.alerts r.events;
+        let v, events = rebuild m log.health in
+        { meta; health = log.health; recorded = log.alerts; recomputed = events;
+          mismatches = alert_mismatches log.alerts events;
           read_errors = log.errors;
-          status =
-            `Assoc
-              (status_core ~total:r.total ~last:r.last ~wins:r.wins
-                 ~alerts:r.alerts ~window_sizes:m.windows) })
+          status = `Assoc (status_core v ~window_sizes:m.windows) })
       (Result.map_error (Printf.sprintf "%s: %s" dir) (meta_of_json meta))

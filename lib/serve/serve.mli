@@ -4,11 +4,12 @@
     epoch under an open-ended {!Workload.rate} arrival process, and at
     every barrier
 
-    - projects the epoch's facts ({!type:Fleet.epoch}) and the run's
-      tallies into a deterministic {!Serve_obs.t},
-    - pushes it through the rolling {!Window.set},
+    - takes the epoch's record ({!Health.t}) from {!Fleet.step} and folds
+      it into the run's total and the rolling {!Window.set}
+      ({!Health.span}, {!Health.merge}),
     - evaluates the {!Alert} rules and logs fire/clear transitions,
-    - appends health and alert records to the durable {!History},
+    - appends the record and the alert transitions to the durable
+      {!History},
     - writes a checkpoint every [checkpoint_every] epochs, and
     - refreshes: republishes the status snapshot if at least
       {!status_period} of wall time has passed since the last refresh
@@ -40,8 +41,8 @@ type config = {
   faults : Fault_plan.t option;
   patch_threshold : int option;
       (** evidence hits at which a context counts as convicted — threaded
-          to {!Fleet.config} so the health stream's [patched] tally (and
-          this module's per-epoch deltas) track the executor's code-less
+          to {!Fleet.config} so the records' [patched] state (and the
+          fold's newly convicted contexts) track the executor's code-less
           patching policy *)
   rules : Alert.rule list;
   windows : int list;  (** dashboard window sizes; rule windows are added *)
@@ -99,7 +100,7 @@ val start : config -> execute:'a Fleet.executor -> ('a t, string) result
     can read. *)
 
 type outcome = {
-  obs : Serve_obs.t;           (** the epoch's deterministic record *)
+  record : Health.t;           (** the epoch's record, without [wall] *)
   events : Alert.event list;   (** alert transitions at this barrier *)
   refreshed : bool;
       (** this barrier refreshed: it republished the status file (when
@@ -119,28 +120,31 @@ val finish : 'a t -> 'a Fleet.report
 val epoch : 'a t -> int
 val arrived : 'a t -> int
 val detections : 'a t -> int
-val last : 'a t -> Serve_obs.t option
+val last : 'a t -> Health.t option
 val windows : 'a t -> Window.set
 
 val status_json : 'a t -> Obs_json.t
-(** The live status document (schema [csod.serve.status/1]):
-    deterministic run state, window aggregates, alert states, plus the
-    ["wall"] sub-object (domain count, wall seconds, unix time) — the
-    only nondeterministic member. *)
+(** The live status document (schema [csod.serve.status/2]): the run's
+    total (the fold of its records: epoch, arrived, detections, newly
+    convicted contexts, CDF over arrivals, virtual seconds), [last] — the
+    latest epoch record, as the history writes it — window aggregates,
+    alert states, plus the ["wall"] sub-object (domain count, wall
+    seconds, unix time) — the only nondeterministic member. *)
 
 val status_spec : unit Schema.t
-(** The status format: [cdf] in [\[0, 1\]], and the last observation
-    and every window aggregate decode. *)
+(** The status format: [cdf] in [\[0, 1\]], and the last record and
+    every window aggregate decode.  A [csod.serve.status/1] file is
+    refused by its tag. *)
 
 val checkpoint_spec : unit Schema.t
 (** The checkpoint format ([csod.serve.checkpoint/2]: [epoch], [store] as
     [\[site, off, hits\]] triples, [history] as [seq], [segment] and
     [lines]): the decoder {!start} resumes with, its value dropped. *)
 
-val render_status : ?color:bool -> Obs_json.t -> string option
-(** One-screen dashboard for a [csod.serve.status/1] document — used by
-    [serve --live], [top] on a status file, and [replay].  [None] if the
-    document is not a status snapshot. *)
+val render_status : ?color:bool -> Obs_json.t -> (string, string) result
+(** One-screen dashboard for a [csod.serve.status/2] document — used by
+    [serve --live], [top] on a status file, and [replay].  [Error] (the
+    decoder's) if the document is not a status snapshot. *)
 
 (** {2 Offline replay}
 
@@ -155,7 +159,7 @@ val render_status : ?color:bool -> Obs_json.t -> string option
 
 type replay = {
   meta : Obs_json.t;               (** the run's meta record *)
-  observations : Serve_obs.t list; (** health bodies, epoch order *)
+  health : Health.t list;          (** health bodies, epoch order *)
   recorded : Obs_json.t list;      (** alert bodies as written *)
   recomputed : Obs_json.t list;    (** alert bodies re-derived offline *)
   mismatches : string list;        (** recorded/recomputed differences *)
@@ -170,6 +174,8 @@ type replay = {
 }
 
 val replay : string -> (replay, string) result
-(** [Error] when the directory has no readable meta record, or its
-    [alerts] or [windows] member is missing or mistyped (the error names
-    it: no default rules or windows stand in). *)
+(** [Error] when the directory has no readable meta record (naming the
+    first read error: a history in another format, such as
+    [csod.serve.history/1], names its tag), or its [alerts] or [windows]
+    member is missing or mistyped (the error names it: no default rules
+    or windows stand in). *)

@@ -138,7 +138,7 @@ let test_replay_fails_on_doubled_history () =
         (find_sub err "corrupt: seq 0, expected 6");
       let code, _, _ =
         csod_run_in dir
-          [ "validate"; "--schema"; "csod.serve.history/1"; "h/serve-000000.jsonl" ]
+          [ "validate"; "--schema"; "csod.serve.history/2"; "h/serve-000000.jsonl" ]
       in
       Alcotest.(check int) "validate: exit code" 1 code)
 
@@ -156,6 +156,98 @@ let test_sim_replay_torn_record () =
       Alcotest.(check bool) "first record replays" true (find_sub out "record 1: ok");
       Alcotest.(check bool) "torn record fails" true
         (find_sub out "record 2: FAIL truncated final line"))
+
+(* [top] fails closed on a format it does not read: a health stream or a
+   status file re-tagged to another version is refused by name, exit 1,
+   where it used to be drawn as an empty stream.  A torn last line is not
+   JSON, so a stream caught mid-write still draws. *)
+let test_top_refuses_foreign_tag () =
+  in_fresh_dir @@ fun dir ->
+  let file name = Filename.concat dir name in
+  let code, _, _ =
+    csod_run_in dir
+      [ "fleet"; "zziplib"; "--users"; "64"; "--live=" ^ file "live.jsonl" ]
+  in
+  Alcotest.(check int) "fleet exit" 0 code;
+  let code, _, _ =
+    csod_run_in dir
+      [ "serve"; "zziplib"; "--users"; "64"; "--epochs"; "3"; "--status-file";
+        file "status.json" ]
+  in
+  Alcotest.(check int) "serve exit" 0 code;
+  let retag name ~from ~into =
+    Out_channel.with_open_text (file ("old-" ^ name)) (fun oc ->
+        output_string oc (Test_serve.replace_all (read_file (file name)) ~sub:from ~by:into))
+  in
+  retag "live.jsonl" ~from:Health.schema ~into:"csod.fleet.health/2";
+  retag "status.json" ~from:"csod.serve.status/2" ~into:"csod.serve.status/1";
+  List.iter
+    (fun (name, found, expected) ->
+      let code, out, err = csod_run_in dir [ "top"; "--no-color"; file name ] in
+      Alcotest.(check int) (name ^ ": exit") 1 code;
+      Alcotest.(check string) (name ^ ": nothing drawn") "" out;
+      let says = Printf.sprintf "schema %S, expected %S" found expected in
+      if not (find_sub err says) then
+        Alcotest.failf "%s: stderr %S does not say %s" name err says)
+    [ ("old-live.jsonl", "csod.fleet.health/2", Health.schema);
+      ("old-status.json", "csod.serve.status/1", "csod.serve.status/2") ];
+  let live = read_file (file "live.jsonl") in
+  Out_channel.with_open_text (file "torn.jsonl") (fun oc ->
+      output_string oc (String.sub live 0 (String.length live - 10)));
+  List.iter
+    (fun name ->
+      let code, out, _ = csod_run_in dir [ "top"; "--no-color"; file name ] in
+      Alcotest.(check int) (name ^ ": exit") 0 code;
+      Alcotest.(check bool) (name ^ ": drawn") true
+        (String.starts_with ~prefix:"CSOD FLEET" out
+        || String.starts_with ~prefix:"csod serve" out))
+    [ "live.jsonl"; "torn.jsonl"; "status.json" ]
+
+(* The fleet's live stream and the serve history write one epoch record:
+   for one app, seed, burst, fault plan and patch schedule, every [--live]
+   record minus its wall is the serve history's health body of that epoch,
+   at [--domains] 1 and 2 on either side. *)
+let test_fleet_and_serve_write_one_record () =
+  in_fresh_dir @@ fun dir ->
+  let common =
+    [ "zziplib"; "--users"; "300"; "--epoch"; "32"; "--burst"; "wave"; "--seed";
+      "5"; "--faults"; "seed=5,worker-crash=0.2,trap-drop=0.2"; "--respond";
+      "patch=2" ]
+  in
+  let fleet d =
+    let live = Filename.concat dir ("live" ^ d) in
+    let code, _, _ =
+      csod_run_in dir (("fleet" :: common) @ [ "--domains"; d; "--live=" ^ live ])
+    in
+    Alcotest.(check int) ("fleet exit, --domains " ^ d) 0 code;
+    List.map
+      (function
+        | Ok (r : Health.t) -> Obs_json.to_string (Health.to_json { r with wall = None })
+        | Error e -> Alcotest.failf "--live record: %s" e)
+      (Schema.read Health.spec (read_file live))
+  in
+  let serve d epochs =
+    let hist = Filename.concat dir ("hist" ^ d) in
+    let code, _, _ =
+      csod_run_in dir
+        (("serve" :: common)
+        @ [ "--domains"; d; "--epochs"; string_of_int epochs; "--history"; hist ])
+    in
+    Alcotest.(check int) ("serve exit, --domains " ^ d) 0 code;
+    let log = History.read hist in
+    Alcotest.(check (list string)) "a clean history" [] log.History.errors;
+    List.map (fun r -> Obs_json.to_string (Health.to_json r)) log.History.health
+  in
+  let records = fleet "1" in
+  let epochs = List.length records in
+  Alcotest.(check bool) "the fleet ran epochs" true (epochs > 1);
+  Alcotest.(check bool) "faults and convictions move" true
+    (List.exists (fun r -> not (find_sub r {|"faults":{}|})) records
+    && List.exists (fun r -> not (find_sub r {|"patched":0|})) records);
+  let same what got = Alcotest.(check (list string)) what records got in
+  same "serve --domains 2 = fleet --domains 1" (serve "2" epochs);
+  same "fleet --domains 2 = fleet --domains 1" (fleet "2");
+  same "serve --domains 1 = fleet --domains 1" (serve "1" epochs)
 
 let test_unknown_app () =
   List.iter
@@ -260,5 +352,9 @@ let suite =
         test_serve_refuses_used_history;
       Alcotest.test_case "replay fails on a doubled history" `Quick
         test_replay_fails_on_doubled_history;
+      Alcotest.test_case "top refuses a foreign schema tag" `Quick
+        test_top_refuses_foreign_tag;
+      Alcotest.test_case "fleet --live and serve history: one record" `Quick
+        test_fleet_and_serve_write_one_record;
       Alcotest.test_case "sim --replay fails a torn record" `Quick
         test_sim_replay_torn_record ]

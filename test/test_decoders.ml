@@ -15,7 +15,7 @@ let read_file f = In_channel.with_open_bin f In_channel.input_all
 let write_file f s = Out_channel.with_open_bin f (fun oc -> output_string oc s)
 
 let history_verdict text =
-  Schema.validate Schemas.all ~schema:"csod.serve.history/1" text
+  Schema.validate Schemas.all ~schema:"csod.serve.history/2" text
 
 (* A one-segment history of a short stall@3 run: meta, then a health
    record per epoch. *)
@@ -25,7 +25,7 @@ let small_history dir =
     (History.append w History.Meta
        (`Assoc [ ("alerts", `List [ `String "stall@3" ]); ("windows", `List [ `Int 2 ]) ]));
   for i = 0 to 4 do
-    ignore (History.append w History.Health (Serve_obs.to_json (Test_serve.obs i)))
+    ignore (History.append w History.Health (Health.to_json (Test_serve.record i)))
   done;
   History.close w;
   List.hd (History.segments dir)
@@ -63,7 +63,49 @@ let test_history_reader_parity () =
   (* The torn record is not replayed: the salvage is the records before it. *)
   write_file seg (String.sub intact 0 (String.length intact - 1));
   Alcotest.(check int) "torn last record dropped" 4
-    (List.length (History.read dir).History.observations)
+    (List.length (History.read dir).History.health)
+
+(* The crc covers a record's seq: one bit flipped in a seq is that line's
+   checksum error, not a record out of sequence.  Mid-log, the gap of one
+   it leaves keeps every later record; in a lone later segment, where the
+   stream starts at the first record's seq, the validator still refuses
+   it. *)
+let test_history_crc_covers_seq () =
+  in_temp_dir @@ fun dir ->
+  let w = History.writer dir in
+  ignore
+    (History.append w History.Meta
+       (`Assoc [ ("alerts", `List [ `String "stall@3" ]); ("windows", `List [ `Int 2 ]) ]));
+  for i = 0 to 9 do
+    ignore (History.append w History.Health (Health.to_json (Test_serve.record i)))
+  done;
+  History.close w;
+  let seg = List.hd (History.segments dir) in
+  let intact = read_file seg in
+  (* "seq":3 -> "seq":7 is one bit (0b011 -> 0b111). *)
+  let at = Test_serve.find_sub intact {|"seq":3,|} |> Option.get in
+  write_file seg (String.mapi (fun j c -> if j = at + 6 then '7' else c) intact);
+  let log = History.read dir in
+  Alcotest.(check int) "one read error" 1 (List.length log.History.errors);
+  Alcotest.(check bool) "a checksum error" true
+    (Test_serve.find_sub (List.hd log.History.errors) "checksum" <> None);
+  Alcotest.(check (list int)) "exactly the flipped record lost"
+    [ 0; 1; 3; 4; 5; 6; 7; 8; 9 ]
+    (List.map (fun (r : Health.t) -> r.Health.epoch) log.History.health);
+  in_temp_dir @@ fun dir ->
+  let w = History.writer ~rotate:1 dir in
+  for i = 0 to 5 do
+    ignore (History.append w History.Health (Health.to_json (Test_serve.record i)))
+  done;
+  History.close w;
+  let lone = read_file (List.nth (History.segments dir) 5) in
+  Alcotest.(check bool) "a lone later segment validates" true
+    (Result.is_ok (history_verdict lone));
+  (* "seq":5 -> "seq":4 is one bit (0b101 -> 0b100). *)
+  let at = Test_serve.find_sub lone {|"seq":5,|} |> Option.get in
+  Alcotest.(check bool) "its seq flipped does not" true
+    (Result.is_error
+       (history_verdict (String.mapi (fun j c -> if j = at + 6 then '4' else c) lone)))
 
 (* ---------- mutation ---------- *)
 
@@ -107,7 +149,6 @@ let rec subsequence sub full =
 
 let test_parity_corpus_mutated () =
   let g = Prng.fork (Prng.create ~seed:36) "schema_parity" in
-  let retag = Test_obs.retag in
   let repro = Sim.repro_spec Sim_registry.all in
   List.iter
     (fun l ->
@@ -115,17 +156,17 @@ let test_parity_corpus_mutated () =
       let str k =
         match Obs_json.member k j with Some (`String s) -> Some s | _ -> None
       in
-      let name = Option.get (str "case") and schema = Option.map retag (str "schema") in
+      let name = Option.get (str "case") and schema = str "schema" in
       List.iter
         (fun text ->
           total name (fun () -> Schema.validate Schemas.all ?schema text);
           total name (fun () -> Schema.read Health.spec text);
           total name (fun () -> Schema.read repro text))
-        (mutants g (retag (Option.get (str "stream"))) 3))
+        (mutants g (Option.get (str "stream")) 3))
     (In_channel.with_open_text "schema_parity.jsonl" In_channel.input_lines)
 
 let obs_strings (log : History.log) =
-  List.map (fun o -> Obs_json.to_string (Serve_obs.to_json o)) log.History.observations
+  List.map (fun r -> Obs_json.to_string (Health.to_json r)) log.History.health
 
 let test_history_mutated () =
   let g = Prng.fork (Prng.create ~seed:36) "history" in
@@ -219,6 +260,8 @@ let test_store_mutated () =
 let suite =
   [ Alcotest.test_case "history: validate and the readers agree" `Quick
       test_history_reader_parity;
+    Alcotest.test_case "history: the crc covers the seq" `Quick
+      test_history_crc_covers_seq;
     Alcotest.test_case "mutation: parity corpus through every decoder" `Quick
       test_parity_corpus_mutated;
     Alcotest.test_case "mutation: history salvage, bit flips refused" `Quick

@@ -447,7 +447,7 @@ let test_pool_crash_requeue_determinism () =
 
 (* The report's per-epoch rows: the health stream's deterministic part. *)
 let epoch_rows r =
-  List.map (fun s -> Obs_json.to_string (Epoch.to_json s)) r.Fleet.health
+  List.map Obs_json.to_string (Epoch.to_json r.Fleet.health)
 
 let fleet_fingerprint r =
   ( Fleet.detection_uids r,

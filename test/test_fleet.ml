@@ -99,9 +99,9 @@ let test_epoch_barrier () =
   | None -> Alcotest.fail "first catch expected");
   let rows = r.Fleet.health in
   Alcotest.(check (list int)) "per-epoch detections" [ 1; 5 ]
-    (List.map (fun (s : Health.sample) -> s.detections) rows);
+    (List.map (fun (s : Health.t) -> s.detections) rows);
   Alcotest.(check (list int)) "store grows at the first barrier" [ 1; 1 ]
-    (List.map (fun (s : Health.sample) -> s.store_contexts) rows);
+    (List.map (fun (s : Health.t) -> s.store_contexts) rows);
   (* Epoch size 1 is the sequential path: evidence is visible to the very
      next user. *)
   let r1 = Fleet.run (Fleet.config ~domains:1 ~epoch_size:1 w) ~execute:synthetic in
@@ -113,17 +113,17 @@ let test_report_invariants () =
   let r = Fleet.run (Fleet.config ~domains:2 ~epoch_size:20 w) ~execute:synthetic in
   Alcotest.(check int) "one seat per user" 213 (Array.length r.Fleet.seats);
   Alcotest.(check int) "epoch arrivals cover the population" 213
-    (List.fold_left (fun n (s : Health.sample) -> n + s.arrivals) 0 r.Fleet.health);
-  Alcotest.(check int) "detections equal the last cumulative"
+    (List.fold_left (fun n (s : Health.t) -> n + s.arrivals) 0 r.Fleet.health);
+  Alcotest.(check int) "detections equal the fold's"
     r.Fleet.detections
-    (List.fold_left (fun _ (s : Health.sample) -> s.cumulative) 0 r.Fleet.health);
-  Alcotest.(check bool) "cumulative is monotone" true
+    (List.fold_left Health.fold Health.empty r.Fleet.health).detections;
+  Alcotest.(check bool) "the fold's running detections are monotone" true
     (let rec mono = function
-       | (a : Health.sample) :: (b :: _ as rest) ->
-         a.cumulative <= b.cumulative && mono rest
+       | (a : Health.agg) :: (b :: _ as rest) ->
+         a.detections <= b.detections && mono rest
        | _ -> true
      in
-     mono r.Fleet.health);
+     mono (Health.totals r.Fleet.health));
   Array.iteri
     (fun i s -> Alcotest.(check int) "seats in uid order" (i + 1) s.Fleet.user.Workload.uid)
     r.Fleet.seats
@@ -132,7 +132,7 @@ let test_report_invariants () =
 
 (* The report's per-epoch rows: the health stream's deterministic part. *)
 let epoch_rows r =
-  List.map (fun s -> Obs_json.to_string (Epoch.to_json s)) r.Fleet.health
+  List.map Obs_json.to_string (Epoch.to_json r.Fleet.health)
 
 (* The acceptance bar: a 1000-user fleet of real CSOD executions yields
    identical detection sets, first-catch epochs, merged counters and
@@ -238,8 +238,8 @@ let test_single_user_fleet () =
   (match r1.Fleet.health with
   | [ row ] ->
     Alcotest.(check int) "arrivals" 1 row.Health.arrivals;
-    Alcotest.(check int) "cumulative = detections" r1.Fleet.detections
-      row.Health.cumulative
+    Alcotest.(check int) "the epoch's detections are the run's" r1.Fleet.detections
+      row.Health.detections
   | _ -> Alcotest.fail "expected exactly one epoch row");
   (* A pool wider than the population must change nothing. *)
   Alcotest.(check bool) "domain count irrelevant" true
@@ -316,12 +316,12 @@ let test_stepping_equals_run () =
     (Obs_json.to_string (Metrics.to_json r.Fleet.metrics))
     (Obs_json.to_string (Metrics.to_json r'.Fleet.metrics));
   Alcotest.(check (list int)) "same health stream (epoch detections)"
-    (List.map (fun (h : Health.sample) -> h.Health.detections) r.Fleet.health)
-    (List.map (fun (ep : _ Fleet.epoch) -> ep.detections) epochs);
+    (List.map (fun (h : Health.t) -> h.Health.detections) r.Fleet.health)
+    (List.map (fun (ep : _ Fleet.epoch) -> ep.record.detections) epochs);
   (* The epochs' cycles sum to the executor's total virtual work: the
      synthetic executor charges 1 cycle per user. *)
   Alcotest.(check int) "epoch cycles sum to the fleet's virtual work" 137
-    (List.fold_left (fun c (ep : _ Fleet.epoch) -> c + ep.cycles) 0 epochs);
+    (List.fold_left (fun c (ep : _ Fleet.epoch) -> c + ep.record.cycles) 0 epochs);
   (* The stepped state keeps tallies and the first catch, not seats. *)
   Alcotest.(check int) "finish: same detections" r.Fleet.detections
     r'.Fleet.detections;
@@ -505,27 +505,34 @@ let test_health_per_epoch () =
   Alcotest.(check bool) "callback saw the same stream" true
     (List.rev !streamed = r.Fleet.health);
   List.iteri
-    (fun i (s : Health.sample) ->
+    (fun i (s : Health.t) ->
       Alcotest.(check int) "epoch numbering" i s.Health.epoch;
-      Alcotest.(check int) "population echoed" 100 s.Health.users;
-      Alcotest.(check bool) "cdf consistent" true
-        (s.Health.cdf = float_of_int s.Health.cumulative /. 100.0);
-      Alcotest.(check bool) "executed covers arrivals" true
-        (List.fold_left (fun n d -> n + d.Health.executed) 0 s.Health.domains
-        = s.Health.arrivals))
+      match s.Health.wall with
+      | Some w ->
+        Alcotest.(check bool) "executed covers arrivals" true
+          (List.fold_left (fun n d -> n + d.Health.executed) 0 w.Health.domains
+          = s.Health.arrivals)
+      | None -> Alcotest.fail "a run's record carries its wall")
     r.Fleet.health;
-  (* Health rows follow the schedule, and cumulative is the running sum
-     of the per-epoch detections. *)
+  (* Health rows follow the schedule, and the fold's cumulative is the
+     running sum of the per-epoch detections, its CDF over arrivals. *)
   Alcotest.(check (list int)) "arrivals follow the schedule"
     (Array.to_list arrivals)
-    (List.map (fun s -> s.Health.arrivals) r.Fleet.health);
-  Alcotest.(check (list int)) "cumulative sums the epochs' detections"
+    (List.map (fun (s : Health.t) -> s.Health.arrivals) r.Fleet.health);
+  let totals = Health.totals r.Fleet.health in
+  Alcotest.(check (list int)) "the fold sums the epochs' detections"
     (List.rev
        (snd
           (List.fold_left
-             (fun (c, acc) s -> (c + s.Health.detections, (c + s.Health.detections) :: acc))
+             (fun (c, acc) (s : Health.t) ->
+               (c + s.Health.detections, (c + s.Health.detections) :: acc))
              (0, []) r.Fleet.health)))
-    (List.map (fun s -> s.Health.cumulative) r.Fleet.health);
+    (List.map (fun (a : Health.agg) -> a.detections) totals);
+  List.iter
+    (fun (a : Health.agg) ->
+      Alcotest.(check bool) "cdf over arrivals" true
+        (a.cdf_last = float_of_int a.detections /. float_of_int a.arrivals))
+    totals;
   (* Degraded-mode accounting comes from the executions themselves. *)
   let degraded_fleet ~user ~store =
     let e = telemetric ~user ~store in
@@ -535,10 +542,8 @@ let test_health_per_epoch () =
     Fleet.run (Fleet.config ~domains:2 ~epoch_size:16 w)
       ~execute:degraded_fleet
   in
-  (match List.rev r2.Fleet.health with
-  | last :: _ ->
-    Alcotest.(check int) "degraded tally is cumulative" 50 last.Health.degraded
-  | [] -> Alcotest.fail "expected health samples");
+  Alcotest.(check int) "degraded tally folds to the run's" 50
+    (List.fold_left Health.fold Health.empty r2.Fleet.health).degraded;
   (* No trace by default; spans appear only when asked for. *)
   Alcotest.(check bool) "no spans unless traced" true (r.Fleet.trace_spans = []);
   let r3 =
@@ -554,7 +559,7 @@ let test_health_per_epoch () =
     = 100)
 
 (* Each health record validates against its spec and decodes back to the
-   sample it was built from. *)
+   record it was built from. *)
 let test_health_matches_spec () =
   let r =
     Fleet.run
@@ -562,12 +567,12 @@ let test_health_matches_spec () =
       ~execute:telemetric
   in
   List.iter
-    (fun (s : Health.sample) ->
-      let j = Health.to_json s in
+    (fun (s : Health.t) ->
+      let j = Health.line s in
       (match Schema.conforms Health.spec j with
       | Ok () -> ()
       | Error e -> Alcotest.failf "epoch %d: %s" s.Health.epoch e);
-      Alcotest.(check bool) "decodes to the sample" true
+      Alcotest.(check bool) "decodes to the record" true
         (Schema.decode Health.spec j = Ok s))
     r.Fleet.health;
   match

@@ -1487,20 +1487,22 @@ let test_snapshot_seq_across_merge () =
 
 (* ---------- Health records ---------- *)
 
-let health_sample : Health.sample =
-  { Health.epoch = 3; arrivals = 32; detections = 4; cumulative = 19;
-    users = 1000; cdf = 0.019; store_contexts = 2; patched = 1; degraded = 1;
+let health_sample : Health.t =
+  { Health.epoch = 3; arrivals = 32; detections = 4; degraded = 1;
     worker_crashes = 2;
     faults = [ ("runtime.degraded", 1); ("trap.dropped", 5) ];
-    snapshots = 12; epoch_seconds = 0.125; merge_seconds = 0.003;
-    observer_seconds = 0.0005; execs_per_sec = 256.0;
-    straggler_skew = 1.75;
-    domains =
-      [ { Health.slot = 0; executed = 17; busy_seconds = 0.061 };
-        { Health.slot = 1; executed = 15; busy_seconds = 0.059 } ] }
+    snapshots = 12; cycles = 4_000_000; cycle_skew = 1.5; store_contexts = 2;
+    patched = 1;
+    wall =
+      Some
+        { epoch_seconds = 0.125; merge_seconds = 0.003;
+          observer_seconds = 0.0005; straggler_skew = 1.75;
+          domains =
+            [ { Health.slot = 0; executed = 17; busy_seconds = 0.061 };
+              { Health.slot = 1; executed = 15; busy_seconds = 0.059 } ] } }
 
 let test_health_roundtrip () =
-  let line = Obs_json.to_string (Health.to_json health_sample) in
+  let line = Obs_json.to_string (Health.line health_sample) in
   (match Obs_json.of_string line with
   | Ok j -> (
     Alcotest.(check bool) "schema tagged" true
@@ -1509,6 +1511,13 @@ let test_health_roundtrip () =
     | Ok s -> Alcotest.(check bool) "round-trips" true (s = health_sample)
     | Error e -> Alcotest.fail ("of_json rejected its own encoding: " ^ e))
   | Error msg -> Alcotest.fail ("health line does not parse: " ^ msg));
+  (* Without its wall, the record is a history body: the same table, the
+     same bytes less the wall member. *)
+  let body = { health_sample with wall = None } in
+  Alcotest.(check bool) "a body round-trips" true
+    (Health.of_json (Health.to_json body) = Ok body);
+  Alcotest.(check bool) "a body has no wall member" true
+    (Obs_json.member "wall" (Health.to_json body) = None);
   (* Foreign records are rejected, not mis-parsed. *)
   Alcotest.(check bool) "wrong schema rejected" true
     (Result.is_error
@@ -1528,6 +1537,12 @@ let test_health_skew_and_render () =
   Alcotest.(check bool) "renders a headline" true
     (String.length plain > 0
     && String.starts_with ~prefix:"CSOD FLEET" plain);
+  (* The headline is the fold: users arrived, and the CDF over them. *)
+  let second = { health_sample with epoch = 4; arrivals = 8; detections = 0 } in
+  Alcotest.(check bool) "headline: arrived and the CDF over arrivals" true
+    (String.starts_with
+       ~prefix:"CSOD FLEET  epoch 4   arrived 40   detections 4 (CDF 10.0%)"
+       (Health.render ~color:false [ health_sample; second ]));
   Alcotest.(check bool) "no escape codes without color" true
     (not (String.contains plain '\x1b'));
   Alcotest.(check bool) "colored output has escape codes" true
@@ -1582,28 +1597,31 @@ let test_health_zero_executed () =
   Alcotest.(check (float 1e-9)) "skew of all-idle workers" 1.0
     (Health.straggler_skew [ 0.0; 0.0; 0.0 ]);
   let idle =
-    { Health.epoch = 9; arrivals = 0; detections = 0; cumulative = 19;
-      users = 1000; cdf = 0.019; store_contexts = 2; patched = 1; degraded = 1;
-      worker_crashes = 2; faults = []; snapshots = 12;
-      epoch_seconds = 0.0001; merge_seconds = 0.0; observer_seconds = 0.0;
-      execs_per_sec = 0.0; straggler_skew = 1.0;
-      domains =
-        [ { Health.slot = 0; executed = 0; busy_seconds = 0.0 };
-          { Health.slot = 1; executed = 0; busy_seconds = 0.0 } ] }
+    { Health.epoch = 9; arrivals = 0; detections = 0; degraded = 0;
+      worker_crashes = 0; faults = []; snapshots = 0; cycles = 0;
+      cycle_skew = 1.0; store_contexts = 2; patched = 1;
+      wall =
+        Some
+          { epoch_seconds = 0.0001; merge_seconds = 0.0; observer_seconds = 0.0;
+            straggler_skew = 1.0;
+            domains =
+              [ { Health.slot = 0; executed = 0; busy_seconds = 0.0 };
+                { Health.slot = 1; executed = 0; busy_seconds = 0.0 } ] } }
   in
-  (match Obs_json.of_string (Obs_json.to_string (Health.to_json idle)) with
+  (match Obs_json.of_string (Obs_json.to_string (Health.line idle)) with
   | Ok j -> (
     match Schema.decode Health.spec j with
     | Ok s -> Alcotest.(check bool) "idle epoch round-trips" true (s = idle)
     | Error e -> Alcotest.fail ("of_json rejected an idle epoch: " ^ e))
   | Error msg -> Alcotest.fail ("idle epoch does not parse: " ^ msg));
-  let plain = Health.render ~color:false [ idle ] in
+  let plain = Health.render ~color:false [ health_sample; idle ] in
   Alcotest.(check bool) "idle epoch renders" true
     (String.starts_with ~prefix:"CSOD FLEET" plain);
-  (* An empty fleet (users = 0) must not divide by zero anywhere. *)
-  let empty = { idle with Health.users = 0; cumulative = 0; cdf = 0.0 } in
-  Alcotest.(check bool) "empty fleet renders" true
-    (String.length (Health.render ~color:false [ empty ]) > 0)
+  (* A stream where nobody has arrived must not divide by zero anywhere. *)
+  Alcotest.(check bool) "empty fleet renders a zero CDF" true
+    (String.starts_with
+       ~prefix:"CSOD FLEET  epoch 9   arrived 0   detections 0 (CDF  0.0%)"
+       (Health.render ~color:false [ idle ]))
 
 (* ---------- Fleet span export ---------- *)
 
@@ -1668,17 +1686,22 @@ let without_field k (j : Obs_json.t) : Obs_json.t =
   match j with `Assoc kvs -> `Assoc (List.remove_assoc k kvs) | j -> j
 
 (* [top] and [validate] judge a health record by the same decoder: it
-   refuses to invent a fault tally or a CDF outside [0, 1]. *)
+   refuses to invent a fault tally, an integer or a wall. *)
 let test_health_decoder_refuses () =
-  let j = Health.to_json health_sample in
+  let j = Health.line health_sample in
+  let wall = Option.get (Obs_json.member "wall" j) in
   List.iter
     (fun (what, bad) ->
       Alcotest.(check bool) what true (Result.is_error (Schema.decode Health.spec bad)))
     [ ("missing faults", without_field "faults" j);
       ("non-int fault count",
        with_field "faults" (`Assoc [ ("ebusy", `String "lots") ]) j);
-      ("cdf above 1", with_field "cdf" (`Float 1.5) j);
-      ("cdf below 0", with_field "cdf" (`Float (-0.1)) j) ]
+      ("float epoch", with_field "epoch" (`Float 3.0) j);
+      ("missing cycles", without_field "cycles" j);
+      ("wall not an object", with_field "wall" (`Int 1) j);
+      ("wall without domains", with_field "wall" (without_field "domains" wall) j);
+      ("malformed domain load",
+       with_field "wall" (with_field "domains" (`List [ `Assoc [ ("domain", `Int 0) ] ]) wall) j) ]
 
 let test_schema_kinds () =
   let spec =
@@ -1757,25 +1780,11 @@ let test_bench_rows_refused () =
    every stream it rejected must still be rejected, and one it accepted is
    rejected only where the case names the stricter rule ("stricter").  A
    "stricter" case the script rejected too names a reader that accepted
-   it before reading through the format's decoder.
-   Health cases were judged under csod.fleet.health/1, which /2 replaced
-   by dropping the [telemetry] field; they are replayed under the /2 tag. *)
-let retag s =
-  let old = "csod.fleet.health/1" in
-  let n = String.length old and b = Buffer.create (String.length s) in
-  let i = ref 0 in
-  while !i < String.length s do
-    if !i + n <= String.length s && String.sub s !i n = old then begin
-      Buffer.add_string b "csod.fleet.health/2";
-      i := !i + n
-    end
-    else begin
-      Buffer.add_char b s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
-
+   it before reading through the format's decoder.  A case in a retired
+   format (csod.fleet.health/1 and /2, csod.serve.history/1,
+   csod.serve.status/1) is judged under its own tag, which no spec reads
+   any more, so an accepted one names that rule.  Cases for the current
+   epoch formats carry the verdict the script's rule gives them. *)
 let test_schema_parity () =
   let cases =
     In_channel.with_open_text "schema_parity.jsonl" In_channel.input_lines
@@ -1792,9 +1801,7 @@ let test_schema_parity () =
         str "script" = Some "accept" && str "stricter" = None
       in
       let got =
-        Schema.validate Schemas.all
-          ?schema:(Option.map retag (str "schema"))
-          (retag (Option.get (str "stream")))
+        Schema.validate Schemas.all ?schema:(str "schema") (Option.get (str "stream"))
       in
       match (expect_ok, got) with
       | true, Ok _ | false, Error _ -> ()

@@ -220,14 +220,14 @@ let fleet_projection (r : Execution.outcome Fleet.report) =
     Printf.sprintf "%d:%d:%b:%d:%b:%s" s.Fleet.user.Workload.uid s.Fleet.epoch
       o.Execution.detected o.Execution.cycles o.Execution.survived resp
   in
-  let health (h : Health.sample) =
+  let health (h : Health.t) (total : Health.agg) =
     Printf.sprintf "%d:%d:%d:%d:%d:%d" h.Health.epoch h.Health.arrivals
-      h.Health.detections h.Health.cumulative h.Health.store_contexts
+      h.Health.detections total.detections h.Health.store_contexts
       h.Health.patched
   in
   String.concat "\n"
     (List.map seat (Array.to_list r.Fleet.seats)
-    @ List.map health r.Fleet.health
+    @ List.map2 health r.Fleet.health (Health.totals r.Fleet.health)
     @ [ String.concat ";"
           (List.map
              (fun k ->

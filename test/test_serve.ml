@@ -4,19 +4,14 @@
    across domain counts, offline replay equivalence, and checkpoint
    resume continuing the same deterministic stream. *)
 
-(* A deterministic pseudo-observation stream: every field is a pure
-   function of the index, with enough variety to exercise every merge
-   rule (max, last, per-name counter sums). *)
-let obs i : Serve_obs.t =
+(* A deterministic pseudo-record stream: every field is a pure function
+   of the index, with enough variety to exercise every merge rule (max,
+   last, per-name counter sums, patched states turned into convictions). *)
+let record i : Health.t =
   let fault_names = [ "trap.dropped"; "runtime.degraded"; "persist.corrupt_lines" ] in
-  { Serve_obs.epoch = i;
+  { Health.epoch = i;
     arrivals = 10 + (i mod 7);
-    arrived = (i + 1) * 12;
     detections = i mod 3;
-    cumulative = i * 2;
-    cdf = float_of_int (i mod 50) /. 50.0;
-    store_contexts = i / 4;
-    patched = (if i mod 11 = 0 then 1 else 0);
     degraded = i mod 2;
     worker_crashes = (if i mod 5 = 0 then 1 else 0);
     faults =
@@ -24,17 +19,26 @@ let obs i : Serve_obs.t =
       |> List.map (fun n -> (n, 1 + (i mod 4)));
     snapshots = i mod 6;
     cycles = 1000 + (i * 17);
-    virtual_seconds = float_of_int i *. 0.5;
-    cycle_skew = 1.0 +. (float_of_int (i mod 9) /. 3.0) }
+    cycle_skew = 1.0 +. (float_of_int (i mod 9) /. 3.0);
+    store_contexts = i / 4;
+    patched = 1 + (i / 11);
+    wall = None }
+
+(* Each record's one-epoch aggregate, read against the run's total before
+   it: what a service pushes into its windows. *)
+let spans records =
+  snd
+    (List.fold_left_map
+       (fun total r ->
+         let a = Health.span total r in
+         (Health.merge total a, a))
+       Health.empty records)
 
 (* The specification: a linear left fold over the covered epochs. *)
-let linear_fold os =
-  List.fold_left
-    (fun acc o -> Window.merge acc (Window.of_obs o))
-    Window.empty os
+let linear_fold spans = List.fold_left Health.merge Health.empty spans
 
 let agg = Alcotest.testable (fun ppf a ->
-    Fmt.string ppf (Obs_json.to_string (Window.agg_to_json a)))
+    Fmt.string ppf (Obs_json.to_string (Health.agg_to_json a)))
     ( = )
 
 (* Aggregates compared across a serialization boundary: floats print at
@@ -42,10 +46,10 @@ let agg = Alcotest.testable (fun ppf a ->
    bit-identical-files contract the service makes. *)
 let agg_doc =
   Alcotest.testable
-    (fun ppf a -> Fmt.string ppf (Obs_json.to_string (Window.agg_to_json a)))
+    (fun ppf a -> Fmt.string ppf (Obs_json.to_string (Health.agg_to_json a)))
     (fun a b ->
-      Obs_json.to_string (Window.agg_to_json a)
-      = Obs_json.to_string (Window.agg_to_json b))
+      Obs_json.to_string (Health.agg_to_json a)
+      = Obs_json.to_string (Health.agg_to_json b))
 
 let last_n n l =
   let len = List.length l in
@@ -54,47 +58,48 @@ let last_n n l =
 (* ---------- Window ---------- *)
 
 let test_window_ring_equals_fold () =
+  let all = spans (List.init 138 record) in
   List.iter
     (fun size ->
       let w = Window.create ~size in
-      let seen = ref [] in
-      for i = 0 to 137 do
-        let o = obs i in
-        seen := o :: !seen;
-        Window.push w o;
-        let covered = last_n size (List.rev !seen) in
-        Alcotest.check agg
-          (Printf.sprintf "size %d at push %d" size i)
-          (linear_fold covered) (Window.aggregate w)
-      done)
+      List.iteri
+        (fun i a ->
+          Window.push w a;
+          let covered = last_n size (List.filteri (fun j _ -> j <= i) all) in
+          Alcotest.check agg
+            (Printf.sprintf "size %d at push %d" size i)
+            (linear_fold covered) (Window.aggregate w))
+        all)
     [ 1; 2; 3; 7; 10; 64; 100 ]
 
 let test_window_merge_properties () =
-  let a = linear_fold (List.init 5 obs) in
-  Alcotest.check agg "empty is left identity" a (Window.merge Window.empty a);
-  Alcotest.check agg "empty is right identity" a (Window.merge a Window.empty);
+  let a = linear_fold (spans (List.init 5 record)) in
+  Alcotest.check agg "empty is left identity" a (Health.merge Health.empty a);
+  Alcotest.check agg "empty is right identity" a (Health.merge a Health.empty);
   (* Associativity over adjacent groupings: fold the same 12 epochs with
      every split point and compare. *)
-  let os = List.init 12 (fun i -> Window.of_obs (obs i)) in
-  let whole = List.fold_left Window.merge Window.empty os in
+  let os = spans (List.init 12 record) in
+  let whole = List.fold_left Health.merge Health.empty os in
+  Alcotest.check agg "the spans' merge is the run's fold" whole
+    (List.fold_left Health.fold Health.empty (List.init 12 record));
   for split = 0 to 12 do
     let left = List.filteri (fun i _ -> i < split) os in
     let right = List.filteri (fun i _ -> i >= split) os in
     Alcotest.check agg
       (Printf.sprintf "split at %d" split)
       whole
-      (Window.merge
-         (List.fold_left Window.merge Window.empty left)
-         (List.fold_left Window.merge Window.empty right))
+      (Health.merge
+         (List.fold_left Health.merge Health.empty left)
+         (List.fold_left Health.merge Health.empty right))
   done
 
 let test_window_agg_json_roundtrip () =
-  let a = linear_fold (List.init 23 obs) in
-  (match Window.agg_of_json (Window.agg_to_json a) with
+  let a = linear_fold (spans (List.init 23 record)) in
+  (match Health.agg_of_json (Health.agg_to_json a) with
   | Some b -> Alcotest.check agg "agg round-trips" a b
   | None -> Alcotest.fail "agg_of_json failed");
   Alcotest.(check (option reject)) "garbage rejected" None
-    (Option.map ignore (Window.agg_of_json (`Assoc [ ("epochs", `String "x") ])))
+    (Option.map ignore (Health.agg_of_json (`Assoc [ ("epochs", `String "x") ])))
 
 (* ---------- Alert ---------- *)
 
@@ -129,24 +134,24 @@ let test_alert_parse () =
     [ "stall@50"; "degraded>0.25@10"; "skew>3@7"; "faults>0.5@20";
       "cdf<0.9@30" ]
 
-(* Feed an engine a hand-built observation stream and collect the
+(* Feed an engine a hand-built record stream and collect the
    transitions. *)
 let drive rules stream =
   let wins =
     Window.set (List.map (fun (r : Alert.rule) -> r.Alert.window) rules)
   in
   let eng = Alert.engine rules in
-  List.concat_map
-    (fun (o : Serve_obs.t) ->
-      Window.push_set wins o;
-      Alert.observe eng wins ~epoch:o.Serve_obs.epoch)
-    stream
+  List.concat
+    (List.map2
+       (fun (r : Health.t) a ->
+         Window.push_set wins a;
+         Alert.observe eng wins ~epoch:r.Health.epoch)
+       stream (spans stream))
 
-let flat i detections : Serve_obs.t =
-  { Serve_obs.epoch = i; arrivals = 10; arrived = (i + 1) * 10; detections;
-    cumulative = 0; cdf = 0.0; store_contexts = 0; patched = 0; degraded = 0;
+let flat i detections : Health.t =
+  { Health.epoch = i; arrivals = 10; detections; degraded = 0;
     worker_crashes = 0; faults = []; snapshots = 0; cycles = 100;
-    virtual_seconds = 0.0; cycle_skew = 1.0 }
+    cycle_skew = 1.0; store_contexts = 0; patched = 0; wall = None }
 
 let test_alert_fire_clear () =
   let rules = Result.get_ok (Alert.parse "stall@3") in
@@ -163,7 +168,7 @@ let test_alert_fire_clear () =
   (match events with
   | first :: _ ->
     Alcotest.(check int) "event window covers 3 epochs" 3
-      first.Alert.window.Window.epochs;
+      first.Alert.window.Health.epochs;
     Alcotest.(check int) "since = fire epoch" 4 first.Alert.since
   | [] -> Alcotest.fail "no events");
   (* A rule never fires while its window is filling, even on a stream that
@@ -197,10 +202,17 @@ let replace_once s ~sub ~by =
     ^ String.sub s (i + String.length sub)
         (String.length s - i - String.length sub)
 
+let rec replace_all s ~sub ~by =
+  match find_sub s sub with
+  | None -> s
+  | Some i ->
+    let j = i + String.length sub in
+    String.sub s 0 i ^ by ^ replace_all (String.sub s j (String.length s - j)) ~sub ~by
+
 let test_history_roundtrip_and_corruption () =
   let dir = temp_dir "csod_hist" in
   let w = History.writer ~rotate:3 dir in
-  let bodies = List.init 8 (fun i -> Serve_obs.to_json (obs i)) in
+  let bodies = List.init 8 (fun i -> Health.to_json (record i)) in
   List.iteri
     (fun i b ->
       let kind = if i = 0 then History.Meta else History.Health in
@@ -212,7 +224,7 @@ let test_history_roundtrip_and_corruption () =
   let log = History.read dir in
   let records =
     Option.to_list log.History.meta
-    @ List.map Serve_obs.to_json log.History.observations
+    @ List.map Health.to_json log.History.health
   in
   Alcotest.(check int) "all records back" 8 (List.length records);
   Alcotest.(check (list string)) "no errors" [] log.History.errors;
@@ -233,7 +245,7 @@ let test_history_roundtrip_and_corruption () =
   let log' = History.read dir in
   let errors' = log'.History.errors in
   Alcotest.(check int) "corrupt line skipped" 7
-    (1 + List.length log'.History.observations);
+    (1 + List.length log'.History.health);
   Alcotest.(check int) "one error reported" 1 (List.length errors');
   Alcotest.(check bool) "error names the checksum" true
     (find_sub (List.hd errors') "checksum" <> None)
@@ -242,26 +254,26 @@ let test_history_resume_position () =
   let dir = temp_dir "csod_hist" in
   let w = History.writer ~rotate:4 dir in
   for i = 0 to 5 do
-    ignore (History.append w History.Health (Serve_obs.to_json (obs i)))
+    ignore (History.append w History.Health (Health.to_json (record i)))
   done;
   let seq = History.seq w
   and segment = History.segment w
   and lines = History.lines_in_segment w in
   (* A crashed session appends two more lines after the checkpoint... *)
-  ignore (History.append w History.Health (Serve_obs.to_json (obs 6)));
-  ignore (History.append w History.Health (Serve_obs.to_json (obs 7)));
+  ignore (History.append w History.Health (Health.to_json (record 6)));
+  ignore (History.append w History.Health (Health.to_json (record 7)));
   History.close w;
   (* ...and the resume truncates back and rewrites them identically. *)
   History.truncate dir ~segment ~lines;
   let w' = History.writer ~rotate:4 ~seq ~segment ~lines dir in
   for i = 6 to 7 do
-    ignore (History.append w' History.Health (Serve_obs.to_json (obs i)))
+    ignore (History.append w' History.Health (Health.to_json (record i)))
   done;
   History.close w';
   let log = History.read dir in
   Alcotest.(check (list string)) "no errors after resume" [] log.History.errors;
   Alcotest.(check (list int)) "contiguous seqs" [ 0; 1; 2; 3; 4; 5; 6; 7 ]
-    (List.map (fun (o : Serve_obs.t) -> o.Serve_obs.epoch) log.History.observations)
+    (List.map (fun (r : Health.t) -> r.Health.epoch) log.History.health)
 
 (* The kept prefix is rewritten whole through a tmp file and a rename:
    byte-identical to the segment's first lines, later segments gone, no
@@ -270,7 +282,7 @@ let test_history_truncate_atomic () =
   let dir = temp_dir "csod_hist" in
   let w = History.writer ~rotate:6 dir in
   for i = 0 to 8 do
-    ignore (History.append w History.Health (Serve_obs.to_json (obs i)))
+    ignore (History.append w History.Health (Health.to_json (record i)))
   done;
   History.close w;
   let seg0 = List.hd (History.segments dir) in
@@ -384,7 +396,7 @@ let test_serve_windows_match_history_fold () =
   let t, _, _ = run_serve (serve_cfg ~dir ()) ~epochs:40 in
   let log = History.read dir in
   Alcotest.(check (list string)) "clean history" [] log.History.errors;
-  let os = log.History.observations in
+  let os = log.History.health in
   Alcotest.(check int) "one health record per epoch" 40 (List.length os);
   (* The live rolling windows equal a from-scratch fold over the durable
      history — the dashboard's numbers are exactly reconstructible. *)
@@ -392,7 +404,7 @@ let test_serve_windows_match_history_fold () =
     (fun w ->
       Alcotest.(check (option agg_doc))
         (Printf.sprintf "window %d = fold of last %d history records" w w)
-        (Some (linear_fold (last_n w os)))
+        (Some (linear_fold (last_n w (spans os))))
         (Window.get (Serve.windows t) w))
     [ 1; 4; 16 ]
 
@@ -405,7 +417,7 @@ let test_serve_replay_equivalence () =
     Alcotest.(check (list string)) "no corrupt lines" [] r.Serve.read_errors;
     Alcotest.(check (list string)) "no mismatches" [] r.Serve.mismatches;
     Alcotest.(check int) "all health records replayed" 40
-      (List.length r.Serve.observations);
+      (List.length r.Serve.health);
     Alcotest.(check (list string))
       "recomputed alerts equal the live transitions"
       (List.map (fun e -> Obs_json.to_string (Alert.event_to_json e)) events)
@@ -467,13 +479,13 @@ let test_serve_resume_carries_tallies () =
     ignore (Serve.finish t);
     t
   in
-  (* The run's tallies so far, summed over the history's observations. *)
+  (* The run's tallies so far, folded over the history's records. *)
   let tallies dir =
     match Serve.replay dir with
     | Error m -> Alcotest.fail m
     | Ok r ->
-      let a = linear_fold r.Serve.observations in
-      (a.Window.worker_crashes, a.Window.patched, a.Window.faults)
+      let a = List.fold_left Health.fold Health.empty r.Serve.health in
+      (a.worker_crashes, a.patched, a.faults)
   in
   let ref_dir = temp_dir "csod_serve" in
   let ref_ckpt = Filename.concat ref_dir "ckpt.json" in
@@ -550,7 +562,7 @@ let test_serve_replay_meta_strict () =
     let w = History.writer dir in
     ignore (History.append w History.Meta meta);
     for i = 0 to 3 do
-      ignore (History.append w History.Health (Serve_obs.to_json (obs i)))
+      ignore (History.append w History.Health (Health.to_json (record i)))
     done;
     List.iter (fun body -> ignore (History.append w History.Health body)) extra;
     History.close w;
@@ -578,7 +590,7 @@ let test_serve_replay_meta_strict () =
     Alcotest.(check string) "the meta record" (Obs_json.to_string meta)
       (Obs_json.to_string r.Serve.meta);
     Alcotest.(check int) "decoded health records" 4
-      (List.length r.Serve.observations);
+      (List.length r.Serve.health);
     Alcotest.(check (list string)) "the undecodable one is a read error"
       [ "seq 5: malformed health body" ] r.Serve.read_errors
 
@@ -617,11 +629,11 @@ let test_serve_log_sequence () =
     let w = History.writer dir in
     ignore (History.append w History.Meta meta);
     for i = 0 to 4 do
-      ignore (History.append w History.Health (Serve_obs.to_json (obs i)))
+      ignore (History.append w History.Health (Health.to_json (record i)))
     done;
     History.close w
   done;
-  (match Schema.validate Schemas.all ~schema:"csod.serve.history/1"
+  (match Schema.validate Schemas.all ~schema:"csod.serve.history/2"
            (read_file (List.hd (History.segments dir))) with
    | Ok _ -> Alcotest.fail "the validator accepted the doubled history"
    | Error e ->
@@ -630,15 +642,15 @@ let test_serve_log_sequence () =
   | Error m -> Alcotest.fail m
   | Ok r ->
     Alcotest.(check int) "only the first run replays" 5
-      (List.length r.Serve.observations);
+      (List.length r.Serve.health);
     Alcotest.(check (list string)) "every later record is a read error"
       (List.init 6 (fun i -> Printf.sprintf "seq %d, expected 6" i))
       r.Serve.read_errors
 
-(* The service and the fleet count the same epochs: a file-less service's
-   per-epoch records equal Fleet.run's health samples and seats, and
-   their running sums equal the samples' cumulatives — also when the
-   service is checkpointed at epoch 7 and resumed. *)
+(* The service and the fleet write the same epoch record: a file-less
+   service's records equal Fleet.run's minus their wall, field for field,
+   and the epochs' counts are their seats' — also when the service is
+   checkpointed at epoch 7 and resumed. *)
 let test_serve_counts_fleet_epochs () =
   let app = Option.get (Buggy_app.by_name "zziplib") in
   let plan =
@@ -662,42 +674,40 @@ let test_serve_counts_fleet_epochs () =
   in
   let steps cfg ~until =
     let t = Result.get_ok (Serve.start cfg ~execute) in
-    let os = List.init (until - Serve.epoch t) (fun _ -> (Serve.step t).Serve.obs) in
+    let os = List.init (until - Serve.epoch t) (fun _ -> (Serve.step t).Serve.record) in
     ignore (Serve.finish t);
     os
   in
-  let cycles e =
+  let seats e f =
     Array.fold_left
-      (fun c (s : _ Fleet.seat) -> if s.epoch = e then c + s.exec.cycles else c)
+      (fun c (s : _ Fleet.seat) -> if s.epoch = e then c + f s.exec else c)
       0 r.Fleet.seats
   in
   let check label os =
     Alcotest.(check int) (label ^ ": one record per epoch") epochs
       (List.length os);
-    ignore
-      (List.fold_left2
-         (fun sum (o : Serve_obs.t) (s : Health.sample) ->
-           let at = Printf.sprintf "%s, epoch %d" label s.epoch in
-           let (a : Window.agg) = Window.merge sum (Window.of_obs o) in
-           Alcotest.(check (list int)) (at ^ ": the epoch's counts")
-             [ s.arrivals; s.detections; s.store_contexts; cycles s.epoch ]
-             [ o.arrivals; o.detections; o.store_contexts; o.cycles ];
-           Alcotest.(check (list int)) (at ^ ": running sums = cumulatives")
-             [ s.cumulative; s.degraded; s.worker_crashes; s.snapshots;
-               s.patched ]
-             [ a.detections; a.degraded; a.worker_crashes; a.snapshots;
-               a.patched ];
-           Alcotest.(check (list (pair string int))) (at ^ ": fault sums")
-             (List.sort compare (List.filter (fun (_, v) -> v <> 0) s.faults))
-             a.faults;
-           a)
-         Window.empty os r.Fleet.health)
+    List.iter2
+      (fun (o : Health.t) (s : Health.t) ->
+        let at = Printf.sprintf "%s, epoch %d" label s.epoch in
+        Alcotest.(check string) (at ^ ": the fleet's record minus wall")
+          (Obs_json.to_string (Health.to_json { s with wall = None }))
+          (Obs_json.to_string (Health.to_json o));
+        Alcotest.(check (list int)) (at ^ ": the epoch's seats")
+          [ seats s.epoch (fun _ -> 1);
+            seats s.epoch (fun x -> Bool.to_int x.detected);
+            seats s.epoch (fun x -> x.cycles) ]
+          [ o.arrivals; o.detections; o.cycles ])
+      os r.Fleet.health;
+    Alcotest.(check int) (label ^ ": the fold's detections are the report's")
+      r.Fleet.detections
+      (List.fold_left Health.fold Health.empty os).detections
   in
   let whole = steps (serve ()) ~until:epochs in
   check "file-less" whole;
-  let last = List.nth whole (epochs - 1) and (s : Health.sample) = List.nth r.Fleet.health (epochs - 1) in
+  let total = List.fold_left Health.fold Health.empty whole in
   Alcotest.(check bool) "the tallies move" true
-    (s.worker_crashes > 0 && s.patched > 0 && s.faults <> [] && last.arrived = 300);
+    (total.worker_crashes > 0 && total.patched > 0 && total.faults <> []
+    && total.arrivals = 300);
   let dir = temp_dir "csod_serve" in
   let cfg = serve ~history_dir:dir ~checkpoint_path:(Filename.concat dir "ckpt.json") () in
   let first = steps cfg ~until:7 in
@@ -707,25 +717,49 @@ let test_serve_counts_fleet_epochs () =
    carrying one does not validate. *)
 let test_serve_obs_requires_patched () =
   let without =
-    match Serve_obs.to_json (obs 3) with
+    match Health.to_json (record 3) with
     | `Assoc kvs -> `Assoc (List.remove_assoc "patched" kvs)
     | j -> j
   in
   Alcotest.(check bool) "the record decodes with patched" true
-    (Serve_obs.of_json (Serve_obs.to_json (obs 3)) = Some (obs 3));
-  Alcotest.(check bool) "not without" true (Serve_obs.of_json without = None);
+    (Health.of_json (Health.to_json (record 3)) = Ok (record 3));
+  Alcotest.(check bool) "not without" true (Result.is_error (Health.of_json without));
   let dir = temp_dir "csod_hist" in
   let w = History.writer dir in
   ignore (History.append w History.Health without);
   History.close w;
   match
-    Schema.validate Schemas.all ~schema:"csod.serve.history/1"
+    Schema.validate Schemas.all ~schema:"csod.serve.history/2"
       (read_file (List.hd (History.segments dir)))
   with
   | Ok _ -> Alcotest.fail "a health line without patched validated"
   | Error e ->
     if find_sub e "malformed health body" = None then
       Alcotest.failf "validator: %s" e
+
+(* A history written under the /1 tag is refused, by name, by [replay]
+   and by a resume: its records are read, never reinterpreted. *)
+let test_serve_refuses_history_1 () =
+  let dir = temp_dir "csod_serve" in
+  let ckpt = Filename.concat dir "ckpt.json" in
+  ignore (run_serve (serve_cfg ~dir ~checkpoint_path:ckpt ()) ~epochs:6);
+  List.iter
+    (fun seg ->
+      let retagged =
+        replace_all (read_file seg) ~sub:"csod.serve.history/2" ~by:"csod.serve.history/1"
+      in
+      Out_channel.with_open_bin seg (fun oc -> output_string oc retagged))
+    (History.segments dir);
+  let names what = function
+    | Ok _ -> Alcotest.failf "%s: accepted a /1 history" what
+    | Error m ->
+      if find_sub m "csod.serve.history/1" = None then
+        Alcotest.failf "%s: error %S does not name csod.serve.history/1" what m
+  in
+  names "replay" (Result.map ignore (Serve.replay dir));
+  names "resume"
+    (Result.map ignore
+       (Serve.start (serve_cfg ~dir ~checkpoint_path:ckpt ()) ~execute:serve_exec))
 
 let test_serve_population_drain () =
   (* A tiny population drains quickly; the service keeps stepping an idle
@@ -740,11 +774,11 @@ let test_serve_population_drain () =
   let t, events, _ = run_serve cfg ~epochs:12 in
   Alcotest.(check int) "population fully admitted" 30 (Serve.arrived t);
   (match Serve.last t with
-  | Some o ->
-    Alcotest.(check int) "idle epochs admit nobody" 0 o.Serve_obs.arrivals;
+  | Some r ->
+    Alcotest.(check int) "idle epochs admit nobody" 0 r.Health.arrivals;
     Alcotest.(check bool) "virtual clock still advances monotonically" true
-      (o.Serve_obs.virtual_seconds >= 0.0)
-  | None -> Alcotest.fail "no observation");
+      (Schema.float (Serve.status_json t) "virtual_seconds" >= 0.0)
+  | None -> Alcotest.fail "no record");
   Alcotest.(check bool) "stall fired once the fleet went quiet" true
     (List.exists (fun (e : Alert.event) -> e.Alert.firing) events)
 
@@ -957,6 +991,8 @@ let suite =
       test_serve_counts_fleet_epochs;
     Alcotest.test_case "serve obs: patched is required" `Quick
       test_serve_obs_requires_patched;
+    Alcotest.test_case "serve: a /1 history is refused by name" `Quick
+      test_serve_refuses_history_1;
     Alcotest.test_case "serve: population drain and idle epochs" `Quick
       test_serve_population_drain;
     Alcotest.test_case "serve: outputs match their specs" `Quick
