@@ -48,10 +48,11 @@ type 'r field = {
 
 let field ?(optional = false) name kind get set = { name; kind; optional; get; set }
 
+(* Every int of the record is a count or an index: never below zero. *)
 let int ?optional name get set =
   field ?optional name Schema.Int
     (fun r -> Some (`Int (get r)))
-    (fun r -> function `Int n -> Some (set r n) | _ -> None)
+    (fun r -> function `Int n when n >= 0 -> Some (set r n) | _ -> None)
 
 let float name get set =
   field name Schema.Float
@@ -137,10 +138,14 @@ let zero =
 
 let to_json r = encode table r
 
+(* A count below zero, or more detections than arrivals, would put the
+   CDF the fold derives outside [0, 1]. *)
 let of_json json =
   Result.bind (Schema.has_fields (required table) json) (fun () ->
-      Option.to_result ~none:"a fault count is not an int, or the wall is malformed"
-        (decode table zero json))
+      match decode table zero json with
+      | None -> Error "a count is negative, a fault count is not an int, or the wall is malformed"
+      | Some r when r.detections > r.arrivals -> Error "more detections than arrivals"
+      | Some r -> Ok r)
 
 let line r : Obs_json.t = `Assoc (("schema", `String schema) :: members table r)
 

@@ -75,8 +75,10 @@ val to_json : t -> Obs_json.t
 
 val of_json : Obs_json.t -> (t, string) result
 (** {!to_json}'s inverse through the same table: [Error] on a missing or
-    mistyped field (an int field must be an integer token), a fault count
-    that is not an int or a malformed [wall]. *)
+    mistyped field (an int field must be an integer token), a negative
+    int, a fault count that is not an int, a malformed [wall], or more
+    detections than arrivals (either would put the fold's CDF outside
+    \[0, 1\]). *)
 
 val line : t -> Obs_json.t
 (** A [--live] line: {!to_json} tagged with {!schema}. *)

@@ -1697,6 +1697,9 @@ let test_health_decoder_refuses () =
       ("non-int fault count",
        with_field "faults" (`Assoc [ ("ebusy", `String "lots") ]) j);
       ("float epoch", with_field "epoch" (`Float 3.0) j);
+      ("negative count", with_field "degraded" (`Int (-1)) j);
+      ("more detections than arrivals",
+       with_field "detections" (`Int (health_sample.Health.arrivals + 1)) j);
       ("missing cycles", without_field "cycles" j);
       ("wall not an object", with_field "wall" (`Int 1) j);
       ("wall without domains", with_field "wall" (without_field "domains" wall) j);
@@ -1780,11 +1783,16 @@ let test_bench_rows_refused () =
    every stream it rejected must still be rejected, and one it accepted is
    rejected only where the case names the stricter rule ("stricter").  A
    "stricter" case the script rejected too names a reader that accepted
-   it before reading through the format's decoder.  A case in a retired
-   format (csod.fleet.health/1 and /2, csod.serve.history/1,
+   it before reading through the format's decoder.  The health and
+   history cases are written in the current formats (csod.fleet.health/3,
+   csod.serve.history/2 with its seq+kind+body crc), each keeping the
+   defect and the verdict it had in the format the script read, so every
+   rule is judged by the decoder the readers use; a cdf out of [0, 1],
+   which the epoch record no longer carries, is a count below zero or more
+   detections than arrivals.  A case in a retired format
+   (csod.fleet.health/1 and /2, csod.serve.history/1,
    csod.serve.status/1) is judged under its own tag, which no spec reads
-   any more, so an accepted one names that rule.  Cases for the current
-   epoch formats carry the verdict the script's rule gives them. *)
+   any more, so an accepted one names that rule. *)
 let test_schema_parity () =
   let cases =
     In_channel.with_open_text "schema_parity.jsonl" In_channel.input_lines
