@@ -69,12 +69,13 @@ let run ~(profile : Perf_profile.t) ~config ?(seed = 11) () =
         c
       end
       else if Prng.int rng 10 < 9 then hot_base + Prng.int rng hot
-      else cold_base + Prng.int rng (max 1 cold)
+      else cold_base + Prng.int rng (Int.max 1 cold)
     in
     Alloc_ctx.point ctx ~callsite ~stack_offset:(callsite land 0xff);
     (* a handful of distinct size classes per program, as real
-       allocators observe; spread around the profile mean *)
-    let size = max 1 ((avg / 2) + (max 1 (avg / 4) * Prng.int rng 5)) in
+       allocators observe; spread around the profile mean.  [Int.max],
+       not the polymorphic [max], which calls into C's compare *)
+    let size = Int.max 1 ((avg / 2) + (Int.max 1 (avg / 4) * Prng.int rng 5)) in
     let slot = i mod Array.length live in
     if live.(slot) <> 0 then tool.Tool.free ~ptr:live.(slot);
     live.(slot) <- tool.Tool.malloc ~size ~ctx

@@ -4,7 +4,26 @@
    jump target is a precomputed instruction index, and every instruction
    that can touch the machine carries the code address / source location
    the interpreter would have used — the VM replays the interpreter's
-   set_pc / work / error sequence bit-identically. *)
+   set_pc / work / error sequence bit-identically.
+
+   A peephole fuses adjacent instructions as they are emitted.  A pure
+   binary operator absorbs the Push/Load instructions of its operands
+   ([Bin_si] and friends, see [emit_fused]); then [emit] makes
+   superinstructions of the hot pairs: a statement head followed by a
+   [Load] or a [Bin_si] ([Stmt_load], [Stmt_bin_si]), a [Bin_si] followed
+   by [Jz] ([Jz_si], and [Stmt_jz_si] when the statement head is also
+   absorbed) and a [Load] followed by a [Call] ([Call_l]).  Three rules
+   keep fusion invisible:
+   - the barrier: no rewrite consumes an instruction emitted before the
+     most recently minted label, so every jump target stays the first
+     instruction of the sequence it was minted for;
+   - order: a fused instruction runs its parts in the original order, so
+     a fused statement head counts the step, checks the step limit, sets
+     the pc and charges [statement_cost] before its pure operation;
+   - return chains are not an instruction: a [Ret] whose resume point is
+     another [Ret] (a [return f(...)]) pops both frames in the VM without
+     a dispatch in between, and each frame is still pushed at its call,
+     so allocation contexts see every live call site. *)
 
 type site = { addr : int; loc : Srcloc.t }
 
@@ -60,6 +79,13 @@ type instr =
   | Bin_ss of binop_tag * int * int  (* locals[s1] op locals[s2] -> push *)
   | Bin_ti of binop_tag * int        (* top op imm, in place *)
   | Bin_ts of binop_tag * int        (* top op locals[s], in place *)
+  (* superinstructions (peephole): a statement head or a Load fused with
+     what follows it *)
+  | Jz_si of binop_tag * int * int * int  (* Bin_si then Jz target *)
+  | Stmt_load of int * Srcloc.t * int     (* Stmt then Load *)
+  | Stmt_bin_si of int * Srcloc.t * binop_tag * int * int
+  | Stmt_jz_si of int * Srcloc.t * binop_tag * int * int * int
+  | Call_l of int * func_info * int       (* Load slot then Call *)
   (* memory *)
   | Index of site           (* pop idx, base; push word at base + 8*idx *)
   | Store_idx of site       (* pop v, idx, base; store word *)
@@ -106,6 +132,9 @@ let stack_effect = function
   | Neg | Not | Bool -> 0
   | Bin_si _ | Bin_is _ | Bin_ss _ -> 1
   | Bin_ti _ | Bin_ts _ -> 0
+  | Stmt_load _ | Stmt_bin_si _ -> 1
+  | Jz_si _ | Stmt_jz_si _ -> 0
+  | Call_l (_, f, _) -> 2 - f.fi_nargs
   | Index _ -> -1
   | Store_idx _ -> -3
   | Malloc _ | Free _ | Input _ | Rand _ | Sleep_ms _ | Work _ -> 0
@@ -119,7 +148,7 @@ let stack_effect = function
   | Call (f, _) | Spawn (f, _) -> 1 - f.fi_nargs
   | Stmt _ | Jmp _ | Ret -> 0
 
-let emit b i =
+let append b i =
   if b.len = Array.length b.arr then begin
     let arr = Array.make (2 * Array.length b.arr) Pop in
     Array.blit b.arr 0 arr 0 b.len;
@@ -129,6 +158,36 @@ let emit b i =
   b.len <- b.len + 1;
   b.depth <- b.depth + stack_effect i;
   if b.depth > b.max_depth then b.max_depth <- b.depth
+
+let drop b n =
+  let rec undo k =
+    if k < n then begin
+      b.len <- b.len - 1;
+      b.depth <- b.depth - stack_effect b.arr.(b.len);
+      undo (k + 1)
+    end
+  in
+  undo 0
+
+(* Superinstructions: the instruction [i] about to be emitted, fused with
+   the last one emitted.  Every part keeps its place in the sequence; a
+   rewrite drops only a depth bound's intermediate, never its peak, since
+   [drop] leaves [max_depth] alone. *)
+let fuse last i =
+  match (last, i) with
+  | Stmt (a, l), Load s -> Some (Stmt_load (a, l, s))
+  | Stmt (a, l), Bin_si (tag, s, n) -> Some (Stmt_bin_si (a, l, tag, s, n))
+  | Bin_si (tag, s, n), Jz t -> Some (Jz_si (tag, s, n, t))
+  | Stmt_bin_si (a, l, tag, s, n), Jz t -> Some (Stmt_jz_si (a, l, tag, s, n, t))
+  | Load s, Call (f, site) -> Some (Call_l (s, f, site))
+  | _ -> None
+
+let emit b i =
+  match if b.len > b.barrier then fuse b.arr.(b.len - 1) i else None with
+  | Some f ->
+    drop b 1;
+    append b f
+  | None -> append b i
 
 let here b =
   b.barrier <- b.len;
@@ -145,6 +204,8 @@ let patch b at target =
     | Jmp _ -> Jmp target
     | Jz _ -> Jz target
     | Jnz _ -> Jnz target
+    | Jz_si (tag, s, n, _) -> Jz_si (tag, s, n, target)
+    | Stmt_jz_si (a, l, tag, s, n, _) -> Stmt_jz_si (a, l, tag, s, n, target)
     | _ -> assert false)
 
 (* Constant evaluation for the fold below — must agree bit-for-bit with the
@@ -168,42 +229,35 @@ let eval_tag tag a b =
 
 (* Peephole: fuse a pure binary operator with the Push/Load instructions
    that produced its operands.  The operands are pure, so no machine
-   interaction is skipped; virtual-cycle accounting is untouched.  Rewrites
-   never cross [b.barrier], so every minted jump target still denotes the
-   start of the sequence it was minted for. *)
-let drop b n =
-  let rec undo k =
-    if k < n then begin
-      b.len <- b.len - 1;
-      b.depth <- b.depth - stack_effect b.arr.(b.len);
-      undo (k + 1)
-    end
-  in
-  undo 0
-
+   interaction is skipped; virtual-cycle accounting is untouched.  A left
+   operand already fused into its statement head ([Stmt_load]) is split
+   back out, and [emit] fuses the head with the new operator instead. *)
 let emit_fused b tag =
   let len = b.len and bar = b.barrier in
   let fused =
     if len - 2 >= bar then
       match (b.arr.(len - 2), b.arr.(len - 1)) with
-      | Push x, Push y -> Some (2, Push (eval_tag tag x y))
-      | Load s, Push n -> Some (2, Bin_si (tag, s, n))
-      | Push n, Load s -> Some (2, Bin_is (tag, n, s))
-      | Load s1, Load s2 -> Some (2, Bin_ss (tag, s1, s2))
-      | _, Push n -> Some (1, Bin_ti (tag, n))
-      | _, Load s -> Some (1, Bin_ts (tag, s))
+      | Push x, Push y -> Some (2, [ Push (eval_tag tag x y) ])
+      | Load s, Push n -> Some (2, [ Bin_si (tag, s, n) ])
+      | Stmt_load (a, l, s), Push n -> Some (2, [ Stmt (a, l); Bin_si (tag, s, n) ])
+      | Push n, Load s -> Some (2, [ Bin_is (tag, n, s) ])
+      | Load s1, Load s2 -> Some (2, [ Bin_ss (tag, s1, s2) ])
+      | Stmt_load (a, l, s1), Load s2 ->
+        Some (2, [ Stmt (a, l); Bin_ss (tag, s1, s2) ])
+      | _, Push n -> Some (1, [ Bin_ti (tag, n) ])
+      | _, Load s -> Some (1, [ Bin_ts (tag, s) ])
       | _ -> None
     else if len - 1 >= bar then
       match b.arr.(len - 1) with
-      | Push n -> Some (1, Bin_ti (tag, n))
-      | Load s -> Some (1, Bin_ts (tag, s))
+      | Push n -> Some (1, [ Bin_ti (tag, n) ])
+      | Load s -> Some (1, [ Bin_ts (tag, s) ])
       | _ -> None
     else None
   in
   match fused with
-  | Some (n, i) ->
+  | Some (n, is) ->
     drop b n;
-    emit b i
+    List.iter (emit b) is
   | None ->
     emit b
       (match tag with

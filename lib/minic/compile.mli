@@ -6,7 +6,12 @@
     with the code address and source location the interpreter would have
     used — so the VM can replay the interpreter's machine interaction
     bit-identically.  Compiled code is immutable once built and is cached
-    on the {!Program} via {!get}. *)
+    on the {!Program} via {!get}.
+
+    A peephole fuses hot adjacent instructions into superinstructions
+    ([Bin_si] and friends, [Jz_si], [Stmt_load], [Stmt_bin_si],
+    [Stmt_jz_si], [Call_l]).  No fusion absorbs a jump target, and each
+    superinstruction runs its parts in their original order. *)
 
 type site = { addr : int; loc : Srcloc.t }
 
@@ -56,6 +61,15 @@ type instr =
   | Bin_ss of binop_tag * int * int
   | Bin_ti of binop_tag * int
   | Bin_ts of binop_tag * int
+  | Jz_si of binop_tag * int * int * int
+      (** [Bin_si (tag, s, n)] then [Jz t]: branch on [locals[s] op n] *)
+  | Stmt_load of int * Srcloc.t * int  (** [Stmt] then [Load] *)
+  | Stmt_bin_si of int * Srcloc.t * binop_tag * int * int
+      (** [Stmt] then [Bin_si] *)
+  | Stmt_jz_si of int * Srcloc.t * binop_tag * int * int * int
+      (** [Stmt] then [Jz_si] *)
+  | Call_l of int * func_info * int
+      (** [Load slot] then [Call (callee, callsite)] *)
   | Index of site
   | Store_idx of site
   | Malloc of site

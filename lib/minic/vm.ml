@@ -155,6 +155,17 @@ let byte_write st ~addr ~site ~loc v =
   st.tool.Tool.on_access ~addr ~len:1 ~kind:Tool.Write ~site;
   Machine.store_byte st.m addr v
 
+(* A statement's prologue, as the interpreter runs it: count the step,
+   check the limit, set the pc, charge the statement.  Fused statement
+   heads run it before their own operation. *)
+let[@inline] statement st saddr loc =
+  let steps = st.steps + 1 in
+  st.steps <- steps;
+  if steps > st.step_limit then
+    error loc "step limit exceeded (%d statements)" st.step_limit;
+  Machine.set_pc st.m saddr;
+  Machine.work st.m statement_cost
+
 (* Run [f] to completion (its arguments are already on the operand stack)
    and return its value.  Used for [main] and for [spawn] bodies; ordinary
    calls stay inside the dispatch loop. *)
@@ -162,16 +173,52 @@ let rec run_call st (f : Compile.func_info) ~callsite : int =
   push_frame st f ~callsite ~ret_pc:(-1);
   dispatch st st.code.Compile.instrs f.Compile.fi_entry
 
+(* Pop the innermost frame.  Its value stays on the operand stack, except
+   at a host boundary, where it is returned.  A resume point that is
+   itself a [Ret] (the caller ran [return f(...)]) pops the caller's frame
+   too, without a dispatch in between. *)
+and ret st code : int =
+  let n = st.nframes - 1 in
+  st.nframes <- n;
+  let o = frame_words * n in
+  st.ltop <- st.lbase;
+  st.lbase <- Array.unsafe_get st.frames (o + 3);
+  let ret_pc = Array.unsafe_get st.frames (o + 2) in
+  if ret_pc < 0 then begin
+    let sp = st.sp - 1 in
+    st.sp <- sp;
+    Array.unsafe_get st.stack sp
+  end
+  else
+    match Array.unsafe_get code ret_pc with
+    | Compile.Ret -> ret st code
+    | _ -> dispatch st code ret_pc
+
 and dispatch st code i : int =
   match Array.unsafe_get code i with
   | Compile.Stmt (saddr, loc) ->
-    let steps = st.steps + 1 in
-    st.steps <- steps;
-    if steps > st.step_limit then
-      error loc "step limit exceeded (%d statements)" st.step_limit;
-    Machine.set_pc st.m saddr;
-    Machine.work st.m statement_cost;
+    statement st saddr loc;
     dispatch st code (i + 1)
+  | Compile.Stmt_load (saddr, loc, s) ->
+    statement st saddr loc;
+    Array.unsafe_set st.stack st.sp (Array.unsafe_get st.locals (st.lbase + s));
+    st.sp <- st.sp + 1;
+    dispatch st code (i + 1)
+  | Compile.Stmt_bin_si (saddr, loc, tag, s, n) ->
+    statement st saddr loc;
+    Array.unsafe_set st.stack st.sp
+      (binop tag (Array.unsafe_get st.locals (st.lbase + s)) n);
+    st.sp <- st.sp + 1;
+    dispatch st code (i + 1)
+  | Compile.Stmt_jz_si (saddr, loc, tag, s, n, t) ->
+    statement st saddr loc;
+    dispatch st code
+      (if binop tag (Array.unsafe_get st.locals (st.lbase + s)) n = 0 then t
+       else i + 1)
+  | Compile.Jz_si (tag, s, n, t) ->
+    dispatch st code
+      (if binop tag (Array.unsafe_get st.locals (st.lbase + s)) n = 0 then t
+       else i + 1)
   | Compile.Jmp t ->
     if st.buggy && t <= i then Machine.work st.m 1;
     dispatch st code t
@@ -184,6 +231,11 @@ and dispatch st code i : int =
     st.sp <- sp;
     dispatch st code (if Array.unsafe_get st.stack sp <> 0 then t else i + 1)
   | Compile.Call (callee, callsite) ->
+    push_frame st callee ~callsite ~ret_pc:(i + 1);
+    dispatch st code callee.Compile.fi_entry
+  | Compile.Call_l (s, callee, callsite) ->
+    Array.unsafe_set st.stack st.sp (Array.unsafe_get st.locals (st.lbase + s));
+    st.sp <- st.sp + 1;
     push_frame st callee ~callsite ~ret_pc:(i + 1);
     dispatch st code callee.Compile.fi_entry
   | Compile.Spawn (callee, callsite) ->
@@ -201,19 +253,7 @@ and dispatch st code i : int =
     Array.unsafe_set st.stack st.sp r;
     st.sp <- st.sp + 1;
     dispatch st code (i + 1)
-  | Compile.Ret ->
-    let n = st.nframes - 1 in
-    st.nframes <- n;
-    let o = frame_words * n in
-    st.ltop <- st.lbase;
-    st.lbase <- Array.unsafe_get st.frames (o + 3);
-    let ret_pc = Array.unsafe_get st.frames (o + 2) in
-    if ret_pc < 0 then begin
-      let sp = st.sp - 1 in
-      st.sp <- sp;
-      Array.unsafe_get st.stack sp
-    end
-    else dispatch st code ret_pc
+  | Compile.Ret -> ret st code
   | Compile.Push n ->
     Array.unsafe_set st.stack st.sp n;
     st.sp <- st.sp + 1;

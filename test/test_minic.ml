@@ -607,10 +607,55 @@ let test_vm_buggy_cycles_repro () =
     ri.Interp.return_value rb.Interp.return_value;
   Alcotest.(check int) "one extra cycle per taken backward jump" (ci + 3) cb
 
+(* The recursive allocation wrappers that dominate Heartbleed's and
+   MySQL's dispatches compile to superinstructions, and every bundled
+   app's static instruction count is pinned: a fusion that stops firing
+   fails here, not only in the benchmark. *)
+let op_name : Compile.instr -> string = function
+  | Compile.Stmt_jz_si (_, _, Compile.TGt, 0, 0, _) -> "Stmt_jz_si d>0"
+  | Compile.Stmt_bin_si (_, _, Compile.TSub, 0, 1) -> "Stmt_bin_si d-1"
+  | Compile.Call_l (1, f, _) -> "Call_l size " ^ f.Compile.fi_name
+  | Compile.Call (f, _) -> "Call " ^ f.Compile.fi_name
+  | Compile.Stmt_load (_, _, 1) -> "Stmt_load size"
+  | Compile.Malloc _ -> "Malloc"
+  | Compile.Ret -> "Ret"
+  | Compile.Jmp _ -> "Jmp"
+  | Compile.Push 0 -> "Push 0"
+  | _ -> "other"
+
+let test_vm_superinstruction_shapes () =
+  let code app = Compile.get (Buggy_app.program (Option.get (Buggy_app.by_name app))) in
+  let body app fname =
+    let c = code app in
+    let f = Hashtbl.find c.Compile.funcs fname in
+    List.map op_name (Array.to_list (Array.sub c.Compile.instrs f.Compile.fi_entry 10))
+  in
+  let wrapper ~self ~leaf =
+    [ "Stmt_jz_si d>0"; "Stmt_bin_si d-1"; "Call_l size " ^ self; "Ret"; "Jmp";
+      "Stmt_load size" ]
+    @ leaf @ [ "Ret"; "Push 0"; "Ret" ]
+  in
+  Alcotest.(check (list string)) "bn_ctx_get"
+    (wrapper ~self:"bn_ctx_get" ~leaf:[ "Call crypto_malloc" ])
+    (body "heartbleed" "bn_ctx_get");
+  Alcotest.(check (list string)) "my_malloc"
+    (wrapper ~self:"my_malloc" ~leaf:[ "Malloc" ])
+    (body "mysql" "my_malloc");
+  Alcotest.(check (list (pair string int))) "static instruction counts"
+    [ ("Gzip", 46); ("Heartbleed", 323); ("Libdwarf", 321); ("LibHX", 105);
+      ("Libtiff", 52); ("Memcached", 288); ("MySQL", 291); ("Polymorph", 67);
+      ("Zziplib", 287) ]
+    (List.map
+       (fun (app : Buggy_app.t) ->
+         (app.Buggy_app.name, Array.length (code app.Buggy_app.name).Compile.instrs))
+       (Buggy_app.all ()))
+
 let suite =
   suite
   @ [ Alcotest.test_case "vm matches interp on semantics corpus" `Quick
         test_vm_matches_interp;
+      Alcotest.test_case "vm superinstructions in the allocation wrappers" `Quick
+        test_vm_superinstruction_shapes;
       Alcotest.test_case "vm runtime errors match interp" `Quick
         test_vm_runtime_errors;
       Alcotest.test_case "vm backtrace after return or error matches interp" `Quick

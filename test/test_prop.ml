@@ -190,7 +190,16 @@ let gen_program ~seed =
       | 13 ->
         Buffer.add_string buf (Printf.sprintf "work(%d);\n" (Prng.int g 64))
       | 14 when depth > 0 ->
-        Buffer.add_string buf (Printf.sprintf "if (%s) {\n" (e 2));
+        let cond =
+          match !vars with
+          | _ :: _ when Prng.int g 3 = 0 ->
+            (* [if (x op k)]: one compare-and-branch statement head *)
+            Printf.sprintf "(%s %s %d)" (pick !vars)
+              (pick [ "<"; "<="; ">"; ">="; "=="; "!=" ])
+              (Prng.int g 8)
+          | _ -> e 2
+        in
+        Buffer.add_string buf (Printf.sprintf "if (%s) {\n" cond);
         gen_block !vars !ptrs funcs ~in_loop ~depth:(depth - 1);
         if Prng.int g 2 = 0 then begin
           Buffer.add_string buf "} else {\n";
@@ -245,8 +254,18 @@ let gen_program ~seed =
     Buffer.add_string buf
       (Printf.sprintf "fn %s(%s) {\n" fname (String.concat ", " params));
     gen_block params [] !funcs ~in_loop:false ~depth:1;
-    Buffer.add_string buf
-      (Printf.sprintf "return %s;\n}\n" (expr params [] !funcs 1));
+    let ret =
+      match (List.filter (fun (_, a) -> a > 0) !funcs, params) with
+      | (_ :: _ as callees), x :: _ when Prng.int g 2 = 0 ->
+        (* [return f(x - k, y)]: the recursive wrappers' shape, whose
+           frame the callee's [Ret] pops along with its own *)
+        let f, arity = pick callees in
+        Printf.sprintf "%s(%s - %d%s)" f x (1 + Prng.int g 3)
+          (String.concat ""
+             (List.init (arity - 1) (fun _ -> ", " ^ pick params)))
+      | _ -> expr params [] !funcs 1
+    in
+    Buffer.add_string buf (Printf.sprintf "return %s;\n}\n" ret);
     funcs := (fname, arity) :: !funcs
   done;
   Buffer.add_string buf "fn main() {\n";
@@ -438,6 +457,80 @@ let diff_sweep_catches_planted_bug () =
     Alcotest.fail
       "differential sweep failed to catch the planted vm-buggy-cycles bug"
 
+(* The sweep only vouches for the superinstructions its corpus compiles
+   to: every fused constructor must occur at least once, and so must a
+   call whose resume point is a [Ret] (a [return f(...)], whose frames the
+   VM pops in one step). *)
+let superinstructions (code : Compile.code) =
+  let instrs = code.Compile.instrs in
+  List.sort_uniq compare
+    (List.concat
+       (List.mapi
+          (fun i ins ->
+            let resumes_at_ret () =
+              i + 1 < Array.length instrs && instrs.(i + 1) = Compile.Ret
+            in
+            match ins with
+            | Compile.Jz_si _ -> [ "Jz_si" ]
+            | Compile.Stmt_load _ -> [ "Stmt_load" ]
+            | Compile.Stmt_bin_si _ -> [ "Stmt_bin_si" ]
+            | Compile.Stmt_jz_si _ -> [ "Stmt_jz_si" ]
+            | Compile.Call_l _ when resumes_at_ret () -> [ "Call_l"; "return chain" ]
+            | Compile.Call_l _ -> [ "Call_l" ]
+            | Compile.Call _ when resumes_at_ret () -> [ "return chain" ]
+            | _ -> [])
+          (Array.to_list instrs)))
+
+let diff_sweep_covers_superinstructions () =
+  let seen =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun seed ->
+           match load_gen (gen_program ~seed) with
+           | Error _ -> []
+           | Ok program -> superinstructions (Compile.get program))
+         (List.init 80 (fun k -> 9000 + k)))
+  in
+  Alcotest.(check (list string)) "every superinstruction in the corpus"
+    [ "Call_l"; "Jz_si"; "Stmt_bin_si"; "Stmt_jz_si"; "Stmt_load"; "return chain" ]
+    seen
+
+(* A step limit that lands on a fused statement head: both engines count
+   the step, then stop at that statement with the same message, having
+   charged the same statements before it.  Line 2 compiles to
+   [Stmt_jz_si], line 3 to [Stmt_bin_si] and line 5 to [Stmt_load]. *)
+let step_limit_on_fused_heads () =
+  let source =
+    "fn down(d, n) {\n\
+    \  if (d > 0) {\n\
+    \    return down(d - 1, n);\n\
+    \  }\n\
+    \  return n;\n\
+     }\n\
+     fn main() { return down(3, 5); }\n"
+  in
+  let program = Result.get_ok (load_gen source) in
+  let heads = superinstructions (Compile.get program) in
+  List.iter
+    (fun k ->
+      if not (List.mem k heads) then Alcotest.failf "down compiles no %s" k)
+    [ "Stmt_jz_si"; "Stmt_bin_si"; "Stmt_load" ];
+  List.iter
+    (fun (step_limit, line) ->
+      let a = d_observe Engine.Interp program ~inputs:[||] ~seed:1 ~step_limit in
+      let b = d_observe Engine.Vm program ~inputs:[||] ~seed:1 ~step_limit in
+      if a <> b then
+        Alcotest.failf "limit %d: engines diverge:%s" step_limit (describe_diff a b);
+      Alcotest.(check (option string))
+        (Printf.sprintf "limit %d stops at line %d" step_limit line)
+        (Some
+           (Printf.sprintf "gen.mc:%d: step limit exceeded (%d statements)" line
+              step_limit))
+        b.d_crashed)
+    [ (3, 2); (4, 3); (7, 2); (8, 5) ];
+  let whole = d_observe Engine.Vm program ~inputs:[||] ~seed:1 ~step_limit:9 in
+  Alcotest.(check int) "nine statements run under a limit of nine" 9 whole.d_steps
+
 let suite =
   [ Alcotest.test_case "sim sweep: heap + sparse memory" `Quick prop_heap;
     Alcotest.test_case "sim sweep: runtime watchpoints" `Quick prop_runtime;
@@ -449,4 +542,8 @@ let suite =
     Alcotest.test_case "differential sweep: interp vs vm bit-identical" `Quick
       diff_sweep_engines;
     Alcotest.test_case "differential sweep catches vm-buggy-cycles" `Quick
-      diff_sweep_catches_planted_bug ]
+      diff_sweep_catches_planted_bug;
+    Alcotest.test_case "differential sweep compiles every superinstruction" `Quick
+      diff_sweep_covers_superinstructions;
+    Alcotest.test_case "step limit on a fused statement head" `Quick
+      step_limit_on_fused_heads ]
