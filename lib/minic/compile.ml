@@ -23,7 +23,23 @@
    - return chains are not an instruction: a [Ret] whose resume point is
      another [Ret] (a [return f(...)]) pops both frames in the VM without
      a dispatch in between, and each frame is still pushed at its call,
-     so allocation contexts see every live call site. *)
+     so allocation contexts see every live call site.
+
+   After the peephole, [descent] rewrites the entry instruction of one
+   shape in place: a self-recursive wrapper whose body starts
+   [if (p0 > c) { return f(p0 - k, p1, ..., pn-1); }] with constants
+   [c >= 0] and [k >= 1] (the allocation wrappers that mint distinct
+   stack offsets by call depth).  Its guard, [Stmt_jz_si (p0 > c)], becomes
+   [Descent]: entered with [p0 > c], the VM knows the whole descent, so
+   it pushes every level's frame and locals window in one loop, counts
+   two steps a level, and charges all the levels' statements as one
+   [Machine.work]; at the bottom it runs the plain guard.  Frames are
+   still pushed one per level, so stack offsets, backtraces and the
+   [Ret] chain that unwinds the descent are unchanged.  The VM runs the
+   plain guard, one level at a time, when the step limit or the next
+   telemetry snapshot boundary falls inside the descent: a limit must
+   stop at its own statement, and a snapshot must see the profile of its
+   own instant. *)
 
 type site = { addr : int; loc : Srcloc.t }
 
@@ -86,6 +102,7 @@ type instr =
   | Stmt_bin_si of int * Srcloc.t * binop_tag * int * int
   | Stmt_jz_si of int * Srcloc.t * binop_tag * int * int * int
   | Call_l of int * func_info * int       (* Load slot then Call *)
+  | Descent of descent                    (* a self-recursive guard *)
   (* memory *)
   | Index of site           (* pop idx, base; push word at base + 8*idx *)
   | Store_idx of site       (* pop v, idx, base; store word *)
@@ -104,6 +121,21 @@ type instr =
   | Sleep_ms of site
   | Work of site
   | Str_err of Srcloc.t     (* unreachable post-Sema; kept for safety *)
+
+(* [Stmt_jz_si (saddr, loc, TGt, 0, c, target)] at the entry of
+   [callee], followed by [Stmt_bin_si (step_saddr, _, TSub, 0, k)], the
+   pass-through [Load]s and the self-call at [resume - 1] *)
+and descent = {
+  saddr : int;
+  loc : Srcloc.t;
+  c : int;
+  target : int;
+  step_saddr : int;
+  k : int;
+  callee : func_info;
+  callsite : int;
+  resume : int;
+}
 
 type code = {
   instrs : instr array;
@@ -133,7 +165,7 @@ let stack_effect = function
   | Bin_si _ | Bin_is _ | Bin_ss _ -> 1
   | Bin_ti _ | Bin_ts _ -> 0
   | Stmt_load _ | Stmt_bin_si _ -> 1
-  | Jz_si _ | Stmt_jz_si _ -> 0
+  | Jz_si _ | Stmt_jz_si _ | Descent _ -> 0
   | Call_l (_, f, _) -> 2 - f.fi_nargs
   | Index _ -> -1
   | Store_idx _ -> -3
@@ -478,6 +510,31 @@ and compile_block b env funcs loop stmts =
   List.iter (compile_stmt b env funcs loop) stmts;
   pop_scope env
 
+(* The counted-descent rewrite (see the header): [fi]'s code, already
+   peepholed, is exactly its guard, its step, the pass-through loads,
+   the self-call and the [Ret], so only the guard changes. *)
+let descent b (fi : func_info) =
+  let e = fi.fi_entry and n = fi.fi_nargs in
+  let call = max n 2 in
+  let at j = if e + j < b.len then b.arr.(e + j) else Pop in
+  let rec loads j = j >= call || (at j = Load (j - 1) && loads (j + 1)) in
+  let self_call = function
+    | Call (f, site) when n = 1 && f == fi -> Some site
+    | Call_l (s, f, site) when n >= 2 && s = n - 1 && f == fi -> Some site
+    | _ -> None
+  in
+  match (at 0, at 1, self_call (at call), at (call + 1)) with
+  | ( Stmt_jz_si (saddr, loc, TGt, 0, c, target),
+      Stmt_bin_si (step_saddr, _, TSub, 0, k),
+      Some callsite,
+      Ret )
+    when c >= 0 && k >= 1 && loads 2 ->
+    b.arr.(e) <-
+      Descent
+        { saddr; loc; c; target; step_saddr; k; callee = fi; callsite;
+          resume = e + call + 1 }
+  | _ -> ()
+
 let compile (program : Program.t) : code =
   let order = Program.functions program in
   let funcs = Hashtbl.create 16 in
@@ -509,6 +566,7 @@ let compile (program : Program.t) : code =
       (* falling off the end returns 0, as the interpreter's [Normal] does *)
       emit b (Push 0);
       emit b Ret;
+      descent b fi;
       fi.fi_max_stack <- b.max_depth;
       assert (env.next_slot = fi.fi_nslots))
     order;

@@ -11,7 +11,15 @@
     A peephole fuses hot adjacent instructions into superinstructions
     ([Bin_si] and friends, [Jz_si], [Stmt_load], [Stmt_bin_si],
     [Stmt_jz_si], [Call_l]).  No fusion absorbs a jump target, and each
-    superinstruction runs its parts in their original order. *)
+    superinstruction runs its parts in their original order.
+
+    After the peephole, the guard of a self-recursive wrapper
+    [fn f(p0, ..., pn-1) { if (p0 > c) { return f(p0 - k, p1, ..., pn-1); } ...}]
+    (constants [c >= 0], [k >= 1], the guard the body's first statement,
+    the arguments in order) becomes a {!Descent}: the VM runs the whole
+    descent as one instruction, still pushing one frame per level, and
+    falls back to the plain guard a level at a time when the step limit
+    or the next telemetry snapshot boundary falls inside it. *)
 
 type site = { addr : int; loc : Srcloc.t }
 
@@ -70,6 +78,9 @@ type instr =
       (** [Stmt] then [Jz_si] *)
   | Call_l of int * func_info * int
       (** [Load slot] then [Call (callee, callsite)] *)
+  | Descent of descent
+      (** [Stmt_jz_si (saddr, loc, TGt, 0, c, target)] at the entry of a
+          self-recursive wrapper *)
   | Index of site
   | Store_idx of site
   | Malloc of site
@@ -86,6 +97,18 @@ type instr =
   | Sleep_ms of site
   | Work of site
   | Str_err of Srcloc.t
+
+and descent = {
+  saddr : int;
+  loc : Srcloc.t;
+  c : int;            (** the guard is [p0 > c] *)
+  target : int;       (** where the guard jumps when [p0 <= c] *)
+  step_saddr : int;   (** the [return]'s statement address *)
+  k : int;            (** each level passes [p0 - k] *)
+  callee : func_info; (** the wrapper itself *)
+  callsite : int;     (** the self-call's call site *)
+  resume : int;       (** the self-call's resume index: the [Ret] *)
+}
 
 type code = {
   instrs : instr array;

@@ -166,6 +166,58 @@ let[@inline] statement st saddr loc =
   Machine.set_pc st.m saddr;
   Machine.work st.m statement_cost
 
+(* A counted descent ({!Compile.descent}), entered with [p0 > c]: the
+   wrapper calls itself [levels] times before its guard fails, and each
+   level runs two statements (the guard, then the [return]) and pushes one
+   frame whose locals window holds [p0 - k] and the pass-through
+   parameters.  When the levels' steps stay within the limit and their
+   cycles end before the next snapshot boundary, they run here: one loop
+   pushes the frames, and one [Machine.work] charges every statement to
+   the current phase.  Otherwise nothing happens and the guard runs as
+   the plain [Stmt_jz_si], one level at a time.  Both checks divide, so
+   neither can overflow. *)
+let descend st (d : Compile.descent) =
+  let p0 = Array.unsafe_get st.locals st.lbase in
+  let levels = ((p0 - d.Compile.c - 1) / d.Compile.k) + 1 in
+  let now = Clock.cycles (Machine.clock st.m) in
+  let next = Telemetry.next_snapshot (Machine.telemetry st.m) in
+  if levels <= (st.step_limit - st.steps) / 2
+     && levels <= (next - now - 1) / (2 * statement_cost)
+  then begin
+    let f = d.Compile.callee in
+    let nslots = f.Compile.fi_nslots and bytes = f.Compile.fi_frame_bytes in
+    while levels > (Array.length st.frames / frame_words) - st.nframes do
+      grow_frames st
+    done;
+    while levels > (Array.length st.locals - st.ltop) / nslots do
+      grow_locals st 0
+    done;
+    let frames = st.frames and locals = st.locals and last = f.Compile.fi_nargs - 1 in
+    let o = ref (frame_words * st.nframes) and vsp = ref (top_vsp st) in
+    let caller = ref st.lbase and base = ref st.ltop and v = ref p0 in
+    for _ = 1 to levels do
+      vsp := !vsp - bytes;
+      v := !v - d.Compile.k;
+      Array.unsafe_set frames !o d.Compile.callsite;
+      Array.unsafe_set frames (!o + 1) !vsp;
+      Array.unsafe_set frames (!o + 2) d.Compile.resume;
+      Array.unsafe_set frames (!o + 3) !caller;
+      Array.unsafe_set locals !base !v;
+      for j = 1 to last do
+        Array.unsafe_set locals (!base + j) (Array.unsafe_get locals (!caller + j))
+      done;
+      o := !o + frame_words;
+      caller := !base;
+      base := !base + nslots
+    done;
+    st.nframes <- st.nframes + levels;
+    st.lbase <- !caller;
+    st.ltop <- !base;
+    st.steps <- st.steps + (2 * levels);
+    Machine.set_pc st.m d.Compile.step_saddr;
+    Machine.work st.m (2 * statement_cost * levels)
+  end
+
 (* Run [f] to completion (its arguments are already on the operand stack)
    and return its value.  Used for [main] and for [spawn] bodies; ordinary
    calls stay inside the dispatch loop. *)
@@ -215,6 +267,11 @@ and dispatch st code i : int =
     dispatch st code
       (if binop tag (Array.unsafe_get st.locals (st.lbase + s)) n = 0 then t
        else i + 1)
+  | Compile.Descent ({ Compile.saddr; loc; c; target; _ } as d) ->
+    if Array.unsafe_get st.locals st.lbase > c then descend st d;
+    statement st saddr loc;
+    dispatch st code
+      (if Array.unsafe_get st.locals st.lbase > c then i + 1 else target)
   | Compile.Jz_si (tag, s, n, t) ->
     dispatch st code
       (if binop tag (Array.unsafe_get st.locals (st.lbase + s)) n = 0 then t

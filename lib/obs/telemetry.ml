@@ -22,6 +22,7 @@ let set_snapshot_interval t ~cycles =
   t.next_snapshot <- (if cycles = 0 then max_int else cycles)
 
 let snapshot_count t = t.snapshots
+let next_snapshot t = t.next_snapshot
 
 let emit_snapshot t ~now =
   t.snapshots <- t.snapshots + 1;

@@ -30,6 +30,12 @@ val tick : t -> now:int -> unit
 
 val snapshot_count : t -> int
 
+val next_snapshot : t -> int
+(** The cycle count of the next snapshot boundary, above the clock after
+    every {!tick}; [max_int] while snapshots are disabled.  Reading it
+    changes nothing: a caller that batches clock advances checks that the
+    batch ends before it. *)
+
 (** {1 Merging} *)
 
 val merge_into : dst:t -> src:t -> unit

@@ -608,11 +608,13 @@ let test_vm_buggy_cycles_repro () =
   Alcotest.(check int) "one extra cycle per taken backward jump" (ci + 3) cb
 
 (* The recursive allocation wrappers that dominate Heartbleed's and
-   MySQL's dispatches compile to superinstructions, and every bundled
-   app's static instruction count is pinned: a fusion that stops firing
-   fails here, not only in the benchmark. *)
+   MySQL's dispatches compile to superinstructions, each guard to a
+   counted descent, and every bundled app's static instruction count is
+   pinned: a fusion that stops firing fails here, not only in the
+   benchmark. *)
 let op_name : Compile.instr -> string = function
-  | Compile.Stmt_jz_si (_, _, Compile.TGt, 0, 0, _) -> "Stmt_jz_si d>0"
+  | Compile.Descent { Compile.c = 0; k = 1; callee; _ } ->
+    "Descent d>0 d-1 " ^ callee.Compile.fi_name
   | Compile.Stmt_bin_si (_, _, Compile.TSub, 0, 1) -> "Stmt_bin_si d-1"
   | Compile.Call_l (1, f, _) -> "Call_l size " ^ f.Compile.fi_name
   | Compile.Call (f, _) -> "Call " ^ f.Compile.fi_name
@@ -631,7 +633,7 @@ let test_vm_superinstruction_shapes () =
     List.map op_name (Array.to_list (Array.sub c.Compile.instrs f.Compile.fi_entry 10))
   in
   let wrapper ~self ~leaf =
-    [ "Stmt_jz_si d>0"; "Stmt_bin_si d-1"; "Call_l size " ^ self; "Ret"; "Jmp";
+    [ "Descent d>0 d-1 " ^ self; "Stmt_bin_si d-1"; "Call_l size " ^ self; "Ret"; "Jmp";
       "Stmt_load size" ]
     @ leaf @ [ "Ret"; "Push 0"; "Ret" ]
   in

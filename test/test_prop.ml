@@ -101,6 +101,19 @@ let gen_program ~seed =
     [| "+"; "-"; "*"; "<"; "<="; ">"; ">="; "=="; "!="; "&"; "|"; "^";
        "<<"; ">>"; "&&"; "||" |]
   in
+  (* A call's arguments.  A descent function's depth comes from an input
+     (up to 255) or a draw as often as not, so some chains are long. *)
+  let descents = ref [] in
+  let call_args f arity arg =
+    String.concat ", "
+      (List.init arity (fun j ->
+           match Prng.int g 4 with
+           | 0 when j = 0 && List.mem f !descents ->
+             Printf.sprintf "input(%d)" (Prng.int g 4)
+           | 1 when j = 0 && List.mem f !descents ->
+             Printf.sprintf "rand(%d)" (1 + Prng.int g 64)
+           | _ -> arg ()))
+  in
   let rec expr vars ptrs funcs depth =
     let leaf () =
       match Prng.int g 10 with
@@ -138,8 +151,7 @@ let gen_program ~seed =
       | 11 when funcs <> [] ->
         let f, arity = pick funcs in
         Printf.sprintf "%s(%s)" f
-          (String.concat ", "
-             (List.init arity (fun _ -> expr vars ptrs funcs (depth - 1))))
+          (call_args f arity (fun () -> expr vars ptrs funcs (depth - 1)))
       | _ -> leaf ()
   in
   (* One block: vars/ptrs snapshots from the enclosing scope, own
@@ -227,9 +239,7 @@ let gen_program ~seed =
           (if Prng.int g 2 = 0 then "break;\n" else "continue;\n")
       | 18 when funcs <> [] ->
         let f, arity = pick funcs in
-        let args =
-          String.concat ", " (List.init arity (fun _ -> e 1))
-        in
+        let args = call_args f arity (fun () -> e 1) in
         Buffer.add_string buf
           (if Prng.int g 3 = 0 then
              Printf.sprintf "spawn(\"%s\"%s);\n" f
@@ -249,10 +259,21 @@ let gen_program ~seed =
   let funcs = ref [] in
   for i = 1 to Prng.int g 3 do
     let fname = Printf.sprintf "f%d" i in
-    let arity = Prng.int g 3 in
+    let descent = Prng.int g 3 = 0 in
+    let arity = if descent then 1 + Prng.int g 3 else Prng.int g 3 in
     let params = List.init arity (fun j -> Printf.sprintf "a%d_%d" i j) in
     Buffer.add_string buf
       (Printf.sprintf "fn %s(%s) {\n" fname (String.concat ", " params));
+    if descent then begin
+      (* a self-recursive descent, [if (x > c) { return f(x - k, ...); }]:
+         the VM runs the whole chain as one instruction *)
+      let x = List.hd params in
+      Buffer.add_string buf
+        (Printf.sprintf "if (%s > %d) {\nreturn %s(%s - %d%s);\n}\n" x
+           (Prng.int g 4) fname x (1 + Prng.int g 3)
+           (String.concat "" (List.map (fun p -> ", " ^ p) (List.tl params))));
+      descents := fname :: !descents
+    end;
     gen_block params [] !funcs ~in_loop:false ~depth:1;
     let ret =
       match (List.filter (fun (_, a) -> a > 0) !funcs, params) with
@@ -458,9 +479,9 @@ let diff_sweep_catches_planted_bug () =
       "differential sweep failed to catch the planted vm-buggy-cycles bug"
 
 (* The sweep only vouches for the superinstructions its corpus compiles
-   to: every fused constructor must occur at least once, and so must a
-   call whose resume point is a [Ret] (a [return f(...)], whose frames the
-   VM pops in one step). *)
+   to: every fused constructor and the counted descent must occur at
+   least once, and so must a call whose resume point is a [Ret] (a
+   [return f(...)], whose frames the VM pops in one step). *)
 let superinstructions (code : Compile.code) =
   let instrs = code.Compile.instrs in
   List.sort_uniq compare
@@ -475,6 +496,7 @@ let superinstructions (code : Compile.code) =
             | Compile.Stmt_load _ -> [ "Stmt_load" ]
             | Compile.Stmt_bin_si _ -> [ "Stmt_bin_si" ]
             | Compile.Stmt_jz_si _ -> [ "Stmt_jz_si" ]
+            | Compile.Descent _ -> [ "Descent" ]
             | Compile.Call_l _ when resumes_at_ret () -> [ "Call_l"; "return chain" ]
             | Compile.Call_l _ -> [ "Call_l" ]
             | Compile.Call _ when resumes_at_ret () -> [ "return chain" ]
@@ -492,13 +514,15 @@ let diff_sweep_covers_superinstructions () =
          (List.init 80 (fun k -> 9000 + k)))
   in
   Alcotest.(check (list string)) "every superinstruction in the corpus"
-    [ "Call_l"; "Jz_si"; "Stmt_bin_si"; "Stmt_jz_si"; "Stmt_load"; "return chain" ]
+    [ "Call_l"; "Descent"; "Jz_si"; "Stmt_bin_si"; "Stmt_jz_si"; "Stmt_load";
+      "return chain" ]
     seen
 
 (* A step limit that lands on a fused statement head: both engines count
    the step, then stop at that statement with the same message, having
-   charged the same statements before it.  Line 2 compiles to
-   [Stmt_jz_si], line 3 to [Stmt_bin_si] and line 5 to [Stmt_load]. *)
+   charged the same statements before it.  Line 2 compiles to [Descent]
+   (the plain [Stmt_jz_si] when the limit falls inside the descent), line
+   3 to [Stmt_bin_si] and line 5 to [Stmt_load]. *)
 let step_limit_on_fused_heads () =
   let source =
     "fn down(d, n) {\n\
@@ -514,7 +538,7 @@ let step_limit_on_fused_heads () =
   List.iter
     (fun k ->
       if not (List.mem k heads) then Alcotest.failf "down compiles no %s" k)
-    [ "Stmt_jz_si"; "Stmt_bin_si"; "Stmt_load" ];
+    [ "Descent"; "Stmt_bin_si"; "Stmt_load" ];
   List.iter
     (fun (step_limit, line) ->
       let a = d_observe Engine.Interp program ~inputs:[||] ~seed:1 ~step_limit in
@@ -531,6 +555,137 @@ let step_limit_on_fused_heads () =
   let whole = d_observe Engine.Vm program ~inputs:[||] ~seed:1 ~step_limit:9 in
   Alcotest.(check int) "nine statements run under a limit of nine" 9 whole.d_steps
 
+(* A step limit at every level of a depth-5 descent: steps 2-11 are its
+   five levels (guard on line 2, [return] on line 3), 12 the bottom guard
+   and 13 the leaf.  The VM runs the levels as one instruction only when
+   all of their steps fit under the limit, so every limit below 11 falls
+   inside the descent and stops both engines at the same statement. *)
+let step_limit_inside_descent () =
+  let source =
+    "fn down(d, n) {\n\
+    \  if (d > 0) {\n\
+    \    return down(d - 1, n);\n\
+    \  }\n\
+    \  return n;\n\
+     }\n\
+     fn main() { return down(5, 7); }\n"
+  in
+  let program = Result.get_ok (load_gen source) in
+  if not (List.mem "Descent" (superinstructions (Compile.get program))) then
+    Alcotest.fail "down compiles no Descent";
+  for step_limit = 0 to 13 do
+    let a = d_observe Engine.Interp program ~inputs:[||] ~seed:1 ~step_limit in
+    let b = d_observe Engine.Vm program ~inputs:[||] ~seed:1 ~step_limit in
+    if a <> b then
+      Alcotest.failf "limit %d: engines diverge:%s" step_limit (describe_diff a b);
+    let stopped = step_limit + 1 in
+    let line =
+      if stopped = 1 then 7 else if stopped = 13 then 5 else 2 + (stopped mod 2)
+    in
+    Alcotest.(check (option string))
+      (Printf.sprintf "limit %d stops at line %d" step_limit line)
+      (if step_limit = 13 then None
+       else
+         Some
+           (Printf.sprintf "gen.mc:%d: step limit exceeded (%d statements)" line
+              step_limit))
+      b.d_crashed
+  done
+
+(* The [--events] stream of a program whose descents cross snapshot
+   boundaries: a snapshot taken inside a descent shows the profile of its
+   own instant, so the VM runs such a descent a level at a time, and both
+   engines write the same bytes.  The larger intervals leave most
+   descents clear of a boundary, so the counted path runs too. *)
+let events engine program ~snapshot_cycles =
+  let path = Filename.temp_file "csod_descent" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Flight_recorder.with_recorder
+            (Flight_recorder.create ~capacity:64 ~stream:oc ())
+            (fun () ->
+              ignore
+                (Execution.run_program ~program ~inputs:[||]
+                   ~config:Config.csod_default ~engine ~snapshot_cycles ())));
+      In_channel.with_open_bin path In_channel.input_all)
+
+let snapshot_inside_descent () =
+  let source =
+    "fn get(d, size) {\n\
+    \  if (d > 0) { return get(d - 1, size); }\n\
+    \  return malloc(size);\n\
+     }\n\
+     fn main() {\n\
+    \  for (var i = 0; i < 12; i = i + 1) {\n\
+    \    var p = get(3 * i + 1, 16 + i);\n\
+    \    p[0] = i;\n\
+    \    free(p);\n\
+    \  }\n\
+    \  return 0;\n\
+     }\n"
+  in
+  let program = Result.get_ok (load_gen source) in
+  List.iter
+    (fun snapshot_cycles ->
+      let a = events Engine.Interp program ~snapshot_cycles in
+      let b = events Engine.Vm program ~snapshot_cycles in
+      let snapshots =
+        List.length
+          (List.filter
+             (fun l -> String.starts_with ~prefix:{|{"event":"snapshot"|} l)
+             (String.split_on_char '\n' b))
+      in
+      if snapshots = 0 then
+        Alcotest.failf "interval %d: no snapshot in the stream" snapshot_cycles;
+      Alcotest.(check string)
+        (Printf.sprintf "interval %d: identical event streams" snapshot_cycles)
+        a b)
+    [ 5; 7; 31; 97; 1_000 ]
+
+(* Near misses of the descent shape compile to no [Descent], and each
+   runs the same under both engines; the exact shape, at one, two and
+   three parameters, compiles to one. *)
+let descent_near_misses () =
+  let descents source =
+    let program = Result.get_ok (load_gen source) in
+    let a = d_observe Engine.Interp program ~inputs:[||] ~seed:1 ~step_limit:50_000 in
+    let b = d_observe Engine.Vm program ~inputs:[||] ~seed:1 ~step_limit:50_000 in
+    if a <> b then Alcotest.failf "engines diverge:%s\n%s" (describe_diff a b) source;
+    Array.fold_left
+      (fun n i -> match i with Compile.Descent _ -> n + 1 | _ -> n)
+      0 (Compile.get program).Compile.instrs
+  in
+  List.iter
+    (fun (name, want, source) ->
+      Alcotest.(check int) name want (descents source))
+    [ ( ">= guard", 0,
+        "fn f(d, n) { if (d >= 1) { return f(d - 1, n); } return n; }\n\
+         fn main() { return f(6, 2); }" );
+      ( "non-constant step", 0,
+        "fn f(d, n) { if (d > 0) { return f(d - n, n); } return n; }\n\
+         fn main() { return f(6, 2); }" );
+      ( "permuted arguments", 0,
+        "fn f(d, a, b, c) { if (d > 0) { return f(d - 1, b, a, c); } return a - b + c; }\n\
+         fn main() { return f(5, 2, 9, 4); }" );
+      ( "call to another function", 0,
+        "fn g(d, n) { return d + n; }\n\
+         fn f(d, n) { if (d > 0) { return g(d - 1, n); } return n; }\n\
+         fn main() { return f(6, 2); }" );
+      ( "guard not the first statement", 0,
+        "fn f(d, n) { work(1); if (d > 0) { return f(d - 1, n); } return n; }\n\
+         fn main() { return f(6, 2); }" );
+      ( "one parameter", 1,
+        "fn f(d) { if (d > 2) { return f(d - 3); } return d; }\n\
+         fn main() { return f(20); }" );
+      ( "two parameters", 1,
+        "fn f(d, n) { if (d > 0) { return f(d - 1, n); } return n; }\n\
+         fn main() { return f(6, 2); }" );
+      ( "three parameters", 1,
+        "fn f(d, a, b) { if (d > 1) { return f(d - 2, a, b); } return a * b + d; }\n\
+         fn main() { return f(9, 2, 5); }" ) ]
+
 let suite =
   [ Alcotest.test_case "sim sweep: heap + sparse memory" `Quick prop_heap;
     Alcotest.test_case "sim sweep: runtime watchpoints" `Quick prop_runtime;
@@ -546,4 +701,10 @@ let suite =
     Alcotest.test_case "differential sweep compiles every superinstruction" `Quick
       diff_sweep_covers_superinstructions;
     Alcotest.test_case "step limit on a fused statement head" `Quick
-      step_limit_on_fused_heads ]
+      step_limit_on_fused_heads;
+    Alcotest.test_case "step limit inside a descent" `Quick
+      step_limit_inside_descent;
+    Alcotest.test_case "snapshot boundary inside a descent" `Quick
+      snapshot_inside_descent;
+    Alcotest.test_case "descent near misses compile plainly" `Quick
+      descent_near_misses ]
