@@ -23,10 +23,14 @@ val create : Machine.t -> t
     At most one heap per machine: its tallies ({!total_allocs} to
     {!peak_live_bytes}) are the [heap.*] instruments of the machine's
     metrics registry, which a second heap would share.  Its
-    objects and free blocks live in flat [int] arrays, found through two
-    {!Int_index} tables (address to object, block size to its stack of
-    freed blocks), so [malloc] and [free] allocate nothing on the OCaml
-    heap once the arrays have grown.
+    objects and free blocks live in flat arrays.  An object is found from
+    its address through a granule page map (a table of slots per 16 KiB
+    page of the break that holds an object start: two loads, no hash, in
+    the break's first 256 MiB),
+    and a block size's stack of freed blocks through an {!Int_index}, so
+    [malloc] and [free] allocate nothing on the OCaml heap once the
+    arrays have grown.  The map relies on the break being carved by this
+    heap alone, from {!Machine.heap_base} in 16-byte steps.
     The arrays start at a few dozen slots and double as needed; they come
     from a domain-local spare when one is there, and go back to it at
     their grown size when the machine's memory is released

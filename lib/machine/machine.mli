@@ -145,6 +145,11 @@ val charge_syscalls : t -> int -> unit
 
 (** {1 Address space} *)
 
+val heap_base : int
+(** The break of a new machine, 16-byte aligned.  The break only grows,
+    in multiples of 16 bytes, so every address {!sbrk} returns is
+    [heap_base] plus a multiple of 16. *)
+
 val sbrk : t -> int -> int
 (** [sbrk t n] extends the heap break by [n] bytes (16-byte aligned) and
     returns the previous break — the allocator's backing store.  Raises

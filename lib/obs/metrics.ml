@@ -40,6 +40,7 @@ type histogram = {
   h_key : histogram key;
   bounds : int array; (* strictly increasing upper bounds *)
   buckets : int array; (* length bounds + 1; last is the overflow bucket *)
+  small : Bytes.t; (* bucket of each value below its length, or empty *)
   mutable observations : int;
   mutable sum : int;
 }
@@ -55,7 +56,7 @@ let no_gauge = { g_key = { id = -1; name = "" }; level = 0; high = 0 }
 
 let no_histogram =
   { h_key = { id = -1; name = "" }; bounds = [||]; buckets = [||];
-    observations = 0; sum = 0 }
+    small = Bytes.empty; observations = 0; sum = 0 }
 
 type t = {
   mutable counters : counter array;
@@ -129,6 +130,27 @@ let high_watermark g = g.high
 
 let default_bounds = [| 16; 32; 64; 128; 256; 512; 1024; 4096; 16384; 65536 |]
 
+(* A value lands in the first bucket whose upper bound is >= the value;
+   values above every bound land in the final overflow bucket.
+   A top-level search takes the bounds as arguments: a local one would
+   close over them and allocate its closure on every observation. *)
+let rec bucket_search (bounds : int array) (v : int) lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if v <= bounds.(mid) then bucket_search bounds v lo mid
+    else bucket_search bounds v (mid + 1) hi
+
+(* The bucket of every value in [0, 4096], one byte each: [observe] looks
+   a small value up instead of searching, whose branches a stream of
+   random sizes mispredicts.  Built once, for [default_bounds], and
+   shared by every histogram on them; other bounds search. *)
+let small_limit = 4096
+
+let default_small =
+  Bytes.init (small_limit + 1) (fun v ->
+      Char.chr (bucket_search default_bounds v 0 (Array.length default_bounds)))
+
 let define_histogram t bounds (k : histogram key) =
   Array.iteri
     (fun i b ->
@@ -141,6 +163,7 @@ let define_histogram t bounds (k : histogram key) =
     { h_key = k;
       bounds = Array.copy bounds;
       buckets = Array.make (Array.length bounds + 1) 0;
+      small = (if bounds = default_bounds then default_small else Bytes.empty);
       observations = 0;
       sum = 0 }
   in
@@ -154,18 +177,9 @@ let histogram t ?(bounds = default_bounds) (k : histogram key) =
 
 let histogram_named t ?bounds name = histogram t ?bounds (histogram_key name)
 
-(* A value lands in the first bucket whose upper bound is >= the value;
-   values above every bound land in the final overflow bucket.
-   A top-level search takes the bounds as arguments: a local one would
-   close over them and allocate its closure on every observation. *)
-let rec bucket_search (bounds : int array) (v : int) lo hi =
-  if lo >= hi then lo
-  else
-    let mid = (lo + hi) / 2 in
-    if v <= bounds.(mid) then bucket_search bounds v lo mid
-    else bucket_search bounds v (mid + 1) hi
-
-let bucket_index h v = bucket_search h.bounds v 0 (Array.length h.bounds)
+let bucket_index h v =
+  if v >= 0 && v < Bytes.length h.small then Char.code (Bytes.unsafe_get h.small v)
+  else bucket_search h.bounds v 0 (Array.length h.bounds)
 
 let observe h v =
   h.observations <- h.observations + 1;

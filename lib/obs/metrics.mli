@@ -83,7 +83,10 @@ val histogram : t -> ?bounds:int array -> histogram key -> histogram
 val histogram_named : t -> ?bounds:int array -> string -> histogram
 
 val observe : histogram -> int -> unit
-(** A value [v] lands in the first bucket with bound [>= v]. *)
+(** A value [v] lands in the first bucket with bound [>= v].  On
+    {!default_bounds} a value in [\[0, 4096\]] is looked up in a table
+    built once and shared by every such histogram; other values, and
+    other bounds, binary-search. *)
 
 val percentile : histogram -> float -> int
 (** [percentile h q] (with [q] in [\[0, 1\]]) returns the upper bound of

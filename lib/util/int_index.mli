@@ -1,10 +1,10 @@
 (** A map from a pair of ints to a non-negative int, by open addressing.
 
     The one index behind the per-allocation and per-access tables: the
-    heap's address-to-slot map and its large free-block stacks, the
-    context table's (call site, stack offset) lookup, the evidence store,
-    the debug registers' open events and sparse memory's chunks.  A key
-    is a pair [(a, b)]; a table keyed by one int passes [b = 0].
+    heap's large free-block stacks and its pages past the dense window,
+    the context table's (call site, stack offset) lookup, the evidence
+    store, the debug registers' open events and sparse memory's chunks.
+    A key is a pair [(a, b)]; a table keyed by one int passes [b = 0].
 
     Keys and values sit in one flat [int] array, three ints per cell, so
     no operation calls the generic hash, and none allocates except the

@@ -59,6 +59,31 @@ let test_histogram_default_bounds () =
     (Array.length Metrics.default_bounds + 1)
     (Array.length (Metrics.bucket_counts h))
 
+(* On the default bounds, small values are looked up in a table: every
+   value lands where the bounds alone put it, on both sides of the table's
+   end and of every bound. *)
+let test_histogram_table () =
+  let reg = Metrics.create () in
+  let h = Metrics.histogram_named reg "table" in
+  let bounds = Metrics.default_bounds in
+  let expected v =
+    let rec go i = if i = Array.length bounds || v <= bounds.(i) then i else go (i + 1) in
+    go 0
+  in
+  let values =
+    List.init 4_200 (fun v -> v - 10)
+    @ List.concat_map (fun b -> [ b - 1; b; b + 1 ]) (Array.to_list bounds)
+    @ [ min_int; max_int ]
+  in
+  List.iter
+    (fun v ->
+      let before = Metrics.bucket_counts h in
+      Metrics.observe h v;
+      let after = Metrics.bucket_counts h in
+      let i = expected v in
+      if after.(i) <> before.(i) + 1 then Alcotest.failf "value %d: not in bucket %d" v i)
+    values
+
 (* ---------- Registry merging (fleet aggregation) ---------- *)
 
 let test_metrics_merge () =
@@ -1823,6 +1848,7 @@ let suite =
     Alcotest.test_case "gauge high watermark" `Quick test_gauge;
     Alcotest.test_case "histogram bucket boundaries" `Quick test_histogram_boundaries;
     Alcotest.test_case "histogram default bounds" `Quick test_histogram_default_bounds;
+    Alcotest.test_case "histogram bucket table" `Quick test_histogram_table;
     Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
     Alcotest.test_case "metrics merge histograms" `Quick test_metrics_merge_histograms;
     Alcotest.test_case "keyed registry matches a name-keyed model" `Quick
