@@ -684,6 +684,11 @@ let fleet_cmd =
 
 (* ---- serve: long-running service loop over the fleet ---- *)
 
+let print_alert (ev : Alert.event) =
+  Printf.printf "[alert] %s %s at epoch %d\n" (Alert.to_spec ev.rule)
+    (if ev.firing then "FIRING" else "cleared")
+    ev.epoch
+
 let serve_cmd =
   let epochs_arg =
     Arg.(value & opt int 200
@@ -817,7 +822,7 @@ let serve_cmd =
           (Option.value checkpoint ~default:"checkpoint") resumed_at;
       let paint () =
         if live && color then print_string "\x1b[2J\x1b[H";
-        Result.iter print_string (Serve.render_status ~color (Serve.status_json t));
+        print_string (Serve.render_status ~color (Serve.status t));
         flush stdout
       in
       let fired = ref 0 and cleared = ref 0 and painted = ref false in
@@ -826,11 +831,7 @@ let serve_cmd =
         List.iter
           (fun (ev : Alert.event) ->
             if ev.Alert.firing then incr fired else incr cleared;
-            if not live then
-              Printf.printf "[alert] %s %s at epoch %d\n"
-                (Alert.to_spec ev.Alert.rule)
-                (if ev.Alert.firing then "FIRING" else "cleared")
-                ev.Alert.epoch)
+            if not live then print_alert ev)
           o.Serve.events;
         painted := live && o.Serve.refreshed;
         if !painted then paint ()
@@ -842,7 +843,7 @@ let serve_cmd =
         "served %d epochs: %d arrived, %d detections, %d alerts fired, %d \
          cleared, %.3f s wall\n"
         (Serve.epoch t - resumed_at)
-        (Serve.arrived t) (Serve.detections t) !fired !cleared
+        (Serve.arrived t) (Serve.status t).detections !fired !cleared
         report.Fleet.wall_seconds;
       (* A resumed session's fleet saw only the epochs since the resume. *)
       Option.iter
@@ -877,22 +878,8 @@ let replay_cmd =
       Printf.eprintf "replay: %s\n" m;
       exit 1
     | Ok r ->
-      Result.iter print_string (Serve.render_status ~color r.Serve.status);
-      List.iter
-        (fun body ->
-          let str k =
-            match Obs_json.member k body with
-            | Some (`String s) -> s
-            | _ -> "?"
-          in
-          let int k =
-            Option.value ~default:0
-              (Option.bind (Obs_json.member k body) Obs_json.to_int)
-          in
-          Printf.printf "[alert] %s %s at epoch %d\n" (str "spec")
-            (if str "state" = "fire" then "FIRING" else "cleared")
-            (int "epoch"))
-        r.Serve.recorded;
+      print_string (Serve.render_status ~color r.Serve.status);
+      List.iter print_alert r.Serve.recorded;
       Printf.printf "history: %d health records, %d alert transitions%s\n"
         (List.length r.Serve.health)
         (List.length r.Serve.recorded)
@@ -951,8 +938,8 @@ let top_cmd =
       in
       (match Obs_json.of_string (String.trim text) with
       | Ok json when String.starts_with ~prefix:"csod.serve.status/" (tag json) -> (
-        match Serve.render_status ~color json with
-        | Ok s -> print_string s
+        match Schema.decode Serve.status_spec json with
+        | Ok s -> print_string (Serve.render_status ~color s)
         | Error e -> fail "%s: %s" file e)
       | _ -> (
         match List.filter_map Result.to_option (Schema.read Health.spec text) with

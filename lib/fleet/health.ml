@@ -35,121 +35,62 @@ let straggler_skew busy =
     let slowest = List.nth sorted (n - 1) in
     if median <= 1e-9 then 1.0 else slowest /. median
 
-(* ---- one field table per record: it encodes, decodes and names the
-   required kinds ---- *)
-
-type 'r field = {
-  name : string;
-  kind : Schema.kind;
-  optional : bool;  (* absent: the zero record's value stands *)
-  get : 'r -> Obs_json.t option;  (* [None]: not written *)
-  set : 'r -> Obs_json.t -> 'r option;  (* [None]: malformed *)
-}
-
-let field ?(optional = false) name kind get set = { name; kind; optional; get; set }
-
-(* Every int of the record is a count or an index: never below zero. *)
-let int ?optional name get set =
-  field ?optional name Schema.Int
-    (fun r -> Some (`Int (get r)))
-    (fun r -> function `Int n when n >= 0 -> Some (set r n) | _ -> None)
-
-let float name get set =
-  field name Schema.Float
-    (fun r -> Some (`Float (get r)))
-    (fun r j -> Option.map (set r) (Obs_json.to_float j))
-
-let counts name get set =
-  field name Schema.Object
-    (fun r -> Some (`Assoc (List.map (fun (k, v) -> (k, `Int v)) (get r))))
-    (fun r j -> Option.map (set r) (Obs_json.counts j))
-
-let members table r =
-  List.filter_map (fun f -> Option.map (fun v -> (f.name, v)) (f.get r)) table
-
-let encode table r : Obs_json.t = `Assoc (members table r)
-
-let decode table zero json =
-  List.fold_left
-    (fun acc f ->
-      Option.bind acc (fun r ->
-          match Obs_json.member f.name json with
-          | None -> if f.optional then Some r else None
-          | Some v -> f.set r v))
-    (Some zero) table
-
-let required table =
-  List.filter_map (fun f -> if f.optional then None else Some (f.name, f.kind)) table
+(* ---- the record's field table ---- *)
 
 let load_table =
-  [ int "domain" (fun d -> d.slot) (fun d slot -> { d with slot });
-    int "executed" (fun d -> d.executed) (fun d executed -> { d with executed });
-    float "busy_seconds" (fun d -> d.busy_seconds)
-      (fun d busy_seconds -> { d with busy_seconds }) ]
+  Schema.Field.
+    [ int "domain" (fun d -> d.slot) (fun d slot -> { d with slot });
+      int "executed" (fun d -> d.executed) (fun d executed -> { d with executed });
+      float "busy_seconds" (fun d -> d.busy_seconds) (fun d x -> { d with busy_seconds = x }) ]
 
 let wall_table =
-  [ float "epoch_seconds" (fun w -> w.epoch_seconds)
-      (fun w epoch_seconds -> { w with epoch_seconds });
-    float "merge_seconds" (fun w -> w.merge_seconds)
-      (fun w merge_seconds -> { w with merge_seconds });
-    float "observer_seconds" (fun w -> w.observer_seconds)
-      (fun w observer_seconds -> { w with observer_seconds });
-    float "straggler_skew" (fun w -> w.straggler_skew)
-      (fun w straggler_skew -> { w with straggler_skew });
-    field "domains" Schema.List
-      (fun w -> Some (`List (List.map (encode load_table) w.domains)))
-      (fun w -> function
-        | `List l ->
-          let zero = { slot = 0; executed = 0; busy_seconds = 0. } in
-          Option.map
-            (fun domains -> { w with domains })
-            (Obs_json.all (decode load_table zero) l)
-        | _ -> None) ]
+  Schema.Field.
+    [ float "epoch_seconds" (fun w -> w.epoch_seconds) (fun w x -> { w with epoch_seconds = x });
+      float "merge_seconds" (fun w -> w.merge_seconds) (fun w x -> { w with merge_seconds = x });
+      float "observer_seconds" (fun w -> w.observer_seconds)
+        (fun w x -> { w with observer_seconds = x });
+      float "straggler_skew" (fun w -> w.straggler_skew)
+        (fun w x -> { w with straggler_skew = x });
+      records "domains" load_table { slot = 0; executed = 0; busy_seconds = 0. }
+        (fun w -> w.domains) (fun w domains -> { w with domains }) ]
 
-let table : t field list =
-  [ int "epoch" (fun r -> r.epoch) (fun r epoch -> { r with epoch });
-    int "arrivals" (fun r -> r.arrivals) (fun r arrivals -> { r with arrivals });
-    int "detections" (fun r -> r.detections) (fun r detections -> { r with detections });
-    int "degraded" (fun r -> r.degraded) (fun r degraded -> { r with degraded });
-    int "worker_crashes" (fun r -> r.worker_crashes)
-      (fun r worker_crashes -> { r with worker_crashes });
-    counts "faults" (fun r -> r.faults) (fun r faults -> { r with faults });
-    int "snapshots" (fun r -> r.snapshots) (fun r snapshots -> { r with snapshots });
-    int "cycles" (fun r -> r.cycles) (fun r cycles -> { r with cycles });
-    float "cycle_skew" (fun r -> r.cycle_skew)
-      (fun r cycle_skew -> { r with cycle_skew });
-    int "store_contexts" (fun r -> r.store_contexts)
-      (fun r store_contexts -> { r with store_contexts });
-    int "patched" (fun r -> r.patched) (fun r patched -> { r with patched });
-    field ~optional:true "wall" Schema.Object
-      (fun r -> Option.map (encode wall_table) r.wall)
-      (fun r j ->
-        Option.map
-          (fun w -> { r with wall = Some w })
-          (decode wall_table
-             { epoch_seconds = 0.; merge_seconds = 0.; observer_seconds = 0.;
-               straggler_skew = 0.; domains = [] }
-             j)) ]
+(* Every int of the record is a count or an index: never below zero. *)
+let table : t Schema.field list =
+  Schema.Field.
+    [ int "epoch" (fun r -> r.epoch) (fun r epoch -> { r with epoch });
+      int "arrivals" (fun r -> r.arrivals) (fun r arrivals -> { r with arrivals });
+      int "detections" (fun r -> r.detections) (fun r detections -> { r with detections });
+      int "degraded" (fun r -> r.degraded) (fun r degraded -> { r with degraded });
+      int "worker_crashes" (fun r -> r.worker_crashes)
+        (fun r n -> { r with worker_crashes = n });
+      counts "faults" (fun r -> r.faults) (fun r faults -> { r with faults });
+      int "snapshots" (fun r -> r.snapshots) (fun r snapshots -> { r with snapshots });
+      int "cycles" (fun r -> r.cycles) (fun r cycles -> { r with cycles });
+      float "cycle_skew" (fun r -> r.cycle_skew) (fun r x -> { r with cycle_skew = x });
+      int "store_contexts" (fun r -> r.store_contexts)
+        (fun r n -> { r with store_contexts = n });
+      int "patched" (fun r -> r.patched) (fun r patched -> { r with patched });
+      option "wall" wall_table
+        { epoch_seconds = 0.; merge_seconds = 0.; observer_seconds = 0.;
+          straggler_skew = 0.; domains = [] }
+        (fun r -> r.wall) (fun r wall -> { r with wall }) ]
 
 let zero =
   { epoch = 0; arrivals = 0; detections = 0; degraded = 0; worker_crashes = 0;
     faults = []; snapshots = 0; cycles = 0; cycle_skew = 0.; store_contexts = 0;
     patched = 0; wall = None }
 
-let to_json r = encode table r
+(* More detections than arrivals would put the CDF the fold derives
+   outside [0, 1]. *)
+let check r =
+  if r.detections > r.arrivals then Error "more detections than arrivals" else Ok ()
 
-(* A count below zero, or more detections than arrivals, would put the
-   CDF the fold derives outside [0, 1]. *)
+let spec = Schema.of_table ~check:(fun () -> check) schema table zero
+let to_json r = Schema.to_json table r
+let line r = Schema.to_json ~tag:schema table r
+
 let of_json json =
-  Result.bind (Schema.has_fields (required table) json) (fun () ->
-      match decode table zero json with
-      | None -> Error "a count is negative, a fault count is not an int, or the wall is malformed"
-      | Some r when r.detections > r.arrivals -> Error "more detections than arrivals"
-      | Some r -> Ok r)
-
-let line r : Obs_json.t = `Assoc (("schema", `String schema) :: members table r)
-
-let spec = Schema.of_decoder schema (required table) of_json
+  Result.bind (Schema.of_json table zero json) (fun r -> Result.map (fun () -> r) (check r))
 
 (* ---- the fold ---- *)
 
@@ -229,32 +170,29 @@ let totals records =
          (total, total))
        empty records)
 
-let agg_table : agg field list =
-  [ int "epochs" (fun a -> a.epochs) (fun a epochs -> { a with epochs });
-    int "first_epoch" (fun a -> a.first_epoch)
-      (fun a first_epoch -> { a with first_epoch });
-    int "last_epoch" (fun a -> a.last_epoch) (fun a last_epoch -> { a with last_epoch });
-    int "arrivals" (fun a -> a.arrivals) (fun a arrivals -> { a with arrivals });
-    int "detections" (fun a -> a.detections)
-      (fun a detections -> { a with detections });
-    (* Absent in windows written before code-less patching: reads 0. *)
-    int ~optional:true "patched" (fun a -> a.patched)
-      (fun a patched -> { a with patched });
-    int "degraded" (fun a -> a.degraded) (fun a degraded -> { a with degraded });
-    int "worker_crashes" (fun a -> a.worker_crashes)
-      (fun a worker_crashes -> { a with worker_crashes });
-    counts "faults" (fun a -> a.faults) (fun a faults -> { a with faults });
-    int "snapshots" (fun a -> a.snapshots) (fun a snapshots -> { a with snapshots });
-    int "cycles" (fun a -> a.cycles) (fun a cycles -> { a with cycles });
-    float "skew_max" (fun a -> a.skew_max) (fun a skew_max -> { a with skew_max });
-    float "cdf_last" (fun a -> a.cdf_last) (fun a cdf_last -> { a with cdf_last });
-    int "store_last" (fun a -> a.store_last)
-      (fun a store_last -> { a with store_last });
-    float "virtual_last" (fun a -> a.virtual_last)
-      (fun a virtual_last -> { a with virtual_last }) ]
+let agg_table : agg Schema.field list =
+  Schema.Field.
+    [ int "epochs" (fun a -> a.epochs) (fun a epochs -> { a with epochs });
+      int "first_epoch" (fun a -> a.first_epoch) (fun a x -> { a with first_epoch = x });
+      int "last_epoch" (fun a -> a.last_epoch) (fun a last_epoch -> { a with last_epoch });
+      int "arrivals" (fun a -> a.arrivals) (fun a arrivals -> { a with arrivals });
+      int "detections" (fun a -> a.detections) (fun a detections -> { a with detections });
+      (* Absent in windows written before code-less patching: reads 0. *)
+      int ~optional:true "patched" (fun a -> a.patched) (fun a x -> { a with patched = x });
+      int "degraded" (fun a -> a.degraded) (fun a degraded -> { a with degraded });
+      int "worker_crashes" (fun a -> a.worker_crashes)
+        (fun a n -> { a with worker_crashes = n });
+      counts "faults" (fun a -> a.faults) (fun a faults -> { a with faults });
+      int "snapshots" (fun a -> a.snapshots) (fun a snapshots -> { a with snapshots });
+      int "cycles" (fun a -> a.cycles) (fun a cycles -> { a with cycles });
+      float "skew_max" (fun a -> a.skew_max) (fun a skew_max -> { a with skew_max });
+      float "cdf_last" (fun a -> a.cdf_last) (fun a cdf_last -> { a with cdf_last });
+      int "store_last" (fun a -> a.store_last) (fun a store_last -> { a with store_last });
+      float "virtual_last" (fun a -> a.virtual_last)
+        (fun a v -> { a with virtual_last = v }) ]
 
-let agg_to_json a = encode agg_table a
-let agg_of_json json = decode agg_table empty json
+let agg_to_json a = Schema.to_json agg_table a
+let agg_of_json json = Result.to_option (Schema.of_json agg_table empty json)
 
 (* ---- one-screen renderer ---- *)
 

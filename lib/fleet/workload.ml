@@ -30,6 +30,17 @@ let make ?(benign_frac = 0.0) ?(base_seed = 1) ?(burst = Steady)
 
 type user = { uid : int; seed : int; benign : bool }
 
+let table : t Schema.field list =
+  Schema.Field.
+    [ int "users" (fun w -> w.users) (fun w users -> { w with users });
+      float "benign_frac" (fun w -> w.benign_frac) (fun w x -> { w with benign_frac = x });
+      int ~min:min_int "base_seed" (fun w -> w.base_seed) (fun w n -> { w with base_seed = n });
+      conv "burst" String
+        (fun b -> `String (burst_name b))
+        (function `String s -> burst_of_string s | _ -> None)
+        (fun w -> w.burst) (fun w burst -> { w with burst });
+      int ~min:1 "wave_period" (fun w -> w.wave_period) (fun w n -> { w with wave_period = n }) ]
+
 let user t uid =
   if uid < 1 || uid > t.users then invalid_arg "Workload.user: uid out of range";
   (* A private generator keyed on (base_seed, uid): the draw is the same

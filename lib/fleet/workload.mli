@@ -43,6 +43,9 @@ val make :
     Raises [Invalid_argument] on a negative population, a fraction
     outside [\[0, 1\]], or a period under 1. *)
 
+val table : t Schema.field list
+(** The workload as a run's meta record writes it, one member per field. *)
+
 type user = {
   uid : int;     (** 1-based *)
   seed : int;    (** execution seed — drives the machine RNG and input jitter *)

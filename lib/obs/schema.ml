@@ -10,9 +10,6 @@ type 'a t = {
 let make ?(canonical = false) ?(stream = fun () _ -> Ok ()) name fields =
   { name; fields; canonical; stream }
 
-let of_decoder name fields decode =
-  { name; fields; canonical = false; stream = (fun () -> decode) }
-
 let erase t =
   { t with
     stream = (fun () -> let d = t.stream () in fun j -> Result.map ignore (d j)) }
@@ -27,24 +24,94 @@ let rec has_kind kind (v : Obs_json.t) =
   | Nullable k, v -> has_kind k v
   | _ -> false
 
-let has_fields fields json =
+(* ---- one field table per record: it encodes, decodes and names the
+   required kinds ---- *)
+
+type 'r field = {
+  key : string;
+  kind : kind;
+  optional : bool;  (* absent: the zero record's value stands *)
+  get : 'r -> Obs_json.t option;  (* [None]: not written *)
+  set : 'r -> Obs_json.t -> 'r option;  (* [None]: malformed *)
+}
+
+let required table =
+  List.filter_map (fun f -> if f.optional then None else Some (f.key, f.kind)) table
+
+let to_json ?tag table r : Obs_json.t =
+  let members =
+    List.filter_map (fun f -> Option.map (fun v -> (f.key, v)) (f.get r)) table
+  in
+  `Assoc (match tag with Some s -> ("schema", `String s) :: members | None -> members)
+
+let of_json table zero json =
   List.fold_left
-    (fun acc (k, kind) ->
-      let* () = acc in
-      match Obs_json.member k json with
-      | None -> Error (Printf.sprintf "missing field %S" k)
-      | Some v when has_kind kind v -> Ok ()
+    (fun acc f ->
+      let* r = acc in
+      match Obs_json.member f.key json with
+      | None when f.optional -> Ok r
+      | None -> Error (Printf.sprintf "missing field %S" f.key)
+      | Some v when not (has_kind f.kind v) ->
+        Error (Printf.sprintf "field %S has the wrong kind: %s" f.key (Obs_json.to_string v))
       | Some v ->
-        Error (Printf.sprintf "field %S has the wrong kind: %s" k (Obs_json.to_string v)))
-    (Ok ()) fields
+        Option.to_result ~none:(Printf.sprintf "field %S is malformed" f.key) (f.set r v))
+    (match json with `Assoc _ -> Ok zero | _ -> Error "not a JSON object")
+    table
 
-let int json k =
-  match Obs_json.member k json with Some (`Int n) -> n | _ -> invalid_arg k
+module Field = struct
+  let make ?(optional = false) key kind get set = { key; kind; optional; get; set }
 
-let float json k =
-  match Option.bind (Obs_json.member k json) Obs_json.to_float with
-  | Some f -> f
-  | None -> invalid_arg k
+  let member ?optional key kind enc dec get set =
+    make ?optional key kind
+      (fun r -> Some (enc (get r)))
+      (fun r j -> Option.map (set r) (dec j))
+
+  let conv key = member key
+
+  let int ?optional ?(min = 0) key =
+    member ?optional key Int
+      (fun n -> `Int n)
+      (function `Int n when n >= min -> Some n | _ -> None)
+
+  let float key = conv key Float (fun x -> `Float x) Obs_json.to_float
+  let string key = conv key String (fun s -> `String s) (function `String s -> Some s | _ -> None)
+
+  let counts key =
+    conv key Object (fun l -> `Assoc (List.map (fun (k, v) -> (k, `Int v)) l)) Obs_json.counts
+
+  let nullable key kind enc dec =
+    conv key (Nullable kind)
+      (function None -> `Null | Some v -> enc v)
+      (function `Null -> Some None | j -> Option.map Option.some (dec j))
+
+  let list key enc dec =
+    conv key List (fun l -> `List (List.map enc l)) (function
+      | `List l -> Obs_json.all dec l
+      | _ -> None)
+
+  let obj table zero j = Result.to_option (of_json table zero j)
+  let record key table zero = conv key Object (to_json table) (obj table zero)
+  let records key table zero = list key (to_json table) (obj table zero)
+
+  let option key table zero get set =
+    make ~optional:true key Object
+      (fun r -> Option.map (to_json table) (get r))
+      (fun r j -> Option.map (fun v -> set r (Some v)) (obj table zero j))
+end
+
+let of_table ?(check = fun () _ -> Ok ()) name table zero =
+  { name; fields = required table; canonical = false;
+    stream =
+      (fun () ->
+        let check = check () in
+        fun json ->
+          let* r = of_json table zero json in
+          Result.map (fun () -> r) (check r)) }
+
+(* Every field present with its kind: a table that stores nothing. *)
+let has_fields fields json =
+  let check (key, kind) = Field.make key kind (fun _ -> None) (fun () _ -> Some ()) in
+  of_json (List.map check fields) () json
 
 let shape t json =
   match (json, Obs_json.member "schema" json) with

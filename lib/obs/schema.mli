@@ -16,11 +16,6 @@ type kind =
 type 'a t
 (** A format whose records decode to ['a]. *)
 
-val of_decoder :
-  string -> (string * kind) list -> (Obs_json.t -> ('a, string) result) -> 'a t
-(** A format and its decoder, which runs on a record once its fields have
-    their kinds (extra fields are allowed). *)
-
 val make :
   ?canonical:bool ->
   ?stream:(unit -> Obs_json.t -> (unit, string) result) ->
@@ -41,24 +36,71 @@ val name : 'a t -> string
 val has_fields : (string * kind) list -> Obs_json.t -> (unit, string) result
 (** Every field present with its kind. *)
 
-val int : Obs_json.t -> string -> int
-val float : Obs_json.t -> string -> float
-(** A field {!has_fields} has checked (a [Float] may be an int token);
-    [Invalid_argument] for any other. *)
+(** {2 Field tables}
 
-val shape : 'a t -> Obs_json.t -> (unit, string) result
-(** An object carrying the spec's tag and fields; no decoding. *)
+    A record's format written once, as its fields in emission order: the
+    encoder ({!to_json}), the decoder ({!of_json}) and the spec
+    ({!of_table}) all come from the one table. *)
+
+type 'r field
+(** One member of an ['r]'s object: name, kind, how it is written and read. *)
+
+module Field : sig
+  type ('r, 'a) lens := ('r -> 'a) -> ('r -> 'a -> 'r) -> 'r field
+
+  val conv :
+    string -> kind -> ('a -> Obs_json.t) -> (Obs_json.t -> 'a option) -> ('r, 'a) lens
+  (** A member written from a field of the record (the lens's getter) through
+      the codec's encoder; read by its decoder ([None]: malformed) and stored
+      by the setter into the record read so far. *)
+
+  val int : ?optional:bool -> ?min:int -> string -> ('r, int) lens
+  (** An int token of at least [min] (default 0: a count or an index).  An
+      [optional] one may be absent: the zero record's value stands. *)
+
+  val float : string -> ('r, float) lens
+  val string : string -> ('r, string) lens
+  val counts : string -> ('r, (string * int) list) lens  (** {!Obs_json.counts} *)
+
+  val nullable :
+    string -> kind ->
+    ('a -> Obs_json.t) -> (Obs_json.t -> 'a option) -> ('r, 'a option) lens
+  (** Kind [Nullable kind]; [None] is [null]. *)
+
+  val list :
+    string -> ('a -> Obs_json.t) -> (Obs_json.t -> 'a option) -> ('r, 'a list) lens
+  val record : string -> 'a field list -> 'a -> ('r, 'a) lens
+  val records : string -> 'a field list -> 'a -> ('r, 'a list) lens
+  (** One nested object, or a list of them, through its table and zero. *)
+
+  val option : string -> 'a field list -> 'a -> ('r, 'a option) lens
+  (** An optional nested object, written only when [Some]. *)
+end
+
+val to_json : ?tag:string -> 'r field list -> 'r -> Obs_json.t
+(** The object, members in table order, led by ["schema"] with [tag].
+    Nothing is checked: this is the write path. *)
+
+val of_json : 'r field list -> 'r -> Obs_json.t -> ('r, string) result
+(** Every member read into the zero record in table order; [Error] names
+    the first one missing, of the wrong kind or malformed. *)
+
+val of_table :
+  ?check:(unit -> 'r -> (unit, string) result) -> string -> 'r field list -> 'r -> 'r t
+(** The format [name] of the table's records: its required kinds, then
+    {!of_json} from the zero record, then [check] (fresh per stream) for
+    what no single member says. *)
 
 val decode : 'a t -> Obs_json.t -> ('a, string) result
-(** {!shape}, then the format's decoder: one record, as the first of a
-    stream. *)
+(** The tag and the required fields checked, then the format's decoder:
+    one record, as the first of a stream. *)
 
 val conforms : 'a t -> Obs_json.t -> (unit, string) result
 (** {!decode} with the value dropped. *)
 
 val record : 'a t -> string -> (Obs_json.t, string) result
 (** The record a line holds: its JSON (for a canonical format, rendered
-    exactly as the line) with the format's {!shape}; not yet decoded. *)
+    exactly as the line) with the spec's tag and fields; not yet decoded. *)
 
 val read : 'a t -> string -> ('a, string) result list
 (** A text as one stream of the format: one result per line, in order,

@@ -1,4 +1,5 @@
-let num = Schema.float
+(* A [Float] member the spec's kinds have checked. *)
+let num j k = Option.get (Option.bind (Obs_json.member k j) Obs_json.to_float)
 let str json k = match Obs_json.member k json with Some (`String s) -> s | _ -> ""
 let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
 
@@ -13,14 +14,14 @@ let bench_fleet =
         ("speedup", Float) ]
 
 let bench_exec =
-  Schema.of_decoder "csod.bench.exec/1"
+  Schema.make "csod.bench.exec/1"
     Schema.
       [ ("workload", String); ("kind", String); ("mode", String);
         ("runs", Int); ("cycles", Int); ("deterministic", Bool);
         ("interp_wall_seconds", Float); ("vm_wall_seconds", Float);
         ("interp_execs_per_sec", Float); ("vm_execs_per_sec", Float);
         ("speedup", Float) ]
-    (fun j ->
+    ~stream:(fun () j ->
       match
         List.find_opt
           (fun k -> num j k <= 0.)
@@ -37,9 +38,9 @@ let bench_exec =
 (* Survival rows carry the redirect tallies, the overhead row the paired
    timings. *)
 let bench_respond =
-  Schema.of_decoder "csod.bench.respond/1"
+  Schema.make "csod.bench.respond/1"
     Schema.[ ("metric", String); ("app", String); ("mode", String); ("runs", Int) ]
-    (fun j ->
+    ~stream:(fun () j ->
       let ( let* ) = Result.bind in
       let outside k hi = num j k < 0. || num j k > hi in
       match str j "metric" with
@@ -69,7 +70,7 @@ let bench_respond =
       | m -> fail "unknown respond bench metric %S" m)
 
 let bench_resilience =
-  Schema.of_decoder "csod.bench.resilience/1"
+  Schema.make "csod.bench.resilience/1"
     Schema.
       [ ("app", String); ("config", String); ("users", Int);
         ("benign_frac", Float); ("domains", Int); ("epoch_size", Int);
@@ -77,7 +78,7 @@ let bench_resilience =
         ("detection_rate", Float); ("degraded_executions", Int);
         ("faults_injected", Int); ("worker_crashes", Int);
         ("store_contexts", Int); ("wall_seconds", Float) ]
-    (fun j ->
+    ~stream:(fun () j ->
       let r = num j "detection_rate" in
       if r < 0. || r > 1. then fail "detection_rate out of [0, 1]" else Ok ())
 
@@ -100,7 +101,8 @@ let emit_row spec fields =
   | Error e -> invalid_arg (Printf.sprintf "%s row: %s" (Schema.name spec) e)
 
 let all =
-  [ Schema.erase Health.spec; Alert.spec; History.spec; Serve.status_spec;
-    Serve.checkpoint_spec; Schema.erase (Sim.repro_spec Sim_registry.all);
+  [ Schema.erase Health.spec; Schema.erase Alert.spec; History.spec;
+    Schema.erase Serve.status_spec;
+    Schema.erase Serve.checkpoint_spec; Schema.erase (Sim.repro_spec Sim_registry.all);
     Fleet.report_spec; bench_fleet; bench_exec; bench_respond;
     bench_resilience; bench_metrics; bench_throughput ]

@@ -14,4 +14,4 @@ val emit_row : 'a Schema.t -> (string * Obs_json.t) list -> unit
     the row does not conform to the spec. *)
 
 val all : unit Schema.t list
-(** The fourteen formats. *)
+(** The thirteen formats. *)

@@ -129,49 +129,54 @@ type event = {
 
 let schema = "csod.fleet.alert/1"
 
-let event_to_json e : Obs_json.t =
-  `Assoc
-    [ ("schema", `String schema);
-      ("alert", `String e.rule.name);
-      ("spec", `String (to_spec e.rule));
-      ("state", `String (if e.firing then "fire" else "clear"));
-      ("epoch", `Int e.epoch); ("since", `Int e.since);
-      ("window", Health.agg_to_json e.window) ]
+let zero_event =
+  { rule = { name = ""; window = 1; cond = Stall }; epoch = 0; firing = false;
+    since = 0; window = Health.empty }
+
+(* [alert] is the rule's name, which [spec] states in full. *)
+let table : event Schema.field list =
+  Schema.Field.
+    [ string "alert" (fun e -> e.rule.name) (fun e _ -> e);
+      conv "spec" String
+        (fun r -> `String (to_spec r))
+        (function `String s -> Result.to_option (parse_rule s) | _ -> None)
+        (fun e -> e.rule) (fun e rule -> { e with rule });
+      conv "state" String
+        (fun firing -> `String (if firing then "fire" else "clear"))
+        (function `String "fire" -> Some true | `String "clear" -> Some false | _ -> None)
+        (fun e -> e.firing) (fun e firing -> { e with firing });
+      int "epoch" (fun e -> e.epoch) (fun e epoch -> { e with epoch });
+      int "since" (fun e -> e.since) (fun e since -> { e with since });
+      conv "window" Object Health.agg_to_json Health.agg_of_json
+        (fun e -> e.window) (fun e window -> { e with window }) ]
+
+let event_to_json e = Schema.to_json ~tag:schema table e
 
 let transitions ~resumed () =
   let last = Hashtbl.create 4 in
-  fun json ->
-    let str k = match Obs_json.member k json with Some (`String s) -> s | _ -> "" in
-    let spec = str "spec" and firing = str "state" = "fire" in
-    let epoch = Schema.int json "epoch" and since = Schema.int json "since" in
+  fun (e : event) ->
+    let spec = to_spec e.rule and w = e.window in
     let prev = Hashtbl.find_opt last spec in
-    Hashtbl.replace last spec firing;
-    match Option.bind (Obs_json.member "window" json) Health.agg_of_json with
-    | None -> Error "malformed alert window"
-    | Some _ when not (List.mem (str "state") [ "fire"; "clear" ]) ->
-      Error (Printf.sprintf "alert state %S is not fire/clear" (str "state"))
-    | Some w ->
-      if not (w.first_epoch <= w.last_epoch && w.last_epoch <= epoch) then
-        Error
-          (Printf.sprintf "alert window [%d, %d] outside epoch %d" w.first_epoch
-             w.last_epoch epoch)
-      else if w.epochs < 1 then
-        Error (Printf.sprintf "alert window covers %d epochs" w.epochs)
-      else if firing && prev = Some true then
-        Error (spec ^ " fired twice without clearing")
-      else if (not firing) && prev <> Some true && not (resumed && prev = None)
-      then Error (spec ^ " cleared without firing")
-      else if firing && since <> epoch then
-        Error (Printf.sprintf "fire event since %d != epoch %d" since epoch)
-      else if (not firing) && (since < 0 || since > epoch) then
-        Error (Printf.sprintf "clear event since %d outside [0, %d]" since epoch)
-      else Ok ()
+    Hashtbl.replace last spec e.firing;
+    if not (w.first_epoch <= w.last_epoch && w.last_epoch <= e.epoch) then
+      Error
+        (Printf.sprintf "alert window [%d, %d] outside epoch %d" w.first_epoch
+           w.last_epoch e.epoch)
+    else if w.epochs < 1 then
+      Error (Printf.sprintf "alert window covers %d epochs" w.epochs)
+    else if e.firing && prev = Some true then
+      Error (spec ^ " fired twice without clearing")
+    else if (not e.firing) && prev <> Some true && not (resumed && prev = None) then
+      Error (spec ^ " cleared without firing")
+    else if e.firing && e.since <> e.epoch then
+      Error (Printf.sprintf "fire event since %d != epoch %d" e.since e.epoch)
+    else if (not e.firing) && e.since > e.epoch then
+      Error (Printf.sprintf "clear event since %d outside [0, %d]" e.since e.epoch)
+    else Ok ()
 
-let spec =
-  Schema.make schema ~stream:(transitions ~resumed:false)
-    Schema.
-      [ ("alert", String); ("spec", String); ("state", String);
-        ("epoch", Int); ("since", Int); ("window", Object) ]
+let spec = Schema.of_table ~check:(transitions ~resumed:false) schema table zero_event
+
+let of_json = Schema.decode (Schema.of_table schema table zero_event)
 
 type state = { rule : rule; mutable firing : bool; mutable since : int }
 type t = { states : state list }

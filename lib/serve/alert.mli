@@ -51,13 +51,18 @@ type event = {
 
 val event_to_json : event -> Obs_json.t
 (** Schema [csod.fleet.alert/1]: spec echo, state, epochs, and the full
-    window snapshot. *)
+    window snapshot, from the event's field table. *)
 
-val spec : unit Schema.t
-(** Per stream, each rule fires then clears in turn, a fire's [since] is
-    its epoch, and the window ends at or before the event's epoch. *)
+val spec : event Schema.t
+(** The table's decoder ([spec] a rule {!parse} reads, [alert] its name,
+    [state] [fire] or [clear]), then per stream: each rule fires then
+    clears in turn, a fire's [since] is its epoch, and the window ends at
+    or before the event's epoch. *)
 
-val transitions : resumed:bool -> unit -> Obs_json.t -> (unit, string) result
+val of_json : Obs_json.t -> (event, string) result
+(** A tagged event through the table, without {!spec}'s stream check. *)
+
+val transitions : resumed:bool -> unit -> event -> (unit, string) result
 (** {!spec}'s stream check; in a [resumed] stream a rule may first clear. *)
 
 type t

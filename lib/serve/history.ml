@@ -2,16 +2,10 @@ let schema = "csod.serve.history/2"
 
 type kind = Meta | Health | Alert
 
-let kind_to_string = function
-  | Meta -> "meta"
-  | Health -> "health"
-  | Alert -> "alert"
-
-let kind_of_string = function
-  | "meta" -> Some Meta
-  | "health" -> Some Health
-  | "alert" -> Some Alert
-  | _ -> None
+(* Each kind and its name, both ways. *)
+let kinds = [ (Meta, "meta"); (Health, "health"); (Alert, "alert") ]
+let kind_to_string k = List.assoc k kinds
+let kind_of_string s = List.find_map (fun (k, n) -> if n = s then Some k else None) kinds
 
 (* FNV-1a over the record's seq, kind and rendered body: a flipped bit in
    any of them is a checksum error, not a record out of sequence. *)
@@ -27,10 +21,49 @@ let line ~seq kind body =
 let fields =
   Schema.[ ("seq", Int); ("kind", String); ("crc", String); ("body", Object) ]
 
+(* ---- the meta record ---- *)
+
+type meta = {
+  workload : Workload.t;
+  epoch_size : int;
+  faults : Fault_plan.t option;
+  patch_threshold : int option;
+  rules : Alert.rule list;
+  windows : int list;
+}
+
+let meta_table : meta Schema.field list =
+  Schema.Field.
+    [ record "workload" Workload.table (Workload.make ~users:0 ())
+        (fun m -> m.workload) (fun m workload -> { m with workload });
+      int ~min:1 "epoch_size" (fun m -> m.epoch_size) (fun m epoch_size -> { m with epoch_size });
+      nullable "faults" String
+        (fun p -> `String (Fault_plan.to_string p))
+        (function `String s -> Result.to_option (Fault_plan.of_string s) | _ -> None)
+        (fun m -> m.faults) (fun m faults -> { m with faults });
+      nullable "patch_threshold" Int (fun n -> `Int n)
+        (function `Int n when n >= 1 -> Some n | _ -> None)
+        (fun m -> m.patch_threshold) (fun m patch_threshold -> { m with patch_threshold });
+      (* one spec per rule *)
+      list "alerts"
+        (fun r -> `String (Alert.to_spec r))
+        (function `String s -> (match Alert.parse s with Ok [ r ] -> Some r | _ -> None) | _ -> None)
+        (fun m -> m.rules) (fun m rules -> { m with rules });
+      list "windows" (fun w -> `Int w)
+        (function `Int w when w >= 1 -> Some w | _ -> None)
+        (fun m -> m.windows) (fun m windows -> { m with windows }) ]
+
+let meta_to_json m = Schema.to_json meta_table m
+
+let meta_of_json =
+  Schema.of_json meta_table
+    { workload = Workload.make ~users:0 (); epoch_size = 1; faults = None;
+      patch_threshold = None; rules = []; windows = [] }
+
 type log = {
-  meta : Obs_json.t option;
+  meta : meta option;
   health : Health.t list;
-  alerts : Obs_json.t list;
+  alerts : Alert.event list;
   errors : string list;
 }
 
@@ -49,7 +82,8 @@ let decoder ?first () =
     incr lost;
     Error e
   | Ok json -> (
-    let seq = Schema.int json "seq" and get k = Option.get (Obs_json.member k json) in
+    let get k = Option.get (Obs_json.member k json) in
+    let seq = match get "seq" with `Int n -> n | _ -> -1 in
     let error m = Error (Printf.sprintf "seq %d%s" seq m) in
     let body = get "body" and kind = match get "kind" with `String k -> k | _ -> "" in
     let actual = Printf.sprintf "%016Lx" (crc ~seq kind (Obs_json.to_string body)) in
@@ -73,16 +107,18 @@ let decoder ?first () =
           alerts :=
             Some (Alert.transitions ~resumed:(Option.value first ~default:seq <> 0) ());
         match kind with
-        | Meta -> Ok (fun log -> if log.meta = None then { log with meta = Some body } else log)
+        | Meta -> (
+          match meta_of_json body with
+          | Ok m -> Ok (fun log -> if log.meta = None then { log with meta = Some m } else log)
+          | Error e -> error (": meta record: " ^ e))
         | Health -> (
           match Health.of_json body with
           | Ok r -> Ok (fun log -> { log with health = r :: log.health })
           | Error _ -> error ": malformed health body")
         | Alert -> (
-          match
-            Result.bind (Schema.shape Alert.spec body) (fun () -> Option.get !alerts body)
-          with
-          | Ok () -> Ok (fun log -> { log with alerts = body :: log.alerts })
+          let check e = Result.map (fun () -> e) (Option.get !alerts e) in
+          match Result.bind (Alert.of_json body) check with
+          | Ok e -> Ok (fun log -> { log with alerts = e :: log.alerts })
           | Error e -> error (": " ^ e)))))
 
 let spec =

@@ -21,11 +21,33 @@
 
 type kind = Meta | Health | Alert
 
+(** {2 The meta record}
+
+    What a run's windows and alerts derive from besides its health stream,
+    and what a resume must find unchanged; independent of the domain
+    count. *)
+
+type meta = {
+  workload : Workload.t;
+  epoch_size : int;
+  faults : Fault_plan.t option;
+  patch_threshold : int option;
+  rules : Alert.rule list;  (** [alerts], one {!Alert.to_spec} each *)
+  windows : int list;  (** dashboard sizes, each at least 1 *)
+}
+
+val meta_to_json : meta -> Obs_json.t
+
+val meta_of_json : Obs_json.t -> (meta, string) result
+(** The meta body's decoder, which {!spec} and {!read} run: [Error] names
+    the first member missing, mistyped or malformed. *)
+
 val spec : unit Schema.t
 (** The format, checked by the decoder {!read} runs: per stream, each
     line's checksum holds, [seq] runs on by one from the first record,
-    health bodies decode and alert bodies pass {!Alert.spec}'s stream
-    check (resumed when the stream starts past seq 0). *)
+    meta and health bodies decode ({!meta_of_json}, {!Health.of_json}) and
+    alert bodies pass {!Alert.spec}'s decoder and stream check (resumed
+    when the stream starts past seq 0). *)
 
 (** {2 Writing} *)
 
@@ -64,9 +86,9 @@ val segments : string -> string list
 (** The directory's segment files, segment order (full paths). *)
 
 type log = {
-  meta : Obs_json.t option;  (** the first meta record *)
+  meta : meta option;  (** the first meta record *)
   health : Health.t list;  (** health bodies, file order *)
-  alerts : Obs_json.t list;  (** alert bodies as written *)
+  alerts : Alert.event list;  (** alert bodies, file order *)
   errors : string list;
       (** a line with no record (torn, empty, not JSON, wrong tag or
           fields) as ["serve-000000.jsonl:LINE: reason"]; a record that

@@ -3,13 +3,8 @@ let checkpoint_schema = "csod.serve.checkpoint/2"
 let status_period = 0.1
 
 type config = {
-  workload : Workload.t;
+  meta : History.meta;
   domains : int;
-  epoch_size : int;
-  faults : Fault_plan.t option;
-  patch_threshold : int option;
-  rules : Alert.rule list;
-  windows : int list;
   history_dir : string option;
   rotate : int;
   status_path : string option;
@@ -34,12 +29,8 @@ let config ?domains ?(epoch_size = 32) ?faults ?patch_threshold
   List.iter
     (fun w -> if w < 1 then invalid_arg "Serve.config: window < 1")
     windows;
-  { workload; domains; epoch_size; faults; patch_threshold; rules; windows;
-    history_dir; rotate; status_path; checkpoint_path; checkpoint_every }
-
-(* What the windows and alerts of a run derive from besides its health
-   stream: its rules and dashboard sizes. *)
-type meta = { rules : Alert.rule list; windows : int list }
+  { meta = { workload; epoch_size; faults; patch_threshold; rules; windows };
+    domains; history_dir; rotate; status_path; checkpoint_path; checkpoint_every }
 
 (* The service's view of its health stream: the run's total (the fold of
    every record), the rolling windows over it, the alert rules and the
@@ -60,10 +51,10 @@ let feed v (r : Health.t) =
   Alert.observe v.alerts v.wins ~epoch:r.epoch
 
 (* The view after a health stream, from fresh rings (dashboard sizes plus
-   every rule's judging window) and rules, and the alert bodies the
+   every rule's judging window) and rules, and the alert transitions the
    stream derives: what a resume continues from and what [replay] checks
    the recorded alerts against. *)
-let rebuild m records =
+let rebuild (m : History.meta) records =
   let v =
     { total = Health.empty;
       wins =
@@ -71,7 +62,7 @@ let rebuild m records =
       alerts = Alert.engine m.rules;
       last = None }
   in
-  (v, List.concat_map (fun r -> List.map Alert.event_to_json (feed v r)) records)
+  (v, List.concat_map (feed v) records)
 
 type 'a t = {
   cfg : config;
@@ -84,126 +75,110 @@ type 'a t = {
   mutable refreshed_at : float;
 }
 
-(* Meta body: the deterministic run description — everything here must be
-   independent of the domain count, or history segments would differ
-   across --domains.  A resume compares it whole with the recorded one. *)
-let meta_body cfg : Obs_json.t =
-  let w = cfg.workload in
-  `Assoc
-    [ ("workload",
-       `Assoc
-         [ ("users", `Int w.Workload.users);
-           ("benign_frac", `Float w.Workload.benign_frac);
-           ("base_seed", `Int w.Workload.base_seed);
-           ("burst", `String (Workload.burst_name w.Workload.burst));
-           ("wave_period", `Int w.Workload.wave_period) ]);
-      ("epoch_size", `Int cfg.epoch_size);
-      ("faults",
-       match cfg.faults with
-       | Some p -> `String (Fault_plan.to_string p)
-       | None -> `Null);
-      ("patch_threshold",
-       match cfg.patch_threshold with Some n -> `Int n | None -> `Null);
-      ("alerts",
-       `List (List.map (fun r -> `String (Alert.to_spec r)) cfg.rules));
-      ("windows", `List (List.map (fun w -> `Int w) cfg.windows)) ]
-
 (* ---- status ---- *)
 
-let status_core v ~window_sizes : (string * Obs_json.t) list =
-  let total = v.total in
-  [ ("schema", `String status_schema); ("epoch", `Int (total.last_epoch + 1));
-    ("arrived", `Int total.arrivals); ("detections", `Int total.detections);
-    ("patched", `Int total.patched); ("cdf", `Float total.cdf_last);
-    ("virtual_seconds", `Float total.virtual_last);
-    ("last", match v.last with Some r -> Health.to_json r | None -> `Null);
-    ("windows",
-     `Assoc
-       (List.filter_map
-          (fun w ->
-            Option.map
-              (fun a -> (string_of_int w, Health.agg_to_json a))
-              (Window.get v.wins w))
-          window_sizes));
-    ("alerts",
-     `Assoc
-       [ ("rules",
-          `List
-            (List.map
-               (fun r -> (`String (Alert.to_spec r) : Obs_json.t))
-               (Alert.rules v.alerts)));
-         ("firing",
-          `List
-            (List.map
-               (fun ((r : Alert.rule), since) ->
-                 (`Assoc
-                    [ ("spec", `String (Alert.to_spec r));
-                      ("since", `Int since) ]
-                   : Obs_json.t))
-               (Alert.firing v.alerts))) ]) ]
+type wall = { domains : int; wall_seconds : float; unix_time : float }
+type alerts = { rules : string list; firing : (string * int) list }
 
-(* [now]: one clock reading gives both wall members. *)
-let status_at t ~now : Obs_json.t =
-  `Assoc
-    (status_core t.view ~window_sizes:t.cfg.windows
-    @ [ ("wall",
-         `Assoc
-           [ ("domains", `Int t.cfg.domains);
-             ("wall_seconds", `Float (now -. t.t_start));
-             ("unix_time", `Float now) ]) ])
+type status = {
+  epoch : int;
+  arrived : int;
+  detections : int;
+  patched : int;
+  cdf : float;
+  virtual_seconds : float;
+  last : Health.t option;
+  windows : (int * Health.agg) list;
+  alerts : alerts;
+  wall : wall option;
+}
 
-let status_json t = status_at t ~now:(Unix.gettimeofday ())
+let status_table : status Schema.field list =
+  Schema.Field.
+    [ int "epoch" (fun s -> s.epoch) (fun s epoch -> { s with epoch });
+      int "arrived" (fun s -> s.arrived) (fun s arrived -> { s with arrived });
+      int "detections" (fun s -> s.detections) (fun s detections -> { s with detections });
+      int "patched" (fun s -> s.patched) (fun s patched -> { s with patched });
+      float "cdf" (fun s -> s.cdf) (fun s cdf -> { s with cdf });
+      float "virtual_seconds" (fun s -> s.virtual_seconds)
+        (fun s virtual_seconds -> { s with virtual_seconds });
+      nullable "last" Object Health.to_json
+        (fun j -> Result.to_option (Health.of_json j))
+        (fun s -> s.last) (fun s last -> { s with last });
+      (* Keyed by size, written in decimal. *)
+      conv "windows" Object
+        (fun l -> `Assoc (List.map (fun (w, a) -> (string_of_int w, Health.agg_to_json a)) l))
+        (function
+          | `Assoc l ->
+            Obs_json.all
+              (fun (k, a) ->
+                match (int_of_string_opt k, Health.agg_of_json a) with
+                | Some w, Some a when w >= 1 && string_of_int w = k -> Some (w, a)
+                | _ -> None)
+              l
+          | _ -> None)
+        (fun s -> s.windows) (fun s windows -> { s with windows });
+      record "alerts"
+        [ list "rules" (fun r -> `String r)
+            (function `String r -> Some r | _ -> None)
+            (fun a -> a.rules) (fun a rules -> { a with rules });
+          records "firing"
+            [ string "spec" fst (fun (_, since) spec -> (spec, since));
+              int "since" snd (fun (spec, _) since -> (spec, since)) ]
+            ("", 0) (fun a -> a.firing) (fun a firing -> { a with firing }) ]
+        { rules = []; firing = [] }
+        (fun s -> s.alerts) (fun s alerts -> { s with alerts });
+      option "wall"
+        [ int "domains" (fun w -> w.domains) (fun w domains -> { w with domains });
+          float "wall_seconds" (fun w -> w.wall_seconds)
+            (fun w wall_seconds -> { w with wall_seconds });
+          float "unix_time" (fun w -> w.unix_time) (fun w unix_time -> { w with unix_time }) ]
+        { domains = 0; wall_seconds = 0.; unix_time = 0. }
+        (fun s -> s.wall) (fun s wall -> { s with wall }) ]
 
 let status_spec =
-  Schema.of_decoder status_schema
-    Schema.
-      [ ("epoch", Int); ("arrived", Int); ("detections", Int);
-        ("patched", Int); ("cdf", Float); ("virtual_seconds", Float);
-        ("last", Nullable Object); ("windows", Object); ("alerts", Object) ]
-    (fun json ->
-      let field k = Option.get (Obs_json.member k json) in
-      let cdf = Schema.float json "cdf" in
-      let aggs = match field "windows" with `Assoc l -> l | _ -> [] in
-      if cdf < 0. || cdf > 1. then Error "cdf out of [0, 1]"
-      else if field "last" <> `Null && Result.is_error (Health.of_json (field "last"))
-      then Error "malformed last record"
-      else if List.exists (fun (_, a) -> Health.agg_of_json a = None) aggs
-      then Error "malformed window aggregate"
-      else
-        Schema.has_fields Schema.[ ("rules", List); ("firing", List) ]
-          (field "alerts"))
+  Schema.of_table status_schema status_table
+    { epoch = 0; arrived = 0; detections = 0; patched = 0; cdf = 0.; virtual_seconds = 0.;
+      last = None; windows = []; alerts = { rules = []; firing = [] }; wall = None }
+    ~check:(fun () s ->
+      if s.cdf < 0. || s.cdf > 1. then Error "cdf out of [0, 1]"
+      else if s.detections > s.arrived then Error "more detections than arrivals"
+      else Ok ())
+
+let status_of v ~window_sizes ~wall =
+  let total = v.total and spec (r, since) = (Alert.to_spec r, since) in
+  { epoch = total.last_epoch + 1; arrived = total.arrivals;
+    detections = total.detections; patched = total.patched; cdf = total.cdf_last;
+    virtual_seconds = total.virtual_last; last = v.last;
+    windows =
+      List.filter_map (fun w -> Option.map (fun a -> (w, a)) (Window.get v.wins w)) window_sizes;
+    alerts =
+      { rules = List.map Alert.to_spec (Alert.rules v.alerts);
+        firing = List.map spec (Alert.firing v.alerts) };
+    wall }
+
+(* [now]: one clock reading gives both wall members. *)
+let status_at t ~now =
+  status_of t.view ~window_sizes:t.cfg.meta.windows
+    ~wall:(Some { domains = t.cfg.domains; wall_seconds = now -. t.t_start; unix_time = now })
+
+let status t = status_at t ~now:(Unix.gettimeofday ())
+let status_to_json s = Schema.to_json ~tag:status_schema status_table s
+let status_json t = status_to_json (status t)
 
 let publish_status t ~now =
-  match t.cfg.status_path with
-  | None -> ()
-  | Some path ->
-    Atomic_file.write path (Obs_json.to_string (status_at t ~now) ^ "\n")
+  Option.iter
+    (fun path ->
+      Atomic_file.write path (Obs_json.to_string (status_to_json (status_at t ~now)) ^ "\n"))
+    t.cfg.status_path
 
 (* ---- history, read back ---- *)
 
-(* The rules and dashboard sizes a meta record names.  Strict: a missing
-   or mistyped member is an error naming it, never a default. *)
-let meta_of_json json =
-  let list k f =
-    match Obs_json.member k json with
-    | Some (`List l) -> Obs_json.all f l
-    | _ -> None
-  in
-  match
-    ( list "alerts" (function `String s -> Some s | _ -> None),
-      list "windows" (function `Int w when w >= 1 -> Some w | _ -> None) )
-  with
-  | None, _ -> Error "meta record: \"alerts\" is not a list of rule specs"
-  | _, None -> Error "meta record: \"windows\" is not a list of sizes >= 1"
-  | Some specs, Some windows ->
-    Result.map
-      (fun rules -> { rules; windows })
-      (Result.map_error (( ^ ) "meta record: \"alerts\": ")
-         (Alert.parse (String.concat "," specs)))
-
 (* Alert bodies compared in stream order, one line per difference. *)
 let alert_mismatches recorded recomputed =
-  let strings l = Array.of_list (List.map Obs_json.to_string l) in
+  let strings l =
+    Array.of_list (List.map (fun e -> Obs_json.to_string (Alert.event_to_json e)) l)
+  in
   let r = strings recorded and c = strings recomputed in
   let at a i = if i < Array.length a then a.(i) else "(none)" in
   List.init (max (Array.length r) (Array.length c)) Fun.id
@@ -218,69 +193,63 @@ let alert_mismatches recorded recomputed =
 
 (* The evidence store and the history position: the rest of the service's
    state is rebuilt from the history. *)
+type position = { seq : int; segment : int; lines : int }
+type checkpoint = { epoch : int; store : (int * int * int) list; history : position }
+
+let checkpoint_table : checkpoint Schema.field list =
+  Schema.Field.
+    [ int "epoch" (fun c -> c.epoch) (fun c epoch -> { c with epoch });
+      list "store"
+        (fun (a, b, h) -> `List [ `Int a; `Int b; `Int h ])
+        (function `List [ `Int a; `Int b; `Int h ] when h >= 1 -> Some (a, b, h) | _ -> None)
+        (fun c -> c.store) (fun c store -> { c with store });
+      record "history"
+        [ int ~min:1 "seq" (fun p -> p.seq) (fun p seq -> { p with seq });
+          int "segment" (fun p -> p.segment) (fun p segment -> { p with segment });
+          int "lines" (fun p -> p.lines) (fun p lines -> { p with lines }) ]
+        { seq = 1; segment = 0; lines = 0 }
+        (fun c -> c.history) (fun c history -> { c with history }) ]
+
+(* The one decoder [resume] and [validate] read a checkpoint with.  A key
+   listed twice would have its hits added twice on resume: evidence no
+   execution gave. *)
+let checkpoint_spec =
+  Schema.of_table checkpoint_schema checkpoint_table
+    { epoch = 0; store = []; history = { seq = 1; segment = 0; lines = 0 } }
+    ~check:(fun () c ->
+      let keys = List.map (fun (a, b, _) -> (a, b)) c.store in
+      if List.length (List.sort_uniq compare keys) < List.length keys then
+        Error "a store key is listed twice"
+      else Ok ())
+
+let checkpoint_to_json c = Schema.to_json ~tag:checkpoint_schema checkpoint_table c
+
 let publish_checkpoint t =
   match (t.cfg.checkpoint_path, t.hist) with
   | Some path, Some w ->
     let store = Fleet.store t.fleet in
-    let json : Obs_json.t =
-      `Assoc
-        [ ("schema", `String checkpoint_schema);
-          ("epoch", `Int (Fleet.epoch t.fleet));
-          ("store",
-           `List
-             (List.map
-                (fun (a, b) ->
-                  (`List [ `Int a; `Int b; `Int (Persist.hits store (a, b)) ]
-                    : Obs_json.t))
-                (Persist.keys store)));
-          ("history",
-           `Assoc
-             [ ("seq", `Int (History.seq w));
-               ("segment", `Int (History.segment w));
-               ("lines", `Int (History.lines_in_segment w)) ]) ]
+    let c =
+      { epoch = Fleet.epoch t.fleet;
+        store = List.map (fun (a, b) -> (a, b, Persist.hits store (a, b))) (Persist.keys store);
+        history =
+          { seq = History.seq w; segment = History.segment w;
+            lines = History.lines_in_segment w } }
     in
-    Atomic_file.write path (Obs_json.to_string json ^ "\n")
+    Atomic_file.write path (Obs_json.to_string (checkpoint_to_json c) ^ "\n")
   | _ -> ()
-
-(* The epoch, the store's [(site, off, hits)] and the history position:
-   the one decoder [resume] and [validate] read a checkpoint with. *)
-let checkpoint =
-  Schema.of_decoder checkpoint_schema
-    Schema.[ ("epoch", Int); ("store", List); ("history", Object) ]
-    (fun json ->
-      let hit = function
-        | `List [ `Int a; `Int b; `Int h ] when h >= 1 -> Some (a, b, h)
-        | _ -> None
-      in
-      let get k = Option.get (Obs_json.member k json) in
-      let position =
-        let h = get "history" in
-        match Obs_json.(member "seq" h, member "segment" h, member "lines" h) with
-        | Some (`Int seq), Some (`Int segment), Some (`Int lines)
-          when seq >= 1 && segment >= 0 && lines >= 0 ->
-          Some (seq, segment, lines)
-        | _ -> None
-      in
-      match ((match get "store" with `List l -> Obs_json.all hit l | _ -> None),
-             position) with
-      | _ when Schema.int json "epoch" < 0 -> Error "negative epoch"
-      | None, _ -> Error "malformed store"
-      | _, None -> Error "malformed history position"
-      | Some store, Some position -> Ok (Schema.int json "epoch", store, position))
-
-let checkpoint_spec = Schema.erase checkpoint
 
 (* ---- start / resume ---- *)
 
 (* A service continuing [v]'s run, its fleet session starting at the next
    epoch and uid. *)
 let make cfg ~execute ?store v hist =
+  let m = cfg.meta in
   { cfg;
     fleet =
       Fleet.start ?store ~uid0:(v.total.arrivals + 1)
         ~epoch0:(v.total.last_epoch + 1)
-        (Fleet.config ~domains:cfg.domains ~epoch_size:cfg.epoch_size
-           ?faults:cfg.faults ?patch_threshold:cfg.patch_threshold cfg.workload)
+        (Fleet.config ~domains:cfg.domains ~epoch_size:m.epoch_size ?faults:m.faults
+           ?patch_threshold:m.patch_threshold m.workload)
         ~execute;
     view = v; hist;
     t_start = Unix.gettimeofday ();
@@ -294,9 +263,10 @@ let fresh cfg ~execute =
   (* The meta record leads the history; a resumed session continues
      after it, so its segments stay byte-identical to an uninterrupted
      run's. *)
-  Option.iter (fun w -> ignore (History.append w History.Meta (meta_body cfg)))
+  Option.iter
+    (fun w -> ignore (History.append w History.Meta (History.meta_to_json cfg.meta)))
     hist;
-  make cfg ~execute (fst (rebuild { rules = cfg.rules; windows = cfg.windows } [])) hist
+  make cfg ~execute (fst (rebuild cfg.meta [])) hist
 
 (* The leaves of [configured] that [recorded] does not repeat, dotted
    ("workload.base_seed"): what a refused resume names. *)
@@ -316,27 +286,26 @@ let differing recorded configured =
 (* Cut the history back to the checkpoint's position, then replay what is
    kept: it must be this configuration's run, whole, as long as the
    checkpoint, with the alerts its health stream derives. *)
-let resume cfg ~execute ~dir (epoch, hits, (seq, segment, lines)) =
+let resume cfg ~execute ~dir c =
+  let { seq; segment; lines } = c.history in
   History.truncate dir ~segment ~lines;
-  let log = History.read dir and configured = meta_body cfg in
-  let v, events = rebuild { rules = cfg.rules; windows = cfg.windows } log.health in
+  let log = History.read dir and configured = History.meta_to_json cfg.meta in
+  let v, events = rebuild cfg.meta log.health in
   let refused fmt = Printf.ksprintf (fun m -> Error ("history " ^ dir ^ m)) fmt in
-  match (log.errors, log.meta, alert_mismatches log.alerts events) with
+  let differs = Option.map (fun m -> differing (History.meta_to_json m) configured) log.meta in
+  match (log.errors, differs, alert_mismatches log.alerts events) with
   | e :: _, _, _ -> refused ": %s" e
   | [], None, _ -> refused ": no meta record"
-  | [], Some m, _ when Obs_json.to_string m <> Obs_json.to_string configured ->
-    refused " was written by another configuration (%s)"
-      (match differing m configured with
-       | [] -> "meta record"
-       | fields -> String.concat ", " fields)
-  | _ when List.length log.health <> epoch ->
-    refused " holds %d epochs, the checkpoint %d" (List.length log.health) epoch
+  | [], Some (_ :: _ as fields), _ ->
+    refused " was written by another configuration (%s)" (String.concat ", " fields)
+  | _ when List.length log.health <> c.epoch ->
+    refused " holds %d epochs, the checkpoint %d" (List.length log.health) c.epoch
   | _, _, m :: _ -> refused ": %s" m
   | _ ->
     let store = Persist.create () in
     List.iter
       (fun (a, b, h) -> for _ = 1 to h do Persist.add store (a, b) done)
-      hits;
+      c.store;
     Ok
       (make cfg ~execute ~store v
          (Some (History.writer ~rotate:cfg.rotate ~seq ~segment ~lines dir)))
@@ -350,7 +319,7 @@ let start cfg ~execute =
          (Obs_json.of_string
             (String.trim (In_channel.with_open_bin path In_channel.input_all)))
          (fun json ->
-           Result.bind (Schema.decode checkpoint json) (resume cfg ~execute ~dir)))
+           Result.bind (Schema.decode checkpoint_spec json) (resume cfg ~execute ~dir)))
   | _, Some dir when History.segments dir <> [] ->
     Error
       (Printf.sprintf
@@ -371,8 +340,8 @@ let step t =
   let e = Fleet.epoch t.fleet in
   let n =
     min
-      (t.cfg.workload.Workload.users - t.view.total.arrivals)
-      (Workload.rate t.cfg.workload ~epoch_size:t.cfg.epoch_size e)
+      (t.cfg.meta.workload.users - t.view.total.arrivals)
+      (Workload.rate t.cfg.meta.workload ~epoch_size:t.cfg.meta.epoch_size e)
     |> max 0
   in
   let record = (Fleet.step t.fleet ~arrivals:n).record in
@@ -407,100 +376,69 @@ let finish t =
 
 let epoch t = Fleet.epoch t.fleet
 let arrived t = t.view.total.arrivals
-let detections t = t.view.total.detections
-let last t = t.view.last
-let windows t = t.view.wins
 
 (* ---- rendering ---- *)
 
-let render_status ?(color = true) json =
-  match Schema.conforms status_spec json with
-  | Error _ as e -> e
-  | Ok () ->
-    let c code s = if color then Printf.sprintf "\x1b[%sm%s\x1b[0m" code s else s in
-    let int = Schema.int json and flt = Schema.float json in
-    let get k = Option.get (Obs_json.member k json) in
-    let b = Buffer.create 1024 in
+let render_status ?(color = true) (s : status) =
+  let c code text = if color then Printf.sprintf "\x1b[%sm%s\x1b[0m" code text else text in
+  let b = Buffer.create 1024 in
+  Buffer.add_string b
+    (Printf.sprintf "%s  epoch %d  virtual %.1f s\n" (c "1" "csod serve") s.epoch
+       s.virtual_seconds);
+  Buffer.add_string b
+    (Printf.sprintf "arrived %d  detections %d  cdf %.2f%%  store %s%s\n" s.arrived
+       s.detections (100.0 *. s.cdf)
+       (match s.last with Some r -> string_of_int r.store_contexts | None -> "-")
+       (if s.patched > 0 then Printf.sprintf "  patched %d" s.patched else ""));
+  if s.windows <> [] then begin
     Buffer.add_string b
-      (Printf.sprintf "%s  epoch %d  virtual %.1f s\n"
-         (c "1" "csod serve") (int "epoch") (flt "virtual_seconds"));
+      (c "2" "window   epochs  arrivals  detect  degraded  crashes   skew     cdf\n");
+    List.iter
+      (fun (w, (a : Health.agg)) ->
+        Buffer.add_string b
+          (Printf.sprintf "%6d  %7d  %8d  %6d  %8d  %7d  %5.2f  %5.2f%%\n" w a.epochs
+             a.arrivals a.detections a.degraded a.worker_crashes a.skew_max
+             (100.0 *. a.cdf_last)))
+      s.windows
+  end;
+  Buffer.add_string b "alerts: ";
+  if s.alerts.rules = [] then Buffer.add_string b "(none)"
+  else
     Buffer.add_string b
-      (Printf.sprintf
-         "arrived %d  detections %d  cdf %.2f%%  store %s%s\n"
-         (int "arrived") (int "detections")
-         (100.0 *. flt "cdf")
-         (match Health.of_json (get "last") with
-          | Ok r -> string_of_int r.store_contexts
-          | Error _ -> "-")
-         (let p = int "patched" in
-          if p > 0 then Printf.sprintf "  patched %d" p else ""));
-    (match get "windows" with
-    | `Assoc wins when wins <> [] ->
-      Buffer.add_string b
-        (c "2"
-           "window   epochs  arrivals  detect  degraded  crashes   skew     cdf\n");
-      List.iter
-        (fun (w, agg) ->
-          let a = Option.get (Health.agg_of_json agg) in
-          Buffer.add_string b
-            (Printf.sprintf "%6s  %7d  %8d  %6d  %8d  %7d  %5.2f  %5.2f%%\n" w
-               a.epochs a.arrivals a.detections a.degraded a.worker_crashes
-               a.skew_max (100.0 *. a.cdf_last)))
-        wins
-    | _ -> ());
-    let list k f =
-      match Obs_json.member k (get "alerts") with
-      | Some (`List l) -> List.filter_map f l
-      | _ -> []
-    in
-    let firing =
-      list "firing" (fun f ->
-          match Obs_json.(member "spec" f, member "since" f) with
-          | Some (`String s), Some (`Int since) -> Some (s, since)
-          | _ -> None)
-    in
-    let rules = list "rules" (function `String s -> Some s | _ -> None) in
-    Buffer.add_string b "alerts: ";
-    if rules = [] then Buffer.add_string b "(none)"
-    else
-      Buffer.add_string b
-        (String.concat "  "
-           (List.map
-              (fun spec ->
-                match List.assoc_opt spec firing with
-                | Some since ->
-                  c "31;1" (Printf.sprintf "%s FIRING since %d" spec since)
-                | None -> Printf.sprintf "%s %s" spec (c "32" "ok"))
-              rules));
-    Buffer.add_char b '\n';
-    Ok (Buffer.contents b)
+      (String.concat "  "
+         (List.map
+            (fun spec ->
+              match List.assoc_opt spec s.alerts.firing with
+              | Some since -> c "31;1" (Printf.sprintf "%s FIRING since %d" spec since)
+              | None -> Printf.sprintf "%s %s" spec (c "32" "ok"))
+            s.alerts.rules));
+  Buffer.add_char b '\n';
+  Buffer.contents b
 
 (* ---- offline replay ---- *)
 
 type replay = {
-  meta : Obs_json.t;
+  meta : History.meta;
   health : Health.t list;
-  recorded : Obs_json.t list;
-  recomputed : Obs_json.t list;
+  recorded : Alert.event list;
+  recomputed : Alert.event list;
   mismatches : string list;
   read_errors : string list;
-  status : Obs_json.t;
+  status : status;
 }
 
 let replay dir =
   let log = History.read dir in
   match log.meta with
   | None ->
-    (* Say why: a history in another format holds no line of this one. *)
+    (* Say why: a history in another format, or whose meta record does not
+       decode, holds no meta record of this one. *)
     Error
       (Printf.sprintf "%s: no meta record in history%s" dir
          (match log.errors with e :: _ -> " (" ^ e ^ ")" | [] -> ""))
   | Some meta ->
-    Result.map
-      (fun m ->
-        let v, events = rebuild m log.health in
-        { meta; health = log.health; recorded = log.alerts; recomputed = events;
-          mismatches = alert_mismatches log.alerts events;
-          read_errors = log.errors;
-          status = `Assoc (status_core v ~window_sizes:m.windows) })
-      (Result.map_error (Printf.sprintf "%s: %s" dir) (meta_of_json meta))
+    let v, events = rebuild meta log.health in
+    Ok
+      { meta; health = log.health; recorded = log.alerts; recomputed = events;
+        mismatches = alert_mismatches log.alerts events; read_errors = log.errors;
+        status = status_of v ~window_sizes:meta.windows ~wall:None }

@@ -35,17 +35,13 @@
     a directory that already holds a run. *)
 
 type config = {
-  workload : Workload.t;
+  meta : History.meta;
+      (** the run's description: workload, epoch size, faults, the
+          evidence hits at which a context counts as convicted (threaded
+          to {!Fleet.config}, so the records' [patched] state tracks the
+          executor's code-less patching policy), alert rules and dashboard
+          window sizes (rule windows are added) *)
   domains : int;
-  epoch_size : int;
-  faults : Fault_plan.t option;
-  patch_threshold : int option;
-      (** evidence hits at which a context counts as convicted — threaded
-          to {!Fleet.config} so the records' [patched] state (and the
-          fold's newly convicted contexts) track the executor's code-less
-          patching policy *)
-  rules : Alert.rule list;
-  windows : int list;  (** dashboard window sizes; rule windows are added *)
   history_dir : string option;
   rotate : int;  (** history lines per segment *)
   status_path : string option;
@@ -119,32 +115,59 @@ val finish : 'a t -> 'a Fleet.report
 
 val epoch : 'a t -> int
 val arrived : 'a t -> int
-val detections : 'a t -> int
-val last : 'a t -> Health.t option
-val windows : 'a t -> Window.set
 
-val status_json : 'a t -> Obs_json.t
-(** The live status document (schema [csod.serve.status/2]): the run's
-    total (the fold of its records: epoch, arrived, detections, newly
-    convicted contexts, CDF over arrivals, virtual seconds), [last] — the
-    latest epoch record, as the history writes it — window aggregates,
-    alert states, plus the ["wall"] sub-object (domain count, wall
-    seconds, unix time) — the only nondeterministic member. *)
+(** {2 Status}
 
-val status_spec : unit Schema.t
-(** The status format: [cdf] in [\[0, 1\]], and the last record and
-    every window aggregate decode.  A [csod.serve.status/1] file is
-    refused by its tag. *)
+    The status document ([csod.serve.status/2]): the run's total (the fold
+    of its records), the latest record as the history writes it, the
+    window aggregates, the alert states and, live only, the wall facts. *)
 
-val checkpoint_spec : unit Schema.t
-(** The checkpoint format ([csod.serve.checkpoint/2]: [epoch], [store] as
-    [\[site, off, hits\]] triples, [history] as [seq], [segment] and
-    [lines]): the decoder {!start} resumes with, its value dropped. *)
+type wall = { domains : int; wall_seconds : float; unix_time : float }
+type alerts = { rules : string list; firing : (string * int) list (** spec, since *) }
 
-val render_status : ?color:bool -> Obs_json.t -> (string, string) result
-(** One-screen dashboard for a [csod.serve.status/2] document — used by
-    [serve --live], [top] on a status file, and [replay].  [Error] (the
-    decoder's) if the document is not a status snapshot. *)
+type status = {
+  epoch : int;  (** epochs served *)
+  arrived : int;
+  detections : int;
+  patched : int;  (** contexts newly convicted *)
+  cdf : float;  (** detections over arrivals *)
+  virtual_seconds : float;
+  last : Health.t option;
+  windows : (int * Health.agg) list;  (** by dashboard window size *)
+  alerts : alerts;  (** rules as {!Alert.to_spec} *)
+  wall : wall option;  (** the only nondeterministic member *)
+}
+
+val status : 'a t -> status
+val status_to_json : status -> Obs_json.t
+val status_json : 'a t -> Obs_json.t  (** [status_to_json (status t)] *)
+
+val status_spec : status Schema.t
+(** The status's field table: [cdf] in [\[0, 1\]], no more detections than
+    arrivals, nothing negative, the last record and every window decode,
+    window keys are sizes of at least 1, a firing alert is a
+    [{spec, since}] object.  A [csod.serve.status/1] file is refused by its
+    tag. *)
+
+(** {2 Checkpoint} *)
+
+type position = { seq : int; segment : int; lines : int }  (** the history writer's *)
+
+type checkpoint = {
+  epoch : int;
+  store : (int * int * int) list;  (** [(site, off, hits)], [hits >= 1] *)
+  history : position;
+}
+
+val checkpoint_to_json : checkpoint -> Obs_json.t
+
+val checkpoint_spec : checkpoint Schema.t
+(** [csod.serve.checkpoint/2] from its field table, the decoder {!start}
+    resumes with: no [(site, off)] twice, whose hits would add up twice. *)
+
+val render_status : ?color:bool -> status -> string
+(** One-screen dashboard for a status record — used by [serve --live],
+    [top] on a status file (decoded by {!status_spec}), and [replay]. *)
 
 (** {2 Offline replay}
 
@@ -158,10 +181,10 @@ val render_status : ?color:bool -> Obs_json.t -> (string, string) result
     and claims no match for a log that is not whole. *)
 
 type replay = {
-  meta : Obs_json.t;               (** the run's meta record *)
+  meta : History.meta;             (** the run's meta record *)
   health : Health.t list;          (** health bodies, epoch order *)
-  recorded : Obs_json.t list;      (** alert bodies as written *)
-  recomputed : Obs_json.t list;    (** alert bodies re-derived offline *)
+  recorded : Alert.event list;     (** alert transitions as written *)
+  recomputed : Alert.event list;   (** alert transitions re-derived offline *)
   mismatches : string list;        (** recorded/recomputed differences *)
   read_errors : string list;
       (** {!History.log}'s errors: torn, empty or corrupt lines, failed
@@ -169,13 +192,13 @@ type replay = {
           health bodies that do not decode and alert transitions out of
           turn; none of them is replayed, and any of them means the
           history is not whole *)
-  status : Obs_json.t;             (** final status rebuilt from history
-                                       (no ["wall"] member) *)
+  status : status;                 (** final status rebuilt from history
+                                       (no [wall]) *)
 }
 
 val replay : string -> (replay, string) result
-(** [Error] when the directory has no readable meta record (naming the
+(** [Error] when the directory has no readable meta record, naming the
     first read error: a history in another format, such as
-    [csod.serve.history/1], names its tag), or its [alerts] or [windows]
-    member is missing or mistyped (the error names it: no default rules
-    or windows stand in). *)
+    [csod.serve.history/1], names its tag, and a meta record that does not
+    decode ({!History.meta_of_json}) names its member: no default rules or
+    windows stand in. *)

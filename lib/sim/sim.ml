@@ -272,78 +272,50 @@ let schema = "csod.sim.repro/1"
 
 let hash_hex h = Printf.sprintf "%016Lx" h
 
-let to_json f : Obs_json.t =
-  `Assoc
-    [ ("schema", `String schema);
-      ("alphabet", `String f.alphabet);
-      ("seed", `Int f.seed);
-      ("ops",
-       `List
-         (List.map
-            (fun st ->
-              `Assoc
-                [ ("op", `String st.op);
-                  ("args", `List (List.map (fun v -> `Int v) st.args)) ])
-            f.steps));
-      ("failed_at", `Int f.failed_at);
-      ("failure", `String f.message);
-      ("replay_hash", `String (hash_hex f.replay_hash));
-      ("shrunk_from", `Int f.shrunk_from) ]
+let table : failure Schema.field list =
+  Schema.Field.
+    [ string "alphabet" (fun f -> f.alphabet) (fun f alphabet -> { f with alphabet });
+      int ~min:min_int "seed" (fun f -> f.seed) (fun f seed -> { f with seed });
+      records "ops"
+        [ string "op" (fun st -> st.op) (fun st op -> { st with op });
+          list "args" (fun v -> `Int v) (function `Int v -> Some v | _ -> None)
+            (fun st -> st.args) (fun st args -> { st with args }) ]
+        { op = ""; args = [] } (fun f -> f.steps) (fun f steps -> { f with steps });
+      int "failed_at" (fun f -> f.failed_at) (fun f failed_at -> { f with failed_at });
+      string "failure" (fun f -> f.message) (fun f message -> { f with message });
+      (* exactly as [hash_hex] writes it: 16 lowercase hex digits *)
+      conv "replay_hash" String
+        (fun h -> `String (hash_hex h))
+        (function
+          | `String h ->
+            Option.bind (Int64.of_string_opt ("0x" ^ h)) (fun v ->
+                if hash_hex v = h then Some v else None)
+          | _ -> None)
+        (fun f -> f.replay_hash) (fun f replay_hash -> { f with replay_hash });
+      int "shrunk_from" (fun f -> f.shrunk_from) (fun f shrunk_from -> { f with shrunk_from }) ]
 
-let repro_fields =
-  Schema.
-    [ ("alphabet", String); ("seed", Int); ("ops", List); ("failed_at", Int);
-      ("failure", String); ("replay_hash", String); ("shrunk_from", Int) ]
-
-(* A repro with the format's fields, decoded. *)
-let decode_repro json =
-  let int = Schema.int json and get k = Option.get (Obs_json.member k json) in
-  let str k = match get k with `String s -> s | _ -> "" in
-  let step = function
-    | `Assoc _ as o -> (
-      match Obs_json.(member "op" o, member "args" o) with
-      | Some (`String op), Some (`List args) ->
-        Obs_json.all (function `Int v -> Some v | _ -> None) args
-        |> Option.map (fun args -> { op; args })
-      | _ -> None)
-    | _ -> None
-  in
-  let hex = str "replay_hash" and failed_at = int "failed_at" in
-  match get "ops" with
-  | `List ops -> (
-    match Obs_json.all step ops with
-    | None -> Error "an op is not an {op, args} object with int args"
-    | Some [] -> Error "empty op sequence"
-    | Some steps ->
-      let n = List.length steps in
-      if failed_at < 0 || failed_at >= n then
-        Error (Printf.sprintf "failed_at %d outside the %d-op sequence" failed_at n)
-      else if
-        String.length hex <> 16
-        || not (String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) hex)
-      then Error (Printf.sprintf "replay_hash %S is not 16 lowercase hex digits" hex)
-      else if int "shrunk_from" < n then
-        Error (Printf.sprintf "shrunk_from below the kept %d ops" n)
-      else
-        Ok
-          { alphabet = str "alphabet"; seed = int "seed"; steps; failed_at;
-            message = str "failure";
-            replay_hash = Int64.of_string ("0x" ^ hex);
-            shrunk_from = int "shrunk_from" })
-  | _ -> Error "ops is not a list"
+let to_json f = Schema.to_json ~tag:schema table f
 
 let repro_spec packs =
-  Schema.of_decoder schema repro_fields (fun json ->
-      Result.bind (decode_repro json) (fun f ->
-          match find packs f.alphabet with
-          | None -> Error (Printf.sprintf "unknown alphabet %S" f.alphabet)
-          | Some (Packed a) -> (
-            let known = List.map (fun o -> o.op_name) a.ops in
-            match List.find_opt (fun st -> not (List.mem st.op known)) f.steps with
-            | Some st ->
-              Error
-                (Printf.sprintf "op %S is not in the %s alphabet" st.op f.alphabet)
-            | None -> Ok f)))
+  Schema.of_table schema table
+    { alphabet = ""; seed = 0; steps = []; failed_at = 0; message = "";
+      replay_hash = 0L; shrunk_from = 0 }
+    ~check:(fun () f ->
+      let n = List.length f.steps in
+      if n = 0 then Error "empty op sequence"
+      else if f.failed_at >= n then
+        Error (Printf.sprintf "failed_at %d outside the %d-op sequence" f.failed_at n)
+      else if f.shrunk_from < n then
+        Error (Printf.sprintf "shrunk_from below the kept %d ops" n)
+      else
+        match find packs f.alphabet with
+        | None -> Error (Printf.sprintf "unknown alphabet %S" f.alphabet)
+        | Some (Packed a) -> (
+          let known = List.map (fun o -> o.op_name) a.ops in
+          match List.find_opt (fun st -> not (List.mem st.op known)) f.steps with
+          | Some st ->
+            Error (Printf.sprintf "op %S is not in the %s alphabet" st.op f.alphabet)
+          | None -> Ok ()))
 
 let repro_line f = Obs_json.to_string (to_json f)
 

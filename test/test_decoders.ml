@@ -22,8 +22,7 @@ let history_verdict text =
 let small_history dir =
   let w = History.writer dir in
   ignore
-    (History.append w History.Meta
-       (`Assoc [ ("alerts", `List [ `String "stall@3" ]); ("windows", `List [ `Int 2 ]) ]));
+    (History.append w History.Meta (Test_serve.meta ()));
   for i = 0 to 4 do
     ignore (History.append w History.Health (Health.to_json (Test_serve.record i)))
   done;
@@ -74,8 +73,7 @@ let test_history_crc_covers_seq () =
   in_temp_dir @@ fun dir ->
   let w = History.writer dir in
   ignore
-    (History.append w History.Meta
-       (`Assoc [ ("alerts", `List [ `String "stall@3" ]); ("windows", `List [ `Int 2 ]) ]));
+    (History.append w History.Meta (Test_serve.meta ()));
   for i = 0 to 9 do
     ignore (History.append w History.Health (Health.to_json (Test_serve.record i)))
   done;
@@ -176,7 +174,7 @@ let test_history_mutated () =
   let texts = List.map read_file segs in
   let intact = History.read dir in
   Alcotest.(check (list string)) "intact history reads clean" [] intact.History.errors;
-  let strings l = List.map Obs_json.to_string l in
+  let strings l = List.map (fun e -> Obs_json.to_string (Alert.event_to_json e)) l in
   let is_salvage (log : History.log) =
     (log.History.meta = None || log.History.meta = intact.History.meta)
     && subsequence (obs_strings log) (obs_strings intact)
@@ -257,8 +255,165 @@ let test_store_mutated () =
   done;
   Sys.remove path
 
+
+(* ---------- structure: valid records drawn from each field table ---------- *)
+
+let small g = Prng.int g 1000
+let pick g l = List.nth l (Prng.int g (List.length l))
+let draw g n f = List.init (Prng.int g (n + 1)) (fun _ -> f g)
+
+(* A float Obs_json renders in full (at most 12 significant digits). *)
+let num g = float_of_int (Prng.int g 100_000) /. 100.
+
+let gen_health g : Health.t =
+  let arrivals = small g in
+  let load g : Health.domain_load = { slot = small g; executed = small g; busy_seconds = num g } in
+  { epoch = small g; arrivals; detections = Prng.int g (arrivals + 1); degraded = small g;
+    worker_crashes = small g;
+    faults =
+      List.filter (fun _ -> Prng.bool g)
+        [ ("persist.torn", 1 + small g); ("trap.dropped", 1 + small g) ];
+    snapshots = small g; cycles = small g; cycle_skew = num g; store_contexts = small g;
+    patched = small g;
+    wall =
+      (if Prng.bool g then None
+       else
+         Some
+           { epoch_seconds = num g; merge_seconds = num g; observer_seconds = num g;
+             straggler_skew = num g; domains = draw g 3 load }) }
+
+let gen_agg g : Health.agg =
+  let first_epoch = small g in
+  { epochs = 1 + small g; first_epoch; last_epoch = first_epoch + small g;
+    arrivals = small g; detections = small g; patched = small g; degraded = small g;
+    worker_crashes = small g; faults = [ ("trap.dropped", small g) ]; snapshots = small g;
+    cycles = small g; skew_max = num g; cdf_last = num g /. 1000.; store_last = small g;
+    virtual_last = num g }
+
+(* Limits that [Alert.to_spec] writes in full. *)
+let rules =
+  Result.get_ok
+    (Alert.parse "stall@5,degraded>0.25@10,skew>3@4,faults>1.5@2,cdf<0.5@3,patch>0@7")
+
+let gen_event g : Alert.event =
+  let epoch = small g in
+  { rule = pick g rules; epoch; firing = Prng.bool g; since = Prng.int g (epoch + 1);
+    window = gen_agg g }
+
+let gen_meta g : History.meta =
+  { workload =
+      Workload.make ~benign_frac:(float_of_int (Prng.int g 101) /. 100.)
+        ~base_seed:(small g - 500) ~burst:(pick g Workload.[ Steady; Frontload; Wave ])
+        ~wave_period:(1 + small g) ~users:(small g) ();
+    epoch_size = 1 + small g;
+    faults =
+      (if Prng.bool g then None
+       else Some (Result.get_ok (Fault_plan.of_string "seed=3,ebusy=0.25,persist-torn@2")));
+    patch_threshold = (if Prng.bool g then None else Some (1 + small g));
+    rules = List.filter (fun _ -> Prng.bool g) rules;
+    windows = draw g 3 (fun g -> 1 + small g) }
+
+let gen_status g : Serve.status =
+  let arrived = small g in
+  let rule g = Alert.to_spec (pick g rules) in
+  { epoch = small g; arrived; detections = Prng.int g (arrived + 1); patched = small g;
+    cdf = float_of_int (Prng.int g 101) /. 100.; virtual_seconds = num g;
+    last = (if Prng.bool g then None else Some { (gen_health g) with wall = None });
+    windows = draw g 3 (fun g -> (1 + small g, gen_agg g));
+    alerts = { rules = draw g 3 rule; firing = draw g 2 (fun g -> (rule g, small g)) };
+    wall =
+      (if Prng.bool g then None
+       else Some { domains = 1 + Prng.int g 4; wall_seconds = num g; unix_time = num g }) }
+
+let gen_checkpoint g : Serve.checkpoint =
+  { epoch = small g;
+    store = List.init (Prng.int g 5) (fun i -> ((i * 7) - 3, Prng.int g 64, 1 + small g));
+    history = { seq = 1 + small g; segment = small g; lines = small g } }
+
+let gen_repro g : Sim.failure =
+  let (Sim.Packed a) = pick g Sim_registry.all in
+  let steps =
+    List.init (1 + Prng.int g 5) (fun _ ->
+        { Sim.op = (pick g a.ops).op_name; args = draw g 3 (fun g -> Prng.int g 100 - 50) })
+  in
+  let n = List.length steps in
+  { alphabet = a.name; seed = small g - 500; steps; failed_at = Prng.int g n;
+    message = "invariant violated"; replay_hash = Prng.bits64 g; shrunk_from = n + small g }
+
+(* Each ported record: [decode (encode r) = Ok r] and its re-encoding is the
+   same bytes; then every member dropped (an error unless the table marks
+   it optional) or given a value of another kind (always an error), and
+   never an exception. *)
+let structure name gen encode decode ~optional () =
+  let g = Prng.fork (Prng.create ~seed:41) name in
+  let decode j =
+    match decode j with
+    | r -> r
+    | exception e -> Alcotest.failf "%s: %s escaped" name (Printexc.to_string e)
+  in
+  for _ = 1 to 200 do
+    let r = gen g in
+    let j = encode r in
+    let text = Obs_json.to_string j in
+    (match decode j with
+     | Ok r' when r' = r ->
+       Alcotest.(check string) (name ^ ": re-encoded") text (Obs_json.to_string (encode r'))
+     | Ok _ -> Alcotest.failf "%s: %s decodes to another record" name text
+     | Error e -> Alcotest.failf "%s: %s refused: %s" name text e);
+    let members = match j with `Assoc kvs -> kvs | _ -> [] in
+    List.iter
+      (fun (k, v) ->
+        if k <> "schema" then begin
+          let others = List.remove_assoc k members in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: without %S" name k)
+            (List.mem k optional)
+            (Result.is_ok (decode (`Assoc others)));
+          let wrong : Obs_json.t = match v with `Bool _ -> `Int 1 | _ -> `Bool true in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S of another kind" name k)
+            true
+            (Result.is_error (decode (`Assoc ((k, wrong) :: others))))
+        end)
+      members
+  done
+
+let structure_cases =
+  let repro = Sim.repro_spec Sim_registry.all in
+  [ ("health", structure "health" gen_health Health.line (Schema.decode Health.spec)
+       ~optional:[ "wall" ]);
+    ("alert event", structure "alert" gen_event Alert.event_to_json Alert.of_json ~optional:[]);
+    ("meta", structure "meta" gen_meta History.meta_to_json History.meta_of_json ~optional:[]);
+    ("status",
+     structure "status" gen_status Serve.status_to_json (Schema.decode Serve.status_spec)
+       ~optional:[ "wall" ]);
+    ("checkpoint",
+     structure "checkpoint" gen_checkpoint Serve.checkpoint_to_json
+       (Schema.decode Serve.checkpoint_spec) ~optional:[]);
+    ("sim repro", structure "repro" gen_repro Sim.to_json (Schema.decode repro) ~optional:[]) ]
+
+(* The committed repros decode and re-encode to their own bytes. *)
+let test_planted_repros_reencode () =
+  let spec = Sim.repro_spec Sim_registry.all in
+  let lines =
+    In_channel.with_open_text "../examples/sim/planted.repro.jsonl" In_channel.input_lines
+  in
+  Alcotest.(check bool) "repros present" true (lines <> []);
+  List.iter
+    (fun l ->
+      match Result.bind (Obs_json.of_string l) (Schema.decode spec) with
+      | Ok f -> Alcotest.(check string) "decode then encode" l (Sim.repro_line f)
+      | Error e -> Alcotest.failf "planted repro refused: %s" e)
+    lines
+
 let suite =
-  [ Alcotest.test_case "history: validate and the readers agree" `Quick
+  List.map
+    (fun (what, f) ->
+      Alcotest.test_case ("structure: " ^ what ^ " round-trips, one field off refused") `Quick f)
+    structure_cases
+  @ [ Alcotest.test_case "structure: the planted repros re-encode byte for byte" `Quick
+        test_planted_repros_reencode;
+ Alcotest.test_case "history: validate and the readers agree" `Quick
       test_history_reader_parity;
     Alcotest.test_case "history: the crc covers the seq" `Quick
       test_history_crc_covers_seq;

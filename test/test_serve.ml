@@ -24,6 +24,12 @@ let record i : Health.t =
     patched = 1 + (i / 11);
     wall = None }
 
+(* A meta body, as a run's history opens with. *)
+let meta ?(rules = "stall@3") ?(windows = [ 2 ]) () =
+  History.meta_to_json
+    { History.workload = Workload.make ~users:300 (); epoch_size = 2; faults = None;
+      patch_threshold = None; rules = Result.get_ok (Alert.parse rules); windows }
+
 (* Each record's one-epoch aggregate, read against the run's total before
    it: what a service pushes into its windows. *)
 let spans records =
@@ -212,7 +218,7 @@ let rec replace_all s ~sub ~by =
 let test_history_roundtrip_and_corruption () =
   let dir = temp_dir "csod_hist" in
   let w = History.writer ~rotate:3 dir in
-  let bodies = List.init 8 (fun i -> Health.to_json (record i)) in
+  let bodies = meta () :: List.init 7 (fun i -> Health.to_json (record (i + 1))) in
   List.iteri
     (fun i b ->
       let kind = if i = 0 then History.Meta else History.Health in
@@ -223,7 +229,7 @@ let test_history_roundtrip_and_corruption () =
     (List.length (History.segments dir));
   let log = History.read dir in
   let records =
-    Option.to_list log.History.meta
+    Option.to_list (Option.map History.meta_to_json log.History.meta)
     @ List.map Health.to_json log.History.health
   in
   Alcotest.(check int) "all records back" 8 (List.length records);
@@ -405,7 +411,7 @@ let test_serve_windows_match_history_fold () =
       Alcotest.(check (option agg_doc))
         (Printf.sprintf "window %d = fold of last %d history records" w w)
         (Some (linear_fold (last_n w (spans os))))
-        (Window.get (Serve.windows t) w))
+        (List.assoc_opt w (Serve.status t).windows))
     [ 1; 4; 16 ]
 
 let test_serve_replay_equivalence () =
@@ -421,12 +427,12 @@ let test_serve_replay_equivalence () =
     Alcotest.(check (list string))
       "recomputed alerts equal the live transitions"
       (List.map (fun e -> Obs_json.to_string (Alert.event_to_json e)) events)
-      (List.map Obs_json.to_string r.Serve.recomputed);
+      (List.map (fun e -> Obs_json.to_string (Alert.event_to_json e)) r.Serve.recomputed);
     (* The offline status equals the live one on every deterministic
        field (the live one additionally carries "wall"). *)
     Alcotest.(check string) "replayed status = live status minus wall"
       (Obs_json.to_string (strip_wall (Serve.status_json t)))
-      (Obs_json.to_string r.Serve.status)
+      (Obs_json.to_string (Serve.status_to_json r.Serve.status))
 
 let test_serve_checkpoint_resume () =
   (* Reference: one uninterrupted 40-epoch service. *)
@@ -532,6 +538,11 @@ let resume_refusals =
       (fun ~dir ~ckpt:_ -> History.truncate dir ~segment:0 ~lines:4),
       "the checkpoint 10" );
     ("a corrupt kept line", under (), corrupt, "checksum");
+    ( "a store key listed twice", under (),
+      (fun ~dir:_ ~ckpt ->
+        write ckpt
+          (replace_once (read_file ckpt) ~sub:{|"store":[|} ~by:{|"store":[[1,7,1],[1,7,1],|})),
+      "listed twice" );
     ( "a /1 checkpoint", under (),
       (fun ~dir:_ ~ckpt ->
         write ckpt {|{"schema":"csod.serve.checkpoint/1","epoch":10}|}),
@@ -575,20 +586,22 @@ let test_serve_replay_meta_strict () =
       if find_sub m field = None then
         Alcotest.failf "%s: error %S does not name %s" what m field
   in
-  let windows = ("windows", `List [ `Int 2 ]) in
-  refused "no alerts" (`Assoc [ windows ]) {|"alerts"|};
-  refused "an unknown rule"
-    (`Assoc [ ("alerts", `List [ `String "nosuch@3" ]); windows ])
+  let with_member k v = function
+    | `Assoc kvs -> `Assoc (List.map (fun (k', v') -> (k', if k = k' then v else v')) kvs)
+    | j -> j
+  in
+  refused "no alerts"
+    (match meta () with `Assoc kvs -> `Assoc (List.remove_assoc "alerts" kvs) | j -> j)
     {|"alerts"|};
-  refused "mistyped windows"
-    (`Assoc [ ("alerts", `List [ `String "stall@3" ]); ("windows", `String "2") ])
-    {|"windows"|};
-  let meta : Obs_json.t = `Assoc [ ("alerts", `List [ `String "stall@3" ]); windows ] in
+  refused "an unknown rule" (with_member "alerts" (`List [ `String "nosuch@3" ]) (meta ()))
+    {|"alerts"|};
+  refused "mistyped windows" (with_member "windows" (`String "2") (meta ())) {|"windows"|};
+  let meta = meta () in
   match Serve.replay (history ~extra:[ `Assoc [ ("epoch", `String "x") ] ] meta) with
   | Error m -> Alcotest.fail m
   | Ok r ->
     Alcotest.(check string) "the meta record" (Obs_json.to_string meta)
-      (Obs_json.to_string r.Serve.meta);
+      (Obs_json.to_string (History.meta_to_json r.Serve.meta));
     Alcotest.(check int) "decoded health records" 4
       (List.length r.Serve.health);
     Alcotest.(check (list string)) "the undecodable one is a read error"
@@ -622,9 +635,7 @@ let test_serve_fresh_refuses_used_history () =
    read error, refuses). *)
 let test_serve_log_sequence () =
   let dir = temp_dir "csod_hist" in
-  let meta : Obs_json.t =
-    `Assoc [ ("alerts", `List [ `String "stall@3" ]); ("windows", `List [ `Int 2 ]) ]
-  in
+  let meta = meta () in
   for _ = 1 to 2 do
     let w = History.writer dir in
     ignore (History.append w History.Meta meta);
@@ -773,11 +784,11 @@ let test_serve_population_drain () =
   in
   let t, events, _ = run_serve cfg ~epochs:12 in
   Alcotest.(check int) "population fully admitted" 30 (Serve.arrived t);
-  (match Serve.last t with
+  (match (Serve.status t).last with
   | Some r ->
     Alcotest.(check int) "idle epochs admit nobody" 0 r.Health.arrivals;
     Alcotest.(check bool) "virtual clock still advances monotonically" true
-      (Schema.float (Serve.status_json t) "virtual_seconds" >= 0.0)
+      ((Serve.status t).virtual_seconds >= 0.0)
   | None -> Alcotest.fail "no record");
   Alcotest.(check bool) "stall fired once the fleet went quiet" true
     (List.exists (fun (e : Alert.event) -> e.Alert.firing) events)
