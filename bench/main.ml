@@ -792,7 +792,9 @@ let metrics () =
    [batches] batches and keeps the fastest, and every row runs
    [throughput_rounds] passes, the rows taking turns, keeping its fastest:
    a slow stretch reaches every row alike, and a row's figure is its cost
-   when undisturbed. *)
+   when undisturbed.  One untimed pass of that first row runs before the
+   rounds, so its first timed pass does not meet a cold process (spread
+   over 10 runs: EXPERIMENTS.md, "CSOD allocation path"). *)
 let throughput_rounds = 10
 let batches = 20
 
@@ -935,6 +937,8 @@ let throughput () =
       [ ("serial", `Serial); ("metrics", `Metrics) ]
   in
   let best = List.map (fun (rows, _) -> Array.make (List.length rows) infinity) passes in
+  (* The untimed pass of the row every ratio divides by. *)
+  ignore ((snd (List.hd passes)) ());
   for round = 1 to throughput_rounds do
     progress "throughput: round %d of %d" round throughput_rounds;
     List.iter2

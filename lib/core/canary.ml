@@ -12,46 +12,72 @@ let base_ptr ~evidence ~app = if evidence then app - header_size else app
 
 let boundary_addr ~app ~size = app + rounded size
 
-(* Looked up by key on every plant and check, an array index: defining
-   them with the runtime would list them, at zero, for executions that
-   never plant. *)
 let k_plants = Metrics.counter_key "canary.plants"
 let k_checks = Metrics.counter_key "canary.checks"
 
-let plant m ~base ~size ~ctx_id ~canary =
-  Metrics.incr (Metrics.counter (Machine.registry m) k_plants);
-  Machine.work_as m Profiler.Canary_plant Cost.canary_plant;
-  let app = base + header_size in
-  let mem = Machine.mem m in
-  (* RealObjectPtr | ObjectSize | CallingContextPtr | Identifier *)
-  Sparse_mem.write_int4 mem base base size ctx_id identifier;
-  Sparse_mem.write_u64 mem (boundary_addr ~app ~size) canary;
-  app
+(* Stands for a counter not yet resolved: defining the two with the
+   runtime would list them, at zero, for executions that never plant. *)
+let unresolved = Metrics.counter (Metrics.create ()) k_plants
+
+type t = {
+  machine : Machine.t;
+  mem : Sparse_mem.t;
+  value : int64;
+  (* The last header read: its four words, at [free] and at the exit
+     sweep, into one buffer. *)
+  h : int array;
+  mutable app : int;
+  mutable tail : int; (* [read_frame]'s verdict on that object's canary *)
+  mutable plants : Metrics.counter;
+  mutable checks : Metrics.counter;
+}
+
+let create m value =
+  { machine = m;
+    mem = Machine.mem m;
+    value;
+    h = Array.make 4 0;
+    app = 0;
+    tail = Sparse_mem.tail_unread;
+    plants = unresolved;
+    checks = unresolved }
+
+let resolve t k = Metrics.counter (Machine.registry t.machine) k
+
+let plant t ~base ~size ~ctx_id =
+  if t.plants == unresolved then t.plants <- resolve t k_plants;
+  Metrics.incr t.plants;
+  Machine.work_as t.machine Profiler.Canary_plant Cost.canary_plant;
+  (* RealObjectPtr | ObjectSize | CallingContextPtr | Identifier, and the
+     canary at the boundary *)
+  Sparse_mem.write_frame t.mem base base size ctx_id identifier t.value;
+  base + header_size
 
 let checks m =
   Option.value ~default:0 (Metrics.find_count (Machine.registry m) k_checks)
 
-let check m ~app ~size ~expected =
-  Metrics.incr (Metrics.counter (Machine.registry m) k_checks);
-  Machine.work_as m Profiler.Canary_check Cost.canary_check;
-  let ok = Sparse_mem.equal_u64 (Machine.mem m) (boundary_addr ~app ~size) expected in
-  Flight_recorder.canary_check ~at:(Clock.cycles (Machine.clock m)) ~addr:app ~ok;
-  ok
-
-type header = int array
-
-let header () = Array.make 4 0
-
-(* The four words in one span, into the caller's buffer: the free path
-   and the exit sweep read a header per object and allocate nothing. *)
-let read_header m ~app h =
+let read_header t ~app =
   let base = app - header_size in
   base >= 0
   && begin
-    Sparse_mem.read_ints (Machine.mem m) base h;
-    h.(3) = identifier
+    t.app <- app;
+    t.tail <- Sparse_mem.read_frame t.mem base t.h t.value;
+    t.h.(3) = identifier
   end
 
-let[@inline] real_base (h : header) = h.(0)
-let[@inline] object_size (h : header) = h.(1)
-let[@inline] context_id (h : header) = h.(2)
+let check t =
+  if t.checks == unresolved then t.checks <- resolve t k_checks;
+  Metrics.incr t.checks;
+  Machine.work_as t.machine Profiler.Canary_check Cost.canary_check;
+  let app = t.app in
+  let ok =
+    if t.tail = Sparse_mem.tail_unread then
+      Sparse_mem.equal_u64 t.mem (boundary_addr ~app ~size:t.h.(1)) t.value
+    else t.tail = 1
+  in
+  Flight_recorder.canary_check ~at:(Clock.cycles (Machine.clock t.machine)) ~addr:app ~ok;
+  ok
+
+let[@inline] real_base t = t.h.(0)
+let[@inline] object_size t = t.h.(1)
+let[@inline] context_id t = t.h.(2)

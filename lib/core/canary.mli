@@ -14,9 +14,9 @@
     context; the identifier marks CSOD-managed objects.  All header/canary
     traffic uses unwatched accesses: the runtime must never trip the very
     watchpoint it planted.  The header stays in simulated memory, so an
-    overflow from below that corrupts it is seen as such; it is written
-    as one 32-byte span at [malloc] and read back as one at [free] and at
-    exit, while the canary stays a single word access. *)
+    overflow from below that corrupts it is seen as such.  The header and
+    the canary are written as one frame at [malloc], and read back, the
+    canary compared, as one at [free] and at exit. *)
 
 val header_size : int
 (** 32 bytes. *)
@@ -37,34 +37,42 @@ val boundary_addr : app:int -> size:int -> int
 (** Address of the first word past the object — the watchpoint target, and
     the canary slot. *)
 
-val plant : Machine.t -> base:int -> size:int -> ctx_id:int -> canary:int64 -> int
-(** Write header and canary (evidence mode); returns the application
-    pointer.  The header's four words are one {!Sparse_mem.write_int4}.
-    Charges {!Cost.canary_plant}. *)
+type t
+(** One runtime's canary state: the machine, this run's random canary
+    value, the buffer of the last header read, and the [canary.plants]
+    and [canary.checks] counters, each resolved in the machine's registry
+    at its first use (so an execution that never plants does not list
+    them at zero) and held from then on. *)
 
-val check : Machine.t -> app:int -> size:int -> expected:int64 -> bool
-(** Is the canary intact?  Charges {!Cost.canary_check} and counts the
-    check in the machine's [canary.checks] counter. *)
+val create : Machine.t -> int64 -> t
+(** [create m canary] plants and checks [canary] on [m]. *)
+
+val plant : t -> base:int -> size:int -> ctx_id:int -> int
+(** Write header and canary (evidence mode) as one
+    {!Sparse_mem.write_frame}; returns the application pointer.  Charges
+    {!Cost.canary_plant} and counts [canary.plants]. *)
+
+val read_header : t -> app:int -> bool
+(** Read the 32-byte header in front of [app] into the buffer and compare
+    the canary its size locates, with one chunk resolution
+    ({!Sparse_mem.read_frame}; word by word when the frame straddles a
+    chunk, whose canary {!check} then compares), and say whether
+    the header carries the CSOD identifier: [false] for a foreign or
+    corrupted header, or one that would start below address 0.  Counts
+    nothing, charges nothing, allocates nothing. *)
+
+val real_base : t -> int
+val object_size : t -> int
+val context_id : t -> int
+(** The fields {!read_header} read; meaningful only when it said [true]. *)
+
+val check : t -> bool
+(** The counted check of the object {!read_header} last read: is its
+    canary intact?  Counts [canary.checks], charges {!Cost.canary_check}
+    and records a [canary_check] event.  Call it only after a
+    {!read_header} that said [true]. *)
 
 val checks : Machine.t -> int
 (** Canary checks made on this machine so far: [canary.checks], read
     without defining it, so a machine that never checks does not list it
     at zero. *)
-
-type header
-(** A scratch buffer for one object header's four words, owned by its
-    reader (the runtime keeps one). *)
-
-val header : unit -> header
-
-val read_header : Machine.t -> app:int -> header -> bool
-(** Read the 32-byte header in front of [app] into the buffer, with one
-    chunk resolution (word by word when it straddles a chunk), and say
-    whether it carries the CSOD identifier: [false] for a foreign or
-    corrupted header, or one that would start below address 0.  Allocates
-    nothing. *)
-
-val real_base : header -> int
-val object_size : header -> int
-val context_id : header -> int
-(** The fields {!read_header} read; meaningful only when it said [true]. *)

@@ -15,8 +15,7 @@ type t = {
   contexts : Context_table.t;
   watches : Watch_table.t;
   rng : Prng.t; (* sampling decisions; per paper, per-thread generators *)
-  canary : int64; (* this run's random canary value (evidence mode) *)
-  header : Canary.header; (* [free]'s and the exit sweep's header reads *)
+  canary : Canary.t; (* evidence mode: the run's canary, header reads *)
   c_decisions : Metrics.counter;
   c_watched : Metrics.counter;
   c_reports : Metrics.counter;
@@ -145,8 +144,7 @@ let create ?(params = Params.default) ?store ?respond ?(seed = 0) ~machine
       contexts = Context_table.create ~params ~machine ~rng:context_rng;
       watches = Watch_table.create ~params ~machine ~rng:watch_rng;
       rng;
-      canary = Prng.canary64 canary_rng;
-      header = Canary.header ();
+      canary = Canary.create machine (Prng.canary64 canary_rng);
       c_decisions = Metrics.counter reg k_decisions;
       c_watched = Metrics.counter reg k_watched;
       c_reports = Metrics.counter reg k_reports;
@@ -255,8 +253,7 @@ let csod_malloc t ~size ~ctx =
     let base = Heap.malloc t.heap request in
     let app =
       if evidence t then
-        Canary.plant t.machine ~base ~size:padded
-          ~ctx_id:entry.Context_table.id ~canary:t.canary
+        Canary.plant t.canary ~base ~size:padded ~ctx_id:entry.Context_table.id
       else base
     in
     if Flight_recorder.active () then begin
@@ -283,8 +280,7 @@ let csod_malloc t ~size ~ctx =
     let base = Heap.malloc t.heap request in
     let app =
       if evidence t then
-        Canary.plant t.machine ~base ~size ~ctx_id:entry.Context_table.id
-          ~canary:t.canary
+        Canary.plant t.canary ~base ~size ~ctx_id:entry.Context_table.id
       else base
     in
     let watch_addr = Canary.boundary_addr ~app ~size in
@@ -302,9 +298,12 @@ let csod_malloc t ~size ~ctx =
   end
 
 (* Evidence mode: everything [free] needs is in the object header the
-   allocation path planted (Figure 5) — no side table exists. *)
-let check_canary t ~app ~size ~ctx_id ~source =
-  if not (Canary.check t.machine ~app ~size ~expected:t.canary) then begin
+   allocation path planted (Figure 5) — no side table exists.  The
+   header, and with it the canary's verdict, is the one [Canary.read_header]
+   just read for [app]. *)
+let check_canary t ~app ~source =
+  let size = Canary.object_size t.canary and ctx_id = Canary.context_id t.canary in
+  if not (Canary.check t.canary) then begin
     Metrics.incr t.c_corruptions;
     match Context_table.find_by_id t.contexts ctx_id with
     | None -> () (* corrupted header: the canary itself already proves it *)
@@ -340,11 +339,9 @@ let csod_free t ~ptr =
     (match t.respond with
     | Some r when Respond.oblivious r -> Respond.release r ~obj:ptr
     | _ -> ());
-    let h = t.header in
-    if evidence t && Canary.read_header t.machine ~app:ptr h then begin
-      let base = Canary.real_base h in
-      check_canary t ~app:ptr ~size:(Canary.object_size h)
-        ~ctx_id:(Canary.context_id h) ~source:Report.Canary_free;
+    if evidence t && Canary.read_header t.canary ~app:ptr then begin
+      let base = Canary.real_base t.canary in
+      check_canary t ~app:ptr ~source:Report.Canary_free;
       Heap.free t.heap base
     end
     else
@@ -365,10 +362,8 @@ let finish t =
           (* [addr] is the raw block; the application pointer sits past the
              header.  Only blocks carrying the CSOD identifier are ours. *)
           let app = Canary.app_ptr ~evidence:true ~base:addr in
-          let h = t.header in
-          if Canary.read_header t.machine ~app h && Canary.real_base h = addr then
-            check_canary t ~app ~size:(Canary.object_size h)
-              ~ctx_id:(Canary.context_id h) ~source:Report.Canary_exit)
+          if Canary.read_header t.canary ~app && Canary.real_base t.canary = addr
+          then check_canary t ~app ~source:Report.Canary_exit)
         t.heap;
     Machine.clear_trap_handler t.machine
   end

@@ -6,6 +6,11 @@ let[@inline] advance t n =
   if n < 0 then invalid_arg "Clock.advance: negative cycles";
   t.cycles <- t.cycles + n
 
+let[@inline] forward t n =
+  let now = t.cycles + n in
+  t.cycles <- now;
+  now
+
 let cycles t = t.cycles
 let seconds t = float_of_int t.cycles /. float_of_int Cost.cycles_per_second
 let reset t = t.cycles <- 0

@@ -15,6 +15,11 @@ val create : unit -> t
 val advance : t -> int -> unit
 (** [advance t cycles] moves time forward.  Negative values are rejected. *)
 
+val forward : t -> int -> int
+(** [forward t cycles] is {!advance} for a count its caller has already
+    checked non-negative, returning the new reading: the machine's charge
+    path, which checks once at its public entry points. *)
+
 val cycles : t -> int
 (** Total cycles elapsed. *)
 

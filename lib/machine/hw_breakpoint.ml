@@ -122,7 +122,10 @@ let injected_failure t ~now =
     else if Fault_injector.fire ?now inj Fault_plan.Perf_eacces then eacces
     else 0
 
-let open_event ?now t ~addr ~tid =
+(* The open, and with [armed] the fcntl setup and the enable that follow
+   it in Figure 3: the fresh event is bound enabled, so the three calls
+   probe the table once. *)
+let open_with ?now t ~addr ~tid ~armed =
   if tid < 0 then invalid_arg "Hw_breakpoint: negative tid";
   t.syscalls <- t.syscalls + 1;
   let failure = injected_failure t ~now in
@@ -135,9 +138,18 @@ let open_event ?now t ~addr ~tid =
       t.slot_refs.(slot) <- t.slot_refs.(slot) + 1;
       let fd = t.next_fd in
       t.next_fd <- fd + 1;
-      Int_index.add t.events fd 0 ((tid lsl 3) lor (slot lsl 1));
+      let info = (tid lsl 3) lor (slot lsl 1) in
+      if armed then begin
+        t.syscalls <- t.syscalls + 5;
+        Int_index.add t.events fd 0 (info lor 1);
+        arm t fd info
+      end
+      else Int_index.add t.events fd 0 info;
       fd
     end
+
+let open_event ?now t ~addr ~tid = open_with ?now t ~addr ~tid ~armed:false
+let open_armed ?now t ~addr ~tid = open_with ?now t ~addr ~tid ~armed:true
 
 let open_result r =
   if r >= 0 then Ok r
@@ -169,13 +181,20 @@ let ioctl_disable t fd =
     disarm t fd info
   end
 
-let close t fd =
+(* Close [fd] as [calls] syscalls: 1 for a close, 2 for the disable and
+   close of Figure 4, which then probe the table once.  A bad fd is
+   refused after the first call is counted, as the disable would be. *)
+let close_as t fd calls =
   t.syscalls <- t.syscalls + 1;
   let info = Int_index.remove t.events fd 0 in
   if info < 0 then invalid_arg (Printf.sprintf "Hw_breakpoint: bad fd %d" fd);
+  t.syscalls <- t.syscalls + calls - 1;
   let slot = info_slot info in
   if info_enabled info then disarm t fd (info lxor 1);
   t.slot_refs.(slot) <- t.slot_refs.(slot) - 1
+
+let close t fd = close_as t fd 1
+let disable_close t fd = close_as t fd 2
 
 (* ---------- Hardware side ---------- *)
 

@@ -61,6 +61,12 @@ val open_event : ?now:float -> t -> addr:int -> tid:Threads.tid -> int
     builds no result block, so the watchpoint installer's per-thread
     opens allocate nothing. *)
 
+val open_armed : ?now:float -> t -> addr:int -> tid:Threads.tid -> int
+(** {!open_event}, then on success {!fcntl_setup} and {!ioctl_enable} of
+    the new fd: Figure 3's six syscalls for one thread, counted as six,
+    with the same fault-injection point (the open), binding the event
+    enabled in one table probe. *)
+
 val enospc : int
 val ebusy : int
 val eacces : int
@@ -82,6 +88,11 @@ val ioctl_disable : t -> fd -> unit
 val close : t -> fd -> unit
 (** Release the event; the debug-register slot is freed once every event
     watching its address is closed. *)
+
+val disable_close : t -> fd -> unit
+(** {!ioctl_disable} then {!close}: Figure 4's two syscalls, counted as
+    two, in one table probe.  Raises [Invalid_argument] on a closed fd,
+    having counted one syscall, as the disable does. *)
 
 (** {1 Hardware side} *)
 

@@ -14,6 +14,7 @@ type t = {
   threads : Threads.t;
   hw : Hw_breakpoint.t;
   telemetry : Telemetry.t;
+  cells : int array; (* the telemetry profiler's per-phase cycles *)
   (* Hot counters, resolved once at creation: the per-event paths bump a
      record field instead of probing the registry by name. *)
   c_traps : Metrics.counter;
@@ -59,6 +60,7 @@ let create ?(seed = 42) ?faults () =
     threads = Threads.create ();
     hw = Hw_breakpoint.create ?faults ();
     telemetry;
+    cells = Profiler.cells (Telemetry.profiler telemetry);
     c_traps = Metrics.counter reg k_traps;
     c_traps_unhandled = Metrics.counter reg k_traps_unhandled;
     c_traps_dropped = Metrics.counter reg k_traps_dropped;
@@ -91,14 +93,20 @@ let pc t = t.pc
 let telemetry t = t.telemetry
 let registry t = Telemetry.metrics t.telemetry
 
-(* Every cycle the machine advances goes through [charge], which attributes
-   it to the current phase — so the profiler's per-phase totals sum exactly
-   to the clock, by construction.  It runs for every statement and every
-   access, so it inlines, and so do its callees' fast paths. *)
-let[@inline] charge t n =
-  Clock.advance t.clock n;
-  Profiler.charge (Telemetry.profiler t.telemetry) t.phase n;
-  Telemetry.tick t.telemetry ~now:(Clock.cycles t.clock)
+(* Every cycle the machine advances goes through [charge_to], which adds
+   it to one phase's profiler cell — so the profiler's per-phase totals
+   sum exactly to the clock, by construction.  It runs for every
+   statement and every access, so it inlines, and so do its callees' fast
+   paths.  It checks nothing: [n] is a cost constant or a count that a
+   public entry point ([work], [work_as], [stall]) has checked once, and
+   [i] is a phase's index, within the cells. *)
+let[@inline] charge_to t i n =
+  Array.unsafe_set t.cells i (Array.unsafe_get t.cells i + n);
+  Telemetry.tick t.telemetry ~now:(Clock.forward t.clock n)
+
+let[@inline] charge t n = charge_to t (Profiler.index t.phase) n
+
+let negative () = invalid_arg "Clock.advance: negative cycles"
 
 (* Outermost phase wins: work nested inside an explicitly attributed phase
    (e.g. the WMU removing a watchpoint from inside the trap handler) stays
@@ -273,30 +281,28 @@ let store_word_unwatched t addr v = Sparse_mem.write_int t.mem addr v
 (* Rejected before [n_work_cycles] moves, as in [work_as], so a caught
    [Invalid_argument] leaves the work count agreeing with the clock. *)
 let[@inline] work t cycles =
-  if cycles < 0 then invalid_arg "Clock.advance: negative cycles";
+  if cycles < 0 then negative ();
   t.n_work_cycles <- t.n_work_cycles + cycles;
   charge t cycles
 
-let stall t cycles = charge t cycles
+let stall t cycles =
+  if cycles < 0 then negative ();
+  charge t cycles
 
-(* The allocator's per-malloc attribution.  Equivalent to
-   [in_phase t phase (fun () -> work t cycles)] but closure-free: the hot
-   path allocates nothing.  [charge] can only raise on a negative count,
-   checked before the phase is switched, so no protection frame is
-   needed. *)
+(* The per-event attribution of the allocator, the SMU and the canary:
+   [in_phase t phase (fun () -> work t cycles)], allocating nothing.  One
+   compare decides that the outermost phase wins; only an outermost
+   charge is a span of its own (reading the clock never advances it, so
+   recording cannot perturb the run). *)
 let work_as t phase cycles =
-  if cycles < 0 then invalid_arg "Clock.advance: negative cycles";
+  if cycles < 0 then negative ();
   t.n_work_cycles <- t.n_work_cycles + cycles;
-  if t.phase <> Profiler.App then charge t cycles
+  if t.phase != Profiler.App then charge t cycles
   else begin
-    t.phase <- phase;
-    let started = Clock.cycles t.clock in
-    charge t cycles;
-    t.phase <- Profiler.App;
-    if Flight_recorder.active () then begin
+    charge_to t (Profiler.index phase) cycles;
+    if cycles > 0 && Flight_recorder.active () then begin
       let stopped = Clock.cycles t.clock in
-      if stopped > started then
-        Flight_recorder.phase ~phase ~start:started ~stop:stopped
+      Flight_recorder.phase ~phase ~start:(stopped - cycles) ~stop:stopped
     end
   end
 
@@ -325,19 +331,13 @@ let arm_watch ~combined t ~addr ~tid =
   (* Only a fault injector reads the time: without one, opening an event
      for each of many threads boxes no clock reading per thread. *)
   let now = match t.faults with None -> None | Some _ -> Some (Clock.seconds t.clock) in
-  let fd = Hw_breakpoint.open_event ?now t.hw ~addr ~tid in
-  if fd < 0 then charge_syscalls t 1
-  else begin
-    Hw_breakpoint.fcntl_setup t.hw fd;
-    Hw_breakpoint.ioctl_enable t.hw fd;
-    charge_syscalls t (if combined then 1 else 6)
-  end;
+  let fd = Hw_breakpoint.open_armed ?now t.hw ~addr ~tid in
+  charge_syscalls t (if fd < 0 || combined then 1 else 6);
   fd
 
 let install_watch ?(combined = false) t ~addr ~tid =
   Hw_breakpoint.open_result (arm_watch ~combined t ~addr ~tid)
 
 let remove_watch ?(combined = false) t fd =
-  Hw_breakpoint.ioctl_disable t.hw fd;
-  Hw_breakpoint.close t.hw fd;
+  Hw_breakpoint.disable_close t.hw fd;
   charge_syscalls t (if combined then 1 else 2)

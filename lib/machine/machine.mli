@@ -125,7 +125,13 @@ val stall : t -> int -> unit
 
 val work_as : t -> Profiler.phase -> int -> unit
 (** [work t cycles], attributed to [phase] — unless an enclosing
-    {!in_phase} already set one, which wins. *)
+    {!in_phase} already set one, which wins.  The per-event charge of the
+    allocator, the SMU and the canary: one check of [cycles] (a negative
+    count raises [Invalid_argument] before anything moves), one compare
+    of the current phase, an add to the profiler's cell and, for an
+    outermost charge of at least one cycle with a flight recorder
+    installed, one [phase] span ending at the new clock reading.  It
+    allocates nothing. *)
 
 val in_phase : t -> Profiler.phase -> (unit -> 'a) -> 'a
 (** Attribute every cycle charged inside the callback to [phase].  The
@@ -198,7 +204,8 @@ val install_watch :
 val arm_watch : combined:bool -> t -> addr:int -> tid:Threads.tid -> int
 (** {!install_watch} returning the fd or a negative
     {!Hw_breakpoint.open_event} error code: the watchpoint installer's
-    form, which builds no result block. *)
+    form, which builds no result block.  One {!Hw_breakpoint.open_armed}. *)
 
 val remove_watch : ?combined:bool -> t -> Hw_breakpoint.fd -> unit
-(** With [combined], one syscall instead of two. *)
+(** With [combined], one syscall instead of two.  One
+    {!Hw_breakpoint.disable_close}. *)

@@ -216,44 +216,76 @@ let read_int t addr = Int64.to_int (read_u64 t addr)
 let write_int t addr v = write_u64 t addr (Int64.of_int v)
 let equal_u64 t addr v = read_u64 t addr = v
 
-(* A run of words in one chunk costs one chunk resolution and, for a
-   store, one extent note; a run that straddles two chunks goes word by
-   word.  The CSOD object header is such a run: four words planted at
-   [malloc], read back at [free] and at exit. *)
-let write_int4 t addr a b c d =
-  check addr;
-  let off = addr mod chunk_size in
-  if off <= chunk_size - 32 then begin
-    let ch = chunk_for t addr in
-    Bytes.set_int64_le ch off (Int64.of_int a);
-    Bytes.set_int64_le ch (off + 8) (Int64.of_int b);
-    Bytes.set_int64_le ch (off + 16) (Int64.of_int c);
-    Bytes.set_int64_le ch (off + 24) (Int64.of_int d);
-    note_write t off 32
+(* ---------- Object frames (the CSOD header and canary) ----------
+
+   A frame within one chunk costs one chunk resolution, one range check
+   and, for a store, one note of the written extent: noting the hull
+   [a, tail + 8) once leaves the extent where noting the header and the
+   tail apart would.  A frame that straddles chunks goes word by word. *)
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* Little-endian, unchecked: the range check has put [off] in the chunk. *)
+let[@inline] get_le b off = if Sys.big_endian then swap64 (get64u b off) else get64u b off
+let[@inline] set_le b off v = set64u b off (if Sys.big_endian then swap64 v else v)
+
+let frame_header = 32
+
+(* From a frame's start to its tail: the header and the body rounded up
+   to a word.  A length that is negative, or so large that this wraps,
+   gives less than [frame_header]. *)
+let[@inline] frame_gap n = frame_header + ((n + 7) land lnot 7)
+
+let frame_tail a n = a + frame_gap n
+
+(* Does a frame whose tail is [gap] bytes past its start at chunk offset
+   [off] lie in that chunk? *)
+let[@inline] in_chunk off gap = gap >= frame_header && gap <= chunk_size - 8 - off
+
+let write_frame t a w0 w1 w2 w3 v =
+  check a;
+  let off = a land (chunk_size - 1) and gap = frame_gap w1 in
+  if in_chunk off gap then begin
+    let ch = chunk_for t a in
+    set_le ch off (Int64.of_int w0);
+    set_le ch (off + 8) (Int64.of_int w1);
+    set_le ch (off + 16) (Int64.of_int w2);
+    set_le ch (off + 24) (Int64.of_int w3);
+    set_le ch (off + gap) v;
+    note_write t off (gap + 8)
   end
   else begin
-    write_int t addr a;
-    write_int t (addr + 8) b;
-    write_int t (addr + 16) c;
-    write_int t (addr + 24) d
+    write_int t a w0;
+    write_int t (a + 8) w1;
+    write_int t (a + 16) w2;
+    write_int t (a + 24) w3;
+    write_u64 t (a + gap) v
   end
 
-let read_ints t addr dst =
-  check addr;
-  let n = Array.length dst in
-  let off = addr mod chunk_size in
-  if off <= chunk_size - (8 * n) then begin
-    let ch = chunk_at t addr in
-    if ch == no_chunk then Array.fill dst 0 n 0
-    else
-      for i = 0 to n - 1 do
-        dst.(i) <- Int64.to_int (Bytes.get_int64_le ch (off + (8 * i)))
-      done
+let tail_unread = -1
+
+let read_frame t a dst v =
+  check a;
+  let off = a land (chunk_size - 1) in
+  let ch = if off <= chunk_size - frame_header then chunk_at t a else no_chunk in
+  if ch != no_chunk then begin
+    let n = Int64.to_int (get_le ch (off + 8)) in
+    dst.(0) <- Int64.to_int (get_le ch off);
+    dst.(1) <- n;
+    dst.(2) <- Int64.to_int (get_le ch (off + 16));
+    dst.(3) <- Int64.to_int (get_le ch (off + 24));
+    let gap = frame_gap n in
+    if in_chunk off gap then Bool.to_int (get_le ch (off + gap) = v) else tail_unread
   end
-  else
-    for i = 0 to n - 1 do
-      dst.(i) <- read_int t (addr + (8 * i))
-    done
+  else begin
+    (* split by a chunk boundary, or untouched *)
+    for i = 0 to 3 do
+      dst.(i) <- read_int t (a + (8 * i))
+    done;
+    tail_unread
+  end
 
 (* Store returning the displaced value: the armed response layer's
    pre-write capture folded into the write itself, so the squash path

@@ -7,8 +7,8 @@
     memory separately from reserved address space.  The chunks touched
     sit in a dense array, found through an {!Int_index} from chunk number
     to position, behind a one-entry cache of the last chunk touched.  A
-    run of words in one chunk, such as the 32-byte CSOD object header
-    ({!write_int4}, {!read_ints}), resolves its chunk once. *)
+    CSOD object's header and canary ({!write_frame}, {!read_frame})
+    resolve their chunk once. *)
 
 type t
 
@@ -42,16 +42,38 @@ val write_int : t -> addr -> int -> unit
 (** [write_int t a v] stores [v] sign-extended to 64 bits; allocates
     nothing. *)
 
-val write_int4 : t -> addr -> int -> int -> int -> int -> unit
-(** [write_int4 t a w0 w1 w2 w3] stores four consecutive words from [a],
-    as four {!write_int}s would, with one chunk resolution and one note of
-    the chunk's written extent when the 32 bytes lie in one chunk (word
-    by word when they straddle two).  Allocates nothing. *)
+(** {1 Object frames}
 
-val read_ints : t -> addr -> int array -> unit
-(** [read_ints t a dst] loads [Array.length dst] consecutive words from
-    [a] into [dst], as that many {!read_int}s would, with one chunk
-    resolution when they lie in one chunk.  Allocates nothing. *)
+    A frame is four header words at [a], the second of them a byte
+    length [n], and a tail word at [frame_tail a n], past the [n]-byte
+    body rounded up to a word: the CSOD object layout ([Canary]).  A frame
+    within one chunk is written or read with one chunk resolution, one
+    range check and unchecked word accesses; one that straddles chunks
+    goes word by word.  Neither touches the body, and neither allocates. *)
+
+val frame_tail : addr -> int -> addr
+(** [frame_tail a n] is [a + 32] plus [n] rounded up to a multiple of 8:
+    the tail word's address. *)
+
+val write_frame : t -> addr -> int -> int -> int -> int -> int64 -> unit
+(** [write_frame t a w0 w1 w2 w3 v] stores the header words [w0 .. w3]
+    from [a] and [v] at [frame_tail a w1], as four {!write_int}s and a
+    {!write_u64} would.  Within one chunk the written extent is noted
+    once, as its hull [\[a, tail + 8)], which is where the five notes
+    would leave it. *)
+
+val tail_unread : int
+(** -1: {!read_frame}'s answer when the header straddles two chunks or
+    lies in one never written, or the tail lies outside the header's
+    chunk: the tail was not compared. *)
+
+val read_frame : t -> addr -> int array -> int64 -> int
+(** [read_frame t a dst v] loads the four header words at [a] into
+    [dst.(0 .. 3)], as four {!read_int}s would, and says whether the tail
+    word at [frame_tail a dst.(1)] equals [v]: [1] or [0] when it lies in
+    the header's written chunk, else {!tail_unread} (compare it with
+    {!equal_u64}, which the caller may want to do later or not at all).
+    [dst] needs four cells. *)
 
 val exchange_u8 : t -> addr -> int -> int
 (** [exchange_u8 t a v] stores the low 8 bits of [v] and returns the byte

@@ -59,6 +59,7 @@ let[@inline] charge t phase n =
   let i = index phase in
   t.cells.(i) <- t.cells.(i) + n
 
+let cells t = t.cells
 let cycles t phase = t.cells.(index phase)
 
 let total t = Array.fold_left ( + ) 0 t.cells

@@ -40,6 +40,12 @@ val create : unit -> t
 val charge : t -> phase -> int -> unit
 (** Attribute [n] cycles to [phase].  Negative charges are rejected. *)
 
+val cells : t -> int array
+(** The accumulators themselves, cell [index p] holding phase [p]'s
+    cycles: the machine's charge path adds to them in place, with no
+    call and no check of its own (it checks its counts once, at its entry
+    points).  A writer must only add non-negative counts. *)
+
 val cycles : t -> phase -> int
 val total : t -> int
 val tool_total : t -> int

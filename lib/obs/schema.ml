@@ -32,7 +32,8 @@ type 'r field = {
   kind : kind;
   optional : bool;  (* absent: the zero record's value stands *)
   get : 'r -> Obs_json.t option;  (* [None]: not written *)
-  set : 'r -> Obs_json.t -> 'r option;  (* [None]: malformed *)
+  set : 'r -> Obs_json.t -> ('r, string option) result;
+      (* [Error None]: malformed; [Error (Some e)]: a nested record's [e] *)
 }
 
 let required table =
@@ -54,17 +55,26 @@ let of_json table zero json =
       | Some v when not (has_kind f.kind v) ->
         Error (Printf.sprintf "field %S has the wrong kind: %s" f.key (Obs_json.to_string v))
       | Some v ->
-        Option.to_result ~none:(Printf.sprintf "field %S is malformed" f.key) (f.set r v))
+        Result.map_error
+          (function
+            | None -> Printf.sprintf "field %S is malformed" f.key
+            | Some inner -> Printf.sprintf "field %S: %s" f.key inner)
+          (f.set r v))
     (match json with `Assoc _ -> Ok zero | _ -> Error "not a JSON object")
     table
 
 module Field = struct
   let make ?(optional = false) key kind get set = { key; kind; optional; get; set }
 
-  let member ?optional key kind enc dec get set =
+  (* [dec] answers [Error None] for a malformed member, [Error (Some e)]
+     for a nested record that [of_json] refused with [e]. *)
+  let nested ?optional key kind enc dec get set =
     make ?optional key kind
       (fun r -> Some (enc (get r)))
-      (fun r j -> Option.map (set r) (dec j))
+      (fun r j -> Result.map (set r) (dec j))
+
+  let member ?optional key kind enc dec =
+    nested ?optional key kind enc (fun j -> Option.to_result ~none:None (dec j))
 
   let conv key = member key
 
@@ -89,14 +99,24 @@ module Field = struct
       | `List l -> Obs_json.all dec l
       | _ -> None)
 
-  let obj table zero j = Result.to_option (of_json table zero j)
-  let record key table zero = conv key Object (to_json table) (obj table zero)
-  let records key table zero = list key (to_json table) (obj table zero)
+  let obj table zero j = Result.map_error Option.some (of_json table zero j)
+  let record key table zero = nested key Object (to_json table) (obj table zero)
+
+  let records key table zero =
+    let rec all = function
+      | [] -> Ok []
+      | j :: rest ->
+        let* v = obj table zero j in
+        Result.map (List.cons v) (all rest)
+    in
+    nested key List
+      (fun l -> `List (List.map (to_json table) l))
+      (function `List l -> all l | _ -> Error None)
 
   let option key table zero get set =
     make ~optional:true key Object
       (fun r -> Option.map (to_json table) (get r))
-      (fun r j -> Option.map (fun v -> set r (Some v)) (obj table zero j))
+      (fun r j -> Result.map (fun v -> set r (Some v)) (obj table zero j))
 end
 
 let of_table ?(check = fun () _ -> Ok ()) name table zero =
@@ -110,7 +130,7 @@ let of_table ?(check = fun () _ -> Ok ()) name table zero =
 
 (* Every field present with its kind: a table that stores nothing. *)
 let has_fields fields json =
-  let check (key, kind) = Field.make key kind (fun _ -> None) (fun () _ -> Some ()) in
+  let check (key, kind) = Field.make key kind (fun _ -> None) (fun () _ -> Ok ()) in
   of_json (List.map check fields) () json
 
 let shape t json =

@@ -71,7 +71,9 @@ module Field : sig
     string -> ('a -> Obs_json.t) -> (Obs_json.t -> 'a option) -> ('r, 'a list) lens
   val record : string -> 'a field list -> 'a -> ('r, 'a) lens
   val records : string -> 'a field list -> 'a -> ('r, 'a list) lens
-  (** One nested object, or a list of them, through its table and zero. *)
+  (** One nested object, or a list of them, through its table and zero.  A
+      nested object the table refuses is named with its member, e.g.
+      [field "alerts": field "firing": missing field "since"]. *)
 
   val option : string -> 'a field list -> 'a -> ('r, 'a option) lens
   (** An optional nested object, written only when [Some]. *)
@@ -83,7 +85,8 @@ val to_json : ?tag:string -> 'r field list -> 'r -> Obs_json.t
 
 val of_json : 'r field list -> 'r -> Obs_json.t -> ('r, string) result
 (** Every member read into the zero record in table order; [Error] names
-    the first one missing, of the wrong kind or malformed. *)
+    the first one missing, of the wrong kind or malformed, and for a
+    nested record also the inner member at fault. *)
 
 val of_table :
   ?check:(unit -> 'r -> (unit, string) result) -> string -> 'r field list -> 'r -> 'r t

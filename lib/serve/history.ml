@@ -71,12 +71,14 @@ type log = {
    format's fields, [Error] a line that holds none.  The checksum holds; the
    seq runs on by one from [first] (or, for a lone later segment, from the
    first record), where each lost line in between may have carried one; a
-   health body decodes; alert bodies keep the transition rules, resumed
-   when the stream starts past seq 0.  Every error about a record names its
-   seq.  A record out of sequence is not lost: it belongs to another run.
+   health body decodes; there is one meta record at most (a second is
+   another run's configuration); alert bodies keep the transition rules,
+   resumed when the stream starts past seq 0.  Every error about a record
+   names its seq.  A record out of sequence is not lost: it belongs to another run.
    A record decodes to its place in the log (lists newest first). *)
 let decoder ?first () =
   let last = ref (Option.map pred first) and lost = ref 0 and alerts = ref None in
+  let meta_seen = ref false in
   function
   | Error e ->
     incr lost;
@@ -107,9 +109,11 @@ let decoder ?first () =
           alerts :=
             Some (Alert.transitions ~resumed:(Option.value first ~default:seq <> 0) ());
         match kind with
+        | Meta when !meta_seen -> error ": a second meta record"
         | Meta -> (
+          meta_seen := true;
           match meta_of_json body with
-          | Ok m -> Ok (fun log -> if log.meta = None then { log with meta = Some m } else log)
+          | Ok m -> Ok (fun log -> { log with meta = Some m })
           | Error e -> error (": meta record: " ^ e))
         | Health -> (
           match Health.of_json body with

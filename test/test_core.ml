@@ -13,17 +13,15 @@ let ctx ?(off = 0) callsite = Alloc_ctx.synthetic ~callsite ~stack_offset:off ()
 let feq = Alcotest.float 1e-9
 
 (* A planted header's three fields, [None] without the CSOD identifier. *)
-let read_header m ~app =
-  let h = Canary.header () in
-  if Canary.read_header m ~app h then
-    Some (Canary.real_base h, Canary.object_size h, Canary.context_id h)
+let read_header c ~app =
+  if Canary.read_header c ~app then
+    Some (Canary.real_base c, Canary.object_size c, Canary.context_id c)
   else None
 
 (* The CallingContextPtr field, identifier or not. *)
-let context_id m ~app =
-  let h = Canary.header () in
-  ignore (Canary.read_header m ~app h);
-  Canary.context_id h
+let context_id c ~app =
+  ignore (Canary.read_header c ~app);
+  Canary.context_id c
 
 (* ---------- Context_table ---------- *)
 
@@ -74,12 +72,13 @@ let test_ct_find_by_id_bounds () =
         (Context_table.find_by_id ct id = None))
     [ -1; n; max_int; min_int ];
   let base = Machine.sbrk m 128 in
-  let app = Canary.plant m ~base ~size:16 ~ctx_id:2 ~canary:0x1234L in
-  Alcotest.(check int) "planted id" 2 (context_id m ~app);
+  let c = Canary.create m 0x1234L in
+  let app = Canary.plant c ~base ~size:16 ~ctx_id:2 in
+  Alcotest.(check int) "planted id" 2 (context_id c ~app);
   (* an overflow from below rewrote the CallingContextPtr field *)
   Sparse_mem.write_int (Machine.mem m) (base + 16) 0x4141_4141_4141_4141;
   Alcotest.(check bool) "corrupted id" true
-    (Context_table.find_by_id ct (context_id m ~app) = None)
+    (Context_table.find_by_id ct (context_id c ~app) = None)
 
 let test_ct_degradation_accumulates () =
   let ct, _ = mk_ct () in
@@ -459,24 +458,96 @@ let test_canary_layout () =
 let test_canary_plant_check () =
   let m = Machine.create () in
   let base = Machine.sbrk m 128 in
-  let app = Canary.plant m ~base ~size:24 ~ctx_id:77 ~canary:0xDEADBEEFL in
+  let c = Canary.create m 0xDEADBEEFL in
+  let app = Canary.plant c ~base ~size:24 ~ctx_id:77 in
   Alcotest.(check int) "app past header" (base + Canary.header_size) app;
-  Alcotest.(check bool) "intact" true (Canary.check m ~app ~size:24 ~expected:0xDEADBEEFL);
   Alcotest.(check (option (triple int int int))) "header readable"
     (Some (base, 24, 77))
-    (read_header m ~app);
+    (read_header c ~app);
+  Alcotest.(check bool) "intact" true (Canary.check c);
   (* corrupt one canary byte *)
   Sparse_mem.write_u8 (Machine.mem m) (Canary.boundary_addr ~app ~size:24) 0x00;
-  Alcotest.(check bool) "corruption detected" false
-    (Canary.check m ~app ~size:24 ~expected:0xDEADBEEFL)
+  Alcotest.(check bool) "header still ours" true (Canary.read_header c ~app);
+  Alcotest.(check bool) "corruption detected" false (Canary.check c);
+  Alcotest.(check int) "checks counted" 2 (Canary.checks m)
 
 let test_canary_foreign_header () =
   let m = Machine.create () in
   let base = Machine.sbrk m 128 in
+  let c = Canary.create m 0xDEADBEEFL in
   Alcotest.(check (option (triple int int int))) "no identifier: not ours" None
-    (read_header m ~app:(base + 32));
+    (read_header c ~app:(base + 32));
   Alcotest.(check (option (triple int int int))) "negative base" None
-    (read_header m ~app:8)
+    (read_header c ~app:8);
+  Alcotest.(check int) "reading counts no check" 0 (Canary.checks m)
+
+(* An object whose header or canary straddles a 64 KiB chunk boundary is
+   planted, verified and reported as one inside a chunk is.  Large blocks
+   are carved straight from the break, which starts on a chunk boundary,
+   so a filler block puts the object's base [gap] bytes below the next
+   boundary: 16 splits the header, 48 puts the canary in the next chunk,
+   8,192 keeps the whole object in one chunk.  Each case corrupts the
+   object's canary and frees it (one report at [free]), reallocates the
+   block and corrupts it again (one report at exit, where the filler is
+   checked too), and in a second runtime smashes the identifier, which
+   makes [free] hand the pointer to the heap as a foreign one. *)
+let test_canary_straddle () =
+  let cs = Sparse_mem.chunk_size and size = 5000 in
+  let outcome gap =
+    let mk () =
+      let m = Machine.create () in
+      let heap = Heap.create m in
+      let rt = Runtime.create ~machine:m ~heap () in
+      let tool = Runtime.tool rt in
+      ignore (tool.Tool.malloc ~size:(cs - gap - 40) ~ctx:(ctx 1));
+      let app = tool.Tool.malloc ~size ~ctx:(ctx 2) in
+      Alcotest.(check int) (Printf.sprintf "gap %d: placed" gap) (cs - gap)
+        ((app - Canary.header_size) mod cs);
+      (rt, tool, m, app)
+    in
+    let rt, tool, m, app = mk () in
+    let boundary = Canary.boundary_addr ~app ~size in
+    Machine.store_word_unwatched m boundary 0x4141_4141;
+    tool.Tool.free ~ptr:app;
+    let again = tool.Tool.malloc ~size ~ctx:(ctx 2) in
+    Alcotest.(check int) "block reused" app again;
+    Machine.store_word_unwatched m boundary 0x4242_4242;
+    Runtime.finish rt;
+    let reports =
+      List.map
+        (fun r ->
+          ( r.Report.source = Report.Canary_free,
+            r.Report.object_addr - app,
+            r.Report.watch_addr - boundary,
+            r.Report.ctx_key ))
+        (Runtime.detections rt)
+    in
+    let checks = (Runtime.stats rt).Runtime.canary_checks in
+    let rt, tool, m, app = mk () in
+    Machine.store_word_unwatched m (app - 8) 0;
+    let foreign =
+      match tool.Tool.free ~ptr:app with
+      | () -> "freed"
+      | exception Heap.Error _ -> "heap error"
+    in
+    (reports, checks, foreign, (Runtime.stats rt).Runtime.canary_checks)
+  in
+  let in_chunk = outcome 8192 in
+  let reports, checks, foreign, smashed_checks = in_chunk in
+  Alcotest.(check int) "in chunk: two reports" 2 (List.length reports);
+  Alcotest.(check (list (triple bool int int))) "in chunk: at free, then at exit"
+    [ (true, 0, 0); (false, 0, 0) ]
+    (List.map (fun (f, o, w, _) -> (f, o, w)) reports);
+  Alcotest.(check int) "in chunk: checks (free, filler, object)" 3 checks;
+  Alcotest.(check string) "in chunk: smashed identifier" "heap error" foreign;
+  Alcotest.(check int) "in chunk: smashed identifier checks nothing" 0 smashed_checks;
+  List.iter
+    (fun gap ->
+      Alcotest.(check bool)
+        (Printf.sprintf "gap %d: as in a chunk" gap)
+        true
+        (outcome gap = in_chunk))
+    [ 16; 48 ]
 
 (* ---------- Persist ---------- *)
 
@@ -708,6 +779,7 @@ let suite =
     Alcotest.test_case "canary: layout" `Quick test_canary_layout;
     Alcotest.test_case "canary: plant/check" `Quick test_canary_plant_check;
     Alcotest.test_case "canary: foreign header" `Quick test_canary_foreign_header;
+    Alcotest.test_case "canary: frames straddling a chunk" `Quick test_canary_straddle;
     Alcotest.test_case "persist: roundtrip" `Quick test_persist_roundtrip;
     Alcotest.test_case "persist: merge" `Quick test_persist_merge;
     Alcotest.test_case "persist: tolerant load" `Quick test_persist_load_tolerant;

@@ -320,6 +320,35 @@ let test_csod_alloc_path_no_alloc () =
       (Printf.sprintf "CSOD adds 0 words per allocation (heap %.0f, CSOD %.0f)" wb wc)
       0.0 (wc -. wb)
 
+(* The CSOD pair itself, with no baseline to subtract: a warm
+   evidence-mode [malloc] and [free] through the runtime (the canary's
+   plant, the header and canary read in one pass at [free], and the
+   counted check) allocate nothing, on one thread and on sixteen.  The
+   context is in the evidence store, so it is pinned and every [malloc]
+   installs a watchpoint on every thread that its [free] removes. *)
+let test_csod_pair_no_alloc () =
+  List.iter
+    (fun threads ->
+      let m = Machine.create () in
+      spawn_threads m threads;
+      let ctx = Alloc_ctx.synthetic ~callsite:0x40 () in
+      let store = Persist.create () in
+      Persist.add store (Alloc_ctx.key ctx);
+      let rt = Runtime.create ~store ~machine:m ~heap:(Heap.create m) () in
+      let tool = Runtime.tool rt in
+      let pairs () =
+        for i = 1 to 1_000 do
+          tool.Tool.free ~ptr:(tool.Tool.malloc ~size:(16 + (i land 7 * 24)) ~ctx)
+        done
+      in
+      check_no_alloc (Printf.sprintf "malloc + free, %d threads" threads) pairs;
+      let st = Runtime.stats rt in
+      Alcotest.(check (pair int int)) "every pair watched and checked" (2_000, 2_000)
+        (st.Runtime.watched_times, st.Runtime.canary_checks);
+      Alcotest.(check int) "no event left open" 0
+        (Hw_breakpoint.live_fd_count (Machine.hw m)))
+    [ 1; 16 ]
+
 (* A context's first sight writes its full chain straight into the
    table's buffer: it allocates the entry (its record, its sampling
    record, its key pair) and no list, so the words per first sight do not
@@ -519,6 +548,8 @@ let suite =
       `Quick test_watch_install_remove_no_alloc;
     Alcotest.test_case "allocation-free: CSOD malloc/free over the heap's" `Quick
       test_csod_alloc_path_no_alloc;
+    Alcotest.test_case "allocation-free: warm CSOD malloc/free pair, 1 and 16 threads"
+      `Quick test_csod_pair_no_alloc;
     Alcotest.test_case "no major-heap words: warm execution, 9 apps x 3 tools"
       `Quick test_execution_no_major_words;
     Alcotest.test_case "fixed cost: set-up and release, warm domain" `Quick

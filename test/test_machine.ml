@@ -86,6 +86,18 @@ let test_mem_recycled_reads_zero () =
   (* one fill across a chunk boundary *)
   let a = chunk 10 - 100 in
   Sparse_mem.fill mem a 200 0xA5; mark a 200;
+  (* object frames: in one chunk (one extent note, their hull), with the
+     header across a boundary, and with the tail in the next chunk *)
+  let frame a n =
+    Sparse_mem.write_frame mem a a n 7 0x43534F44 (word ());
+    mark a 32;
+    mark (Sparse_mem.frame_tail a n) 8
+  in
+  for _ = 1 to 50 do
+    frame (chunk 11 + (16 * Prng.int g 1000)) (Prng.int g 2000)
+  done;
+  frame (chunk 13 - 16) 100;
+  frame (chunk 15 - 48) 64;
   let chunks = Hashtbl.create 16 and offsets = Hashtbl.create 4096 in
   Hashtbl.iter
     (fun a () ->
@@ -110,6 +122,45 @@ let test_mem_recycled_reads_zero () =
     chunks;
   Alcotest.(check int) "recycled bytes that read non-zero" 0 !dirty;
   Sparse_mem.release mem2
+
+(* A frame reads back what word-wise accesses would: in one chunk, with
+   the header split by a chunk boundary, with the tail in the next chunk,
+   and in untouched memory.  Only a frame whose header and tail share a
+   written chunk has its tail compared; the others leave that to
+   [equal_u64]. *)
+let test_mem_frames () =
+  let cs = Sparse_mem.chunk_size in
+  let v = 0x0123_4567_89AB_CDEFL in
+  let case name a n ~compared =
+    let mem = Sparse_mem.create () in
+    Sparse_mem.write_frame mem a (a + 1) n (-3) 0x43534F44 v;
+    let tail = Sparse_mem.frame_tail a n in
+    Alcotest.(check (list int)) (name ^ ": header words")
+      [ a + 1; n; -3; 0x43534F44 ]
+      (List.init 4 (fun i -> Sparse_mem.read_int mem (a + (8 * i))));
+    Alcotest.(check int64) (name ^ ": tail") v (Sparse_mem.read_u64 mem tail);
+    Alcotest.(check int) (name ^ ": body untouched") 0 (Sparse_mem.read_u8 mem (a + 32));
+    let dst = Array.make 4 0 in
+    let verdict expected =
+      if compared then Bool.to_int (Sparse_mem.equal_u64 mem tail expected)
+      else Sparse_mem.tail_unread
+    in
+    Alcotest.(check int) (name ^ ": intact") (verdict v) (Sparse_mem.read_frame mem a dst v);
+    Alcotest.(check (array int)) (name ^ ": read back") [| a + 1; n; -3; 0x43534F44 |] dst;
+    Alcotest.(check int) (name ^ ": another canary") (verdict 7L)
+      (Sparse_mem.read_frame mem a dst 7L);
+    Alcotest.(check bool) (name ^ ": compared") compared
+      (Sparse_mem.read_frame mem a dst v <> Sparse_mem.tail_unread)
+  in
+  case "in one chunk" 0x1000_0000 24 ~compared:true;
+  case "up to the chunk's end" (0x1000_0000 + cs - 72) 32 ~compared:true;
+  case "header split" (0x1000_0000 + cs - 16) 24 ~compared:false;
+  case "tail in the next chunk" (0x1000_0000 + cs - 48) 24 ~compared:false;
+  let mem = Sparse_mem.create () in
+  let dst = Array.make 4 9 in
+  Alcotest.(check int) "untouched: not compared" Sparse_mem.tail_unread
+    (Sparse_mem.read_frame mem 0x2000_0000 dst 0L);
+  Alcotest.(check (array int)) "untouched: zeros" [| 0; 0; 0; 0 |] dst
 
 (* ---------- Clock ---------- *)
 
@@ -354,6 +405,7 @@ let suite =
     Alcotest.test_case "sparse mem cross-chunk" `Quick test_mem_cross_chunk;
     Alcotest.test_case "sparse mem fill/int" `Quick test_mem_fill_and_int;
     Alcotest.test_case "sparse mem negative addr" `Quick test_mem_negative_addr;
+    Alcotest.test_case "sparse mem frames" `Quick test_mem_frames;
     Alcotest.test_case "sparse mem recycled pages read zero" `Quick
       test_mem_recycled_reads_zero;
     QCheck_alcotest.to_alcotest prop_mem_roundtrip;

@@ -115,7 +115,7 @@ let test_no_evidence_mode () =
   let rt, tool, machine, heap = mk ~params () in
   let p = tool.Tool.malloc ~size:24 ~ctx:(ctx 1) in
   (* no header before the object *)
-  Alcotest.(check bool) "no header" true (not (Canary.read_header machine ~app:p (Canary.header ())));
+  Alcotest.(check bool) "no header" true (not (Canary.read_header (Canary.create machine 0L) ~app:p));
   Machine.store_word_unwatched machine (p + 24) 0x43434343;
   tool.Tool.free ~ptr:p;
   Runtime.finish rt;

@@ -607,6 +607,34 @@ let test_serve_replay_meta_strict () =
     Alcotest.(check (list string)) "the undecodable one is a read error"
       [ "seq 5: malformed health body" ] r.Serve.read_errors
 
+(* A history holds one meta record: a second one, checksummed and in
+   sequence, is another run's configuration, and both readers refuse it.
+   The validator names it; [replay] keeps the first and lists the second
+   as a read error, so the command exits 1. *)
+let test_serve_second_meta_refused () =
+  let dir = temp_dir "csod_hist" in
+  let first = meta () in
+  let w = History.writer dir in
+  ignore (History.append w History.Meta first);
+  for i = 0 to 3 do
+    ignore (History.append w History.Health (Health.to_json (record i)))
+  done;
+  ignore (History.append w History.Meta (meta ~rules:"degraded@3" ()));
+  History.close w;
+  (match Schema.validate Schemas.all ~schema:"csod.serve.history/2"
+           (read_file (List.hd (History.segments dir))) with
+   | Ok _ -> Alcotest.fail "the validator accepted a second meta record"
+   | Error e ->
+     if find_sub e "seq 5: a second meta record" = None then
+       Alcotest.failf "validator: %s" e);
+  match Serve.replay dir with
+  | Error m -> Alcotest.fail m
+  | Ok r ->
+    Alcotest.(check string) "the first meta record stands" (Obs_json.to_string first)
+      (Obs_json.to_string (History.meta_to_json r.Serve.meta));
+    Alcotest.(check (list string)) "the second is a read error"
+      [ "seq 5: a second meta record" ] r.Serve.read_errors
+
 (* A fresh start into a directory that already holds a run is refused,
    and nothing there is deleted or cut. *)
 let test_serve_fresh_refuses_used_history () =
@@ -992,6 +1020,8 @@ let suite =
       test_serve_checkpoint_needs_history;
     Alcotest.test_case "serve: replay reads its configuration strictly" `Quick
       test_serve_replay_meta_strict;
+    Alcotest.test_case "serve: replay refuses a second meta record" `Quick
+      test_serve_second_meta_refused;
     Alcotest.test_case "serve: resumed first catch labelled" `Quick
       test_cli_resume_first_catch;
     Alcotest.test_case "serve: a fresh start refuses a used history" `Quick
