@@ -12,6 +12,11 @@ let[@inline] push c pc =
   Array.unsafe_set c.pcs c.len pc;
   c.len <- c.len + 1
 
+let push_n c pc n =
+  while c.len + n > Array.length c.pcs do grow c done;
+  Array.fill c.pcs c.len n pc;
+  c.len <- c.len + n
+
 let to_list c ~off ~len =
   let rec go i acc = if i < off then acc else go (i - 1) (c.pcs.(i) :: acc) in
   go (off + len - 1) []

@@ -26,6 +26,9 @@ val chain : int -> chain
 val push : chain -> int -> unit
 (** Append one address, doubling the buffer when full. *)
 
+val push_n : chain -> int -> int -> unit
+(** [push_n c pc n] appends [n] copies of [pc]. *)
+
 val to_list : chain -> off:int -> len:int -> int list
 (** The [len] addresses from [off], in buffer order: for reports. *)
 

@@ -31,15 +31,14 @@
    [c >= 0] and [k >= 1] (the allocation wrappers that mint distinct
    stack offsets by call depth).  Its guard, [Stmt_jz_si (p0 > c)], becomes
    [Descent]: entered with [p0 > c], the VM knows the whole descent, so
-   it pushes every level's frame and locals window in one loop, counts
-   two steps a level, and charges all the levels' statements as one
-   [Machine.work]; at the bottom it runs the plain guard.  Frames are
-   still pushed one per level, so stack offsets, backtraces and the
-   [Ret] chain that unwinds the descent are unchanged.  The VM runs the
-   plain guard, one level at a time, when the step limit or the next
-   telemetry snapshot boundary falls inside the descent: a limit must
-   stop at its own statement, and a snapshot must see the profile of its
-   own instant. *)
+   it pushes one run frame standing for every level, counts two steps a
+   level, charges all the levels' statements as one [Machine.work], and
+   runs the plain guard at the bottom.  Stack offsets and chains read
+   through the run frame are the ones a frame per level gave.  The VM
+   runs the plain guard, one level at a time, when the step limit or the
+   next telemetry snapshot boundary falls inside the descent: a limit
+   must stop at its own statement, and a snapshot must see the profile
+   of its own instant. *)
 
 type site = { addr : int; loc : Srcloc.t }
 

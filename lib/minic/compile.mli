@@ -17,9 +17,9 @@
     [fn f(p0, ..., pn-1) { if (p0 > c) { return f(p0 - k, p1, ..., pn-1); } ...}]
     (constants [c >= 0], [k >= 1], the guard the body's first statement,
     the arguments in order) becomes a {!Descent}: the VM runs the whole
-    descent as one instruction, still pushing one frame per level, and
-    falls back to the plain guard a level at a time when the step limit
-    or the next telemetry snapshot boundary falls inside it. *)
+    descent as one instruction that pushes one run frame for all of its
+    levels, and falls back to the plain guard a level at a time when the
+    step limit or the next telemetry snapshot boundary falls inside it. *)
 
 type site = { addr : int; loc : Srcloc.t }
 

@@ -15,10 +15,11 @@
 
 (* Frame [k] occupies words [frame_words * k] onward of [st.frames]:
    the call site (code address of the call expression), the simulated
-   stack pointer of the activation, the instruction index to resume (-1
-   at a host boundary) and the caller's locals window base.  Frame 0 is
-   the outermost. *)
-let frame_words = 4
+   stack pointer, the instruction index to resume (-1 at a host
+   boundary), the caller's locals window base and the number of
+   activations the frame stands for: one, or a descent's levels
+   ({!descend}).  Frame 0 is the outermost. *)
+let frame_words = 5
 
 type st = {
   m : Machine.t;
@@ -47,12 +48,13 @@ let stack_base = Interp.stack_base
 let statement_cost = Interp.statement_cost
 
 (* The run's one frame walker: [pc], then the call sites of the live
-   frames, innermost first, appended to [c].  It serves the handle's
+   activations, innermost first, appended to [c].  It serves the handle's
    writer and the machine's backtrace provider alike. *)
 let write_frames st pc c =
   Alloc_ctx.push c pc;
   for k = st.nframes - 1 downto 0 do
-    Alloc_ctx.push c (Array.unsafe_get st.frames (frame_words * k))
+    let o = frame_words * k in
+    Alloc_ctx.push_n c (Array.unsafe_get st.frames o) (Array.unsafe_get st.frames (o + 4))
   done
 
 let top_vsp st = Array.unsafe_get st.frames ((frame_words * (st.nframes - 1)) + 1)
@@ -104,32 +106,37 @@ let grow_frames st =
   Array.blit st.frames 0 arr 0 (frame_words * st.nframes);
   st.frames <- arr
 
+(* Open frame [st.nframes], standing for [count] activations, with a
+   locals window of [nslots] words above [ltop]. *)
+let[@inline] open_frame st ~callsite ~vsp ~ret_pc ~count nslots =
+  let n = st.nframes and base = st.ltop in
+  if base + nslots > Array.length st.locals then grow_locals st (base + nslots);
+  if frame_words * (n + 1) > Array.length st.frames then grow_frames st;
+  let frames = st.frames and o = frame_words * n in
+  Array.unsafe_set frames o callsite;
+  Array.unsafe_set frames (o + 1) vsp;
+  Array.unsafe_set frames (o + 2) ret_pc;
+  Array.unsafe_set frames (o + 3) st.lbase;
+  Array.unsafe_set frames (o + 4) count;
+  st.nframes <- n + 1;
+  st.lbase <- base;
+  st.ltop <- base + nslots
+
 (* Push a frame for [f]: pop its arguments (pushed left-to-right) into
    slots 0..nargs-1 and guarantee operand-stack headroom for the whole of
    [f]'s own code — nested calls re-check at their own push. *)
 let push_frame st (f : Compile.func_info) ~callsite ~ret_pc =
-  let n = st.nframes in
-  let parent_sp = if n = 0 then stack_base else top_vsp st in
+  let parent_sp = if st.nframes = 0 then stack_base else top_vsp st in
   if st.sp + f.Compile.fi_max_stack > Array.length st.stack then
     grow_stack st (st.sp + f.Compile.fi_max_stack);
-  let base = st.ltop in
-  if base + f.Compile.fi_nslots > Array.length st.locals then
-    grow_locals st (base + f.Compile.fi_nslots);
-  if frame_words * (n + 1) > Array.length st.frames then grow_frames st;
-  let stack = st.stack and locals = st.locals in
+  open_frame st ~callsite ~vsp:(parent_sp - f.Compile.fi_frame_bytes) ~ret_pc
+    ~count:1 f.Compile.fi_nslots;
+  let stack = st.stack and locals = st.locals and base = st.lbase in
   let sp = st.sp - f.Compile.fi_nargs in
   for j = 0 to f.Compile.fi_nargs - 1 do
     Array.unsafe_set locals (base + j) (Array.unsafe_get stack (sp + j))
   done;
-  st.sp <- sp;
-  let frames = st.frames and o = frame_words * n in
-  Array.unsafe_set frames o callsite;
-  Array.unsafe_set frames (o + 1) (parent_sp - f.Compile.fi_frame_bytes);
-  Array.unsafe_set frames (o + 2) ret_pc;
-  Array.unsafe_set frames (o + 3) st.lbase;
-  st.nframes <- n + 1;
-  st.lbase <- base;
-  st.ltop <- base + f.Compile.fi_nslots
+  st.sp <- sp
 
 let word_access st ~addr ~site ~loc =
   if addr < 0 then error loc "invalid address %d" addr;
@@ -168,14 +175,15 @@ let[@inline] statement st saddr loc =
 
 (* A counted descent ({!Compile.descent}), entered with [p0 > c]: the
    wrapper calls itself [levels] times before its guard fails, and each
-   level runs two statements (the guard, then the [return]) and pushes one
-   frame whose locals window holds [p0 - k] and the pass-through
-   parameters.  When the levels' steps stay within the limit and their
-   cycles end before the next snapshot boundary, they run here: one loop
-   pushes the frames, and one [Machine.work] charges every statement to
-   the current phase.  Otherwise nothing happens and the guard runs as
-   the plain [Stmt_jz_si], one level at a time.  Both checks divide, so
-   neither can overflow. *)
+   level runs two statements (the guard, then the [return]).  When the
+   levels' steps stay within the limit and their cycles end before the
+   next snapshot boundary, they run here as one run frame, at the bottom
+   level's stack pointer, with the bottom level's locals window alone:
+   every other level resumes at the [Ret] after its self-call, so none
+   reads its window and {!ret} pops the run whole.  One [Machine.work]
+   charges every statement to the current phase.  Otherwise nothing
+   happens and the guard runs as the plain [Stmt_jz_si], one level at a
+   time.  Both checks divide, so neither can overflow. *)
 let descend st (d : Compile.descent) =
   let p0 = Array.unsafe_get st.locals st.lbase in
   let levels = ((p0 - d.Compile.c - 1) / d.Compile.k) + 1 in
@@ -184,35 +192,15 @@ let descend st (d : Compile.descent) =
   if levels <= (st.step_limit - st.steps) / 2
      && levels <= (next - now - 1) / (2 * statement_cost)
   then begin
-    let f = d.Compile.callee in
-    let nslots = f.Compile.fi_nslots and bytes = f.Compile.fi_frame_bytes in
-    while levels > (Array.length st.frames / frame_words) - st.nframes do
-      grow_frames st
+    let f = d.Compile.callee and caller = st.lbase in
+    open_frame st ~callsite:d.Compile.callsite
+      ~vsp:(top_vsp st - (levels * f.Compile.fi_frame_bytes))
+      ~ret_pc:d.Compile.resume ~count:levels f.Compile.fi_nslots;
+    let locals = st.locals and base = st.lbase in
+    Array.unsafe_set locals base (p0 - (levels * d.Compile.k));
+    for j = 1 to f.Compile.fi_nargs - 1 do
+      Array.unsafe_set locals (base + j) (Array.unsafe_get locals (caller + j))
     done;
-    while levels > (Array.length st.locals - st.ltop) / nslots do
-      grow_locals st 0
-    done;
-    let frames = st.frames and locals = st.locals and last = f.Compile.fi_nargs - 1 in
-    let o = ref (frame_words * st.nframes) and vsp = ref (top_vsp st) in
-    let caller = ref st.lbase and base = ref st.ltop and v = ref p0 in
-    for _ = 1 to levels do
-      vsp := !vsp - bytes;
-      v := !v - d.Compile.k;
-      Array.unsafe_set frames !o d.Compile.callsite;
-      Array.unsafe_set frames (!o + 1) !vsp;
-      Array.unsafe_set frames (!o + 2) d.Compile.resume;
-      Array.unsafe_set frames (!o + 3) !caller;
-      Array.unsafe_set locals !base !v;
-      for j = 1 to last do
-        Array.unsafe_set locals (!base + j) (Array.unsafe_get locals (!caller + j))
-      done;
-      o := !o + frame_words;
-      caller := !base;
-      base := !base + nslots
-    done;
-    st.nframes <- st.nframes + levels;
-    st.lbase <- !caller;
-    st.ltop <- !base;
     st.steps <- st.steps + (2 * levels);
     Machine.set_pc st.m d.Compile.step_saddr;
     Machine.work st.m (2 * statement_cost * levels)
@@ -225,10 +213,10 @@ let rec run_call st (f : Compile.func_info) ~callsite : int =
   push_frame st f ~callsite ~ret_pc:(-1);
   dispatch st st.code.Compile.instrs f.Compile.fi_entry
 
-(* Pop the innermost frame.  Its value stays on the operand stack, except
-   at a host boundary, where it is returned.  A resume point that is
-   itself a [Ret] (the caller ran [return f(...)]) pops the caller's frame
-   too, without a dispatch in between. *)
+(* Pop the innermost frame, a descent's run frame whole.  Its value stays
+   on the operand stack, except at a host boundary, where it is returned.
+   A resume point that is itself a [Ret] (the caller ran [return f(...)])
+   pops the caller's frame too, without a dispatch in between. *)
 and ret st code : int =
   let n = st.nframes - 1 in
   st.nframes <- n;

@@ -76,13 +76,13 @@ type record = { seq : int; at : int; kind : kind }
 
    The ring is one [Bytes] block of [columns × cap] 64-bit words, laid out
    column by column: word column [c] of slot [s] sits at byte
-   [((c × cap) + s) × 8].  [Bytes.create] neither fills the block nor
-   hands the marker anything to scan, so creating a recorder costs one
-   uninitialised allocation whatever its capacity, and a record is a few
-   unboxed, bounds-checked stores with no write barrier.  Ints are stored
-   through [Int64.of_int]/[to_int] (exact for every OCaml int), floats
-   through [Int64.bits_of_float]/[float_of_bits] (bit-exact, NaN payloads
-   and [-0.] included).
+   [((c × cap) + s) × 8].  [Bytes.create] neither fills the block nor hands
+   the marker anything to scan, so creating a recorder costs one
+   uninitialised allocation whatever its capacity, and a record is one
+   bounds check of its slot and a few unboxed, unchecked stores with no
+   write barrier.  Ints are stored through [Int64.of_int]/[to_int] (exact
+   for every OCaml int), floats through [Int64.bits_of_float]/
+   [float_of_bits] (bit-exact, NaN payloads and [-0.] included).
 
    Column 0 is the slot's head: the kind tag in the low [tag_bits] bits
    and a small code above it, so no slot holds a pointer.  The code is
@@ -176,11 +176,12 @@ let detection_count t = t.detections
 (* Below, a slot [s] is named by its byte offset in column 0: slot
    index × 8. *)
 let[@inline] offset t c s = s + (c * t.stride)
-let[@inline] set t c s v = Bytes.set_int64_ne t.ring (offset t c s) (Int64.of_int v)
 let[@inline] get t c s = Int64.to_int (Bytes.get_int64_ne t.ring (offset t c s))
 
-let[@inline] set_float t c s x =
-  Bytes.set_int64_ne t.ring (offset t c s) (Int64.bits_of_float x)
+(* Unchecked: the hooks store only into a slot that [slot] checked. *)
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+let[@inline] set t c s v = set64u t.ring (offset t c s) (Int64.of_int v)
+let[@inline] set_float t c s x = set64u t.ring (offset t c s) (Int64.bits_of_float x)
 
 let[@inline] get_float t c s =
   Int64.float_of_bits (Bytes.get_int64_ne t.ring (offset t c s))
@@ -273,9 +274,10 @@ let with_recorder t f =
       current := prev)
     f
 
-(* Claim the next slot and write the two columns every record shares. *)
+(* Claim the next slot, checked once for all of the record's stores. *)
 let[@inline] slot t ~at h =
   let i = t.next in
+  if i < 0 || i >= t.cap then invalid_arg "Flight_recorder.slot";
   t.next <- (if i + 1 = t.cap then 0 else i + 1);
   t.seq <- t.seq + 1;
   let s = i * 8 in

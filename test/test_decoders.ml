@@ -393,6 +393,43 @@ let structure_cases =
     ("sim repro", structure "repro" gen_repro Sim.to_json (Schema.decode repro) ~optional:[]) ]
 
 (* The committed repros decode and re-encode to their own bytes. *)
+(* The MiniC front end is a reader of bytes too: [Program.load] on a
+   mutated unit returns [Ok] or a non-empty [Error], and never raises.
+   Each mutant replaces one unit of a bundled app, so linking and the
+   static checks also see it, or is a semantics-corpus program alone. *)
+let test_minic_mutated () =
+  let g = Prng.fork (Prng.create ~seed:43) "minic" in
+  let loaded = ref 0 and refused = ref 0 in
+  let loads what units =
+    match Program.load units with
+    | Ok _ -> incr loaded
+    | Error [] -> Alcotest.failf "%s: an empty error list" what
+    | Error _ -> incr refused
+    | exception e -> Alcotest.failf "%s: %s escaped" what (Printexc.to_string e)
+  in
+  List.iter
+    (fun (app : Buggy_app.t) ->
+      let units = app.Buggy_app.units in
+      List.iteri
+        (fun i (u : Program.unit_src) ->
+          List.iter
+            (fun source ->
+              loads (u.Program.file ^ " mutated")
+                (List.mapi (fun j v -> if j = i then { u with Program.source } else v) units))
+            (mutants g u.Program.source 40))
+        units)
+    (Buggy_app.all ());
+  List.iteri
+    (fun i src ->
+      List.iter
+        (fun source ->
+          loads (Printf.sprintf "corpus program %d mutated" i)
+            [ { Program.file = "t.mc"; module_name = "t"; source } ])
+        (mutants g src 40))
+    Test_minic.semantics_corpus;
+  Alcotest.(check bool) "some mutants load, some are refused" true
+    (!loaded > 0 && !refused > 0)
+
 let test_planted_repros_reencode () =
   let spec = Sim.repro_spec Sim_registry.all in
   let lines =
@@ -422,4 +459,6 @@ let suite =
     Alcotest.test_case "mutation: history salvage, bit flips refused" `Quick
       test_history_mutated;
     Alcotest.test_case "mutation: store salvage, bit flips refused" `Quick
-      test_store_mutated ]
+      test_store_mutated;
+    Alcotest.test_case "mutation: MiniC sources load or are refused" `Quick
+      test_minic_mutated ]

@@ -18,6 +18,7 @@ let () =
       ("runtime", Test_runtime.suite);
       ("sim", Test_sim.suite);
       ("prop", Test_prop.suite);
+      ("descent", Test_descent.suite);
       ("asan", Test_asan.suite);
       ("apps", Test_apps.suite);
       ("fleet", Test_fleet.suite);

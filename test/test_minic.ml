@@ -491,39 +491,42 @@ let run_engine ?(inputs = [||]) engine src =
   let r = Engine.run ~engine ~machine ~tool:(Tool.baseline heap) ~program ~inputs () in
   (r, Clock.cycles (Machine.clock machine))
 
-(* Every semantics program above, replayed on the VM: return value, output,
+(* The semantics programs above, one source each: replayed on the VM
+   below, and the MiniC front-end fuzzer's seed corpus with the bundled
+   apps' sources (test_decoders). *)
+let semantics_corpus =
+  [ "fn main() { return (2 + 3) * 4 - 20 / 2 + (17 % 5); }";
+    "fn main() { return (1 << 4) + (256 >> 2) + (6 & 3) + (4 | 1) + (5 ^ 1); }";
+    "fn boom() { return 1 / 0; }\n\
+     fn main() { if (0 && boom()) { return 1; } if (1 || boom()) { return 2; } return 3; }";
+    "fn main() { var s = 0; for (var i = 0; i < 10; i = i + 1) { \
+     if (i == 3) { continue; } if (i == 7) { break; } s = s + i; } return s; }";
+    "fn fib(n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); }\n\
+     fn main() { return fib(15); }";
+    "fn main() { var p = malloc(64); p[0] = 11; p[7] = 22; store8(p, 9, 255); \
+     var v = p[0] + p[7] + load8(p, 9); free(p); return v; }";
+    "fn main() { var a = malloc(32); var b = malloc(32); memset(a, 7, 32); \
+     memcpy(b, a, 32); var v = load8(b, 0) + load8(b, 31); free(a); free(b); return v; }";
+    "fn main() { return rand(1000) + rand(1000); }";
+    "fn worker(n) { return n * 2; }\n\
+     fn main() { var a = spawn(\"worker\", 21); return a; }";
+    "fn main() { var a = malloc(32); memset(a, 255, 32); free(a); \
+     var b = calloc(4, 8); var v = load8(b, 0) + load8(b, 31) + b[2]; \
+     free(b); return v; }";
+    "fn main() { while (1) { if (1) { return 7; } } return 0; }";
+    "fn main() { return (0 - 7) % 3; }";
+    "fn main() { return (0 - 7) / 2; }";
+    "fn f(a) { a = a + 1; return a; }\n\
+     fn main() { var x = 5; var y = f(x); return x * 100 + y; }";
+    "fn main() { var n = 0; for (var i = 0; i < 3; i = i + 1) { \
+     for (var j = 0; j < 3; j = j + 1) { if (j == 1) { break; } n = n + 1; } } return n; }";
+    "fn main() { var x = 1; if (x == 1) { var x = 2; x = x + 1; } return x; }";
+    "fn down(n) { if (n == 0) { return 0; } return down(n - 1) + 1; }\n\
+     fn main() { return down(5000); }" ]
+
+(* Every semantics program, replayed on the VM: return value, output,
    step count and virtual-cycle total must match the interpreter exactly. *)
 let test_vm_matches_interp () =
-  let programs =
-    [ "fn main() { return (2 + 3) * 4 - 20 / 2 + (17 % 5); }";
-      "fn main() { return (1 << 4) + (256 >> 2) + (6 & 3) + (4 | 1) + (5 ^ 1); }";
-      "fn boom() { return 1 / 0; }\n\
-       fn main() { if (0 && boom()) { return 1; } if (1 || boom()) { return 2; } return 3; }";
-      "fn main() { var s = 0; for (var i = 0; i < 10; i = i + 1) { \
-       if (i == 3) { continue; } if (i == 7) { break; } s = s + i; } return s; }";
-      "fn fib(n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); }\n\
-       fn main() { return fib(15); }";
-      "fn main() { var p = malloc(64); p[0] = 11; p[7] = 22; store8(p, 9, 255); \
-       var v = p[0] + p[7] + load8(p, 9); free(p); return v; }";
-      "fn main() { var a = malloc(32); var b = malloc(32); memset(a, 7, 32); \
-       memcpy(b, a, 32); var v = load8(b, 0) + load8(b, 31); free(a); free(b); return v; }";
-      "fn main() { return rand(1000) + rand(1000); }";
-      "fn worker(n) { return n * 2; }\n\
-       fn main() { var a = spawn(\"worker\", 21); return a; }";
-      "fn main() { var a = malloc(32); memset(a, 255, 32); free(a); \
-       var b = calloc(4, 8); var v = load8(b, 0) + load8(b, 31) + b[2]; \
-       free(b); return v; }";
-      "fn main() { while (1) { if (1) { return 7; } } return 0; }";
-      "fn main() { return (0 - 7) % 3; }";
-      "fn main() { return (0 - 7) / 2; }";
-      "fn f(a) { a = a + 1; return a; }\n\
-       fn main() { var x = 5; var y = f(x); return x * 100 + y; }";
-      "fn main() { var n = 0; for (var i = 0; i < 3; i = i + 1) { \
-       for (var j = 0; j < 3; j = j + 1) { if (j == 1) { break; } n = n + 1; } } return n; }";
-      "fn main() { var x = 1; if (x == 1) { var x = 2; x = x + 1; } return x; }";
-      "fn down(n) { if (n == 0) { return 0; } return down(n - 1) + 1; }\n\
-       fn main() { return down(5000); }" ]
-  in
   List.iteri
     (fun i src ->
       let tag fmt = Printf.sprintf ("program %d " ^^ fmt) i in
@@ -533,7 +536,7 @@ let test_vm_matches_interp () =
       Alcotest.(check string) (tag "output") ri.Interp.output rv.Interp.output;
       Alcotest.(check int) (tag "steps") ri.Interp.steps rv.Interp.steps;
       Alcotest.(check int) (tag "cycles") ci cv)
-    programs
+    semantics_corpus
 
 (* the VM raises the interpreter's error type with the same message *)
 let test_vm_runtime_errors () =
